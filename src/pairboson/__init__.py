@@ -28,9 +28,7 @@ from .model import (
     Model,
     coupling_norms,
     delta_profile,
-    epsilon,
     gaussian_profile,
-    lambda_value,
     lattice_modes,
     power_profile,
 )

@@ -10,7 +10,6 @@ identical configurations produce byte-identical files.  Exit codes:
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -37,31 +36,41 @@ EXIT_INFEASIBLE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_ORACLE = 4
 
-_INFEASIBLE_ERRORS = (InfeasiblePoint, UnstableMode)
-_CONVERGENCE_ERRORS = (ContinuationDiverged, BracketFailure,
-                       QuadratureFailure, StationarityViolated,
-                       TailNotConverged)
+# Error class -> exit code and stderr label, first match wins.  `main` is
+# the only place that turns an error into an exit code; unlisted errors
+# propagate.
+_EXIT_TABLE = (
+    ((ConfigError, ModelError), EXIT_CONFIG, "config error"),
+    (DimensionExceeded, EXIT_CONFIG, "config error: oracle instance too large"),
+    (InequalityViolated, EXIT_ORACLE, "oracle check failed"),
+    ((InfeasiblePoint, UnstableMode), EXIT_INFEASIBLE, "infeasible"),
+    ((ContinuationDiverged, BracketFailure, QuadratureFailure,
+      StationarityViolated, TailNotConverged),
+     EXIT_NO_CONVERGENCE, "non-convergence"),
+)
 
-# Every key accepted in a config file; anything else is rejected
-# (fail-closed).  Command-line flags override file values.
-_DEFAULTS = {
-    "beta": "1.0",
-    "mu": "-0.5",
-    "mu_range": None,
-    "u": "0.5",
-    "v": "1.0",
-    "mass": "0.5",
-    "dim": "3",
-    "profile": "gaussian:1.0",
-    "eta0": "0.1",
-    "eta_floor": "1e-6",
-    "eta_factor": "0.5",
-    "tol": "1e-10",
-    "out": None,
-    "format": None,
-    "k_max": "5.0",
-    "k_count": "101",
-    "n_max": "8",
+# Every key accepted in a config file and as a `--key` flag (dashes for
+# underscores): its default and help text.  Any other key in a config file
+# is rejected (fail-closed).  Command-line flags override file values.
+_KEYS = {
+    "beta": ("1.0", "inverse temperature (comma-separated list for scan)"),
+    "mu": ("-0.5", "chemical potential"),
+    "mu_range": (None, "scan grid start:stop:count"),
+    "u": ("0.5", "pair coupling strength"),
+    "v": ("1.0", "density repulsion strength"),
+    "mass": ("0.5", "particle mass"),
+    "dim": ("3", "spatial dimension"),
+    "profile": ("gaussian:1.0",
+                "pair profile: gaussian:a | power:c:p | delta"),
+    "eta0": ("0.1", "initial source strength"),
+    "eta_floor": ("1e-6", "smallest source strength in the continuation"),
+    "eta_factor": ("0.5", "source reduction factor per step"),
+    "tol": ("1e-10", "target relative tolerance"),
+    "out": (None, "output file (default: stdout)"),
+    "format": (None, "output format: csv | json"),
+    "k_max": ("5.0", "spectrum: largest wavenumber"),
+    "k_count": ("101", "spectrum: number of grid points"),
+    "n_max": ("8", "oracle: per-mode occupation cutoff"),
 }
 
 
@@ -88,7 +97,7 @@ def _parse_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             col = raw.index(key.replace("_", "-")) + 1 if key.replace(
                 "_", "-") in raw else raw.index(key) + 1 if key in raw else 1
             raise ConfigError(f"{path}:{lineno}:{col}: unknown key '{key}'")
@@ -99,11 +108,11 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (default, _) in _KEYS.items()}
     if args.config:
         cfg.update(_parse_config_file(args.config))
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
+    for key in _KEYS:
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
     return cfg
@@ -148,26 +157,15 @@ def _parse_profile(text: str, dim: int):
 
 
 def _build_model(cfg: dict) -> Model:
+    """Parse the model keys; `Model` itself checks their ranges."""
     dim = _parse_int(cfg, "dim")
-    if dim < 1:
-        raise ConfigError("dim must be a positive integer")
-    mass = _parse_float(cfg, "mass")
-    if mass <= 0:
-        raise ConfigError("mass must be positive")
-    u = _parse_float(cfg, "u")
-    v = _parse_float(cfg, "v")
-    if v <= 0:
-        raise ConfigError("requires v > 0")
-    if v - u <= 0:
-        raise ConfigError("requires v - u > 0")
-    profile = _parse_profile(cfg["profile"], dim)
-    try:
-        return Model(dim=dim, mass=mass, u=u, v=v, lambda_profile=profile)
-    except ModelError as exc:
-        raise ConfigError(str(exc))
+    return Model(dim=dim, mass=_parse_float(cfg, "mass"),
+                 u=_parse_float(cfg, "u"), v=_parse_float(cfg, "v"),
+                 lambda_profile=_parse_profile(cfg["profile"], dim))
 
 
-def _solver_settings(cfg: dict):
+def _solver_settings(cfg: dict) -> dict:
+    """Keyword arguments of `eta_continuation`."""
     eta0 = _parse_float(cfg, "eta0")
     floor = _parse_float(cfg, "eta_floor")
     factor = _parse_float(cfg, "eta_factor")
@@ -179,28 +177,30 @@ def _solver_settings(cfg: dict):
     if tol <= 0:
         raise ConfigError("tol must be positive")
     quad = QuadratureConfig(rel_tol=tol, abs_tol=min(tol * 1e-2, 1e-12))
-    return eta0, factor, floor, quad
+    return {"eta0": eta0, "factor": factor, "floor": floor, "quad_cfg": quad}
 
 
-def _parse_beta_single(cfg) -> float:
-    beta = _parse_float(cfg, "beta")
-    if beta <= 0:
+def _parse_betas(cfg) -> list:
+    """beta as a comma-separated list of positive numbers."""
+    try:
+        betas = [float(item) for item in str(cfg["beta"]).split(",")]
+    except ValueError:
+        raise ConfigError(f"invalid number for beta: {cfg['beta']!r}")
+    if any(beta <= 0 for beta in betas):
         raise ConfigError("beta must be positive")
-    return beta
+    return betas
 
 
-def _parse_beta_list(cfg) -> list:
-    out = []
-    for item in str(cfg["beta"]).split(","):
-        val = float(item)
-        if val <= 0:
-            raise ConfigError("beta must be positive")
-        out.append(val)
-    return out
+def _thermo_point(cfg) -> ThermoPoint:
+    """The single state point of solve, spectrum and oracle."""
+    if "," in str(cfg["beta"]):
+        raise ConfigError(f"invalid number for beta: {cfg['beta']!r}")
+    beta, = _parse_betas(cfg)
+    return ThermoPoint(beta=beta, mu=_parse_float(cfg, "mu"))
 
 
 def _parse_mu_list(cfg) -> list:
-    if cfg.get("mu_range"):
+    if cfg["mu_range"]:
         parts = str(cfg["mu_range"]).split(":")
         if len(parts) != 3:
             raise ConfigError("mu-range must be start:stop:count")
@@ -224,14 +224,7 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _run_continuation(model, tp, eta0, factor, floor, quad):
-    cont = eta_continuation(model, tp, eta0=eta0, factor=factor,
-                            floor=floor, quad_cfg=quad)
-    phase = classify_phase(model, tp, cont)
-    return cont, phase
-
-
-def _solve_document(model, tp, cont, phase) -> dict:
+def _solve_document(cont, phase) -> dict:
     last = cont.results[-1]
     trace = [
         {
@@ -270,30 +263,23 @@ def _json_dumps(doc) -> str:
 def cmd_solve(args) -> int:
     cfg = _merge_config(args)
     model = _build_model(cfg)
-    eta0, factor, floor, quad = _solver_settings(cfg)
-    tp = ThermoPoint(beta=_parse_beta_single(cfg), mu=_parse_float(cfg, "mu"))
-    try:
-        cont, phase = _run_continuation(model, tp, eta0, factor, floor, quad)
-    except _INFEASIBLE_ERRORS as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except _CONVERGENCE_ERRORS as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    doc = _solve_document(model, tp, cont, phase)
+    settings = _solver_settings(cfg)
+    tp = _thermo_point(cfg)
+    cont = eta_continuation(model, tp, **settings)
+    doc = _solve_document(cont, classify_phase(model, tp, cont))
     doc["status"] = "converged"
-    _emit(_json_dumps(doc), cfg.get("out"))
+    _emit(_json_dumps(doc), cfg["out"])
     return EXIT_OK
 
 
 # Worker for scan grid points; module-level so it pickles for the pool.
+# A task is (model, eta_continuation keyword arguments, beta, mu).
 def _scan_point(task):
-    cfg, beta, mu = task
-    model = _build_model(cfg)
-    eta0, factor, floor, quad = _solver_settings(cfg)
+    model, settings, beta, mu = task
     tp = ThermoPoint(beta=beta, mu=mu)
     try:
-        cont, phase = _run_continuation(model, tp, eta0, factor, floor, quad)
+        cont = eta_continuation(model, tp, **settings)
+        phase = classify_phase(model, tp, cont)
     except PairBosonError:
         nan = float("nan")
         return (beta, mu, nan, nan, nan, nan, nan, "error")
@@ -325,28 +311,28 @@ def _scan_rows_to_csv(rows) -> str:
 
 def cmd_scan(args) -> int:
     cfg = _merge_config(args)
-    _build_model(cfg)          # validate model parameters up front
-    _solver_settings(cfg)      # validate solver parameters up front
-    betas = _parse_beta_list(cfg)
+    model = _build_model(cfg)
+    settings = _solver_settings(cfg)
+    betas = _parse_betas(cfg)
     mus = _parse_mu_list(cfg)
-    tasks = [(cfg, beta, mu) for beta in betas for mu in mus]
+    fmt = (cfg["format"] or "csv").lower()
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown format {fmt!r} (expected csv or json)")
+    tasks = [(model, settings, beta, mu) for beta in betas for mu in mus]
     workers = _worker_count(len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_point, tasks))
     else:
         rows = [_scan_point(task) for task in tasks]
-    fmt = (cfg.get("format") or "csv").lower()
     if fmt == "json":
         keys = ("beta", "mu", "pressure", "q_bar", "rho_bar",
                 "m0", "gap", "phase")
-        doc = [dict(zip(keys, row)) for row in rows]
-        _emit(_json_dumps(doc), cfg.get("out"))
-    elif fmt == "csv":
-        _emit(_scan_rows_to_csv(rows), cfg.get("out"))
+        _emit(_json_dumps([dict(zip(keys, row)) for row in rows]),
+              cfg["out"])
     else:
-        raise ConfigError(f"unknown format {fmt!r} (expected csv or json)")
-    if rows and all(row[-1] == "error" for row in rows):
+        _emit(_scan_rows_to_csv(rows), cfg["out"])
+    if all(row[-1] == "error" for row in rows):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -354,25 +340,18 @@ def cmd_scan(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = _merge_config(args)
     model = _build_model(cfg)
-    eta0, factor, floor, quad = _solver_settings(cfg)
-    tp = ThermoPoint(beta=_parse_beta_single(cfg), mu=_parse_float(cfg, "mu"))
+    settings = _solver_settings(cfg)
+    tp = _thermo_point(cfg)
     k_max = _parse_float(cfg, "k_max")
     k_count = _parse_int(cfg, "k_count")
     if k_max <= 0 or k_count < 2:
         raise ConfigError("requires k_max > 0 and k_count >= 2")
-    try:
-        cont, _ = _run_continuation(model, tp, eta0, factor, floor, quad)
-    except _INFEASIBLE_ERRORS as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except _CONVERGENCE_ERRORS as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    cont = eta_continuation(model, tp, **settings)
     grid = np.linspace(0.0, k_max, k_count)
     pairs = excitation_spectrum(model, tp, cont, grid)
     lines = ["k,e_excit"]
     lines.extend(f"{_fmt(k)},{_fmt(e)}" for k, e in pairs)
-    _emit("\n".join(lines) + "\n", cfg.get("out"))
+    _emit("\n".join(lines) + "\n", cfg["out"])
     return EXIT_OK
 
 
@@ -388,7 +367,7 @@ def _default_fock_spec(model: Model, n_max: int) -> "_oracle.FockSpec":
 def cmd_oracle(args) -> int:
     cfg = _merge_config(args)
     model = _build_model(cfg)
-    tp = ThermoPoint(beta=_parse_beta_single(cfg), mu=_parse_float(cfg, "mu"))
+    tp = _thermo_point(cfg)
     n_max = _parse_int(cfg, "n_max")
     if n_max < 2:
         raise ConfigError("n_max must be >= 2")
@@ -412,8 +391,6 @@ def cmd_oracle(args) -> int:
         checks.append({"check": "variational_chain", "passed": False,
                        "error": str(exc)})
         failed = True
-    except DimensionExceeded as exc:
-        raise ConfigError(f"oracle instance too large: {exc}")
     failed = failed or any(not c.get("passed", False) for c in checks)
     report = {
         "instance": {
@@ -429,37 +406,8 @@ def cmd_oracle(args) -> int:
         "checks": checks,
         "passed": not failed,
     }
-    _emit(_json_dumps(report), cfg.get("out"))
+    _emit(_json_dumps(report), cfg["out"])
     return EXIT_ORACLE if failed else EXIT_OK
-
-
-def _add_common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--beta", help="inverse temperature "
-                     "(comma-separated list for scan)")
-    sub.add_argument("--mu", help="chemical potential")
-    sub.add_argument("--mu-range", dest="mu_range",
-                     help="scan grid start:stop:count")
-    sub.add_argument("--u", help="pair coupling strength")
-    sub.add_argument("--v", help="density repulsion strength")
-    sub.add_argument("--mass", help="particle mass")
-    sub.add_argument("--dim", help="spatial dimension")
-    sub.add_argument("--profile",
-                     help="pair profile: gaussian:a | power:c:p | delta")
-    sub.add_argument("--eta0", help="initial source strength")
-    sub.add_argument("--eta-floor", dest="eta_floor",
-                     help="smallest source strength in the continuation")
-    sub.add_argument("--eta-factor", dest="eta_factor",
-                     help="source reduction factor per step")
-    sub.add_argument("--tol", help="target relative tolerance")
-    sub.add_argument("--config", help="INI-style config file")
-    sub.add_argument("--out", help="output file (default: stdout)")
-    sub.add_argument("--format", help="output format: csv | json")
-    sub.add_argument("--k-max", dest="k_max",
-                     help="spectrum: largest wavenumber")
-    sub.add_argument("--k-count", dest="k_count",
-                     help="spectrum: number of grid points")
-    sub.add_argument("--n-max", dest="n_max",
-                     help="oracle: per-mode occupation cutoff")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,7 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("solve", cmd_solve), ("scan", cmd_scan),
                      ("spectrum", cmd_spectrum), ("oracle", cmd_oracle)):
         sub = subs.add_parser(name)
-        _add_common_flags(sub)
+        for key, (_, text) in _KEYS.items():
+            sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                             help=text)
+        sub.add_argument("--config", help="INI-style config file")
         sub.set_defaults(func=fn)
     return parser
 
@@ -480,21 +431,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
+        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InequalityViolated as exc:
-        print(f"oracle check failed: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
-    except _INFEASIBLE_ERRORS as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except _CONVERGENCE_ERRORS as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    except PairBosonError as exc:
+        for errors, code, label in _EXIT_TABLE:
+            if isinstance(exc, errors):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

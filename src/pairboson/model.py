@@ -147,13 +147,13 @@ class Model:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ModelError("dimension must be a positive integer")
+            raise ModelError("dim must be a positive integer")
         if self.mass <= 0:
             raise ModelError("mass must be positive")
         if self.v <= 0:
             raise ModelError("requires v > 0")
         if self.v - self.u <= 0:
-            raise ModelError("requires v − u > 0")
+            raise ModelError("requires v - u > 0")
         self.lambda_profile.validate_for_dimension(self.dim)
 
     @property
@@ -182,21 +182,9 @@ class LatticeSpec:
         return self.L ** dim
 
 
-def epsilon(model: Model, k) -> float:
-    """Single-particle dispersion ||k||^2 / (2m); exactly 0 at k = 0."""
-    k = np.asarray(k, dtype=float)
-    return float(np.dot(k, k)) / (2.0 * model.mass)
-
-
 def epsilon_radial(model: Model, r):
     r = np.asarray(r, dtype=float)
     return r * r / (2.0 * model.mass)
-
-
-def lambda_value(profile: CouplingProfile, k) -> float:
-    """Profile value at momentum k (isotropic: depends on ||k|| only)."""
-    k = np.asarray(k, dtype=float)
-    return float(profile.value_radial(math.sqrt(float(np.dot(k, k)))))
 
 
 MODE_ZERO = 0
@@ -263,24 +251,32 @@ def _profile_tail_sum(model: Model, lat: LatticeSpec, weight: str) -> float:
     return total
 
 
-def coupling_norms(model: Model, lat: LatticeSpec, tail_tol: float = 1e-8):
-    """Lattice coupling norms and the smallest constant M they exhibit.
+def mode_coupling_norms(model: Model, r, V: float):
+    """Coupling norms over the modes of radial norms r in volume V.
 
-    Returns (m_norm, n_norm, c_norm, M_estimate) with
-    m_norm = sum |lambda(k)|, n_norm = sum eps(k) |lambda(k)|^2,
-    c_norm = sup eps(k) |lambda(k)|^2 over the lattice, and
-    M_estimate = max(m_norm/V, n_norm/V, c_norm).
+    Returns (m_norm, n_norm, c_norm, M) with m_norm = sum |lambda|,
+    n_norm = sum eps |lambda|^2, c_norm = max eps |lambda|^2 and
+    M = max(m_norm/V, n_norm/V, c_norm).
+    """
+    r = np.asarray(r, dtype=float)
+    lam = np.abs(model.lambda_profile.value_radial(r))
+    w = epsilon_radial(model, r) * lam * lam
+    m_norm = float(np.sum(lam))
+    n_norm = float(np.sum(w))
+    c_norm = float(np.max(w))
+    return m_norm, n_norm, c_norm, max(m_norm / V, n_norm / V, c_norm)
+
+
+def coupling_norms(model: Model, lat: LatticeSpec, tail_tol: float = 1e-8):
+    """`mode_coupling_norms` over every lattice mode: (m_norm, n_norm,
+    c_norm, M), M being the smallest constant the lattice exhibits.
 
     Raises TailNotConverged when the certified remainder beyond the cutoff
     exceeds tail_tol relative to the computed sums.
     """
-    r = lattice_norms(model, lat)
-    lam = np.abs(model.lambda_profile.value_radial(r))
-    eps = epsilon_radial(model, r)
-    m_norm = float(np.sum(lam))
-    n_norm = float(np.sum(eps * lam * lam))
-    c_norm = float(np.max(eps * lam * lam))
-
+    norms = mode_coupling_norms(model, lattice_norms(model, lat),
+                                lat.volume(model.dim))
+    m_norm, n_norm = norms[:2]
     tail_m = _profile_tail_sum(model, lat, "m")
     tail_n = _profile_tail_sum(model, lat, "n")
     if tail_m > tail_tol * max(m_norm, 1.0) or tail_n > tail_tol * max(n_norm, 1.0):
@@ -288,6 +284,4 @@ def coupling_norms(model: Model, lat: LatticeSpec, tail_tol: float = 1e-8):
             f"profile tail beyond s_max={lat.s_max} exceeds tolerance "
             f"(tail_m={tail_m:.3e}, tail_n={tail_n:.3e})"
         )
-    V = lat.volume(model.dim)
-    M = max(m_norm / V, n_norm / V, c_norm)
-    return m_norm, n_norm, c_norm, M
+    return norms

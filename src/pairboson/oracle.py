@@ -26,7 +26,7 @@ from scipy.sparse import csr_matrix, identity
 from scipy.special import logsumexp
 
 from .errors import DimensionExceeded, EigenFailure, InequalityViolated, ModelError
-from .model import Model
+from .model import Model, mode_coupling_norms
 from .pressure import ThermoPoint
 
 OP_N = "N"
@@ -284,17 +284,6 @@ def trace_pressure(H: OperatorMatrix, spec: FockSpec, tp: ThermoPoint,
     return float(logsumexp(-tp.beta * evals) / (tp.beta * V))
 
 
-def _coupling_constant(spec: FockSpec, model: Model, V: float) -> float:
-    """Smallest exhibited M with Q^dag Q <= N^2 + M V N on this mode set."""
-    norms = spec.mode_norms()
-    lam = np.abs(model.lambda_profile.value_radial(np.array(norms)))
-    eps = np.array([r * r / (2.0 * model.mass) for r in norms])
-    m_norm = float(lam.sum())
-    n_norm = float((eps * lam * lam).sum())
-    c_norm = float((eps * lam * lam).max())
-    return max(m_norm / V, n_norm / V, c_norm)
-
-
 def check_superstability(spec: FockSpec, model: Model, V: float) -> dict:
     """Verify the pair-operator bound and the quartic lower bound.
 
@@ -309,7 +298,8 @@ def check_superstability(spec: FockSpec, model: Model, V: float) -> dict:
     _, Q = ws.pair_lower(model)
     QdQ = ws.project(Q.conj().T @ Q)
     Nw = ws.Ntot[ws.work_idx]
-    M = _coupling_constant(spec, model, V)
+    # smallest exhibited M with Q^dag Q <= N^2 + M V N on this mode set
+    M = mode_coupling_norms(model, spec.mode_norms(), V)[3]
     S1 = np.diag(Nw ** 2 + M * V * Nw) - QdQ
 
     Hfull = build_hamiltonian(spec, HAM_FULL, model, V).matrix

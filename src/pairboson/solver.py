@@ -35,8 +35,6 @@ from .quadrature import radial_rows
 
 STATUS_CONVERGED = "converged"
 STATUS_BOUNDARY = "boundary_minimum"
-STATUS_INFEASIBLE = "infeasible"
-STATUS_MAX_ITER = "max_iter"
 
 PHASE_NORMAL = "normal"
 PHASE_PAIR_ONLY = "pair_only"

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from pairboson import cli
+from pairboson.errors import BracketFailure, InfeasiblePoint
 
 DATA = Path(__file__).parent / "data"
 FAST = ["--dim", "3", "--eta-floor", "1e-4"]
@@ -60,11 +61,56 @@ class TestConfig:
     def test_rejects_beta_zero(self):
         assert run_main(["solve", "--beta", "0"]) == 1
 
-    def test_rejects_bad_profile(self):
-        assert run_main(["solve", "--profile", "cauchy:2"]) == 1
+    @pytest.mark.parametrize("profile", ["cauchy:2", "gaussian:-1",
+                                         "power:1:2"])
+    def test_rejects_bad_profile(self, profile, capsys):
+        assert run_main(["solve", "--profile", profile]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_rejects_bad_mu_range(self):
         assert run_main(["scan", "--mu-range", "1:2"]) == 1
+
+    def test_rejects_bad_beta_list(self, capsys):
+        assert run_main(["scan", "--beta", "1,x"]) == 1
+        assert capsys.readouterr().err == \
+            "config error: invalid number for beta: '1,x'\n"
+
+    def test_rejects_bad_format_before_solving(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            pytest.fail("scan solved a point before checking --format")
+
+        monkeypatch.setattr(cli, "eta_continuation", fail)
+        assert run_main(["scan", "--format", "xml"]) == 1
+        assert "unknown format 'xml'" in capsys.readouterr().err
+
+
+def _raising(exc):
+    def continuation(*args, **kwargs):
+        raise exc("injected")
+    return continuation
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", ["solve", "spectrum"])
+    @pytest.mark.parametrize("exc, code, label", [
+        (InfeasiblePoint, cli.EXIT_INFEASIBLE, "infeasible"),
+        (BracketFailure, cli.EXIT_NO_CONVERGENCE, "non-convergence"),
+    ])
+    def test_solver_error(self, command, exc, code, label, monkeypatch,
+                          capsys):
+        monkeypatch.setattr(cli, "eta_continuation", _raising(exc))
+        assert run_main([command]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"{label}: injected\n"
+        assert captured.out == ""
+
+    def test_scan_of_errors_only(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "eta_continuation", _raising(BracketFailure))
+        monkeypatch.setenv("PBH_THREADS", "1")
+        assert run_main(["scan", "--mu-range=-0.5:-0.4:2"]) == \
+            cli.EXIT_NO_CONVERGENCE
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert [row.split(",")[-1] for row in rows] == ["error", "error"]
 
 
 class TestSolve:

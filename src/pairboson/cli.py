@@ -10,6 +10,7 @@ identical configurations produce byte-identical files.  Exit codes:
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +28,10 @@ from .model import (
 )
 from .pressure import ThermoPoint
 from .quadrature import QuadratureConfig
-from .solver import eta_continuation, classify_phase, excitation_spectrum
+from .solver import (
+    STATUS_BOUNDARY, STATUS_CONVERGED, eta_continuation, classify_phase,
+    excitation_spectrum,
+)
 from . import oracle as _oracle
 
 EXIT_OK = 0
@@ -118,9 +122,17 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _finite(text) -> float:
+    """float(text); NaN and infinities raise ValueError like a non-number."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {text!r}")
+    return x
+
+
 def _parse_float(cfg, key) -> float:
     try:
-        return float(cfg[key])
+        return _finite(cfg[key])
     except (TypeError, ValueError):
         raise ConfigError(f"invalid number for {key}: {cfg[key]!r}")
 
@@ -140,12 +152,12 @@ def _parse_profile(text: str, dim: int):
             if len(parts) != 2:
                 raise ConfigError("profile gaussian takes one parameter: "
                                   "gaussian:a")
-            return gaussian_profile(float(parts[1]))
+            return gaussian_profile(_finite(parts[1]))
         if kind == "power":
             if len(parts) != 3:
                 raise ConfigError("profile power takes two parameters: "
                                   "power:c:p")
-            return power_profile(float(parts[1]), float(parts[2]), dim)
+            return power_profile(_finite(parts[1]), _finite(parts[2]), dim)
         if kind == "delta":
             if len(parts) != 1:
                 raise ConfigError("profile delta takes no parameters")
@@ -183,7 +195,7 @@ def _solver_settings(cfg: dict) -> dict:
 def _parse_betas(cfg) -> list:
     """beta as a comma-separated list of positive numbers."""
     try:
-        betas = [float(item) for item in str(cfg["beta"]).split(",")]
+        betas = [_finite(item) for item in str(cfg["beta"]).split(",")]
     except ValueError:
         raise ConfigError(f"invalid number for beta: {cfg['beta']!r}")
     if any(beta <= 0 for beta in betas):
@@ -205,7 +217,7 @@ def _parse_mu_list(cfg) -> list:
         if len(parts) != 3:
             raise ConfigError("mu-range must be start:stop:count")
         try:
-            a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+            a, b, n = _finite(parts[0]), _finite(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"invalid mu-range {cfg['mu_range']!r}")
         if n < 1:
@@ -267,7 +279,8 @@ def cmd_solve(args) -> int:
     tp = _thermo_point(cfg)
     cont = eta_continuation(model, tp, **settings)
     doc = _solve_document(cont, classify_phase(model, tp, cont))
-    doc["status"] = "converged"
+    on_boundary = all(r.status == STATUS_BOUNDARY for r in cont.results)
+    doc["status"] = STATUS_BOUNDARY if on_boundary else STATUS_CONVERGED
     _emit(_json_dumps(doc), cfg["out"])
     return EXIT_OK
 
@@ -371,27 +384,26 @@ def cmd_oracle(args) -> int:
     n_max = _parse_int(cfg, "n_max")
     if n_max < 2:
         raise ConfigError("n_max must be >= 2")
+    eta = _parse_float(cfg, "eta0")
+    if eta < 0:
+        raise ConfigError("eta0 must be nonnegative")
     spec = _default_fock_spec(model, n_max)
     V = float(len(spec.modes))
-    eta = _parse_float(cfg, "eta0")
     q_grid = np.linspace(0.0, 0.8, 5)
     rho_grid = np.linspace(0.1, 1.5, 5)
-    checks = []
-    failed = False
+    checks = [_oracle.check_superstability(spec, model, V)]
     try:
-        checks.append(_oracle.check_superstability(spec, model, V))
         checks.append(_oracle.check_variational_chain(
             spec, model, tp, V, q_grid, rho_grid, eta))
-        plus = spec.modes[1]
-        zero = spec.modes[0]
-        for sign in (1, -1):
-            checks.append(_oracle.check_pair_exchange_bound(
-                spec, model, plus, zero, sign=sign))
     except InequalityViolated as exc:
         checks.append({"check": "variational_chain", "passed": False,
                        "error": str(exc)})
-        failed = True
-    failed = failed or any(not c.get("passed", False) for c in checks)
+    plus = spec.modes[1]
+    zero = spec.modes[0]
+    for sign in (1, -1):
+        checks.append(_oracle.check_pair_exchange_bound(
+            spec, model, plus, zero, sign=sign))
+    failed = any(not c.get("passed", False) for c in checks)
     report = {
         "instance": {
             "modes": [list(m) for m in spec.modes],

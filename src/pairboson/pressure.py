@@ -30,7 +30,7 @@ from .quadrature import QuadratureConfig, radial_rows
 __all__ = [
     "ThermoPoint", "OrderPoint", "SpectralEval", "QuadratureConfig",
     "spectral", "sigma_gap", "pressure_tl", "pressure_fv",
-    "pressure_fv_modes", "grad_rho", "grad_q", "total_dq",
+    "pressure_fv_modes", "grad_rho", "grad_rho_slope", "grad_q", "total_dq",
     "d_mu", "d2_mu", "el_residuals",
 ]
 
@@ -165,15 +165,30 @@ def pressure_fv(model: Model, tp: ThermoPoint, op: OrderPoint,
                              lat.volume(model.dim))
 
 
+def grad_rho_slope(model: Model, tp: ThermoPoint, op: OrderPoint,
+                   quad_cfg: QuadratureConfig | None = None):
+    """grad_rho and its rho-derivative v (v d2_mu + 1), from one quadrature.
+
+    Only the density row is converged; the curvature row comes at whatever
+    accuracy its mesh gave it (it diverges at sigma = 0 for nu <= 3), so the
+    slope is fit to propose Newton steps, not to be reported.
+    """
+    _check_feasible(model, tp, op)
+    rows = _rows(model, tp, op, quad_cfg, need=(1,))
+    src = d2_src = 0.0
+    if op.eta > 0:
+        st = _sigma_tilde(model, tp, op)
+        src = op.eta ** 2 / st ** 2
+        d2_src = 2.0 * op.eta ** 2 / st ** 3
+    v = model.v
+    return (float(-v * (rows[1] + src) + v * op.rho),
+            float(v * (v * (rows[3] + d2_src) + 1.0)))
+
+
 def grad_rho(model: Model, tp: ThermoPoint, op: OrderPoint,
              quad_cfg: QuadratureConfig | None = None) -> float:
     """Partial derivative of pressure_tl with respect to rho."""
-    _check_feasible(model, tp, op)
-    ife = _rows(model, tp, op, quad_cfg, need=(1,))[1]
-    src = 0.0
-    if op.eta > 0:
-        src = op.eta ** 2 / _sigma_tilde(model, tp, op) ** 2
-    return float(-model.v * (ife + src) + model.v * op.rho)
+    return grad_rho_slope(model, tp, op, quad_cfg)[0]
 
 
 def grad_q(model: Model, tp: ThermoPoint, op: OrderPoint,

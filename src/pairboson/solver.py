@@ -27,6 +27,7 @@ from .pressure import (
     el_residuals,
     grad_q,
     grad_rho,
+    grad_rho_slope,
     pressure_tl,
     sigma_gap,
     total_dq,
@@ -79,6 +80,9 @@ def _gap_at(model, tp, q, rho) -> float:
     return math.sqrt(max(f0 * f0 - habs * habs, 0.0))
 
 
+_NEWTON_STEPS = 8  # in inf_rho, before it hands the bracket to brentq
+
+
 def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
             quad_cfg: QuadratureConfig | None = None,
             rho_hint: float | None = None):
@@ -87,24 +91,44 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
     Returns (rho_bar, value, boundary): the minimizer, the pressure there,
     and whether the minimum sits on the feasibility boundary sigma = 0
     (possible only at eta = 0, or for repulsive u where the source stays
-    finite on the boundary).
+    finite on the boundary).  A feasible rho_hint is the start of the
+    Newton iteration.
     """
     rho_lo = max(0.0, (tp.mu + abs(model.u) * q) / model.v)
     scale = max(1.0, rho_lo)
 
-    def g(rho):
-        return grad_rho(model, tp, OrderPoint(q, rho, eta), quad_cfg)
+    def feasible(rho):
+        op = OrderPoint(q, rho, eta)
+        return (sigma_gap(model, tp, op) >= 0
+                and _sigma_tilde(model, tp, op) > 0)
 
-    # locate a point with negative slope just inside the feasible set
-    a = None
+    seen = {}
+
+    def g_slope(rho):
+        if rho not in seen:
+            seen[rho] = grad_rho_slope(model, tp, OrderPoint(q, rho, eta),
+                                       quad_cfg)
+        return seen[rho]
+
+    def g(rho):
+        return g_slope(rho)[0]
+
+    # probe points rho_lo + 1e-3 scale 0.1^k just inside the feasible set;
+    # grad_rho increases with rho (d2_mu >= 0), so the largest and the
+    # smallest feasible probe decide whether any has a negative slope
+    probes = []
     delta = 1e-3 * scale
     while delta > 1e-14 * scale:
-        cand = rho_lo + delta
-        if _sigma_tilde(model, tp, OrderPoint(q, cand, eta)) > 0 and g(cand) < 0:
-            a = cand
-            break
+        if feasible(rho_lo + delta):
+            probes.append(rho_lo + delta)
         delta *= 0.1
-    if a is None:
+    lo = hi = None
+    if probes:
+        if g(probes[0]) < 0:
+            lo = probes[0]
+        elif g(probes[-1]) < 0:
+            lo, hi = probes[-1], probes[0]
+    if lo is None:
         # slope is nonnegative all the way down: boundary minimum
         rho_b = rho_lo
         while sigma_gap(model, tp, OrderPoint(q, rho_b, eta)) < 0:
@@ -115,14 +139,39 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
         val = pressure_tl(model, tp, OrderPoint(q, rho_b, eta), quad_cfg)
         return rho_b, val, True
 
-    b = max(rho_hint or 0.0, a + scale)
-    for _ in range(80):
-        if g(b) > 0:
+    # Newton from the hint, else from the largest probe, shrinking [lo, hi]
+    # by the sign of every slope seen; brentq on what is left if a step
+    # leaves the bracket or the steps run out
+    rho = probes[0]
+    if rho_hint is not None and rho_hint > rho_lo and feasible(rho_hint):
+        rho = rho_hint
+    rho_bar = None
+    for _ in range(_NEWTON_STEPS):
+        gr, slope = g_slope(rho)
+        if gr < 0:
+            lo = max(lo, rho)
+        else:
+            hi = rho if hi is None else min(hi, rho)
+        if not 0 < slope < math.inf:
             break
-        b *= 2.0
-    else:
-        raise BracketFailure("density slope never turns positive")
-    rho_bar = brentq(g, a, b, xtol=1e-14, rtol=8.9e-16)
+        nxt = rho - gr / slope
+        inside = lo <= nxt and (hi is None or nxt <= hi)
+        if abs(nxt - rho) <= 1e-14 + 8.9e-16 * abs(nxt):
+            rho_bar = nxt if inside else rho
+            break
+        if not inside:
+            break
+        rho = nxt
+    if rho_bar is None:
+        if hi is None:
+            hi = lo + scale
+            for _ in range(80):
+                if g(hi) > 0:
+                    break
+                lo, hi = hi, hi * 2.0
+            else:
+                raise BracketFailure("density slope never turns positive")
+        rho_bar = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
     val = pressure_tl(model, tp, OrderPoint(q, rho_bar, eta), quad_cfg)
     return float(rho_bar), float(val), False
 
@@ -139,6 +188,28 @@ def _result_at(model, tp, q, rho, eta, value, status, diagnostics, quad_cfg):
         rho0=float(rho0), gap=_gap_at(model, tp, q, rho),
         residual_el1=float(r1), residual_el2=float(r2), eta=float(eta),
         status=status, diagnostics=diagnostics)
+
+
+def _inner_solver(model, tp, eta, quad_cfg, diagnostics):
+    """inf_rho as a function of q, warm-started from its last interior
+    minimizer.  The hint keeps that minimizer's distance to the boundary
+    rho_lo(q) = (mu + |u| q)/v, which moves with q; the bare minimizer of
+    one q is often infeasible at a larger one."""
+    last = None
+
+    def inner(q):
+        nonlocal last
+        diagnostics["inner_solves"] += 1
+        hint = None
+        if last is not None:
+            hint = last[1] + abs(model.u) * (q - last[0]) / model.v
+        rho_bar, value, boundary = inf_rho(model, tp, q, eta, quad_cfg,
+                                           rho_hint=hint)
+        if not boundary:
+            last = (q, rho_bar)
+        return rho_bar, value, boundary
+
+    return inner
 
 
 def _small_q_root(tdq, q_start: float):
@@ -177,10 +248,7 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
               tol: float = 1e-10) -> SolveResult:
     """Optimize over the pair order parameter q (sup for u>0, inf for u<=0)."""
     diagnostics = {"inner_solves": 0}
-
-    def inner(q):
-        diagnostics["inner_solves"] += 1
-        return inf_rho(model, tp, q, eta, quad_cfg)
+    inner = _inner_solver(model, tp, eta, quad_cfg, diagnostics)
 
     if model.u == 0.0:
         rho_bar, value, boundary = inner(0.0)
@@ -281,10 +349,7 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
 def _outer_min_repulsive(model, tp, eta, quad_cfg, diagnostics, tol):
     """u = -w < 0: minimize over q; the minimizer obeys q < (eta^2/(2w))^(1/3)."""
     w = -model.u
-
-    def inner(q):
-        diagnostics["inner_solves"] += 1
-        return inf_rho(model, tp, q, eta, quad_cfg)
+    inner = _inner_solver(model, tp, eta, quad_cfg, diagnostics)
 
     if eta == 0.0:
         rho_bar, value, boundary = inner(0.0)
@@ -350,7 +415,7 @@ def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
                      factor: float = 0.5, floor: float = 1e-6,
                      quad_cfg: QuadratureConfig | None = None) -> ContinuationResult:
     """Solve along eta_n = eta0 * factor^n down to the floor and extrapolate."""
-    if not (eta0 > floor > 0.0) or not (0.0 < factor < 1.0):
+    if not (math.inf > eta0 > floor > 0.0) or not (0.0 < factor < 1.0):
         raise ValueError("require eta0 > floor > 0 and 0 < factor < 1")
     etas = []
     eta = eta0

@@ -70,6 +70,27 @@ class TestConfig:
     def test_rejects_bad_mu_range(self):
         assert run_main(["scan", "--mu-range", "1:2"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--beta", "nan", "--dim", "1", "--eta-floor", "0.01"],
+        ["solve", "--beta", "inf"],
+        ["solve", "--mu", "nan"],
+        ["solve", "--u=-inf"],
+        ["solve", "--v", "inf"],
+        ["solve", "--mass", "nan"],
+        ["solve", "--tol", "inf"],
+        ["solve", "--eta0", "inf"],
+        ["solve", "--profile", "gaussian:nan"],
+        ["solve", "--profile", "power:inf:2"],
+        ["solve", "--profile", "power:1:nan"],
+        ["scan", "--beta", "1,nan"],
+        ["scan", "--mu-range", "nan:1:3"],
+        ["scan", "--mu-range", "0:inf:3"],
+        ["oracle", "--eta0", "nan"],
+    ])
+    def test_rejects_non_finite(self, argv, capsys):
+        assert run_main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_rejects_bad_beta_list(self, capsys):
         assert run_main(["scan", "--beta", "1,x"]) == 1
         assert capsys.readouterr().err == \
@@ -113,7 +134,34 @@ class TestExitCodes:
         assert [row.split(",")[-1] for row in rows] == ["error", "error"]
 
 
+def _continuation(statuses):
+    """A ContinuationResult whose eta steps ended with the given statuses."""
+    from pairboson.solver import ContinuationResult, SolveResult
+    results = [SolveResult(q_bar=0.0, rho_bar=0.5, pressure=0.1, rho0=0.0,
+                           gap=0.1, residual_el1=0.0, residual_el2=0.0,
+                           eta=0.1 * 0.5 ** i, status=status)
+               for i, status in enumerate(statuses)]
+    return ContinuationResult(
+        eta_sequence=[r.eta for r in results], results=results, p_limit=0.1,
+        q_limit=0.0, rho_limit=0.5, m0=0.0, gap_limit=0.1,
+        extrapolation_order=1.0)
+
+
 class TestSolve:
+    @pytest.mark.parametrize("statuses, expected", [
+        (["boundary_minimum"] * 3, "boundary_minimum"),
+        (["boundary_minimum", "converged", "boundary_minimum"], "converged"),
+        (["converged"] * 3, "converged"),
+    ])
+    def test_status_from_trace(self, statuses, expected, monkeypatch,
+                               capsys):
+        monkeypatch.setattr(cli, "eta_continuation",
+                            lambda *args, **kwargs: _continuation(statuses))
+        assert run_main(["solve"]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == expected
+        assert [step["status"] for step in doc["eta_trace"]] == statuses
+
     def test_smoke_json(self, capsys):
         code = run_main(["solve", "--beta", "1", "--mu", "-0.5",
                          "--u", "0.2", "--v", "1.0"] + FAST)
@@ -236,3 +284,15 @@ class TestOracleCommand:
 
         monkeypatch.setattr(cli._oracle, "build_hamiltonian", corrupted)
         assert run_main(self.ARGS) == cli.EXIT_ORACLE
+        doc = json.loads(capsys.readouterr().out)
+        assert not doc["passed"]
+        names = [c["check"] for c in doc["checks"]]
+        assert names.count("pair_exchange_bound") == 2
+        assert {"superstability", "variational_chain"} <= set(names)
+
+    @pytest.mark.parametrize("eta0", ["-1", "-0.5", "nan"])
+    def test_rejects_bad_eta0(self, eta0, capsys):
+        assert run_main(self.ARGS + ["--eta0", eta0]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""

@@ -4,13 +4,16 @@ Frozen reference numbers were produced by independent re-solves at tighter
 settings and by closed-form series evaluation (Bose functions).
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from pairboson.model import Model, gaussian_profile, delta_profile
-from pairboson.pressure import ThermoPoint, OrderPoint, grad_rho, grad_q
+from pairboson.pressure import (
+    ThermoPoint, OrderPoint, _sigma_tilde, grad_q, grad_rho, grad_rho_slope,
+)
 from pairboson.solver import (
     inf_rho, outer_opt, eta_continuation, _extrapolate,
     bose_density, critical_density, mf_density, mf_pressure,
@@ -43,6 +46,68 @@ class TestInnerMinimum:
             assert sigma == pytest.approx(0.0, abs=1e-12)
         else:
             assert sigma > 0.0
+
+
+def _boundary_by_scan(m, tp, q, eta):
+    """The descending 11-probe scan that decided the boundary before the
+    two-probe test: boundary unless some probe has a negative slope."""
+    rho_lo = max(0.0, (tp.mu + abs(m.u) * q) / m.v)
+    scale = max(1.0, rho_lo)
+    delta = 1e-3 * scale
+    while delta > 1e-14 * scale:
+        op = OrderPoint(q, rho_lo + delta, eta)
+        if _sigma_tilde(m, tp, op) > 0 and grad_rho(m, tp, op) < 0:
+            return False
+        delta *= 0.1
+    return True
+
+
+class TestInnerSolve:
+    # (u, mu, q, eta): normal, condensed near sigma = 0, repulsive
+    POINTS = [(0.5, -0.3, 0.3, 0.1), (0.5, 0.4, 0.8, 1e-4),
+              (-0.5, 1.0, 0.0, 1e-4)]
+
+    @pytest.mark.parametrize("u, mu, q, rho, eta", [
+        (0.5, -0.3, 0.3, 0.4, 0.1), (0.5, 0.4, 0.8, 0.9, 1e-3),
+        (-0.5, 0.4, 0.01, 0.5, 0.0)])
+    def test_slope_helper(self, u, mu, q, rho, eta):
+        m = model(u=u)
+        tp = ThermoPoint(beta=2.0, mu=mu)
+        g, slope = grad_rho_slope(m, tp, OrderPoint(q, rho, eta))
+        assert g == grad_rho(m, tp, OrderPoint(q, rho, eta))
+        h = 1e-5
+        fd = (grad_rho(m, tp, OrderPoint(q, rho + h, eta))
+              - grad_rho(m, tp, OrderPoint(q, rho - h, eta))) / (2.0 * h)
+        assert abs(slope - fd) <= 1e-6 * abs(fd)
+
+    @pytest.mark.parametrize("u, mu, q, eta", POINTS)
+    def test_hint_does_not_move_the_minimizer(self, u, mu, q, eta):
+        m = model(u=u)
+        tp = ThermoPoint(beta=2.0, mu=mu)
+        rho_cold, _, boundary = inf_rho(m, tp, q, eta, None)
+        assert not boundary
+        rho_lo = max(0.0, (mu + abs(u) * q) / m.v)
+        hints = {"below": 0.5 * (rho_lo + rho_cold), "above": 2.0 * rho_cold,
+                 "infeasible": rho_lo - 0.1}
+        for name, hint in hints.items():
+            rho_bar, _, boundary = inf_rho(m, tp, q, eta, None,
+                                           rho_hint=hint)
+            assert not boundary, name
+            assert rho_bar == pytest.approx(rho_cold, rel=1e-12), name
+            assert abs(grad_rho(m, tp, OrderPoint(q, rho_bar, eta))) < 1e-9
+
+    def test_boundary_decision_matches_probe_scan(self):
+        decided = []
+        for u, mu, q, eta in itertools.product(
+                (0.5, -0.5), (-0.3, 0.4, 1.0), (0.0, 0.05, 0.5),
+                (0.0, 1e-4, 0.1)):
+            m = model(u=u)
+            tp = ThermoPoint(beta=2.0, mu=mu)
+            boundary = inf_rho(m, tp, q, eta, None)[2]
+            assert boundary == _boundary_by_scan(m, tp, q, eta), \
+                (u, mu, q, eta)
+            decided.append(boundary)
+        assert any(decided) and not all(decided)
 
 
 class TestOuterOptimum:
@@ -103,6 +168,12 @@ class TestContinuation:
             assert cont.p_limit == pytest.approx(mf_pressure(m, tp),
                                                  abs=1e-9)
             assert cont.q_limit <= 1e-6
+
+    @pytest.mark.parametrize("eta0, factor", [(math.inf, 0.5), (0.1, 1.0)])
+    def test_rejects_bad_schedule(self, eta0, factor):
+        with pytest.raises(ValueError):
+            eta_continuation(model(), ThermoPoint(2.0, -0.3), eta0=eta0,
+                             factor=factor)
 
     def test_extrapolation_detects_order(self):
         # synthetic sequence y_n = y* + c k^n with k = factor^a

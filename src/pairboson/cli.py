@@ -3,7 +3,8 @@ export and exact-diagonalization consistency reports.
 
 Output contract: JSON for `solve` and `oracle`, CSV for `scan` and
 `spectrum`.  All floats are serialized in shortest round-trip decimal so
-identical configurations produce byte-identical files.  Exit codes:
+identical configurations produce byte-identical files; JSON is strict, with
+null for a NaN or infinite value.  Exit codes:
 0 ok, 1 configuration error, 2 infeasible point, 3 non-convergence,
 4 oracle-check failure.
 """
@@ -238,6 +239,7 @@ def _emit(text: str, out_path):
 
 def _solve_document(cont, phase) -> dict:
     last = cont.results[-1]
+    on_boundary = last.status == STATUS_BOUNDARY
     trace = [
         {
             "eta": res.eta,
@@ -257,9 +259,10 @@ def _solve_document(cont, phase) -> dict:
         "m0": cont.m0,
         "gap": cont.gap_limit,
         "phase": phase,
+        # Euler-Lagrange residuals do not apply to a boundary minimum
         "residuals": {
-            "el1": last.residual_el1,
-            "el2": last.residual_el2,
+            "el1": None if on_boundary else last.residual_el1,
+            "el2": None if on_boundary else last.residual_el2,
         },
         "extrapolation_order": cont.extrapolation_order,
         "error_estimates": cont.error_estimates,
@@ -267,9 +270,21 @@ def _solve_document(cont, phase) -> dict:
     }
 
 
+def _strict(doc):
+    """doc with every NaN or infinite float replaced by None."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {key: _strict(val) for key, val in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_strict(val) for val in doc]
+    return doc
+
+
 def _json_dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False,
-                      allow_nan=True) + "\n"
+    """Strict JSON: a non-finite float is written as null."""
+    return json.dumps(_strict(doc), indent=2, sort_keys=False,
+                      allow_nan=False) + "\n"
 
 
 def cmd_solve(args) -> int:
@@ -285,6 +300,10 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+# Phase column of a scan point that raised: the prefix, then the class name.
+_SCAN_ERROR = "error:"
+
+
 # Worker for scan grid points; module-level so it pickles for the pool.
 # A task is (model, eta_continuation keyword arguments, beta, mu).
 def _scan_point(task):
@@ -293,9 +312,10 @@ def _scan_point(task):
     try:
         cont = eta_continuation(model, tp, **settings)
         phase = classify_phase(model, tp, cont)
-    except PairBosonError:
+    except PairBosonError as exc:
         nan = float("nan")
-        return (beta, mu, nan, nan, nan, nan, nan, "error")
+        return (beta, mu, nan, nan, nan, nan, nan,
+                f"{_SCAN_ERROR}{type(exc).__name__}")
     return (beta, mu, cont.p_limit, cont.q_limit, cont.rho_limit,
             cont.m0, cont.gap_limit, phase)
 
@@ -345,7 +365,7 @@ def cmd_scan(args) -> int:
               cfg["out"])
     else:
         _emit(_scan_rows_to_csv(rows), cfg["out"])
-    if all(row[-1] == "error" for row in rows):
+    if all(row[-1].startswith(_SCAN_ERROR) for row in rows):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -10,6 +10,8 @@ analytic bound on the discarded tail is below tolerance.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -134,59 +136,46 @@ def _initial_breaks(profile, nu, mass, beta, R):
     return np.array(pts)
 
 
-def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
-                foff: float, habs: float,
-                cfg: QuadratureConfig | None = None,
-                need=(0, 1, 2, 3)) -> np.ndarray:
-    """The four integral rows of the radial spectral integrand.
+# Cutoff R and panel mesh (a, b) of the last strictly converged call, keyed
+# by (profile, nu, mass, beta, cfg, need).  A dict exists only inside
+# `plan_scope`; elsewhere every call runs cold.
+_PLAN: contextvars.ContextVar = contextvars.ContextVar("quadrature_plan",
+                                                       default=None)
 
-    foff = v rho - mu is the k = 0 value of f; habs = |u| q scales the pair
-    field.  Requires the feasibility margin foff - habs >= 0 (the integrals
-    stay finite at exactly zero margin thanks to the r^(nu-1) measure, except
-    the curvature row in nu <= 3 which diverges there).  Convergence is
-    enforced only for the rows listed in `need`; the others are returned at
-    whatever accuracy fell out, so boundary points can still evaluate the
-    rows that remain finite.
+
+@contextlib.contextmanager
+def plan_scope():
+    """Let `radial_rows` calls in the block start from the previous mesh.
+
+    Successive calls of one eta continuation lie close together, so the
+    last converged cutoff and mesh usually already meet the tolerance.  A
+    stored R is reused only while it certifies the tail at the new
+    (foff, habs), and a mesh only when it converges strictly; any other
+    call runs exactly the cold path.  The plan is dropped on exit.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    need = np.asarray(need, dtype=int)
-    if habs < 0:
-        raise ValueError("habs must be nonnegative")
-    if foff - habs < 0:
-        raise QuadratureFailure(
-            f"infeasible evaluation point: f(0) - |h(0)| = {foff - habs} < 0")
-    inv_2m = 0.5 / mass
-    c_nu = angular_factor(nu)
-    R = _choose_cutoff(profile, nu, mass, beta, foff, habs, cfg.tail_tol)
+    token = _PLAN.set({})
+    try:
+        yield
+    finally:
+        _PLAN.reset(token)
 
-    def batch(radii):
-        lam = profile.value_radial(radii)
-        rows = eval_rows(radii, lam, beta, inv_2m, foff, habs)
-        return rows * (c_nu * radii ** (nu - 1))
 
-    breaks = _initial_breaks(profile, nu, mass, beta, R)
-    a = breaks[:-1]
-    b = breaks[1:]
+def _refine(panel_integrals, a, b, need, cfg, stop_nonfinite=False):
+    """Split panels until the error estimate meets the tolerance.
 
-    def panel_integrals(a, b):
-        mid = 0.5 * (a + b)[:, None]
-        half = 0.5 * (b - a)[:, None]
-        pts = mid + half * XK
-        vals = batch(pts.ravel()).reshape(NROWS, len(a), 15)
-        ik = (vals @ WK) * half[:, 0]
-        ig = (vals @ WG) * half[:, 0]
-        err = np.abs(ik - ig)[need].max(axis=0)
-        return ik, err
-
+    Returns (converged, ik, err, a, b, tol) with the per-panel integrals
+    and errors of the final mesh.  With stop_nonfinite, a non-finite error
+    ends the loop instead of refining.
+    """
     ik, err = panel_integrals(a, b)
     tol = math.inf
     for _ in range(64):
         total = ik.sum(axis=1)
         tol = max(cfg.abs_tol, cfg.rel_tol * float(np.abs(total[need]).max()))
         if err.sum() <= tol:
-            return total
-        if len(a) >= cfg.max_panels:
+            return True, ik, err, a, b, tol
+        if len(a) >= cfg.max_panels or (stop_nonfinite
+                                        and not np.isfinite(err.sum())):
             break
         # split every panel holding more than its share of the error budget
         bad = err > tol / (2.0 * len(a))
@@ -200,6 +189,74 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
         ik = np.concatenate([ik[:, ~bad], ik_bad], axis=1)
         err = np.concatenate([err[~bad], err_bad])
         a, b = new_a, new_b
+    return False, ik, err, a, b, tol
+
+
+def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
+                foff: float, habs: float,
+                cfg: QuadratureConfig | None = None,
+                need=(0, 1, 2, 3)) -> np.ndarray:
+    """The four integral rows of the radial spectral integrand.
+
+    foff = v rho - mu is the k = 0 value of f; habs = |u| q scales the pair
+    field.  Requires the feasibility margin foff - habs >= 0 (the integrals
+    stay finite at exactly zero margin thanks to the r^(nu-1) measure, except
+    the curvature row in nu <= 3 which diverges there).  Convergence is
+    enforced only for the rows listed in `need`; the others are returned at
+    whatever accuracy fell out, so boundary points can still evaluate the
+    rows that remain finite.  Inside `plan_scope` a call first tries the
+    previous call's cutoff and mesh.
+    """
+    if cfg is None:
+        cfg = QuadratureConfig()
+    need = np.asarray(need, dtype=int)
+    if habs < 0:
+        raise ValueError("habs must be nonnegative")
+    if foff - habs < 0:
+        raise QuadratureFailure(
+            f"infeasible evaluation point: f(0) - |h(0)| = {foff - habs} < 0")
+    inv_2m = 0.5 / mass
+    c_nu = angular_factor(nu)
+
+    def batch(radii):
+        lam = profile.value_radial(radii)
+        rows = eval_rows(radii, lam, beta, inv_2m, foff, habs)
+        return rows * (c_nu * radii ** (nu - 1))
+
+    def panel_integrals(a, b):
+        mid = 0.5 * (a + b)[:, None]
+        half = 0.5 * (b - a)[:, None]
+        pts = mid + half * XK
+        vals = batch(pts.ravel()).reshape(NROWS, len(a), 15)
+        ik = (vals @ WK) * half[:, 0]
+        ig = (vals @ WG) * half[:, 0]
+        err = np.abs(ik - ig)[need].max(axis=0)
+        return ik, err
+
+    plan = _PLAN.get()
+    key = (profile, nu, mass, beta, cfg, tuple(need.tolist()))
+    warm = plan.get(key) if plan is not None else None
+    if warm is not None and _tail_bound(profile, nu, mass, beta, foff, habs,
+                                        warm[0]) < cfg.tail_tol:
+        R, a, b = warm
+        # a carried node can sit where E = 0 in floats at a boundary point;
+        # the non-finite value then sends the call down the cold path
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok, ik, _, a, b, _ = _refine(panel_integrals, a, b, need, cfg,
+                                         stop_nonfinite=True)
+        total = ik.sum(axis=1)
+        if ok and np.isfinite(total[need]).all():
+            plan[key] = (R, a, b)
+            return total
+
+    R = _choose_cutoff(profile, nu, mass, beta, foff, habs, cfg.tail_tol)
+    breaks = _initial_breaks(profile, nu, mass, beta, R)
+    ok, ik, err, a, b, tol = _refine(panel_integrals, breaks[:-1], breaks[1:],
+                                     need, cfg)
+    if ok:
+        if plan is not None:
+            plan[key] = (R, a, b)
+        return ik.sum(axis=1)
     # boundary-grazing integrands can stall on roundoff: accept when the
     # certified error is still within a 100x band of the requested tolerance
     if err.sum() <= 100.0 * tol:

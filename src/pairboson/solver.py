@@ -32,7 +32,7 @@ from .pressure import (
     sigma_gap,
     total_dq,
 )
-from .quadrature import radial_rows
+from .quadrature import plan_scope, radial_rows
 
 STATUS_CONVERGED = "converged"
 STATUS_BOUNDARY = "boundary_minimum"
@@ -424,17 +424,20 @@ def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
         eta *= factor
     results = []
     q_hint = None
-    for eta in etas:
-        res = outer_opt(model, tp, eta, quad_cfg, q_hint=q_hint)
-        results.append(res)
-        q_hint = res.q_bar
-        if len(results) >= 4:
-            steps = [abs(results[i + 1].q_bar - results[i].q_bar)
-                     + abs(results[i + 1].rho_bar - results[i].rho_bar)
-                     for i in range(len(results) - 3, len(results) - 1)]
-            if steps[-1] > 10.0 * steps[-2] + 1e-6:
-                raise ContinuationDiverged(
-                    f"continuation iterates diverging at eta={eta}")
+    # one quadrature plan per continuation: its calls reuse each other's
+    # cutoff and mesh, and nothing carries over to another point
+    with plan_scope():
+        for eta in etas:
+            res = outer_opt(model, tp, eta, quad_cfg, q_hint=q_hint)
+            results.append(res)
+            q_hint = res.q_bar
+            if len(results) >= 4:
+                steps = [abs(results[i + 1].q_bar - results[i].q_bar)
+                         + abs(results[i + 1].rho_bar - results[i].rho_bar)
+                         for i in range(len(results) - 3, len(results) - 1)]
+                if steps[-1] > 10.0 * steps[-2] + 1e-6:
+                    raise ContinuationDiverged(
+                        f"continuation iterates diverging at eta={eta}")
 
     p_lim, p_err, a_p = _extrapolate([r.pressure for r in results], factor)
     q_lim, q_err, a_q = _extrapolate([r.q_bar for r in results], factor)

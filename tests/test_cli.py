@@ -131,7 +131,12 @@ class TestExitCodes:
         assert run_main(["scan", "--mu-range=-0.5:-0.4:2"]) == \
             cli.EXIT_NO_CONVERGENCE
         rows = capsys.readouterr().out.strip().split("\n")[1:]
-        assert [row.split(",")[-1] for row in rows] == ["error", "error"]
+        assert [row.split(",")[-1] for row in rows] == \
+            ["error:BracketFailure"] * 2
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
 
 
 def _continuation(statuses):
@@ -161,6 +166,30 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == expected
         assert [step["status"] for step in doc["eta_trace"]] == statuses
+
+    @pytest.mark.parametrize("statuses, residual", [
+        (["converged", "boundary_minimum"], None),
+        (["boundary_minimum", "converged"], 0.0),
+    ])
+    def test_boundary_residuals_are_null(self, statuses, residual,
+                                         monkeypatch, capsys):
+        monkeypatch.setattr(cli, "eta_continuation",
+                            lambda *args, **kwargs: _continuation(statuses))
+        assert run_main(["solve"]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["residuals"] == {"el1": residual, "el2": residual}
+
+    def test_non_finite_values_are_null(self, monkeypatch, capsys):
+        cont = _continuation(["converged"] * 3)
+        cont.extrapolation_order = float("nan")
+        cont.error_estimates = {"p": float("inf"), "q": 1e-9}
+        monkeypatch.setattr(cli, "eta_continuation",
+                            lambda *args, **kwargs: cont)
+        assert run_main(["solve"]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out,
+                         parse_constant=_no_constant)
+        assert doc["extrapolation_order"] is None
+        assert doc["error_estimates"] == {"p": None, "q": 1e-9}
 
     def test_smoke_json(self, capsys):
         code = run_main(["solve", "--beta", "1", "--mu", "-0.5",
@@ -231,6 +260,36 @@ class TestScan:
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_deterministic_with_pairing(self, tmp_path, monkeypatch, capsys):
+        # u > 0, so every point runs the full sup-inf solve
+        args = ["--beta", "2", "--u", "0.5", "--v", "1.0", "--dim", "3",
+                "--eta-floor", "1e-3"]
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"scan_{threads}.csv"
+            proc = run_proc(["scan", "--mu-range=0.2:0.5:3", "--out",
+                             str(out)] + args, {"PBH_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        header, *rows = outputs[0].decode().strip().split("\n")
+        assert len(rows) == 3
+        monkeypatch.setenv("PBH_THREADS", "1")
+        for row in rows:
+            mu = row.split(",")[1]
+            assert run_main(["scan", "--mu", mu] + args) == 0
+            assert capsys.readouterr().out == f"{header}\n{row}\n"
+
+    def test_json_errors_are_null(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "eta_continuation", _raising(BracketFailure))
+        monkeypatch.setenv("PBH_THREADS", "1")
+        assert run_main(["scan", "--format", "json"]) == \
+            cli.EXIT_NO_CONVERGENCE
+        row, = json.loads(capsys.readouterr().out,
+                          parse_constant=_no_constant)
+        assert row["phase"] == "error:BracketFailure"
+        assert row["pressure"] is None and row["gap"] is None
 
     def test_json_format(self, capsys):
         code = run_main(["scan", "--beta", "1", "--mu", "-0.5", "--u", "0",

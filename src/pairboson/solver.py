@@ -194,11 +194,20 @@ def _inner_solver(model, tp, eta, quad_cfg, diagnostics):
     """inf_rho as a function of q, warm-started from its last interior
     minimizer.  The hint keeps that minimizer's distance to the boundary
     rho_lo(q) = (mu + |u| q)/v, which moves with q; the bare minimizer of
-    one q is often infeasible at a larger one."""
+    one q is often infeasible at a larger one.
+
+    Results are memoized by the exact float q for the life of the closure,
+    that is one outer_opt call (one point, one eta): a repeated q returns
+    the stored (rho_bar, value, boundary) without solving again and
+    without moving the hint.  A raised error is not stored, and
+    diagnostics["inner_solves"] counts only the solves that ran."""
     last = None
+    memo = {}
 
     def inner(q):
         nonlocal last
+        if q in memo:
+            return memo[q]
         diagnostics["inner_solves"] += 1
         hint = None
         if last is not None:
@@ -207,7 +216,8 @@ def _inner_solver(model, tp, eta, quad_cfg, diagnostics):
                                            rho_hint=hint)
         if not boundary:
             last = (q, rho_bar)
-        return rho_bar, value, boundary
+        memo[q] = rho_bar, value, boundary
+        return memo[q]
 
     return inner
 
@@ -246,7 +256,13 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
               quad_cfg: QuadratureConfig | None = None,
               q_hint: float | None = None,
               tol: float = 1e-10) -> SolveResult:
-    """Optimize over the pair order parameter q (sup for u>0, inf for u<=0)."""
+    """Optimize over the pair order parameter q (sup for u>0, inf for u<=0).
+
+    For u > 0 a positive q_hint is the centre of a warm-start window
+    q_hint * [1/4, 4] on a 9-point log grid; when the best grid point lies
+    on the window's edge the search is redone from the full bracket.  The
+    u <= 0 branches ignore q_hint.
+    """
     diagnostics = {"inner_solves": 0}
     inner = _inner_solver(model, tp, eta, quad_cfg, diagnostics)
 
@@ -274,7 +290,7 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
                         stat_tol=max(tol, 1e-6))
 
     if q_hint is not None and q_hint > 0:
-        # warm start: the optimum moves little between continuation steps
+        # warm start: the optimum lies near the caller's predicted centre
         qs = q_hint * np.geomspace(0.25, 4.0, 9)
         diagnostics["q_max"] = float(qs[-1])
     else:
@@ -300,7 +316,9 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
 
     if q_hint is not None and q_hint > 0 and best_q in (qs[0], qs[-1]):
         # optimum escaped the warm-start window: redo with the full bracket
-        return outer_opt(model, tp, eta, quad_cfg, q_hint=None, tol=tol)
+        res = outer_opt(model, tp, eta, quad_cfg, q_hint=None, tol=tol)
+        res.diagnostics["inner_solves"] += diagnostics["inner_solves"]
+        return res
 
     if best_q > 0.0:
         step = qs[1] / qs[0]
@@ -414,7 +432,15 @@ def _extrapolate(values, factor):
 def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
                      factor: float = 0.5, floor: float = 1e-6,
                      quad_cfg: QuadratureConfig | None = None) -> ContinuationResult:
-    """Solve along eta_n = eta0 * factor^n down to the floor and extrapolate."""
+    """Solve along eta_n = eta0 * factor^n down to the floor and extrapolate.
+
+    Each step centres the outer warm-start window on a prediction from the
+    last two q_bar, q_n * (q_n / q_{n-1}).  Along a geometric schedule an
+    optimum that scales like q ~ eta^a (a = 2 in the normal phase, a -> 0
+    once q has a positive limit) moves by the same factor every step, so
+    the prediction follows it where the bare q_n would fall off the
+    window's edge.  Without two positive q_bar it uses q_n.
+    """
     if not (math.inf > eta0 > floor > 0.0) or not (0.0 < factor < 1.0):
         raise ValueError("require eta0 > floor > 0 and 0 < factor < 1")
     etas = []
@@ -431,6 +457,10 @@ def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
             res = outer_opt(model, tp, eta, quad_cfg, q_hint=q_hint)
             results.append(res)
             q_hint = res.q_bar
+            if len(results) >= 2 and results[-2].q_bar > 0 and q_hint > 0:
+                predicted = q_hint * (q_hint / results[-2].q_bar)
+                if 0 < predicted < math.inf:
+                    q_hint = predicted
             if len(results) >= 4:
                 steps = [abs(results[i + 1].q_bar - results[i].q_bar)
                          + abs(results[i + 1].rho_bar - results[i].rho_bar)

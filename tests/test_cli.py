@@ -202,6 +202,17 @@ class TestSolve:
         assert doc["phase"] == "normal"
         assert len(doc["eta_trace"]) >= 4
 
+    def test_escaped_window_does_not_strand_the_search(self, capsys):
+        # q_bar ~ eta^2 here: a window centred on the last q_bar escapes,
+        # and the cold search that follows probes a density the radial
+        # quadrature cannot integrate (exit 3 after 7358 panels)
+        code = run_main(["solve", "--dim", "2", "--v", "0.673",
+                         "--u", "0.466", "--profile", "gaussian:0.807",
+                         "--mass", "1.243", "--beta", "3.058",
+                         "--mu", "-0.676", "--eta-floor", "1e-3"])
+        assert code == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["phase"] == "normal"
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "solve.json"
         code = run_main(["solve", "--beta", "1", "--mu", "-0.5",

@@ -10,12 +10,14 @@ import math
 import numpy as np
 import pytest
 
+from pairboson import solver
+from pairboson.errors import BracketFailure
 from pairboson.model import Model, gaussian_profile, delta_profile
 from pairboson.pressure import (
     ThermoPoint, OrderPoint, _sigma_tilde, grad_q, grad_rho, grad_rho_slope,
 )
 from pairboson.solver import (
-    inf_rho, outer_opt, eta_continuation, _extrapolate,
+    inf_rho, outer_opt, eta_continuation, _extrapolate, _inner_solver,
     bose_density, critical_density, mf_density, mf_pressure,
     excitation_spectrum, classify_phase,
     PHASE_NORMAL, PHASE_PAIR_ONLY, PHASE_CONDENSED, PHASE_MF_CONDENSED,
@@ -110,6 +112,50 @@ class TestInnerSolve:
         assert any(decided) and not all(decided)
 
 
+def _counting(monkeypatch, name):
+    """Replace solver.<name> by a wrapper; returns its list of calls."""
+    calls = []
+    original = getattr(solver, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+class TestInnerMemo:
+    def test_repeated_q_solves_once(self, monkeypatch):
+        calls = _counting(monkeypatch, "inf_rho")
+        diagnostics = {"inner_solves": 0}
+        inner = _inner_solver(model(), ThermoPoint(2.0, -0.3), 0.05, None,
+                              diagnostics)
+        first = inner(0.3)
+        assert inner(0.3) == first
+        assert len(calls) == 1 and diagnostics["inner_solves"] == 1
+        inner(0.4)
+        assert len(calls) == 2 and diagnostics["inner_solves"] == 2
+
+    def test_errors_are_not_stored(self, monkeypatch):
+        outcomes = [BracketFailure("first try"), (0.5, -1.0, False)]
+
+        def flaky(*args, **kwargs):
+            outcome = outcomes.pop(0)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(solver, "inf_rho", flaky)
+        diagnostics = {"inner_solves": 0}
+        inner = _inner_solver(model(), ThermoPoint(2.0, -0.3), 0.05, None,
+                              diagnostics)
+        with pytest.raises(BracketFailure):
+            inner(0.3)
+        assert inner(0.3) == (0.5, -1.0, False)
+        assert diagnostics["inner_solves"] == 2 and not outcomes
+
+
 class TestOuterOptimum:
     def test_u_zero_fixes_q(self):
         res = outer_opt(model(u=0.0), ThermoPoint(2.0, -0.3), 0.05)
@@ -129,6 +175,15 @@ class TestOuterOptimum:
         for mu in (-0.3, 1.0):
             res = outer_opt(m, ThermoPoint(2.0, mu), 0.05)
             assert res.q_bar < (0.05 ** 2 / (2.0 * 0.5)) ** (1.0 / 3.0)
+
+    def test_escape_keeps_the_window_count(self, monkeypatch):
+        # the optimum (q_bar ~ 0.9) lies far above the window 0.01 [1/4, 4]:
+        # the solves of the abandoned window count with the redo's
+        calls = _counting(monkeypatch, "inf_rho")
+        res = outer_opt(model(u=0.5), ThermoPoint(2.0, 0.4), 0.05,
+                        q_hint=0.01)
+        assert res.q_bar > 0.04 and "bracket_expansions" in res.diagnostics
+        assert res.diagnostics["inner_solves"] == len(calls)
 
     def test_small_source_stationary_point_found(self):
         # normal phase: the maximizer scales like eta^2 and sits far below
@@ -159,6 +214,24 @@ class TestContinuation:
         assert cont.q_limit < 1e-6
         assert cont.m0 < 1e-6
         assert classify_phase(m, tp, cont) == PHASE_NORMAL
+
+    def test_window_follows_the_eta_trend(self, monkeypatch):
+        # normal phase, q_bar ~ eta^2: a window centred on the last q_bar
+        # would escape at every step (13 outer calls for 7 steps); the
+        # predicted centre q_n (q_n / q_{n-1}) keeps all but the second
+        # step inside
+        calls = _counting(monkeypatch, "outer_opt")
+        cont = eta_continuation(model(u=0.5), ThermoPoint(2.0, -0.3),
+                                floor=1e-3)
+        assert len(cont.results) == 7
+        assert len(calls) <= 8
+        hints = {}
+        for args, kwargs in calls:
+            hints.setdefault(args[2], kwargs["q_hint"])
+        q = [r.q_bar for r in cont.results]
+        for n in range(2, len(q)):
+            predicted = q[n - 1] * (q[n - 1] / q[n - 2])
+            assert hints[cont.eta_sequence[n]] == predicted
 
     def test_mf_reduction_u_zero(self):
         m = model(u=0.0)

@@ -11,18 +11,33 @@ products like P(Q^dag Q)P are exact compressions and inherit positive
 semidefiniteness.  Products that raise occupation in an intermediate step
 are assembled on a basis extended by `headroom` quanta per mode and then
 projected, which again makes the compression exact.
+
+Momentum sectors: every operator used here conserves the total momentum
+sum_k n_k k.  T and N are diagonal in the occupation basis; A_k = a_k a_{-k}
+removes a pair of total momentum zero, so A_k, Q = sum_k lambda(k) A_k,
+Q^dag Q and A_k^dag A_k' keep it; the source acts through the zero mode a_0
+alone.  Every Hamiltonian is therefore block diagonal, and its spectrum is
+the union of the block spectra (A. Weisse and H. Fehske, "Exact
+diagonalization techniques", Lect. Notes Phys. 739 (2008) 529).  The blocks
+are found without comparing momenta: the sectors are the connected
+components of the union nonzero pattern of Q, Q^dag Q and a_0 (and their
+transposes) on the working basis, so every element between two sectors is
+exactly zero and the split rounds nothing.  Where lambda vanishes on some
+modes (the delta profile) the components are finer than the momentum
+sectors.  Each sector's real blocks of T, N, Q, Q^dag Q and a_0 are cached
+once per (spec, model), and every Hamiltonian is a linear combination of
+them; only the coefficients turn complex with a complex source.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import csr_matrix, diags, issparse
 from scipy.special import logsumexp
 
 from .errors import DimensionExceeded, EigenFailure, InequalityViolated, ModelError
@@ -39,14 +54,6 @@ HAM_APPROX1 = "approx1"
 HAM_APPROX2 = "approx2"
 HAM_RESIDUAL = "residual_r"
 HAM_MEAN_FIELD = "mean_field"
-
-
-def _real_if_possible(M):
-    """Hermitian matrices here are real in the fixed gauge; exploit that."""
-    M = np.asarray(M)
-    if np.iscomplexobj(M) and not np.any(M.imag):
-        return M.real
-    return M
 
 
 @dataclass(frozen=True)
@@ -79,13 +86,101 @@ class FockSpec:
         return [keys[tuple(np.round([-x for x in m], 12))] for m in self.modes]
 
 
-@dataclass
-class OperatorMatrix:
-    """A Hermitian operator compressed to the working occupation basis."""
+class _Sectors:
+    """A split of the working basis into sectors, and the block layout.
 
-    matrix: np.ndarray
-    label: str
-    params: dict = field(default_factory=dict)
+    The dense block of each sector is stored row-major, one after another,
+    in one flat array, so a linear combination of block-diagonal operators
+    is one vector operation.  `rows`/`cols` give the working-basis position
+    of every flat entry, `diag` the flat positions of the diagonal and
+    `tpos` the flat position of each entry's transpose.
+    """
+
+    def __init__(self, labels):
+        labels = np.asarray(labels)
+        self.dim = len(labels)
+        self.order = np.argsort(labels, kind="stable")
+        sizes = np.bincount(labels)
+        self.index = np.split(self.order, np.cumsum(sizes)[:-1])
+        self.bounds = np.concatenate(([0], np.cumsum(sizes ** 2)))
+        rows, cols, diag, tpos = [], [], [], []
+        for idx, off in zip(self.index, self.bounds):
+            n = len(idx)
+            k = np.arange(n)
+            rows.append(np.repeat(idx, n))
+            cols.append(np.tile(idx, n))
+            diag.append(off + k * (n + 1))
+            tpos.append(off + (n * k + k[:, None]).ravel())
+        self.rows, self.cols, self.diag, self.tpos = (
+            np.concatenate(a) for a in (rows, cols, diag, tpos))
+
+    @classmethod
+    def of_pattern(cls, *mats):
+        """Connected components of the union nonzero pattern of `mats`."""
+        # Imported here, not at the top: every command of the CLI imports
+        # this module, and only the oracle needs the graph routines.
+        from scipy.sparse.csgraph import connected_components
+
+        pattern = sum(abs(csr_matrix(M)) for M in mats)
+        pattern.eliminate_zeros()
+        _, labels = connected_components(pattern, directed=False)
+        return cls(labels)
+
+    def gather(self, M) -> np.ndarray:
+        """The flat block values of a working-basis matrix."""
+        if issparse(M):
+            return np.asarray(M.tocsr()[self.rows, self.cols]).ravel()
+        return np.asarray(M)[self.rows, self.cols]
+
+    def assemble(self, values) -> np.ndarray:
+        M = np.zeros((self.dim, self.dim), dtype=values.dtype)
+        M[self.rows, self.cols] = values
+        return M
+
+    def blocks(self, values):
+        for idx, lo, hi in zip(self.index, self.bounds[:-1], self.bounds[1:]):
+            yield values[lo:hi].reshape(len(idx), len(idx))
+
+    def herm(self, c, X) -> np.ndarray:
+        """c X^dag + conj(c) X for a real flat X; real whenever c is."""
+        c = complex(c)
+        if c.imag == 0:
+            return c.real * (X[self.tpos] + X)
+        return c * X[self.tpos] + c.conjugate() * X
+
+    def plus_diag(self, values, d) -> np.ndarray:
+        """values + diag(d), for d in working-basis order."""
+        out = values.copy()
+        out[self.diag] += d[self.order]
+        return out
+
+
+class OperatorMatrix:
+    """A Hermitian operator compressed to the working occupation basis.
+
+    Stored as the dense blocks of its sectors (`sectors`, `values`).
+    `matrix` assembles the full working-basis matrix on access; assigning a
+    matrix, dense or sparse, splits it by the components of its own nonzero
+    pattern.
+    """
+
+    def __init__(self, matrix=None, label: str = "", params: dict | None = None,
+                 sectors: _Sectors | None = None, values=None):
+        self.label = label
+        self.params = {} if params is None else params
+        if matrix is not None:
+            self.matrix = matrix
+        else:
+            self.sectors, self.values = sectors, values
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.sectors.assemble(self.values)
+
+    @matrix.setter
+    def matrix(self, M):
+        self.sectors = _Sectors.of_pattern(M)
+        self.values = self.sectors.gather(M)
 
 
 @lru_cache(maxsize=8)
@@ -140,11 +235,9 @@ class _Workspace:
         return csr_matrix((vals, (rows, cols)),
                           shape=(self.ext_dim, self.ext_dim))
 
-    def project(self, M) -> np.ndarray:
+    def project(self, M) -> csr_matrix:
         """Compress an extended-basis operator to the working basis."""
-        M = M.tocsr() if hasattr(M, "tocsr") else csr_matrix(M)
-        sub = M[self.work_idx][:, self.work_idx].toarray()
-        return sub
+        return csr_matrix(M)[self.work_idx][:, self.work_idx]
 
     def pair_lower(self, model: Model):
         """A_k = a_k a_{-k} per mode, and Q = sum_k lambda(k) A_k."""
@@ -164,6 +257,30 @@ class _Workspace:
         nrm = self.spec.mode_norms()
         eps = np.array([r * r / (2.0 * model.mass) for r in nrm])
         return self.occ @ eps
+
+
+@lru_cache(maxsize=8)
+def _pieces(spec: FockSpec, model: Model) -> "_Pieces":
+    return _Pieces(_workspace(spec), model)
+
+
+class _Pieces:
+    """Per-sector real blocks of T, N, Q, Q^dag Q and a_0 for one model.
+
+    T and N are diagonal and kept as vectors in sector order; Q, Q^dag Q
+    and a_0 are flat block arrays in the layout of `sectors`.
+    """
+
+    def __init__(self, ws: _Workspace, model: Model):
+        _, Q = ws.pair_lower(model)
+        ops = [ws.project(M) for M in
+               (Q, Q.conj().T @ Q, ws.lower[ws.zero_mode()])]
+        self.sectors = sec = _Sectors.of_pattern(*ops)
+        self.Q, self.QdQ, self.a0 = (sec.gather(M) for M in ops)
+        self.T = ws.diag_T(model)[ws.work_idx][sec.order]
+        self.N = ws.Ntot[ws.work_idx][sec.order]
+        for a in (self.Q, self.QdQ, self.a0, self.T, self.N):
+            a.setflags(write=False)     # shared by every build of the model
 
 
 def build_operator(spec: FockSpec, which: str, model: Model,
@@ -186,8 +303,7 @@ def build_operator(spec: FockSpec, which: str, model: Model,
             mat = ws.project(A[keys.index(key)])
     else:
         raise ValueError(f"unknown operator {which}")
-    return OperatorMatrix(matrix=np.asarray(mat, dtype=complex),
-                          label=which, params={"k": k})
+    return OperatorMatrix(matrix=mat, label=which, params={"k": k})
 
 
 def _q_complex(q: float, eta: complex) -> complex:
@@ -212,75 +328,62 @@ def build_hamiltonian(spec: FockSpec, kind: str, model: Model, V: float,
     second approximant match the real closed form.  Matrix identities that
     hold exactly: full = approx1 + residual_r (same q, eta), and
     approx1 - approx2 = (v/2V)(N - V rho)^2.
+
+    Every kind is c_QdQ Q^dag Q - (c_Q Q^dag + h.c.) - (c_a0 a_0^dag + h.c.)
+    plus a diagonal, formed sector by sector from the cached pieces.
     """
     if q < 0 or rho < 0 or V <= 0:
         raise ValueError("require q >= 0, rho >= 0, V > 0")
-    ws = _workspace(spec)
-    T = ws.diag_T(model)[ws.work_idx]
-    Nw = ws.Ntot[ws.work_idx]
-    dim = ws.dim
+    p = _pieces(spec, model)
     u, v = model.u, model.v
-    H = np.zeros((dim, dim), dtype=complex)
-
-    def add_source(H):
-        if eta != 0 or nu_source != 0:
-            a0 = ws.lower[ws.zero_mode()]
-            a0w = ws.project(a0)
-            H -= math.sqrt(V) * (eta * a0w.conj().T + np.conj(eta) * a0w)
-        if nu_source != 0:
-            _, Q = ws.pair_lower(model)
-            Qw = ws.project(Q)
-            H -= nu_source * Qw.conj().T + np.conj(nu_source) * Qw
-        return H
-
     qc = _q_complex(q, eta)
+    kinetic = p.T + (v / (2.0 * V)) * p.N ** 2
+    c_qdq, c_q, c_a0 = 0.0, nu_source, math.sqrt(V) * eta
 
     if kind == HAM_FULL:
-        _, Q = ws.pair_lower(model)
-        QdQ = ws.project(Q.conj().T @ Q)
-        H += np.diag(T + (v / (2.0 * V)) * Nw ** 2)
-        H -= (u / (2.0 * V)) * QdQ
-        H = add_source(H)
+        d, c_qdq = kinetic, -u / (2.0 * V)
     elif kind == HAM_APPROX1:
-        _, Q = ws.pair_lower(model)
-        Qw = ws.project(Q)
-        H += np.diag(T + (v / (2.0 * V)) * Nw ** 2)
-        H -= (u / 2.0) * (qc * Qw.conj().T + np.conj(qc) * Qw)
-        H += (V * u / 2.0) * abs(qc) ** 2 * np.eye(dim)
-        H = add_source(H)
+        d = kinetic + (V * u / 2.0) * abs(qc) ** 2
+        c_q = c_q + (u / 2.0) * qc
     elif kind == HAM_APPROX2:
-        _, Q = ws.pair_lower(model)
-        Qw = ws.project(Q)
-        H += np.diag(T + v * rho * Nw)
-        H -= (u / 2.0) * (qc * Qw.conj().T + np.conj(qc) * Qw)
-        H += ((V * u / 2.0) * abs(qc) ** 2 - (V * v / 2.0) * rho ** 2) * np.eye(dim)
-        H = add_source(H)
+        d = (p.T + v * rho * p.N
+             + ((V * u / 2.0) * abs(qc) ** 2 - (V * v / 2.0) * rho ** 2))
+        c_q = c_q + (u / 2.0) * qc
     elif kind == HAM_RESIDUAL:
-        _, Q = ws.pair_lower(model)
-        X = Q - qc * V * identity(ws.ext_dim, format="csr")
-        H -= (u / (2.0 * V)) * ws.project(X.conj().T @ X)
+        # -(u/2V) P X^dag X P with X = Q - qc V; Q only lowers occupation, so
+        # P X^dag X P = Q^dag Q - V (qc Q^dag + conj(qc) Q) + V^2 |qc|^2.
+        d = np.full(len(p.N), -(u * V / 2.0) * abs(qc) ** 2)
+        c_qdq, c_q, c_a0 = -u / (2.0 * V), -(u / 2.0) * qc, 0.0
     elif kind == HAM_MEAN_FIELD:
-        H += np.diag(T + (v / (2.0 * V)) * Nw ** 2)
-        H = add_source(H)
+        d = kinetic
     else:
         raise ValueError(f"unknown hamiltonian kind {kind}")
 
-    herm = np.max(np.abs(H - H.conj().T))
+    sec = p.sectors
+    H = c_qdq * p.QdQ - sec.herm(c_q, p.Q) - sec.herm(c_a0, p.a0)
+    H[sec.diag] += d
+    herm = np.max(np.abs(H - np.conj(H[sec.tpos])))
     if herm > 1e-12 * max(1.0, np.max(np.abs(H))):
         raise EigenFailure(f"built matrix not Hermitian: defect {herm}")
-    return OperatorMatrix(matrix=H, label=kind,
+    return OperatorMatrix(label=kind, sectors=sec, values=H,
                           params={"q": q, "rho": rho, "eta": eta, "V": V})
+
+
+def _spectrum(sectors: _Sectors, values) -> np.ndarray:
+    """Eigenvalues of a Hermitian block-diagonal operator, sector by sector."""
+    try:
+        return np.concatenate([np.linalg.eigvalsh(b)
+                               for b in sectors.blocks(values)])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise EigenFailure(str(exc)) from exc
 
 
 def trace_pressure(H: OperatorMatrix, spec: FockSpec, tp: ThermoPoint,
                    V: float) -> float:
     """(1/beta V) ln Tr exp(-beta (H - mu N)) on the truncated basis."""
     ws = _workspace(spec)
-    K = H.matrix - tp.mu * np.diag(ws.Ntot[ws.work_idx])
-    try:
-        evals = eigvalsh(_real_if_possible(K))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigenFailure(str(exc)) from exc
+    K = H.sectors.plus_diag(H.values, -tp.mu * ws.Ntot[ws.work_idx])
+    evals = _spectrum(H.sectors, K)
     return float(logsumexp(-tp.beta * evals) / (tp.beta * V))
 
 
@@ -295,14 +398,13 @@ def check_superstability(spec: FockSpec, model: Model, V: float) -> dict:
     alpha).
     """
     ws = _workspace(spec)
-    _, Q = ws.pair_lower(model)
-    QdQ = ws.project(Q.conj().T @ Q)
+    p = _pieces(spec, model)
     Nw = ws.Ntot[ws.work_idx]
     # smallest exhibited M with Q^dag Q <= N^2 + M V N on this mode set
     M = mode_coupling_norms(model, spec.mode_norms(), V)[3]
-    S1 = np.diag(Nw ** 2 + M * V * Nw) - QdQ
+    S1 = p.sectors.plus_diag(-p.QdQ, Nw ** 2 + M * V * Nw)
 
-    Hfull = build_hamiltonian(spec, HAM_FULL, model, V).matrix
+    Hfull = build_hamiltonian(spec, HAM_FULL, model, V)
     T = ws.diag_T(model)[ws.work_idx]
     if model.u > 0:
         R = M * model.u / 2.0
@@ -310,11 +412,12 @@ def check_superstability(spec: FockSpec, model: Model, V: float) -> dict:
     else:
         R = 0.0
         coeff = model.v
-    lower = np.diag(T + (coeff / (2.0 * V)) * Nw ** 2 - R * Nw)
-    S2 = Hfull - lower
+    sec = Hfull.sectors
+    S2 = sec.plus_diag(Hfull.values,
+                       -(T + (coeff / (2.0 * V)) * Nw ** 2 - R * Nw))
 
-    min1 = float(eigvalsh(_real_if_possible(S1)).min())
-    min2 = float(eigvalsh(_real_if_possible((S2 + S2.conj().T) / 2.0)).min())
+    min1 = float(_spectrum(p.sectors, S1).min())
+    min2 = float(_spectrum(sec, (S2 + np.conj(S2[sec.tpos])) / 2.0).min())
     return {
         "check": "superstability",
         "M": M,
@@ -375,7 +478,8 @@ def check_pair_exchange_bound(spec: FockSpec, model: Model, k, kp,
 
     The operator (N_k + |lam(k)|) N_k' + (N_{-k'} + |lam(k')|) N_{-k}
     -/+ (lam*(k) lam(k') A_k^dag A_k' + h.c.) is PSD; verified on the
-    working basis, whose compression is exact thanks to the headroom.
+    working basis, whose compression is exact thanks to the headroom, one
+    sector of the operator's own nonzero pattern at a time.
     """
     if spec.headroom < 1:
         raise ModelError("exchange bound check needs headroom >= 1")
@@ -396,8 +500,9 @@ def check_pair_exchange_bound(spec: FockSpec, model: Model, k, kp,
     Nmkp = occ[:, neg[jp]]
     diag = (Nk + abs(lam_k)) * Nkp + (Nmkp + abs(lam_kp)) * Nmk
     cross = lam_k * lam_kp * (A[j].conj().T @ A[jp])
-    O = csr_matrix(np.diag(diag)) - sign * (cross + cross.conj().T)
-    min_eig = float(eigvalsh(_real_if_possible(ws.project(O))).min())
+    O = OperatorMatrix(matrix=ws.project(
+        diags(diag) - sign * (cross + cross.conj().T)))
+    min_eig = float(_spectrum(O.sectors, O.values).min())
     return {
         "check": "pair_exchange_bound",
         "k": list(np.atleast_1d(k)),

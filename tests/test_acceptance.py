@@ -91,22 +91,27 @@ def test_criterion_01_gradient_suite():
 
 
 def test_criterion_02_closed_form_vs_trace():
-    """Finite-volume closed form vs truncated-Fock trace pressure."""
+    """Finite-volume closed form vs truncated-Fock trace pressure, both
+    signs of u."""
     q, rho, eta = 0.3, 0.8, 0.2
-    closed = pressure_fv_modes(DESK_MODEL, DESK_TP,
-                               OrderPoint(q, rho, eta), [0.0, 1.0, 1.0],
-                               DESK_V)
-    errs = []
-    for n_max in (6, 9, 12):
-        spec = FockSpec(modes=MODES, n_max=n_max, headroom=2)
-        ptr = trace_pressure(
-            build_hamiltonian(spec, "approx2", DESK_MODEL, DESK_V,
-                              q=q, rho=rho, eta=eta), spec, DESK_TP, DESK_V)
-        errs.append(abs(ptr - closed) / abs(closed))
-    ok = errs[0] > errs[1] > errs[2] and errs[2] <= 1e-4
+    model_neg = Model(dim=1, mass=0.5, u=-0.5, v=1.0,
+                      lambda_profile=gaussian_profile(0.5))
+    ok, details = True, []
+    for model in (DESK_MODEL, model_neg):
+        closed = pressure_fv_modes(model, DESK_TP, OrderPoint(q, rho, eta),
+                                   [0.0, 1.0, 1.0], DESK_V)
+        errs = []
+        for n_max in (6, 9, 12):
+            spec = FockSpec(modes=MODES, n_max=n_max, headroom=2)
+            ptr = trace_pressure(
+                build_hamiltonian(spec, "approx2", model, DESK_V,
+                                  q=q, rho=rho, eta=eta), spec, DESK_TP, DESK_V)
+            errs.append(abs(ptr - closed) / abs(closed))
+        ok = ok and errs[0] > errs[1] > errs[2] and errs[2] <= 1e-4
+        details.append(f"u={model.u}: {errs[0]:.2e} > {errs[1]:.2e} > "
+                       f"{errs[2]:.2e}")
     report(2, "closed form vs trace oracle", ok,
-           f"relative errors {errs[0]:.2e} > {errs[1]:.2e} > {errs[2]:.2e}, "
-           "tol 1e-4 at n_max=12")
+           "relative errors " + "; ".join(details) + ", tol 1e-4 at n_max=12")
 
 
 def test_criterion_03_inequality_chain():

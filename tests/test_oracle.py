@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse import identity
+from scipy.special import logsumexp
 
+from pairboson.cli import _default_fock_spec
 from pairboson.errors import DimensionExceeded, ModelError
 from pairboson.model import Model, gaussian_profile, delta_profile
 from pairboson.oracle import (
     FockSpec, build_operator, build_hamiltonian, trace_pressure,
     check_superstability, check_variational_chain,
-    check_pair_exchange_bound, _workspace,
+    check_pair_exchange_bound, OperatorMatrix, _pieces, _spectrum,
+    _workspace,
 )
 from pairboson.pressure import ThermoPoint, OrderPoint, pressure_fv_modes
 
@@ -221,3 +225,132 @@ class TestChecks:
             rep = check_pair_exchange_bound(spec(), MODEL, (1.0,), (0.0,),
                                             sign=sign)
             assert rep["passed"], rep
+
+
+def _dense_hamiltonian(sp, kind, model, V, q=0.0, rho=0.0, eta=0.0,
+                       nu_source=0.0):
+    """Reference: every kind assembled as one dense complex matrix from the
+    extended-basis sparse products, projected to the working basis."""
+    ws = _workspace(sp)
+    idx = ws.work_idx
+
+    def proj(M):
+        return M.tocsr()[idx][:, idx].toarray()
+
+    T = ws.diag_T(model)[idx]
+    Nw = ws.Ntot[idx]
+    dim = ws.dim
+    u, v = model.u, model.v
+    _, Q = ws.pair_lower(model)
+    Qw = proj(Q)
+    H = np.zeros((dim, dim), dtype=complex)
+
+    def add_source(H):
+        if eta != 0 or nu_source != 0:
+            a0w = proj(ws.lower[ws.zero_mode()])
+            H -= math.sqrt(V) * (eta * a0w.conj().T + np.conj(eta) * a0w)
+        if nu_source != 0:
+            H -= nu_source * Qw.conj().T + np.conj(nu_source) * Qw
+        return H
+
+    psi = np.angle(eta) if eta != 0 else 0.0
+    qc = q * np.exp(2.0j * psi)
+    if kind == "full":
+        H += np.diag(T + (v / (2.0 * V)) * Nw ** 2)
+        H -= (u / (2.0 * V)) * proj(Q.conj().T @ Q)
+        H = add_source(H)
+    elif kind == "approx1":
+        H += np.diag(T + (v / (2.0 * V)) * Nw ** 2)
+        H -= (u / 2.0) * (qc * Qw.conj().T + np.conj(qc) * Qw)
+        H += (V * u / 2.0) * abs(qc) ** 2 * np.eye(dim)
+        H = add_source(H)
+    elif kind == "approx2":
+        H += np.diag(T + v * rho * Nw)
+        H -= (u / 2.0) * (qc * Qw.conj().T + np.conj(qc) * Qw)
+        H += ((V * u / 2.0) * abs(qc) ** 2
+              - (V * v / 2.0) * rho ** 2) * np.eye(dim)
+        H = add_source(H)
+    elif kind == "residual_r":
+        X = Q - qc * V * identity(ws.ext_dim, format="csr")
+        H -= (u / (2.0 * V)) * proj(X.conj().T @ X)
+    else:
+        H += np.diag(T + (v / (2.0 * V)) * Nw ** 2)
+        H = add_source(H)
+    return H
+
+
+def _dense_pressure(H, sp, tp, V):
+    ws = _workspace(sp)
+    K = H - tp.mu * np.diag(ws.Ntot[ws.work_idx])
+    return logsumexp(-tp.beta * sla.eigvalsh(K)) / (tp.beta * V)
+
+
+KINDS = ("full", "approx1", "approx2", "residual_r", "mean_field")
+SOURCES = ({"eta": 0.2}, {"eta": 0.2 * np.exp(0.7j)},
+           {"eta": 0.2, "nu_source": 0.15 - 0.05j})
+
+
+class TestSectors:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("u", [0.5, -0.5])
+    def test_builds_match_dense_assembly(self, dim, u):
+        m = Model(dim=dim, mass=0.5, u=u, v=1.0,
+                  lambda_profile=gaussian_profile(1.0))
+        sp = _default_fock_spec(m, 4)
+        dim_work = _workspace(sp).dim
+        for kind in KINDS:
+            for src in SOURCES:
+                H = build_hamiltonian(sp, kind, m, V, q=0.3, rho=0.8, **src)
+                ref = _dense_hamiltonian(sp, kind, m, V, q=0.3, rho=0.8, **src)
+                scale = max(1.0, np.max(np.abs(ref)))
+                assert np.max(np.abs(H.matrix - ref)) <= 1e-14 * scale, (kind, src)
+                # stored by sector, eigensolved by sector
+                assert max(len(i) for i in H.sectors.index) < dim_work
+                p_ref = _dense_pressure(ref, sp, TP, V)
+                assert trace_pressure(H, sp, TP, V) == pytest.approx(
+                    p_ref, rel=1e-13, abs=0), (kind, src)
+
+    @pytest.mark.parametrize("u,profile", [(0.5, gaussian_profile(1.0)),
+                                           (-0.3, gaussian_profile(1.0)),
+                                           (0.5, delta_profile())])
+    def test_pieces_vanish_between_sectors(self, u, profile):
+        m = Model(dim=3, mass=0.5, u=u, v=1.0, lambda_profile=profile)
+        sp = _default_fock_spec(m, 7)
+        ws = _workspace(sp)
+        idx = ws.work_idx
+        pieces = _pieces(sp, m)
+        sec = pieces.sectors
+        label = np.empty(ws.dim, dtype=int)
+        for s, states in enumerate(sec.index):
+            label[states] = s
+        _, Q = ws.pair_lower(m)
+        for full, blocks in ((Q, pieces.Q), (Q.conj().T @ Q, pieces.QdQ),
+                             (ws.lower[ws.zero_mode()], pieces.a0)):
+            full = full.tocsr()[idx][:, idx].toarray()
+            assert full.dtype == blocks.dtype == float
+            inside = np.equal.outer(label, label)
+            assert np.all(full[~inside] == 0.0)
+            assert np.array_equal(sec.assemble(blocks), full)
+        sizes = sorted(len(i) for i in sec.index)
+        if profile.kind == delta_profile().kind:
+            # lambda(k != 0) = 0: only the zero mode pairs, finer sectors
+            assert len(sizes) > 15 and max(sizes) < 64
+        else:
+            assert len(sizes) == 15 and max(sizes) == 64
+            assert sizes == sorted(8 * (8 - abs(P)) for P in range(-7, 8))
+
+    def test_dense_matrix_is_one_sector(self):
+        # negative control: a random Hermitian matrix has no sectors to
+        # split, and the one eigensolve path still returns its spectrum
+        sp = _default_fock_spec(MODEL, 4)
+        n = _workspace(sp).dim
+        rng = np.random.default_rng(7)
+        R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        R = (R + R.conj().T) / 2.0
+        H = OperatorMatrix(matrix=R, label="random")
+        assert len(H.sectors.index) == 1
+        np.testing.assert_allclose(_spectrum(H.sectors, H.values),
+                                   sla.eigvalsh(R), rtol=0, atol=1e-12)
+        assert trace_pressure(H, sp, TP, V) == pytest.approx(
+            _dense_pressure(R, sp, TP, V), rel=1e-13, abs=0)
+        np.testing.assert_array_equal(H.matrix, R)

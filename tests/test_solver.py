@@ -242,6 +242,17 @@ class TestContinuation:
                                                  abs=1e-9)
             assert cont.q_limit <= 1e-6
 
+    @pytest.mark.parametrize("u, share", [(-0.5, 0.5), (-0.1, 0.5),
+                                          (0.0, 1.0)])
+    def test_m0_non_attractive(self, u, share):
+        # Documents today's limit: for u < 0 the k = 0 condensate m0 carries
+        # half of the mean-field excess mu/v - rho_c, for u = 0 all of it.
+        m = model(u=u)
+        tp = ThermoPoint(beta=2.0, mu=0.4)
+        excess = tp.mu / m.v - critical_density(m, tp.beta)
+        cont = eta_continuation(m, tp)
+        assert cont.m0 == pytest.approx(share * excess, abs=2e-5)
+
     @pytest.mark.parametrize("eta0, factor", [(math.inf, 0.5), (0.1, 1.0)])
     def test_rejects_bad_schedule(self, eta0, factor):
         with pytest.raises(ValueError):

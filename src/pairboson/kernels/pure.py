@@ -18,9 +18,10 @@ import numpy as np
 NROWS = 4
 
 
-def eval_rows(r, lam, beta, inv_2m, foff, habs):
+def eval_rows(r, lam, beta, inv_2m, foff, habs, rows=(0, 1, 2, 3)):
     """Kernel rows at radii r with profile values lam; returns shape (4, n).
 
+    Only the rows listed in `rows` are computed; the others are NaN.
     Requires f > |h| pointwise (strictly feasible; guaranteed by the caller
     via sigma = foff - habs > 0 together with |lam| <= 1).
     """
@@ -32,13 +33,18 @@ def eval_rows(r, lam, beta, inv_2m, foff, habs):
     x = beta * E
     xs = np.minimum(x, 700.0)
     emx = np.exp(-xs)
-    nb = np.where(x < 700.0, 1.0 / np.expm1(xs), emx)
     h2 = h * h
-    efp = E + f
+    out = np.full((NROWS,) + E.shape, np.nan)
+    if 0 in rows:
+        out[0] = -np.log1p(-emx) / beta + 0.5 * h2 / (E + f)
+    if set(rows) <= {0}:
+        return out  # the pressure row needs no n_B
+    nb = np.where(x < 700.0, 1.0 / np.expm1(xs), emx)
     fe = f / E
-
-    p_row = -np.log1p(-emx) / beta + 0.5 * h2 / efp
-    fe_row = nb * fe + 0.5 * h2 / (E * efp)
-    q_row = lam * lam * (nb + 0.5) / E
-    d2_row = beta * nb * (nb + 1.0) * fe * fe + (nb + 0.5) * h2 / E ** 3
-    return np.stack([p_row, fe_row, q_row, d2_row])
+    if 1 in rows:
+        out[1] = nb * fe + 0.5 * h2 / (E * (E + f))
+    if 2 in rows:
+        out[2] = lam * lam * (nb + 0.5) / E
+    if 3 in rows:
+        out[3] = beta * nb * (nb + 1.0) * fe * fe + (nb + 0.5) * h2 / E ** 3
+    return out

@@ -120,12 +120,12 @@ def spectral(model: Model, tp: ThermoPoint, op: OrderPoint, k) -> SpectralEval:
     return SpectralEval(f=f, h_abs=h_abs, E=E, x_sq=x_sq, y_sq=y_sq)
 
 
-def _rows(model, tp, op, cfg, need=(0, 1, 2, 3)):
-    """The four radial integrals shared by the pressure and its derivatives."""
+def _rows(model, tp, op, cfg, need=(0, 1, 2, 3), rows=None):
+    """The radial integrals shared by the pressure and its derivatives."""
     foff = model.v * op.rho - tp.mu
     habs = abs(model.u) * op.q
     return radial_rows(model.lambda_profile, model.dim, model.mass, tp.beta,
-                       foff, habs, cfg, need=need)
+                       foff, habs, cfg, need=need, rows=rows)
 
 
 def pressure_tl(model: Model, tp: ThermoPoint, op: OrderPoint,
@@ -174,7 +174,7 @@ def grad_rho_slope(model: Model, tp: ThermoPoint, op: OrderPoint,
     slope is fit to propose Newton steps, not to be reported.
     """
     _check_feasible(model, tp, op)
-    rows = _rows(model, tp, op, quad_cfg, need=(1,))
+    rows = _rows(model, tp, op, quad_cfg, need=(1,), rows=(1, 3))
     src = d2_src = 0.0
     if op.eta > 0:
         st = _sigma_tilde(model, tp, op)

@@ -14,6 +14,7 @@ import contextlib
 import contextvars
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -136,9 +137,33 @@ def _initial_breaks(profile, nu, mass, beta, R):
     return np.array(pts)
 
 
-# Cutoff R and panel mesh (a, b) of the last strictly converged call, keyed
-# by (profile, nu, mass, beta, cfg, need).  A dict exists only inside
-# `plan_scope`; elsewhere every call runs cold.
+class _PlanEntry(NamedTuple):
+    """Cutoff R and panel mesh (a, b) of a strictly converged call, with the
+    node arrays that the mesh alone determines (see `_mesh_nodes`)."""
+
+    R: float
+    a: np.ndarray
+    b: np.ndarray
+    half: np.ndarray
+    nodes: np.ndarray
+    lam: np.ndarray
+    weight: np.ndarray
+
+
+def _mesh_nodes(profile, nu, a, b):
+    """(half, nodes, lam, weight) of the panels [a_i, b_i]: the half-widths,
+    the 15 Gauss-Kronrod nodes of every panel flattened panel by panel, the
+    profile lam(r) and the radial measure c_nu r^(nu-1) at the nodes."""
+    mid = 0.5 * (a + b)[:, None]
+    half = 0.5 * (b - a)[:, None]
+    nodes = (mid + half * XK).ravel()
+    return (half[:, 0], nodes, profile.value_radial(nodes),
+            angular_factor(nu) * nodes ** (nu - 1))
+
+
+# Plan entries of the last strictly converged call, keyed by (profile, nu,
+# mass, beta, cfg, need).  A dict exists only inside `plan_scope`;
+# elsewhere every call runs cold.
 _PLAN: contextvars.ContextVar = contextvars.ContextVar("quadrature_plan",
                                                        default=None)
 
@@ -151,7 +176,9 @@ def plan_scope():
     last converged cutoff and mesh usually already meet the tolerance.  A
     stored R is reused only while it certifies the tail at the new
     (foff, habs), and a mesh only when it converges strictly; any other
-    call runs exactly the cold path.  The plan is dropped on exit.
+    call runs exactly the cold path.  Each stored mesh keeps its nodes,
+    lam(r) and measure, rebuilt whenever the mesh changes, so a call that
+    converges on it evaluates only the kernel.  The plan is dropped on exit.
     """
     token = _PLAN.set({})
     try:
@@ -160,14 +187,14 @@ def plan_scope():
         _PLAN.reset(token)
 
 
-def _refine(panel_integrals, a, b, need, cfg, stop_nonfinite=False):
+def _refine(panel_integrals, a, b, ik, err, need, cfg, stop_nonfinite=False):
     """Split panels until the error estimate meets the tolerance.
 
-    Returns (converged, ik, err, a, b, tol) with the per-panel integrals
-    and errors of the final mesh.  With stop_nonfinite, a non-finite error
-    ends the loop instead of refining.
+    Starts from the per-panel integrals ik and errors err of the mesh
+    (a, b).  Returns (converged, ik, err, a, b, tol) with those of the final
+    mesh; a mesh that needed no split is returned as the same arrays.  With
+    stop_nonfinite, a non-finite error ends the loop instead of refining.
     """
-    ik, err = panel_integrals(a, b)
     tol = math.inf
     for _ in range(64):
         total = ik.sum(axis=1)
@@ -195,20 +222,24 @@ def _refine(panel_integrals, a, b, need, cfg, stop_nonfinite=False):
 def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
                 foff: float, habs: float,
                 cfg: QuadratureConfig | None = None,
-                need=(0, 1, 2, 3)) -> np.ndarray:
+                need=(0, 1, 2, 3), rows=None) -> np.ndarray:
     """The four integral rows of the radial spectral integrand.
 
     foff = v rho - mu is the k = 0 value of f; habs = |u| q scales the pair
     field.  Requires the feasibility margin foff - habs >= 0 (the integrals
     stay finite at exactly zero margin thanks to the r^(nu-1) measure, except
-    the curvature row in nu <= 3 which diverges there).  Convergence is
-    enforced only for the rows listed in `need`; the others are returned at
-    whatever accuracy fell out, so boundary points can still evaluate the
-    rows that remain finite.  Inside `plan_scope` a call first tries the
-    previous call's cutoff and mesh.
+    the curvature row in nu <= 3 which diverges there).  Only the rows
+    listed in `rows` (default: `need`, of which it must hold every row) are
+    computed, and the others are NaN.  Convergence is enforced only for the
+    rows in `need`; the rest come at whatever accuracy fell out, so boundary
+    points can still evaluate the rows that remain finite.  Inside
+    `plan_scope` a call first tries the previous call's cutoff and mesh.
     """
     if cfg is None:
         cfg = QuadratureConfig()
+    rows = tuple(need) if rows is None else tuple(rows)
+    if not set(need) <= set(rows):
+        raise ValueError("rows must include every row in need")
     need = np.asarray(need, dtype=int)
     if habs < 0:
         raise ValueError("habs must be nonnegative")
@@ -216,46 +247,48 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
         raise QuadratureFailure(
             f"infeasible evaluation point: f(0) - |h(0)| = {foff - habs} < 0")
     inv_2m = 0.5 / mass
-    c_nu = angular_factor(nu)
 
-    def batch(radii):
-        lam = profile.value_radial(radii)
-        rows = eval_rows(radii, lam, beta, inv_2m, foff, habs)
-        return rows * (c_nu * radii ** (nu - 1))
+    def panel_sums(half, nodes, lam, weight):
+        # per-panel Kronrod integrals and |Kronrod - Gauss| errors
+        vals = eval_rows(nodes, lam, beta, inv_2m, foff, habs, rows=rows)
+        vals = (vals * weight).reshape(NROWS, len(half), 15)
+        ik = (vals @ WK) * half
+        ig = (vals @ WG) * half
+        return ik, np.abs(ik - ig)[need].max(axis=0)
 
     def panel_integrals(a, b):
-        mid = 0.5 * (a + b)[:, None]
-        half = 0.5 * (b - a)[:, None]
-        pts = mid + half * XK
-        vals = batch(pts.ravel()).reshape(NROWS, len(a), 15)
-        ik = (vals @ WK) * half[:, 0]
-        ig = (vals @ WG) * half[:, 0]
-        err = np.abs(ik - ig)[need].max(axis=0)
-        return ik, err
+        return panel_sums(*_mesh_nodes(profile, nu, a, b))
 
     plan = _PLAN.get()
     key = (profile, nu, mass, beta, cfg, tuple(need.tolist()))
+
+    def store(R, a, b):
+        plan[key] = _PlanEntry(R, a, b, *_mesh_nodes(profile, nu, a, b))
+
     warm = plan.get(key) if plan is not None else None
     if warm is not None and _tail_bound(profile, nu, mass, beta, foff, habs,
-                                        warm[0]) < cfg.tail_tol:
-        R, a, b = warm
+                                        warm.R) < cfg.tail_tol:
         # a carried node can sit where E = 0 in floats at a boundary point;
         # the non-finite value then sends the call down the cold path
         with np.errstate(divide="ignore", invalid="ignore"):
-            ok, ik, _, a, b, _ = _refine(panel_integrals, a, b, need, cfg,
+            ik, err = panel_sums(warm.half, warm.nodes, warm.lam, warm.weight)
+            ok, ik, _, a, b, _ = _refine(panel_integrals, warm.a, warm.b,
+                                         ik, err, need, cfg,
                                          stop_nonfinite=True)
         total = ik.sum(axis=1)
         if ok and np.isfinite(total[need]).all():
-            plan[key] = (R, a, b)
+            if a is not warm.a:
+                store(warm.R, a, b)
             return total
 
     R = _choose_cutoff(profile, nu, mass, beta, foff, habs, cfg.tail_tol)
     breaks = _initial_breaks(profile, nu, mass, beta, R)
-    ok, ik, err, a, b, tol = _refine(panel_integrals, breaks[:-1], breaks[1:],
-                                     need, cfg)
+    a, b = breaks[:-1], breaks[1:]
+    ik, err = panel_integrals(a, b)
+    ok, ik, err, a, b, tol = _refine(panel_integrals, a, b, ik, err, need, cfg)
     if ok:
         if plan is not None:
-            plan[key] = (R, a, b)
+            store(R, a, b)
         return ik.sum(axis=1)
     # boundary-grazing integrands can stall on roundoff: accept when the
     # certified error is still within a 100x band of the requested tolerance

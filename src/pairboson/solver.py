@@ -43,20 +43,46 @@ PHASE_CONDENSED = "condensed"
 PHASE_MF_CONDENSED = "mf_condensed"
 
 
-@dataclass
+@dataclass(init=False)
 class SolveResult:
-    """Outcome of one sup-inf solve at fixed source strength."""
+    """Outcome of one sup-inf solve at fixed source strength.
+
+    `residual_el1` and `residual_el2` are the Euler-Lagrange residuals of
+    `el_residuals` at the optimum.  They cost two scalar integrals and only
+    the last eta step's are printed, so a result made with
+    residual_at=(model, tp, op, quad_cfg) computes both on first read and
+    keeps them; otherwise they are the values passed to the constructor.
+    """
 
     q_bar: float
     rho_bar: float
     pressure: float
     rho0: float
     gap: float
-    residual_el1: float
-    residual_el2: float
     eta: float
     status: str
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
+
+    def __init__(self, q_bar, rho_bar, pressure, rho0, gap,
+                 residual_el1=None, residual_el2=None, *, eta, status,
+                 diagnostics=None, residual_at=None):
+        self.q_bar, self.rho_bar, self.pressure = q_bar, rho_bar, pressure
+        self.rho0, self.gap, self.eta, self.status = rho0, gap, eta, status
+        self.diagnostics = {} if diagnostics is None else diagnostics
+        self._residual_at = residual_at
+        self._residuals = (None if residual_at is not None
+                           else (residual_el1, residual_el2))
+
+    def _residual(self, i):
+        if self._residuals is None:
+            r1, r2 = el_residuals(*self._residual_at)
+            self._residuals = float(r1), float(r2)
+        return self._residuals[i]
+
+    residual_el1 = property(lambda self: self._residual(0),
+                            doc="Residual of the density equation.")
+    residual_el2 = property(lambda self: self._residual(1),
+                            doc="Residual of the pair equation.")
 
 
 @dataclass
@@ -182,12 +208,11 @@ def _result_at(model, tp, q, rho, eta, value, status, diagnostics, quad_cfg):
     if eta > 0:
         st = _sigma_tilde(model, tp, op)
         rho0 = eta ** 2 / st ** 2 if st > 0 else math.inf
-    r1, r2 = el_residuals(model, tp, op, quad_cfg)
     return SolveResult(
         q_bar=float(q), rho_bar=float(rho), pressure=float(value),
-        rho0=float(rho0), gap=_gap_at(model, tp, q, rho),
-        residual_el1=float(r1), residual_el2=float(r2), eta=float(eta),
-        status=status, diagnostics=diagnostics)
+        rho0=float(rho0), gap=_gap_at(model, tp, q, rho), eta=float(eta),
+        status=status, diagnostics=diagnostics,
+        residual_at=(model, tp, op, quad_cfg))
 
 
 def _inner_solver(model, tp, eta, quad_cfg, diagnostics):

@@ -5,7 +5,11 @@ of pressure_tl, a brute-force Riemann sum over momentum space, and the
 scalar-quadrature residual path.
 """
 
+import importlib
+import itertools
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairboson.errors import InfeasiblePoint, UnstableMode
+from pairboson import kernels
 from pairboson.kernels import pure
 from pairboson.model import Model, LatticeSpec, gaussian_profile
 from pairboson.pressure import (
@@ -195,6 +200,41 @@ class TestKernels:
         rows = pure.eval_rows(np.array([80.0]), np.array([0.0]),
                               10.0, 1.0, 0.5, 0.0)
         assert np.all(np.isfinite(rows))
+
+    @pytest.mark.parametrize("subset", [
+        s for n in range(1, 5) for s in itertools.combinations(range(4), n)])
+    def test_rows_on_demand(self, subset):
+        # the x >= 700 branch of n_B included
+        r = np.concatenate([np.linspace(0.0, 6.0, 40), [80.0]])
+        lam = np.exp(-0.5 * r * r)
+        args = (r, lam, 1.7, 1.0, 0.9, 0.4)
+        full = pure.eval_rows(*args)
+        part = pure.eval_rows(*args, rows=subset)
+        skipped = [i for i in range(4) if i not in subset]
+        assert np.array_equal(part[list(subset)], full[list(subset)])
+        assert np.isnan(part[skipped]).all()
+
+    def test_compiled_kernel_ignores_rows(self, monkeypatch):
+        # the compiled twin always returns four rows; the package's shim
+        # accepts the numpy kernel's `rows` argument and passes it by
+        four = np.arange(12.0).reshape(4, 3)
+        fake = types.ModuleType("pairboson.kernels._fastkern")
+        fake.eval_rows = lambda r, lam, beta, inv_2m, foff, habs: four
+        names = set(vars(kernels))
+        try:
+            with monkeypatch.context() as mp:
+                mp.setitem(sys.modules, fake.__name__, fake)
+                importlib.reload(kernels)
+                assert kernels.BACKEND == "cython"
+                got = kernels.eval_rows(np.ones(3), np.ones(3), 1.0, 1.0,
+                                        1.0, 0.0, rows=(1,))
+                assert got is four
+        finally:
+            importlib.reload(kernels)
+            for name in set(vars(kernels)) - names:
+                delattr(kernels, name)
+        assert kernels.BACKEND == "numpy"
+        assert kernels.eval_rows is pure.eval_rows
 
     @given(beta=st.floats(0.1, 20.0), foff=st.floats(0.05, 5.0),
            hfrac=st.floats(0.0, 0.95), r=st.floats(0.0, 60.0))

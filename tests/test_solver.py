@@ -5,6 +5,7 @@ settings and by closed-form series evaluation (Bose functions).
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from pairboson import solver
 from pairboson.errors import BracketFailure
 from pairboson.model import Model, gaussian_profile, delta_profile
 from pairboson.pressure import (
-    ThermoPoint, OrderPoint, _sigma_tilde, grad_q, grad_rho, grad_rho_slope,
+    ThermoPoint, OrderPoint, _sigma_tilde, el_residuals, grad_q, grad_rho,
+    grad_rho_slope,
 )
 from pairboson.solver import (
     inf_rho, outer_opt, eta_continuation, _extrapolate, _inner_solver,
@@ -329,3 +331,52 @@ class TestObservables:
                               cont_lo) == PHASE_NORMAL
         assert classify_phase(m, ThermoPoint(2.0, 0.5),
                               cont_hi) == PHASE_MF_CONDENSED
+
+
+class TestLazyResiduals:
+    """The Euler-Lagrange residuals of a solve are computed on first read."""
+
+    # ROADMAP's condensed and mean-field condensed solve points
+    ARGV = ["solve", "--beta", "2.0", "--mu", "0.4", "--dim", "3",
+            "--v", "1.0", "--mass", "0.5", "--profile", "gaussian:1.0"]
+
+    def test_continuation_computes_none(self, monkeypatch):
+        calls = _counting(monkeypatch, "el_residuals")
+        cont = eta_continuation(model(u=0.5), ThermoPoint(2.0, 0.4),
+                                eta0=0.1, floor=1e-3)
+        assert len(cont.results) == 7 and calls == []
+
+    def test_first_read_computes_both(self, monkeypatch):
+        m, tp = model(u=0.5), ThermoPoint(2.0, 1.0)
+        calls = _counting(monkeypatch, "el_residuals")
+        res = outer_opt(m, tp, 0.05)
+        assert calls == []
+        r1 = res.residual_el1
+        assert len(calls) == 1
+        r2 = res.residual_el2
+        assert len(calls) == 1 and res.residual_el1 == r1
+        want = el_residuals(m, tp, OrderPoint(res.q_bar, res.rho_bar,
+                                              res.eta))
+        assert (r1, r2) == want
+
+    @pytest.mark.parametrize("u, expected", [("0.5", 1), ("-0.5", 0)])
+    def test_solve_reads_the_last_step_only(self, u, expected, monkeypatch,
+                                            capsys):
+        # at mf_condensed (u = -0.5) the last step ends on the boundary,
+        # where the residuals are printed as null
+        from pairboson import cli
+        calls = _counting(monkeypatch, "el_residuals")
+        assert cli.main(self.ARGV + ["--u", u]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert len(calls) == expected
+        assert (doc["residuals"]["el1"] is None) == (expected == 0)
+
+    def test_scan_computes_none(self, monkeypatch, capsys):
+        from pairboson import cli
+        monkeypatch.setenv("PBH_THREADS", "1")
+        calls = _counting(monkeypatch, "el_residuals")
+        assert cli.main(["scan", "--beta", "2.0", "--mu-range=-0.2:0.4:2",
+                         "--u", "0.5", "--dim", "3",
+                         "--eta-floor", "1e-3"]) == cli.EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert calls == []

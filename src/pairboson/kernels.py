@@ -1,4 +1,4 @@
-"""Numpy backend for the radial spectral-integrand kernel.
+"""The radial spectral-integrand kernel.
 
 Evaluates, at an array of radial momenta r, the four integrand rows shared by
 the pressure and all its derivatives:
@@ -15,6 +15,7 @@ f/E - 1, ln(1 - e^{-x})) are rewritten in the stable forms above.
 
 import numpy as np
 
+BACKEND = "numpy"  # the only kernel; perfbench records it with each result
 NROWS = 4
 
 

@@ -153,7 +153,8 @@ def pressure_fv_modes(model: Model, tp: ThermoPoint, op: OrderPoint,
     lam = model.lambda_profile.value_radial(norms)
     foff = model.v * op.rho - tp.mu
     habs = abs(model.u) * op.q
-    rows = eval_rows(norms, lam, tp.beta, 0.5 / model.mass, foff, habs)
+    rows = eval_rows(norms, lam, tp.beta, 0.5 / model.mass, foff, habs,
+                     rows=(0,))
     return float(rows[0].sum() / V + _source(model, tp, op)
                  - model.u * op.q ** 2 / 2.0 + model.v * op.rho ** 2 / 2.0)
 

@@ -3,7 +3,7 @@
 Isotropy reduces every nu-dimensional momentum integral with measure
 d^nu k / (2 pi)^nu to c_nu * int_0^inf r^(nu-1) g(r) dr with
 c_nu = 2 pi^(nu/2) / Gamma(nu/2) / (2 pi)^nu.  The integrand rows are
-evaluated in batch by the kernel backend and integrated with a vectorized
+evaluated in batch by `kernels.eval_rows` and integrated with a vectorized
 adaptive Gauss-Kronrod 7-15 rule on [0, R]; R is chosen so that a certified
 analytic bound on the discarded tail is below tolerance.
 """

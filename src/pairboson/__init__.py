@@ -20,7 +20,6 @@ from .errors import (
     QuadratureFailure,
     StationarityViolated,
     TailNotConverged,
-    UnstableMode,
 )
 from .model import (
     CouplingProfile,
@@ -29,13 +28,11 @@ from .model import (
     coupling_norms,
     delta_profile,
     gaussian_profile,
-    lattice_modes,
     power_profile,
 )
 from .pressure import (
     OrderPoint,
     QuadratureConfig,
-    SpectralEval,
     ThermoPoint,
     d2_mu,
     d_mu,
@@ -45,7 +42,6 @@ from .pressure import (
     pressure_fv,
     pressure_tl,
     sigma_gap,
-    spectral,
     total_dq,
 )
 

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .errors import (
-    PairBosonError, ConfigError, InfeasiblePoint, UnstableMode,
+    PairBosonError, ConfigError, InfeasiblePoint,
     ContinuationDiverged, BracketFailure, QuadratureFailure,
     StationarityViolated, TailNotConverged, InequalityViolated,
     DimensionExceeded, ModelError,
@@ -48,7 +48,7 @@ _EXIT_TABLE = (
     ((ConfigError, ModelError), EXIT_CONFIG, "config error"),
     (DimensionExceeded, EXIT_CONFIG, "config error: oracle instance too large"),
     (InequalityViolated, EXIT_ORACLE, "oracle check failed"),
-    ((InfeasiblePoint, UnstableMode), EXIT_INFEASIBLE, "infeasible"),
+    (InfeasiblePoint, EXIT_INFEASIBLE, "infeasible"),
     ((ContinuationDiverged, BracketFailure, QuadratureFailure,
       StationarityViolated, TailNotConverged),
      EXIT_NO_CONVERGENCE, "non-convergence"),
@@ -194,14 +194,11 @@ def _solver_settings(cfg: dict) -> dict:
 
 
 def _parse_betas(cfg) -> list:
-    """beta as a comma-separated list of positive numbers."""
+    """beta as a comma-separated list of numbers; ThermoPoint checks signs."""
     try:
-        betas = [_finite(item) for item in str(cfg["beta"]).split(",")]
+        return [_finite(item) for item in str(cfg["beta"]).split(",")]
     except ValueError:
         raise ConfigError(f"invalid number for beta: {cfg['beta']!r}")
-    if any(beta <= 0 for beta in betas):
-        raise ConfigError("beta must be positive")
-    return betas
 
 
 def _thermo_point(cfg) -> ThermoPoint:
@@ -305,18 +302,17 @@ _SCAN_ERROR = "error:"
 
 
 # Worker for scan grid points; module-level so it pickles for the pool.
-# A task is (model, eta_continuation keyword arguments, beta, mu).
+# A task is (model, eta_continuation keyword arguments, ThermoPoint).
 def _scan_point(task):
-    model, settings, beta, mu = task
-    tp = ThermoPoint(beta=beta, mu=mu)
+    model, settings, tp = task
     try:
         cont = eta_continuation(model, tp, **settings)
         phase = classify_phase(model, tp, cont)
     except PairBosonError as exc:
         nan = float("nan")
-        return (beta, mu, nan, nan, nan, nan, nan,
+        return (tp.beta, tp.mu, nan, nan, nan, nan, nan,
                 f"{_SCAN_ERROR}{type(exc).__name__}")
-    return (beta, mu, cont.p_limit, cont.q_limit, cont.rho_limit,
+    return (tp.beta, tp.mu, cont.p_limit, cont.q_limit, cont.rho_limit,
             cont.m0, cont.gap_limit, phase)
 
 
@@ -348,10 +344,12 @@ def cmd_scan(args) -> int:
     settings = _solver_settings(cfg)
     betas = _parse_betas(cfg)
     mus = _parse_mu_list(cfg)
+    # every ThermoPoint checks its beta before any point is solved
+    tasks = [(model, settings, ThermoPoint(beta=beta, mu=mu))
+             for beta in betas for mu in mus]
     fmt = (cfg["format"] or "csv").lower()
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {fmt!r} (expected csv or json)")
-    tasks = [(model, settings, beta, mu) for beta in betas for mu in mus]
     workers = _worker_count(len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

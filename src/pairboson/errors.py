@@ -13,10 +13,6 @@ class TailNotConverged(PairBosonError):
     """Lattice cutoff too small: the coupling-profile tail exceeds tolerance."""
 
 
-class UnstableMode(PairBosonError):
-    """f(k, rho) < |h(k, q)| for some mode: quasi-particle energy undefined."""
-
-
 class InfeasiblePoint(PairBosonError):
     """Pressure is infinite at this (q, rho, eta) point."""
 

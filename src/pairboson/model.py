@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -78,11 +77,6 @@ class CouplingProfile:
                 f"{_GAUSSIAN_ENVELOPE_P}; nu={nu} requires "
                 f"{self.decay_exponent_required(nu)}"
             )
-
-    def decay_bound(self, r, nu: int):
-        """The certified envelope C / (1 + r^P); vectorized."""
-        C, _ = self.declared_decay
-        return C / (1.0 + np.asarray(r, dtype=float) ** self.decay_exponent_required(nu))
 
     def describe(self) -> str:
         if self.kind == PROFILE_GAUSSIAN:
@@ -185,33 +179,6 @@ class LatticeSpec:
 def epsilon_radial(model: Model, r):
     r = np.asarray(r, dtype=float)
     return r * r / (2.0 * model.mass)
-
-
-MODE_ZERO = 0
-MODE_PLUS = 1
-MODE_MINUS = -1
-
-
-def lattice_modes(model: Model, lat: LatticeSpec):
-    """All lattice momenta with ||s||_inf <= s_max, tagged by +/- pair class.
-
-    Returns a list of (k, tag) with tag MODE_ZERO for k=0, MODE_PLUS for the
-    chosen representative of each {k, -k} pair and MODE_MINUS for its partner.
-    The set is closed under k -> -k and has (2 s_max + 1)^dim elements.
-    """
-    nu = model.dim
-    step = lat.spacing
-    out = []
-    for s in product(range(-lat.s_max, lat.s_max + 1), repeat=nu):
-        k = np.array(s, dtype=float) * step
-        if all(c == 0 for c in s):
-            tag = MODE_ZERO
-        else:
-            # representative: first nonzero component positive
-            first = next(c for c in s if c != 0)
-            tag = MODE_PLUS if first > 0 else MODE_MINUS
-        out.append((k, tag))
-    return out
 
 
 def lattice_norms(model: Model, lat: LatticeSpec):

@@ -53,7 +53,6 @@ HAM_FULL = "full"
 HAM_APPROX1 = "approx1"
 HAM_APPROX2 = "approx2"
 HAM_RESIDUAL = "residual_r"
-HAM_MEAN_FIELD = "mean_field"
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class FockSpec:
 
     modes: tuple
     n_max: int
-    N_max: int | None = None
     headroom: int = 2
     max_dim: int = 20000
 
@@ -195,16 +193,10 @@ class _Workspace:
         self.spec = spec
         nm = len(spec.modes)
         n_ext = spec.n_max + spec.headroom
-        cap_ext = None if spec.N_max is None else spec.N_max + 2 * spec.headroom
-        self.ext_states = self._states(nm, n_ext, cap_ext)
+        self.ext_states = list(product(range(n_ext + 1), repeat=nm))
         self.ext_index = {s: i for i, s in enumerate(self.ext_states)}
-        work_mask = []
-        for s in self.ext_states:
-            ok = all(n <= spec.n_max for n in s)
-            if spec.N_max is not None:
-                ok = ok and sum(s) <= spec.N_max
-            work_mask.append(ok)
-        self.work_idx = np.flatnonzero(work_mask)
+        self.work_idx = np.flatnonzero(
+            [all(n <= spec.n_max for n in s) for s in self.ext_states])
         self.dim = len(self.work_idx)
         if self.dim > spec.max_dim:
             raise DimensionExceeded(
@@ -214,14 +206,6 @@ class _Workspace:
         occ = np.array(self.ext_states, dtype=float)
         self.occ = occ                      # (ext_dim, n_modes)
         self.Ntot = occ.sum(axis=1)
-
-    @staticmethod
-    def _states(n_modes, n_max, cap):
-        out = []
-        for s in product(range(n_max + 1), repeat=n_modes):
-            if cap is None or sum(s) <= cap:
-                out.append(s)
-        return out
 
     def _lower(self, j):
         rows, cols, vals = [], [], []
@@ -319,8 +303,8 @@ def _q_complex(q: float, eta: complex) -> complex:
 
 
 def build_hamiltonian(spec: FockSpec, kind: str, model: Model, V: float,
-                      q: float = 0.0, rho: float = 0.0, eta: complex = 0.0,
-                      nu_source: complex = 0.0) -> OperatorMatrix:
+                      q: float = 0.0, rho: float = 0.0,
+                      eta: complex = 0.0) -> OperatorMatrix:
     """The labelled Hamiltonian as a Hermitian matrix on the working basis.
 
     q >= 0 is the gauge-reduced magnitude; internally the pair parameter
@@ -338,24 +322,22 @@ def build_hamiltonian(spec: FockSpec, kind: str, model: Model, V: float,
     u, v = model.u, model.v
     qc = _q_complex(q, eta)
     kinetic = p.T + (v / (2.0 * V)) * p.N ** 2
-    c_qdq, c_q, c_a0 = 0.0, nu_source, math.sqrt(V) * eta
+    c_qdq, c_q, c_a0 = 0.0, 0.0, math.sqrt(V) * eta
 
     if kind == HAM_FULL:
         d, c_qdq = kinetic, -u / (2.0 * V)
     elif kind == HAM_APPROX1:
         d = kinetic + (V * u / 2.0) * abs(qc) ** 2
-        c_q = c_q + (u / 2.0) * qc
+        c_q = (u / 2.0) * qc
     elif kind == HAM_APPROX2:
         d = (p.T + v * rho * p.N
              + ((V * u / 2.0) * abs(qc) ** 2 - (V * v / 2.0) * rho ** 2))
-        c_q = c_q + (u / 2.0) * qc
+        c_q = (u / 2.0) * qc
     elif kind == HAM_RESIDUAL:
         # -(u/2V) P X^dag X P with X = Q - qc V; Q only lowers occupation, so
         # P X^dag X P = Q^dag Q - V (qc Q^dag + conj(qc) Q) + V^2 |qc|^2.
         d = np.full(len(p.N), -(u * V / 2.0) * abs(qc) ** 2)
         c_qdq, c_q, c_a0 = -u / (2.0 * V), -(u / 2.0) * qc, 0.0
-    elif kind == HAM_MEAN_FIELD:
-        d = kinetic
     else:
         raise ValueError(f"unknown hamiltonian kind {kind}")
 

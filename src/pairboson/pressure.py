@@ -8,9 +8,13 @@ eta has Bogoliubov spectrum E(k) = sqrt(f^2 - |h|^2), f = eps(k) - mu + v rho,
                    - (E - f)/2 } + eta^2 / (v rho - mu - u q)
                    - u q^2 / 2 + v rho^2 / 2,
 
-finite exactly when the source denominator is positive and the feasibility
-gap sigma = v rho - mu - |u| q is nonnegative.  Everything here is a pure
-function; the finite-volume variant replaces the integral by a lattice sum.
+finite exactly when the feasibility gap sigma = v rho - mu - |u| q is
+nonnegative and, for eta > 0, the source denominator
+sigma~ = v rho - mu - u q is positive.  `feasible` and `source_terms` are
+the one home of that rule and of the source term's mu-derivatives; every
+other function here and the solver go through them.  Everything here is a
+pure function; the finite-volume variant replaces the integral by a lattice
+sum.
 """
 
 from __future__ import annotations
@@ -22,14 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import InfeasiblePoint, UnstableMode
+from .errors import InfeasiblePoint, ModelError
 from .kernels import eval_rows
 from .model import LatticeSpec, Model, lattice_norms
 from .quadrature import QuadratureConfig, radial_rows
 
 __all__ = [
-    "ThermoPoint", "OrderPoint", "SpectralEval", "QuadratureConfig",
-    "spectral", "sigma_gap", "pressure_tl", "pressure_fv",
+    "ThermoPoint", "OrderPoint", "QuadratureConfig", "sigma_gap",
+    "feasible", "source_terms", "excitation_energy", "pressure_tl",
+    "pressure_fv",
     "pressure_fv_modes", "grad_rho", "grad_rho_slope", "grad_q", "total_dq",
     "d_mu", "d2_mu", "el_residuals",
 ]
@@ -44,7 +49,7 @@ class ThermoPoint:
 
     def __post_init__(self):
         if self.beta <= 0:
-            raise ValueError("beta must be positive")
+            raise ModelError("beta must be positive")
 
 
 @dataclass(frozen=True)
@@ -64,17 +69,6 @@ class OrderPoint:
             raise ValueError("q, rho and eta must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SpectralEval:
-    """Spectral data of the quadratic approximant at one momentum."""
-
-    f: float
-    h_abs: float
-    E: float
-    x_sq: float
-    y_sq: float
-
-
 def sigma_gap(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
     """Feasibility gap sigma = v rho - mu - |u| q = inf_k (f - |h|)."""
     return model.v * op.rho - tp.mu - abs(model.u) * op.q
@@ -85,39 +79,35 @@ def _sigma_tilde(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
     return model.v * op.rho - tp.mu - model.u * op.q
 
 
-def _source(model, tp, op) -> float:
-    if op.eta == 0.0:
-        return 0.0
-    st = _sigma_tilde(model, tp, op)
-    if st <= 0:
-        raise InfeasiblePoint(f"source denominator f(0) - u q = {st} <= 0")
-    return op.eta ** 2 / st
+def feasible(model: Model, tp: ThermoPoint, op: OrderPoint) -> bool:
+    """Whether pressure_tl is finite at op: sigma >= 0, and sigma~ > 0 if eta > 0."""
+    return (sigma_gap(model, tp, op) >= 0
+            and (op.eta == 0.0 or _sigma_tilde(model, tp, op) > 0))
 
 
-def _check_feasible(model, tp, op):
+def source_terms(model: Model, tp: ThermoPoint, op: OrderPoint):
+    """The source term eta^2/sigma~ and its first two mu-derivatives,
+    (eta^2/sigma~, eta^2/sigma~^2, 2 eta^2/sigma~^3); zeros at eta = 0.
+
+    Raises InfeasiblePoint exactly where `feasible` is False.
+    """
     sg = sigma_gap(model, tp, op)
     if sg < 0:
         raise InfeasiblePoint(f"feasibility gap sigma = {sg} < 0")
-    if op.eta > 0 and _sigma_tilde(model, tp, op) <= 0:
-        raise InfeasiblePoint("source denominator <= 0 with eta > 0")
+    if op.eta == 0.0:
+        return 0.0, 0.0, 0.0
+    st = _sigma_tilde(model, tp, op)
+    if st <= 0:
+        raise InfeasiblePoint(f"source denominator f(0) - u q = {st} <= 0")
+    return op.eta ** 2 / st, op.eta ** 2 / st ** 2, 2.0 * op.eta ** 2 / st ** 3
 
 
-def spectral(model: Model, tp: ThermoPoint, op: OrderPoint, k) -> SpectralEval:
-    """Spectral functions f, |h|, E and Bogoliubov weights at momentum k."""
-    k = np.asarray(k, dtype=float).ravel()
-    r = float(np.linalg.norm(k))
-    f = r * r / (2.0 * model.mass) - tp.mu + model.v * op.rho
-    lam = float(model.lambda_profile.value_radial(r))
-    h_abs = abs(model.u) * op.q * abs(lam)
-    if f < h_abs:
-        raise UnstableMode(f"f(k) = {f} < |h(k)| = {h_abs}: mode unstable")
-    E = math.sqrt((f - h_abs) * (f + h_abs))
-    if E > 0:
-        fe = f / E
-        x_sq, y_sq = (fe + 1.0) / 2.0, (fe - 1.0) / 2.0
-    else:
-        x_sq, y_sq = 1.0, 0.0
-    return SpectralEval(f=f, h_abs=h_abs, E=E, x_sq=x_sq, y_sq=y_sq)
+def excitation_energy(model: Model, tp: ThermoPoint, q: float, rho: float,
+                      r: float) -> float:
+    """Bogoliubov energy E(k) = sqrt(f^2 - |h|^2) at ||k|| = r, clipped at 0."""
+    f = r * r / (2.0 * model.mass) - tp.mu + model.v * rho
+    h = abs(model.u) * q * abs(float(model.lambda_profile.value_radial(r)))
+    return math.sqrt(max(f * f - h * h, 0.0))
 
 
 def _rows(model, tp, op, cfg, need=(0, 1, 2, 3), rows=None):
@@ -131,9 +121,9 @@ def _rows(model, tp, op, cfg, need=(0, 1, 2, 3), rows=None):
 def pressure_tl(model: Model, tp: ThermoPoint, op: OrderPoint,
                 quad_cfg: QuadratureConfig | None = None) -> float:
     """Thermodynamic-limit pressure of the quadratic approximant."""
-    _check_feasible(model, tp, op)
+    src = source_terms(model, tp, op)[0]
     ip = _rows(model, tp, op, quad_cfg, need=(0,))[0]
-    return float(ip + _source(model, tp, op)
+    return float(ip + src
                  - model.u * op.q ** 2 / 2.0 + model.v * op.rho ** 2 / 2.0)
 
 
@@ -147,15 +137,14 @@ def pressure_fv_modes(model: Model, tp: ThermoPoint, op: OrderPoint,
     sg = sigma_gap(model, tp, op)
     if sg <= 0:
         raise InfeasiblePoint(f"sigma = {sg} <= 0: finite-volume pressure infinite")
-    if op.eta > 0 and _sigma_tilde(model, tp, op) <= 0:
-        raise InfeasiblePoint("source denominator <= 0 with eta > 0")
+    src = source_terms(model, tp, op)[0]
     norms = np.asarray(norms, dtype=float)
     lam = model.lambda_profile.value_radial(norms)
     foff = model.v * op.rho - tp.mu
     habs = abs(model.u) * op.q
     rows = eval_rows(norms, lam, tp.beta, 0.5 / model.mass, foff, habs,
                      rows=(0,))
-    return float(rows[0].sum() / V + _source(model, tp, op)
+    return float(rows[0].sum() / V + src
                  - model.u * op.q ** 2 / 2.0 + model.v * op.rho ** 2 / 2.0)
 
 
@@ -174,13 +163,8 @@ def grad_rho_slope(model: Model, tp: ThermoPoint, op: OrderPoint,
     accuracy its mesh gave it (it diverges at sigma = 0 for nu <= 3), so the
     slope is fit to propose Newton steps, not to be reported.
     """
-    _check_feasible(model, tp, op)
+    _, src, d2_src = source_terms(model, tp, op)
     rows = _rows(model, tp, op, quad_cfg, need=(1,), rows=(1, 3))
-    src = d2_src = 0.0
-    if op.eta > 0:
-        st = _sigma_tilde(model, tp, op)
-        src = op.eta ** 2 / st ** 2
-        d2_src = 2.0 * op.eta ** 2 / st ** 3
     v = model.v
     return (float(-v * (rows[1] + src) + v * op.rho),
             float(v * (v * (rows[3] + d2_src) + 1.0)))
@@ -195,11 +179,8 @@ def grad_rho(model: Model, tp: ThermoPoint, op: OrderPoint,
 def grad_q(model: Model, tp: ThermoPoint, op: OrderPoint,
            quad_cfg: QuadratureConfig | None = None) -> float:
     """Partial derivative of pressure_tl with respect to q."""
-    _check_feasible(model, tp, op)
+    src = source_terms(model, tp, op)[1]
     iq = _rows(model, tp, op, quad_cfg, need=(2,))[2]
-    src = 0.0
-    if op.eta > 0:
-        src = op.eta ** 2 / _sigma_tilde(model, tp, op) ** 2
     return float(model.u ** 2 * op.q * iq + model.u * src - model.u * op.q)
 
 
@@ -223,32 +204,21 @@ def total_dq(model: Model, tp: ThermoPoint, q: float, eta: float,
 
 
 def d_mu(model: Model, tp: ThermoPoint, op: OrderPoint,
-         quad_cfg: QuadratureConfig | None = None,
-         reading: str = "consistent") -> float:
+         quad_cfg: QuadratureConfig | None = None) -> float:
     """Partial derivative of pressure_tl with respect to mu (the density).
 
-    Two published forms of the source term circulate: coefficient 1 (direct
-    differentiation of eta^2/(f(0) - u q), since df/dmu = -1) and coefficient
-    v.  reading="consistent" selects the former, which finite differences
-    confirm; reading="printed" exposes the latter for comparison.
+    The source coefficient is 1, not the printed v; finite differences agree.
     """
-    _check_feasible(model, tp, op)
+    src = source_terms(model, tp, op)[1]
     ife = _rows(model, tp, op, quad_cfg, need=(1,))[1]
-    src = 0.0
-    if op.eta > 0:
-        coeff = {"consistent": 1.0, "printed": model.v}[reading]
-        src = coeff * op.eta ** 2 / _sigma_tilde(model, tp, op) ** 2
     return float(ife + src)
 
 
 def d2_mu(model: Model, tp: ThermoPoint, op: OrderPoint,
           quad_cfg: QuadratureConfig | None = None) -> float:
     """Second mu-derivative of pressure_tl (compressibility; nonnegative)."""
-    _check_feasible(model, tp, op)
+    src = source_terms(model, tp, op)[2]
     id2 = _rows(model, tp, op, quad_cfg, need=(3,))[3]
-    src = 0.0
-    if op.eta > 0:
-        src = 2.0 * op.eta ** 2 / _sigma_tilde(model, tp, op) ** 3
     return float(id2 + src)
 
 
@@ -283,7 +253,7 @@ def el_residuals(model: Model, tp: ThermoPoint, op: OrderPoint,
     r2 = -grad_q / u, but the integrals here are evaluated with an
     independent scalar integrator in coth form.
     """
-    _check_feasible(model, tp, op)
+    src = source_terms(model, tp, op)[1]
     foff = model.v * op.rho - tp.mu
     habs = abs(model.u) * op.q
     inv_2m = 0.5 / model.mass
@@ -311,9 +281,6 @@ def el_residuals(model: Model, tp: ThermoPoint, op: OrderPoint,
             return 0.0
         return lam * lam / (2.0 * E * math.tanh(beta * E / 2.0))
 
-    src = 0.0
-    if op.eta > 0:
-        src = op.eta ** 2 / _sigma_tilde(model, tp, op) ** 2
     i1 = _radial_quad(g1, model.dim, model.mass, beta, foff)
     r1 = op.rho - i1 - src
     if op.q == 0.0:

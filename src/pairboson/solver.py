@@ -17,19 +17,23 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import BracketFailure, ContinuationDiverged, PairBosonError
+from .errors import (
+    BracketFailure, ConfigError, ContinuationDiverged, PairBosonError,
+)
 from .model import Model, delta_profile
 from .pressure import (
     OrderPoint,
     QuadratureConfig,
     ThermoPoint,
-    _sigma_tilde,
     el_residuals,
+    excitation_energy,
+    feasible,
     grad_q,
     grad_rho,
     grad_rho_slope,
     pressure_tl,
     sigma_gap,
+    source_terms,
     total_dq,
 )
 from .quadrature import plan_scope, radial_rows
@@ -100,12 +104,6 @@ class ContinuationResult:
     error_estimates: dict = field(default_factory=dict)
 
 
-def _gap_at(model, tp, q, rho) -> float:
-    f0 = model.v * rho - tp.mu
-    habs = abs(model.u) * q
-    return math.sqrt(max(f0 * f0 - habs * habs, 0.0))
-
-
 _NEWTON_STEPS = 8  # in inf_rho, before it hands the bracket to brentq
 
 
@@ -123,10 +121,8 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
     rho_lo = max(0.0, (tp.mu + abs(model.u) * q) / model.v)
     scale = max(1.0, rho_lo)
 
-    def feasible(rho):
-        op = OrderPoint(q, rho, eta)
-        return (sigma_gap(model, tp, op) >= 0
-                and _sigma_tilde(model, tp, op) > 0)
+    def inside(rho):
+        return feasible(model, tp, OrderPoint(q, rho, eta))
 
     seen = {}
 
@@ -145,7 +141,7 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
     probes = []
     delta = 1e-3 * scale
     while delta > 1e-14 * scale:
-        if feasible(rho_lo + delta):
+        if inside(rho_lo + delta):
             probes.append(rho_lo + delta)
         delta *= 0.1
     lo = hi = None
@@ -159,7 +155,7 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
         rho_b = rho_lo
         while sigma_gap(model, tp, OrderPoint(q, rho_b, eta)) < 0:
             rho_b = np.nextafter(rho_b, np.inf)  # undo rounding in rho_lo
-        if eta > 0 and _sigma_tilde(model, tp, OrderPoint(q, rho_b, eta)) <= 0:
+        if not feasible(model, tp, OrderPoint(q, rho_b, eta)):
             # source diverges on the boundary; step infinitesimally inside
             rho_b = rho_lo + 1e-14 * scale
         val = pressure_tl(model, tp, OrderPoint(q, rho_b, eta), quad_cfg)
@@ -169,7 +165,7 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
     # by the sign of every slope seen; brentq on what is left if a step
     # leaves the bracket or the steps run out
     rho = probes[0]
-    if rho_hint is not None and rho_hint > rho_lo and feasible(rho_hint):
+    if rho_hint is not None and rho_hint > rho_lo and inside(rho_hint):
         rho = rho_hint
     rho_bar = None
     for _ in range(_NEWTON_STEPS):
@@ -202,17 +198,16 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
     return float(rho_bar), float(val), False
 
 
-def _result_at(model, tp, q, rho, eta, value, status, diagnostics, quad_cfg):
+def _result_at(model, tp, q, eta, inner_result, diagnostics, quad_cfg):
+    """The SolveResult at q of an `inner` result (rho_bar, value, boundary)."""
+    rho, value, boundary = inner_result
     op = OrderPoint(q, rho, eta)
-    rho0 = 0.0
-    if eta > 0:
-        st = _sigma_tilde(model, tp, op)
-        rho0 = eta ** 2 / st ** 2 if st > 0 else math.inf
     return SolveResult(
         q_bar=float(q), rho_bar=float(rho), pressure=float(value),
-        rho0=float(rho0), gap=_gap_at(model, tp, q, rho), eta=float(eta),
-        status=status, diagnostics=diagnostics,
-        residual_at=(model, tp, op, quad_cfg))
+        rho0=float(source_terms(model, tp, op)[1]),
+        gap=excitation_energy(model, tp, q, rho, 0.0), eta=float(eta),
+        status=STATUS_BOUNDARY if boundary else STATUS_CONVERGED,
+        diagnostics=diagnostics, residual_at=(model, tp, op, quad_cfg))
 
 
 def _inner_solver(model, tp, eta, quad_cfg, diagnostics):
@@ -291,14 +286,14 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
     diagnostics = {"inner_solves": 0}
     inner = _inner_solver(model, tp, eta, quad_cfg, diagnostics)
 
-    if model.u == 0.0:
-        rho_bar, value, boundary = inner(0.0)
-        status = STATUS_BOUNDARY if boundary else STATUS_CONVERGED
-        return _result_at(model, tp, 0.0, rho_bar, eta, value, status,
-                          diagnostics, quad_cfg)
+    if model.u == 0.0 or (model.u < 0.0 and eta == 0.0):
+        # no pairing term, or no source to tilt a repulsive one: q = 0
+        return _result_at(model, tp, 0.0, eta, inner(0.0), diagnostics,
+                          quad_cfg)
 
     if model.u < 0.0:
-        return _outer_min_repulsive(model, tp, eta, quad_cfg, diagnostics, tol)
+        return _outer_min_repulsive(model, tp, eta, quad_cfg, inner,
+                                    diagnostics, tol)
 
     # attractive: maximize g(q) = inner value over q >= 0
     rho0_bar, value0, boundary0 = inner(0.0)
@@ -384,22 +379,14 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
     if value + max(tol, 1e-12) < value0:
         # sup over q must dominate the q = 0 slice
         q_bar, rho_bar, value, boundary = 0.0, rho0_bar, value0, boundary0
-    status = STATUS_BOUNDARY if boundary else STATUS_CONVERGED
-    return _result_at(model, tp, q_bar, rho_bar, eta, value, status,
+    return _result_at(model, tp, q_bar, eta, (rho_bar, value, boundary),
                       diagnostics, quad_cfg)
 
 
-def _outer_min_repulsive(model, tp, eta, quad_cfg, diagnostics, tol):
-    """u = -w < 0: minimize over q; the minimizer obeys q < (eta^2/(2w))^(1/3)."""
+def _outer_min_repulsive(model, tp, eta, quad_cfg, inner, diagnostics, tol):
+    """u = -w < 0, eta > 0: minimize over q; the minimizer obeys
+    q < (eta^2/(2w))^(1/3)."""
     w = -model.u
-    inner = _inner_solver(model, tp, eta, quad_cfg, diagnostics)
-
-    if eta == 0.0:
-        rho_bar, value, boundary = inner(0.0)
-        status = STATUS_BOUNDARY if boundary else STATUS_CONVERGED
-        return _result_at(model, tp, 0.0, rho_bar, eta, value, status,
-                          diagnostics, quad_cfg)
-
     q_bound = (eta * eta / (2.0 * w)) ** (1.0 / 3.0)
     diagnostics["q_bound"] = q_bound
 
@@ -427,10 +414,8 @@ def _outer_min_repulsive(model, tp, eta, quad_cfg, diagnostics, tol):
         else:
             raise BracketFailure("repulsive outer bracket not found")
         q_bar = brentq(tdq, lo, hi, xtol=1e-16, rtol=8.9e-16)
-    rho_bar, value, boundary = inner(q_bar)
-    status = STATUS_BOUNDARY if boundary else STATUS_CONVERGED
-    return _result_at(model, tp, q_bar, rho_bar, eta, value, status,
-                      diagnostics, quad_cfg)
+    return _result_at(model, tp, q_bar, eta, inner(q_bar), diagnostics,
+                      quad_cfg)
 
 
 def _extrapolate(values, factor):
@@ -467,7 +452,7 @@ def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
     window's edge.  Without two positive q_bar it uses q_n.
     """
     if not (math.inf > eta0 > floor > 0.0) or not (0.0 < factor < 1.0):
-        raise ValueError("require eta0 > floor > 0 and 0 < factor < 1")
+        raise ConfigError("require eta0 > floor > 0 and 0 < factor < 1")
     etas = []
     eta = eta0
     while eta >= floor:
@@ -567,14 +552,9 @@ def mf_pressure(model: Model, tp: ThermoPoint,
 def excitation_spectrum(model: Model, tp: ThermoPoint,
                         cont: ContinuationResult, k_grid):
     """Quasi-particle energies E(k) at the extrapolated (q, rho) limit."""
-    out = []
-    habs0 = abs(model.u) * cont.q_limit
-    for r in np.atleast_1d(np.asarray(k_grid, dtype=float)):
-        f = r * r / (2.0 * model.mass) - tp.mu + model.v * cont.rho_limit
-        h = habs0 * abs(float(model.lambda_profile.value_radial(r)))
-        e = math.sqrt(max(f * f - h * h, 0.0))
-        out.append((float(r), e))
-    return out
+    return [(float(r), excitation_energy(model, tp, cont.q_limit,
+                                         cont.rho_limit, r))
+            for r in np.atleast_1d(np.asarray(k_grid, dtype=float))]
 
 
 def classify_phase(model: Model, tp: ThermoPoint, cont: ContinuationResult,

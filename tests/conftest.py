@@ -1,0 +1,9 @@
+"""The interpreters that the CLI tests start import the package from ./src,
+as pytest itself does (`pythonpath` in pyproject.toml)."""
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))

@@ -61,6 +61,15 @@ class TestConfig:
     def test_rejects_beta_zero(self):
         assert run_main(["solve", "--beta", "0"]) == 1
 
+    def test_scan_rejects_beta_zero_before_solving(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            pytest.fail("scan solved a point before checking beta")
+
+        monkeypatch.setattr(cli, "eta_continuation", fail)
+        assert run_main(["scan", "--beta", "1,0"]) == 1
+        assert capsys.readouterr().err == \
+            "config error: beta must be positive\n"
+
     @pytest.mark.parametrize("profile", ["cauchy:2", "gaussian:-1",
                                          "power:1:2"])
     def test_rejects_bad_profile(self, profile, capsys):

@@ -11,8 +11,7 @@ from pairboson.errors import ModelError, TailNotConverged
 from pairboson.model import (
     Model, LatticeSpec, CouplingProfile, epsilon_radial,
     gaussian_profile, power_profile, delta_profile,
-    lattice_modes, lattice_norms, coupling_norms,
-    MODE_ZERO, MODE_PLUS, MODE_MINUS,
+    lattice_norms, coupling_norms,
 )
 
 
@@ -91,21 +90,6 @@ class TestLattice:
     def test_spacing_and_volume(self):
         lat = LatticeSpec(L=4.0, s_max=2)
         assert lat.spacing == pytest.approx(math.pi / 2.0)
-
-    def test_modes_closed_under_negation(self):
-        m = make_model(dim=2)
-        lat = LatticeSpec(L=4.0, s_max=2)
-        modes = lattice_modes(m, lat)
-        keys = {tuple(np.round(k, 12)) for k, _tag in modes}
-        for k, _tag in modes:
-            assert tuple(np.round(-np.asarray(k), 12)) in keys
-
-    def test_mode_tags_balance(self):
-        m = make_model(dim=2)
-        modes = lattice_modes(m, LatticeSpec(L=4.0, s_max=2))
-        tags = [t for _k, t in modes]
-        assert tags.count(MODE_ZERO) == 1
-        assert tags.count(MODE_PLUS) == tags.count(MODE_MINUS)
 
     def test_lattice_norms_match_brute_force(self):
         m = make_model(dim=3)

@@ -89,8 +89,7 @@ class TestHamiltonianIdentities:
     Q, RHO, ETA = 0.3, 0.8, 0.2
 
     def test_hermiticity(self):
-        for kind in ("full", "approx1", "approx2", "residual_r",
-                     "mean_field"):
+        for kind in ("full", "approx1", "approx2", "residual_r"):
             H = build_hamiltonian(spec(), kind, MODEL, V, q=self.Q,
                                   rho=self.RHO, eta=self.ETA).matrix
             assert np.max(np.abs(H - H.conj().T)) < 1e-12
@@ -227,8 +226,7 @@ class TestChecks:
             assert rep["passed"], rep
 
 
-def _dense_hamiltonian(sp, kind, model, V, q=0.0, rho=0.0, eta=0.0,
-                       nu_source=0.0):
+def _dense_hamiltonian(sp, kind, model, V, q=0.0, rho=0.0, eta=0.0):
     """Reference: every kind assembled as one dense complex matrix from the
     extended-basis sparse products, projected to the working basis."""
     ws = _workspace(sp)
@@ -246,11 +244,9 @@ def _dense_hamiltonian(sp, kind, model, V, q=0.0, rho=0.0, eta=0.0,
     H = np.zeros((dim, dim), dtype=complex)
 
     def add_source(H):
-        if eta != 0 or nu_source != 0:
+        if eta != 0:
             a0w = proj(ws.lower[ws.zero_mode()])
             H -= math.sqrt(V) * (eta * a0w.conj().T + np.conj(eta) * a0w)
-        if nu_source != 0:
-            H -= nu_source * Qw.conj().T + np.conj(nu_source) * Qw
         return H
 
     psi = np.angle(eta) if eta != 0 else 0.0
@@ -270,12 +266,10 @@ def _dense_hamiltonian(sp, kind, model, V, q=0.0, rho=0.0, eta=0.0,
         H += ((V * u / 2.0) * abs(qc) ** 2
               - (V * v / 2.0) * rho ** 2) * np.eye(dim)
         H = add_source(H)
-    elif kind == "residual_r":
+    else:
+        assert kind == "residual_r"
         X = Q - qc * V * identity(ws.ext_dim, format="csr")
         H -= (u / (2.0 * V)) * proj(X.conj().T @ X)
-    else:
-        H += np.diag(T + (v / (2.0 * V)) * Nw ** 2)
-        H = add_source(H)
     return H
 
 
@@ -285,9 +279,8 @@ def _dense_pressure(H, sp, tp, V):
     return logsumexp(-tp.beta * sla.eigvalsh(K)) / (tp.beta * V)
 
 
-KINDS = ("full", "approx1", "approx2", "residual_r", "mean_field")
-SOURCES = ({"eta": 0.2}, {"eta": 0.2 * np.exp(0.7j)},
-           {"eta": 0.2, "nu_source": 0.15 - 0.05j})
+KINDS = ("full", "approx1", "approx2", "residual_r")
+SOURCES = ({"eta": 0.2}, {"eta": 0.2 * np.exp(0.7j)})
 
 
 class TestSectors:

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairboson.errors import InfeasiblePoint, UnstableMode
+from pairboson.errors import InfeasiblePoint
 from pairboson import kernels, pressure, quadrature
 from pairboson.model import Model, LatticeSpec, gaussian_profile
 from pairboson.pressure import (
-    ThermoPoint, OrderPoint, sigma_gap, spectral,
+    ThermoPoint, OrderPoint, sigma_gap, feasible, source_terms,
     pressure_tl, pressure_fv, pressure_fv_modes,
     grad_rho, grad_q, total_dq, d_mu, d2_mu, el_residuals,
 )
@@ -43,10 +43,37 @@ class TestFeasibility:
         with pytest.raises(InfeasiblePoint):
             pressure_tl(MODEL, TP, bad)
 
-    def test_spectral_unstable(self):
-        bad = OrderPoint(q=4.0, rho=0.5, eta=0.0)
-        with pytest.raises((UnstableMode, InfeasiblePoint)):
-            spectral(MODEL, TP, bad, (0.0, 0.0, 0.0))
+    @pytest.mark.parametrize("u", [0.5, -0.5])
+    @pytest.mark.parametrize("eta", [0.0, 0.15])
+    def test_feasible_iff_pressure_finite(self, u, eta):
+        # rho on both sides of sigma = 0 (exact in binary at these values)
+        # and at sigma~ = 0, which for u < 0 lies below sigma = 0 because
+        # sigma~ = sigma + 2 |u| q there
+        model = Model(dim=3, mass=0.5, u=u, v=1.0,
+                      lambda_profile=gaussian_profile(1.0))
+        tp, q = ThermoPoint(beta=2.0, mu=0.25), 0.5
+        rho_sigma0 = tp.mu + abs(u) * q
+        rhos = [rho_sigma0 + d for d in (-0.5, -1e-3, 0.0, 1e-3, 0.5)]
+        rhos.append(tp.mu + u * q)
+        seen = set()
+        for rho in rhos:
+            op = OrderPoint(q=q, rho=rho, eta=eta)
+            ok = feasible(model, tp, op)
+            seen.add(ok)
+            if ok:
+                assert math.isfinite(pressure_tl(model, tp, op))
+                src = source_terms(model, tp, op)
+                assert (src == (0.0, 0.0, 0.0)) == (eta == 0.0)
+            else:
+                with pytest.raises(InfeasiblePoint):
+                    pressure_tl(model, tp, op)
+                with pytest.raises(InfeasiblePoint):
+                    source_terms(model, tp, op)
+        assert seen == {True, False}
+        # on sigma = 0 a source makes the pressure infinite only when
+        # sigma~ = sigma, that is for u > 0
+        edge = OrderPoint(q=q, rho=rho_sigma0, eta=eta)
+        assert feasible(model, tp, edge) == (eta == 0.0 or u < 0)
 
     def test_boundary_sigma_zero_eta_zero_finite(self):
         # gapless point: evaluation exactly at sigma = 0 must succeed
@@ -99,15 +126,16 @@ class TestDerivatives:
             fd(fun, TP.mu, 1e-6), rel=1e-7)
 
     def test_d_mu_printed_reading_disagrees_with_fd(self):
-        # the alternative source coefficient v is exposed but not selected:
-        # with v != 1 it fails the finite-difference check
+        # the printed source coefficient v instead of 1: with v != 1 it
+        # fails the finite-difference check that d_mu passes
         model = Model(dim=3, mass=0.5, u=0.5, v=2.0,
                       lambda_profile=gaussian_profile(1.0))
         fun = lambda x: pressure_tl(model, ThermoPoint(TP.beta, x), OP)
         ref = fd(fun, TP.mu, 1e-6)
-        assert d_mu(model, TP, OP, reading="consistent") == pytest.approx(
-            ref, rel=1e-8)
-        assert abs(d_mu(model, TP, OP, reading="printed") - ref) > 1e-4
+        assert d_mu(model, TP, OP) == pytest.approx(ref, rel=1e-8)
+        printed = (d_mu(model, TP, OP)
+                   + (model.v - 1.0) * source_terms(model, TP, OP)[1])
+        assert abs(printed - ref) > 1e-4
 
     def test_d2_mu_nonnegative(self):
         assert d2_mu(MODEL, TP, OP) > 0.0

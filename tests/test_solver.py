@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from pairboson import solver
-from pairboson.errors import BracketFailure
+from pairboson.errors import BracketFailure, ConfigError
 from pairboson.model import Model, gaussian_profile, delta_profile
 from pairboson.pressure import (
-    ThermoPoint, OrderPoint, _sigma_tilde, el_residuals, grad_q, grad_rho,
+    ThermoPoint, OrderPoint, el_residuals, feasible, grad_q, grad_rho,
     grad_rho_slope,
 )
 from pairboson.solver import (
@@ -60,7 +60,7 @@ def _boundary_by_scan(m, tp, q, eta):
     delta = 1e-3 * scale
     while delta > 1e-14 * scale:
         op = OrderPoint(q, rho_lo + delta, eta)
-        if _sigma_tilde(m, tp, op) > 0 and grad_rho(m, tp, op) < 0:
+        if feasible(m, tp, op) and grad_rho(m, tp, op) < 0:
             return False
         delta *= 0.1
     return True
@@ -257,7 +257,7 @@ class TestContinuation:
 
     @pytest.mark.parametrize("eta0, factor", [(math.inf, 0.5), (0.1, 1.0)])
     def test_rejects_bad_schedule(self, eta0, factor):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             eta_continuation(model(), ThermoPoint(2.0, -0.3), eta0=eta0,
                              factor=factor)
 

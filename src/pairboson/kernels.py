@@ -17,6 +17,8 @@ import numpy as np
 
 BACKEND = "numpy"  # the only kernel; perfbench records it with each result
 NROWS = 4
+# n_B where beta E >= 700, taken as e^{-700}: e^{-beta E} clipped at 700
+_NB_CLIPPED = np.exp(-700.0)
 
 
 def eval_rows(r, lam, beta, inv_2m, foff, habs, rows=(0, 1, 2, 3)):
@@ -33,14 +35,13 @@ def eval_rows(r, lam, beta, inv_2m, foff, habs, rows=(0, 1, 2, 3)):
     E = np.sqrt((f - h) * (f + h))
     x = beta * E
     xs = np.minimum(x, 700.0)
-    emx = np.exp(-xs)
     h2 = h * h
     out = np.full((NROWS,) + E.shape, np.nan)
     if 0 in rows:
-        out[0] = -np.log1p(-emx) / beta + 0.5 * h2 / (E + f)
+        out[0] = -np.log1p(-np.exp(-xs)) / beta + 0.5 * h2 / (E + f)
     if set(rows) <= {0}:
         return out  # the pressure row needs no n_B
-    nb = np.where(x < 700.0, 1.0 / np.expm1(xs), emx)
+    nb = np.where(x < 700.0, 1.0 / np.expm1(xs), _NB_CLIPPED)
     fe = f / E
     if 1 in rows:
         out[1] = nb * fe + 0.5 * h2 / (E * (E + f))

@@ -40,7 +40,9 @@ import numpy as np
 from scipy.sparse import csr_matrix, diags, issparse
 from scipy.special import logsumexp
 
-from .errors import DimensionExceeded, EigenFailure, InequalityViolated, ModelError
+from .errors import (
+    ConfigError, DimensionExceeded, EigenFailure, InequalityViolated, ModelError,
+)
 from .model import Model, mode_coupling_norms
 from .pressure import ThermoPoint
 
@@ -281,12 +283,12 @@ def build_operator(spec: FockSpec, which: str, model: Model,
             mat = ws.project(Q.conj().T @ Q)
         else:
             if k is None:
-                raise ValueError("A_k requires a momentum k")
+                raise ConfigError("A_k requires a momentum k")
             key = tuple(np.round(np.atleast_1d(np.asarray(k, float)), 12))
             keys = [tuple(np.round(m, 12)) for m in spec.modes]
             mat = ws.project(A[keys.index(key)])
     else:
-        raise ValueError(f"unknown operator {which}")
+        raise ConfigError(f"unknown operator {which}")
     return OperatorMatrix(matrix=mat, label=which, params={"k": k})
 
 
@@ -317,7 +319,7 @@ def build_hamiltonian(spec: FockSpec, kind: str, model: Model, V: float,
     plus a diagonal, formed sector by sector from the cached pieces.
     """
     if q < 0 or rho < 0 or V <= 0:
-        raise ValueError("require q >= 0, rho >= 0, V > 0")
+        raise ModelError("require q >= 0, rho >= 0, V > 0")
     p = _pieces(spec, model)
     u, v = model.u, model.v
     qc = _q_complex(q, eta)
@@ -339,7 +341,7 @@ def build_hamiltonian(spec: FockSpec, kind: str, model: Model, V: float,
         d = np.full(len(p.N), -(u * V / 2.0) * abs(qc) ** 2)
         c_qdq, c_q, c_a0 = -u / (2.0 * V), -(u / 2.0) * qc, 0.0
     else:
-        raise ValueError(f"unknown hamiltonian kind {kind}")
+        raise ConfigError(f"unknown hamiltonian kind {kind}")
 
     sec = p.sectors
     H = c_qdq * p.QdQ - sec.herm(c_q, p.Q) - sec.herm(c_a0, p.a0)

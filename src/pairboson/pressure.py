@@ -12,9 +12,10 @@ finite exactly when the feasibility gap sigma = v rho - mu - |u| q is
 nonnegative and, for eta > 0, the source denominator
 sigma~ = v rho - mu - u q is positive.  `feasible` and `source_terms` are
 the one home of that rule and of the source term's mu-derivatives; every
-other function here and the solver go through them.  Everything here is a
-pure function; the finite-volume variant replaces the integral by a lattice
-sum.
+other function here and the solver go through them.  The inner density
+solve reads `grad_rho_slope`; the outer q search reads `outer_grads` (both
+partials from one quadrature) and `total_dq`.  Everything here is a pure
+function; the finite-volume variant replaces the integral by a lattice sum.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import InfeasiblePoint, ModelError
+from .errors import InfeasiblePoint, ModelError, StationarityViolated
 from .kernels import eval_rows
 from .model import LatticeSpec, Model, lattice_norms
 from .quadrature import QuadratureConfig, radial_rows
@@ -35,7 +36,8 @@ __all__ = [
     "ThermoPoint", "OrderPoint", "QuadratureConfig", "sigma_gap",
     "feasible", "source_terms", "excitation_energy", "pressure_tl",
     "pressure_fv",
-    "pressure_fv_modes", "grad_rho", "grad_rho_slope", "grad_q", "total_dq",
+    "pressure_fv_modes", "grad_rho", "grad_rho_slope", "grad_q", "outer_grads",
+    "total_dq",
     "d_mu", "d2_mu", "el_residuals",
 ]
 
@@ -66,7 +68,7 @@ class OrderPoint:
 
     def __post_init__(self):
         if self.q < 0 or self.rho < 0 or self.eta < 0:
-            raise ValueError("q, rho and eta must be nonnegative")
+            raise ModelError("q, rho and eta must be nonnegative")
 
 
 def sigma_gap(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
@@ -170,6 +172,21 @@ def grad_rho_slope(model: Model, tp: ThermoPoint, op: OrderPoint,
             float(v * (v * (rows[3] + d2_src) + 1.0)))
 
 
+def outer_grads(model: Model, tp: ThermoPoint, op: OrderPoint,
+                quad_cfg: QuadratureConfig | None = None):
+    """(grad_rho, grad_q) from one quadrature that converges both rows.
+
+    The outer q search reads both partials at every point it tries.  One
+    call with need=(1, 2) has its own plan key, so these calls leave alone
+    the mesh that the inner Newton steps (need=(1,)) carry from call to call.
+    """
+    src = source_terms(model, tp, op)[1]
+    rows = _rows(model, tp, op, quad_cfg, need=(1, 2))
+    u, v = model.u, model.v
+    return (float(-v * (rows[1] + src) + v * op.rho),
+            float(u ** 2 * op.q * rows[2] + u * src - u * op.q))
+
+
 def grad_rho(model: Model, tp: ThermoPoint, op: OrderPoint,
              quad_cfg: QuadratureConfig | None = None) -> float:
     """Partial derivative of pressure_tl with respect to rho."""
@@ -193,14 +210,12 @@ def total_dq(model: Model, tp: ThermoPoint, q: float, eta: float,
     total derivative reduces to the partial one; the grad_rho term only
     carries the stationarity residual.
     """
-    from .errors import StationarityViolated
-
-    op = OrderPoint(q=q, rho=rho_bar, eta=eta)
-    gr = grad_rho(model, tp, op, quad_cfg)
+    gr, gq = outer_grads(model, tp, OrderPoint(q=q, rho=rho_bar, eta=eta),
+                         quad_cfg)
     if abs(gr) > 10.0 * stat_tol:
         raise StationarityViolated(
             f"rho_bar is not stationary: grad_rho = {gr:.3e}")
-    return float(grad_q(model, tp, op, quad_cfg) + gr)
+    return float(gq + gr)
 
 
 def d_mu(model: Model, tp: ThermoPoint, op: OrderPoint,

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc
 
-from .errors import QuadratureFailure, TailNotConverged
+from .errors import ConfigError, ModelError, QuadratureFailure, TailNotConverged
 from .kernels import NROWS, eval_rows
 from .model import (
     PROFILE_DELTA_ZERO,
@@ -92,30 +92,40 @@ def _profile_sq_tail(profile: CouplingProfile, s: float, R: float) -> float:
     return profile.c ** (-2.0 * profile.p) * R ** expo / (-expo)
 
 
-def _tail_bound(profile, nu, mass, beta, foff, habs, R) -> float:
-    """Certified bound on the discarded [R, inf) part of every row.
+def _tail_parts(profile, nu, mass, beta, R):
+    """The factors of `_tail_bound` that depend on R alone: (eps(R), c_nu,
+    the Bose term A * tail, the profile tail).  A plan entry keeps those of
+    its R, so a warm call recomputes only the pair factor B(habs)."""
+    A = max(2.0 / beta, 2.4, 5.4 * beta)
+    return (R * R / (2.0 * mass), angular_factor(nu),
+            A * _gaussian_tail(nu, 0.2 * beta / mass, R),
+            _profile_sq_tail(profile, nu - 2.0, R))
+
+
+def _tail_bound(parts, mass, beta, foff, habs) -> float:
+    """Certified bound on the discarded [R, inf) part of every row, from the
+    `_tail_parts` of R.
 
     Valid whenever eps(R) >= 2 (|foff| + habs + 1/beta + 1): then f >= eps/2,
     |h| <= f/4, E >= 0.43 eps, f/E <= 1.16 and beta E >= 0.8, giving
     n_B <= 2 exp(-0.4 beta eps).
     """
-    c_nu = angular_factor(nu)
-    eps_R = R * R / (2.0 * mass)
+    eps_R, c_nu, bose, profile_tail = parts
     if eps_R < 2.0 * (abs(foff) + habs + 1.0 / beta + 1.0):
         return math.inf
-    A = max(2.0 / beta, 2.4, 5.4 * beta)
-    bose = A * _gaussian_tail(nu, 0.2 * beta / mass, R)
     B = 2.0 * mass * max(habs * habs * (1.0 + 5.4 / eps_R + 32.0 / eps_R ** 2), 1.2)
-    pair = B * _profile_sq_tail(profile, nu - 2.0, R)
-    return c_nu * (bose + pair)
+    return c_nu * (bose + B * profile_tail)
 
 
-def _choose_cutoff(profile, nu, mass, beta, foff, habs, tail_tol) -> float:
+def _choose_cutoff(profile, nu, mass, beta, foff, habs, tail_tol):
+    """The first R of a 1.5x ladder whose tail bound meets tail_tol, with
+    its `_tail_parts`."""
     R = math.sqrt(2.0 * mass * 2.0 * (abs(foff) + habs + 1.0 / beta + 1.0))
     R = max(R, math.sqrt(2.0 * mass / beta))
     for _ in range(200):
-        if _tail_bound(profile, nu, mass, beta, foff, habs, R) < tail_tol:
-            return R
+        parts = _tail_parts(profile, nu, mass, beta, R)
+        if _tail_bound(parts, mass, beta, foff, habs) < tail_tol:
+            return R, parts
         R *= 1.5
     raise TailNotConverged("could not certify the radial tail below tolerance")
 
@@ -139,9 +149,11 @@ def _initial_breaks(profile, nu, mass, beta, R):
 
 class _PlanEntry(NamedTuple):
     """Cutoff R and panel mesh (a, b) of a strictly converged call, with the
-    node arrays that the mesh alone determines (see `_mesh_nodes`)."""
+    `_tail_parts` of R and the node arrays that the mesh alone determines
+    (see `_mesh_nodes`)."""
 
     R: float
+    tail: tuple
     a: np.ndarray
     b: np.ndarray
     half: np.ndarray
@@ -237,16 +249,20 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    rows = tuple(need) if rows is None else tuple(rows)
+    need = tuple(need)
+    rows = need if rows is None else tuple(rows)
     if not set(need) <= set(rows):
-        raise ValueError("rows must include every row in need")
-    need = np.asarray(need, dtype=int)
+        raise ConfigError("rows must include every row in need")
     if habs < 0:
-        raise ValueError("habs must be nonnegative")
+        raise ModelError("habs must be nonnegative")
     if foff - habs < 0:
         raise QuadratureFailure(
             f"infeasible evaluation point: f(0) - |h(0)| = {foff - habs} < 0")
     inv_2m = 0.5 / mass
+    # index of the needed rows: a slice (a view) when they are contiguous
+    first, last = min(need), max(need)
+    need_idx = (slice(first, last + 1) if last - first < len(set(need))
+                else list(need))
 
     def panel_sums(half, nodes, lam, weight):
         # per-panel Kronrod integrals and |Kronrod - Gauss| errors
@@ -254,41 +270,48 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
         vals = (vals * weight).reshape(NROWS, len(half), 15)
         ik = (vals @ WK) * half
         ig = (vals @ WG) * half
-        return ik, np.abs(ik - ig)[need].max(axis=0)
+        return ik, np.abs(ik[need_idx] - ig[need_idx]).max(axis=0)
 
     def panel_integrals(a, b):
         return panel_sums(*_mesh_nodes(profile, nu, a, b))
 
     plan = _PLAN.get()
-    key = (profile, nu, mass, beta, cfg, tuple(need.tolist()))
+    key = (profile, nu, mass, beta, cfg, need)
 
-    def store(R, a, b):
-        plan[key] = _PlanEntry(R, a, b, *_mesh_nodes(profile, nu, a, b))
+    def store(R, tail, a, b):
+        plan[key] = _PlanEntry(R, tail, a, b, *_mesh_nodes(profile, nu, a, b))
 
     warm = plan.get(key) if plan is not None else None
-    if warm is not None and _tail_bound(profile, nu, mass, beta, foff, habs,
-                                        warm.R) < cfg.tail_tol:
+    if warm is not None and _tail_bound(warm.tail, mass, beta, foff,
+                                        habs) < cfg.tail_tol:
         # a carried node can sit where E = 0 in floats at a boundary point;
         # the non-finite value then sends the call down the cold path
         with np.errstate(divide="ignore", invalid="ignore"):
             ik, err = panel_sums(warm.half, warm.nodes, warm.lam, warm.weight)
+            total = ik.sum(axis=1)
+            # _refine's first test, and the finiteness test below, on the
+            # carried mesh as it stands: most warm calls end here
+            top = float(np.abs(total[need_idx]).max())
+            if (math.isfinite(top)
+                    and err.sum() <= max(cfg.abs_tol, cfg.rel_tol * top)):
+                return total
             ok, ik, _, a, b, _ = _refine(panel_integrals, warm.a, warm.b,
-                                         ik, err, need, cfg,
+                                         ik, err, need_idx, cfg,
                                          stop_nonfinite=True)
         total = ik.sum(axis=1)
-        if ok and np.isfinite(total[need]).all():
-            if a is not warm.a:
-                store(warm.R, a, b)
+        if ok and np.isfinite(total[need_idx]).all():
+            store(warm.R, warm.tail, a, b)
             return total
 
-    R = _choose_cutoff(profile, nu, mass, beta, foff, habs, cfg.tail_tol)
+    R, tail = _choose_cutoff(profile, nu, mass, beta, foff, habs, cfg.tail_tol)
     breaks = _initial_breaks(profile, nu, mass, beta, R)
     a, b = breaks[:-1], breaks[1:]
     ik, err = panel_integrals(a, b)
-    ok, ik, err, a, b, tol = _refine(panel_integrals, a, b, ik, err, need, cfg)
+    ok, ik, err, a, b, tol = _refine(panel_integrals, a, b, ik, err, need_idx,
+                                     cfg)
     if ok:
         if plan is not None:
-            store(R, a, b)
+            store(R, tail, a, b)
         return ik.sum(axis=1)
     # boundary-grazing integrands can stall on roundoff: accept when the
     # certified error is still within a 100x band of the requested tolerance

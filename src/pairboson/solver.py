@@ -18,7 +18,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
-    BracketFailure, ConfigError, ContinuationDiverged, PairBosonError,
+    BracketFailure, ConfigError, ContinuationDiverged, ModelError,
+    PairBosonError,
 )
 from .model import Model, delta_profile
 from .pressure import (
@@ -29,8 +30,9 @@ from .pressure import (
     excitation_energy,
     feasible,
     grad_q,
-    grad_rho,
+    grad_rho,  # unused here; perfbench's tracer wraps this name
     grad_rho_slope,
+    outer_grads,
     pressure_tl,
     sigma_gap,
     source_terms,
@@ -137,19 +139,21 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
 
     # probe points rho_lo + 1e-3 scale 0.1^k just inside the feasible set;
     # grad_rho increases with rho (d2_mu >= 0), so the largest and the
-    # smallest feasible probe decide whether any has a negative slope
+    # smallest feasible probe decide whether any has a negative slope.
+    # Feasibility rises with rho too, so the feasible probes are the largest.
     probes = []
     delta = 1e-3 * scale
     while delta > 1e-14 * scale:
-        if inside(rho_lo + delta):
-            probes.append(rho_lo + delta)
+        probes.append(rho_lo + delta)
         delta *= 0.1
+    top = probes[0]
     lo = hi = None
-    if probes:
-        if g(probes[0]) < 0:
-            lo = probes[0]
-        elif g(probes[-1]) < 0:
-            lo, hi = probes[-1], probes[0]
+    if inside(top):
+        bottom = next(rho for rho in reversed(probes) if inside(rho))
+        if g(top) < 0:
+            lo = top
+        elif g(bottom) < 0:
+            lo, hi = bottom, top
     if lo is None:
         # slope is nonnegative all the way down: boundary minimum
         rho_b = rho_lo
@@ -164,7 +168,7 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
     # Newton from the hint, else from the largest probe, shrinking [lo, hi]
     # by the sign of every slope seen; brentq on what is left if a step
     # leaves the bracket or the steps run out
-    rho = probes[0]
+    rho = top
     if rho_hint is not None and rho_hint > rho_lo and inside(rho_hint):
         rho = rho_hint
     rho_bar = None
@@ -395,9 +399,9 @@ def _outer_min_repulsive(model, tp, eta, quad_cfg, inner, diagnostics, tol):
         if boundary:
             # minimum pinned to sigma = 0: differentiate along the boundary
             # path rho_b(q) = (mu + w q)/v, which moves at rate w/v
-            op = OrderPoint(q, rho_bar, eta)
-            return (grad_q(model, tp, op, quad_cfg)
-                    + grad_rho(model, tp, op, quad_cfg) * (w / model.v))
+            gr, gq = outer_grads(model, tp, OrderPoint(q, rho_bar, eta),
+                                 quad_cfg)
+            return gq + gr * (w / model.v)
         return total_dq(model, tp, q, eta, rho_bar, quad_cfg,
                         stat_tol=max(tol, 1e-6))
 
@@ -499,7 +503,7 @@ def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
 def bose_density(model: Model, beta: float, mu_eff: float) -> float:
     """Ideal Bose gas density at effective chemical potential mu_eff <= 0."""
     if mu_eff > 0:
-        raise ValueError("ideal-gas density requires mu_eff <= 0")
+        raise ModelError("ideal-gas density requires mu_eff <= 0")
     if model.dim <= 2 and mu_eff == 0.0:
         return math.inf
     rows = radial_rows(delta_profile(), model.dim, model.mass, beta,

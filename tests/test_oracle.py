@@ -9,7 +9,9 @@ from scipy.sparse import identity
 from scipy.special import logsumexp
 
 from pairboson.cli import _default_fock_spec
-from pairboson.errors import DimensionExceeded, ModelError
+from pairboson.errors import (
+    ConfigError, DimensionExceeded, ModelError, PairBosonError,
+)
 from pairboson.model import Model, gaussian_profile, delta_profile
 from pairboson.oracle import (
     FockSpec, build_operator, build_hamiltonian, trace_pressure,
@@ -83,6 +85,19 @@ class TestLadderAlgebra:
                     if s[0] < sp.n_max]
         for i in interior:
             assert comm[i, i] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: build_operator(spec(), "not_an_operator", MODEL), ConfigError),
+    (lambda: build_operator(spec(), "A_k", MODEL), ConfigError),
+    (lambda: build_hamiltonian(spec(), "full", MODEL, V, q=-0.1), ModelError),
+    (lambda: build_hamiltonian(spec(), "full", MODEL, 0.0), ModelError),
+    (lambda: build_hamiltonian(spec(), "not_a_kind", MODEL, V), ConfigError),
+])
+def test_bad_arguments_raise_typed_errors(build, error):
+    with pytest.raises(PairBosonError) as info:
+        build()
+    assert info.type is error
 
 
 class TestHamiltonianIdentities:

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairboson.errors import InfeasiblePoint
+from pairboson.errors import InfeasiblePoint, ModelError, PairBosonError
 from pairboson import kernels, pressure, quadrature
 from pairboson.model import Model, LatticeSpec, gaussian_profile
 from pairboson.pressure import (
     ThermoPoint, OrderPoint, sigma_gap, feasible, source_terms,
     pressure_tl, pressure_fv, pressure_fv_modes,
-    grad_rho, grad_q, total_dq, d_mu, d2_mu, el_residuals,
+    grad_rho, grad_q, outer_grads, total_dq, d_mu, d2_mu, el_residuals,
 )
 
 MODEL = Model(dim=3, mass=0.5, u=0.5, v=1.0,
@@ -33,6 +33,12 @@ def fd(fun, x, h):
 
 
 class TestFeasibility:
+    @pytest.mark.parametrize("field", ["q", "rho", "eta"])
+    def test_negative_order_point_is_a_model_error(self, field):
+        with pytest.raises(PairBosonError) as info:
+            OrderPoint(**{field: -1.0})
+        assert info.type is ModelError
+
     def test_sigma_gap(self):
         # v rho - mu - |u| q
         assert sigma_gap(MODEL, TP, OP) == pytest.approx(
@@ -161,6 +167,49 @@ class TestResiduals:
         assert t == pytest.approx(grad_q(MODEL, TP, op), rel=1e-6, abs=1e-9)
 
 
+class TestOuterGradients:
+    """outer_grads: (grad_rho, grad_q) from one quadrature of both rows."""
+
+    @pytest.mark.parametrize("u", [0.5, -0.5])
+    def test_matches_the_partials_and_finite_differences(self, u):
+        model = Model(dim=3, mass=0.5, u=u, v=1.0,
+                      lambda_profile=gaussian_profile(1.0))
+        gr, gq = outer_grads(model, TP, OP)
+        # each row converges to rel_tol 1e-10 against the larger of the two
+        assert gr == pytest.approx(grad_rho(model, TP, OP), rel=1e-9,
+                                   abs=1e-11)
+        assert gq == pytest.approx(grad_q(model, TP, OP), rel=1e-9,
+                                   abs=1e-11)
+        p_rho = lambda x: pressure_tl(model, TP, OrderPoint(OP.q, x, OP.eta))
+        p_q = lambda x: pressure_tl(model, TP, OrderPoint(x, OP.rho, OP.eta))
+        assert gr == pytest.approx(fd(p_rho, OP.rho, 1e-6), rel=1e-8)
+        assert gq == pytest.approx(fd(p_q, OP.q, 1e-6), rel=1e-8)
+
+    def test_total_dq_is_their_sum(self):
+        from pairboson.solver import inf_rho
+        rho_bar, _, _ = inf_rho(MODEL, TP, OP.q, OP.eta, None)
+        gr, gq = outer_grads(MODEL, TP, OrderPoint(OP.q, rho_bar, OP.eta))
+        assert total_dq(MODEL, TP, OP.q, OP.eta, rho_bar, None) == gq + gr
+
+    def test_leaves_the_newton_mesh_alone(self):
+        # an inner solve carries a need=(1,) mesh; outer gradients next to
+        # the boundary, where that mesh would have to refine, use their own
+        from pairboson.solver import inf_rho
+        tp = ThermoPoint(beta=2.0, mu=0.4)
+        with quadrature.plan_scope():
+            rho_bar, _, _ = inf_rho(MODEL, tp, OP.q, OP.eta, None)
+            plan = quadrature._PLAN.get()
+            newton, = [k for k in plan if k[-1] == (1,)]
+            entry = plan[newton]
+            total_dq(MODEL, tp, OP.q, OP.eta, rho_bar, None)
+            rho_lo = (tp.mu + MODEL.u * OP.q) / MODEL.v
+            for margin in (1e-2, 1e-5, 1e-8):
+                outer_grads(MODEL, tp, OrderPoint(OP.q, rho_lo + margin,
+                                                  OP.eta))
+            assert plan[newton] is entry
+            assert (1, 2) in {k[-1] for k in plan}
+
+
 class TestFiniteVolume:
     def test_fv_converges_to_tl(self):
         op = OrderPoint(q=0.2, rho=0.9, eta=0.1)
@@ -189,9 +238,17 @@ class TestFiniteVolume:
 
 class TestKernels:
     def test_names_the_benchmark_reads(self):
-        # perfbench records BACKEND and wraps eval_rows where callers bind it
+        # perfbench records BACKEND and wraps eval_rows, radial_rows and the
+        # solver's entry points where their callers bind them
+        from pairboson import solver
         assert kernels.BACKEND == "numpy"
         assert quadrature.eval_rows is pressure.eval_rows is kernels.eval_rows
+        assert pressure.radial_rows is solver.radial_rows is quadrature.radial_rows
+        for name in ("pressure_tl", "grad_rho", "grad_q", "total_dq",
+                     "el_residuals"):
+            assert getattr(solver, name) is getattr(pressure, name), name
+        for name in ("outer_opt", "inf_rho"):
+            assert callable(getattr(solver, name)), name
 
     def test_rows_against_naive_formulas(self):
         # moderate arguments where the textbook expressions are stable

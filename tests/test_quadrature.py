@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from pairboson import quadrature
-from pairboson.model import gaussian_profile
+from pairboson.errors import ConfigError, ModelError, PairBosonError
+from pairboson.kernels import NROWS, eval_rows
+from pairboson.model import delta_profile, gaussian_profile, power_profile
 from pairboson.quadrature import QuadratureConfig, plan_scope, radial_rows
 
 PROFILE = gaussian_profile(1.0)
@@ -73,8 +75,8 @@ def test_uncertified_cutoff_falls_back_to_cold(cold_calls):
         entry, = quadrature._PLAN.get().values()
         R = entry[0]
         foff, habs = 40.0, 20.0
-        assert quadrature._tail_bound(PROFILE, NU, MASS, BETA, foff, habs,
-                                      R) >= CFG.tail_tol
+        assert quadrature._tail_bound(entry.tail, MASS, BETA, foff,
+                                      habs) >= CFG.tail_tol
         cold_calls[0] = 0
         got = rows(foff, habs, (0, 1))
         entry, = quadrature._PLAN.get().values()
@@ -134,9 +136,92 @@ def test_nothing_leaks_after_the_scope(cold_calls):
 
 
 def test_rows_must_hold_the_needed_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         radial_rows(PROFILE, NU, MASS, BETA, 0.5, 0.2, CFG, need=(1,),
                     rows=(0, 3))
     got = radial_rows(PROFILE, NU, MASS, BETA, 0.5, 0.2, CFG, need=(1,),
                       rows=(1, 3))
     assert np.isfinite(got[[1, 3]]).all() and np.isnan(got[[0, 2]]).all()
+
+
+def test_negative_habs_is_a_model_error():
+    with pytest.raises(PairBosonError) as info:
+        rows(0.5, -0.1, (1,))
+    assert info.type is ModelError
+
+
+def _tail_bound_reference(profile, nu, mass, beta, foff, habs, R):
+    """The tail bound at (foff, habs, R) written out in one piece."""
+    c_nu = quadrature.angular_factor(nu)
+    eps_R = R * R / (2.0 * mass)
+    if eps_R < 2.0 * (abs(foff) + habs + 1.0 / beta + 1.0):
+        return math.inf
+    A = max(2.0 / beta, 2.4, 5.4 * beta)
+    bose = A * quadrature._gaussian_tail(nu, 0.2 * beta / mass, R)
+    B = 2.0 * mass * max(habs * habs * (1.0 + 5.4 / eps_R + 32.0 / eps_R ** 2),
+                         1.2)
+    pair = B * quadrature._profile_sq_tail(profile, nu - 2.0, R)
+    return c_nu * (bose + pair)
+
+
+@pytest.mark.parametrize("profile, nu", [
+    (PROFILE, 3), (gaussian_profile(0.3), 1), (power_profile(1.0, 2.5, 2), 2),
+    (delta_profile(), 3)])
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_cached_tail_check_is_the_tail_bound(profile, nu, beta):
+    # a warm call checks a stored R with its cached R-only factors; the
+    # result must be the bound evaluated in one piece, bit for bit
+    finite = 0
+    for R in (0.5, 3.0, 8.0, 30.0):
+        parts = quadrature._tail_parts(profile, nu, MASS, beta, R)
+        for foff in (-0.4, 0.0, 0.3, 2.0, 40.0):
+            for habs in (0.0, 0.2, 1.5, 20.0):
+                want = _tail_bound_reference(profile, nu, MASS, beta, foff,
+                                             habs, R)
+                assert quadrature._tail_bound(parts, MASS, beta, foff,
+                                              habs) == want
+                finite += math.isfinite(want)
+    assert finite > 0
+
+
+def test_plan_entry_caches_the_tail_parts_of_its_cutoff():
+    with plan_scope():
+        for habs, margin in FALLING:
+            rows(habs + margin, habs, (1,))
+        entry, = quadrature._PLAN.get().values()
+    assert entry.tail == quadrature._tail_parts(PROFILE, NU, MASS, BETA,
+                                                entry.R)
+
+
+def test_warm_return_is_the_refine_route(monkeypatch):
+    """A call that converges on the carried mesh returns without `_refine`;
+    its rows equal, bit for bit, those of `_refine` run on that mesh."""
+    calls = []
+    refine = quadrature._refine
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_refine", counted)
+    habs, margin = FALLING[3]
+    foff = habs + 1.01 * margin
+    with plan_scope():
+        rows(habs + margin, habs, (1,))
+        entry, = quadrature._PLAN.get().values()
+        calls.clear()
+        got = radial_rows(PROFILE, NU, MASS, BETA, foff, habs, CFG,
+                          need=(1,), rows=(1, 3))
+        assert calls == [], "the carried mesh must converge as it stands"
+        assert next(iter(quadrature._PLAN.get().values())) is entry
+    # the route through _refine: Kronrod and Gauss sums on the carried mesh
+    vals = eval_rows(entry.nodes, entry.lam, BETA, 0.5 / MASS, foff, habs,
+                     rows=(1, 3))
+    vals = (vals * entry.weight).reshape(NROWS, len(entry.half), 15)
+    ik = (vals @ quadrature.WK) * entry.half
+    ig = (vals @ quadrature.WG) * entry.half
+    err = np.abs(ik - ig)[[1]].max(axis=0)
+    ok, ik, _, a, _, _ = refine(None, entry.a, entry.b, ik, err, [1], CFG,
+                                stop_nonfinite=True)
+    assert ok and a is entry.a
+    assert np.array_equal(got, ik.sum(axis=1), equal_nan=True)

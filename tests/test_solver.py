@@ -11,8 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from pairboson import solver
-from pairboson.errors import BracketFailure, ConfigError
+from pairboson import pressure, solver
+from pairboson.errors import (
+    BracketFailure, ConfigError, ModelError, PairBosonError,
+)
 from pairboson.model import Model, gaussian_profile, delta_profile
 from pairboson.pressure import (
     ThermoPoint, OrderPoint, el_residuals, feasible, grad_q, grad_rho,
@@ -296,6 +298,11 @@ class TestDensities:
         assert bose_density(m, beta, mu_eff) == pytest.approx(expected,
                                                               rel=1e-10)
 
+    def test_positive_mu_eff_is_a_model_error(self):
+        with pytest.raises(PairBosonError) as info:
+            bose_density(model(), 1.0, 0.5)
+        assert info.type is ModelError
+
     def test_mf_density_fixed_point(self):
         m = model(u=0.0)
         tp = ThermoPoint(beta=2.0, mu=-0.3)
@@ -380,3 +387,22 @@ class TestLazyResiduals:
                          "--eta-floor", "1e-3"]) == cli.EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 3
         assert calls == []
+
+
+def test_mf_condensed_quadrature_budget(monkeypatch, capsys):
+    """Quadrature calls of ROADMAP's mean-field condensed solve (seed 0 of
+    perfbench's solve_mix).  The count repeats exactly: 1,778 while the
+    outer gradients shared the inner Newton steps' plan key, 1,147 with
+    their own."""
+    from pairboson import cli
+    calls = [0]
+    original = pressure.radial_rows
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pressure, "radial_rows", counted)
+    assert cli.main(TestLazyResiduals.ARGV + ["--u", "-0.5"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["phase"] == PHASE_MF_CONDENSED
+    assert calls[0] <= 1300

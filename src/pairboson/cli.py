@@ -31,7 +31,7 @@ from .pressure import ThermoPoint
 from .quadrature import QuadratureConfig
 from .solver import (
     STATUS_BOUNDARY, STATUS_CONVERGED, eta_continuation, classify_phase,
-    excitation_spectrum,
+    excitation_spectrum, variational_limit,
 )
 from . import oracle as _oracle
 
@@ -177,6 +177,19 @@ def _build_model(cfg: dict) -> Model:
                  lambda_profile=_parse_profile(cfg["profile"], dim))
 
 
+def _point_limit(model: Model, tp: ThermoPoint, settings: dict):
+    """The eta -> 0 observables of a scan or spectrum point.
+
+    `solve` always runs the continuation: its JSON reports the eta trace.
+    """
+    if model.dim >= 3 and model.u >= 0:
+        # the eta = 0 sup-inf settles p, q_bar, rho_bar and m0 here
+        return variational_limit(model, tp, settings["quad_cfg"])
+    # u < 0: m0 is the quasi-average (mu/v - rho_c)/2, which needs the
+    # source; dim <= 2: the eta = 0 density probe fails
+    return eta_continuation(model, tp, **settings)
+
+
 def _solver_settings(cfg: dict) -> dict:
     """Keyword arguments of `eta_continuation`."""
     eta0 = _parse_float(cfg, "eta0")
@@ -306,7 +319,7 @@ _SCAN_ERROR = "error:"
 def _scan_point(task):
     model, settings, tp = task
     try:
-        cont = eta_continuation(model, tp, **settings)
+        cont = _point_limit(model, tp, settings)
         phase = classify_phase(model, tp, cont)
     except PairBosonError as exc:
         nan = float("nan")
@@ -377,7 +390,7 @@ def cmd_spectrum(args) -> int:
     k_count = _parse_int(cfg, "k_count")
     if k_max <= 0 or k_count < 2:
         raise ConfigError("requires k_max > 0 and k_count >= 2")
-    cont = eta_continuation(model, tp, **settings)
+    cont = _point_limit(model, tp, settings)
     grid = np.linspace(0.0, k_max, k_count)
     pairs = excitation_spectrum(model, tp, cont, grid)
     lines = ["k,e_excit"]

@@ -4,9 +4,17 @@ For attractive pairing (u > 0) the pressure is sup over the pair order
 parameter q of the inf over densities rho of the quadratic-approximant
 pressure; for u <= 0 the sup becomes an inf and the problem collapses onto
 the mean-field solution as the symmetry-breaking source eta -> 0.  The
-solver nests the optimizations (inner density solve per candidate q), runs
-a geometric eta schedule with warm starts, and extrapolates observables to
-eta = 0 with a detected-order Richardson step.
+solver nests the optimizations (inner density solve per candidate q).
+
+Two paths reach the eta -> 0 observables.  `variational_limit` solves the
+sup-inf once at eta = 0 and reads the condensate m0 as the
+Karush-Kuhn-Tucker multiplier of the constraint sigma >= 0 (Nocedal and
+Wright, Numerical Optimization, ch. 12).  `eta_continuation` runs a
+geometric eta schedule with warm starts and extrapolates to eta = 0 with a
+detected-order Richardson step.  The CLI's scan and spectrum take the first
+path where it is settled (dim >= 3, u >= 0) and the second elsewhere; solve
+always runs the continuation, and the tests check the two against each
+other.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from .pressure import (
     el_residuals,
     excitation_energy,
     feasible,
-    grad_q,
-    grad_rho,  # unused here; perfbench's tracer wraps this name
+    grad_q,  # unused here; perfbench's tracer wraps this name
+    grad_rho,
     grad_rho_slope,
     outer_grads,
     pressure_tl,
@@ -246,6 +254,17 @@ def _inner_solver(model, tp, eta, quad_cfg, diagnostics):
     return inner
 
 
+def _boundary_dq(model, tp, q, rho_bar, eta, quad_cfg):
+    """Total q-derivative of the inner value at a boundary minimum.
+
+    The minimum is pinned to sigma = 0, so it moves along the boundary path
+    rho_b(q) = (mu + |u| q)/v at rate |u|/v, and the derivative along that
+    path is grad_q + grad_rho |u|/v; grad_rho >= 0 there need not vanish.
+    """
+    gr, gq = outer_grads(model, tp, OrderPoint(q, rho_bar, eta), quad_cfg)
+    return gq + gr * (abs(model.u) / model.v)
+
+
 def _small_q_root(tdq, q_start: float):
     """Bracket and refine a stationary point below the scan resolution.
 
@@ -305,8 +324,7 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
     def tdq(q):
         rho_bar, _, boundary = inner(q)
         if boundary:
-            # gradient information unusable on the boundary; signal via sign
-            return grad_q(model, tp, OrderPoint(q, rho_bar, eta), quad_cfg)
+            return _boundary_dq(model, tp, q, rho_bar, eta, quad_cfg)
         # near the feasibility boundary the density slope is so steep that
         # the float-exact minimizer still carries an O(slope * ulp) residual;
         # gate accordingly
@@ -397,11 +415,7 @@ def _outer_min_repulsive(model, tp, eta, quad_cfg, inner, diagnostics, tol):
     def tdq(q):
         rho_bar, _, boundary = inner(q)
         if boundary:
-            # minimum pinned to sigma = 0: differentiate along the boundary
-            # path rho_b(q) = (mu + w q)/v, which moves at rate w/v
-            gr, gq = outer_grads(model, tp, OrderPoint(q, rho_bar, eta),
-                                 quad_cfg)
-            return gq + gr * (w / model.v)
+            return _boundary_dq(model, tp, q, rho_bar, eta, quad_cfg)
         return total_dq(model, tp, q, eta, rho_bar, quad_cfg,
                         stat_tol=max(tol, 1e-6))
 
@@ -500,6 +514,41 @@ def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
                          "m0": m0_err, "gap": gap_err})
 
 
+@dataclass
+class VariationalLimit:
+    """The sup-inf solved at eta = 0, under ContinuationResult's names.
+
+    m0 is the Karush-Kuhn-Tucker multiplier of the constraint sigma >= 0:
+    grad_rho / v at a boundary minimum, where the inner minimum presses on
+    sigma = 0, and 0 at an interior one.
+    """
+
+    p_limit: float
+    q_limit: float
+    rho_limit: float
+    m0: float
+    gap_limit: float
+
+
+def variational_limit(model: Model, tp: ThermoPoint,
+                      quad_cfg: QuadratureConfig | None = None
+                      ) -> VariationalLimit:
+    """p, q_bar, rho_bar, the gap E(0) and m0 from one outer solve at eta = 0.
+
+    The direct solve of the two-parameter formula; it agrees with the
+    extrapolated limits of `eta_continuation` where both apply (dim >= 3,
+    u >= 0), at a small fraction of the cost.
+    """
+    with plan_scope():
+        res = outer_opt(model, tp, 0.0, quad_cfg)
+        m0 = 0.0
+        if res.status == STATUS_BOUNDARY:
+            op = OrderPoint(res.q_bar, res.rho_bar, 0.0)
+            m0 = max(grad_rho(model, tp, op, quad_cfg) / model.v, 0.0)
+    return VariationalLimit(p_limit=res.pressure, q_limit=res.q_bar,
+                            rho_limit=res.rho_bar, m0=m0, gap_limit=res.gap)
+
+
 def bose_density(model: Model, beta: float, mu_eff: float) -> float:
     """Ideal Bose gas density at effective chemical potential mu_eff <= 0."""
     if mu_eff > 0:
@@ -554,16 +603,17 @@ def mf_pressure(model: Model, tp: ThermoPoint,
 
 
 def excitation_spectrum(model: Model, tp: ThermoPoint,
-                        cont: ContinuationResult, k_grid):
-    """Quasi-particle energies E(k) at the extrapolated (q, rho) limit."""
+                        cont: ContinuationResult | VariationalLimit, k_grid):
+    """Quasi-particle energies E(k) at the (q, rho) limit."""
     return [(float(r), excitation_energy(model, tp, cont.q_limit,
                                          cont.rho_limit, r))
             for r in np.atleast_1d(np.asarray(k_grid, dtype=float))]
 
 
-def classify_phase(model: Model, tp: ThermoPoint, cont: ContinuationResult,
+def classify_phase(model: Model, tp: ThermoPoint,
+                   cont: ContinuationResult | VariationalLimit,
                    m0_tol: float = 1e-6, q_tol: float = 1e-6) -> str:
-    """Label the phase from the extrapolated condensates."""
+    """Label the phase from the limit condensates, extrapolated or at eta = 0."""
     if model.u <= 0.0:
         rho_c = critical_density(model, tp.beta)
         if math.isfinite(rho_c) and tp.mu > model.v * rho_c:

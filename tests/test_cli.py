@@ -14,6 +14,8 @@ from pairboson.errors import BracketFailure, InfeasiblePoint
 
 DATA = Path(__file__).parent / "data"
 FAST = ["--dim", "3", "--eta-floor", "1e-4"]
+# the solver entry points the CLI calls; `_point_limit` picks one per point
+ENTRY_POINTS = ("eta_continuation", "variational_limit")
 
 
 def run_main(argv):
@@ -65,7 +67,8 @@ class TestConfig:
         def fail(*args, **kwargs):
             pytest.fail("scan solved a point before checking beta")
 
-        monkeypatch.setattr(cli, "eta_continuation", fail)
+        for name in ENTRY_POINTS:
+            monkeypatch.setattr(cli, name, fail)
         assert run_main(["scan", "--beta", "1,0"]) == 1
         assert capsys.readouterr().err == \
             "config error: beta must be positive\n"
@@ -109,15 +112,27 @@ class TestConfig:
         def fail(*args, **kwargs):
             pytest.fail("scan solved a point before checking --format")
 
-        monkeypatch.setattr(cli, "eta_continuation", fail)
+        for name in ENTRY_POINTS:
+            monkeypatch.setattr(cli, name, fail)
         assert run_main(["scan", "--format", "xml"]) == 1
         assert "unknown format 'xml'" in capsys.readouterr().err
 
 
 def _raising(exc):
-    def continuation(*args, **kwargs):
+    def entry_point(*args, **kwargs):
         raise exc("injected")
-    return continuation
+    return entry_point
+
+
+def _inject(monkeypatch, name, exc):
+    """Make the entry point `name` raise exc and the other one fail the
+    test, so a point that takes the wrong branch shows."""
+    def wrong_branch(*args, **kwargs):
+        pytest.fail(f"the point did not take {name}")
+
+    for other in ENTRY_POINTS:
+        monkeypatch.setattr(cli, other,
+                            _raising(exc) if other == name else wrong_branch)
 
 
 class TestExitCodes:
@@ -128,20 +143,32 @@ class TestExitCodes:
     ])
     def test_solver_error(self, command, exc, code, label, monkeypatch,
                           capsys):
-        monkeypatch.setattr(cli, "eta_continuation", _raising(exc))
+        # solve runs the continuation at every point; spectrum's default
+        # point (dim 3, u = 0.5) takes the eta = 0 solve
+        name = "eta_continuation" if command == "solve" else \
+            "variational_limit"
+        _inject(monkeypatch, name, exc)
         assert run_main([command]) == code
         captured = capsys.readouterr()
         assert captured.err == f"{label}: injected\n"
         assert captured.out == ""
 
-    def test_scan_of_errors_only(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "eta_continuation", _raising(BracketFailure))
+    def _scan_errors(self, name, u, monkeypatch, capsys):
+        _inject(monkeypatch, name, BracketFailure)
         monkeypatch.setenv("PBH_THREADS", "1")
-        assert run_main(["scan", "--mu-range=-0.5:-0.4:2"]) == \
+        assert run_main(["scan", "--mu-range=-0.5:-0.4:2", f"--u={u}"]) == \
             cli.EXIT_NO_CONVERGENCE
         rows = capsys.readouterr().out.strip().split("\n")[1:]
         assert [row.split(",")[-1] for row in rows] == \
             ["error:BracketFailure"] * 2
+
+    def test_scan_of_errors_only(self, monkeypatch, capsys):
+        # dim 3 and u >= 0: the eta = 0 solve
+        self._scan_errors("variational_limit", "0.5", monkeypatch, capsys)
+
+    def test_scan_of_errors_only_repulsive(self, monkeypatch, capsys):
+        # u < 0: the continuation
+        self._scan_errors("eta_continuation", "-0.5", monkeypatch, capsys)
 
 
 def _no_constant(name):
@@ -233,6 +260,12 @@ class TestSolve:
 
 class TestScan:
     def test_one_point_matches_solve(self, tmp_path):
+        # scan takes this point (dim 3, u > 0) from the eta = 0 solve and
+        # solve from the continuation: the row is the eta = 0 result
+        # exactly, and each value lies within solve's own error estimate
+        from pairboson.model import Model, gaussian_profile
+        from pairboson.pressure import QuadratureConfig, ThermoPoint
+        from pairboson.solver import variational_limit
         args = ["--beta", "2", "--mu", "1.0", "--u", "0.5", "--v", "1.0",
                 "--dim", "3", "--eta-floor", "1e-4"]
         out_solve = tmp_path / "solve.json"
@@ -241,12 +274,20 @@ class TestScan:
         assert run_main(["scan", "--out", str(out_scan)] + args) == 0
         doc = json.loads(out_solve.read_text())
         header, row = out_scan.read_text().strip().split("\n")
-        cells = row.split(",")
-        names = header.split(",")
-        got = dict(zip(names, cells))
-        assert float(got["pressure"]) == doc["pressure"]
-        assert float(got["q_bar"]) == doc["q_bar"]
-        assert got["phase"] == doc["phase"]
+        got = dict(zip(header.split(","), row.split(",")))
+        m = Model(dim=3, mass=0.5, u=0.5, v=1.0,
+                  lambda_profile=gaussian_profile(1.0))
+        lim = variational_limit(m, ThermoPoint(beta=2.0, mu=1.0),
+                                QuadratureConfig(rel_tol=1e-10,
+                                                 abs_tol=1e-12))
+        for key, err, want in (("pressure", "p", lim.p_limit),
+                               ("q_bar", "q", lim.q_limit),
+                               ("rho_bar", "rho", lim.rho_limit),
+                               ("m0", "m0", lim.m0),
+                               ("gap", "gap", lim.gap_limit)):
+            assert float(got[key]) == want
+            assert abs(want - doc[key]) <= doc["error_estimates"][err]
+        assert got["phase"] == doc["phase"] == "condensed"
 
     def test_phase_flip_at_critical_mu(self, tmp_path):
         # u = 0: the normal -> mf_condensed flip happens at mu = v rho_c
@@ -302,7 +343,7 @@ class TestScan:
             assert capsys.readouterr().out == f"{header}\n{row}\n"
 
     def test_json_errors_are_null(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "eta_continuation", _raising(BracketFailure))
+        _inject(monkeypatch, "variational_limit", BracketFailure)
         monkeypatch.setenv("PBH_THREADS", "1")
         assert run_main(["scan", "--format", "json"]) == \
             cli.EXIT_NO_CONVERGENCE

@@ -15,16 +15,19 @@ from pairboson import pressure, solver
 from pairboson.errors import (
     BracketFailure, ConfigError, ModelError, PairBosonError,
 )
-from pairboson.model import Model, gaussian_profile, delta_profile
+from pairboson.model import (
+    Model, gaussian_profile, delta_profile, power_profile,
+)
 from pairboson.pressure import (
     ThermoPoint, OrderPoint, el_residuals, feasible, grad_q, grad_rho,
-    grad_rho_slope,
+    grad_rho_slope, outer_grads,
 )
 from pairboson.solver import (
     inf_rho, outer_opt, eta_continuation, _extrapolate, _inner_solver,
     bose_density, critical_density, mf_density, mf_pressure,
-    excitation_spectrum, classify_phase,
+    excitation_spectrum, classify_phase, variational_limit,
     PHASE_NORMAL, PHASE_PAIR_ONLY, PHASE_CONDENSED, PHASE_MF_CONDENSED,
+    STATUS_BOUNDARY,
 )
 
 GAUSS = gaussian_profile(1.0)
@@ -116,16 +119,16 @@ class TestInnerSolve:
         assert any(decided) and not all(decided)
 
 
-def _counting(monkeypatch, name):
-    """Replace solver.<name> by a wrapper; returns its list of calls."""
+def _counting(monkeypatch, name, module=solver):
+    """Replace module.<name> by a wrapper; returns its list of calls."""
     calls = []
-    original = getattr(solver, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append((args, kwargs))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -274,6 +277,43 @@ class TestContinuation:
             assert order == pytest.approx(a, rel=1e-6)
 
 
+class TestVariationalLimit:
+    """The sup-inf solved at eta = 0, against the continuation's limits."""
+
+    def test_boundary_path_derivative(self):
+        # condensed seed-0 point: the eta = 0 inner minimum sits on
+        # sigma = 0, so q_bar is stationary along the boundary path
+        # rho_b(q) = (mu + u q)/v.  The bare grad_q missed it by 8.7e-9 in
+        # q_bar, a path derivative of 2.2e-9.
+        m, tp = model(u=0.5), ThermoPoint(2.0, 0.4)
+        res = outer_opt(m, tp, 0.0)
+        assert res.status == STATUS_BOUNDARY
+        gr, gq = outer_grads(m, tp, OrderPoint(res.q_bar, res.rho_bar, 0.0))
+        assert abs(gq + gr * m.u / m.v) <= 1e-11
+
+    @pytest.mark.parametrize("profile", [gaussian_profile(1.0),
+                                         delta_profile(),
+                                         power_profile(1.0, 4.0, 3)],
+                             ids=["gaussian:1", "delta", "power:1:4"])
+    def test_agrees_with_continuation(self, profile):
+        # dim 3, u >= 0, mu on both sides of the transition (u = 0:
+        # mu = v rho_c = 0.021; u = 0.5: between -0.1 and 0.4)
+        phases = set()
+        for u, mu in itertools.product((0.0, 0.5), (-0.1, 0.4)):
+            m = Model(dim=3, mass=0.5, u=u, v=1.0, lambda_profile=profile)
+            tp = ThermoPoint(2.0, mu)
+            cont = eta_continuation(m, tp)
+            lim = variational_limit(m, tp)
+            assert abs(lim.p_limit - cont.p_limit) <= 1e-9
+            assert abs(lim.q_limit - cont.q_limit) <= 1e-6
+            assert abs(lim.m0 - cont.m0) <= max(2e-5,
+                                                cont.error_estimates["m0"])
+            phase = classify_phase(m, tp, lim)
+            assert phase == classify_phase(m, tp, cont)
+            phases.add(phase)
+        assert phases == {PHASE_NORMAL, PHASE_CONDENSED, PHASE_MF_CONDENSED}
+
+
 class TestDensities:
     def test_critical_density_closed_form(self):
         # zeta(3/2) (m / (2 pi beta))^(3/2) in three dimensions
@@ -395,14 +435,20 @@ def test_mf_condensed_quadrature_budget(monkeypatch, capsys):
     outer gradients shared the inner Newton steps' plan key, 1,147 with
     their own."""
     from pairboson import cli
-    calls = [0]
-    original = pressure.radial_rows
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(pressure, "radial_rows", counted)
+    calls = _counting(monkeypatch, "radial_rows", pressure)
     assert cli.main(TestLazyResiduals.ARGV + ["--u", "-0.5"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["phase"] == PHASE_MF_CONDENSED
-    assert calls[0] <= 1300
+    assert len(calls) <= 1300
+
+
+def test_scan_quadrature_budget(monkeypatch, capsys):
+    """Quadrature calls of perfbench's seed-0 scan_line, serial.  The count
+    repeats exactly: 573 from the eta = 0 solve, 8,450 from a continuation
+    per point."""
+    from pairboson import cli
+    monkeypatch.setenv("PBH_THREADS", "1")
+    calls = _counting(monkeypatch, "radial_rows", pressure)
+    assert cli.main(["scan", "--beta", "2", "--mu-range=-0.2:0.4:4",
+                     "--u", "0.5", "--dim", "3"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert len(calls) <= 800

@@ -30,8 +30,8 @@ from .model import (
 from .pressure import ThermoPoint
 from .quadrature import QuadratureConfig
 from .solver import (
-    STATUS_BOUNDARY, STATUS_CONVERGED, eta_continuation, classify_phase,
-    excitation_spectrum, variational_limit,
+    STATUS_BOUNDARY, STATUS_CONVERGED, check_schedule, eta_continuation,
+    classify_phase, excitation_spectrum, variational_limit,
 )
 from . import oracle as _oracle
 
@@ -54,9 +54,8 @@ _EXIT_TABLE = (
      EXIT_NO_CONVERGENCE, "non-convergence"),
 )
 
-# Every key accepted in a config file and as a `--key` flag (dashes for
-# underscores): its default and help text.  Any other key in a config file
-# is rejected (fail-closed).  Command-line flags override file values.
+# Every key of a config file and `--key` flag (dashes for underscores): its
+# default and help text.  Command-line flags override file values.
 _KEYS = {
     "beta": ("1.0", "inverse temperature (comma-separated list for scan)"),
     "mu": ("-0.5", "chemical potential"),
@@ -78,13 +77,24 @@ _KEYS = {
     "n_max": ("8", "oracle: per-mode occupation cutoff"),
 }
 
+# The keys each command reads.  A command has flags for these alone, and a
+# config-file key outside its command's set is rejected (fail-closed).
+_COMMON_KEYS = frozenset("beta mu u v mass dim profile eta0 out".split())
+_SOLVE_KEYS = _COMMON_KEYS | {"eta_floor", "eta_factor", "tol"}
+_COMMAND_KEYS = {
+    "solve": _SOLVE_KEYS,
+    "scan": _SOLVE_KEYS | {"mu_range", "format"},
+    "spectrum": _SOLVE_KEYS | {"k_max", "k_count"},
+    "oracle": _COMMON_KEYS | {"n_max"},
+}
+
 
 def _fmt(x) -> str:
     """Shortest decimal that round-trips the float."""
     return repr(float(x))
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, command: str) -> dict:
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -95,17 +105,16 @@ def _parse_config_file(path: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}:{len(raw) - len(raw.lstrip()) + 1}"
         if "=" not in line:
-            col = len(raw) - len(raw.lstrip()) + 1
-            raise ConfigError(
-                f"{path}:{lineno}:{col}: expected 'key = value'")
+            raise ConfigError(f"{where}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
         if key not in _KEYS:
-            col = raw.index(key.replace("_", "-")) + 1 if key.replace(
-                "_", "-") in raw else raw.index(key) + 1 if key in raw else 1
-            raise ConfigError(f"{path}:{lineno}:{col}: unknown key '{key}'")
+            raise ConfigError(f"{where}: unknown key '{key}'")
+        if key not in _COMMAND_KEYS[command]:
+            raise ConfigError(f"{where}: {command} takes no key '{key}'")
         if not val:
             raise ConfigError(f"{path}:{lineno}: empty value for '{key}'")
         values[key] = val
@@ -113,10 +122,11 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = {key: default for key, (default, _) in _KEYS.items()}
+    keys = _COMMAND_KEYS[args.command]
+    cfg = {key: _KEYS[key][0] for key in keys}
     if args.config:
-        cfg.update(_parse_config_file(args.config))
-    for key in _KEYS:
+        cfg.update(_parse_config_file(args.config, args.command))
+    for key in keys:
         flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
@@ -196,13 +206,9 @@ def _solver_settings(cfg: dict) -> dict:
     floor = _parse_float(cfg, "eta_floor")
     factor = _parse_float(cfg, "eta_factor")
     tol = _parse_float(cfg, "tol")
-    if not (eta0 > floor > 0):
-        raise ConfigError("requires eta0 > eta_floor > 0")
-    if not (0 < factor < 1):
-        raise ConfigError("requires 0 < eta_factor < 1")
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
-    quad = QuadratureConfig(rel_tol=tol, abs_tol=min(tol * 1e-2, 1e-12))
+    # up front: a scan or spectrum point may never reach eta_continuation
+    check_schedule(eta0, factor, floor)
+    quad = QuadratureConfig(rel_tol=tol)
     return {"eta0": eta0, "factor": factor, "floor": floor, "quad_cfg": quad}
 
 
@@ -216,10 +222,8 @@ def _parse_betas(cfg) -> list:
 
 def _thermo_point(cfg) -> ThermoPoint:
     """The single state point of solve, spectrum and oracle."""
-    if "," in str(cfg["beta"]):
-        raise ConfigError(f"invalid number for beta: {cfg['beta']!r}")
-    beta, = _parse_betas(cfg)
-    return ThermoPoint(beta=beta, mu=_parse_float(cfg, "mu"))
+    return ThermoPoint(beta=_parse_float(cfg, "beta"),
+                       mu=_parse_float(cfg, "mu"))
 
 
 def _parse_mu_list(cfg) -> list:
@@ -404,8 +408,7 @@ def _default_fock_spec(model: Model, n_max: int) -> "_oracle.FockSpec":
     zero = tuple(0.0 for _ in range(model.dim))
     plus = tuple(1.0 if i == 0 else 0.0 for i in range(model.dim))
     minus = tuple(-x for x in plus)
-    return _oracle.FockSpec(modes=(zero, plus, minus), n_max=n_max,
-                            headroom=2)
+    return _oracle.FockSpec(modes=(zero, plus, minus), n_max=n_max)
 
 
 def cmd_oracle(args) -> int:
@@ -461,9 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("solve", cmd_solve), ("scan", cmd_scan),
                      ("spectrum", cmd_spectrum), ("oracle", cmd_oracle)):
         sub = subs.add_parser(name)
-        for key, (_, text) in _KEYS.items():
+        for key in (k for k in _KEYS if k in _COMMAND_KEYS[name]):
             sub.add_argument("--" + key.replace("_", "-"), dest=key,
-                             help=text)
+                             help=_KEYS[key][1])
         sub.add_argument("--config", help="INI-style config file")
         sub.set_defaults(func=fn)
     return parser

@@ -91,34 +91,27 @@ class CouplingProfile:
 _GAUSSIAN_ENVELOPE_P = 16.0
 
 
-def gaussian_profile(a: float, declared_decay: tuple[float, float] | None = None) -> CouplingProfile:
+def gaussian_profile(a: float) -> CouplingProfile:
     """exp(-a r^2); any polynomial envelope works, pick one generous constant."""
-    if declared_decay is None:
-        # exp(-a r^2) (1 + r^E) <= C for every E <= P:
-        # sup_r r^P exp(-a r^2) = (P/(2ea))^{P/2}, and for r < 1 the left
-        # side is below 2.  delta = P - max exponent consumed by nu <= 8.
-        if a <= 0:
-            raise ModelError("gaussian profile requires a > 0")
-        P = _GAUSSIAN_ENVELOPE_P
-        C = 2.0 + (P / (2.0 * math.e * a)) ** (P / 2.0)
-        declared_decay = (C, 8.0)
-    return CouplingProfile(PROFILE_GAUSSIAN, a=a, declared_decay=declared_decay)
+    # exp(-a r^2) (1 + r^E) <= C for every E <= P:
+    # sup_r r^P exp(-a r^2) = (P/(2ea))^{P/2}, and for r < 1 the left
+    # side is below 2.  delta = P - max exponent consumed by nu <= 8.
+    if a <= 0:
+        raise ModelError("gaussian profile requires a > 0")
+    P = _GAUSSIAN_ENVELOPE_P
+    C = 2.0 + (P / (2.0 * math.e * a)) ** (P / 2.0)
+    return CouplingProfile(PROFILE_GAUSSIAN, a=a, declared_decay=(C, 8.0))
 
 
-def power_profile(c: float, p: float, nu: int = 3,
-                  declared_decay: tuple[float, float] | None = None) -> CouplingProfile:
+def power_profile(c: float, p: float, nu: int = 3) -> CouplingProfile:
     """1 / (1 + (c r)^p): requires p >= max(nu, nu/2 + 1) + delta."""
-    if declared_decay is None:
-        required = max(nu, nu / 2.0 + 1.0)
-        if p <= required:
-            raise ModelError(f"power profile needs p > {required} for nu={nu}")
-        delta = p - required
-        # 1/(1+(cr)^p) <= C/(1+r^p) with C = max(1, c^-p)
-        C = max(1.0, c ** (-p))
-        declared_decay = (C, delta)
-    prof = CouplingProfile(PROFILE_POWER, c=c, p=p, declared_decay=declared_decay)
-    prof.validate_for_dimension(nu)
-    return prof
+    required = max(nu, nu / 2.0 + 1.0)
+    if p <= required:
+        raise ModelError(f"power profile needs p > {required} for nu={nu}")
+    # 1/(1+(cr)^p) <= C/(1+r^p) with C = max(1, c^-p)
+    C = max(1.0, c ** (-p))
+    return CouplingProfile(PROFILE_POWER, c=c, p=p,
+                           declared_decay=(C, p - required))
 
 
 def delta_profile() -> CouplingProfile:

@@ -9,7 +9,7 @@ Exactness under truncation: operators that only lower occupation (Q, A_k)
 have exact matrix elements on any downward-closed basis, so projected
 products like P(Q^dag Q)P are exact compressions and inherit positive
 semidefiniteness.  Products that raise occupation in an intermediate step
-are assembled on a basis extended by `headroom` quanta per mode and then
+are assembled on a basis extended by two quanta per mode and then
 projected, which again makes the compression exact.
 
 Momentum sectors: every operator used here conserves the total momentum
@@ -56,6 +56,9 @@ HAM_APPROX1 = "approx1"
 HAM_APPROX2 = "approx2"
 HAM_RESIDUAL = "residual_r"
 
+_MAX_DIM = 20000  # largest working basis a FockSpec may have
+_HEADROOM = 2     # extra quanta per mode of the extended basis (see above)
+
 
 @dataclass(frozen=True)
 class FockSpec:
@@ -63,12 +66,10 @@ class FockSpec:
 
     modes: tuple
     n_max: int
-    headroom: int = 2
-    max_dim: int = 20000
 
     def __post_init__(self):
-        if self.n_max < 1 or self.headroom < 0:
-            raise ModelError("need n_max >= 1 and headroom >= 0")
+        if self.n_max < 1:
+            raise ModelError("need n_max >= 1")
         modes = [tuple(np.atleast_1d(np.asarray(m, dtype=float))) for m in self.modes]
         object.__setattr__(self, "modes", tuple(modes))
         keys = {tuple(np.round(m, 12)) for m in modes}
@@ -164,10 +165,8 @@ class OperatorMatrix:
     pattern.
     """
 
-    def __init__(self, matrix=None, label: str = "", params: dict | None = None,
-                 sectors: _Sectors | None = None, values=None):
-        self.label = label
-        self.params = {} if params is None else params
+    def __init__(self, matrix=None, sectors: _Sectors | None = None,
+                 values=None):
         if matrix is not None:
             self.matrix = matrix
         else:
@@ -194,15 +193,15 @@ class _Workspace:
     def __init__(self, spec: FockSpec):
         self.spec = spec
         nm = len(spec.modes)
-        n_ext = spec.n_max + spec.headroom
+        n_ext = spec.n_max + _HEADROOM
         self.ext_states = list(product(range(n_ext + 1), repeat=nm))
         self.ext_index = {s: i for i, s in enumerate(self.ext_states)}
         self.work_idx = np.flatnonzero(
             [all(n <= spec.n_max for n in s) for s in self.ext_states])
         self.dim = len(self.work_idx)
-        if self.dim > spec.max_dim:
+        if self.dim > _MAX_DIM:
             raise DimensionExceeded(
-                f"working dimension {self.dim} exceeds cap {spec.max_dim}")
+                f"working dimension {self.dim} exceeds cap {_MAX_DIM}")
         self.ext_dim = len(self.ext_states)
         self.lower = [self._lower(j) for j in range(nm)]
         occ = np.array(self.ext_states, dtype=float)
@@ -289,7 +288,7 @@ def build_operator(spec: FockSpec, which: str, model: Model,
             mat = ws.project(A[keys.index(key)])
     else:
         raise ConfigError(f"unknown operator {which}")
-    return OperatorMatrix(matrix=mat, label=which, params={"k": k})
+    return OperatorMatrix(matrix=mat)
 
 
 def _q_complex(q: float, eta: complex) -> complex:
@@ -349,8 +348,7 @@ def build_hamiltonian(spec: FockSpec, kind: str, model: Model, V: float,
     herm = np.max(np.abs(H - np.conj(H[sec.tpos])))
     if herm > 1e-12 * max(1.0, np.max(np.abs(H))):
         raise EigenFailure(f"built matrix not Hermitian: defect {herm}")
-    return OperatorMatrix(label=kind, sectors=sec, values=H,
-                          params={"q": q, "rho": rho, "eta": eta, "V": V})
+    return OperatorMatrix(sectors=sec, values=H)
 
 
 def _spectrum(sectors: _Sectors, values) -> np.ndarray:
@@ -465,8 +463,6 @@ def check_pair_exchange_bound(spec: FockSpec, model: Model, k, kp,
     working basis, whose compression is exact thanks to the headroom, one
     sector of the operator's own nonzero pattern at a time.
     """
-    if spec.headroom < 1:
-        raise ModelError("exchange bound check needs headroom >= 1")
     ws = _workspace(spec)
     A, _ = ws.pair_lower(model)
     keys = [tuple(np.round(m, 12)) for m in spec.modes]

@@ -54,15 +54,24 @@ _G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])                      # Gauss subset
 WG = np.zeros(15)
 WG[_G_IDX] = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
 
+_TAIL_TOL = 1e-13     # bound on the discarded [R, inf) tail of every row
+_MAX_PANELS = 4000    # panel budget of one call
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for the radial integrals."""
+    """Relative tolerance of the radial integrals."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    tail_tol: float = 1e-13
-    max_panels: int = 4000
+
+    def __post_init__(self):
+        if not self.rel_tol > 0:
+            raise ConfigError("tol must be positive")
+
+    @property
+    def abs_tol(self) -> float:
+        """Absolute floor of the error target, two decades below rel_tol."""
+        return min(self.rel_tol * 1e-2, 1e-12)
 
 
 def angular_factor(nu: int) -> float:
@@ -117,14 +126,14 @@ def _tail_bound(parts, mass, beta, foff, habs) -> float:
     return c_nu * (bose + B * profile_tail)
 
 
-def _choose_cutoff(profile, nu, mass, beta, foff, habs, tail_tol):
-    """The first R of a 1.5x ladder whose tail bound meets tail_tol, with
+def _choose_cutoff(profile, nu, mass, beta, foff, habs):
+    """The first R of a 1.5x ladder whose tail bound meets _TAIL_TOL, with
     its `_tail_parts`."""
     R = math.sqrt(2.0 * mass * 2.0 * (abs(foff) + habs + 1.0 / beta + 1.0))
     R = max(R, math.sqrt(2.0 * mass / beta))
     for _ in range(200):
         parts = _tail_parts(profile, nu, mass, beta, R)
-        if _tail_bound(parts, mass, beta, foff, habs) < tail_tol:
+        if _tail_bound(parts, mass, beta, foff, habs) < _TAIL_TOL:
             return R, parts
         R *= 1.5
     raise TailNotConverged("could not certify the radial tail below tolerance")
@@ -213,8 +222,8 @@ def _refine(panel_integrals, a, b, ik, err, need, cfg, stop_nonfinite=False):
         tol = max(cfg.abs_tol, cfg.rel_tol * float(np.abs(total[need]).max()))
         if err.sum() <= tol:
             return True, ik, err, a, b, tol
-        if len(a) >= cfg.max_panels or (stop_nonfinite
-                                        and not np.isfinite(err.sum())):
+        if len(a) >= _MAX_PANELS or (stop_nonfinite
+                                     and not np.isfinite(err.sum())):
             break
         # split every panel holding more than its share of the error budget
         bad = err > tol / (2.0 * len(a))
@@ -283,7 +292,7 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
 
     warm = plan.get(key) if plan is not None else None
     if warm is not None and _tail_bound(warm.tail, mass, beta, foff,
-                                        habs) < cfg.tail_tol:
+                                        habs) < _TAIL_TOL:
         # a carried node can sit where E = 0 in floats at a boundary point;
         # the non-finite value then sends the call down the cold path
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -303,7 +312,7 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
             store(warm.R, warm.tail, a, b)
             return total
 
-    R, tail = _choose_cutoff(profile, nu, mass, beta, foff, habs, cfg.tail_tol)
+    R, tail = _choose_cutoff(profile, nu, mass, beta, foff, habs)
     breaks = _initial_breaks(profile, nu, mass, beta, R)
     a, b = breaks[:-1], breaks[1:]
     ik, err = panel_integrals(a, b)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -55,6 +56,7 @@ PHASE_NORMAL = "normal"
 PHASE_PAIR_ONLY = "pair_only"
 PHASE_CONDENSED = "condensed"
 PHASE_MF_CONDENSED = "mf_condensed"
+_ORDER_TOL = 1e-6  # q_limit and m0 above this are a nonzero order parameter
 
 
 @dataclass(init=False)
@@ -115,6 +117,11 @@ class ContinuationResult:
 
 
 _NEWTON_STEPS = 8  # in inf_rho, before it hands the bracket to brentq
+# Stationarity gate of the outer slope: near the feasibility boundary the
+# density slope is so steep that the float-exact minimizer still carries an
+# O(slope * ulp) residual.
+_STAT_TOL = 1e-6
+_VALUE_SLACK = 1e-10  # a q > 0 optimum may sit this far below the q = 0 slice
 
 
 def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
@@ -254,15 +261,17 @@ def _inner_solver(model, tp, eta, quad_cfg, diagnostics):
     return inner
 
 
-def _boundary_dq(model, tp, q, rho_bar, eta, quad_cfg):
-    """Total q-derivative of the inner value at a boundary minimum.
+def _slope_in_q(model, tp, eta, quad_cfg, inner, q):
+    """The total q-derivative at q of the inner value `inner(q)`.
 
-    The minimum is pinned to sigma = 0, so it moves along the boundary path
-    rho_b(q) = (mu + |u| q)/v at rate |u|/v, and the derivative along that
-    path is grad_q + grad_rho |u|/v; grad_rho >= 0 there need not vanish.
+    A boundary minimum moves along sigma = 0, rho_b(q) = (mu + |u| q)/v, so
+    its derivative is grad_q + grad_rho |u|/v; grad_rho >= 0 need not vanish.
     """
-    gr, gq = outer_grads(model, tp, OrderPoint(q, rho_bar, eta), quad_cfg)
-    return gq + gr * (abs(model.u) / model.v)
+    rho_bar, _, boundary = inner(q)
+    if boundary:
+        gr, gq = outer_grads(model, tp, OrderPoint(q, rho_bar, eta), quad_cfg)
+        return gq + gr * (abs(model.u) / model.v)
+    return total_dq(model, tp, q, eta, rho_bar, quad_cfg, stat_tol=_STAT_TOL)
 
 
 def _small_q_root(tdq, q_start: float):
@@ -297,8 +306,7 @@ def _small_q_root(tdq, q_start: float):
 
 def outer_opt(model: Model, tp: ThermoPoint, eta: float,
               quad_cfg: QuadratureConfig | None = None,
-              q_hint: float | None = None,
-              tol: float = 1e-10) -> SolveResult:
+              q_hint: float | None = None) -> SolveResult:
     """Optimize over the pair order parameter q (sup for u>0, inf for u<=0).
 
     For u > 0 a positive q_hint is the centre of a warm-start window
@@ -316,20 +324,11 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
 
     if model.u < 0.0:
         return _outer_min_repulsive(model, tp, eta, quad_cfg, inner,
-                                    diagnostics, tol)
+                                    diagnostics)
 
     # attractive: maximize g(q) = inner value over q >= 0
     rho0_bar, value0, boundary0 = inner(0.0)
-
-    def tdq(q):
-        rho_bar, _, boundary = inner(q)
-        if boundary:
-            return _boundary_dq(model, tp, q, rho_bar, eta, quad_cfg)
-        # near the feasibility boundary the density slope is so steep that
-        # the float-exact minimizer still carries an O(slope * ulp) residual;
-        # gate accordingly
-        return total_dq(model, tp, q, eta, rho_bar, quad_cfg,
-                        stat_tol=max(tol, 1e-6))
+    tdq = partial(_slope_in_q, model, tp, eta, quad_cfg, inner)
 
     if q_hint is not None and q_hint > 0:
         # warm start: the optimum lies near the caller's predicted centre
@@ -358,7 +357,7 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
 
     if q_hint is not None and q_hint > 0 and best_q in (qs[0], qs[-1]):
         # optimum escaped the warm-start window: redo with the full bracket
-        res = outer_opt(model, tp, eta, quad_cfg, q_hint=None, tol=tol)
+        res = outer_opt(model, tp, eta, quad_cfg, q_hint=None)
         res.diagnostics["inner_solves"] += diagnostics["inner_solves"]
         return res
 
@@ -395,29 +394,23 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
                 root = None
             if root is not None:
                 rho_r, val_r, bound_r = inner(root)
-                if val_r >= value0 - max(tol, 1e-12):
+                if val_r >= value0 - _VALUE_SLACK:
                     q_bar, rho_bar, value, boundary = root, rho_r, val_r, bound_r
 
-    if value + max(tol, 1e-12) < value0:
+    if value + _VALUE_SLACK < value0:
         # sup over q must dominate the q = 0 slice
         q_bar, rho_bar, value, boundary = 0.0, rho0_bar, value0, boundary0
     return _result_at(model, tp, q_bar, eta, (rho_bar, value, boundary),
                       diagnostics, quad_cfg)
 
 
-def _outer_min_repulsive(model, tp, eta, quad_cfg, inner, diagnostics, tol):
+def _outer_min_repulsive(model, tp, eta, quad_cfg, inner, diagnostics):
     """u = -w < 0, eta > 0: minimize over q; the minimizer obeys
     q < (eta^2/(2w))^(1/3)."""
     w = -model.u
     q_bound = (eta * eta / (2.0 * w)) ** (1.0 / 3.0)
     diagnostics["q_bound"] = q_bound
-
-    def tdq(q):
-        rho_bar, _, boundary = inner(q)
-        if boundary:
-            return _boundary_dq(model, tp, q, rho_bar, eta, quad_cfg)
-        return total_dq(model, tp, q, eta, rho_bar, quad_cfg,
-                        stat_tol=max(tol, 1e-6))
+    tdq = partial(_slope_in_q, model, tp, eta, quad_cfg, inner)
 
     lo = q_bound * 1e-8
     hi = q_bound
@@ -457,6 +450,14 @@ def _extrapolate(values, factor):
     return float(v[-1] + corr), float(abs(corr) * r), float(a)
 
 
+def check_schedule(eta0: float, factor: float, floor: float) -> None:
+    """ConfigError unless `eta_continuation` can run this schedule."""
+    if not (math.inf > eta0 > floor > 0.0):
+        raise ConfigError("requires eta0 > eta_floor > 0")
+    if not (0.0 < factor < 1.0):
+        raise ConfigError("requires 0 < eta_factor < 1")
+
+
 def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
                      factor: float = 0.5, floor: float = 1e-6,
                      quad_cfg: QuadratureConfig | None = None) -> ContinuationResult:
@@ -469,8 +470,7 @@ def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
     the prediction follows it where the bare q_n would fall off the
     window's edge.  Without two positive q_bar it uses q_n.
     """
-    if not (math.inf > eta0 > floor > 0.0) or not (0.0 < factor < 1.0):
-        raise ConfigError("require eta0 > floor > 0 and 0 < factor < 1")
+    check_schedule(eta0, factor, floor)
     etas = []
     eta = eta0
     while eta >= floor:
@@ -595,11 +595,10 @@ def mf_density(model: Model, tp: ThermoPoint) -> float:
     return float(brentq(F, lo + eps, hi, xtol=1e-15, rtol=8.9e-16))
 
 
-def mf_pressure(model: Model, tp: ThermoPoint,
-                quad_cfg: QuadratureConfig | None = None) -> float:
+def mf_pressure(model: Model, tp: ThermoPoint) -> float:
     """Mean-field pressure: the quadratic approximant at q = 0, eta = 0."""
     rho_hat = mf_density(model, tp)
-    return pressure_tl(model, tp, OrderPoint(0.0, rho_hat, 0.0), quad_cfg)
+    return pressure_tl(model, tp, OrderPoint(0.0, rho_hat, 0.0))
 
 
 def excitation_spectrum(model: Model, tp: ThermoPoint,
@@ -611,14 +610,13 @@ def excitation_spectrum(model: Model, tp: ThermoPoint,
 
 
 def classify_phase(model: Model, tp: ThermoPoint,
-                   cont: ContinuationResult | VariationalLimit,
-                   m0_tol: float = 1e-6, q_tol: float = 1e-6) -> str:
+                   cont: ContinuationResult | VariationalLimit) -> str:
     """Label the phase from the limit condensates, extrapolated or at eta = 0."""
     if model.u <= 0.0:
         rho_c = critical_density(model, tp.beta)
         if math.isfinite(rho_c) and tp.mu > model.v * rho_c:
             return PHASE_MF_CONDENSED
         return PHASE_NORMAL
-    if cont.q_limit > q_tol:
-        return PHASE_CONDENSED if cont.m0 > m0_tol else PHASE_PAIR_ONLY
+    if cont.q_limit > _ORDER_TOL:
+        return PHASE_CONDENSED if cont.m0 > _ORDER_TOL else PHASE_PAIR_ONLY
     return PHASE_NORMAL

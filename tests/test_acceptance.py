@@ -102,7 +102,7 @@ def test_criterion_02_closed_form_vs_trace():
                                    [0.0, 1.0, 1.0], DESK_V)
         errs = []
         for n_max in (6, 9, 12):
-            spec = FockSpec(modes=MODES, n_max=n_max, headroom=2)
+            spec = FockSpec(modes=MODES, n_max=n_max)
             ptr = trace_pressure(
                 build_hamiltonian(spec, "approx2", model, DESK_V,
                                   q=q, rho=rho, eta=eta), spec, DESK_TP, DESK_V)
@@ -116,7 +116,7 @@ def test_criterion_02_closed_form_vs_trace():
 
 def test_criterion_03_inequality_chain():
     """Trace-pressure inequality chain on an 8x8 grid, both signs of u."""
-    spec = FockSpec(modes=MODES, n_max=6, headroom=2)
+    spec = FockSpec(modes=MODES, n_max=6)
     q_grid = np.linspace(0.0, 0.8, 8)
     rho_grid = np.linspace(0.1, 1.5, 8)
     rep_pos = check_variational_chain(spec, DESK_MODEL, DESK_TP, DESK_V,
@@ -136,10 +136,10 @@ def test_criterion_03_inequality_chain():
 
 def test_criterion_04_superstability():
     """Pair-operator bound and quartic lower bound as matrix inequalities."""
-    spec = FockSpec(modes=MODES, n_max=6, headroom=2)
+    spec = FockSpec(modes=MODES, n_max=6)
     model_neg = Model(dim=1, mass=0.5, u=-0.5, v=1.0,
                       lambda_profile=gaussian_profile(0.5))
-    delta_spec = FockSpec(modes=((0.0,),), n_max=10, headroom=2)
+    delta_spec = FockSpec(modes=((0.0,),), n_max=10)
     delta_model = Model(dim=1, mass=0.5, u=0.5, v=1.0,
                         lambda_profile=delta_profile())
     reps = [check_superstability(spec, DESK_MODEL, DESK_V),

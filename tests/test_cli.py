@@ -79,6 +79,19 @@ class TestConfig:
         assert run_main(["solve", "--profile", profile]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_scan_rejects_bad_schedule_before_solving(self, monkeypatch,
+                                                      capsys):
+        # dim 3, u >= 0: no point would reach eta_continuation's own check
+        def fail(*args, **kwargs):
+            pytest.fail("scan solved a point before checking the schedule")
+
+        for name in ENTRY_POINTS:
+            monkeypatch.setattr(cli, name, fail)
+        assert run_main(["scan", "--eta0", "0.01", "--eta-floor", "0.1"]) \
+            == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: requires eta0 > eta_floor > 0\n"
+
     def test_rejects_bad_mu_range(self):
         assert run_main(["scan", "--mu-range", "1:2"]) == 1
 
@@ -116,6 +129,70 @@ class TestConfig:
             monkeypatch.setattr(cli, name, fail)
         assert run_main(["scan", "--format", "xml"]) == 1
         assert "unknown format 'xml'" in capsys.readouterr().err
+
+
+# The keys each command does not read; every other key of `cli._KEYS` is
+# one of its flags and config-file keys.
+UNREAD = {
+    "solve": ("mu_range", "format", "k_max", "k_count", "n_max"),
+    "scan": ("k_max", "k_count", "n_max"),
+    "spectrum": ("mu_range", "format", "n_max"),
+    "oracle": ("mu_range", "eta_floor", "eta_factor", "tol", "format",
+               "k_max", "k_count"),
+}
+REJECTED = [(cmd, key) for cmd, keys in UNREAD.items() for key in keys]
+ACCEPTED = [(cmd, key) for cmd in UNREAD for key in cli._KEYS
+            if key not in UNREAD[cmd]]
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestCommandKeys:
+    def test_slot_counts(self):
+        assert len(REJECTED) == 18 and len(ACCEPTED) == 50
+
+    @pytest.mark.parametrize("command, key", REJECTED)
+    def test_rejects_another_commands_flag(self, command, key, capsys):
+        assert run_main([command, _flag(key), "1"]) == cli.EXIT_CONFIG
+        assert "unrecognized arguments: " + _flag(key) in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", REJECTED)
+    def test_rejects_another_commands_file_key(self, command, key, tmp_path,
+                                               capsys):
+        cfgfile = tmp_path / "other.ini"
+        cfgfile.write_text(f"beta = 1.0\n{key} = 1\n")
+        assert run_main([command, "--config", str(cfgfile)]) == \
+            cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: {cfgfile}:2:1: {command} "
+                                f"takes no key '{key}'\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, key", ACCEPTED)
+    def test_accepts_its_own_keys(self, command, key, tmp_path):
+        parser = cli.build_parser()
+        assert getattr(parser.parse_args([command, _flag(key), "7"]),
+                       key) == "7"
+        cfgfile = tmp_path / "own.ini"
+        cfgfile.write_text(f"{key} = 7\n")
+        args = parser.parse_args([command, "--config", str(cfgfile)])
+        assert cli._merge_config(args)[key] == "7"
+
+    @pytest.mark.parametrize("line, col, message", [
+        ("   n_max = 3", 4, "solve takes no key 'n_max'"),
+        ("\t  bogus-knob = 3", 4, "unknown key 'bogus_knob'"),
+    ])
+    def test_indented_key_column(self, line, col, message, tmp_path,
+                                 capsys):
+        cfgfile = tmp_path / "indented.ini"
+        cfgfile.write_text(f"beta = 1.0\n{line}\n")
+        assert run_main(["solve", "--config", str(cfgfile)]) == \
+            cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: {cfgfile}:2:{col}: {message}\n"
 
 
 def _raising(exc):
@@ -278,8 +355,7 @@ class TestScan:
         m = Model(dim=3, mass=0.5, u=0.5, v=1.0,
                   lambda_profile=gaussian_profile(1.0))
         lim = variational_limit(m, ThermoPoint(beta=2.0, mu=1.0),
-                                QuadratureConfig(rel_tol=1e-10,
-                                                 abs_tol=1e-12))
+                                QuadratureConfig(rel_tol=1e-10))
         for key, err, want in (("pressure", "p", lim.p_limit),
                                ("q_bar", "q", lim.q_limit),
                                ("rho_bar", "rho", lim.rho_limit),

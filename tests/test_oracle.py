@@ -28,8 +28,8 @@ TP = ThermoPoint(beta=1.0, mu=-0.4)
 V = 3.0
 
 
-def spec(n_max=6, headroom=2):
-    return FockSpec(modes=MODES, n_max=n_max, headroom=headroom)
+def spec(n_max=6):
+    return FockSpec(modes=MODES, n_max=n_max)
 
 
 class TestFockSpec:
@@ -77,7 +77,7 @@ class TestLadderAlgebra:
 
     def test_commutator_on_interior(self):
         # [a, a^dag] = 1 on all states with n < n_max
-        sp = FockSpec(modes=((0.0,),), n_max=6, headroom=2)
+        sp = FockSpec(modes=((0.0,),), n_max=6)
         ws = _workspace(sp)
         a = ws.lower[0].toarray()
         comm = a @ a.conj().T - a.conj().T @ a
@@ -155,7 +155,7 @@ class TestTracePressure:
         ws = _workspace(sp)
         from pairboson.oracle import OperatorMatrix
         H = OperatorMatrix(matrix=np.diag(omega * ws.Ntot[ws.work_idx])
-                           .astype(complex), label="test", params={})
+                           .astype(complex))
         tp = ThermoPoint(beta=2.0, mu=0.0)
         got = trace_pressure(H, sp, tp, 1.0)
         expected = math.log(sum(math.exp(-2.0 * omega * n)
@@ -355,7 +355,7 @@ class TestSectors:
         rng = np.random.default_rng(7)
         R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         R = (R + R.conj().T) / 2.0
-        H = OperatorMatrix(matrix=R, label="random")
+        H = OperatorMatrix(matrix=R)
         assert len(H.sectors.index) == 1
         np.testing.assert_allclose(_spectrum(H.sectors, H.values),
                                    sla.eigvalsh(R), rtol=0, atol=1e-12)

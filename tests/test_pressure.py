@@ -5,8 +5,12 @@ of pressure_tl, a brute-force Riemann sum over momentum space, and the
 scalar-quadrature residual path.
 """
 
+import importlib
+import inspect
 import itertools
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,10 +240,21 @@ class TestFiniteVolume:
         assert got == pytest.approx(expected, rel=1e-14)
 
 
+def _tracer_wraps():
+    """WRAPS of perfbench/tracer.py, run from its source text so that no
+    bytecode is written beside it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         tracer.__dict__)
+    return tracer.WRAPS
+
+
 class TestKernels:
     def test_names_the_benchmark_reads(self):
-        # perfbench records BACKEND and wraps eval_rows, radial_rows and the
-        # solver's entry points where their callers bind them
+        # perfbench records BACKEND and wraps every (module, name) of
+        # tracer.WRAPS where its callers bind it; the tracer's window count
+        # reads outer_opt's q_hint as the fifth positional argument
         from pairboson import solver
         assert kernels.BACKEND == "numpy"
         assert quadrature.eval_rows is pressure.eval_rows is kernels.eval_rows
@@ -247,8 +262,11 @@ class TestKernels:
         for name in ("pressure_tl", "grad_rho", "grad_q", "total_dq",
                      "el_residuals"):
             assert getattr(solver, name) is getattr(pressure, name), name
-        for name in ("outer_opt", "inf_rho"):
-            assert callable(getattr(solver, name)), name
+        for modname, attr, *_ in _tracer_wraps():
+            assert callable(getattr(importlib.import_module(modname), attr)), \
+                f"{modname}.{attr}"
+        params = list(inspect.signature(solver.outer_opt).parameters)
+        assert params.index("q_hint") == 4
 
     def test_rows_against_naive_formulas(self):
         # moderate arguments where the textbook expressions are stable

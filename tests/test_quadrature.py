@@ -76,7 +76,7 @@ def test_uncertified_cutoff_falls_back_to_cold(cold_calls):
         R = entry[0]
         foff, habs = 40.0, 20.0
         assert quadrature._tail_bound(entry.tail, MASS, BETA, foff,
-                                      habs) >= CFG.tail_tol
+                                      habs) >= quadrature._TAIL_TOL
         cold_calls[0] = 0
         got = rows(foff, habs, (0, 1))
         entry, = quadrature._PLAN.get().values()
@@ -225,3 +225,16 @@ def test_warm_return_is_the_refine_route(monkeypatch):
                                 stop_nonfinite=True)
     assert ok and a is entry.a
     assert np.array_equal(got, ik.sum(axis=1), equal_nan=True)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-10, math.nan])
+def test_config_rejects_a_tolerance_that_is_not_positive(rel_tol):
+    with pytest.raises(ConfigError):
+        QuadratureConfig(rel_tol=rel_tol)
+
+
+def test_absolute_floor_follows_rel_tol():
+    # the default pair is (1e-10, 1e-12); the floor never exceeds 1e-12
+    assert QuadratureConfig().abs_tol == 1e-12
+    assert QuadratureConfig(rel_tol=1e-6).abs_tol == 1e-12
+    assert QuadratureConfig(rel_tol=1e-12).abs_tol == pytest.approx(1e-14)

@@ -192,6 +192,28 @@ class TestOuterOptimum:
         assert res.q_bar > 0.04 and "bracket_expansions" in res.diagnostics
         assert res.diagnostics["inner_solves"] == len(calls)
 
+    def test_bounded_polish_inside_the_window(self, monkeypatch):
+        # normal point of the benchmark's solve_mix seed 1 at the 14th eta
+        # step: the slope has no sign change around the best window point,
+        # so the window is polished by a bounded scalar search
+        polish = _counting(monkeypatch, "minimize_scalar")
+        values = {}
+
+        def recorded(model, tp, q, eta, quad_cfg=None, rho_hint=None):
+            out = inf_rho(model, tp, q, eta, quad_cfg, rho_hint=rho_hint)
+            values[q] = out[1]
+            return out
+
+        monkeypatch.setattr(solver, "inf_rho", recorded)
+        q_hint = 1.6e-9
+        res = outer_opt(model(u=0.5), ThermoPoint(1.998468, -0.299807),
+                        0.1 * 0.5 ** 13, q_hint=q_hint)
+        assert len(polish) == 1
+        window = q_hint * np.geomspace(0.25, 4.0, 9)
+        assert res.pressure >= max(values[q] for q in window)
+        assert res.pressure >= values[0.0]
+        assert window[0] <= res.q_bar <= window[-1]
+
     def test_small_source_stationary_point_found(self):
         # normal phase: the maximizer scales like eta^2 and sits far below
         # any coarse scan; the solver must still land on it

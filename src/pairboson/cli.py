@@ -155,7 +155,7 @@ def _parse_int(cfg, key) -> int:
         raise ConfigError(f"invalid integer for {key}: {cfg[key]!r}")
 
 
-def _parse_profile(text: str, dim: int):
+def _parse_profile(text: str):
     parts = text.split(":")
     kind = parts[0].strip().lower()
     try:
@@ -168,7 +168,7 @@ def _parse_profile(text: str, dim: int):
             if len(parts) != 3:
                 raise ConfigError("profile power takes two parameters: "
                                   "power:c:p")
-            return power_profile(_finite(parts[1]), _finite(parts[2]), dim)
+            return power_profile(_finite(parts[1]), _finite(parts[2]))
         if kind == "delta":
             if len(parts) != 1:
                 raise ConfigError("profile delta takes no parameters")
@@ -181,10 +181,9 @@ def _parse_profile(text: str, dim: int):
 
 def _build_model(cfg: dict) -> Model:
     """Parse the model keys; `Model` itself checks their ranges."""
-    dim = _parse_int(cfg, "dim")
-    return Model(dim=dim, mass=_parse_float(cfg, "mass"),
+    return Model(dim=_parse_int(cfg, "dim"), mass=_parse_float(cfg, "mass"),
                  u=_parse_float(cfg, "u"), v=_parse_float(cfg, "v"),
-                 lambda_profile=_parse_profile(cfg["profile"], dim))
+                 lambda_profile=_parse_profile(cfg["profile"]))
 
 
 def _point_limit(model: Model, tp: ThermoPoint, settings: dict):

@@ -27,17 +27,12 @@ _KIND_NAMES = {
 
 @dataclass(frozen=True)
 class CouplingProfile:
-    """Isotropic pair-coupling profile lambda(k), with a declared decay bound.
-
-    declared_decay = (C, delta) certifies
-    |lambda(k)| <= C / (1 + ||k||^(max(nu, nu/2+1) + delta)).
-    """
+    """Isotropic pair-coupling profile lambda(k), nonincreasing in ||k||."""
 
     kind: int
     a: float = 0.0       # gaussian: lambda = exp(-a r^2)
     c: float = 0.0       # power: lambda = 1 / (1 + (c r)^p)
     p: float = 0.0
-    declared_decay: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         if self.kind not in _KIND_NAMES:
@@ -46,9 +41,6 @@ class CouplingProfile:
             raise ModelError("gaussian profile requires a > 0")
         if self.kind == PROFILE_POWER and (self.c <= 0 or self.p <= 0):
             raise ModelError("power profile requires c > 0 and p > 0")
-        C, delta = self.declared_decay
-        if C <= 0 or delta <= 0:
-            raise ModelError("declared_decay requires C > 0 and delta > 0")
 
     def value_radial(self, r):
         """lambda as a function of ||k||; vectorized over r >= 0."""
@@ -59,25 +51,6 @@ class CouplingProfile:
             return 1.0 / (1.0 + (self.c * r) ** self.p)
         return np.where(r == 0.0, 1.0, 0.0)
 
-    def decay_exponent_required(self, nu: int) -> float:
-        _, delta = self.declared_decay
-        return max(nu, nu / 2.0 + 1.0) + delta
-
-    def validate_for_dimension(self, nu: int) -> None:
-        """Reject profiles whose decay cannot satisfy the declared bound."""
-        if self.kind == PROFILE_POWER and self.p < self.decay_exponent_required(nu):
-            raise ModelError(
-                f"power profile exponent p={self.p} below required "
-                f"{self.decay_exponent_required(nu)} for nu={nu}"
-            )
-        if (self.kind == PROFILE_GAUSSIAN
-                and self.decay_exponent_required(nu) > _GAUSSIAN_ENVELOPE_P):
-            raise ModelError(
-                f"gaussian envelope certified only up to exponent "
-                f"{_GAUSSIAN_ENVELOPE_P}; nu={nu} requires "
-                f"{self.decay_exponent_required(nu)}"
-            )
-
     def describe(self) -> str:
         if self.kind == PROFILE_GAUSSIAN:
             return f"gaussian:{self.a}"
@@ -86,36 +59,17 @@ class CouplingProfile:
         return "delta"
 
 
-# Largest envelope exponent the gaussian factory certifies; covers every
-# dimension with max(nu, nu/2+1) + delta <= P.
-_GAUSSIAN_ENVELOPE_P = 16.0
-
-
 def gaussian_profile(a: float) -> CouplingProfile:
-    """exp(-a r^2); any polynomial envelope works, pick one generous constant."""
-    # exp(-a r^2) (1 + r^E) <= C for every E <= P:
-    # sup_r r^P exp(-a r^2) = (P/(2ea))^{P/2}, and for r < 1 the left
-    # side is below 2.  delta = P - max exponent consumed by nu <= 8.
-    if a <= 0:
-        raise ModelError("gaussian profile requires a > 0")
-    P = _GAUSSIAN_ENVELOPE_P
-    C = 2.0 + (P / (2.0 * math.e * a)) ** (P / 2.0)
-    return CouplingProfile(PROFILE_GAUSSIAN, a=a, declared_decay=(C, 8.0))
+    return CouplingProfile(PROFILE_GAUSSIAN, a=a)
 
 
-def power_profile(c: float, p: float, nu: int = 3) -> CouplingProfile:
-    """1 / (1 + (c r)^p): requires p >= max(nu, nu/2 + 1) + delta."""
-    required = max(nu, nu / 2.0 + 1.0)
-    if p <= required:
-        raise ModelError(f"power profile needs p > {required} for nu={nu}")
-    # 1/(1+(cr)^p) <= C/(1+r^p) with C = max(1, c^-p)
-    C = max(1.0, c ** (-p))
-    return CouplingProfile(PROFILE_POWER, c=c, p=p,
-                           declared_decay=(C, p - required))
+def power_profile(c: float, p: float) -> CouplingProfile:
+    """1 / (1 + (c r)^p); `Model` checks p against the dimension."""
+    return CouplingProfile(PROFILE_POWER, c=c, p=p)
 
 
 def delta_profile() -> CouplingProfile:
-    return CouplingProfile(PROFILE_DELTA_ZERO, declared_decay=(1.0, 1.0))
+    return CouplingProfile(PROFILE_DELTA_ZERO)
 
 
 @dataclass(frozen=True)
@@ -133,6 +87,13 @@ class Model:
     lambda_profile: CouplingProfile = field(default_factory=lambda: gaussian_profile(1.0))
 
     def __post_init__(self):
+        # the norms sum |lambda| and sum eps |lambda|^2 converge only if
+        # lambda decays faster than ||k||^-max(nu, nu/2 + 1)
+        prof = self.lambda_profile
+        required = max(self.dim, self.dim / 2.0 + 1.0)
+        if prof.kind == PROFILE_POWER and prof.p <= required:
+            raise ModelError(
+                f"power profile needs p > {required} for nu={self.dim}")
         if self.dim < 1:
             raise ModelError("dim must be a positive integer")
         if self.mass <= 0:
@@ -141,7 +102,6 @@ class Model:
             raise ModelError("requires v > 0")
         if self.v - self.u <= 0:
             raise ModelError("requires v - u > 0")
-        self.lambda_profile.validate_for_dimension(self.dim)
 
     @property
     def alpha(self) -> float:
@@ -183,32 +143,31 @@ def lattice_norms(model: Model, lat: LatticeSpec):
     return lat.spacing * np.sqrt(sq.ravel())
 
 
-def _profile_tail_sum(model: Model, lat: LatticeSpec, weight: str) -> float:
-    """Certified upper bound on the lattice sum of |lambda| (weight='m') or
-    eps |lambda|^2 (weight='n') over modes with ||s||_inf > s_max."""
+def _tail_bounds(model: Model, lat: LatticeSpec):
+    """Certified upper bounds on the lattice sums of |lambda| and of
+    eps |lambda|^2 over the modes with ||s||_inf > s_max."""
     prof = model.lambda_profile
     if prof.kind == PROFILE_DELTA_ZERO:
-        return 0.0
+        return 0.0, 0.0
     nu = model.dim
     step = lat.spacing
-    P = prof.decay_exponent_required(nu)
-    C, _ = prof.declared_decay
-    total = 0.0
+    tail_m = tail_n = 0.0
     j = lat.s_max + 1
     while True:
-        # shell ||s||_inf = j: count <= 2 nu (2j+1)^(nu-1), ||k|| >= step*j
+        # shell ||s||_inf = j: step*j <= ||k|| <= step*j*sqrt(nu), and
+        # lambda is nonincreasing in ||k||
         count = (2 * j + 1) ** nu - (2 * j - 1) ** nu
         r = step * j
-        lam_bound = C / (1.0 + r ** P)
-        if weight == "m":
-            term = count * lam_bound
-        else:
-            term = count * (r * r / (2.0 * model.mass)) * lam_bound ** 2
-        total += term
-        if term < 1e-30 * max(total, 1.0) or j > lat.s_max + 10_000:
-            break
+        lam = float(prof.value_radial(r))
+        term_m = count * lam
+        term_n = count * (nu * r * r / (2.0 * model.mass)) * lam * lam
+        tail_m += term_m
+        tail_n += term_n
+        if ((term_m < 1e-30 * max(tail_m, 1.0)
+                and term_n < 1e-30 * max(tail_n, 1.0))
+                or j > lat.s_max + 10_000):
+            return tail_m, tail_n
         j += 1
-    return total
 
 
 def mode_coupling_norms(model: Model, r, V: float):
@@ -237,8 +196,7 @@ def coupling_norms(model: Model, lat: LatticeSpec, tail_tol: float = 1e-8):
     norms = mode_coupling_norms(model, lattice_norms(model, lat),
                                 lat.volume(model.dim))
     m_norm, n_norm = norms[:2]
-    tail_m = _profile_tail_sum(model, lat, "m")
-    tail_n = _profile_tail_sum(model, lat, "n")
+    tail_m, tail_n = _tail_bounds(model, lat)
     if tail_m > tail_tol * max(m_norm, 1.0) or tail_n > tail_tol * max(n_norm, 1.0):
         raise TailNotConverged(
             f"profile tail beyond s_max={lat.s_max} exceeds tolerance "

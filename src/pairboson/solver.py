@@ -117,10 +117,6 @@ class ContinuationResult:
 
 
 _NEWTON_STEPS = 8  # in inf_rho, before it hands the bracket to brentq
-# Stationarity gate of the outer slope: near the feasibility boundary the
-# density slope is so steep that the float-exact minimizer still carries an
-# O(slope * ulp) residual.
-_STAT_TOL = 1e-6
 _VALUE_SLACK = 1e-10  # a q > 0 optimum may sit this far below the q = 0 slice
 
 
@@ -271,7 +267,7 @@ def _slope_in_q(model, tp, eta, quad_cfg, inner, q):
     if boundary:
         gr, gq = outer_grads(model, tp, OrderPoint(q, rho_bar, eta), quad_cfg)
         return gq + gr * (abs(model.u) / model.v)
-    return total_dq(model, tp, q, eta, rho_bar, quad_cfg, stat_tol=_STAT_TOL)
+    return total_dq(model, tp, q, eta, rho_bar, quad_cfg)
 
 
 def _small_q_root(tdq, q_start: float):

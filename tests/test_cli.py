@@ -2,6 +2,7 @@
 output formats and determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,7 +75,8 @@ class TestConfig:
             "config error: beta must be positive\n"
 
     @pytest.mark.parametrize("profile", ["cauchy:2", "gaussian:-1",
-                                         "power:1:2"])
+                                         "power:1:2", "power:0:5",
+                                         "power:-1:4.5"])
     def test_rejects_bad_profile(self, profile, capsys):
         assert run_main(["solve", "--profile", profile]) == 1
         assert capsys.readouterr().err.startswith("config error:")
@@ -314,6 +316,14 @@ class TestSolve:
             assert key in doc
         assert doc["phase"] == "normal"
         assert len(doc["eta_trace"]) >= 4
+
+    def test_gaussian_in_dim_9(self, capsys):
+        # the profile's own decay bounds the norms in every dimension
+        code = run_main(["solve", "--dim", "9", "--eta-floor", "1e-2"])
+        assert code == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "converged"
+        assert math.isfinite(doc["pressure"])
 
     def test_escaped_window_does_not_strand_the_search(self, capsys):
         # q_bar ~ eta^2 here: a window centred on the last q_bar escapes,

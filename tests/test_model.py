@@ -11,7 +11,7 @@ from pairboson.errors import ModelError, TailNotConverged
 from pairboson.model import (
     Model, LatticeSpec, CouplingProfile, epsilon_radial,
     gaussian_profile, power_profile, delta_profile,
-    lattice_norms, coupling_norms,
+    lattice_norms, mode_coupling_norms, coupling_norms, _tail_bounds,
 )
 
 
@@ -28,12 +28,12 @@ class TestCouplingProfile:
                                    np.exp(-0.5 * r * r))
 
     def test_normalization_at_zero(self):
-        for prof in (gaussian_profile(2.0), power_profile(1.0, 6.0, 3),
+        for prof in (gaussian_profile(2.0), power_profile(1.0, 6.0),
                      delta_profile()):
             assert float(prof.value_radial(0.0)) == 1.0
 
     def test_power_profile_large_r(self):
-        prof = power_profile(1.0, 6.0, 3)
+        prof = power_profile(1.0, 6.0)
         # (1 + c r^p)^{-1} ~ r^{-p} for large r
         val = float(prof.value_radial(100.0))
         assert val == pytest.approx(100.0 ** -6.0, rel=1e-3)
@@ -43,18 +43,31 @@ class TestCouplingProfile:
         assert float(prof.value_radial(1e-12)) == 0.0
         assert float(prof.value_radial(0.0)) == 1.0
 
-    def test_declared_decay_is_a_true_bound(self):
-        # |lambda(r)| <= C r^{-delta} on a wide radius sweep
-        for prof in (gaussian_profile(0.3), power_profile(2.0, 7.0, 3)):
-            c, delta = prof.declared_decay
-            r = np.geomspace(0.5, 200.0, 400)
-            assert np.all(np.abs(prof.value_radial(r)) <= c * r ** -delta
-                          + 1e-300)
-
     def test_power_profile_requires_integrable_decay(self):
         # decay must beat max(nu, nu/2 + 1) for the norms to converge
-        with pytest.raises(ModelError):
-            power_profile(1.0, 2.0, 3)
+        with pytest.raises(ModelError,
+                           match=r"^power profile needs p > 3 for nu=3$"):
+            Model(dim=3, lambda_profile=power_profile(1.0, 2.0))
+
+    def test_power_decay_rule_depends_on_dimension(self):
+        # p = 2.5 beats 1.5 (nu = 1) and 2 (nu = 2) but not 3 (nu = 3)
+        prof = power_profile(1.0, 2.5)
+        for dim in (1, 2):
+            assert Model(dim=dim, lambda_profile=prof).lambda_profile == prof
+        with pytest.raises(ModelError,
+                           match=r"^power profile needs p > 3 for nu=3$"):
+            Model(dim=3, lambda_profile=prof)
+
+    @given(kind=st.sampled_from(["gaussian", "power", "delta"]),
+           x=st.floats(0.05, 10.0), p=st.floats(0.1, 12.0),
+           r=st.floats(0.0, 200.0), dr=st.floats(0.0, 50.0))
+    @settings(max_examples=200, deadline=None)
+    def test_nonincreasing_in_radius(self, kind, x, p, r, dr):
+        # the lattice tail bound evaluates lambda at each shell's inner radius
+        prof = {"gaussian": lambda: gaussian_profile(x),
+                "power": lambda: power_profile(x, p),
+                "delta": delta_profile}[kind]()
+        assert float(prof.value_radial(r + dr)) <= float(prof.value_radial(r))
 
     @given(a=st.floats(0.05, 10.0), r=st.floats(0.0, 50.0))
     @settings(max_examples=80, deadline=None)
@@ -122,7 +135,27 @@ class TestCouplingNorms:
 
     def test_tail_certified(self):
         # truncating the shell sum early must raise, not silently undershoot
-        m = make_model(dim=3, profile=power_profile(1.0, 4.5, 3))
+        m = make_model(dim=3, profile=power_profile(1.0, 4.5))
         lat = LatticeSpec(L=4.0, s_max=2)
         with pytest.raises(TailNotConverged):
             coupling_norms(m, lat, tail_tol=1e-14)
+
+    @pytest.mark.parametrize("dim, profile, L, s_max", [
+        (2, power_profile(1.0, 4.5), 20.0, 1),
+        (3, power_profile(1.0, 4.5), 20.0, 1),
+        (1, power_profile(1.0, 3.0), 30.0, 2),
+        (3, gaussian_profile(0.3), 20.0, 2),
+        (2, gaussian_profile(1.0), 8.0, 1),
+    ])
+    def test_tail_bounds_what_a_larger_lattice_adds(self, dim, profile, L,
+                                                    s_max):
+        # the modes with s_max < ||s||_inf <= big are part of the tail
+        m = make_model(dim=dim, profile=profile)
+        tail_m, tail_n = _tail_bounds(m, LatticeSpec(L, s_max))
+        big = {1: 4000, 2: 200, 3: 40}[dim]
+        small, large = (
+            mode_coupling_norms(m, lattice_norms(m, LatticeSpec(L, n)), 1.0)
+            for n in (s_max, big))
+        added_m, added_n = large[0] - small[0], large[1] - small[1]
+        assert 0.0 < added_m <= tail_m
+        assert 0.0 < added_n <= tail_n

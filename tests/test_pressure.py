@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairboson.errors import InfeasiblePoint, ModelError, PairBosonError
+from pairboson.errors import (
+    InfeasiblePoint, ModelError, PairBosonError, StationarityViolated,
+)
 from pairboson import kernels, pressure, quadrature
 from pairboson.model import Model, LatticeSpec, gaussian_profile
 from pairboson.pressure import (
@@ -189,6 +191,16 @@ class TestOuterGradients:
         assert gr == pytest.approx(fd(p_rho, OP.rho, 1e-6), rel=1e-8)
         assert gq == pytest.approx(fd(p_q, OP.q, 1e-6), rel=1e-8)
 
+    def test_total_dq_rejects_a_density_off_the_optimum(self):
+        # at rho_bar + 0.05 grad_rho = 6.3e-2, far above the 1e-5 gate
+        from pairboson.solver import inf_rho
+        q, eta = 0.2, 0.05
+        rho_bar, _, boundary = inf_rho(MODEL, TP, q, eta, None)
+        assert not boundary
+        assert math.isfinite(total_dq(MODEL, TP, q, eta, rho_bar, None))
+        with pytest.raises(StationarityViolated, match="not stationary"):
+            total_dq(MODEL, TP, q, eta, rho_bar + 0.05, None)
+
     def test_total_dq_is_their_sum(self):
         from pairboson.solver import inf_rho
         rho_bar, _, _ = inf_rho(MODEL, TP, OP.q, OP.eta, None)
@@ -251,10 +263,17 @@ def _tracer_wraps():
 
 
 class TestKernels:
+    @pytest.mark.parametrize("modname, attr",
+                             [wrap[:2] for wrap in _tracer_wraps()],
+                             ids=lambda x: x)
+    def test_tracer_wraps_resolve(self, modname, attr):
+        # `perfbench/run.py --trace 1` wraps each (module, name) of
+        # tracer.WRAPS where its callers bind it; a deleted name breaks it
+        assert callable(getattr(importlib.import_module(modname), attr))
+
     def test_names_the_benchmark_reads(self):
-        # perfbench records BACKEND and wraps every (module, name) of
-        # tracer.WRAPS where its callers bind it; the tracer's window count
-        # reads outer_opt's q_hint as the fifth positional argument
+        # perfbench records BACKEND; the tracer's window count reads
+        # outer_opt's q_hint as the fifth positional argument
         from pairboson import solver
         assert kernels.BACKEND == "numpy"
         assert quadrature.eval_rows is pressure.eval_rows is kernels.eval_rows
@@ -262,9 +281,6 @@ class TestKernels:
         for name in ("pressure_tl", "grad_rho", "grad_q", "total_dq",
                      "el_residuals"):
             assert getattr(solver, name) is getattr(pressure, name), name
-        for modname, attr, *_ in _tracer_wraps():
-            assert callable(getattr(importlib.import_module(modname), attr)), \
-                f"{modname}.{attr}"
         params = list(inspect.signature(solver.outer_opt).parameters)
         assert params.index("q_hint") == 4
 

@@ -165,7 +165,7 @@ def _tail_bound_reference(profile, nu, mass, beta, foff, habs, R):
 
 
 @pytest.mark.parametrize("profile, nu", [
-    (PROFILE, 3), (gaussian_profile(0.3), 1), (power_profile(1.0, 2.5, 2), 2),
+    (PROFILE, 3), (gaussian_profile(0.3), 1), (power_profile(1.0, 2.5), 2),
     (delta_profile(), 3)])
 @pytest.mark.parametrize("beta", [0.5, 2.0])
 def test_cached_tail_check_is_the_tail_bound(profile, nu, beta):

@@ -315,7 +315,7 @@ class TestVariationalLimit:
 
     @pytest.mark.parametrize("profile", [gaussian_profile(1.0),
                                          delta_profile(),
-                                         power_profile(1.0, 4.0, 3)],
+                                         power_profile(1.0, 4.0)],
                              ids=["gaussian:1", "delta", "power:1:4"])
     def test_agrees_with_continuation(self, profile):
         # dim 3, u >= 0, mu on both sides of the transition (u = 0:

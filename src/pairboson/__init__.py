@@ -13,7 +13,6 @@ from .errors import (
     ContinuationDiverged,
     DimensionExceeded,
     EigenFailure,
-    InequalityViolated,
     InfeasiblePoint,
     ModelError,
     PairBosonError,
@@ -25,7 +24,6 @@ from .model import (
     CouplingProfile,
     LatticeSpec,
     Model,
-    coupling_norms,
     delta_profile,
     gaussian_profile,
     power_profile,

@@ -10,7 +10,7 @@ class ModelError(PairBosonError):
 
 
 class TailNotConverged(PairBosonError):
-    """Lattice cutoff too small: the coupling-profile tail exceeds tolerance."""
+    """The radial quadrature could not certify its tail below tolerance."""
 
 
 class InfeasiblePoint(PairBosonError):
@@ -39,10 +39,6 @@ class DimensionExceeded(PairBosonError):
 
 class EigenFailure(PairBosonError):
     """Hermitian eigendecomposition failed in the oracle."""
-
-
-class InequalityViolated(PairBosonError):
-    """An operator/pressure inequality check failed at a grid point."""
 
 
 class ConfigError(PairBosonError):

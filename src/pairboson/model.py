@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelError, TailNotConverged
+from .errors import ModelError
 
 PROFILE_GAUSSIAN = 0
 PROFILE_POWER = 1
@@ -143,33 +143,6 @@ def lattice_norms(model: Model, lat: LatticeSpec):
     return lat.spacing * np.sqrt(sq.ravel())
 
 
-def _tail_bounds(model: Model, lat: LatticeSpec):
-    """Certified upper bounds on the lattice sums of |lambda| and of
-    eps |lambda|^2 over the modes with ||s||_inf > s_max."""
-    prof = model.lambda_profile
-    if prof.kind == PROFILE_DELTA_ZERO:
-        return 0.0, 0.0
-    nu = model.dim
-    step = lat.spacing
-    tail_m = tail_n = 0.0
-    j = lat.s_max + 1
-    while True:
-        # shell ||s||_inf = j: step*j <= ||k|| <= step*j*sqrt(nu), and
-        # lambda is nonincreasing in ||k||
-        count = (2 * j + 1) ** nu - (2 * j - 1) ** nu
-        r = step * j
-        lam = float(prof.value_radial(r))
-        term_m = count * lam
-        term_n = count * (nu * r * r / (2.0 * model.mass)) * lam * lam
-        tail_m += term_m
-        tail_n += term_n
-        if ((term_m < 1e-30 * max(tail_m, 1.0)
-                and term_n < 1e-30 * max(tail_n, 1.0))
-                or j > lat.s_max + 10_000):
-            return tail_m, tail_n
-        j += 1
-
-
 def mode_coupling_norms(model: Model, r, V: float):
     """Coupling norms over the modes of radial norms r in volume V.
 
@@ -185,21 +158,3 @@ def mode_coupling_norms(model: Model, r, V: float):
     c_norm = float(np.max(w))
     return m_norm, n_norm, c_norm, max(m_norm / V, n_norm / V, c_norm)
 
-
-def coupling_norms(model: Model, lat: LatticeSpec, tail_tol: float = 1e-8):
-    """`mode_coupling_norms` over every lattice mode: (m_norm, n_norm,
-    c_norm, M), M being the smallest constant the lattice exhibits.
-
-    Raises TailNotConverged when the certified remainder beyond the cutoff
-    exceeds tail_tol relative to the computed sums.
-    """
-    norms = mode_coupling_norms(model, lattice_norms(model, lat),
-                                lat.volume(model.dim))
-    m_norm, n_norm = norms[:2]
-    tail_m, tail_n = _tail_bounds(model, lat)
-    if tail_m > tail_tol * max(m_norm, 1.0) or tail_n > tail_tol * max(n_norm, 1.0):
-        raise TailNotConverged(
-            f"profile tail beyond s_max={lat.s_max} exceeds tolerance "
-            f"(tail_m={tail_m:.3e}, tail_n={tail_n:.3e})"
-        )
-    return norms

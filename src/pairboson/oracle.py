@@ -41,7 +41,7 @@ from scipy.sparse import csr_matrix, diags, issparse
 from scipy.special import logsumexp
 
 from .errors import (
-    ConfigError, DimensionExceeded, EigenFailure, InequalityViolated, ModelError,
+    ConfigError, DimensionExceeded, EigenFailure, ModelError,
 )
 from .model import Model, mode_coupling_norms
 from .pressure import ThermoPoint
@@ -356,7 +356,7 @@ def _spectrum(sectors: _Sectors, values) -> np.ndarray:
     try:
         return np.concatenate([np.linalg.eigvalsh(b)
                                for b in sectors.blocks(values)])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
+    except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
 
 
@@ -414,33 +414,23 @@ def check_superstability(spec: FockSpec, model: Model, V: float) -> dict:
 def check_variational_chain(spec: FockSpec, model: Model, tp: ThermoPoint,
                             V: float, q_grid, rho_grid, eta: float) -> dict:
     """Verify the trace-pressure chain p >= p1 (u>0; flipped for u<0) and
-    p1 <= p2 over the (q, rho) grids, with slack tolerance -1e-10."""
+    p1 <= p2 over the (q, rho) grids: passed when both worst slacks are at
+    least -1e-10."""
     p_full = trace_pressure(build_hamiltonian(spec, HAM_FULL, model, V,
                                               eta=eta), spec, tp, V)
     tol = -1e-10
     worst_first = math.inf
     worst_second = math.inf
-    entries = []
     for q in q_grid:
         p1 = trace_pressure(build_hamiltonian(spec, HAM_APPROX1, model, V,
                                               q=q, eta=eta), spec, tp, V)
         slack1 = (p_full - p1) if model.u > 0 else (p1 - p_full)
         worst_first = min(worst_first, slack1)
-        if slack1 < tol:
-            raise InequalityViolated(
-                f"first inequality violated at q={q}: slack {slack1:.3e}")
         for rho in rho_grid:
             p2 = trace_pressure(build_hamiltonian(
                 spec, HAM_APPROX2, model, V, q=q, rho=rho, eta=eta),
                 spec, tp, V)
-            slack2 = p2 - p1
-            worst_second = min(worst_second, slack2)
-            if slack2 < tol:
-                raise InequalityViolated(
-                    f"second inequality violated at q={q}, rho={rho}: "
-                    f"slack {slack2:.3e}")
-            entries.append({"q": float(q), "rho": float(rho),
-                            "p1": p1, "p2": p2})
+            worst_second = min(worst_second, p2 - p1)
     return {
         "check": "variational_chain",
         "u": model.u,
@@ -449,8 +439,8 @@ def check_variational_chain(spec: FockSpec, model: Model, tp: ThermoPoint,
         "p_full": p_full,
         "min_slack_full_vs_approx1": worst_first,
         "min_slack_approx2_vs_approx1": worst_second,
-        "grid_points": len(entries),
-        "passed": True,
+        "grid_points": len(q_grid) * len(rho_grid),
+        "passed": bool(worst_first >= tol and worst_second >= tol),
     }
 
 

@@ -262,8 +262,7 @@ def _radial_quad(g, nu, mass, beta, foff):
     return val1 + val2
 
 
-def el_residuals(model: Model, tp: ThermoPoint, op: OrderPoint,
-                 quad_cfg: QuadratureConfig | None = None):
+def el_residuals(model: Model, tp: ThermoPoint, op: OrderPoint):
     """Residuals of the two stationarity equations at (q, rho, eta).
 
     r1 = rho - (1/2) int {(f/E) coth(beta E/2) - 1} - eta^2/(f(0)-u q)^2

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -59,15 +59,14 @@ PHASE_MF_CONDENSED = "mf_condensed"
 _ORDER_TOL = 1e-6  # q_limit and m0 above this are a nonzero order parameter
 
 
-@dataclass(init=False)
+@dataclass
 class SolveResult:
     """Outcome of one sup-inf solve at fixed source strength.
 
     `residual_el1` and `residual_el2` are the Euler-Lagrange residuals of
-    `el_residuals` at the optimum.  They cost two scalar integrals and only
-    the last eta step's are printed, so a result made with
-    residual_at=(model, tp, op, quad_cfg) computes both on first read and
-    keeps them; otherwise they are the values passed to the constructor.
+    `el_residuals` at residual_at = (model, tp, op), the optimum.  They cost
+    two scalar integrals and only the last eta step's are printed, so both
+    are computed on first read and kept.
     """
 
     q_bar: float
@@ -77,27 +76,16 @@ class SolveResult:
     gap: float
     eta: float
     status: str
-    diagnostics: dict
+    residual_at: tuple
 
-    def __init__(self, q_bar, rho_bar, pressure, rho0, gap,
-                 residual_el1=None, residual_el2=None, *, eta, status,
-                 diagnostics=None, residual_at=None):
-        self.q_bar, self.rho_bar, self.pressure = q_bar, rho_bar, pressure
-        self.rho0, self.gap, self.eta, self.status = rho0, gap, eta, status
-        self.diagnostics = {} if diagnostics is None else diagnostics
-        self._residual_at = residual_at
-        self._residuals = (None if residual_at is not None
-                           else (residual_el1, residual_el2))
+    @cached_property
+    def _residuals(self):
+        r1, r2 = el_residuals(*self.residual_at)
+        return float(r1), float(r2)
 
-    def _residual(self, i):
-        if self._residuals is None:
-            r1, r2 = el_residuals(*self._residual_at)
-            self._residuals = float(r1), float(r2)
-        return self._residuals[i]
-
-    residual_el1 = property(lambda self: self._residual(0),
+    residual_el1 = property(lambda self: self._residuals[0],
                             doc="Residual of the density equation.")
-    residual_el2 = property(lambda self: self._residual(1),
+    residual_el2 = property(lambda self: self._residuals[1],
                             doc="Residual of the pair equation.")
 
 
@@ -105,7 +93,6 @@ class SolveResult:
 class ContinuationResult:
     """Solves along a decreasing eta schedule plus extrapolated limits."""
 
-    eta_sequence: list
     results: list
     p_limit: float
     q_limit: float
@@ -213,7 +200,7 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
     return float(rho_bar), float(val), False
 
 
-def _result_at(model, tp, q, eta, inner_result, diagnostics, quad_cfg):
+def _result_at(model, tp, q, eta, inner_result):
     """The SolveResult at q of an `inner` result (rho_bar, value, boundary)."""
     rho, value, boundary = inner_result
     op = OrderPoint(q, rho, eta)
@@ -222,10 +209,10 @@ def _result_at(model, tp, q, eta, inner_result, diagnostics, quad_cfg):
         rho0=float(source_terms(model, tp, op)[1]),
         gap=excitation_energy(model, tp, q, rho, 0.0), eta=float(eta),
         status=STATUS_BOUNDARY if boundary else STATUS_CONVERGED,
-        diagnostics=diagnostics, residual_at=(model, tp, op, quad_cfg))
+        residual_at=(model, tp, op))
 
 
-def _inner_solver(model, tp, eta, quad_cfg, diagnostics):
+def _inner_solver(model, tp, eta, quad_cfg):
     """inf_rho as a function of q, warm-started from its last interior
     minimizer.  The hint keeps that minimizer's distance to the boundary
     rho_lo(q) = (mu + |u| q)/v, which moves with q; the bare minimizer of
@@ -234,8 +221,7 @@ def _inner_solver(model, tp, eta, quad_cfg, diagnostics):
     Results are memoized by the exact float q for the life of the closure,
     that is one outer_opt call (one point, one eta): a repeated q returns
     the stored (rho_bar, value, boundary) without solving again and
-    without moving the hint.  A raised error is not stored, and
-    diagnostics["inner_solves"] counts only the solves that ran."""
+    without moving the hint.  A raised error is not stored."""
     last = None
     memo = {}
 
@@ -243,7 +229,6 @@ def _inner_solver(model, tp, eta, quad_cfg, diagnostics):
         nonlocal last
         if q in memo:
             return memo[q]
-        diagnostics["inner_solves"] += 1
         hint = None
         if last is not None:
             hint = last[1] + abs(model.u) * (q - last[0]) / model.v
@@ -310,17 +295,14 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
     on the window's edge the search is redone from the full bracket.  The
     u <= 0 branches ignore q_hint.
     """
-    diagnostics = {"inner_solves": 0}
-    inner = _inner_solver(model, tp, eta, quad_cfg, diagnostics)
+    inner = _inner_solver(model, tp, eta, quad_cfg)
 
     if model.u == 0.0 or (model.u < 0.0 and eta == 0.0):
         # no pairing term, or no source to tilt a repulsive one: q = 0
-        return _result_at(model, tp, 0.0, eta, inner(0.0), diagnostics,
-                          quad_cfg)
+        return _result_at(model, tp, 0.0, eta, inner(0.0))
 
     if model.u < 0.0:
-        return _outer_min_repulsive(model, tp, eta, quad_cfg, inner,
-                                    diagnostics)
+        return _outer_min_repulsive(model, tp, eta, quad_cfg, inner)
 
     # attractive: maximize g(q) = inner value over q >= 0
     rho0_bar, value0, boundary0 = inner(0.0)
@@ -329,17 +311,12 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
     if q_hint is not None and q_hint > 0:
         # warm start: the optimum lies near the caller's predicted centre
         qs = q_hint * np.geomspace(0.25, 4.0, 9)
-        diagnostics["q_max"] = float(qs[-1])
     else:
         q_max = max(1.0, (2.0 / model.u) * (abs(tp.mu) + model.v * (rho0_bar + 1.0)))
-        expansions = 0
         while tdq(q_max) > 0:
             q_max *= 2.0
-            expansions += 1
             if q_max > 2.0 ** 20:
                 raise BracketFailure("outer bracket expansion exceeded 2^20")
-        diagnostics["q_max"] = q_max
-        diagnostics["bracket_expansions"] = expansions
         # coarse log scan to dodge local maxima, then polish the best bracket
         qs = np.geomspace(q_max * 1e-6, q_max, 32)
     best_q, best_val, best_rho, best_boundary = 0.0, value0, rho0_bar, boundary0
@@ -353,9 +330,7 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
 
     if q_hint is not None and q_hint > 0 and best_q in (qs[0], qs[-1]):
         # optimum escaped the warm-start window: redo with the full bracket
-        res = outer_opt(model, tp, eta, quad_cfg, q_hint=None)
-        res.diagnostics["inner_solves"] += diagnostics["inner_solves"]
-        return res
+        return outer_opt(model, tp, eta, quad_cfg, q_hint=None)
 
     if best_q > 0.0:
         step = qs[1] / qs[0]
@@ -396,16 +371,14 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
     if value + _VALUE_SLACK < value0:
         # sup over q must dominate the q = 0 slice
         q_bar, rho_bar, value, boundary = 0.0, rho0_bar, value0, boundary0
-    return _result_at(model, tp, q_bar, eta, (rho_bar, value, boundary),
-                      diagnostics, quad_cfg)
+    return _result_at(model, tp, q_bar, eta, (rho_bar, value, boundary))
 
 
-def _outer_min_repulsive(model, tp, eta, quad_cfg, inner, diagnostics):
+def _outer_min_repulsive(model, tp, eta, quad_cfg, inner):
     """u = -w < 0, eta > 0: minimize over q; the minimizer obeys
     q < (eta^2/(2w))^(1/3)."""
     w = -model.u
     q_bound = (eta * eta / (2.0 * w)) ** (1.0 / 3.0)
-    diagnostics["q_bound"] = q_bound
     tdq = partial(_slope_in_q, model, tp, eta, quad_cfg, inner)
 
     lo = q_bound * 1e-8
@@ -421,8 +394,7 @@ def _outer_min_repulsive(model, tp, eta, quad_cfg, inner, diagnostics):
         else:
             raise BracketFailure("repulsive outer bracket not found")
         q_bar = brentq(tdq, lo, hi, xtol=1e-16, rtol=8.9e-16)
-    return _result_at(model, tp, q_bar, eta, inner(q_bar), diagnostics,
-                      quad_cfg)
+    return _result_at(model, tp, q_bar, eta, inner(q_bar))
 
 
 def _extrapolate(values, factor):
@@ -503,7 +475,7 @@ def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
     gap_lim = max(gap_lim, 0.0)
     order = next((a for a in (a_q, a_gap, a_p) if not math.isnan(a)), math.nan)
     return ContinuationResult(
-        eta_sequence=etas, results=results, p_limit=p_lim, q_limit=q_lim,
+        results=results, p_limit=p_lim, q_limit=q_lim,
         rho_limit=rho_lim, m0=m0, gap_limit=gap_lim,
         extrapolation_order=order,
         error_estimates={"p": p_err, "q": q_err, "rho": rho_err,

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from pairboson import cli
-from pairboson.errors import BracketFailure, InfeasiblePoint
+from pairboson import cli, errors, solver
+from pairboson.errors import BracketFailure, InfeasiblePoint, PairBosonError
 
 DATA = Path(__file__).parent / "data"
 FAST = ["--dim", "3", "--eta-floor", "1e-4"]
@@ -249,22 +249,45 @@ class TestExitCodes:
         # u < 0: the continuation
         self._scan_errors("eta_continuation", "-0.5", monkeypatch, capsys)
 
+    def test_every_error_has_a_row(self):
+        classes = [obj for obj in vars(errors).values()
+                   if isinstance(obj, type) and issubclass(obj, PairBosonError)
+                   and obj is not PairBosonError]
+        assert len(classes) >= 10
+        unlisted = [cls.__name__ for cls in classes
+                    if not any(issubclass(cls, row[0])
+                               for row in cli._EXIT_TABLE)]
+        assert unlisted == []
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("argv", [["--mass", "1e-308"],
+                                      ["--v", "1e308", "--u", "0.5"]])
+    def test_oracle_eigen_failure(self, argv, capsys):
+        # the overflowing instance makes numpy's eigensolver fail
+        assert run_main(["oracle", "--n-max", "3"] + argv) == \
+            cli.EXIT_NO_CONVERGENCE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("non-convergence:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 def _no_constant(name):
     raise AssertionError(f"{name} is not valid JSON")
 
 
-def _continuation(statuses):
-    """A ContinuationResult whose eta steps ended with the given statuses."""
-    from pairboson.solver import ContinuationResult, SolveResult
-    results = [SolveResult(q_bar=0.0, rho_bar=0.5, pressure=0.1, rho0=0.0,
-                           gap=0.1, residual_el1=0.0, residual_el2=0.0,
-                           eta=0.1 * 0.5 ** i, status=status)
+def _continuation(statuses, monkeypatch):
+    """A ContinuationResult whose eta steps ended with the given statuses;
+    every step's Euler-Lagrange residuals read as 0."""
+    monkeypatch.setattr(solver, "el_residuals", lambda *args: (0.0, 0.0))
+    results = [solver.SolveResult(q_bar=0.0, rho_bar=0.5, pressure=0.1,
+                                  rho0=0.0, gap=0.1, eta=0.1 * 0.5 ** i,
+                                  status=status, residual_at=())
                for i, status in enumerate(statuses)]
-    return ContinuationResult(
-        eta_sequence=[r.eta for r in results], results=results, p_limit=0.1,
-        q_limit=0.0, rho_limit=0.5, m0=0.0, gap_limit=0.1,
-        extrapolation_order=1.0)
+    return solver.ContinuationResult(
+        results=results, p_limit=0.1, q_limit=0.0, rho_limit=0.5, m0=0.0,
+        gap_limit=0.1, extrapolation_order=1.0)
 
 
 class TestSolve:
@@ -275,8 +298,9 @@ class TestSolve:
     ])
     def test_status_from_trace(self, statuses, expected, monkeypatch,
                                capsys):
+        cont = _continuation(statuses, monkeypatch)
         monkeypatch.setattr(cli, "eta_continuation",
-                            lambda *args, **kwargs: _continuation(statuses))
+                            lambda *args, **kwargs: cont)
         assert run_main(["solve"]) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == expected
@@ -288,14 +312,15 @@ class TestSolve:
     ])
     def test_boundary_residuals_are_null(self, statuses, residual,
                                          monkeypatch, capsys):
+        cont = _continuation(statuses, monkeypatch)
         monkeypatch.setattr(cli, "eta_continuation",
-                            lambda *args, **kwargs: _continuation(statuses))
+                            lambda *args, **kwargs: cont)
         assert run_main(["solve"]) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["residuals"] == {"el1": residual, "el2": residual}
 
     def test_non_finite_values_are_null(self, monkeypatch, capsys):
-        cont = _continuation(["converged"] * 3)
+        cont = _continuation(["converged"] * 3, monkeypatch)
         cont.extrapolation_order = float("nan")
         cont.error_estimates = {"p": float("inf"), "q": 1e-9}
         monkeypatch.setattr(cli, "eta_continuation",
@@ -474,21 +499,7 @@ class TestOracleCommand:
         assert doc["passed"]
         assert all(c["passed"] for c in doc["checks"])
 
-    def test_failing_check_exits_nonzero(self, capsys, monkeypatch):
-        # negative control: corrupt the sign of u inside the residual-based
-        # chain check so an inequality genuinely fails
-        from pairboson import oracle as orc
-        real = orc.build_hamiltonian
-
-        def corrupted(spec, kind, model, V, **kw):
-            out = real(spec, kind, model, V, **kw)
-            if kind == "full":
-                out.matrix = out.matrix - 2.0 * (out.matrix
-                                                 - real(spec, "approx1",
-                                                        model, V, **kw).matrix)
-            return out
-
-        monkeypatch.setattr(cli._oracle, "build_hamiltonian", corrupted)
+    def test_failing_check_exits_nonzero(self, capsys, corrupted_full):
         assert run_main(self.ARGS) == cli.EXIT_ORACLE
         doc = json.loads(capsys.readouterr().out)
         assert not doc["passed"]

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairboson.errors import ModelError, TailNotConverged
+from pairboson.errors import ModelError
 from pairboson.model import (
     Model, LatticeSpec, CouplingProfile, epsilon_radial,
     gaussian_profile, power_profile, delta_profile,
-    lattice_norms, mode_coupling_norms, coupling_norms, _tail_bounds,
+    lattice_norms, mode_coupling_norms,
 )
 
 
@@ -121,8 +121,9 @@ class TestCouplingNorms:
     def test_against_direct_shell_sum(self):
         m = make_model(dim=1, profile=gaussian_profile(0.5))
         lat = LatticeSpec(L=8.0, s_max=64)
-        m_norm, n_norm, c_norm, M = coupling_norms(m, lat)
-        r = np.abs(lattice_norms(m, lat))
+        r = lattice_norms(m, lat)
+        V = lat.volume(m.dim)
+        m_norm, n_norm, c_norm, M = mode_coupling_norms(m, r, V)
         lam = np.abs(m.lambda_profile.value_radial(r))
         eps = r * r / (2.0 * m.mass)
         assert m_norm == pytest.approx(float(lam.sum()), rel=1e-8)
@@ -130,32 +131,4 @@ class TestCouplingNorms:
                                        rel=1e-8)
         assert c_norm == pytest.approx(float((eps * lam * lam).max()),
                                        rel=1e-12)
-        V = lat.volume(m.dim)
         assert M == pytest.approx(max(m_norm / V, n_norm / V, c_norm))
-
-    def test_tail_certified(self):
-        # truncating the shell sum early must raise, not silently undershoot
-        m = make_model(dim=3, profile=power_profile(1.0, 4.5))
-        lat = LatticeSpec(L=4.0, s_max=2)
-        with pytest.raises(TailNotConverged):
-            coupling_norms(m, lat, tail_tol=1e-14)
-
-    @pytest.mark.parametrize("dim, profile, L, s_max", [
-        (2, power_profile(1.0, 4.5), 20.0, 1),
-        (3, power_profile(1.0, 4.5), 20.0, 1),
-        (1, power_profile(1.0, 3.0), 30.0, 2),
-        (3, gaussian_profile(0.3), 20.0, 2),
-        (2, gaussian_profile(1.0), 8.0, 1),
-    ])
-    def test_tail_bounds_what_a_larger_lattice_adds(self, dim, profile, L,
-                                                    s_max):
-        # the modes with s_max < ||s||_inf <= big are part of the tail
-        m = make_model(dim=dim, profile=profile)
-        tail_m, tail_n = _tail_bounds(m, LatticeSpec(L, s_max))
-        big = {1: 4000, 2: 200, 3: 40}[dim]
-        small, large = (
-            mode_coupling_norms(m, lattice_norms(m, LatticeSpec(L, n)), 1.0)
-            for n in (s_max, big))
-        added_m, added_n = large[0] - small[0], large[1] - small[1]
-        assert 0.0 < added_m <= tail_m
-        assert 0.0 < added_n <= tail_n

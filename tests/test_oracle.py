@@ -225,6 +225,17 @@ class TestChecks:
         assert rep["min_slack_full_vs_approx1"] >= -1e-10
         assert rep["min_slack_approx2_vs_approx1"] >= -1e-10
 
+    def test_failing_chain_is_reported(self, corrupted_full):
+        # the report carries the violation instead of raising it
+        rep = check_variational_chain(spec(), MODEL, TP, V,
+                                      q_grid=np.linspace(0.0, 0.8, 4),
+                                      rho_grid=np.linspace(0.1, 1.5, 4),
+                                      eta=0.2)
+        assert rep["passed"] is False
+        assert min(rep["min_slack_full_vs_approx1"],
+                   rep["min_slack_approx2_vs_approx1"]) < -1e-10
+        assert rep["grid_points"] == 16
+
     def test_variational_chain_repulsive_flips(self):
         m = Model(dim=1, mass=0.5, u=-0.5, v=1.0,
                   lambda_profile=gaussian_profile(0.5))

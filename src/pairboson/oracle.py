@@ -5,12 +5,13 @@ explicit Hermitian matrices on an occupation-number basis, computes trace
 pressures, and verifies the operator inequalities behind the variational
 principle to machine precision.
 
-Exactness under truncation: operators that only lower occupation (Q, A_k)
-have exact matrix elements on any downward-closed basis, so projected
-products like P(Q^dag Q)P are exact compressions and inherit positive
-semidefiniteness.  Products that raise occupation in an intermediate step
-are assembled on a basis extended by two quanta per mode and then
-projected, which again makes the compression exact.
+Exactness under truncation: every operator is built on the working basis
+of states with n_k <= n_max for every mode.  The operators that only lower
+occupation (a_k, A_k, Q) map this downward-closed basis into itself, and
+every product formed here has the form X^dag Y with X and Y lowering
+(Q^dag Q, A_k^dag A_k', and the residual's X^dag X with X = Q - q V), so
+P X^dag Y P = (P X P)^dag (P Y P): each compression is exact and inherits
+positive semidefiniteness.
 
 Momentum sectors: every operator used here conserves the total momentum
 sum_k n_k k.  T and N are diagonal in the occupation basis; A_k = a_k a_{-k}
@@ -46,18 +47,12 @@ from .errors import (
 from .model import Model, mode_coupling_norms
 from .pressure import ThermoPoint
 
-OP_N = "N"
-OP_Q = "Q"
-OP_QDAG_Q = "Q_dagger_Q"
-OP_A_K = "A_k"
-
 HAM_FULL = "full"
 HAM_APPROX1 = "approx1"
 HAM_APPROX2 = "approx2"
 HAM_RESIDUAL = "residual_r"
 
 _MAX_DIM = 20000  # largest working basis a FockSpec may have
-_HEADROOM = 2     # extra quanta per mode of the extended basis (see above)
 
 
 @dataclass(frozen=True)
@@ -188,41 +183,29 @@ def _workspace(spec: "FockSpec") -> "_Workspace":
 
 
 class _Workspace:
-    """Occupation bases and ladder operators for one FockSpec."""
+    """Working occupation basis and ladder operators for one FockSpec.
+
+    The states are all occupation tuples with n_k <= n_max, in lexicographic
+    order, so lowering mode j moves a state back by (n_max+1)^(modes-1-j).
+    """
 
     def __init__(self, spec: FockSpec):
         self.spec = spec
         nm = len(spec.modes)
-        n_ext = spec.n_max + _HEADROOM
-        self.ext_states = list(product(range(n_ext + 1), repeat=nm))
-        self.ext_index = {s: i for i, s in enumerate(self.ext_states)}
-        self.work_idx = np.flatnonzero(
-            [all(n <= spec.n_max for n in s) for s in self.ext_states])
-        self.dim = len(self.work_idx)
+        self.dim = (spec.n_max + 1) ** nm
         if self.dim > _MAX_DIM:
             raise DimensionExceeded(
                 f"working dimension {self.dim} exceeds cap {_MAX_DIM}")
-        self.ext_dim = len(self.ext_states)
+        self.occ = np.array(list(product(range(spec.n_max + 1), repeat=nm)),
+                            dtype=float)        # (dim, n_modes)
+        self.Ntot = self.occ.sum(axis=1)
         self.lower = [self._lower(j) for j in range(nm)]
-        occ = np.array(self.ext_states, dtype=float)
-        self.occ = occ                      # (ext_dim, n_modes)
-        self.Ntot = occ.sum(axis=1)
 
     def _lower(self, j):
-        rows, cols, vals = [], [], []
-        for i, s in enumerate(self.ext_states):
-            if s[j] > 0:
-                t = list(s)
-                t[j] -= 1
-                rows.append(self.ext_index[tuple(t)])
-                cols.append(i)
-                vals.append(math.sqrt(s[j]))
-        return csr_matrix((vals, (rows, cols)),
-                          shape=(self.ext_dim, self.ext_dim))
-
-    def project(self, M) -> csr_matrix:
-        """Compress an extended-basis operator to the working basis."""
-        return csr_matrix(M)[self.work_idx][:, self.work_idx]
+        cols = np.flatnonzero(self.occ[:, j])
+        stride = (self.spec.n_max + 1) ** (len(self.spec.modes) - 1 - j)
+        return csr_matrix((np.sqrt(self.occ[cols, j]), (cols - stride, cols)),
+                          shape=(self.dim, self.dim))
 
     def pair_lower(self, model: Model):
         """A_k = a_k a_{-k} per mode, and Q = sum_k lambda(k) A_k."""
@@ -258,37 +241,13 @@ class _Pieces:
 
     def __init__(self, ws: _Workspace, model: Model):
         _, Q = ws.pair_lower(model)
-        ops = [ws.project(M) for M in
-               (Q, Q.conj().T @ Q, ws.lower[ws.zero_mode()])]
+        ops = (Q, Q.conj().T @ Q, ws.lower[ws.zero_mode()])
         self.sectors = sec = _Sectors.of_pattern(*ops)
         self.Q, self.QdQ, self.a0 = (sec.gather(M) for M in ops)
-        self.T = ws.diag_T(model)[ws.work_idx][sec.order]
-        self.N = ws.Ntot[ws.work_idx][sec.order]
+        self.T = ws.diag_T(model)[sec.order]
+        self.N = ws.Ntot[sec.order]
         for a in (self.Q, self.QdQ, self.a0, self.T, self.N):
             a.setflags(write=False)     # shared by every build of the model
-
-
-def build_operator(spec: FockSpec, which: str, model: Model,
-                   k=None) -> OperatorMatrix:
-    """One of the elementary operators N, Q, Q^dag Q, A_k as a matrix."""
-    ws = _workspace(spec)
-    if which == OP_N:
-        mat = np.diag(ws.Ntot[ws.work_idx])
-    elif which in (OP_Q, OP_QDAG_Q, OP_A_K):
-        A, Q = ws.pair_lower(model)
-        if which == OP_Q:
-            mat = ws.project(Q)
-        elif which == OP_QDAG_Q:
-            mat = ws.project(Q.conj().T @ Q)
-        else:
-            if k is None:
-                raise ConfigError("A_k requires a momentum k")
-            key = tuple(np.round(np.atleast_1d(np.asarray(k, float)), 12))
-            keys = [tuple(np.round(m, 12)) for m in spec.modes]
-            mat = ws.project(A[keys.index(key)])
-    else:
-        raise ConfigError(f"unknown operator {which}")
-    return OperatorMatrix(matrix=mat)
 
 
 def _q_complex(q: float, eta: complex) -> complex:
@@ -352,7 +311,12 @@ def build_hamiltonian(spec: FockSpec, kind: str, model: Model, V: float,
 
 
 def _spectrum(sectors: _Sectors, values) -> np.ndarray:
-    """Eigenvalues of a Hermitian block-diagonal operator, sector by sector."""
+    """Eigenvalues of a Hermitian block-diagonal operator, sector by sector.
+
+    Overflow in a model's scales reaches here as inf or NaN entries.
+    """
+    if not np.isfinite(values).all():
+        raise EigenFailure("matrix to diagonalize has non-finite entries")
     try:
         return np.concatenate([np.linalg.eigvalsh(b)
                                for b in sectors.blocks(values)])
@@ -364,7 +328,7 @@ def trace_pressure(H: OperatorMatrix, spec: FockSpec, tp: ThermoPoint,
                    V: float) -> float:
     """(1/beta V) ln Tr exp(-beta (H - mu N)) on the truncated basis."""
     ws = _workspace(spec)
-    K = H.sectors.plus_diag(H.values, -tp.mu * ws.Ntot[ws.work_idx])
+    K = H.sectors.plus_diag(H.values, -tp.mu * ws.Ntot)
     evals = _spectrum(H.sectors, K)
     return float(logsumexp(-tp.beta * evals) / (tp.beta * V))
 
@@ -381,13 +345,13 @@ def check_superstability(spec: FockSpec, model: Model, V: float) -> dict:
     """
     ws = _workspace(spec)
     p = _pieces(spec, model)
-    Nw = ws.Ntot[ws.work_idx]
+    Nw = ws.Ntot
     # smallest exhibited M with Q^dag Q <= N^2 + M V N on this mode set
     M = mode_coupling_norms(model, spec.mode_norms(), V)[3]
     S1 = p.sectors.plus_diag(-p.QdQ, Nw ** 2 + M * V * Nw)
 
     Hfull = build_hamiltonian(spec, HAM_FULL, model, V)
-    T = ws.diag_T(model)[ws.work_idx]
+    T = ws.diag_T(model)
     if model.u > 0:
         R = M * model.u / 2.0
         coeff = model.alpha
@@ -450,8 +414,9 @@ def check_pair_exchange_bound(spec: FockSpec, model: Model, k, kp,
 
     The operator (N_k + |lam(k)|) N_k' + (N_{-k'} + |lam(k')|) N_{-k}
     -/+ (lam*(k) lam(k') A_k^dag A_k' + h.c.) is PSD; verified on the
-    working basis, whose compression is exact thanks to the headroom, one
-    sector of the operator's own nonzero pattern at a time.
+    working basis, whose compression is exact because A_k^dag A_k' is a
+    product of the form X^dag Y with lowering X, Y, one sector of the
+    operator's own nonzero pattern at a time.
     """
     ws = _workspace(spec)
     A, _ = ws.pair_lower(model)
@@ -470,8 +435,7 @@ def check_pair_exchange_bound(spec: FockSpec, model: Model, k, kp,
     Nmkp = occ[:, neg[jp]]
     diag = (Nk + abs(lam_k)) * Nkp + (Nmkp + abs(lam_kp)) * Nmk
     cross = lam_k * lam_kp * (A[j].conj().T @ A[jp])
-    O = OperatorMatrix(matrix=ws.project(
-        diags(diag) - sign * (cross + cross.conj().T)))
+    O = OperatorMatrix(matrix=diags(diag) - sign * (cross + cross.conj().T))
     min_eig = float(_spectrum(O.sectors, O.values).min())
     return {
         "check": "pair_exchange_bound",

@@ -259,17 +259,17 @@ class TestExitCodes:
                                for row in cli._EXIT_TABLE)]
         assert unlisted == []
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [["--mass", "1e-308"],
                                       ["--v", "1e308", "--u", "0.5"]])
     def test_oracle_eigen_failure(self, argv, capsys):
-        # the overflowing instance makes numpy's eigensolver fail
+        # the overflowing instance leaves inf/NaN entries to eigensolve;
+        # numpy warns of none of them
         assert run_main(["oracle", "--n-max", "3"] + argv) == \
             cli.EXIT_NO_CONVERGENCE
         captured = capsys.readouterr()
-        assert captured.err.startswith("non-convergence:")
-        assert "Traceback" not in captured.err
+        assert captured.err == ("non-convergence: matrix to diagonalize "
+                                "has non-finite entries\n")
         assert captured.out == ""
 
 
@@ -506,6 +506,16 @@ class TestOracleCommand:
         names = [c["check"] for c in doc["checks"]]
         assert names.count("pair_exchange_bound") == 2
         assert {"superstability", "variational_chain"} <= set(names)
+
+    @pytest.mark.parametrize("n_max, dim", [("27", 21952),
+                                            ("1000000", 1000003000003000001)])
+    def test_rejects_too_large_instance(self, n_max, dim, capsys):
+        # the dimension is checked before any state is listed
+        assert run_main(["oracle", "--n-max", n_max]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: oracle instance too large: "
+                                f"working dimension {dim} exceeds cap 20000\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("eta0", ["-1", "-0.5", "nan"])
     def test_rejects_bad_eta0(self, eta0, capsys):

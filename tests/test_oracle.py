@@ -1,11 +1,13 @@
 """Tests for the truncated-Fock exact-diagonalization consistency checks."""
 
 import math
+from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.sparse import identity
+from scipy.sparse import csr_matrix, identity
 from scipy.special import logsumexp
 
 from pairboson.cli import _default_fock_spec
@@ -14,7 +16,7 @@ from pairboson.errors import (
 )
 from pairboson.model import Model, gaussian_profile, delta_profile
 from pairboson.oracle import (
-    FockSpec, build_operator, build_hamiltonian, trace_pressure,
+    FockSpec, build_hamiltonian, trace_pressure,
     check_superstability, check_variational_chain,
     check_pair_exchange_bound, OperatorMatrix, _pieces, _spectrum,
     _workspace,
@@ -42,37 +44,38 @@ class TestFockSpec:
             FockSpec(modes=((0.0,), (1.0,)), n_max=4)
 
     def test_dimension_cap(self):
-        with pytest.raises(DimensionExceeded):
-            build_operator(FockSpec(modes=MODES, n_max=40), "N", MODEL)
+        # the cap is checked before any state is listed
+        for n_max in (40, 10 ** 6):
+            with pytest.raises(DimensionExceeded):
+                _workspace(FockSpec(modes=MODES, n_max=n_max))
 
 
 class TestLadderAlgebra:
     def test_a0_squared_on_two_quanta(self):
         # A_0 = a_0 a_0 maps |2,0,0> to sqrt(2)|0,0,0>
         sp = FockSpec(modes=((0.0,),), n_max=2)
-        A0 = build_operator(sp, "A_k", MODEL, k=(0.0,)).matrix
         ws = _workspace(sp)
-        states = [ws.ext_states[i] for i in ws.work_idx]
-        i0, i2 = states.index((0,)), states.index((2,))
+        A0 = ws.pair_lower(MODEL)[0][0].toarray()
+        states = ws.occ.tolist()
+        i0, i2 = states.index([0]), states.index([2])
         assert A0[i0, i2] == pytest.approx(math.sqrt(2.0))
 
     def test_n_diagonal(self):
-        sp = spec(4)
-        N = build_operator(sp, "N", MODEL).matrix
-        ws = _workspace(sp)
-        assert np.allclose(N, np.diag(np.diag(N)))
-        np.testing.assert_allclose(np.diag(N).real,
-                                   [sum(ws.ext_states[i])
-                                    for i in ws.work_idx])
+        # sum_k a_k^dag a_k is diagonal with the total occupation
+        ws = _workspace(spec(4))
+        N = sum(a.T @ a for a in ws.lower).toarray()
+        np.testing.assert_allclose(N, np.diag(ws.Ntot))
+        np.testing.assert_array_equal(ws.Ntot,
+                                      [sum(s) for s in ws.occ.tolist()])
 
     def test_qdagq_on_two_zero_quanta(self):
         # <n0=2| Q^dag Q |n0=2> = N0 (N0 - 1) = 2 for the delta profile
         m = Model(dim=1, mass=0.5, u=0.5, v=1.0,
                   lambda_profile=delta_profile())
-        sp = spec(4)
-        QdQ = build_operator(sp, "Q_dagger_Q", m).matrix
-        ws = _workspace(sp)
-        idx = [ws.ext_states[i] for i in ws.work_idx].index((2, 0, 0))
+        ws = _workspace(spec(4))
+        _, Q = ws.pair_lower(m)
+        QdQ = (Q.T @ Q).toarray()
+        idx = ws.occ.tolist().index([2, 0, 0])
         assert QdQ[idx, idx] == pytest.approx(2.0)
 
     def test_commutator_on_interior(self):
@@ -81,15 +84,12 @@ class TestLadderAlgebra:
         ws = _workspace(sp)
         a = ws.lower[0].toarray()
         comm = a @ a.conj().T - a.conj().T @ a
-        interior = [i for i, s in enumerate(ws.ext_states)
-                    if s[0] < sp.n_max]
+        interior = [i for i, s in enumerate(ws.occ) if s[0] < sp.n_max]
         for i in interior:
             assert comm[i, i] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("build, error", [
-    (lambda: build_operator(spec(), "not_an_operator", MODEL), ConfigError),
-    (lambda: build_operator(spec(), "A_k", MODEL), ConfigError),
     (lambda: build_hamiltonian(spec(), "full", MODEL, V, q=-0.1), ModelError),
     (lambda: build_hamiltonian(spec(), "full", MODEL, 0.0), ModelError),
     (lambda: build_hamiltonian(spec(), "not_a_kind", MODEL, V), ConfigError),
@@ -124,9 +124,7 @@ class TestHamiltonianIdentities:
                                eta=self.ETA).matrix
         H2 = build_hamiltonian(sp, "approx2", MODEL, V, q=self.Q,
                                rho=self.RHO, eta=self.ETA).matrix
-        ws = _workspace(sp)
-        Nw = ws.Ntot[ws.work_idx]
-        D = (MODEL.v / (2.0 * V)) * (Nw - V * self.RHO) ** 2
+        D = (MODEL.v / (2.0 * V)) * (_workspace(sp).Ntot - V * self.RHO) ** 2
         assert np.max(np.abs((H1 - H2) - np.diag(D))) < 1e-12
 
     def test_residual_sign(self):
@@ -153,9 +151,7 @@ class TestTracePressure:
         m = Model(dim=1, mass=0.5, u=0.0, v=1.0,
                   lambda_profile=gaussian_profile(1.0))
         ws = _workspace(sp)
-        from pairboson.oracle import OperatorMatrix
-        H = OperatorMatrix(matrix=np.diag(omega * ws.Ntot[ws.work_idx])
-                           .astype(complex))
+        H = OperatorMatrix(matrix=np.diag(omega * ws.Ntot).astype(complex))
         tp = ThermoPoint(beta=2.0, mu=0.0)
         got = trace_pressure(H, sp, tp, 1.0)
         expected = math.log(sum(math.exp(-2.0 * omega * n)
@@ -252,26 +248,49 @@ class TestChecks:
             assert rep["passed"], rep
 
 
+def _extended(sp, model):
+    """Independent reference: the ladder operators on the basis extended by
+    two quanta per mode, and `proj`, the compression to the working states.
+    A product of these that lowers or raises at most two quanta per mode
+    and is then compressed is exact, whatever order it is formed in."""
+    states = list(product(range(sp.n_max + 3), repeat=len(sp.modes)))
+    index = {s: i for i, s in enumerate(states)}
+    n = len(states)
+
+    def lower(j):
+        cols = [i for i, s in enumerate(states) if s[j] > 0]
+        rows = [index[s[:j] + (s[j] - 1,) + s[j + 1:]]
+                for s in (states[i] for i in cols)]
+        vals = [math.sqrt(states[i][j]) for i in cols]
+        return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    a = [lower(j) for j in range(len(sp.modes))]
+    neg = sp.negation_index()
+    A = [a[j] @ a[neg[j]] for j in range(len(a))]
+    norms = np.array(sp.mode_norms())
+    lam = [float(model.lambda_profile.value_radial(r)) for r in norms]
+    work = [i for i, s in enumerate(states) if max(s) <= sp.n_max]
+    occ = np.array([states[i] for i in work], dtype=float)
+    return SimpleNamespace(
+        A=A, Q=sum(c * Aj for c, Aj in zip(lam, A)), lam=lam,
+        a0=a[int(np.argmin(norms))], one=identity(n, format="csr"),
+        proj=lambda M: M.tocsr()[work][:, work].toarray(), occ=occ,
+        T=occ @ (norms ** 2 / (2.0 * model.mass)), N=occ.sum(axis=1))
+
+
 def _dense_hamiltonian(sp, kind, model, V, q=0.0, rho=0.0, eta=0.0):
     """Reference: every kind assembled as one dense complex matrix from the
     extended-basis sparse products, projected to the working basis."""
-    ws = _workspace(sp)
-    idx = ws.work_idx
-
-    def proj(M):
-        return M.tocsr()[idx][:, idx].toarray()
-
-    T = ws.diag_T(model)[idx]
-    Nw = ws.Ntot[idx]
-    dim = ws.dim
+    ref = _extended(sp, model)
+    proj, T, Nw, Q = ref.proj, ref.T, ref.N, ref.Q
+    dim = len(Nw)
     u, v = model.u, model.v
-    _, Q = ws.pair_lower(model)
     Qw = proj(Q)
     H = np.zeros((dim, dim), dtype=complex)
 
     def add_source(H):
         if eta != 0:
-            a0w = proj(ws.lower[ws.zero_mode()])
+            a0w = proj(ref.a0)
             H -= math.sqrt(V) * (eta * a0w.conj().T + np.conj(eta) * a0w)
         return H
 
@@ -294,14 +313,14 @@ def _dense_hamiltonian(sp, kind, model, V, q=0.0, rho=0.0, eta=0.0):
         H = add_source(H)
     else:
         assert kind == "residual_r"
-        X = Q - qc * V * identity(ws.ext_dim, format="csr")
+        X = Q - qc * V * ref.one
         H -= (u / (2.0 * V)) * proj(X.conj().T @ X)
     return H
 
 
 def _dense_pressure(H, sp, tp, V):
     ws = _workspace(sp)
-    K = H - tp.mu * np.diag(ws.Ntot[ws.work_idx])
+    K = H - tp.mu * np.diag(ws.Ntot)
     return logsumexp(-tp.beta * sla.eigvalsh(K)) / (tp.beta * V)
 
 
@@ -329,6 +348,43 @@ class TestSectors:
                 assert trace_pressure(H, sp, TP, V) == pytest.approx(
                     p_ref, rel=1e-13, abs=0), (kind, src)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_working_basis_products_are_exact(self, dim):
+        # every product the oracle forms is X^dag Y with X, Y lowering, so
+        # forming it on the working basis equals compressing the product
+        # formed with two quanta of headroom per mode
+        m = Model(dim=dim, mass=0.5, u=0.5, v=1.0,
+                  lambda_profile=gaussian_profile(1.0))
+        sp = _default_fock_spec(m, 4)
+        ws, ref = _workspace(sp), _extended(sp, m)
+        np.testing.assert_array_equal(ws.occ, ref.occ)
+        pieces = _pieces(sp, m)
+        for blocks, full in ((pieces.Q, ref.Q), (pieces.QdQ, ref.Q.T @ ref.Q),
+                             (pieces.a0, ref.a0)):
+            np.testing.assert_allclose(pieces.sectors.assemble(blocks),
+                                       ref.proj(full), rtol=0, atol=1e-14)
+        A, _ = ws.pair_lower(m)
+        for j, jp in product(range(len(A)), repeat=2):
+            np.testing.assert_allclose((A[j].T @ A[jp]).toarray(),
+                                       ref.proj(ref.A[j].T @ ref.A[jp]),
+                                       rtol=0, atol=1e-14)
+        # negative control: a product that raises first is not exact
+        a0 = ws.lower[ws.zero_mode()]
+        assert not np.allclose((a0 @ a0.T).toarray(),
+                               ref.proj(ref.a0 @ ref.a0.T))
+        # the pair-exchange operator for k = +e_1, k' = 0 (negation index
+        # [0, 2, 1]), eigensolved densely from the compressed products
+        Nk, Nkp, Nmk = ref.occ[:, 1], ref.occ[:, 0], ref.occ[:, 2]
+        lk, lkp = ref.lam[1], ref.lam[0]
+        cross = lk * lkp * ref.proj(ref.A[1].T @ ref.A[0])
+        for sign in (1, -1):
+            O = (np.diag((Nk + abs(lk)) * Nkp + (Nkp + abs(lkp)) * Nmk)
+                 - sign * (cross + cross.T))
+            rep = check_pair_exchange_bound(sp, m, sp.modes[1], sp.modes[0],
+                                            sign=sign)
+            assert rep["min_eig"] == pytest.approx(
+                sla.eigvalsh(O).min(), rel=1e-12, abs=1e-12)
+
     @pytest.mark.parametrize("u,profile", [(0.5, gaussian_profile(1.0)),
                                            (-0.3, gaussian_profile(1.0)),
                                            (0.5, delta_profile())])
@@ -336,7 +392,6 @@ class TestSectors:
         m = Model(dim=3, mass=0.5, u=u, v=1.0, lambda_profile=profile)
         sp = _default_fock_spec(m, 7)
         ws = _workspace(sp)
-        idx = ws.work_idx
         pieces = _pieces(sp, m)
         sec = pieces.sectors
         label = np.empty(ws.dim, dtype=int)
@@ -345,7 +400,7 @@ class TestSectors:
         _, Q = ws.pair_lower(m)
         for full, blocks in ((Q, pieces.Q), (Q.conj().T @ Q, pieces.QdQ),
                              (ws.lower[ws.zero_mode()], pieces.a0)):
-            full = full.tocsr()[idx][:, idx].toarray()
+            full = full.toarray()
             assert full.dtype == blocks.dtype == float
             inside = np.equal.outer(label, label)
             assert np.all(full[~inside] == 0.0)

@@ -30,7 +30,6 @@ from .model import (
 )
 from .pressure import (
     OrderPoint,
-    QuadratureConfig,
     ThermoPoint,
     d2_mu,
     d_mu,

@@ -28,7 +28,6 @@ from .model import (
     Model, gaussian_profile, power_profile, delta_profile,
 )
 from .pressure import ThermoPoint
-from .quadrature import QuadratureConfig
 from .solver import (
     STATUS_BOUNDARY, STATUS_CONVERGED, check_schedule, eta_continuation,
     classify_phase, excitation_spectrum, variational_limit,
@@ -68,7 +67,6 @@ _KEYS = {
     "eta0": ("0.1", "initial source strength"),
     "eta_floor": ("1e-6", "smallest source strength in the continuation"),
     "eta_factor": ("0.5", "source reduction factor per step"),
-    "tol": ("1e-10", "target relative tolerance"),
     "out": (None, "output file (default: stdout)"),
     "format": (None, "output format: csv | json"),
     "k_max": ("5.0", "spectrum: largest wavenumber"),
@@ -79,7 +77,7 @@ _KEYS = {
 # The keys each command reads.  A command has flags for these alone, and a
 # config-file key outside its command's set is rejected (fail-closed).
 _COMMON_KEYS = frozenset("beta mu u v mass dim profile eta0 out".split())
-_SOLVE_KEYS = _COMMON_KEYS | {"eta_floor", "eta_factor", "tol"}
+_SOLVE_KEYS = _COMMON_KEYS | {"eta_floor", "eta_factor"}
 _COMMAND_KEYS = {
     "solve": _SOLVE_KEYS,
     "scan": _SOLVE_KEYS | {"mu_range", "format"},
@@ -115,7 +113,7 @@ def _parse_config_file(path: str, command: str) -> dict:
         if key not in _COMMAND_KEYS[command]:
             raise ConfigError(f"{where}: {command} takes no key '{key}'")
         if not val:
-            raise ConfigError(f"{path}:{lineno}: empty value for '{key}'")
+            raise ConfigError(f"{where}: empty value for '{key}'")
         values[key] = val
     return values
 
@@ -192,7 +190,7 @@ def _point_limit(model: Model, tp: ThermoPoint, settings: dict):
     """
     if model.dim >= 3 and model.u >= 0:
         # the eta = 0 sup-inf settles p, q_bar, rho_bar and m0 here
-        return variational_limit(model, tp, settings["quad_cfg"])
+        return variational_limit(model, tp)
     # u < 0: m0 is the quasi-average (mu/v - rho_c)/2, which needs the
     # source; dim <= 2: the eta = 0 density probe fails
     return eta_continuation(model, tp, **settings)
@@ -203,11 +201,9 @@ def _solver_settings(cfg: dict) -> dict:
     eta0 = _parse_float(cfg, "eta0")
     floor = _parse_float(cfg, "eta_floor")
     factor = _parse_float(cfg, "eta_factor")
-    tol = _parse_float(cfg, "tol")
     # up front: a scan or spectrum point may never reach eta_continuation
     check_schedule(eta0, factor, floor)
-    quad = QuadratureConfig(rel_tol=tol)
-    return {"eta0": eta0, "factor": factor, "floor": floor, "quad_cfg": quad}
+    return {"eta0": eta0, "factor": factor, "floor": floor}
 
 
 def _parse_betas(cfg) -> list:

@@ -18,7 +18,7 @@ class InfeasiblePoint(PairBosonError):
 
 
 class QuadratureFailure(PairBosonError):
-    """Adaptive quadrature could not certify the requested tolerance."""
+    """Adaptive quadrature could not meet its error target."""
 
 
 class BracketFailure(PairBosonError):
@@ -30,7 +30,8 @@ class StationarityViolated(PairBosonError):
 
 
 class ContinuationDiverged(PairBosonError):
-    """Successive eta-continuation iterates failed the Cauchy criterion."""
+    """Successive eta-continuation iterates failed the Cauchy criterion, or
+    an eta -> 0 solve left the floating-point range."""
 
 
 class DimensionExceeded(PairBosonError):

@@ -30,10 +30,10 @@ from scipy.integrate import IntegrationWarning, quad
 from .errors import InfeasiblePoint, ModelError, StationarityViolated
 from .kernels import eval_rows
 from .model import LatticeSpec, Model, lattice_norms
-from .quadrature import QuadratureConfig, radial_rows
+from .quadrature import radial_rows
 
 __all__ = [
-    "ThermoPoint", "OrderPoint", "QuadratureConfig", "sigma_gap",
+    "ThermoPoint", "OrderPoint", "sigma_gap",
     "feasible", "source_terms", "excitation_energy", "pressure_tl",
     "pressure_fv",
     "pressure_fv_modes", "grad_rho", "grad_rho_slope", "grad_q", "outer_grads",
@@ -112,19 +112,18 @@ def excitation_energy(model: Model, tp: ThermoPoint, q: float, rho: float,
     return math.sqrt(max(f * f - h * h, 0.0))
 
 
-def _rows(model, tp, op, cfg, need=(0, 1, 2, 3), rows=None):
+def _rows(model, tp, op, need=(0, 1, 2, 3), rows=None):
     """The radial integrals shared by the pressure and its derivatives."""
     foff = model.v * op.rho - tp.mu
     habs = abs(model.u) * op.q
     return radial_rows(model.lambda_profile, model.dim, model.mass, tp.beta,
-                       foff, habs, cfg, need=need, rows=rows)
+                       foff, habs, need=need, rows=rows)
 
 
-def pressure_tl(model: Model, tp: ThermoPoint, op: OrderPoint,
-                quad_cfg: QuadratureConfig | None = None) -> float:
+def pressure_tl(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
     """Thermodynamic-limit pressure of the quadratic approximant."""
     src = source_terms(model, tp, op)[0]
-    ip = _rows(model, tp, op, quad_cfg, need=(0,))[0]
+    ip = _rows(model, tp, op, need=(0,))[0]
     return float(ip + src
                  - model.u * op.q ** 2 / 2.0 + model.v * op.rho ** 2 / 2.0)
 
@@ -157,8 +156,7 @@ def pressure_fv(model: Model, tp: ThermoPoint, op: OrderPoint,
                              lat.volume(model.dim))
 
 
-def grad_rho_slope(model: Model, tp: ThermoPoint, op: OrderPoint,
-                   quad_cfg: QuadratureConfig | None = None):
+def grad_rho_slope(model: Model, tp: ThermoPoint, op: OrderPoint):
     """grad_rho and its rho-derivative v (v d2_mu + 1), from one quadrature.
 
     Only the density row is converged; the curvature row comes at whatever
@@ -166,14 +164,13 @@ def grad_rho_slope(model: Model, tp: ThermoPoint, op: OrderPoint,
     slope is fit to propose Newton steps, not to be reported.
     """
     _, src, d2_src = source_terms(model, tp, op)
-    rows = _rows(model, tp, op, quad_cfg, need=(1,), rows=(1, 3))
+    rows = _rows(model, tp, op, need=(1,), rows=(1, 3))
     v = model.v
     return (float(-v * (rows[1] + src) + v * op.rho),
             float(v * (v * (rows[3] + d2_src) + 1.0)))
 
 
-def outer_grads(model: Model, tp: ThermoPoint, op: OrderPoint,
-                quad_cfg: QuadratureConfig | None = None):
+def outer_grads(model: Model, tp: ThermoPoint, op: OrderPoint):
     """(grad_rho, grad_q) from one quadrature that converges both rows.
 
     The outer q search reads both partials at every point it tries.  One
@@ -181,23 +178,21 @@ def outer_grads(model: Model, tp: ThermoPoint, op: OrderPoint,
     the mesh that the inner Newton steps (need=(1,)) carry from call to call.
     """
     src = source_terms(model, tp, op)[1]
-    rows = _rows(model, tp, op, quad_cfg, need=(1, 2))
+    rows = _rows(model, tp, op, need=(1, 2))
     u, v = model.u, model.v
     return (float(-v * (rows[1] + src) + v * op.rho),
             float(u ** 2 * op.q * rows[2] + u * src - u * op.q))
 
 
-def grad_rho(model: Model, tp: ThermoPoint, op: OrderPoint,
-             quad_cfg: QuadratureConfig | None = None) -> float:
+def grad_rho(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
     """Partial derivative of pressure_tl with respect to rho."""
-    return grad_rho_slope(model, tp, op, quad_cfg)[0]
+    return grad_rho_slope(model, tp, op)[0]
 
 
-def grad_q(model: Model, tp: ThermoPoint, op: OrderPoint,
-           quad_cfg: QuadratureConfig | None = None) -> float:
+def grad_q(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
     """Partial derivative of pressure_tl with respect to q."""
     src = source_terms(model, tp, op)[1]
-    iq = _rows(model, tp, op, quad_cfg, need=(2,))[2]
+    iq = _rows(model, tp, op, need=(2,))[2]
     return float(model.u ** 2 * op.q * iq + model.u * src - model.u * op.q)
 
 
@@ -208,37 +203,34 @@ _STAT_TOL = 1e-6
 
 
 def total_dq(model: Model, tp: ThermoPoint, q: float, eta: float,
-             rho_bar: float, quad_cfg: QuadratureConfig | None = None) -> float:
+             rho_bar: float) -> float:
     """Total q-derivative along the constrained density path rho_bar(q).
 
     Because rho_bar is a stationary point of the inner minimization, the
     total derivative reduces to the partial one; the grad_rho term only
     carries the stationarity residual.
     """
-    gr, gq = outer_grads(model, tp, OrderPoint(q=q, rho=rho_bar, eta=eta),
-                         quad_cfg)
+    gr, gq = outer_grads(model, tp, OrderPoint(q=q, rho=rho_bar, eta=eta))
     if abs(gr) > 10.0 * _STAT_TOL:
         raise StationarityViolated(
             f"rho_bar is not stationary: grad_rho = {gr:.3e}")
     return float(gq + gr)
 
 
-def d_mu(model: Model, tp: ThermoPoint, op: OrderPoint,
-         quad_cfg: QuadratureConfig | None = None) -> float:
+def d_mu(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
     """Partial derivative of pressure_tl with respect to mu (the density).
 
     The source coefficient is 1, not the printed v; finite differences agree.
     """
     src = source_terms(model, tp, op)[1]
-    ife = _rows(model, tp, op, quad_cfg, need=(1,))[1]
+    ife = _rows(model, tp, op, need=(1,))[1]
     return float(ife + src)
 
 
-def d2_mu(model: Model, tp: ThermoPoint, op: OrderPoint,
-          quad_cfg: QuadratureConfig | None = None) -> float:
+def d2_mu(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
     """Second mu-derivative of pressure_tl (compressibility; nonnegative)."""
     src = source_terms(model, tp, op)[2]
-    id2 = _rows(model, tp, op, quad_cfg, need=(3,))[3]
+    id2 = _rows(model, tp, op, need=(3,))[3]
     return float(id2 + src)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,24 +53,10 @@ _G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])                      # Gauss subset
 WG = np.zeros(15)
 WG[_G_IDX] = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
 
+_REL_TOL = 1e-10      # error target of the needed rows, relative to the largest
+_ABS_TOL = 1e-12      # absolute floor of that target
 _TAIL_TOL = 1e-13     # bound on the discarded [R, inf) tail of every row
 _MAX_PANELS = 4000    # panel budget of one call
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Relative tolerance of the radial integrals."""
-
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ConfigError("tol must be positive")
-
-    @property
-    def abs_tol(self) -> float:
-        """Absolute floor of the error target, two decades below rel_tol."""
-        return min(self.rel_tol * 1e-2, 1e-12)
 
 
 def angular_factor(nu: int) -> float:
@@ -132,8 +117,12 @@ def _choose_cutoff(profile, nu, mass, beta, foff, habs):
     R = math.sqrt(2.0 * mass * 2.0 * (abs(foff) + habs + 1.0 / beta + 1.0))
     R = max(R, math.sqrt(2.0 * mass / beta))
     for _ in range(200):
-        parts = _tail_parts(profile, nu, mass, beta, R)
-        if _tail_bound(parts, mass, beta, foff, habs) < _TAIL_TOL:
+        try:
+            parts = _tail_parts(profile, nu, mass, beta, R)
+            bound = _tail_bound(parts, mass, beta, foff, habs)
+        except OverflowError:
+            break  # a factor of the bound is past the float range at every R
+        if bound < _TAIL_TOL:
             return R, parts
         R *= 1.5
     raise TailNotConverged("could not certify the radial tail below tolerance")
@@ -183,7 +172,7 @@ def _mesh_nodes(profile, nu, a, b):
 
 
 # Plan entries of the last strictly converged call, keyed by (profile, nu,
-# mass, beta, cfg, need).  A dict exists only inside `plan_scope`;
+# mass, beta, need).  A dict exists only inside `plan_scope`;
 # elsewhere every call runs cold.
 _PLAN: contextvars.ContextVar = contextvars.ContextVar("quadrature_plan",
                                                        default=None)
@@ -208,7 +197,7 @@ def plan_scope():
         _PLAN.reset(token)
 
 
-def _refine(panel_integrals, a, b, ik, err, need, cfg, stop_nonfinite=False):
+def _refine(panel_integrals, a, b, ik, err, need, stop_nonfinite=False):
     """Split panels until the error estimate meets the tolerance.
 
     Starts from the per-panel integrals ik and errors err of the mesh
@@ -219,7 +208,7 @@ def _refine(panel_integrals, a, b, ik, err, need, cfg, stop_nonfinite=False):
     tol = math.inf
     for _ in range(64):
         total = ik.sum(axis=1)
-        tol = max(cfg.abs_tol, cfg.rel_tol * float(np.abs(total[need]).max()))
+        tol = max(_ABS_TOL, _REL_TOL * float(np.abs(total[need]).max()))
         if err.sum() <= tol:
             return True, ik, err, a, b, tol
         if len(a) >= _MAX_PANELS or (stop_nonfinite
@@ -242,7 +231,6 @@ def _refine(panel_integrals, a, b, ik, err, need, cfg, stop_nonfinite=False):
 
 def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
                 foff: float, habs: float,
-                cfg: QuadratureConfig | None = None,
                 need=(0, 1, 2, 3), rows=None) -> np.ndarray:
     """The four integral rows of the radial spectral integrand.
 
@@ -256,8 +244,6 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
     points can still evaluate the rows that remain finite.  Inside
     `plan_scope` a call first tries the previous call's cutoff and mesh.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
     need = tuple(need)
     rows = need if rows is None else tuple(rows)
     if not set(need) <= set(rows):
@@ -285,7 +271,7 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
         return panel_sums(*_mesh_nodes(profile, nu, a, b))
 
     plan = _PLAN.get()
-    key = (profile, nu, mass, beta, cfg, need)
+    key = (profile, nu, mass, beta, need)
 
     def store(R, tail, a, b):
         plan[key] = _PlanEntry(R, tail, a, b, *_mesh_nodes(profile, nu, a, b))
@@ -302,10 +288,10 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
             # carried mesh as it stands: most warm calls end here
             top = float(np.abs(total[need_idx]).max())
             if (math.isfinite(top)
-                    and err.sum() <= max(cfg.abs_tol, cfg.rel_tol * top)):
+                    and err.sum() <= max(_ABS_TOL, _REL_TOL * top)):
                 return total
             ok, ik, _, a, b, _ = _refine(panel_integrals, warm.a, warm.b,
-                                         ik, err, need_idx, cfg,
+                                         ik, err, need_idx,
                                          stop_nonfinite=True)
         total = ik.sum(axis=1)
         if ok and np.isfinite(total[need_idx]).all():
@@ -316,14 +302,13 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
     breaks = _initial_breaks(profile, nu, mass, beta, R)
     a, b = breaks[:-1], breaks[1:]
     ik, err = panel_integrals(a, b)
-    ok, ik, err, a, b, tol = _refine(panel_integrals, a, b, ik, err, need_idx,
-                                     cfg)
+    ok, ik, err, a, b, tol = _refine(panel_integrals, a, b, ik, err, need_idx)
     if ok:
         if plan is not None:
             store(R, tail, a, b)
         return ik.sum(axis=1)
     # boundary-grazing integrands can stall on roundoff: accept when the
-    # certified error is still within a 100x band of the requested tolerance
+    # certified error is still within a 100x band of the error target
     if err.sum() <= 100.0 * tol:
         return ik.sum(axis=1)
     raise QuadratureFailure(

@@ -19,6 +19,7 @@ other.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -33,7 +34,6 @@ from .errors import (
 from .model import Model, delta_profile
 from .pressure import (
     OrderPoint,
-    QuadratureConfig,
     ThermoPoint,
     el_residuals,
     excitation_energy,
@@ -108,7 +108,6 @@ _VALUE_SLACK = 1e-10  # a q > 0 optimum may sit this far below the q = 0 slice
 
 
 def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
-            quad_cfg: QuadratureConfig | None = None,
             rho_hint: float | None = None):
     """Minimize the pressure over densities at fixed (q, eta).
 
@@ -128,8 +127,7 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
 
     def g_slope(rho):
         if rho not in seen:
-            seen[rho] = grad_rho_slope(model, tp, OrderPoint(q, rho, eta),
-                                       quad_cfg)
+            seen[rho] = grad_rho_slope(model, tp, OrderPoint(q, rho, eta))
         return seen[rho]
 
     def g(rho):
@@ -160,7 +158,7 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
         if not feasible(model, tp, OrderPoint(q, rho_b, eta)):
             # source diverges on the boundary; step infinitesimally inside
             rho_b = rho_lo + 1e-14 * scale
-        val = pressure_tl(model, tp, OrderPoint(q, rho_b, eta), quad_cfg)
+        val = pressure_tl(model, tp, OrderPoint(q, rho_b, eta))
         return rho_b, val, True
 
     # Newton from the hint, else from the largest probe, shrinking [lo, hi]
@@ -196,7 +194,7 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
             else:
                 raise BracketFailure("density slope never turns positive")
         rho_bar = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    val = pressure_tl(model, tp, OrderPoint(q, rho_bar, eta), quad_cfg)
+    val = pressure_tl(model, tp, OrderPoint(q, rho_bar, eta))
     return float(rho_bar), float(val), False
 
 
@@ -212,7 +210,7 @@ def _result_at(model, tp, q, eta, inner_result):
         residual_at=(model, tp, op))
 
 
-def _inner_solver(model, tp, eta, quad_cfg):
+def _inner_solver(model, tp, eta):
     """inf_rho as a function of q, warm-started from its last interior
     minimizer.  The hint keeps that minimizer's distance to the boundary
     rho_lo(q) = (mu + |u| q)/v, which moves with q; the bare minimizer of
@@ -232,8 +230,7 @@ def _inner_solver(model, tp, eta, quad_cfg):
         hint = None
         if last is not None:
             hint = last[1] + abs(model.u) * (q - last[0]) / model.v
-        rho_bar, value, boundary = inf_rho(model, tp, q, eta, quad_cfg,
-                                           rho_hint=hint)
+        rho_bar, value, boundary = inf_rho(model, tp, q, eta, rho_hint=hint)
         if not boundary:
             last = (q, rho_bar)
         memo[q] = rho_bar, value, boundary
@@ -242,7 +239,7 @@ def _inner_solver(model, tp, eta, quad_cfg):
     return inner
 
 
-def _slope_in_q(model, tp, eta, quad_cfg, inner, q):
+def _slope_in_q(model, tp, eta, inner, q):
     """The total q-derivative at q of the inner value `inner(q)`.
 
     A boundary minimum moves along sigma = 0, rho_b(q) = (mu + |u| q)/v, so
@@ -250,9 +247,9 @@ def _slope_in_q(model, tp, eta, quad_cfg, inner, q):
     """
     rho_bar, _, boundary = inner(q)
     if boundary:
-        gr, gq = outer_grads(model, tp, OrderPoint(q, rho_bar, eta), quad_cfg)
+        gr, gq = outer_grads(model, tp, OrderPoint(q, rho_bar, eta))
         return gq + gr * (abs(model.u) / model.v)
-    return total_dq(model, tp, q, eta, rho_bar, quad_cfg)
+    return total_dq(model, tp, q, eta, rho_bar)
 
 
 def _small_q_root(tdq, q_start: float):
@@ -285,8 +282,7 @@ def _small_q_root(tdq, q_start: float):
     return None
 
 
-def outer_opt(model: Model, tp: ThermoPoint, eta: float,
-              quad_cfg: QuadratureConfig | None = None,
+def outer_opt(model: Model, tp: ThermoPoint, eta: float, *,
               q_hint: float | None = None) -> SolveResult:
     """Optimize over the pair order parameter q (sup for u>0, inf for u<=0).
 
@@ -295,18 +291,18 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
     on the window's edge the search is redone from the full bracket.  The
     u <= 0 branches ignore q_hint.
     """
-    inner = _inner_solver(model, tp, eta, quad_cfg)
+    inner = _inner_solver(model, tp, eta)
 
     if model.u == 0.0 or (model.u < 0.0 and eta == 0.0):
         # no pairing term, or no source to tilt a repulsive one: q = 0
         return _result_at(model, tp, 0.0, eta, inner(0.0))
 
     if model.u < 0.0:
-        return _outer_min_repulsive(model, tp, eta, quad_cfg, inner)
+        return _outer_min_repulsive(model, tp, eta, inner)
 
     # attractive: maximize g(q) = inner value over q >= 0
     rho0_bar, value0, boundary0 = inner(0.0)
-    tdq = partial(_slope_in_q, model, tp, eta, quad_cfg, inner)
+    tdq = partial(_slope_in_q, model, tp, eta, inner)
 
     if q_hint is not None and q_hint > 0:
         # warm start: the optimum lies near the caller's predicted centre
@@ -330,7 +326,7 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
 
     if q_hint is not None and q_hint > 0 and best_q in (qs[0], qs[-1]):
         # optimum escaped the warm-start window: redo with the full bracket
-        return outer_opt(model, tp, eta, quad_cfg, q_hint=None)
+        return outer_opt(model, tp, eta, q_hint=None)
 
     if best_q > 0.0:
         step = qs[1] / qs[0]
@@ -374,12 +370,12 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float,
     return _result_at(model, tp, q_bar, eta, (rho_bar, value, boundary))
 
 
-def _outer_min_repulsive(model, tp, eta, quad_cfg, inner):
+def _outer_min_repulsive(model, tp, eta, inner):
     """u = -w < 0, eta > 0: minimize over q; the minimizer obeys
     q < (eta^2/(2w))^(1/3)."""
     w = -model.u
     q_bound = (eta * eta / (2.0 * w)) ** (1.0 / 3.0)
-    tdq = partial(_slope_in_q, model, tp, eta, quad_cfg, inner)
+    tdq = partial(_slope_in_q, model, tp, eta, inner)
 
     lo = q_bound * 1e-8
     hi = q_bound
@@ -418,6 +414,16 @@ def _extrapolate(values, factor):
     return float(v[-1] + corr), float(abs(corr) * r), float(a)
 
 
+@contextlib.contextmanager
+def _float_range():
+    """Turn a float overflow inside the block into ContinuationDiverged."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ContinuationDiverged(
+            "the solve left the floating-point range") from exc
+
+
 def check_schedule(eta0: float, factor: float, floor: float) -> None:
     """ConfigError unless `eta_continuation` can run this schedule."""
     if not (math.inf > eta0 > floor > 0.0):
@@ -427,8 +433,8 @@ def check_schedule(eta0: float, factor: float, floor: float) -> None:
 
 
 def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
-                     factor: float = 0.5, floor: float = 1e-6,
-                     quad_cfg: QuadratureConfig | None = None) -> ContinuationResult:
+                     factor: float = 0.5,
+                     floor: float = 1e-6) -> ContinuationResult:
     """Solve along eta_n = eta0 * factor^n down to the floor and extrapolate.
 
     Each step centres the outer warm-start window on a prediction from the
@@ -448,9 +454,9 @@ def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
     q_hint = None
     # one quadrature plan per continuation: its calls reuse each other's
     # cutoff and mesh, and nothing carries over to another point
-    with plan_scope():
+    with plan_scope(), _float_range():
         for eta in etas:
-            res = outer_opt(model, tp, eta, quad_cfg, q_hint=q_hint)
+            res = outer_opt(model, tp, eta, q_hint=q_hint)
             results.append(res)
             q_hint = res.q_bar
             if len(results) >= 2 and results[-2].q_bar > 0 and q_hint > 0:
@@ -498,21 +504,19 @@ class VariationalLimit:
     gap_limit: float
 
 
-def variational_limit(model: Model, tp: ThermoPoint,
-                      quad_cfg: QuadratureConfig | None = None
-                      ) -> VariationalLimit:
+def variational_limit(model: Model, tp: ThermoPoint) -> VariationalLimit:
     """p, q_bar, rho_bar, the gap E(0) and m0 from one outer solve at eta = 0.
 
     The direct solve of the two-parameter formula; it agrees with the
     extrapolated limits of `eta_continuation` where both apply (dim >= 3,
     u >= 0), at a small fraction of the cost.
     """
-    with plan_scope():
-        res = outer_opt(model, tp, 0.0, quad_cfg)
+    with plan_scope(), _float_range():
+        res = outer_opt(model, tp, 0.0)
         m0 = 0.0
         if res.status == STATUS_BOUNDARY:
             op = OrderPoint(res.q_bar, res.rho_bar, 0.0)
-            m0 = max(grad_rho(model, tp, op, quad_cfg) / model.v, 0.0)
+            m0 = max(grad_rho(model, tp, op) / model.v, 0.0)
     return VariationalLimit(p_limit=res.pressure, q_limit=res.q_bar,
                             rho_limit=res.rho_bar, m0=m0, gap_limit=res.gap)
 

@@ -46,6 +46,17 @@ class TestConfig:
         assert run_main(["solve", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
         assert ":2:" in capsys.readouterr().err
 
+    def test_tolerance_key_is_gone(self, tmp_path, capsys):
+        # the radial tolerance is a constant: an old `tol` fails closed
+        assert run_main(["solve", "--tol", "1e-10"]) == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        cfgfile = tmp_path / "old.ini"
+        cfgfile.write_text("beta = 1.0\ntol = 1e-10\n")
+        assert run_main(["solve", "--config", str(cfgfile)]) == \
+            cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: {cfgfile}:2:1: unknown key 'tol'\n"
+
     def test_cli_overrides_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "ok.ini"
         cfgfile.write_text("u = 1.0\nv = 0.5\n")  # invalid pair
@@ -104,7 +115,7 @@ class TestConfig:
         ["solve", "--u=-inf"],
         ["solve", "--v", "inf"],
         ["solve", "--mass", "nan"],
-        ["solve", "--tol", "inf"],
+        ["spectrum", "--k-max", "inf"],
         ["solve", "--eta0", "inf"],
         ["solve", "--profile", "gaussian:nan"],
         ["solve", "--profile", "power:inf:2"],
@@ -139,7 +150,7 @@ UNREAD = {
     "solve": ("mu_range", "format", "k_max", "k_count", "n_max"),
     "scan": ("k_max", "k_count", "n_max"),
     "spectrum": ("mu_range", "format", "n_max"),
-    "oracle": ("mu_range", "eta_floor", "eta_factor", "tol", "format",
+    "oracle": ("mu_range", "eta_floor", "eta_factor", "format",
                "k_max", "k_count"),
 }
 REJECTED = [(cmd, key) for cmd, keys in UNREAD.items() for key in keys]
@@ -153,7 +164,7 @@ def _flag(key):
 
 class TestCommandKeys:
     def test_slot_counts(self):
-        assert len(REJECTED) == 18 and len(ACCEPTED) == 50
+        assert len(REJECTED) == 17 and len(ACCEPTED) == 47
 
     @pytest.mark.parametrize("command, key", REJECTED)
     def test_rejects_another_commands_flag(self, command, key, capsys):
@@ -186,6 +197,7 @@ class TestCommandKeys:
     @pytest.mark.parametrize("line, col, message", [
         ("   n_max = 3", 4, "solve takes no key 'n_max'"),
         ("\t  bogus-knob = 3", 4, "unknown key 'bogus_knob'"),
+        ("  mu =", 3, "empty value for 'mu'"),
     ])
     def test_indented_key_column(self, line, col, message, tmp_path,
                                  capsys):
@@ -248,6 +260,36 @@ class TestExitCodes:
     def test_scan_of_errors_only_repulsive(self, monkeypatch, capsys):
         # u < 0: the continuation
         self._scan_errors("eta_continuation", "-0.5", monkeypatch, capsys)
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--beta=1e-150", "the solve left the floating-point range"),
+        ("--mu=1e155", "the solve left the floating-point range"),
+        ("--eta0=1e155", "the solve left the floating-point range"),
+        ("--beta=1e-300", "could not certify the radial tail below tolerance"),
+    ])
+    # numpy's overflow warnings on the way there are expected
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_is_non_convergence(self, flag, message, capsys):
+        # a float power past the float range: in the source term
+        # eta^2/sigma~^3, or in the radial tail bound at beta = 1e-300
+        assert run_main(["solve", flag, "--eta-floor", "0.01"]) == \
+            cli.EXIT_NO_CONVERGENCE
+        captured = capsys.readouterr()
+        assert captured.err == f"non-convergence: {message}\n"
+        assert captured.out == ""
+
+    def test_scan_keeps_the_rows_beside_an_overflow(self, monkeypatch,
+                                                    capsys):
+        monkeypatch.setenv("PBH_THREADS", "1")
+        assert run_main(["scan", "--beta", "1e-300,2",
+                         "--mu-range=-0.2:0.4:2", "--eta-floor", "0.01"]) \
+            == cli.EXIT_OK
+        rows = [row.split(",") for row in
+                capsys.readouterr().out.strip().split("\n")[1:]]
+        assert [row[-1] for row in rows] == \
+            ["error:TailNotConverged"] * 2 + ["normal", "condensed"]
+        assert all(math.isfinite(float(x)) for row in rows[2:]
+                   for x in row[:-1])
 
     def test_every_error_has_a_row(self):
         classes = [obj for obj in vars(errors).values()
@@ -376,7 +418,7 @@ class TestScan:
         # solve from the continuation: the row is the eta = 0 result
         # exactly, and each value lies within solve's own error estimate
         from pairboson.model import Model, gaussian_profile
-        from pairboson.pressure import QuadratureConfig, ThermoPoint
+        from pairboson.pressure import ThermoPoint
         from pairboson.solver import variational_limit
         args = ["--beta", "2", "--mu", "1.0", "--u", "0.5", "--v", "1.0",
                 "--dim", "3", "--eta-floor", "1e-4"]
@@ -389,8 +431,7 @@ class TestScan:
         got = dict(zip(header.split(","), row.split(",")))
         m = Model(dim=3, mass=0.5, u=0.5, v=1.0,
                   lambda_profile=gaussian_profile(1.0))
-        lim = variational_limit(m, ThermoPoint(beta=2.0, mu=1.0),
-                                QuadratureConfig(rel_tol=1e-10))
+        lim = variational_limit(m, ThermoPoint(beta=2.0, mu=1.0))
         for key, err, want in (("pressure", "p", lim.p_limit),
                                ("q_bar", "q", lim.q_limit),
                                ("rho_bar", "rho", lim.rho_limit),

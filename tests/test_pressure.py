@@ -167,9 +167,9 @@ class TestResiduals:
         # here we only check it is finite and has the sign of grad_q far
         # from stationarity when grad_rho is forced small
         from pairboson.solver import inf_rho
-        rho_bar, _, _ = inf_rho(MODEL, TP, OP.q, OP.eta, None)
+        rho_bar, _, _ = inf_rho(MODEL, TP, OP.q, OP.eta)
         op = OrderPoint(OP.q, rho_bar, OP.eta)
-        t = total_dq(MODEL, TP, OP.q, OP.eta, rho_bar, None)
+        t = total_dq(MODEL, TP, OP.q, OP.eta, rho_bar)
         assert t == pytest.approx(grad_q(MODEL, TP, op), rel=1e-6, abs=1e-9)
 
 
@@ -181,7 +181,7 @@ class TestOuterGradients:
         model = Model(dim=3, mass=0.5, u=u, v=1.0,
                       lambda_profile=gaussian_profile(1.0))
         gr, gq = outer_grads(model, TP, OP)
-        # each row converges to rel_tol 1e-10 against the larger of the two
+        # each row converges to 1e-10 relative to the larger of the two
         assert gr == pytest.approx(grad_rho(model, TP, OP), rel=1e-9,
                                    abs=1e-11)
         assert gq == pytest.approx(grad_q(model, TP, OP), rel=1e-9,
@@ -195,17 +195,17 @@ class TestOuterGradients:
         # at rho_bar + 0.05 grad_rho = 6.3e-2, far above the 1e-5 gate
         from pairboson.solver import inf_rho
         q, eta = 0.2, 0.05
-        rho_bar, _, boundary = inf_rho(MODEL, TP, q, eta, None)
+        rho_bar, _, boundary = inf_rho(MODEL, TP, q, eta)
         assert not boundary
-        assert math.isfinite(total_dq(MODEL, TP, q, eta, rho_bar, None))
+        assert math.isfinite(total_dq(MODEL, TP, q, eta, rho_bar))
         with pytest.raises(StationarityViolated, match="not stationary"):
-            total_dq(MODEL, TP, q, eta, rho_bar + 0.05, None)
+            total_dq(MODEL, TP, q, eta, rho_bar + 0.05)
 
     def test_total_dq_is_their_sum(self):
         from pairboson.solver import inf_rho
-        rho_bar, _, _ = inf_rho(MODEL, TP, OP.q, OP.eta, None)
+        rho_bar, _, _ = inf_rho(MODEL, TP, OP.q, OP.eta)
         gr, gq = outer_grads(MODEL, TP, OrderPoint(OP.q, rho_bar, OP.eta))
-        assert total_dq(MODEL, TP, OP.q, OP.eta, rho_bar, None) == gq + gr
+        assert total_dq(MODEL, TP, OP.q, OP.eta, rho_bar) == gq + gr
 
     def test_leaves_the_newton_mesh_alone(self):
         # an inner solve carries a need=(1,) mesh; outer gradients next to
@@ -213,11 +213,11 @@ class TestOuterGradients:
         from pairboson.solver import inf_rho
         tp = ThermoPoint(beta=2.0, mu=0.4)
         with quadrature.plan_scope():
-            rho_bar, _, _ = inf_rho(MODEL, tp, OP.q, OP.eta, None)
+            rho_bar, _, _ = inf_rho(MODEL, tp, OP.q, OP.eta)
             plan = quadrature._PLAN.get()
             newton, = [k for k in plan if k[-1] == (1,)]
             entry = plan[newton]
-            total_dq(MODEL, tp, OP.q, OP.eta, rho_bar, None)
+            total_dq(MODEL, tp, OP.q, OP.eta, rho_bar)
             rho_lo = (tp.mu + MODEL.u * OP.q) / MODEL.v
             for margin in (1e-2, 1e-5, 1e-8):
                 outer_grads(MODEL, tp, OrderPoint(OP.q, rho_lo + margin,
@@ -273,7 +273,7 @@ class TestKernels:
 
     def test_names_the_benchmark_reads(self):
         # perfbench records BACKEND; the tracer's window count reads
-        # outer_opt's q_hint as the fifth positional argument
+        # outer_opt's q_hint, which is keyword-only
         from pairboson import solver
         assert kernels.BACKEND == "numpy"
         assert quadrature.eval_rows is pressure.eval_rows is kernels.eval_rows
@@ -281,8 +281,8 @@ class TestKernels:
         for name in ("pressure_tl", "grad_rho", "grad_q", "total_dq",
                      "el_residuals"):
             assert getattr(solver, name) is getattr(pressure, name), name
-        params = list(inspect.signature(solver.outer_opt).parameters)
-        assert params.index("q_hint") == 4
+        param = inspect.signature(solver.outer_opt).parameters["q_hint"]
+        assert param.kind is inspect.Parameter.KEYWORD_ONLY
 
     def test_rows_against_naive_formulas(self):
         # moderate arguments where the textbook expressions are stable

@@ -14,18 +14,17 @@ from pairboson import quadrature
 from pairboson.errors import ConfigError, ModelError, PairBosonError
 from pairboson.kernels import NROWS, eval_rows
 from pairboson.model import delta_profile, gaussian_profile, power_profile
-from pairboson.quadrature import QuadratureConfig, plan_scope, radial_rows
+from pairboson.quadrature import plan_scope, radial_rows
 
 PROFILE = gaussian_profile(1.0)
 NU, MASS, BETA = 3, 0.5, 2.0
-CFG = QuadratureConfig()
 # (habs, margin): foff = habs + margin falls toward habs while habs varies,
 # as along an inner solve
 FALLING = [(0.2 + 0.05 * math.sin(k), 0.5 * 0.3 ** k) for k in range(10)]
 
 
 def rows(foff, habs, need):
-    return radial_rows(PROFILE, NU, MASS, BETA, foff, habs, CFG, need)
+    return radial_rows(PROFILE, NU, MASS, BETA, foff, habs, need)
 
 
 @pytest.fixture
@@ -49,7 +48,8 @@ def test_warm_calls_match_cold_within_tolerance(need, cold_calls):
     assert cold_calls[0] == 1, "only the first call may run cold"
     for (habs, margin), got in zip(FALLING, warm):
         want = rows(habs + margin, habs, need)
-        tol = max(CFG.abs_tol, CFG.rel_tol * np.abs(want[list(need)]).max())
+        tol = max(quadrature._ABS_TOL,
+                  quadrature._REL_TOL * np.abs(want[list(need)]).max())
         assert np.abs(got - want)[list(need)].max() <= tol
 
 
@@ -137,9 +137,9 @@ def test_nothing_leaks_after_the_scope(cold_calls):
 
 def test_rows_must_hold_the_needed_rows():
     with pytest.raises(ConfigError):
-        radial_rows(PROFILE, NU, MASS, BETA, 0.5, 0.2, CFG, need=(1,),
+        radial_rows(PROFILE, NU, MASS, BETA, 0.5, 0.2, need=(1,),
                     rows=(0, 3))
-    got = radial_rows(PROFILE, NU, MASS, BETA, 0.5, 0.2, CFG, need=(1,),
+    got = radial_rows(PROFILE, NU, MASS, BETA, 0.5, 0.2, need=(1,),
                       rows=(1, 3))
     assert np.isfinite(got[[1, 3]]).all() and np.isnan(got[[0, 2]]).all()
 
@@ -210,7 +210,7 @@ def test_warm_return_is_the_refine_route(monkeypatch):
         rows(habs + margin, habs, (1,))
         entry, = quadrature._PLAN.get().values()
         calls.clear()
-        got = radial_rows(PROFILE, NU, MASS, BETA, foff, habs, CFG,
+        got = radial_rows(PROFILE, NU, MASS, BETA, foff, habs,
                           need=(1,), rows=(1, 3))
         assert calls == [], "the carried mesh must converge as it stands"
         assert next(iter(quadrature._PLAN.get().values())) is entry
@@ -221,20 +221,8 @@ def test_warm_return_is_the_refine_route(monkeypatch):
     ik = (vals @ quadrature.WK) * entry.half
     ig = (vals @ quadrature.WG) * entry.half
     err = np.abs(ik - ig)[[1]].max(axis=0)
-    ok, ik, _, a, _, _ = refine(None, entry.a, entry.b, ik, err, [1], CFG,
+    ok, ik, _, a, _, _ = refine(None, entry.a, entry.b, ik, err, [1],
                                 stop_nonfinite=True)
     assert ok and a is entry.a
     assert np.array_equal(got, ik.sum(axis=1), equal_nan=True)
 
-
-@pytest.mark.parametrize("rel_tol", [0.0, -1e-10, math.nan])
-def test_config_rejects_a_tolerance_that_is_not_positive(rel_tol):
-    with pytest.raises(ConfigError):
-        QuadratureConfig(rel_tol=rel_tol)
-
-
-def test_absolute_floor_follows_rel_tol():
-    # the default pair is (1e-10, 1e-12); the floor never exceeds 1e-12
-    assert QuadratureConfig().abs_tol == 1e-12
-    assert QuadratureConfig(rel_tol=1e-6).abs_tol == 1e-12
-    assert QuadratureConfig(rel_tol=1e-12).abs_tol == pytest.approx(1e-14)

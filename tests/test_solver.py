@@ -41,7 +41,7 @@ class TestInnerMinimum:
     def test_stationarity(self):
         m = model()
         tp = ThermoPoint(beta=2.0, mu=-0.3)
-        rho_bar, _val, boundary = inf_rho(m, tp, 0.3, 0.1, None)
+        rho_bar, _val, boundary = inf_rho(m, tp, 0.3, 0.1)
         assert not boundary
         assert abs(grad_rho(m, tp, OrderPoint(0.3, rho_bar, 0.1))) < 1e-9
 
@@ -49,7 +49,7 @@ class TestInnerMinimum:
         # large positive mu with small eta pins the minimum to sigma = 0
         m = model(u=-0.5)
         tp = ThermoPoint(beta=2.0, mu=1.0)
-        rho_bar, _val, boundary = inf_rho(m, tp, 0.05, 1e-4, None)
+        rho_bar, _val, boundary = inf_rho(m, tp, 0.05, 1e-4)
         sigma = m.v * rho_bar - tp.mu - abs(m.u) * 0.05
         if boundary:
             assert sigma == pytest.approx(0.0, abs=1e-12)
@@ -93,14 +93,13 @@ class TestInnerSolve:
     def test_hint_does_not_move_the_minimizer(self, u, mu, q, eta):
         m = model(u=u)
         tp = ThermoPoint(beta=2.0, mu=mu)
-        rho_cold, _, boundary = inf_rho(m, tp, q, eta, None)
+        rho_cold, _, boundary = inf_rho(m, tp, q, eta)
         assert not boundary
         rho_lo = max(0.0, (mu + abs(u) * q) / m.v)
         hints = {"below": 0.5 * (rho_lo + rho_cold), "above": 2.0 * rho_cold,
                  "infeasible": rho_lo - 0.1}
         for name, hint in hints.items():
-            rho_bar, _, boundary = inf_rho(m, tp, q, eta, None,
-                                           rho_hint=hint)
+            rho_bar, _, boundary = inf_rho(m, tp, q, eta, rho_hint=hint)
             assert not boundary, name
             assert rho_bar == pytest.approx(rho_cold, rel=1e-12), name
             assert abs(grad_rho(m, tp, OrderPoint(q, rho_bar, eta))) < 1e-9
@@ -112,7 +111,7 @@ class TestInnerSolve:
                 (0.0, 1e-4, 0.1)):
             m = model(u=u)
             tp = ThermoPoint(beta=2.0, mu=mu)
-            boundary = inf_rho(m, tp, q, eta, None)[2]
+            boundary = inf_rho(m, tp, q, eta)[2]
             assert boundary == _boundary_by_scan(m, tp, q, eta), \
                 (u, mu, q, eta)
             decided.append(boundary)
@@ -135,7 +134,7 @@ def _counting(monkeypatch, name, module=solver):
 class TestInnerMemo:
     def test_repeated_q_solves_once(self, monkeypatch):
         calls = _counting(monkeypatch, "inf_rho")
-        inner = _inner_solver(model(), ThermoPoint(2.0, -0.3), 0.05, None)
+        inner = _inner_solver(model(), ThermoPoint(2.0, -0.3), 0.05)
         first = inner(0.3)
         assert inner(0.3) == first
         assert len(calls) == 1
@@ -152,7 +151,7 @@ class TestInnerMemo:
             return outcome
 
         monkeypatch.setattr(solver, "inf_rho", flaky)
-        inner = _inner_solver(model(), ThermoPoint(2.0, -0.3), 0.05, None)
+        inner = _inner_solver(model(), ThermoPoint(2.0, -0.3), 0.05)
         with pytest.raises(BracketFailure):
             inner(0.3)
         assert inner(0.3) == (0.5, -1.0, False)
@@ -196,8 +195,8 @@ class TestOuterOptimum:
         polish = _counting(monkeypatch, "minimize_scalar")
         values = {}
 
-        def recorded(model, tp, q, eta, quad_cfg=None, rho_hint=None):
-            out = inf_rho(model, tp, q, eta, quad_cfg, rho_hint=rho_hint)
+        def recorded(model, tp, q, eta, rho_hint=None):
+            out = inf_rho(model, tp, q, eta, rho_hint=rho_hint)
             values[q] = out[1]
             return out
 

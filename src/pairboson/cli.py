@@ -29,8 +29,8 @@ from .model import (
 )
 from .pressure import ThermoPoint
 from .solver import (
-    STATUS_BOUNDARY, STATUS_CONVERGED, check_schedule, eta_continuation,
-    classify_phase, excitation_spectrum, variational_limit,
+    STATUS_BOUNDARY, STATUS_CONVERGED, ContinuationResult, check_schedule,
+    eta_continuation, classify_phase, excitation_spectrum, variational_limit,
 )
 from . import oracle as _oracle
 
@@ -184,9 +184,8 @@ def _build_model(cfg: dict) -> Model:
 
 
 def _point_limit(model: Model, tp: ThermoPoint, settings: dict):
-    """The eta -> 0 observables of a scan or spectrum point.
-
-    `solve` always runs the continuation: its JSON reports the eta trace.
+    """The eta -> 0 observables of a solve, scan or spectrum point: a
+    `VariationalLimit` in dim >= 3 with u >= 0, else a `ContinuationResult`.
     """
     if model.dim >= 3 and model.u >= 0:
         # the eta = 0 sup-inf settles p, q_bar, rho_bar and m0 here
@@ -245,10 +244,37 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _solve_document(cont, phase) -> dict:
-    last = cont.results[-1]
-    on_boundary = last.status == STATUS_BOUNDARY
-    trace = [
+def _residuals(res, check: bool) -> dict:
+    """The Euler-Lagrange residuals of res, null on a boundary minimum,
+    where they do not apply; with check, held to the radial tolerance."""
+    if res.status == STATUS_BOUNDARY:
+        return {"el1": None, "el2": None}
+    el1, el2 = (res.checked_residuals() if check
+                else (res.residual_el1, res.residual_el2))
+    return {"el1": el1, "el2": el2}
+
+
+def _solve_document(limit, phase) -> dict:
+    """solve's JSON.  Both paths write the same top-level keys; a
+    continuation adds its extrapolation order, error estimates and trace."""
+    continued = isinstance(limit, ContinuationResult)
+    last = limit.results[-1] if continued else limit.result
+    doc = {
+        "pressure": limit.p_limit,
+        "q_bar": limit.q_limit,
+        "rho_bar": limit.rho_limit,
+        "m0": limit.m0,
+        "gap": limit.gap_limit,
+        "phase": phase,
+        # the eta = 0 optimum is the answer itself, so it must be stationary
+        "residuals": _residuals(last, check=not continued),
+    }
+    if not continued:
+        doc["status"] = last.status
+        return doc
+    doc["extrapolation_order"] = limit.extrapolation_order
+    doc["error_estimates"] = limit.error_estimates
+    doc["eta_trace"] = [
         {
             "eta": res.eta,
             "pressure": res.pressure,
@@ -258,24 +284,11 @@ def _solve_document(cont, phase) -> dict:
             "gap": res.gap,
             "status": res.status,
         }
-        for res in cont.results
+        for res in limit.results
     ]
-    return {
-        "pressure": cont.p_limit,
-        "q_bar": cont.q_limit,
-        "rho_bar": cont.rho_limit,
-        "m0": cont.m0,
-        "gap": cont.gap_limit,
-        "phase": phase,
-        # Euler-Lagrange residuals do not apply to a boundary minimum
-        "residuals": {
-            "el1": None if on_boundary else last.residual_el1,
-            "el2": None if on_boundary else last.residual_el2,
-        },
-        "extrapolation_order": cont.extrapolation_order,
-        "error_estimates": cont.error_estimates,
-        "eta_trace": trace,
-    }
+    on_boundary = all(r.status == STATUS_BOUNDARY for r in limit.results)
+    doc["status"] = STATUS_BOUNDARY if on_boundary else STATUS_CONVERGED
+    return doc
 
 
 def _strict(doc):
@@ -300,10 +313,8 @@ def cmd_solve(args) -> int:
     model = _build_model(cfg)
     settings = _solver_settings(cfg)
     tp = _thermo_point(cfg)
-    cont = eta_continuation(model, tp, **settings)
-    doc = _solve_document(cont, classify_phase(model, tp, cont))
-    on_boundary = all(r.status == STATUS_BOUNDARY for r in cont.results)
-    doc["status"] = STATUS_BOUNDARY if on_boundary else STATUS_CONVERGED
+    limit = _point_limit(model, tp, settings)
+    doc = _solve_document(limit, classify_phase(model, tp, limit))
     _emit(_json_dumps(doc), cfg["out"])
     return EXIT_OK
 

@@ -10,7 +10,13 @@ the pressure and all its derivatives:
 
 with f = r^2/(2m) + foff, h = habs * lam(r), E = sqrt(f^2 - h^2) and
 n_B = 1/(e^{beta E} - 1).  All cancellation-prone differences (E - f,
-f/E - 1, ln(1 - e^{-x})) are rewritten in the stable forms above.
+f/E - 1, ln(1 - e^{-x})) are rewritten in the stable forms above, and
+f - h is summed from its nonnegative parts
+r^2/(2m) + (foff - habs) + habs (1 - lam): at a boundary point
+(foff = habs) the difference f - h would round to 0 wherever r^2/(2m) is
+below one ulp of f, and E = 0 there makes rows 1-3 infinite or NaN.  For
+the same reason 1 - lam is best passed in from the profile's closed form
+(`CouplingProfile.complement_radial`), which keeps it where lam rounds to 1.
 """
 
 import numpy as np
@@ -21,18 +27,23 @@ NROWS = 4
 _NB_CLIPPED = np.exp(-700.0)
 
 
-def eval_rows(r, lam, beta, inv_2m, foff, habs, rows=(0, 1, 2, 3)):
+def eval_rows(r, lam, beta, inv_2m, foff, habs, rows=(0, 1, 2, 3),
+              lam_c=None):
     """Kernel rows at radii r with profile values lam; returns shape (4, n).
 
     Only the rows listed in `rows` are computed; the others are NaN.
-    Requires f > |h| pointwise (strictly feasible; guaranteed by the caller
-    via sigma = foff - habs > 0 together with |lam| <= 1).
+    lam_c is 1 - lam, computed from lam when not given.  Requires
+    f - h > 0 at every r > 0 (guaranteed by the caller via
+    sigma = foff - habs >= 0 together with 0 <= lam <= 1).
     """
     r = np.asarray(r, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    f = inv_2m * r * r + foff
+    if lam_c is None:
+        lam_c = 1.0 - lam
+    kin = inv_2m * r * r
+    f = kin + foff
     h = habs * lam
-    E = np.sqrt((f - h) * (f + h))
+    E = np.sqrt((kin + (foff - habs) + habs * lam_c) * (f + h))
     x = beta * E
     xs = np.minimum(x, 700.0)
     h2 = h * h

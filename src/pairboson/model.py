@@ -51,6 +51,16 @@ class CouplingProfile:
             return 1.0 / (1.0 + (self.c * r) ** self.p)
         return np.where(r == 0.0, 1.0, 0.0)
 
+    def complement_radial(self, r):
+        """1 - lambda, accurate to the last bits where lambda is near 1."""
+        r = np.asarray(r, dtype=float)
+        if self.kind == PROFILE_GAUSSIAN:
+            return -np.expm1(-self.a * r * r)
+        if self.kind == PROFILE_POWER:
+            t = (self.c * r) ** self.p
+            return t / (1.0 + t)
+        return np.where(r == 0.0, 0.0, 1.0)
+
     def describe(self) -> str:
         if self.kind == PROFILE_GAUSSIAN:
             return f"gaussian:{self.a}"

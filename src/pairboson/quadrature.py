@@ -157,17 +157,20 @@ class _PlanEntry(NamedTuple):
     half: np.ndarray
     nodes: np.ndarray
     lam: np.ndarray
+    lam_c: np.ndarray
     weight: np.ndarray
 
 
 def _mesh_nodes(profile, nu, a, b):
-    """(half, nodes, lam, weight) of the panels [a_i, b_i]: the half-widths,
-    the 15 Gauss-Kronrod nodes of every panel flattened panel by panel, the
-    profile lam(r) and the radial measure c_nu r^(nu-1) at the nodes."""
+    """(half, nodes, lam, lam_c, weight) of the panels [a_i, b_i]: the
+    half-widths, the 15 Gauss-Kronrod nodes of every panel flattened panel
+    by panel, the profile lam(r), its complement 1 - lam(r) and the radial
+    measure c_nu r^(nu-1) at the nodes."""
     mid = 0.5 * (a + b)[:, None]
     half = 0.5 * (b - a)[:, None]
     nodes = (mid + half * XK).ravel()
     return (half[:, 0], nodes, profile.value_radial(nodes),
+            profile.complement_radial(nodes),
             angular_factor(nu) * nodes ** (nu - 1))
 
 
@@ -197,13 +200,12 @@ def plan_scope():
         _PLAN.reset(token)
 
 
-def _refine(panel_integrals, a, b, ik, err, need, stop_nonfinite=False):
+def _refine(panel_integrals, a, b, ik, err, need):
     """Split panels until the error estimate meets the tolerance.
 
     Starts from the per-panel integrals ik and errors err of the mesh
     (a, b).  Returns (converged, ik, err, a, b, tol) with those of the final
-    mesh; a mesh that needed no split is returned as the same arrays.  With
-    stop_nonfinite, a non-finite error ends the loop instead of refining.
+    mesh; a mesh that needed no split is returned as the same arrays.
     """
     tol = math.inf
     for _ in range(64):
@@ -211,8 +213,7 @@ def _refine(panel_integrals, a, b, ik, err, need, stop_nonfinite=False):
         tol = max(_ABS_TOL, _REL_TOL * float(np.abs(total[need]).max()))
         if err.sum() <= tol:
             return True, ik, err, a, b, tol
-        if len(a) >= _MAX_PANELS or (stop_nonfinite
-                                     and not np.isfinite(err.sum())):
+        if len(a) >= _MAX_PANELS:
             break
         # split every panel holding more than its share of the error budget
         bad = err > tol / (2.0 * len(a))
@@ -259,9 +260,10 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
     need_idx = (slice(first, last + 1) if last - first < len(set(need))
                 else list(need))
 
-    def panel_sums(half, nodes, lam, weight):
+    def panel_sums(half, nodes, lam, lam_c, weight):
         # per-panel Kronrod integrals and |Kronrod - Gauss| errors
-        vals = eval_rows(nodes, lam, beta, inv_2m, foff, habs, rows=rows)
+        vals = eval_rows(nodes, lam, beta, inv_2m, foff, habs, rows=rows,
+                         lam_c=lam_c)
         vals = (vals * weight).reshape(NROWS, len(half), 15)
         ik = (vals @ WK) * half
         ig = (vals @ WG) * half
@@ -279,20 +281,16 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
     warm = plan.get(key) if plan is not None else None
     if warm is not None and _tail_bound(warm.tail, mass, beta, foff,
                                         habs) < _TAIL_TOL:
-        # a carried node can sit where E = 0 in floats at a boundary point;
-        # the non-finite value then sends the call down the cold path
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ik, err = panel_sums(warm.half, warm.nodes, warm.lam, warm.weight)
-            total = ik.sum(axis=1)
-            # _refine's first test, and the finiteness test below, on the
-            # carried mesh as it stands: most warm calls end here
-            top = float(np.abs(total[need_idx]).max())
-            if (math.isfinite(top)
-                    and err.sum() <= max(_ABS_TOL, _REL_TOL * top)):
-                return total
-            ok, ik, _, a, b, _ = _refine(panel_integrals, warm.a, warm.b,
-                                         ik, err, need_idx,
-                                         stop_nonfinite=True)
+        ik, err = panel_sums(warm.half, warm.nodes, warm.lam, warm.lam_c,
+                             warm.weight)
+        total = ik.sum(axis=1)
+        # _refine's first test, and the finiteness test below, on the
+        # carried mesh as it stands: most warm calls end here
+        top = float(np.abs(total[need_idx]).max())
+        if math.isfinite(top) and err.sum() <= max(_ABS_TOL, _REL_TOL * top):
+            return total
+        ok, ik, _, a, b, _ = _refine(panel_integrals, warm.a, warm.b, ik,
+                                     err, need_idx)
         total = ik.sum(axis=1)
         if ok and np.isfinite(total[need_idx]).all():
             store(warm.R, warm.tail, a, b)

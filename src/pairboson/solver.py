@@ -11,10 +11,9 @@ sup-inf once at eta = 0 and reads the condensate m0 as the
 Karush-Kuhn-Tucker multiplier of the constraint sigma >= 0 (Nocedal and
 Wright, Numerical Optimization, ch. 12).  `eta_continuation` runs a
 geometric eta schedule with warm starts and extrapolates to eta = 0 with a
-detected-order Richardson step.  The CLI's scan and spectrum take the first
-path where it is settled (dim >= 3, u >= 0) and the second elsewhere; solve
-always runs the continuation, and the tests check the two against each
-other.
+detected-order Richardson step.  The CLI's solve, scan and spectrum take
+the first path where it is settled (dim >= 3, u >= 0) and the second
+elsewhere; the tests check the two against each other.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     BracketFailure, ConfigError, ContinuationDiverged, ModelError,
-    PairBosonError,
+    PairBosonError, StationarityViolated,
 )
 from .model import Model, delta_profile
 from .pressure import (
@@ -57,6 +56,9 @@ PHASE_PAIR_ONLY = "pair_only"
 PHASE_CONDENSED = "condensed"
 PHASE_MF_CONDENSED = "mf_condensed"
 _ORDER_TOL = 1e-6  # q_limit and m0 above this are a nonzero order parameter
+# the radial tolerance, which `SolveResult.checked_residuals` holds the
+# Euler-Lagrange residuals to, relative to max(1, rho_bar) and max(1, q_bar)
+_EL_TOL = 1e-10
 
 
 @dataclass
@@ -65,8 +67,9 @@ class SolveResult:
 
     `residual_el1` and `residual_el2` are the Euler-Lagrange residuals of
     `el_residuals` at residual_at = (model, tp, op), the optimum.  They cost
-    two scalar integrals and only the last eta step's are printed, so both
-    are computed on first read and kept.
+    two scalar integrals and only solve prints them (a continuation's last
+    eta step's, or the eta = 0 solve's), so both are computed on first read
+    and kept.
     """
 
     q_bar: float
@@ -87,6 +90,18 @@ class SolveResult:
                             doc="Residual of the density equation.")
     residual_el2 = property(lambda self: self._residuals[1],
                             doc="Residual of the pair equation.")
+
+    def checked_residuals(self):
+        """(el1, el2) of an interior optimum, or StationarityViolated
+        unless |el1| <= _EL_TOL max(1, rho_bar) and
+        |el2| <= _EL_TOL max(1, q_bar)."""
+        el1, el2 = self._residuals
+        if not (abs(el1) <= _EL_TOL * max(1.0, self.rho_bar)
+                and abs(el2) <= _EL_TOL * max(1.0, self.q_bar)):
+            raise StationarityViolated(
+                f"the optimum is not stationary: el1 = {el1:.3e}, "
+                f"el2 = {el2:.3e}")
+        return el1, el2
 
 
 @dataclass
@@ -118,6 +133,9 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
     Newton iteration.
     """
     rho_lo = max(0.0, (tp.mu + abs(model.u) * q) / model.v)
+    if not math.isfinite(rho_lo):
+        # q overflowed without an OverflowError, as eta * eta can
+        raise ContinuationDiverged("the solve left the floating-point range")
     scale = max(1.0, rho_lo)
 
     def inside(rho):
@@ -494,7 +512,9 @@ class VariationalLimit:
 
     m0 is the Karush-Kuhn-Tucker multiplier of the constraint sigma >= 0:
     grad_rho / v at a boundary minimum, where the inner minimum presses on
-    sigma = 0, and 0 at an interior one.
+    sigma = 0, and 0 at an interior one.  `result` is the eta = 0 solve
+    itself: its status is STATUS_BOUNDARY exactly when the multiplier
+    applies, and its residuals are computed only if read.
     """
 
     p_limit: float
@@ -502,6 +522,7 @@ class VariationalLimit:
     rho_limit: float
     m0: float
     gap_limit: float
+    result: SolveResult
 
 
 def variational_limit(model: Model, tp: ThermoPoint) -> VariationalLimit:
@@ -518,7 +539,8 @@ def variational_limit(model: Model, tp: ThermoPoint) -> VariationalLimit:
             op = OrderPoint(res.q_bar, res.rho_bar, 0.0)
             m0 = max(grad_rho(model, tp, op) / model.v, 0.0)
     return VariationalLimit(p_limit=res.pressure, q_limit=res.q_bar,
-                            rho_limit=res.rho_bar, m0=m0, gap_limit=res.gap)
+                            rho_limit=res.rho_bar, m0=m0, gap_limit=res.gap,
+                            result=res)
 
 
 def bose_density(model: Model, beta: float, mu_eff: float) -> float:

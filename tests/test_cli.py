@@ -227,19 +227,21 @@ def _inject(monkeypatch, name, exc):
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("command", ["solve", "spectrum"])
+    # u < 0 takes the continuation; the default point (dim 3, u = 0.5)
+    # takes the eta = 0 solve
+    @pytest.mark.parametrize("argv, name", [
+        pytest.param(["solve", "--u=-0.5"], "eta_continuation", id="solve"),
+        pytest.param(["solve"], "variational_limit", id="solve-eta0"),
+        pytest.param(["spectrum"], "variational_limit", id="spectrum"),
+    ])
     @pytest.mark.parametrize("exc, code, label", [
         (InfeasiblePoint, cli.EXIT_INFEASIBLE, "infeasible"),
         (BracketFailure, cli.EXIT_NO_CONVERGENCE, "non-convergence"),
     ])
-    def test_solver_error(self, command, exc, code, label, monkeypatch,
+    def test_solver_error(self, argv, name, exc, code, label, monkeypatch,
                           capsys):
-        # solve runs the continuation at every point; spectrum's default
-        # point (dim 3, u = 0.5) takes the eta = 0 solve
-        name = "eta_continuation" if command == "solve" else \
-            "variational_limit"
         _inject(monkeypatch, name, exc)
-        assert run_main([command]) == code
+        assert run_main(argv) == code
         captured = capsys.readouterr()
         assert captured.err == f"{label}: injected\n"
         assert captured.out == ""
@@ -270,13 +272,25 @@ class TestExitCodes:
     # numpy's overflow warnings on the way there are expected
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_is_non_convergence(self, flag, message, capsys):
-        # a float power past the float range: in the source term
-        # eta^2/sigma~^3, or in the radial tail bound at beta = 1e-300
-        assert run_main(["solve", flag, "--eta-floor", "0.01"]) == \
-            cli.EXIT_NO_CONVERGENCE
+        # a float past the float range, on the continuation (u < 0): in the
+        # source term eta^2/sigma~^3 or in eta * eta (--eta0=1e155 ends in
+        # inf_rho's rho_lo), or in the radial tail bound at beta = 1e-300
+        assert run_main(["solve", "--u=-0.5", flag, "--eta-floor",
+                         "0.01"]) == cli.EXIT_NO_CONVERGENCE
         captured = capsys.readouterr()
         assert captured.err == f"non-convergence: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_stationary_optimum_is_non_convergence(self, capsys):
+        # at beta = 1e-150 the eta = 0 inner solve ends at rho_bar = 1.6e152,
+        # where the density equation's residual el1 is rho_bar itself
+        assert run_main(["solve", "--beta=1e-150", "--eta-floor", "0.01"]) \
+            == cli.EXIT_NO_CONVERGENCE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "non-convergence: the optimum is not stationary: el1 = ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_scan_keeps_the_rows_beside_an_overflow(self, monkeypatch,
                                                     capsys):
@@ -315,6 +329,12 @@ class TestExitCodes:
         assert captured.out == ""
 
 
+# the top-level keys of every solve document, in order; a continuation
+# adds its extrapolation order, error estimates and trace before status
+SOLVE_KEYS = ("pressure", "q_bar", "rho_bar", "m0", "gap", "phase",
+              "residuals", "status")
+
+
 def _no_constant(name):
     raise AssertionError(f"{name} is not valid JSON")
 
@@ -333,6 +353,7 @@ def _continuation(statuses, monkeypatch):
 
 
 class TestSolve:
+    # the continuation's document: u < 0, where solve runs the continuation
     @pytest.mark.parametrize("statuses, expected", [
         (["boundary_minimum"] * 3, "boundary_minimum"),
         (["boundary_minimum", "converged", "boundary_minimum"], "converged"),
@@ -343,7 +364,7 @@ class TestSolve:
         cont = _continuation(statuses, monkeypatch)
         monkeypatch.setattr(cli, "eta_continuation",
                             lambda *args, **kwargs: cont)
-        assert run_main(["solve"]) == cli.EXIT_OK
+        assert run_main(["solve", "--u=-0.5"]) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == expected
         assert [step["status"] for step in doc["eta_trace"]] == statuses
@@ -357,7 +378,7 @@ class TestSolve:
         cont = _continuation(statuses, monkeypatch)
         monkeypatch.setattr(cli, "eta_continuation",
                             lambda *args, **kwargs: cont)
-        assert run_main(["solve"]) == cli.EXIT_OK
+        assert run_main(["solve", "--u=-0.5"]) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["residuals"] == {"el1": residual, "el2": residual}
 
@@ -367,7 +388,7 @@ class TestSolve:
         cont.error_estimates = {"p": float("inf"), "q": 1e-9}
         monkeypatch.setattr(cli, "eta_continuation",
                             lambda *args, **kwargs: cont)
-        assert run_main(["solve"]) == cli.EXIT_OK
+        assert run_main(["solve", "--u=-0.5"]) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out,
                          parse_constant=_no_constant)
         assert doc["extrapolation_order"] is None
@@ -375,14 +396,78 @@ class TestSolve:
 
     def test_smoke_json(self, capsys):
         code = run_main(["solve", "--beta", "1", "--mu", "-0.5",
-                         "--u", "0.2", "--v", "1.0"] + FAST)
+                         "--u=-0.5", "--v", "1.0"] + FAST)
         assert code == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        for key in ("pressure", "q_bar", "rho_bar", "m0", "gap", "phase",
-                    "residuals", "eta_trace"):
-            assert key in doc
+        assert list(doc) == list(SOLVE_KEYS[:-1]) + [
+            "extrapolation_order", "error_estimates", "eta_trace", "status"]
         assert doc["phase"] == "normal"
         assert len(doc["eta_trace"]) >= 4
+
+    @pytest.mark.parametrize("mu, status, phase", [
+        ("-0.3", "converged", "normal"),
+        ("0.4", "boundary_minimum", "condensed"),
+    ])
+    def test_eta_zero_document(self, mu, status, phase, capsys):
+        # dim 3, u = 0.5: the eta = 0 solve, whose status is
+        # boundary_minimum exactly when m0 is the KKT multiplier
+        assert run_main(["solve", "--beta", "2", "--mu", mu]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == list(SOLVE_KEYS)
+        assert (doc["status"], doc["phase"]) == (status, phase)
+        if status == "boundary_minimum":
+            assert doc["m0"] > 0.1
+            assert doc["residuals"] == {"el1": None, "el2": None}
+        else:
+            assert doc["m0"] == 0.0
+            assert abs(doc["residuals"]["el1"]) <= 1e-10
+            assert abs(doc["residuals"]["el2"]) <= 1e-10
+
+    @pytest.mark.parametrize("argv, taken", [
+        (["--u", "0.5"], "variational_limit"),
+        (["--u", "0"], "variational_limit"),
+        (["--u=-0.5"], "eta_continuation"),
+        (["--u", "0.5", "--dim", "2"], "eta_continuation"),
+    ])
+    def test_dispatch(self, argv, taken, monkeypatch, capsys):
+        # solve takes the eta = 0 solve in dim >= 3 with u >= 0 and the
+        # continuation elsewhere, and never calls the other entry point
+        def wrong_branch(*args, **kwargs):
+            pytest.fail(f"solve {argv} did not take {taken}")
+
+        calls = []
+        original = getattr(cli, taken)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name in ENTRY_POINTS:
+            monkeypatch.setattr(cli, name,
+                                counted if name == taken else wrong_branch)
+        assert run_main(["solve", "--eta-floor", "1e-2"] + argv) == \
+            cli.EXIT_OK
+        assert len(calls) == 1
+        assert ("eta_trace" in json.loads(capsys.readouterr().out)) == \
+            (taken == "eta_continuation")
+
+    def test_power_profile_boundary_point(self, capsys, monkeypatch):
+        # at the eta = 0 boundary minimum foff = habs = 10.4, where f - h
+        # once rounded to 0 at r ~ 1e-8 and the quadrature failed with a NaN
+        # error; the continuation gives p = 3.2271893620207024
+        argv = ["--dim", "3", "--v", "1", "--mass", "0.5", "--beta", "2",
+                "--mu", "0.8", "--u", "0.9", "--profile", "power:1:4"]
+        assert run_main(["solve"] + argv) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "boundary_minimum"
+        assert doc["phase"] == "condensed"
+        assert abs(doc["pressure"] - 3.2271893620207024) <= 1e-9
+        monkeypatch.setenv("PBH_THREADS", "1")
+        assert run_main(["scan"] + argv) == cli.EXIT_OK
+        header, row = capsys.readouterr().out.strip().split("\n")
+        got = dict(zip(header.split(","), row.split(",")))
+        for key in ("pressure", "q_bar", "rho_bar", "m0", "gap"):
+            assert float(got[key]) == doc[key]
 
     def test_gaussian_in_dim_9(self, capsys):
         # the profile's own decay bounds the norms in every dimension
@@ -414,12 +499,12 @@ class TestSolve:
 
 class TestScan:
     def test_one_point_matches_solve(self, tmp_path):
-        # scan takes this point (dim 3, u > 0) from the eta = 0 solve and
-        # solve from the continuation: the row is the eta = 0 result
-        # exactly, and each value lies within solve's own error estimate
+        # scan and solve both take this point (dim 3, u > 0) from the
+        # eta = 0 solve: the row equals the solve document exactly, and each
+        # value lies within the continuation's own error estimate
         from pairboson.model import Model, gaussian_profile
         from pairboson.pressure import ThermoPoint
-        from pairboson.solver import variational_limit
+        from pairboson.solver import eta_continuation, variational_limit
         args = ["--beta", "2", "--mu", "1.0", "--u", "0.5", "--v", "1.0",
                 "--dim", "3", "--eta-floor", "1e-4"]
         out_solve = tmp_path / "solve.json"
@@ -431,14 +516,17 @@ class TestScan:
         got = dict(zip(header.split(","), row.split(",")))
         m = Model(dim=3, mass=0.5, u=0.5, v=1.0,
                   lambda_profile=gaussian_profile(1.0))
-        lim = variational_limit(m, ThermoPoint(beta=2.0, mu=1.0))
-        for key, err, want in (("pressure", "p", lim.p_limit),
-                               ("q_bar", "q", lim.q_limit),
-                               ("rho_bar", "rho", lim.rho_limit),
-                               ("m0", "m0", lim.m0),
-                               ("gap", "gap", lim.gap_limit)):
-            assert float(got[key]) == want
-            assert abs(want - doc[key]) <= doc["error_estimates"][err]
+        tp = ThermoPoint(beta=2.0, mu=1.0)
+        lim = variational_limit(m, tp)
+        cont = eta_continuation(m, tp, floor=1e-4)
+        for key, err, want, limit in (
+                ("pressure", "p", lim.p_limit, cont.p_limit),
+                ("q_bar", "q", lim.q_limit, cont.q_limit),
+                ("rho_bar", "rho", lim.rho_limit, cont.rho_limit),
+                ("m0", "m0", lim.m0, cont.m0),
+                ("gap", "gap", lim.gap_limit, cont.gap_limit)):
+            assert float(got[key]) == doc[key] == want
+            assert abs(want - limit) <= cont.error_estimates[err]
         assert got["phase"] == doc["phase"] == "condensed"
 
     def test_phase_flip_at_critical_mu(self, tmp_path):

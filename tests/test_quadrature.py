@@ -53,20 +53,47 @@ def test_warm_calls_match_cold_within_tolerance(need, cold_calls):
         assert np.abs(got - want)[list(need)].max() <= tol
 
 
-def test_boundary_call_falls_back_to_cold(cold_calls):
+def test_boundary_call_stays_warm(cold_calls):
     # margins down to 1e-12 refine the mesh so deep near r = 0 that at
-    # foff == habs a carried node has E = 0 in floats
+    # foff == habs the plain difference f - h at a carried node is off by
+    # more than 1% (at the nodes a refinement adds it rounded to 0 and sent
+    # the call down the cold path); summed from its nonnegative parts it
+    # keeps every digit, so the call converges on the carried mesh
     habs = 0.3
     with plan_scope():
         for k in range(1, 13):
             rows(habs + 10.0 ** -k, habs, (1,))
+        entry, = quadrature._PLAN.get().values()
         cold_calls[0] = 0
         got = rows(habs, habs, (1,))
-    assert cold_calls[0] == 1
+    assert cold_calls[0] == 0
+    kin = entry.nodes ** 2 / (2.0 * MASS)
+    stable = kin + habs * entry.lam_c
+    plain = (kin + habs) - habs * entry.lam
+    assert (abs(plain - stable) > 0.01 * stable).any()
     want = rows(habs, habs, (1,))
-    assert np.array_equal(got[1], want[1])
+    assert abs(got[1] - want[1]) <= max(quadrature._ABS_TOL,
+                                        quadrature._REL_TOL * abs(want[1]))
     # only the needed row is computed
     assert np.isnan(got[[0, 2, 3]]).all() and np.isnan(want[[0, 2, 3]]).all()
+
+
+@pytest.mark.parametrize("profile", [PROFILE, power_profile(1.0, 4.0),
+                                     delta_profile()])
+def test_kernel_is_finite_on_the_boundary(profile):
+    # foff == habs, where f - h is r^2/(2m) + habs (1 - lam) and 1 - lam
+    # comes from the profile's closed form; without it, from lam
+    r = np.array([1e-12, 1e-8, 1e-4, 1.0])
+    lam, lam_c = profile.value_radial(r), profile.complement_radial(r)
+    habs = 10.4
+    assert np.isfinite(eval_rows(r, lam, BETA, 0.5 / MASS, habs, habs)).all()
+    out = eval_rows(r, lam, BETA, 0.5 / MASS, habs, habs, lam_c=lam_c)
+    assert np.isfinite(out).all()
+    kin = r * r / (2.0 * MASS)
+    E = np.sqrt((kin + habs * lam_c) * (kin + habs + habs * lam))
+    assert np.array_equal(out[2], lam * lam * (1.0 / np.expm1(BETA * E)
+                                               + 0.5) / E)
+    assert np.allclose(lam_c, 1.0 - lam, rtol=0.0, atol=2e-16)
 
 
 def test_uncertified_cutoff_falls_back_to_cold(cold_calls):
@@ -97,10 +124,11 @@ def assert_nodes_match_meshes():
         half = 0.5 * (entry.b - entry.a)[:, None]
         nodes = (mid + half * quadrature.XK).ravel()
         want = (half[:, 0], nodes, PROFILE.value_radial(nodes),
+                PROFILE.complement_radial(nodes),
                 quadrature.angular_factor(NU) * nodes ** (NU - 1))
         assert len(entry.nodes) == 15 * len(entry.a)
         for got, expected in zip((entry.half, entry.nodes, entry.lam,
-                                  entry.weight), want):
+                                  entry.lam_c, entry.weight), want):
             assert np.array_equal(got, expected)
 
 
@@ -216,13 +244,12 @@ def test_warm_return_is_the_refine_route(monkeypatch):
         assert next(iter(quadrature._PLAN.get().values())) is entry
     # the route through _refine: Kronrod and Gauss sums on the carried mesh
     vals = eval_rows(entry.nodes, entry.lam, BETA, 0.5 / MASS, foff, habs,
-                     rows=(1, 3))
+                     rows=(1, 3), lam_c=entry.lam_c)
     vals = (vals * entry.weight).reshape(NROWS, len(entry.half), 15)
     ik = (vals @ quadrature.WK) * entry.half
     ig = (vals @ quadrature.WG) * entry.half
     err = np.abs(ik - ig)[[1]].max(axis=0)
-    ok, ik, _, a, _, _ = refine(None, entry.a, entry.b, ik, err, [1],
-                                stop_nonfinite=True)
+    ok, ik, _, a, _, _ = refine(None, entry.a, entry.b, ik, err, [1])
     assert ok and a is entry.a
     assert np.array_equal(got, ik.sum(axis=1), equal_nan=True)
 

@@ -424,14 +424,24 @@ class TestLazyResiduals:
                                               res.eta))
         assert (r1, r2) == want
 
-    @pytest.mark.parametrize("u, expected", [("0.5", 1), ("-0.5", 0)])
-    def test_solve_reads_the_last_step_only(self, u, expected, monkeypatch,
-                                            capsys):
-        # at mf_condensed (u = -0.5) the last step ends on the boundary,
-        # where the residuals are printed as null
+    # ids read u-expected; mu = 0.4 at u = 0.5 is the condensed point,
+    # whose eta = 0 minimum sits on the boundary, and mu = -0.3 an interior
+    # (normal) one
+    @pytest.mark.parametrize("u, mu, expected", [
+        pytest.param("0.5", "-0.3", 1, id="0.5-1"),
+        pytest.param("0.5", "0.4", 0, id="0.5-0"),
+        pytest.param("-0.5", "0.4", 0, id="-0.5-0"),
+    ])
+    def test_solve_reads_the_last_step_only(self, u, mu, expected,
+                                            monkeypatch, capsys):
+        # solve reads the residuals of the eta = 0 solve (u >= 0) or of the
+        # continuation's last step (u < 0: mf_condensed, whose last step
+        # ends on the boundary); on the boundary they are printed as null
         from pairboson import cli
         calls = _counting(monkeypatch, "el_residuals")
-        assert cli.main(self.ARGV + ["--u", u]) == cli.EXIT_OK
+        argv = self.ARGV[:self.ARGV.index("--mu")] + ["--mu", mu] \
+            + self.ARGV[self.ARGV.index("--mu") + 2:]
+        assert cli.main(argv + ["--u", u]) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert len(calls) == expected
         assert (doc["residuals"]["el1"] is None) == (expected == 0)

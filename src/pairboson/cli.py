@@ -191,7 +191,8 @@ def _point_limit(model: Model, tp: ThermoPoint, settings: dict):
         # the eta = 0 sup-inf settles p, q_bar, rho_bar and m0 here
         return variational_limit(model, tp)
     # u < 0: m0 is the quasi-average (mu/v - rho_c)/2, which needs the
-    # source; dim <= 2: the eta = 0 density probe fails
+    # source; dim <= 2: in dim 2 the eta = 0 inner solve fails in the
+    # radial quadrature
     return eta_continuation(model, tp, **settings)
 
 
@@ -323,13 +324,26 @@ def cmd_solve(args) -> int:
 _SCAN_ERROR = "error:"
 
 
+def _quiet_overflow():
+    """Silence numpy's overflow and invalid-value warnings in the block.
+
+    An overflowing solve ends as a typed error or prints its non-finite
+    values, and an overflowing oracle instance fails as EigenFailure on
+    its inf/NaN entries, so the warnings, with their source paths, would
+    only repeat that on stderr.  Only the reporting changes, not the
+    arithmetic.  `main` runs every command in this block, and `_scan_point`
+    its pool workers' points."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 # Worker for scan grid points; module-level so it pickles for the pool.
 # A task is (model, eta_continuation keyword arguments, ThermoPoint).
 def _scan_point(task):
     model, settings, tp = task
     try:
-        cont = _point_limit(model, tp, settings)
-        phase = classify_phase(model, tp, cont)
+        with _quiet_overflow():
+            cont = _point_limit(model, tp, settings)
+            phase = classify_phase(model, tp, cont)
     except PairBosonError as exc:
         nan = float("nan")
         return (tp.beta, tp.mu, nan, nan, nan, nan, nan,
@@ -430,17 +444,14 @@ def cmd_oracle(args) -> int:
     V = float(len(spec.modes))
     q_grid = np.linspace(0.0, 0.8, 5)
     rho_grid = np.linspace(0.1, 1.5, 5)
-    # an overflowing instance fails as EigenFailure on its inf/NaN entries;
-    # numpy's warnings would only repeat that on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        checks = [_oracle.check_superstability(spec, model, V),
-                  _oracle.check_variational_chain(spec, model, tp, V, q_grid,
-                                                  rho_grid, eta)]
-        plus = spec.modes[1]
-        zero = spec.modes[0]
-        for sign in (1, -1):
-            checks.append(_oracle.check_pair_exchange_bound(
-                spec, model, plus, zero, sign=sign))
+    checks = [_oracle.check_superstability(spec, model, V),
+              _oracle.check_variational_chain(spec, model, tp, V, q_grid,
+                                              rho_grid, eta)]
+    plus = spec.modes[1]
+    zero = spec.modes[0]
+    for sign in (1, -1):
+        checks.append(_oracle.check_pair_exchange_bound(
+            spec, model, plus, zero, sign=sign))
     failed = any(not c.get("passed", False) for c in checks)
     report = {
         "instance": {
@@ -483,7 +494,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        with _quiet_overflow():
+            return args.func(args)
     except PairBosonError as exc:
         for errors, code, label in _EXIT_TABLE:
             if isinstance(exc, errors):

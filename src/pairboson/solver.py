@@ -10,9 +10,9 @@ Two paths reach the eta -> 0 observables.  `variational_limit` solves the
 sup-inf once at eta = 0 and reads the condensate m0 as the
 Karush-Kuhn-Tucker multiplier of the constraint sigma >= 0 (Nocedal and
 Wright, Numerical Optimization, ch. 12).  `eta_continuation` runs a
-geometric eta schedule with warm starts and extrapolates to eta = 0 with a
-detected-order Richardson step.  The CLI's solve, scan and spectrum take
-the first path where it is settled (dim >= 3, u >= 0) and the second
+geometric eta schedule on one quadrature plan and extrapolates to eta = 0
+with a detected-order Richardson step.  The CLI's solve, scan and spectrum
+take the first path where it is settled (dim >= 3, u >= 0) and the second
 elsewhere; the tests check the two against each other.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import (
     BracketFailure, ConfigError, ContinuationDiverged, ModelError,
@@ -217,13 +217,16 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
 
 
 def _result_at(model, tp, q, eta, inner_result):
-    """The SolveResult at q of an `inner` result (rho_bar, value, boundary)."""
+    """The SolveResult at q of an `inner` result (rho_bar, value, boundary).
+
+    On the boundary sigma = 0, f(0) = |h(0)| and so the gap E(0) is 0;
+    sqrt(f^2 - h^2) a few ulps off it would report rounding noise."""
     rho, value, boundary = inner_result
     op = OrderPoint(q, rho, eta)
+    gap = 0.0 if boundary else excitation_energy(model, tp, q, rho, 0.0)
     return SolveResult(
         q_bar=float(q), rho_bar=float(rho), pressure=float(value),
-        rho0=float(source_terms(model, tp, op)[1]),
-        gap=excitation_energy(model, tp, q, rho, 0.0), eta=float(eta),
+        rho0=float(source_terms(model, tp, op)[1]), gap=gap, eta=float(eta),
         status=STATUS_BOUNDARY if boundary else STATUS_CONVERGED,
         residual_at=(model, tp, op))
 
@@ -300,14 +303,14 @@ def _small_q_root(tdq, q_start: float):
     return None
 
 
-def outer_opt(model: Model, tp: ThermoPoint, eta: float, *,
-              q_hint: float | None = None) -> SolveResult:
+def outer_opt(model: Model, tp: ThermoPoint, eta: float) -> SolveResult:
     """Optimize over the pair order parameter q (sup for u>0, inf for u<=0).
 
-    For u > 0 a positive q_hint is the centre of a warm-start window
-    q_hint * [1/4, 4] on a 9-point log grid; when the best grid point lies
-    on the window's edge the search is redone from the full bracket.  The
-    u <= 0 branches ignore q_hint.
+    For u > 0: expand the bracket [0, q_max] until the slope at q_max is
+    not positive, scan it on a 32-point log grid, and polish the best grid
+    point with brentq where the slope changes sign around it.  Without a
+    sign change, as where the objective is flat to rounding, the best grid
+    point stands.
     """
     inner = _inner_solver(model, tp, eta)
 
@@ -322,17 +325,13 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float, *,
     rho0_bar, value0, boundary0 = inner(0.0)
     tdq = partial(_slope_in_q, model, tp, eta, inner)
 
-    if q_hint is not None and q_hint > 0:
-        # warm start: the optimum lies near the caller's predicted centre
-        qs = q_hint * np.geomspace(0.25, 4.0, 9)
-    else:
-        q_max = max(1.0, (2.0 / model.u) * (abs(tp.mu) + model.v * (rho0_bar + 1.0)))
-        while tdq(q_max) > 0:
-            q_max *= 2.0
-            if q_max > 2.0 ** 20:
-                raise BracketFailure("outer bracket expansion exceeded 2^20")
-        # coarse log scan to dodge local maxima, then polish the best bracket
-        qs = np.geomspace(q_max * 1e-6, q_max, 32)
+    q_max = max(1.0, (2.0 / model.u) * (abs(tp.mu) + model.v * (rho0_bar + 1.0)))
+    while tdq(q_max) > 0:
+        q_max *= 2.0
+        if q_max > 2.0 ** 20:
+            raise BracketFailure("outer bracket expansion exceeded 2^20")
+    # coarse log scan to dodge local maxima, then polish the best bracket
+    qs = np.geomspace(q_max * 1e-6, q_max, 32)
     best_q, best_val, best_rho, best_boundary = 0.0, value0, rho0_bar, boundary0
     for qq in qs:
         try:
@@ -342,26 +341,17 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float, *,
         if val > best_val:
             best_q, best_val, best_rho, best_boundary = qq, val, rho_bar, boundary
 
-    if q_hint is not None and q_hint > 0 and best_q in (qs[0], qs[-1]):
-        # optimum escaped the warm-start window: redo with the full bracket
-        return outer_opt(model, tp, eta, q_hint=None)
-
     if best_q > 0.0:
         step = qs[1] / qs[0]
         lo = best_q / step
         hi = min(best_q * step, float(qs[-1]))
+        q_bar = best_q
         try:
             t_lo, t_hi = tdq(lo), tdq(hi)
             if t_lo > 0 and t_hi < 0:
                 q_bar = brentq(tdq, lo, hi, xtol=1e-14, rtol=8.9e-16)
-            else:
-                res = minimize_scalar(lambda q: -inner(q)[1],
-                                      bracket=None, bounds=(lo, hi),
-                                      method="bounded",
-                                      options={"xatol": 1e-12})
-                q_bar = float(res.x)
         except BracketFailure:
-            q_bar = best_q
+            pass
         rho_bar, value, boundary = inner(q_bar)
         if value < best_val:
             q_bar, rho_bar, value, boundary = best_q, best_rho, best_val, best_boundary
@@ -381,10 +371,6 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float, *,
                 rho_r, val_r, bound_r = inner(root)
                 if val_r >= value0 - _VALUE_SLACK:
                     q_bar, rho_bar, value, boundary = root, rho_r, val_r, bound_r
-
-    if value + _VALUE_SLACK < value0:
-        # sup over q must dominate the q = 0 slice
-        q_bar, rho_bar, value, boundary = 0.0, rho0_bar, value0, boundary0
     return _result_at(model, tp, q_bar, eta, (rho_bar, value, boundary))
 
 
@@ -453,15 +439,8 @@ def check_schedule(eta0: float, factor: float, floor: float) -> None:
 def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
                      factor: float = 0.5,
                      floor: float = 1e-6) -> ContinuationResult:
-    """Solve along eta_n = eta0 * factor^n down to the floor and extrapolate.
-
-    Each step centres the outer warm-start window on a prediction from the
-    last two q_bar, q_n * (q_n / q_{n-1}).  Along a geometric schedule an
-    optimum that scales like q ~ eta^a (a = 2 in the normal phase, a -> 0
-    once q has a positive limit) moves by the same factor every step, so
-    the prediction follows it where the bare q_n would fall off the
-    window's edge.  Without two positive q_bar it uses q_n.
-    """
+    """Solve along eta_n = eta0 * factor^n down to the floor and extrapolate
+    the observables to eta = 0."""
     check_schedule(eta0, factor, floor)
     etas = []
     eta = eta0
@@ -469,18 +448,11 @@ def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
         etas.append(eta)
         eta *= factor
     results = []
-    q_hint = None
     # one quadrature plan per continuation: its calls reuse each other's
     # cutoff and mesh, and nothing carries over to another point
     with plan_scope(), _float_range():
         for eta in etas:
-            res = outer_opt(model, tp, eta, q_hint=q_hint)
-            results.append(res)
-            q_hint = res.q_bar
-            if len(results) >= 2 and results[-2].q_bar > 0 and q_hint > 0:
-                predicted = q_hint * (q_hint / results[-2].q_bar)
-                if 0 < predicted < math.inf:
-                    q_hint = predicted
+            results.append(outer_opt(model, tp, eta))
             if len(results) >= 4:
                 steps = [abs(results[i + 1].q_bar - results[i].q_bar)
                          + abs(results[i + 1].rho_bar - results[i].rho_bar)

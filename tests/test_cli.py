@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -269,8 +270,6 @@ class TestExitCodes:
         ("--eta0=1e155", "the solve left the floating-point range"),
         ("--beta=1e-300", "could not certify the radial tail below tolerance"),
     ])
-    # numpy's overflow warnings on the way there are expected
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_is_non_convergence(self, flag, message, capsys):
         # a float past the float range, on the continuation (u < 0): in the
         # source term eta^2/sigma~^3 or in eta * eta (--eta0=1e155 ends in
@@ -281,7 +280,6 @@ class TestExitCodes:
         assert captured.err == f"non-convergence: {message}\n"
         assert captured.out == ""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_stationary_optimum_is_non_convergence(self, capsys):
         # at beta = 1e-150 the eta = 0 inner solve ends at rho_bar = 1.6e152,
         # where the density equation's residual el1 is rho_bar itself
@@ -291,6 +289,28 @@ class TestExitCodes:
         assert captured.err.startswith(
             "non-convergence: the optimum is not stationary: el1 = ")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--beta=1e-150", "--eta-floor", "0.01"],
+        ["solve", "--beta=1e-150", "--u=-0.5", "--eta-floor", "0.01"],
+        ["scan", "--beta=1e-150", "--mu=-0.2"],
+    ])
+    def test_expected_overflows_warn_nothing(self, argv, monkeypatch,
+                                             capsys):
+        # numpy overflows on the way to these results (the tail bound at
+        # R ~ 1e75, E^3 in the kernel); stderr holds the diagnostic alone
+        monkeypatch.setenv("PBH_THREADS", "1")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            run_main(argv)
+        assert [str(w.message) for w in seen] == []
+        assert capsys.readouterr().err.count("\n") == (argv[0] == "solve")
+
+    def test_scan_workers_warn_nothing(self):
+        proc = run_proc(["scan", "--beta=1e-150", "--mu-range=-0.2:-0.1:2"],
+                        {"PBH_THREADS": "2"})
+        assert proc.returncode == cli.EXIT_OK
+        assert proc.stderr == ""
 
     def test_scan_keeps_the_rows_beside_an_overflow(self, monkeypatch,
                                                     capsys):
@@ -418,6 +438,7 @@ class TestSolve:
         if status == "boundary_minimum":
             assert doc["m0"] > 0.1
             assert doc["residuals"] == {"el1": None, "el2": None}
+            assert doc["gap"] == 0.0  # f(0) = |h(0)| on sigma = 0
         else:
             assert doc["m0"] == 0.0
             assert abs(doc["residuals"]["el1"]) <= 1e-10
@@ -478,15 +499,34 @@ class TestSolve:
         assert math.isfinite(doc["pressure"])
 
     def test_escaped_window_does_not_strand_the_search(self, capsys):
-        # q_bar ~ eta^2 here: a window centred on the last q_bar escapes,
-        # and the cold search that follows probes a density the radial
-        # quadrature cannot integrate (exit 3 after 7358 panels)
+        # q_bar ~ eta^2 here, falling from 2e-2 to 5e-6 over the schedule;
+        # no step's full-bracket search may probe a density the radial
+        # quadrature cannot integrate (once exit 3 after 7358 panels, when
+        # a warm-start window escaped into such a search)
         code = run_main(["solve", "--dim", "2", "--v", "0.673",
                          "--u", "0.466", "--profile", "gaussian:0.807",
                          "--mass", "1.243", "--beta", "3.058",
                          "--mu", "-0.676", "--eta-floor", "1e-3"])
         assert code == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["phase"] == "normal"
+
+    def test_delta_dim_1_continuation_reaches_the_limit(self, capsys):
+        # a warm-start window once followed the large-q branch (q_bar ~ 0.7)
+        # down the eta schedule until it fell below the small-q one; the
+        # jump to q_bar = 0.0014 at eta = 0.003125 then read as diverging
+        # iterates (exit 3).  The full-bracket search extrapolates to the
+        # eta = 0 sup-inf.
+        from pairboson.model import Model, delta_profile
+        from pairboson.pressure import ThermoPoint
+        assert run_main(["solve", "--dim", "1", "--profile", "delta",
+                         "--u", "0.5", "--mu", "0.5", "--beta", "2"]) == \
+            cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["phase"] == "normal"
+        m = Model(dim=1, mass=0.5, u=0.5, v=1.0,
+                  lambda_profile=delta_profile())
+        lim = solver.variational_limit(m, ThermoPoint(beta=2.0, mu=0.5))
+        assert abs(doc["pressure"] - lim.p_limit) <= 1e-10
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "solve.json"
@@ -528,6 +568,19 @@ class TestScan:
             assert float(got[key]) == doc[key] == want
             assert abs(want - limit) <= cont.error_estimates[err]
         assert got["phase"] == doc["phase"] == "condensed"
+
+    def test_boundary_rows_report_gap_zero(self, monkeypatch, capsys):
+        # the condensed rows are eta = 0 boundary minima, where
+        # f(0) = |h(0)| and E(0) = 0; at mu = 0.4 sqrt(f^2 - h^2) a few
+        # ulps off sigma = 0 once printed 5.3e-9
+        monkeypatch.setenv("PBH_THREADS", "1")
+        assert run_main(["scan", "--beta", "2", "--mu-range=-0.2:0.4:4",
+                         "--u", "0.5", "--dim", "3"]) == cli.EXIT_OK
+        rows = [row.split(",") for row in
+                capsys.readouterr().out.strip().split("\n")[1:]]
+        assert [(row[-1], float(row[-2]) > 0) for row in rows] == \
+            [("normal", True)] * 2 + [("condensed", False)] * 2
+        assert [row[-2] for row in rows[2:]] == ["0.0", "0.0"]
 
     def test_phase_flip_at_critical_mu(self, tmp_path):
         # u = 0: the normal -> mf_condensed flip happens at mu = v rho_c

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from pairboson import quadrature
-from pairboson.errors import ConfigError, ModelError, PairBosonError
+from pairboson.errors import (
+    ConfigError, ModelError, PairBosonError, QuadratureFailure,
+)
 from pairboson.kernels import NROWS, eval_rows
 from pairboson.model import delta_profile, gaussian_profile, power_profile
 from pairboson.quadrature import plan_scope, radial_rows
@@ -249,7 +251,25 @@ def test_warm_return_is_the_refine_route(monkeypatch):
     ik = (vals @ quadrature.WK) * entry.half
     ig = (vals @ quadrature.WG) * entry.half
     err = np.abs(ik - ig)[[1]].max(axis=0)
-    ok, ik, _, a, _, _ = refine(None, entry.a, entry.b, ik, err, [1])
+    ok, ik, _, a, _ = refine(None, entry.a, entry.b, ik, err, [1])
     assert ok and a is entry.a
     assert np.array_equal(got, ik.sum(axis=1), equal_nan=True)
 
+
+def test_a_stalled_refinement_fails(monkeypatch):
+    """A call meets the error target or raises: a refinement that stops at
+    50x the target is not accepted."""
+    refine = quadrature._refine
+
+    def stalled(panel_integrals, a, b, ik, err, need):
+        out = list(refine(panel_integrals, a, b, ik, err, need))
+        top = float(np.abs(out[1].sum(axis=1)[need]).max())
+        target = max(quadrature._ABS_TOL, quadrature._REL_TOL * top)
+        out[0] = False
+        out[2] = np.full(len(out[2]), 50.0 * target / len(out[2]))
+        return tuple(out)
+
+    monkeypatch.setattr(quadrature, "_refine", stalled)
+    habs, margin = FALLING[0]
+    with pytest.raises(QuadratureFailure, match="did not converge"):
+        rows(habs + margin, habs, (1,))

@@ -13,9 +13,10 @@ nonnegative and, for eta > 0, the source denominator
 sigma~ = v rho - mu - u q is positive.  `feasible` and `source_terms` are
 the one home of that rule and of the source term's mu-derivatives; every
 other function here and the solver go through them.  The inner density
-solve reads `grad_rho_slope`; the outer q search reads `outer_grads` (both
-partials from one quadrature) and `total_dq`.  Everything here is a pure
-function; the finite-volume variant replaces the integral by a lattice sum.
+solve reads `grad_rho_slope`, and `outer_grads` (both partials from one
+quadrature) for its boundary test; the outer q search reads `outer_grads`
+and `total_dq`.  Everything here is a pure function; the finite-volume
+variant replaces the integral by a lattice sum.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -122,15 +122,49 @@ _NEWTON_STEPS = 8  # in inf_rho, before it hands the bracket to brentq
 _VALUE_SLACK = 1e-10  # a q > 0 optimum may sit this far below the q = 0 slice
 
 
+def _balanced_step(model, tp, op, gr, slope):
+    """The Newton iterate from op.rho on the source-balanced residual
+    sigma~ - eta / sqrt(D), D = rho - I1 with I1 the density row, or -inf
+    where D <= 0.
+
+    grad_rho = v (D - eta^2/sigma~^2), so this residual has grad_rho's root
+    and sign.  Near the boundary, where eta^2/sigma~^2 dominates, a step on
+    grad_rho itself grows sigma~ by only about 1.5x; this residual is
+    nearly linear in sigma~ there.  Where D is small instead, grad_rho is
+    the nearly linear one.  D and dD/drho = 1 + v I3 >= 1, with I3 the
+    compressibility row, are read off (grad_rho, slope) less the source's
+    share."""
+    v, eta = model.v, op.eta
+    st = v * op.rho - tp.mu - model.u * op.q
+    d = gr / v + (eta / st) ** 2
+    if not d > 0.0:
+        return -math.inf
+    d_slope = max(slope / v - 2.0 * v * eta * eta / st ** 3, 1.0)
+    resid = st - eta / math.sqrt(d)
+    return op.rho - resid / (v + 0.5 * eta * d_slope / d ** 1.5)
+
+
 def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
-            rho_hint: float | None = None):
+            rho_hint: float | None = None, boundary_first: bool = False):
     """Minimize the pressure over densities at fixed (q, eta).
 
-    Returns (rho_bar, value, boundary): the minimizer, the pressure there,
-    and whether the minimum sits on the feasibility boundary sigma = 0
-    (possible only at eta = 0, or for repulsive u where the source stays
-    finite on the boundary).  A feasible rho_hint is the start of the
-    Newton iteration.
+    Returns (rho_bar, boundary, grads): the minimizer; whether it sits on
+    the feasibility boundary sigma = 0 (possible only at eta = 0, or for
+    repulsive u where the source stays finite on the boundary); and at a
+    boundary minimum the (grad_rho, grad_q) of `outer_grads` there, when
+    the boundary test computed them, else None.  The pressure at the
+    minimizer is left to the caller.  A feasible rho_hint is the start of
+    the Newton iteration.
+
+    grad_rho increases with rho (d2_mu >= 0), so the minimum is on the
+    boundary exactly when grad_rho >= 0 at rho_b, the smallest feasible
+    density (the Karush-Kuhn-Tucker condition).  Where rho_b can be
+    evaluated (dim >= 3, q > 0, and a source finite on sigma = 0) one
+    outer_grads call there decides it, first if boundary_first is set,
+    else after the top probe rho_lo + 1e-3 scale.  Elsewhere the density
+    row (dim <= 2), the pair row (q = 0) or the source (u > 0 with
+    eta > 0) diverges at rho_b, and the smallest feasible probe above it
+    stands in.
     """
     rho_lo = max(0.0, (tp.mu + abs(model.u) * q) / model.v)
     if not math.isfinite(rho_lo):
@@ -151,33 +185,50 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
     def g(rho):
         return g_slope(rho)[0]
 
-    # probe points rho_lo + 1e-3 scale 0.1^k just inside the feasible set;
-    # grad_rho increases with rho (d2_mu >= 0), so the largest and the
-    # smallest feasible probe decide whether any has a negative slope.
-    # Feasibility rises with rho too, so the feasible probes are the largest.
-    probes = []
-    delta = 1e-3 * scale
-    while delta > 1e-14 * scale:
-        probes.append(rho_lo + delta)
-        delta *= 0.1
-    top = probes[0]
+    rho_b = rho_lo
+    while sigma_gap(model, tp, OrderPoint(q, rho_b, eta)) < 0:
+        rho_b = np.nextafter(rho_b, np.inf)  # undo rounding in rho_lo
+    rho_b = float(rho_b)
+    kkt = (model.dim >= 3 and q > 0.0 and (eta == 0.0 or model.u < 0.0)
+           and inside(rho_b))
+    grads = None
+
+    def slope_at_boundary():
+        # the KKT test's grad_rho also serves g, as brentq's lower end
+        nonlocal grads
+        grads = outer_grads(model, tp, OrderPoint(q, rho_b, eta))
+        seen[rho_b] = grads[0], math.nan
+        return grads[0]
+
+    if kkt and boundary_first and slope_at_boundary() >= 0:
+        return rho_b, True, grads
+    top = rho_lo + 1e-3 * scale
     lo = hi = None
     if inside(top):
-        bottom = next(rho for rho in reversed(probes) if inside(rho))
         if g(top) < 0:
             lo = top
-        elif g(bottom) < 0:
-            lo, hi = bottom, top
+        elif kkt:
+            # boundary_first already found grad_rho(rho_b) < 0, or the
+            # test runs now
+            if grads is not None or slope_at_boundary() < 0:
+                lo, hi = rho_b, top
+        else:
+            # probes rho_lo + 1e-3 scale 0.1^k; feasibility rises with rho,
+            # so the feasible ones are the largest
+            probes = []
+            delta = 1e-3 * scale
+            while delta > 1e-14 * scale:
+                probes.append(rho_lo + delta)
+                delta *= 0.1
+            bottom = next(rho for rho in reversed(probes) if inside(rho))
+            if g(bottom) < 0:
+                lo, hi = bottom, top
     if lo is None:
         # slope is nonnegative all the way down: boundary minimum
-        rho_b = rho_lo
-        while sigma_gap(model, tp, OrderPoint(q, rho_b, eta)) < 0:
-            rho_b = np.nextafter(rho_b, np.inf)  # undo rounding in rho_lo
-        if not feasible(model, tp, OrderPoint(q, rho_b, eta)):
+        if not inside(rho_b):
             # source diverges on the boundary; step infinitesimally inside
             rho_b = rho_lo + 1e-14 * scale
-        val = pressure_tl(model, tp, OrderPoint(q, rho_b, eta))
-        return rho_b, val, True
+        return rho_b, True, grads
 
     # Newton from the hint, else from the largest probe, shrinking [lo, hi]
     # by the sign of every slope seen; brentq on what is left if a step
@@ -195,11 +246,16 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
         if not 0 < slope < math.inf:
             break
         nxt = rho - gr / slope
-        inside = lo <= nxt and (hi is None or nxt <= hi)
+        if eta > 0.0:
+            # both residuals are concave and increasing in rho, so each
+            # Newton step lands at or below the root: the larger is nearer
+            nxt = max(nxt, _balanced_step(model, tp, OrderPoint(q, rho, eta),
+                                          gr, slope))
+        in_bracket = lo <= nxt and (hi is None or nxt <= hi)
         if abs(nxt - rho) <= 1e-14 + 8.9e-16 * abs(nxt):
-            rho_bar = nxt if inside else rho
+            rho_bar = nxt if in_bracket else rho
             break
-        if not inside:
+        if not in_bracket:
             break
         rho = nxt
     if rho_bar is None:
@@ -212,63 +268,81 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
             else:
                 raise BracketFailure("density slope never turns positive")
         rho_bar = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    val = pressure_tl(model, tp, OrderPoint(q, rho_bar, eta))
-    return float(rho_bar), float(val), False
+    return float(rho_bar), False, None
 
 
-def _result_at(model, tp, q, eta, inner_result):
-    """The SolveResult at q of an `inner` result (rho_bar, value, boundary).
+def _result_at(model, tp, eta, inner, value, q):
+    """The SolveResult at q of an `_inner_solver`'s inner and value.
 
     On the boundary sigma = 0, f(0) = |h(0)| and so the gap E(0) is 0;
     sqrt(f^2 - h^2) a few ulps off it would report rounding noise."""
-    rho, value, boundary = inner_result
+    rho, boundary, _ = inner(q)
     op = OrderPoint(q, rho, eta)
     gap = 0.0 if boundary else excitation_energy(model, tp, q, rho, 0.0)
     return SolveResult(
-        q_bar=float(q), rho_bar=float(rho), pressure=float(value),
+        q_bar=float(q), rho_bar=float(rho), pressure=value(q),
         rho0=float(source_terms(model, tp, op)[1]), gap=gap, eta=float(eta),
         status=STATUS_BOUNDARY if boundary else STATUS_CONVERGED,
         residual_at=(model, tp, op))
 
 
 def _inner_solver(model, tp, eta):
-    """inf_rho as a function of q, warm-started from its last interior
-    minimizer.  The hint keeps that minimizer's distance to the boundary
-    rho_lo(q) = (mu + |u| q)/v, which moves with q; the bare minimizer of
-    one q is often infeasible at a larger one.
+    """inf_rho as a function of q, with the inner value and its q-slope.
 
-    Results are memoized by the exact float q for the life of the closure,
-    that is one outer_opt call (one point, one eta): a repeated q returns
-    the stored (rho_bar, value, boundary) without solving again and
-    without moving the hint.  A raised error is not stored."""
+    Returns (inner, value, tdq): inner(q) is inf_rho's (rho_bar, boundary,
+    grads), value(q) the pressure at (q, rho_bar) and tdq(q) the
+    `_slope_in_q`.  All three are memoized by the exact float q for the
+    life of the closure, that is one outer_opt call (one point, one eta),
+    and each is computed only when read.  A raised error is not stored.
+
+    inner is warm-started from its last interior minimizer.  The hint keeps
+    that minimizer's distance to the boundary rho_lo(q) = (mu + |u| q)/v,
+    which moves with q; the bare minimizer of one q is often infeasible at a
+    larger one.  After a boundary minimum the next solve tests the boundary
+    first.  A repeated q moves neither."""
     last = None
-    memo = {}
+    on_boundary = False
+    memo, values, slopes = {}, {}, {}
 
     def inner(q):
-        nonlocal last
-        if q in memo:
-            return memo[q]
-        hint = None
-        if last is not None:
-            hint = last[1] + abs(model.u) * (q - last[0]) / model.v
-        rho_bar, value, boundary = inf_rho(model, tp, q, eta, rho_hint=hint)
-        if not boundary:
-            last = (q, rho_bar)
-        memo[q] = rho_bar, value, boundary
+        nonlocal last, on_boundary
+        if q not in memo:
+            hint = None
+            if last is not None:
+                hint = last[1] + abs(model.u) * (q - last[0]) / model.v
+            memo[q] = inf_rho(model, tp, q, eta, rho_hint=hint,
+                              boundary_first=on_boundary)
+            rho_bar, on_boundary, _ = memo[q]
+            if not on_boundary:
+                last = (q, rho_bar)
         return memo[q]
 
-    return inner
+    def value(q):
+        if q not in values:
+            op = OrderPoint(q, inner(q)[0], eta)
+            values[q] = float(pressure_tl(model, tp, op))
+        return values[q]
+
+    def tdq(q):
+        if q not in slopes:
+            slopes[q] = _slope_in_q(model, tp, eta, inner, q)
+        return slopes[q]
+
+    return inner, value, tdq
 
 
 def _slope_in_q(model, tp, eta, inner, q):
-    """The total q-derivative at q of the inner value `inner(q)`.
+    """The total q-derivative at q of the inner value at `inner(q)`.
 
     A boundary minimum moves along sigma = 0, rho_b(q) = (mu + |u| q)/v, so
-    its derivative is grad_q + grad_rho |u|/v; grad_rho >= 0 need not vanish.
+    its derivative is grad_q + grad_rho |u|/v; grad_rho >= 0 need not
+    vanish.  Its gradients are the boundary test's where inf_rho made one.
     """
-    rho_bar, _, boundary = inner(q)
+    rho_bar, boundary, grads = inner(q)
     if boundary:
-        gr, gq = outer_grads(model, tp, OrderPoint(q, rho_bar, eta))
+        if grads is None:
+            grads = outer_grads(model, tp, OrderPoint(q, rho_bar, eta))
+        gr, gq = grads
         return gq + gr * (abs(model.u) / model.v)
     return total_dq(model, tp, q, eta, rho_bar)
 
@@ -312,18 +386,19 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float) -> SolveResult:
     sign change, as where the objective is flat to rounding, the best grid
     point stands.
     """
-    inner = _inner_solver(model, tp, eta)
+    inner, value, tdq = _inner_solver(model, tp, eta)
 
     if model.u == 0.0 or (model.u < 0.0 and eta == 0.0):
         # no pairing term, or no source to tilt a repulsive one: q = 0
-        return _result_at(model, tp, 0.0, eta, inner(0.0))
+        return _result_at(model, tp, eta, inner, value, 0.0)
 
     if model.u < 0.0:
-        return _outer_min_repulsive(model, tp, eta, inner)
+        q_bar = _outer_min_repulsive(model, eta, tdq)
+        return _result_at(model, tp, eta, inner, value, q_bar)
 
-    # attractive: maximize g(q) = inner value over q >= 0
-    rho0_bar, value0, boundary0 = inner(0.0)
-    tdq = partial(_slope_in_q, model, tp, eta, inner)
+    # attractive: maximize the inner value over q >= 0
+    rho0_bar = inner(0.0)[0]
+    value0 = value(0.0)
 
     q_max = max(1.0, (2.0 / model.u) * (abs(tp.mu) + model.v * (rho0_bar + 1.0)))
     while tdq(q_max) > 0:
@@ -332,69 +407,58 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float) -> SolveResult:
             raise BracketFailure("outer bracket expansion exceeded 2^20")
     # coarse log scan to dodge local maxima, then polish the best bracket
     qs = np.geomspace(q_max * 1e-6, q_max, 32)
-    best_q, best_val, best_rho, best_boundary = 0.0, value0, rho0_bar, boundary0
+    best_q, best_val = 0.0, value0
     for qq in qs:
         try:
-            rho_bar, val, boundary = inner(qq)
+            val = value(qq)
         except PairBosonError:
             continue
         if val > best_val:
-            best_q, best_val, best_rho, best_boundary = qq, val, rho_bar, boundary
+            best_q, best_val = qq, val
 
+    q_bar = best_q
     if best_q > 0.0:
         step = qs[1] / qs[0]
         lo = best_q / step
         hi = min(best_q * step, float(qs[-1]))
-        q_bar = best_q
         try:
             t_lo, t_hi = tdq(lo), tdq(hi)
             if t_lo > 0 and t_hi < 0:
                 q_bar = brentq(tdq, lo, hi, xtol=1e-14, rtol=8.9e-16)
         except BracketFailure:
             pass
-        rho_bar, value, boundary = inner(q_bar)
-        if value < best_val:
-            q_bar, rho_bar, value, boundary = best_q, best_rho, best_val, best_boundary
-    else:
-        q_bar, rho_bar, value, boundary = 0.0, rho0_bar, value0, boundary0
-        if eta > 0.0:
-            # The source tilts the pressure so the stationary point has
-            # q > 0 even when it sits far below the scan resolution
-            # (q ~ eta^2 in the normal phase).  The slope at q -> 0+ is
-            # u eta^2 / sigma^2 > 0, so a sign change always exists; hunt
-            # for it geometrically.
-            try:
-                root = _small_q_root(tdq, float(qs[0]))
-            except PairBosonError:
-                root = None
-            if root is not None:
-                rho_r, val_r, bound_r = inner(root)
-                if val_r >= value0 - _VALUE_SLACK:
-                    q_bar, rho_bar, value, boundary = root, rho_r, val_r, bound_r
-    return _result_at(model, tp, q_bar, eta, (rho_bar, value, boundary))
+        if value(q_bar) < best_val:
+            q_bar = best_q
+    elif eta > 0.0:
+        # The source tilts the pressure so the stationary point has q > 0
+        # even when it sits far below the scan resolution (q ~ eta^2 in the
+        # normal phase).  The slope at q -> 0+ is u eta^2 / sigma^2 > 0, so
+        # a sign change always exists; hunt for it geometrically.
+        try:
+            root = _small_q_root(tdq, float(qs[0]))
+        except PairBosonError:
+            root = None
+        if root is not None and value(root) >= value0 - _VALUE_SLACK:
+            q_bar = root
+    return _result_at(model, tp, eta, inner, value, q_bar)
 
 
-def _outer_min_repulsive(model, tp, eta, inner):
-    """u = -w < 0, eta > 0: minimize over q; the minimizer obeys
-    q < (eta^2/(2w))^(1/3)."""
+def _outer_min_repulsive(model, eta, tdq):
+    """u = -w < 0, eta > 0: the q minimizing the inner value, from its
+    slope tdq; the minimizer obeys q < (eta^2/(2w))^(1/3)."""
     w = -model.u
     q_bound = (eta * eta / (2.0 * w)) ** (1.0 / 3.0)
-    tdq = partial(_slope_in_q, model, tp, eta, inner)
-
     lo = q_bound * 1e-8
     hi = q_bound
-    t_lo = tdq(lo)
-    if t_lo >= 0:
-        q_bar = 0.0
+    if tdq(lo) >= 0:
+        return 0.0
+    for _ in range(60):
+        if tdq(hi) > 0:
+            break
+        hi *= 1.5
     else:
-        for _ in range(60):
-            if tdq(hi) > 0:
-                break
-            hi *= 1.5
-        else:
-            raise BracketFailure("repulsive outer bracket not found")
-        q_bar = brentq(tdq, lo, hi, xtol=1e-16, rtol=8.9e-16)
-    return _result_at(model, tp, q_bar, eta, inner(q_bar))
+        raise BracketFailure("repulsive outer bracket not found")
+    return brentq(tdq, lo, hi, xtol=1e-16, rtol=8.9e-16)
 
 
 def _extrapolate(values, factor):

@@ -195,7 +195,7 @@ class TestOuterGradients:
         # at rho_bar + 0.05 grad_rho = 6.3e-2, far above the 1e-5 gate
         from pairboson.solver import inf_rho
         q, eta = 0.2, 0.05
-        rho_bar, _, boundary = inf_rho(MODEL, TP, q, eta)
+        rho_bar, boundary, _ = inf_rho(MODEL, TP, q, eta)
         assert not boundary
         assert math.isfinite(total_dq(MODEL, TP, q, eta, rho_bar))
         with pytest.raises(StationarityViolated, match="not stationary"):

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from pairboson import pressure, solver
 from pairboson.errors import (
@@ -41,7 +42,7 @@ class TestInnerMinimum:
     def test_stationarity(self):
         m = model()
         tp = ThermoPoint(beta=2.0, mu=-0.3)
-        rho_bar, _val, boundary = inf_rho(m, tp, 0.3, 0.1)
+        rho_bar, boundary, _ = inf_rho(m, tp, 0.3, 0.1)
         assert not boundary
         assert abs(grad_rho(m, tp, OrderPoint(0.3, rho_bar, 0.1))) < 1e-9
 
@@ -49,7 +50,7 @@ class TestInnerMinimum:
         # large positive mu with small eta pins the minimum to sigma = 0
         m = model(u=-0.5)
         tp = ThermoPoint(beta=2.0, mu=1.0)
-        rho_bar, _val, boundary = inf_rho(m, tp, 0.05, 1e-4)
+        rho_bar, boundary, _ = inf_rho(m, tp, 0.05, 1e-4)
         sigma = m.v * rho_bar - tp.mu - abs(m.u) * 0.05
         if boundary:
             assert sigma == pytest.approx(0.0, abs=1e-12)
@@ -93,13 +94,13 @@ class TestInnerSolve:
     def test_hint_does_not_move_the_minimizer(self, u, mu, q, eta):
         m = model(u=u)
         tp = ThermoPoint(beta=2.0, mu=mu)
-        rho_cold, _, boundary = inf_rho(m, tp, q, eta)
+        rho_cold, boundary, _ = inf_rho(m, tp, q, eta)
         assert not boundary
         rho_lo = max(0.0, (mu + abs(u) * q) / m.v)
         hints = {"below": 0.5 * (rho_lo + rho_cold), "above": 2.0 * rho_cold,
                  "infeasible": rho_lo - 0.1}
         for name, hint in hints.items():
-            rho_bar, _, boundary = inf_rho(m, tp, q, eta, rho_hint=hint)
+            rho_bar, boundary, _ = inf_rho(m, tp, q, eta, rho_hint=hint)
             assert not boundary, name
             assert rho_bar == pytest.approx(rho_cold, rel=1e-12), name
             assert abs(grad_rho(m, tp, OrderPoint(q, rho_bar, eta))) < 1e-9
@@ -111,11 +112,77 @@ class TestInnerSolve:
                 (0.0, 1e-4, 0.1)):
             m = model(u=u)
             tp = ThermoPoint(beta=2.0, mu=mu)
-            boundary = inf_rho(m, tp, q, eta)[2]
+            boundary = inf_rho(m, tp, q, eta)[1]
             assert boundary == _boundary_by_scan(m, tp, q, eta), \
                 (u, mu, q, eta)
             decided.append(boundary)
         assert any(decided) and not all(decided)
+
+
+class TestKKTBoundaryTest:
+    """inf_rho decides a boundary minimum by the sign of grad_rho at rho_b
+    where rho_b can be evaluated, and that call's gradients are the
+    boundary slope in q."""
+
+    # ROADMAP's condensed point at eta = 0, where every q > 0 has a
+    # boundary minimum, and its mean-field condensed point at eta = 1e-3;
+    # at mu = -0.1 the eta = 0 minimum reaches the boundary at q ~ 0.2
+    @pytest.mark.parametrize("u, mu, eta, qs, outcomes", [
+        (0.5, 0.4, 0.0, np.geomspace(1e-4, 4.0, 12), {True}),
+        (-0.5, 0.4, 1e-3, np.geomspace(1e-10, 0.05, 12), {False, True}),
+        (0.5, -0.1, 0.0, np.geomspace(1e-4, 4.0, 12), {False, True})],
+        ids=["condensed", "mf_condensed", "eta0_mu-0.1"])
+    def test_matches_the_reference_rule(self, u, mu, eta, qs, outcomes):
+        m, tp = model(u=u), ThermoPoint(2.0, mu)
+        inner, _, _ = _inner_solver(m, tp, eta)
+        decided = []
+        for q in qs:
+            rho_lo = max(0.0, (tp.mu + abs(u) * q) / m.v)
+            probe = OrderPoint(q, rho_lo + 1e-14 * max(1.0, rho_lo), eta)
+            expected = grad_rho(m, tp, probe) >= 0
+            rho_bar, boundary, _ = inner(q)
+            assert boundary == expected == inf_rho(m, tp, q, eta)[1], q
+            if boundary:
+                gr, gq = outer_grads(m, tp, OrderPoint(q, rho_bar, eta))
+                want = gq + gr * abs(u) / m.v
+            else:
+                want = pressure.total_dq(m, tp, q, eta, rho_bar)
+            got = solver._slope_in_q(m, tp, eta, inner, q)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), q
+            decided.append(boundary)
+        assert set(decided) == outcomes
+
+    @pytest.mark.parametrize("mu", [0.4, 1.0])
+    @pytest.mark.parametrize("eta", [0.1, 1e-3, 1e-5])
+    def test_cold_start_balances_the_source(self, monkeypatch, mu, eta):
+        # the first inner solve of a repulsive outer_opt, at q = 1e-8
+        # q_bound with no hint: a plain Newton step on grad_rho grows sigma
+        # only about 1.5x per step from the top probe and took up to 22
+        # calls
+        m, tp = model(u=-0.5), ThermoPoint(2.0, mu)
+        q = 1e-8 * (eta * eta / (2.0 * 0.5)) ** (1.0 / 3.0)
+        calls = _counting(monkeypatch, "grad_rho_slope")
+        rho_bar, boundary, _ = inf_rho(m, tp, q, eta)
+        assert not boundary and len(calls) <= 6
+        rho_lo = (tp.mu + 0.5 * q) / m.v
+        root = brentq(lambda rho: grad_rho(m, tp, OrderPoint(q, rho, eta)),
+                      rho_lo + 1e-14, rho_lo + 1.0, xtol=1e-15, rtol=8.9e-16)
+        assert rho_bar == pytest.approx(root, rel=1e-13)
+
+    def test_no_row_is_evaluated_where_it_diverges(self, monkeypatch):
+        # dim 2: the density row diverges at sigma = 0, i.e. foff = habs
+        calls = _counting(monkeypatch, "radial_rows", pressure)
+        eta_continuation(model(u=-0.5, dim=2), ThermoPoint(2.0, 0.4),
+                         floor=1e-4)
+        assert calls and all(args[4] != args[5] for args, _ in calls)
+        # q = 0: the pair row diverges at sigma = 0
+        m, tp = model(u=0.5), ThermoPoint(2.0, 0.4)
+        calls = _counting(monkeypatch, "outer_grads")
+        assert outer_opt(m, tp, 0.0).status == STATUS_BOUNDARY
+        assert calls
+        for args, _ in calls:
+            op = args[2]
+            assert op.q > 0.0 or pressure.sigma_gap(m, tp, op) > 0.0
 
 
 def _counting(monkeypatch, name, module=solver):
@@ -134,7 +201,7 @@ def _counting(monkeypatch, name, module=solver):
 class TestInnerMemo:
     def test_repeated_q_solves_once(self, monkeypatch):
         calls = _counting(monkeypatch, "inf_rho")
-        inner = _inner_solver(model(), ThermoPoint(2.0, -0.3), 0.05)
+        inner, _, _ = _inner_solver(model(), ThermoPoint(2.0, -0.3), 0.05)
         first = inner(0.3)
         assert inner(0.3) == first
         assert len(calls) == 1
@@ -142,7 +209,7 @@ class TestInnerMemo:
         assert len(calls) == 2
 
     def test_errors_are_not_stored(self, monkeypatch):
-        outcomes = [BracketFailure("first try"), (0.5, -1.0, False)]
+        outcomes = [BracketFailure("first try"), (0.5, False, None)]
 
         def flaky(*args, **kwargs):
             outcome = outcomes.pop(0)
@@ -151,11 +218,24 @@ class TestInnerMemo:
             return outcome
 
         monkeypatch.setattr(solver, "inf_rho", flaky)
-        inner = _inner_solver(model(), ThermoPoint(2.0, -0.3), 0.05)
+        inner, _, _ = _inner_solver(model(), ThermoPoint(2.0, -0.3), 0.05)
         with pytest.raises(BracketFailure):
             inner(0.3)
-        assert inner(0.3) == (0.5, -1.0, False)
+        assert inner(0.3) == (0.5, False, None)
         assert not outcomes
+
+    def test_value_and_slope_are_computed_once_when_read(self, monkeypatch):
+        m, tp, eta = model(), ThermoPoint(2.0, -0.3), 0.05
+        values = _counting(monkeypatch, "pressure_tl")
+        slopes = _counting(monkeypatch, "total_dq")
+        inner, value, tdq = _inner_solver(m, tp, eta)
+        rho_bar = inner(0.3)[0]
+        assert values == [] and slopes == []
+        assert value(0.3) == value(0.3) == pressure.pressure_tl(
+            m, tp, OrderPoint(0.3, rho_bar, eta))
+        assert tdq(0.3) == tdq(0.3) == pressure.total_dq(m, tp, 0.3, eta,
+                                                         rho_bar)
+        assert len(values) == 1 and len(slopes) == 1
 
 
 class TestOuterOptimum:
@@ -185,9 +265,10 @@ class TestOuterOptimum:
         # at least as high as every scanned value and the q = 0 slice
         values = {}
 
-        def recorded(model, tp, q, eta, rho_hint=None):
-            out = inf_rho(model, tp, q, eta, rho_hint=rho_hint)
-            values[q] = out[1]
+        def recorded(model, tp, q, eta, **kwargs):
+            out = inf_rho(model, tp, q, eta, **kwargs)
+            values[q] = pressure.pressure_tl(model, tp,
+                                             OrderPoint(q, out[0], eta))
             return out
 
         monkeypatch.setattr(solver, "inf_rho", recorded)
@@ -431,12 +512,14 @@ def test_mf_condensed_quadrature_budget(monkeypatch, capsys):
     """Quadrature calls of ROADMAP's mean-field condensed solve (seed 0 of
     perfbench's solve_mix).  The count repeats exactly: 1,778 while the
     outer gradients shared the inner Newton steps' plan key, 1,147 with
-    their own."""
+    their own, and 343 since a boundary minimum costs one quadrature, no
+    inner value is computed that is not read and the Newton steps at
+    eta > 0 balance the source."""
     from pairboson import cli
     calls = _counting(monkeypatch, "radial_rows", pressure)
     assert cli.main(TestLazyResiduals.ARGV + ["--u", "-0.5"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["phase"] == PHASE_MF_CONDENSED
-    assert len(calls) <= 1300
+    assert len(calls) <= 450
 
 
 def test_scan_quadrature_budget(monkeypatch, capsys):

@@ -113,18 +113,19 @@ def excitation_energy(model: Model, tp: ThermoPoint, q: float, rho: float,
     return math.sqrt(max(f * f - h * h, 0.0))
 
 
-def _rows(model, tp, op, need=(0, 1, 2, 3), rows=None):
-    """The radial integrals shared by the pressure and its derivatives."""
+def _rows(model, tp, op, rows, extra=()):
+    """The radial integrals of the kernel rows `rows` (converged) and
+    `extra` (summed on the same mesh), in that order."""
     foff = model.v * op.rho - tp.mu
     habs = abs(model.u) * op.q
     return radial_rows(model.lambda_profile, model.dim, model.mass, tp.beta,
-                       foff, habs, need=need, rows=rows)
+                       foff, habs, rows, extra)
 
 
 def pressure_tl(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
     """Thermodynamic-limit pressure of the quadratic approximant."""
     src = source_terms(model, tp, op)[0]
-    ip = _rows(model, tp, op, need=(0,))[0]
+    ip, = _rows(model, tp, op, (0,))
     return float(ip + src
                  - model.u * op.q ** 2 / 2.0 + model.v * op.rho ** 2 / 2.0)
 
@@ -141,12 +142,13 @@ def pressure_fv_modes(model: Model, tp: ThermoPoint, op: OrderPoint,
         raise InfeasiblePoint(f"sigma = {sg} <= 0: finite-volume pressure infinite")
     src = source_terms(model, tp, op)[0]
     norms = np.asarray(norms, dtype=float)
-    lam = model.lambda_profile.value_radial(norms)
+    prof = model.lambda_profile
     foff = model.v * op.rho - tp.mu
     habs = abs(model.u) * op.q
-    rows = eval_rows(norms, lam, tp.beta, 0.5 / model.mass, foff, habs,
-                     rows=(0,))
-    return float(rows[0].sum() / V + src
+    terms, = eval_rows(norms, prof.value_radial(norms),
+                       prof.complement_radial(norms), tp.beta,
+                       0.5 / model.mass, foff, habs, (0,))
+    return float(terms.sum() / V + src
                  - model.u * op.q ** 2 / 2.0 + model.v * op.rho ** 2 / 2.0)
 
 
@@ -160,29 +162,30 @@ def pressure_fv(model: Model, tp: ThermoPoint, op: OrderPoint,
 def grad_rho_slope(model: Model, tp: ThermoPoint, op: OrderPoint):
     """grad_rho and its rho-derivative v (v d2_mu + 1), from one quadrature.
 
-    Only the density row is converged; the curvature row comes at whatever
-    accuracy its mesh gave it (it diverges at sigma = 0 for nu <= 3), so the
-    slope is fit to propose Newton steps, not to be reported.
+    Only the density row is converged; the curvature row is an extra row
+    that comes at whatever accuracy its mesh gave it (it diverges at
+    sigma = 0 for nu <= 3), so the slope is fit to propose Newton steps,
+    not to be reported.
     """
     _, src, d2_src = source_terms(model, tp, op)
-    rows = _rows(model, tp, op, need=(1,), rows=(1, 3))
+    i1, i3 = _rows(model, tp, op, (1,), extra=(3,))
     v = model.v
-    return (float(-v * (rows[1] + src) + v * op.rho),
-            float(v * (v * (rows[3] + d2_src) + 1.0)))
+    return (float(-v * (i1 + src) + v * op.rho),
+            float(v * (v * (i3 + d2_src) + 1.0)))
 
 
 def outer_grads(model: Model, tp: ThermoPoint, op: OrderPoint):
     """(grad_rho, grad_q) from one quadrature that converges both rows.
 
-    The outer q search reads both partials at every point it tries.  One
-    call with need=(1, 2) has its own plan key, so these calls leave alone
-    the mesh that the inner Newton steps (need=(1,)) carry from call to call.
+    The outer q search reads both partials at every point it tries.  Rows
+    (1, 2) are their own plan key, so these calls leave alone the mesh that
+    the inner Newton steps (rows (1,)) carry from call to call.
     """
     src = source_terms(model, tp, op)[1]
-    rows = _rows(model, tp, op, need=(1, 2))
+    i1, i2 = _rows(model, tp, op, (1, 2))
     u, v = model.u, model.v
-    return (float(-v * (rows[1] + src) + v * op.rho),
-            float(u ** 2 * op.q * rows[2] + u * src - u * op.q))
+    return (float(-v * (i1 + src) + v * op.rho),
+            float(u ** 2 * op.q * i2 + u * src - u * op.q))
 
 
 def grad_rho(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
@@ -193,7 +196,7 @@ def grad_rho(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
 def grad_q(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
     """Partial derivative of pressure_tl with respect to q."""
     src = source_terms(model, tp, op)[1]
-    iq = _rows(model, tp, op, need=(2,))[2]
+    iq, = _rows(model, tp, op, (2,))
     return float(model.u ** 2 * op.q * iq + model.u * src - model.u * op.q)
 
 
@@ -224,14 +227,14 @@ def d_mu(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
     The source coefficient is 1, not the printed v; finite differences agree.
     """
     src = source_terms(model, tp, op)[1]
-    ife = _rows(model, tp, op, need=(1,))[1]
+    ife, = _rows(model, tp, op, (1,))
     return float(ife + src)
 
 
 def d2_mu(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
     """Second mu-derivative of pressure_tl (compressibility; nonnegative)."""
     src = source_terms(model, tp, op)[2]
-    id2 = _rows(model, tp, op, need=(3,))[3]
+    id2, = _rows(model, tp, op, (3,))
     return float(id2 + src)
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc
 
-from .errors import ConfigError, ModelError, QuadratureFailure, TailNotConverged
-from .kernels import NROWS, eval_rows
+from .errors import ModelError, QuadratureFailure, TailNotConverged
+from .kernels import eval_rows
 from .model import (
     PROFILE_DELTA_ZERO,
     PROFILE_GAUSSIAN,
@@ -175,7 +175,7 @@ def _mesh_nodes(profile, nu, a, b):
 
 
 # Plan entries of the last strictly converged call, keyed by (profile, nu,
-# mass, beta, need).  A dict exists only inside `plan_scope`;
+# mass, beta, rows).  A dict exists only inside `plan_scope`;
 # elsewhere every call runs cold.
 _PLAN: contextvars.ContextVar = contextvars.ContextVar("quadrature_plan",
                                                        default=None)
@@ -200,18 +200,21 @@ def plan_scope():
         _PLAN.reset(token)
 
 
-def _refine(panel_integrals, a, b, ik, err, need):
+def _refine(panel_integrals, a, b, ik, err, n):
     """Split panels until the error estimate meets the tolerance.
 
     Starts from the per-panel integrals ik and errors err of the mesh
-    (a, b).  Returns (converged, ik, err, a, b) with those of the final
-    mesh; a mesh that needed no split is returned as the same arrays.
+    (a, b); err is that of the first n rows of ik, the converged ones.
+    Returns (total, err, a, b) of the final mesh, with total the row totals
+    if their first n are finite and within tolerance, else None; a mesh
+    that needed no split is returned as the same arrays.
     """
     for _ in range(64):
         total = ik.sum(axis=1)
-        tol = max(_ABS_TOL, _REL_TOL * float(np.abs(total[need]).max()))
-        if err.sum() <= tol:
-            return True, ik, err, a, b
+        top = float(np.abs(total[:n]).max())
+        tol = max(_ABS_TOL, _REL_TOL * top)
+        if math.isfinite(top) and err.sum() <= tol:
+            return total, err, a, b
         if len(a) >= _MAX_PANELS:
             break
         # split every panel holding more than its share of the error budget
@@ -226,84 +229,74 @@ def _refine(panel_integrals, a, b, ik, err, need):
         ik = np.concatenate([ik[:, ~bad], ik_bad], axis=1)
         err = np.concatenate([err[~bad], err_bad])
         a, b = new_a, new_b
-    return False, ik, err, a, b
+    return None, err, a, b
 
 
 def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
-                foff: float, habs: float,
-                need=(0, 1, 2, 3), rows=None) -> np.ndarray:
-    """The four integral rows of the radial spectral integrand.
+                foff: float, habs: float, rows, extra=()) -> np.ndarray:
+    """The integrals of the kernel rows `rows`, then those of `extra`.
 
     foff = v rho - mu is the k = 0 value of f; habs = |u| q scales the pair
     field.  Requires the feasibility margin foff - habs >= 0 (the integrals
     stay finite at exactly zero margin thanks to the r^(nu-1) measure, except
-    the curvature row in nu <= 3 which diverges there).  Only the rows
-    listed in `rows` (default: `need`, of which it must hold every row) are
-    computed, and the others are NaN.  Convergence is enforced only for the
-    rows in `need`; the rest come at whatever accuracy fell out, so boundary
-    points can still evaluate the rows that remain finite.  Inside
-    `plan_scope` a call first tries the previous call's cutoff and mesh.
+    the curvature row in nu <= 3 which diverges there).  The integrals of
+    `rows` are converged to tolerance; those of `extra` are summed on the
+    same mesh at whatever accuracy it gives them, so a boundary point can
+    still read a row that diverges there.  Inside `plan_scope` a call
+    first tries the previous call's cutoff and mesh for the same `rows`.
     """
-    need = tuple(need)
-    rows = need if rows is None else tuple(rows)
-    if not set(need) <= set(rows):
-        raise ConfigError("rows must include every row in need")
+    rows = tuple(rows)
     if habs < 0:
         raise ModelError("habs must be nonnegative")
     if foff - habs < 0:
         raise QuadratureFailure(
             f"infeasible evaluation point: f(0) - |h(0)| = {foff - habs} < 0")
     inv_2m = 0.5 / mass
-    # index of the needed rows: a slice (a view) when they are contiguous
-    first, last = min(need), max(need)
-    need_idx = (slice(first, last + 1) if last - first < len(set(need))
-                else list(need))
+    every = rows + tuple(extra)
+    n = len(rows)
 
     def panel_sums(half, nodes, lam, lam_c, weight):
         # per-panel Kronrod integrals and |Kronrod - Gauss| errors
-        vals = eval_rows(nodes, lam, beta, inv_2m, foff, habs, rows=rows,
-                         lam_c=lam_c)
-        vals = (vals * weight).reshape(NROWS, len(half), 15)
+        vals = eval_rows(nodes, lam, lam_c, beta, inv_2m, foff, habs, every)
+        vals = (vals * weight).reshape(len(every), len(half), 15)
         ik = (vals @ WK) * half
         ig = (vals @ WG) * half
-        return ik, np.abs(ik[need_idx] - ig[need_idx]).max(axis=0)
+        return ik, np.abs(ik[:n] - ig[:n]).max(axis=0)
 
     def panel_integrals(a, b):
         return panel_sums(*_mesh_nodes(profile, nu, a, b))
 
-    plan = _PLAN.get()
-    key = (profile, nu, mass, beta, need)
+    def entry_of(R, tail, a, b):
+        return _PlanEntry(R, tail, a, b, *_mesh_nodes(profile, nu, a, b))
 
-    def store(R, tail, a, b):
-        plan[key] = _PlanEntry(R, tail, a, b, *_mesh_nodes(profile, nu, a, b))
+    plan = _PLAN.get()
+    key = (profile, nu, mass, beta, rows)
+
+    def converge(entry):
+        # _refine from the entry's mesh (its fields from `half` on are the
+        # `_mesh_nodes` of that mesh); a converged entry is kept in the
+        # plan, rebuilt if the mesh was refined
+        ik, err = panel_sums(*entry[4:])
+        total, err, a, b = _refine(panel_integrals, entry.a, entry.b, ik,
+                                   err, n)
+        if total is not None and plan is not None:
+            if a is not entry.a:
+                entry = entry_of(entry.R, entry.tail, a, b)
+            plan[key] = entry
+        return total, err, a
 
     warm = plan.get(key) if plan is not None else None
     if warm is not None and _tail_bound(warm.tail, mass, beta, foff,
                                         habs) < _TAIL_TOL:
-        ik, err = panel_sums(warm.half, warm.nodes, warm.lam, warm.lam_c,
-                             warm.weight)
-        total = ik.sum(axis=1)
-        # _refine's first test, and the finiteness test below, on the
-        # carried mesh as it stands: most warm calls end here
-        top = float(np.abs(total[need_idx]).max())
-        if math.isfinite(top) and err.sum() <= max(_ABS_TOL, _REL_TOL * top):
-            return total
-        ok, ik, _, a, b = _refine(panel_integrals, warm.a, warm.b, ik,
-                                  err, need_idx)
-        total = ik.sum(axis=1)
-        if ok and np.isfinite(total[need_idx]).all():
-            store(warm.R, warm.tail, a, b)
+        total = converge(warm)[0]
+        if total is not None:
             return total
 
     R, tail = _choose_cutoff(profile, nu, mass, beta, foff, habs)
     breaks = _initial_breaks(profile, nu, mass, beta, R)
-    a, b = breaks[:-1], breaks[1:]
-    ik, err = panel_integrals(a, b)
-    ok, ik, err, a, b = _refine(panel_integrals, a, b, ik, err, need_idx)
-    if ok:
-        if plan is not None:
-            store(R, tail, a, b)
-        return ik.sum(axis=1)
+    total, err, a = converge(entry_of(R, tail, breaks[:-1], breaks[1:]))
+    if total is not None:
+        return total
     raise QuadratureFailure(
         f"radial quadrature did not converge: error {err.sum():.3e} "
         f"with {len(a)} panels")

@@ -202,27 +202,27 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
 
     if kkt and boundary_first and slope_at_boundary() >= 0:
         return rho_b, True, grads
+    # top is feasible: sigma >= 1e-3 v scale there, and sigma~ >= sigma
     top = rho_lo + 1e-3 * scale
     lo = hi = None
-    if inside(top):
-        if g(top) < 0:
-            lo = top
-        elif kkt:
-            # boundary_first already found grad_rho(rho_b) < 0, or the
-            # test runs now
-            if grads is not None or slope_at_boundary() < 0:
-                lo, hi = rho_b, top
-        else:
-            # probes rho_lo + 1e-3 scale 0.1^k; feasibility rises with rho,
-            # so the feasible ones are the largest
-            probes = []
-            delta = 1e-3 * scale
-            while delta > 1e-14 * scale:
-                probes.append(rho_lo + delta)
-                delta *= 0.1
-            bottom = next(rho for rho in reversed(probes) if inside(rho))
-            if g(bottom) < 0:
-                lo, hi = bottom, top
+    if g(top) < 0:
+        lo = top
+    elif kkt:
+        # boundary_first already found grad_rho(rho_b) < 0, or the
+        # test runs now
+        if grads is not None or slope_at_boundary() < 0:
+            lo, hi = rho_b, top
+    else:
+        # probes rho_lo + 1e-3 scale 0.1^k; feasibility rises with rho,
+        # so the feasible ones are the largest
+        probes = []
+        delta = 1e-3 * scale
+        while delta > 1e-14 * scale:
+            probes.append(rho_lo + delta)
+            delta *= 0.1
+        bottom = next(rho for rho in reversed(probes) if inside(rho))
+        if g(bottom) < 0:
+            lo, hi = bottom, top
     if lo is None:
         # slope is nonnegative all the way down: boundary minimum
         if not inside(rho_b):
@@ -275,13 +275,20 @@ def _result_at(model, tp, eta, inner, value, q):
     """The SolveResult at q of an `_inner_solver`'s inner and value.
 
     On the boundary sigma = 0, f(0) = |h(0)| and so the gap E(0) is 0;
-    sqrt(f^2 - h^2) a few ulps off it would report rounding noise."""
-    rho, boundary, _ = inner(q)
+    sqrt(f^2 - h^2) a few ulps off it would report rounding noise.  rho0
+    is the source's eta^2/sigma~^2, which is 0 at eta = 0 except on the
+    boundary: there it is the KKT multiplier max(grad_rho / v, 0), read
+    from the boundary test's gradients where inf_rho made one."""
+    rho, boundary, grads = inner(q)
     op = OrderPoint(q, rho, eta)
     gap = 0.0 if boundary else excitation_energy(model, tp, q, rho, 0.0)
+    rho0 = source_terms(model, tp, op)[1]
+    if boundary and eta == 0.0:
+        gr = grad_rho(model, tp, op) if grads is None else grads[0]
+        rho0 = max(gr / model.v, 0.0)
     return SolveResult(
         q_bar=float(q), rho_bar=float(rho), pressure=value(q),
-        rho0=float(source_terms(model, tp, op)[1]), gap=gap, eta=float(eta),
+        rho0=float(rho0), gap=gap, eta=float(eta),
         status=STATUS_BOUNDARY if boundary else STATUS_CONVERGED,
         residual_at=(model, tp, op))
 
@@ -570,13 +577,9 @@ def variational_limit(model: Model, tp: ThermoPoint) -> VariationalLimit:
     """
     with plan_scope(), _float_range():
         res = outer_opt(model, tp, 0.0)
-        m0 = 0.0
-        if res.status == STATUS_BOUNDARY:
-            op = OrderPoint(res.q_bar, res.rho_bar, 0.0)
-            m0 = max(grad_rho(model, tp, op) / model.v, 0.0)
     return VariationalLimit(p_limit=res.pressure, q_limit=res.q_bar,
-                            rho_limit=res.rho_bar, m0=m0, gap_limit=res.gap,
-                            result=res)
+                            rho_limit=res.rho_bar, m0=res.rho0,
+                            gap_limit=res.gap, result=res)
 
 
 def bose_density(model: Model, beta: float, mu_eff: float) -> float:
@@ -585,9 +588,9 @@ def bose_density(model: Model, beta: float, mu_eff: float) -> float:
         raise ModelError("ideal-gas density requires mu_eff <= 0")
     if model.dim <= 2 and mu_eff == 0.0:
         return math.inf
-    rows = radial_rows(delta_profile(), model.dim, model.mass, beta,
-                       -mu_eff, 0.0, need=(1,))
-    return float(rows[1])
+    density, = radial_rows(delta_profile(), model.dim, model.mass, beta,
+                           -mu_eff, 0.0, (1,))
+    return float(density)
 
 
 def critical_density(model: Model, beta: float) -> float:

@@ -208,7 +208,7 @@ class TestOuterGradients:
         assert total_dq(MODEL, TP, OP.q, OP.eta, rho_bar) == gq + gr
 
     def test_leaves_the_newton_mesh_alone(self):
-        # an inner solve carries a need=(1,) mesh; outer gradients next to
+        # an inner solve carries a rows (1,) mesh; outer gradients next to
         # the boundary, where that mesh would have to refine, use their own
         from pairboson.solver import inf_rho
         tp = ThermoPoint(beta=2.0, mu=0.4)
@@ -300,28 +300,31 @@ class TestKernels:
             lam * lam * (nb + 0.5) / E,
             beta * nb * (nb + 1.0) * (f / E) ** 2 + (nb + 0.5) * h * h / E ** 3,
         ])
-        rows = kernels.eval_rows(r, lam, beta, inv_2m, foff, habs)
+        rows = kernels.eval_rows(r, lam, 1.0 - lam, beta, inv_2m, foff, habs,
+                                 (0, 1, 2, 3))
         # the naive forms cancel catastrophically once values shrink, so
         # allow a small absolute floor
         np.testing.assert_allclose(rows, naive, rtol=1e-12, atol=1e-13)
 
     def test_large_argument_overflow_guard(self):
         rows = kernels.eval_rows(np.array([80.0]), np.array([0.0]),
-                                 10.0, 1.0, 0.5, 0.0)
+                                 np.array([1.0]), 10.0, 1.0, 0.5, 0.0,
+                                 (0, 1, 2, 3))
         assert np.all(np.isfinite(rows))
 
     @pytest.mark.parametrize("subset", [
         s for n in range(1, 5) for s in itertools.combinations(range(4), n)])
     def test_rows_on_demand(self, subset):
-        # the x >= 700 branch of n_B included
+        # the x >= 700 branch of n_B included; exactly the rows asked for
+        # come back, in the order asked
         r = np.concatenate([np.linspace(0.0, 6.0, 40), [80.0]])
         lam = np.exp(-0.5 * r * r)
-        args = (r, lam, 1.7, 1.0, 0.9, 0.4)
-        full = kernels.eval_rows(*args)
-        part = kernels.eval_rows(*args, rows=subset)
-        skipped = [i for i in range(4) if i not in subset]
-        assert np.array_equal(part[list(subset)], full[list(subset)])
-        assert np.isnan(part[skipped]).all()
+        args = (r, lam, -np.expm1(-0.5 * r * r), 1.7, 1.0, 0.9, 0.4)
+        full = kernels.eval_rows(*args, (0, 1, 2, 3))
+        for order in (subset, subset[::-1]):
+            part = kernels.eval_rows(*args, order)
+            assert part.shape == (len(order), len(r))
+            assert np.array_equal(part, full[list(order)])
 
     @given(beta=st.floats(0.1, 20.0), foff=st.floats(0.05, 5.0),
            hfrac=st.floats(0.0, 0.95), r=st.floats(0.0, 60.0))
@@ -329,6 +332,7 @@ class TestKernels:
     def test_rows_finite_and_positive(self, beta, foff, hfrac, r):
         lam = np.array([math.exp(-r * r)])
         habs = hfrac * foff  # keeps f > |h| everywhere
-        rows = kernels.eval_rows(np.array([r]), lam, beta, 1.0, foff, habs)
+        rows = kernels.eval_rows(np.array([r]), lam, 1.0 - lam, beta, 1.0,
+                                 foff, habs, (0, 1, 2, 3))
         assert np.all(np.isfinite(rows))
         assert np.all(rows >= 0.0)

@@ -360,6 +360,22 @@ class TestVariationalLimit:
         gr, gq = outer_grads(m, tp, OrderPoint(res.q_bar, res.rho_bar, 0.0))
         assert abs(gq + gr * m.u / m.v) <= 1e-11
 
+    @pytest.mark.parametrize("u, grad_rho_calls", [(0.5, 0), (0.0, 1)])
+    def test_m0_is_the_boundary_tests_multiplier(self, monkeypatch, u,
+                                                 grad_rho_calls):
+        # condensed points: m0 = grad_rho / v at the boundary optimum, read
+        # from the KKT test's gradients where q_bar > 0; at u = 0 (q = 0)
+        # no test ran, and one grad_rho call computes it
+        m, tp = model(u=u), ThermoPoint(2.0, 0.4)
+        calls = _counting(monkeypatch, "grad_rho")
+        lim = variational_limit(m, tp)
+        assert lim.result.status == STATUS_BOUNDARY
+        assert len(calls) == grad_rho_calls
+        assert lim.m0 == lim.result.rho0 > 0.1
+        op = OrderPoint(lim.q_limit, lim.rho_limit, 0.0)
+        want = pressure.grad_rho(m, tp, op) / m.v
+        assert abs(lim.m0 - want) <= 1e-12
+
     @pytest.mark.parametrize("profile", [gaussian_profile(1.0),
                                          delta_profile(),
                                          power_profile(1.0, 4.0)],

@@ -185,15 +185,15 @@ def _build_model(cfg: dict) -> Model:
 
 def _point_limit(model: Model, tp: ThermoPoint, settings: dict):
     """The eta -> 0 observables of a solve, scan or spectrum point: a
-    `VariationalLimit` in dim >= 3 with u >= 0, else a `ContinuationResult`.
+    `ContinuationResult` for u > 0 in dim <= 2, else a `VariationalLimit`.
     """
-    if model.dim >= 3 and model.u >= 0:
-        # the eta = 0 sup-inf settles p, q_bar, rho_bar and m0 here
-        return variational_limit(model, tp)
-    # u < 0: m0 is the quasi-average (mu/v - rho_c)/2, which needs the
-    # source; dim <= 2: in dim 2 the eta = 0 inner solve fails in the
-    # radial quadrature
-    return eta_continuation(model, tp, **settings)
+    if model.u > 0 and model.dim <= 2:
+        # the infrared divergence: with q > 0 the density row diverges as
+        # sigma -> 0, and in dim 2 the eta = 0 inner solve fails in the
+        # radial quadrature
+        return eta_continuation(model, tp, **settings)
+    # the eta = 0 sup-inf settles p, q_bar, rho_bar and m0
+    return variational_limit(model, tp)
 
 
 def _solver_settings(cfg: dict) -> dict:

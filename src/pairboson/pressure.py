@@ -189,8 +189,15 @@ def outer_grads(model: Model, tp: ThermoPoint, op: OrderPoint):
 
 
 def grad_rho(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
-    """Partial derivative of pressure_tl with respect to rho."""
-    return grad_rho_slope(model, tp, op)[0]
+    """Partial derivative of pressure_tl with respect to rho.
+
+    Reads the density row alone, so it stays finite on sigma = 0, where
+    `grad_rho_slope`'s curvature row diverges; the plan key (1,) is the
+    same, so both share one carried mesh.
+    """
+    src = source_terms(model, tp, op)[1]
+    i1, = _rows(model, tp, op, (1,))
+    return float(-model.v * (i1 + src) + model.v * op.rho)
 
 
 def grad_q(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:

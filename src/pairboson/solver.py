@@ -7,13 +7,15 @@ the mean-field solution as the symmetry-breaking source eta -> 0.  The
 solver nests the optimizations (inner density solve per candidate q).
 
 Two paths reach the eta -> 0 observables.  `variational_limit` solves the
-sup-inf once at eta = 0 and reads the condensate m0 as the
+sup-inf once at eta = 0 and reads the condensate m0 off the
 Karush-Kuhn-Tucker multiplier of the constraint sigma >= 0 (Nocedal and
-Wright, Numerical Optimization, ch. 12).  `eta_continuation` runs a
+Wright, Numerical Optimization, ch. 12): the multiplier itself for u >= 0,
+half of it (the quasi-average) for u < 0.  `eta_continuation` runs a
 geometric eta schedule on one quadrature plan and extrapolates to eta = 0
 with a detected-order Richardson step.  The CLI's solve, scan and spectrum
-take the first path where it is settled (dim >= 3, u >= 0) and the second
-elsewhere; the tests check the two against each other.
+take the second path only for u > 0 in dim <= 2, where the eta = 0 inner
+solve meets the infrared divergence of the density row, and the first
+everywhere else; the tests check the two against each other.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .model import Model, delta_profile
 from .pressure import (
     OrderPoint,
     ThermoPoint,
+    d2_mu,
     el_residuals,
     excitation_energy,
     feasible,
@@ -59,6 +62,8 @@ _ORDER_TOL = 1e-6  # q_limit and m0 above this are a nonzero order parameter
 # the radial tolerance, which `SolveResult.checked_residuals` holds the
 # Euler-Lagrange residuals to, relative to max(1, rho_bar) and max(1, q_bar)
 _EL_TOL = 1e-10
+# inf_rho's absolute and relative tolerance on rho_bar
+_RHO_XTOL, _RHO_RTOL = 1e-14, 8.9e-16
 
 
 @dataclass
@@ -93,10 +98,21 @@ class SolveResult:
 
     def checked_residuals(self):
         """(el1, el2) of an interior optimum, or StationarityViolated
-        unless |el1| <= _EL_TOL max(1, rho_bar) and
-        |el2| <= _EL_TOL max(1, q_bar)."""
+        unless |el1| <= _EL_TOL max(1, rho_bar) + slack and
+        |el2| <= _EL_TOL max(1, q_bar).
+
+        slack is the el1 that inf_rho's own tolerance on rho_bar allows:
+        d el1/d rho = 1 + v d2_mu times _RHO_XTOL + _RHO_RTOL rho_bar.  It
+        matters just off sigma = 0 in dim <= 2, where d2_mu ~ 1/sigma and
+        no float rho_bar meets _EL_TOL, and costs one quadrature, taken
+        only when el1 misses the plain bound."""
         el1, el2 = self._residuals
-        if not (abs(el1) <= _EL_TOL * max(1.0, self.rho_bar)
+        tol1 = _EL_TOL * max(1.0, self.rho_bar)
+        if abs(el1) > tol1:
+            model, tp, op = self.residual_at
+            tol1 += ((1.0 + model.v * d2_mu(model, tp, op))
+                     * (_RHO_XTOL + _RHO_RTOL * self.rho_bar))
+        if not (abs(el1) <= tol1
                 and abs(el2) <= _EL_TOL * max(1.0, self.q_bar)):
             raise StationarityViolated(
                 f"the optimum is not stationary: el1 = {el1:.3e}, "
@@ -163,7 +179,7 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
     outer_grads call there decides it, first if boundary_first is set,
     else after the top probe rho_lo + 1e-3 scale.  Elsewhere the density
     row (dim <= 2), the pair row (q = 0) or the source (u > 0 with
-    eta > 0) diverges at rho_b, and the smallest feasible probe above it
+    eta > 0) diverges at rho_b, and the bottom probe rho_lo + 1e-14 scale
     stands in.
     """
     rho_lo = max(0.0, (tp.mu + abs(model.u) * q) / model.v)
@@ -202,8 +218,10 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
 
     if kkt and boundary_first and slope_at_boundary() >= 0:
         return rho_b, True, grads
-    # top is feasible: sigma >= 1e-3 v scale there, and sigma~ >= sigma
+    # top and bottom are feasible: sigma >= 1e-14 v scale there, above
+    # rho_lo's rounding, and sigma~ >= sigma
     top = rho_lo + 1e-3 * scale
+    bottom = rho_lo + 1e-14 * scale
     lo = hi = None
     if g(top) < 0:
         lo = top
@@ -212,25 +230,14 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
         # test runs now
         if grads is not None or slope_at_boundary() < 0:
             lo, hi = rho_b, top
-    else:
-        # probes rho_lo + 1e-3 scale 0.1^k; feasibility rises with rho,
-        # so the feasible ones are the largest
-        probes = []
-        delta = 1e-3 * scale
-        while delta > 1e-14 * scale:
-            probes.append(rho_lo + delta)
-            delta *= 0.1
-        bottom = next(rho for rho in reversed(probes) if inside(rho))
-        if g(bottom) < 0:
-            lo, hi = bottom, top
+    elif g(bottom) < 0:
+        lo, hi = bottom, top
     if lo is None:
-        # slope is nonnegative all the way down: boundary minimum
-        if not inside(rho_b):
-            # source diverges on the boundary; step infinitesimally inside
-            rho_b = rho_lo + 1e-14 * scale
-        return rho_b, True, grads
+        # slope is nonnegative all the way down: boundary minimum, or
+        # infinitesimally inside it where the source diverges on it
+        return (rho_b if inside(rho_b) else bottom), True, grads
 
-    # Newton from the hint, else from the largest probe, shrinking [lo, hi]
+    # Newton from the hint, else from the top probe, shrinking [lo, hi]
     # by the sign of every slope seen; brentq on what is left if a step
     # leaves the bracket or the steps run out
     rho = top
@@ -252,7 +259,7 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
             nxt = max(nxt, _balanced_step(model, tp, OrderPoint(q, rho, eta),
                                           gr, slope))
         in_bracket = lo <= nxt and (hi is None or nxt <= hi)
-        if abs(nxt - rho) <= 1e-14 + 8.9e-16 * abs(nxt):
+        if abs(nxt - rho) <= _RHO_XTOL + _RHO_RTOL * abs(nxt):
             rho_bar = nxt if in_bracket else rho
             break
         if not in_bracket:
@@ -267,7 +274,7 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
                 lo, hi = hi, hi * 2.0
             else:
                 raise BracketFailure("density slope never turns positive")
-        rho_bar = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        rho_bar = brentq(g, lo, hi, xtol=_RHO_XTOL, rtol=_RHO_RTOL)
     return float(rho_bar), False, None
 
 
@@ -277,15 +284,26 @@ def _result_at(model, tp, eta, inner, value, q):
     On the boundary sigma = 0, f(0) = |h(0)| and so the gap E(0) is 0;
     sqrt(f^2 - h^2) a few ulps off it would report rounding noise.  rho0
     is the source's eta^2/sigma~^2, which is 0 at eta = 0 except on the
-    boundary: there it is the KKT multiplier max(grad_rho / v, 0), read
-    from the boundary test's gradients where inf_rho made one."""
+    boundary: there it is the eta -> 0 limit of the source's rho0, the
+    quasi-average.  For u >= 0 that is the KKT multiplier
+    max(grad_rho / v, 0), read from the boundary test's gradients where
+    inf_rho made one; for u < 0 it is half the multiplier:
+
+    - Write w = -u > 0.  On the boundary path sigma = 0 of a small source,
+      rho = (mu + w q)/v and sigma~ = 2 w q.
+    - Setting dp/dq = d_q p + (w/v) d_rho p to zero gives
+      2 rho0 = rho - I1 + q (1 + w I2), with rho0 = eta^2/sigma~^2.
+    - As eta -> 0 in dim >= 3, q -> 0, q I2 -> 0 and rho - I1 ->
+      mu/v - rho_c, which is the multiplier.
+    - So rho0 tends to half the multiplier.
+    """
     rho, boundary, grads = inner(q)
     op = OrderPoint(q, rho, eta)
     gap = 0.0 if boundary else excitation_energy(model, tp, q, rho, 0.0)
     rho0 = source_terms(model, tp, op)[1]
     if boundary and eta == 0.0:
         gr = grad_rho(model, tp, op) if grads is None else grads[0]
-        rho0 = max(gr / model.v, 0.0)
+        rho0 = max(gr / model.v, 0.0) * (0.5 if model.u < 0.0 else 1.0)
     return SolveResult(
         q_bar=float(q), rho_bar=float(rho), pressure=value(q),
         rho0=float(rho0), gap=gap, eta=float(eta),
@@ -553,11 +571,14 @@ def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
 class VariationalLimit:
     """The sup-inf solved at eta = 0, under ContinuationResult's names.
 
-    m0 is the Karush-Kuhn-Tucker multiplier of the constraint sigma >= 0:
-    grad_rho / v at a boundary minimum, where the inner minimum presses on
-    sigma = 0, and 0 at an interior one.  `result` is the eta = 0 solve
-    itself: its status is STATUS_BOUNDARY exactly when the multiplier
-    applies, and its residuals are computed only if read.
+    m0 is the eta -> 0 quasi-average of the k = 0 mode, read off the
+    Karush-Kuhn-Tucker multiplier grad_rho / v of the constraint
+    sigma >= 0 at a boundary minimum, where the inner minimum presses on
+    sigma = 0: the multiplier for u >= 0 and half of it for u < 0 (see
+    `_result_at`).  At an interior minimum m0 is 0; so it is in dim <= 2
+    for u <= 0, where q_bar = 0 and the minimum is interior.  `result` is
+    the eta = 0 solve itself: its status is STATUS_BOUNDARY exactly when
+    the multiplier applies, and its residuals are computed only if read.
     """
 
     p_limit: float
@@ -572,8 +593,9 @@ def variational_limit(model: Model, tp: ThermoPoint) -> VariationalLimit:
     """p, q_bar, rho_bar, the gap E(0) and m0 from one outer solve at eta = 0.
 
     The direct solve of the two-parameter formula; it agrees with the
-    extrapolated limits of `eta_continuation` where both apply (dim >= 3,
-    u >= 0), at a small fraction of the cost.
+    extrapolated limits of `eta_continuation` where both apply (every
+    point but u > 0 in dim <= 2), at a small fraction of the cost.  For
+    u <= 0 it is the mean-field Bose gas, q_bar = 0 without a search.
     """
     with plan_scope(), _float_range():
         res = outer_opt(model, tp, 0.0)

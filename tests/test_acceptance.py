@@ -238,7 +238,11 @@ def test_criterion_08_critical_density():
 
 
 def test_criterion_09_finite_volume_convergence():
-    """|pressure_fv - pressure_tl| halves (at least) per doubling of L."""
+    """|pressure_fv - pressure_tl| halves (at least) per doubling of L.
+
+    The lattice sum of a Gaussian profile converges faster than any power
+    of L, so by L = 32 the difference is rounding: there it must be within
+    4 ulp of p, and the ratios are taken on L = 4, 8, 16."""
     model = Model(dim=3, mass=0.5, u=0.5, v=1.0,
                   lambda_profile=gaussian_profile(1.0))
     tp = ThermoPoint(beta=2.0, mu=-0.3)
@@ -249,11 +253,13 @@ def test_criterion_09_finite_volume_convergence():
     for L in (4.0, 8.0, 16.0, 32.0):
         lat = LatticeSpec(L=L, s_max=int(L))
         diffs.append(abs(pressure_fv(model, tp, op, lat) - p_inf))
-    ratios = [diffs[i] / diffs[i + 1] for i in range(3)]
-    ok = all(r >= 2.0 for r in ratios)
+    ratios = [diffs[i] / diffs[i + 1] for i in range(2)]
+    rounding = 4.0 * np.spacing(abs(p_inf))
+    ok = all(r >= 2.0 for r in ratios) and diffs[3] <= rounding
     report(9, "finite-volume convergence", ok,
            "error ratios per doubling "
-           + ", ".join(f"{r:.1f}" for r in ratios) + ", tol >= 2.0 each")
+           + ", ".join(f"{r:.1f}" for r in ratios) + ", tol >= 2.0 each; "
+           f"L = 32 off by {diffs[3]:.1e}, tol {rounding:.1e}")
 
 
 def test_criterion_10_scan_determinism(tmp_path):

@@ -18,6 +18,8 @@ DATA = Path(__file__).parent / "data"
 FAST = ["--dim", "3", "--eta-floor", "1e-4"]
 # the solver entry points the CLI calls; `_point_limit` picks one per point
 ENTRY_POINTS = ("eta_continuation", "variational_limit")
+# a point that takes the continuation: u > 0 in dim <= 2
+CONTINUED = ["--u", "0.5", "--dim", "1"]
 
 
 def run_main(argv):
@@ -95,7 +97,7 @@ class TestConfig:
 
     def test_scan_rejects_bad_schedule_before_solving(self, monkeypatch,
                                                       capsys):
-        # dim 3, u >= 0: no point would reach eta_continuation's own check
+        # dim 3: no point would reach eta_continuation's own check
         def fail(*args, **kwargs):
             pytest.fail("scan solved a point before checking the schedule")
 
@@ -228,10 +230,10 @@ def _inject(monkeypatch, name, exc):
 
 
 class TestExitCodes:
-    # u < 0 takes the continuation; the default point (dim 3, u = 0.5)
-    # takes the eta = 0 solve
+    # u > 0 in dim 1 takes the continuation; the default point (dim 3,
+    # u = 0.5) takes the eta = 0 solve
     @pytest.mark.parametrize("argv, name", [
-        pytest.param(["solve", "--u=-0.5"], "eta_continuation", id="solve"),
+        pytest.param(["solve"] + CONTINUED, "eta_continuation", id="solve"),
         pytest.param(["solve"], "variational_limit", id="solve-eta0"),
         pytest.param(["spectrum"], "variational_limit", id="spectrum"),
     ])
@@ -247,10 +249,10 @@ class TestExitCodes:
         assert captured.err == f"{label}: injected\n"
         assert captured.out == ""
 
-    def _scan_errors(self, name, u, monkeypatch, capsys):
+    def _scan_errors(self, name, argv, monkeypatch, capsys):
         _inject(monkeypatch, name, BracketFailure)
         monkeypatch.setenv("PBH_THREADS", "1")
-        assert run_main(["scan", "--mu-range=-0.5:-0.4:2", f"--u={u}"]) == \
+        assert run_main(["scan", "--mu-range=-0.5:-0.4:2"] + argv) == \
             cli.EXIT_NO_CONVERGENCE
         rows = capsys.readouterr().out.strip().split("\n")[1:]
         assert [row.split(",")[-1] for row in rows] == \
@@ -258,27 +260,47 @@ class TestExitCodes:
 
     def test_scan_of_errors_only(self, monkeypatch, capsys):
         # dim 3 and u >= 0: the eta = 0 solve
-        self._scan_errors("variational_limit", "0.5", monkeypatch, capsys)
+        self._scan_errors("variational_limit", ["--u=0.5"], monkeypatch,
+                          capsys)
 
     def test_scan_of_errors_only_repulsive(self, monkeypatch, capsys):
-        # u < 0: the continuation
-        self._scan_errors("eta_continuation", "-0.5", monkeypatch, capsys)
+        # u < 0 takes the eta = 0 solve too
+        self._scan_errors("variational_limit", ["--u=-0.5"], monkeypatch,
+                          capsys)
+
+    def test_scan_of_errors_only_continued(self, monkeypatch, capsys):
+        # u > 0 in dim 1: the continuation
+        self._scan_errors("eta_continuation", CONTINUED, monkeypatch, capsys)
 
     @pytest.mark.parametrize("flag, message", [
-        ("--beta=1e-150", "the solve left the floating-point range"),
+        ("--beta=1e-150", "density slope never turns positive"),
         ("--mu=1e155", "the solve left the floating-point range"),
         ("--eta0=1e155", "the solve left the floating-point range"),
         ("--beta=1e-300", "could not certify the radial tail below tolerance"),
     ])
     def test_overflow_is_non_convergence(self, flag, message, capsys):
-        # a float past the float range, on the continuation (u < 0): in the
-        # source term eta^2/sigma~^3 or in eta * eta (--eta0=1e155 ends in
-        # inf_rho's rho_lo), or in the radial tail bound at beta = 1e-300
-        assert run_main(["solve", "--u=-0.5", flag, "--eta-floor",
-                         "0.01"]) == cli.EXIT_NO_CONVERGENCE
+        # a float past the float range, on the continuation (u > 0, dim 1):
+        # in eta * eta (--eta0=1e155 ends in inf_rho's rho_lo), or in the
+        # radial tail bound at beta = 1e-300; at beta = 1e-150 the density
+        # bracket's doubling stops short of rho_bar ~ 1e152
+        assert run_main(["solve", flag, "--eta-floor", "0.01"]
+                        + CONTINUED) == cli.EXIT_NO_CONVERGENCE
         captured = capsys.readouterr()
         assert captured.err == f"non-convergence: {message}\n"
         assert captured.out == ""
+
+    def test_repulsive_source_overflow(self):
+        # u < 0 at beta = 1e-150: the source term eta^2/sigma~^3 leaves the
+        # float range on the continuation, which the CLI no longer runs here
+        from pairboson.model import Model, gaussian_profile
+        from pairboson.pressure import ThermoPoint
+        model = Model(dim=3, mass=0.5, u=-0.5, v=1.0,
+                      lambda_profile=gaussian_profile(1.0))
+        with cli._quiet_overflow(), pytest.raises(
+                errors.ContinuationDiverged,
+                match="the solve left the floating-point range"):
+            solver.eta_continuation(model, ThermoPoint(1e-150, -0.5),
+                                    floor=0.01)
 
     def test_non_stationary_optimum_is_non_convergence(self, capsys):
         # at beta = 1e-150 the eta = 0 inner solve ends at rho_bar = 1.6e152,
@@ -373,7 +395,8 @@ def _continuation(statuses, monkeypatch):
 
 
 class TestSolve:
-    # the continuation's document: u < 0, where solve runs the continuation
+    # the continuation's document: u > 0 in dim 1, where solve runs the
+    # continuation
     @pytest.mark.parametrize("statuses, expected", [
         (["boundary_minimum"] * 3, "boundary_minimum"),
         (["boundary_minimum", "converged", "boundary_minimum"], "converged"),
@@ -384,7 +407,7 @@ class TestSolve:
         cont = _continuation(statuses, monkeypatch)
         monkeypatch.setattr(cli, "eta_continuation",
                             lambda *args, **kwargs: cont)
-        assert run_main(["solve", "--u=-0.5"]) == cli.EXIT_OK
+        assert run_main(["solve"] + CONTINUED) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == expected
         assert [step["status"] for step in doc["eta_trace"]] == statuses
@@ -398,7 +421,7 @@ class TestSolve:
         cont = _continuation(statuses, monkeypatch)
         monkeypatch.setattr(cli, "eta_continuation",
                             lambda *args, **kwargs: cont)
-        assert run_main(["solve", "--u=-0.5"]) == cli.EXIT_OK
+        assert run_main(["solve"] + CONTINUED) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["residuals"] == {"el1": residual, "el2": residual}
 
@@ -408,15 +431,15 @@ class TestSolve:
         cont.error_estimates = {"p": float("inf"), "q": 1e-9}
         monkeypatch.setattr(cli, "eta_continuation",
                             lambda *args, **kwargs: cont)
-        assert run_main(["solve", "--u=-0.5"]) == cli.EXIT_OK
+        assert run_main(["solve"] + CONTINUED) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out,
                          parse_constant=_no_constant)
         assert doc["extrapolation_order"] is None
         assert doc["error_estimates"] == {"p": None, "q": 1e-9}
 
     def test_smoke_json(self, capsys):
-        code = run_main(["solve", "--beta", "1", "--mu", "-0.5",
-                         "--u=-0.5", "--v", "1.0"] + FAST)
+        code = run_main(["solve", "--beta", "1", "--mu", "-0.5", "--v",
+                         "1.0", "--eta-floor", "1e-4"] + CONTINUED)
         assert code == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert list(doc) == list(SOLVE_KEYS[:-1]) + [
@@ -447,12 +470,15 @@ class TestSolve:
     @pytest.mark.parametrize("argv, taken", [
         (["--u", "0.5"], "variational_limit"),
         (["--u", "0"], "variational_limit"),
-        (["--u=-0.5"], "eta_continuation"),
         (["--u", "0.5", "--dim", "2"], "eta_continuation"),
+        (["--u", "0.5", "--dim", "1"], "eta_continuation"),
+        (["--u=-0.5"], "variational_limit"),
+        (["--u", "0", "--dim", "2"], "variational_limit"),
+        (["--u=-0.5", "--dim", "1"], "variational_limit"),
     ])
     def test_dispatch(self, argv, taken, monkeypatch, capsys):
-        # solve takes the eta = 0 solve in dim >= 3 with u >= 0 and the
-        # continuation elsewhere, and never calls the other entry point
+        # solve takes the continuation for u > 0 in dim <= 2 and the
+        # eta = 0 solve elsewhere, and never calls the other entry point
         def wrong_branch(*args, **kwargs):
             pytest.fail(f"solve {argv} did not take {taken}")
 

@@ -178,6 +178,15 @@ def test_extra_rows_are_summed_not_converged():
         radial_rows(PROFILE, NU, MASS, BETA, habs, habs, (1, 3))
 
 
+def test_rules_are_exact_on_polynomials():
+    # the 15-point Kronrod rule integrates x^k exactly on (-1, 1) up to
+    # k = 22, its 7-point Gauss subset up to k = 12
+    for weights, top in ((quadrature.WK, 22), (quadrature.WG, 12)):
+        for k in range(top + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(weights @ quadrature.XK ** k - exact) <= 1e-15, k
+
+
 def test_negative_habs_is_a_model_error():
     with pytest.raises(PairBosonError) as info:
         rows(0.5, -0.1, (1,))

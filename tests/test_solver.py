@@ -360,12 +360,14 @@ class TestVariationalLimit:
         gr, gq = outer_grads(m, tp, OrderPoint(res.q_bar, res.rho_bar, 0.0))
         assert abs(gq + gr * m.u / m.v) <= 1e-11
 
-    @pytest.mark.parametrize("u, grad_rho_calls", [(0.5, 0), (0.0, 1)])
+    @pytest.mark.parametrize("u, grad_rho_calls", [(0.5, 0), (0.0, 1),
+                                                   (-0.5, 1)])
     def test_m0_is_the_boundary_tests_multiplier(self, monkeypatch, u,
                                                  grad_rho_calls):
         # condensed points: m0 = grad_rho / v at the boundary optimum, read
-        # from the KKT test's gradients where q_bar > 0; at u = 0 (q = 0)
-        # no test ran, and one grad_rho call computes it
+        # from the KKT test's gradients where q_bar > 0; for u <= 0 (q = 0)
+        # no test ran, and one grad_rho call computes it.  For u < 0, m0 is
+        # the quasi-average, half the multiplier.
         m, tp = model(u=u), ThermoPoint(2.0, 0.4)
         calls = _counting(monkeypatch, "grad_rho")
         lim = variational_limit(m, tp)
@@ -373,7 +375,7 @@ class TestVariationalLimit:
         assert len(calls) == grad_rho_calls
         assert lim.m0 == lim.result.rho0 > 0.1
         op = OrderPoint(lim.q_limit, lim.rho_limit, 0.0)
-        want = pressure.grad_rho(m, tp, op) / m.v
+        want = pressure.grad_rho(m, tp, op) / (m.v * (2.0 if u < 0 else 1.0))
         assert abs(lim.m0 - want) <= 1e-12
 
     @pytest.mark.parametrize("profile", [gaussian_profile(1.0),
@@ -381,10 +383,11 @@ class TestVariationalLimit:
                                          power_profile(1.0, 4.0)],
                              ids=["gaussian:1", "delta", "power:1:4"])
     def test_agrees_with_continuation(self, profile):
-        # dim 3, u >= 0, mu on both sides of the transition (u = 0:
-        # mu = v rho_c = 0.021; u = 0.5: between -0.1 and 0.4)
+        # dim 3, mu on both sides of the transition (u <= 0:
+        # mu = v rho_c = 0.021; u = 0.5: between -0.1 and 0.4); for u < 0
+        # both read m0 as the quasi-average (mu/v - rho_c)/2
         phases = set()
-        for u, mu in itertools.product((0.0, 0.5), (-0.1, 0.4)):
+        for u, mu in itertools.product((-0.5, 0.0, 0.5), (-0.1, 0.4)):
             m = Model(dim=3, mass=0.5, u=u, v=1.0, lambda_profile=profile)
             tp = ThermoPoint(2.0, mu)
             cont = eta_continuation(m, tp)
@@ -397,6 +400,57 @@ class TestVariationalLimit:
             assert phase == classify_phase(m, tp, cont)
             phases.add(phase)
         assert phases == {PHASE_NORMAL, PHASE_CONDENSED, PHASE_MF_CONDENSED}
+
+
+class TestNonAttractive:
+    """For u <= 0 the eta = 0 sup-inf is the mean-field Bose gas, and solve
+    takes it in every dimension."""
+
+    @pytest.mark.parametrize("profile", ["gaussian:1", "power:1:4"])
+    @pytest.mark.parametrize("u", [0.0, -0.5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_solve_is_mean_field(self, dim, u, profile, capsys):
+        # q_bar = 0 and p = mf_pressure; m0 = 0 in dim <= 2, and in dim 3
+        # the excess mu/v - rho_c above the transition, halved for u < 0
+        from pairboson import cli
+        for mu in (-0.3, 0.2, 0.6, 0.7, 0.8):
+            assert cli.main(["solve", "--beta", "2", "--mu", str(mu),
+                             "--u", str(u), "--dim", str(dim),
+                             "--profile", profile]) == cli.EXIT_OK
+            doc = json.loads(capsys.readouterr().out)
+            m = Model(dim=dim, mass=0.5, u=u, v=1.0,
+                      lambda_profile=cli._parse_profile(profile))
+            tp = ThermoPoint(2.0, mu)
+            assert doc["q_bar"] == 0.0
+            assert abs(doc["pressure"] - mf_pressure(m, tp)) <= 1e-14
+            excess = mu / m.v - critical_density(m, tp.beta)
+            if excess > 0:
+                want = excess * (0.5 if u < 0 else 1.0)
+                assert abs(doc["m0"] - want) <= 1e-12
+                assert doc["phase"] == PHASE_MF_CONDENSED
+            else:
+                assert doc["m0"] == 0.0
+                assert doc["phase"] == PHASE_NORMAL
+
+    @pytest.mark.parametrize("profile", ["gaussian:1", "power:1:4"])
+    def test_dim_2_repulsive_rows_solve(self, profile, monkeypatch, capsys):
+        # dim 2, u = -0.5, mu in {0.6, 0.7, 0.8}: the continuation ended
+        # these scan rows in StationarityViolated, at eta > 0; rho_bar sits
+        # within 1e-6 of the boundary, where d2_mu ~ 1/sigma
+        from pairboson import cli
+        monkeypatch.setenv("PBH_THREADS", "1")
+        assert cli.main(["scan", "--beta", "2", "--mu-range=0.6:0.8:3",
+                         "--u=-0.5", "--dim", "2",
+                         "--profile", profile]) == cli.EXIT_OK
+        rows = [row.split(",") for row in
+                capsys.readouterr().out.strip().split("\n")[1:]]
+        m = Model(dim=2, mass=0.5, u=-0.5, v=1.0,
+                  lambda_profile=cli._parse_profile(profile))
+        assert [row[-1] for row in rows] == [PHASE_NORMAL] * 3
+        for row in rows:
+            tp = ThermoPoint(2.0, float(row[1]))
+            assert abs(float(row[2]) - mf_pressure(m, tp)) <= 1e-14
+            assert float(row[3]) == float(row[5]) == 0.0
 
 
 class TestDensities:
@@ -422,6 +476,21 @@ class TestDensities:
         expected *= (m.mass / (2.0 * math.pi * beta)) ** 1.5
         assert bose_density(m, beta, mu_eff) == pytest.approx(expected,
                                                               rel=1e-10)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_closed_forms_in_dims_3_to_5(self, dim):
+        # rho_c = zeta(nu/2) lambda^-nu and, at z = e^-1, the Bose series
+        # lambda^-nu sum z^k / k^(nu/2), with lambda^-nu = (m/2 pi beta)^(nu/2)
+        from scipy.special import zeta
+        m = model(u=0.0, dim=dim)
+        for beta in (0.7, 2.0, 5.0):
+            thermal = (m.mass / (2.0 * math.pi * beta)) ** (dim / 2.0)
+            assert critical_density(m, beta) == pytest.approx(
+                zeta(dim / 2.0) * thermal, rel=1e-13, abs=0.0)
+            series = math.fsum(math.exp(-k) / k ** (dim / 2.0)
+                               for k in range(1, 60))
+            assert bose_density(m, beta, -1.0 / beta) == pytest.approx(
+                series * thermal, rel=1e-13, abs=0.0)
 
     def test_positive_mu_eff_is_a_model_error(self):
         with pytest.raises(PairBosonError) as info:
@@ -501,9 +570,9 @@ class TestLazyResiduals:
     ])
     def test_solve_reads_the_last_step_only(self, u, mu, expected,
                                             monkeypatch, capsys):
-        # solve reads the residuals of the eta = 0 solve (u >= 0) or of the
-        # continuation's last step (u < 0: mf_condensed, whose last step
-        # ends on the boundary); on the boundary they are printed as null
+        # solve reads the residuals of the eta = 0 solve (u < 0 at
+        # mu = 0.4 is mf_condensed, whose minimum sits on the boundary); on
+        # the boundary they are printed as null
         from pairboson import cli
         calls = _counting(monkeypatch, "el_residuals")
         argv = self.ARGV[:self.ARGV.index("--mu")] + ["--mu", mu] \
@@ -526,8 +595,9 @@ class TestLazyResiduals:
 
 def test_mf_condensed_quadrature_budget(monkeypatch, capsys):
     """Quadrature calls of ROADMAP's mean-field condensed solve (seed 0 of
-    perfbench's solve_mix).  The count repeats exactly: 1,778 while the
-    outer gradients shared the inner Newton steps' plan key, 1,147 with
+    perfbench's solve_mix).  The count repeats exactly: 5 since solve takes
+    the eta = 0 sup-inf for u < 0.  On the continuation it was 1,778 while
+    the outer gradients shared the inner Newton steps' plan key, 1,147 with
     their own, and 343 since a boundary minimum costs one quadrature, no
     inner value is computed that is not read and the Newton steps at
     eta > 0 balance the source."""
@@ -535,6 +605,9 @@ def test_mf_condensed_quadrature_budget(monkeypatch, capsys):
     calls = _counting(monkeypatch, "radial_rows", pressure)
     assert cli.main(TestLazyResiduals.ARGV + ["--u", "-0.5"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["phase"] == PHASE_MF_CONDENSED
+    assert len(calls) <= 10
+    calls.clear()
+    eta_continuation(model(u=-0.5), ThermoPoint(2.0, 0.4))
     assert len(calls) <= 450
 
 

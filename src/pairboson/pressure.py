@@ -60,7 +60,9 @@ class OrderPoint:
     """Variational pair (q, rho) plus source strength eta.
 
     Gauge convention: eta real >= 0 and the pair phase absorbed, so q is a
-    nonnegative magnitude throughout.
+    nonnegative magnitude throughout.  q and rho may also be arrays of
+    equal length, a batch of points at one eta, which `pressure_tl`,
+    `grad_rho_slope` and `outer_grads` evaluate in one quadrature.
     """
 
     q: float = 0.0
@@ -68,8 +70,18 @@ class OrderPoint:
     eta: float = 0.0
 
     def __post_init__(self):
-        if self.q < 0 or self.rho < 0 or self.eta < 0:
+        if _least(self.q) < 0 or _least(self.rho) < 0 or self.eta < 0:
             raise ModelError("q, rho and eta must be nonnegative")
+
+
+def _least(x):
+    """x, or its smallest entry if x is an array of points."""
+    return x.min() if isinstance(x, np.ndarray) else x
+
+
+def _real(x):
+    """x as a float at one point, as the array at a batch."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
 def sigma_gap(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
@@ -92,16 +104,18 @@ def source_terms(model: Model, tp: ThermoPoint, op: OrderPoint):
     """The source term eta^2/sigma~ and its first two mu-derivatives,
     (eta^2/sigma~, eta^2/sigma~^2, 2 eta^2/sigma~^3); zeros at eta = 0.
 
-    Raises InfeasiblePoint exactly where `feasible` is False.
+    Raises InfeasiblePoint exactly where `feasible` is False, at a batch
+    where it is False at any point.
     """
-    sg = sigma_gap(model, tp, op)
+    sg = _least(sigma_gap(model, tp, op))
     if sg < 0:
         raise InfeasiblePoint(f"feasibility gap sigma = {sg} < 0")
     if op.eta == 0.0:
         return 0.0, 0.0, 0.0
     st = _sigma_tilde(model, tp, op)
-    if st <= 0:
-        raise InfeasiblePoint(f"source denominator f(0) - u q = {st} <= 0")
+    if _least(st) <= 0:
+        raise InfeasiblePoint(
+            f"source denominator f(0) - u q = {_least(st)} <= 0")
     return op.eta ** 2 / st, op.eta ** 2 / st ** 2, 2.0 * op.eta ** 2 / st ** 3
 
 
@@ -126,7 +140,7 @@ def pressure_tl(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
     """Thermodynamic-limit pressure of the quadratic approximant."""
     src = source_terms(model, tp, op)[0]
     ip, = _rows(model, tp, op, (0,))
-    return float(ip + src
+    return _real(ip + src
                  - model.u * op.q ** 2 / 2.0 + model.v * op.rho ** 2 / 2.0)
 
 
@@ -170,8 +184,8 @@ def grad_rho_slope(model: Model, tp: ThermoPoint, op: OrderPoint):
     _, src, d2_src = source_terms(model, tp, op)
     i1, i3 = _rows(model, tp, op, (1,), extra=(3,))
     v = model.v
-    return (float(-v * (i1 + src) + v * op.rho),
-            float(v * (v * (i3 + d2_src) + 1.0)))
+    return (_real(-v * (i1 + src) + v * op.rho),
+            _real(v * (v * (i3 + d2_src) + 1.0)))
 
 
 def outer_grads(model: Model, tp: ThermoPoint, op: OrderPoint):
@@ -184,8 +198,8 @@ def outer_grads(model: Model, tp: ThermoPoint, op: OrderPoint):
     src = source_terms(model, tp, op)[1]
     i1, i2 = _rows(model, tp, op, (1, 2))
     u, v = model.u, model.v
-    return (float(-v * (i1 + src) + v * op.rho),
-            float(u ** 2 * op.q * i2 + u * src - u * op.q))
+    return (_real(-v * (i1 + src) + v * op.rho),
+            _real(u ** 2 * op.q * i2 + u * src - u * op.q))
 
 
 def grad_rho(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:

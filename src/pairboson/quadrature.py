@@ -60,6 +60,10 @@ _REL_TOL = 1e-10      # error target of the needed rows, relative to the largest
 _ABS_TOL = 1e-12      # absolute floor of that target
 _TAIL_TOL = 1e-13     # bound on the discarded [R, inf) tail of every row
 _MAX_PANELS = 4000    # panel budget of one call
+_ORIGIN_SPLIT = 16.0  # a panel [0, b] splits at b / 16, other panels in half
+# kernel nodes per eval_rows call: past about this many the arrays of one
+# call leave the cache
+_CHUNK = 6000
 
 
 def angular_factor(nu: int) -> float:
@@ -204,40 +208,61 @@ def plan_scope():
 
 
 def _refine(panel_integrals, a, b, ik, err, n):
-    """Split panels until the error estimate meets the tolerance.
+    """Split panels until every point's error estimate meets its tolerance.
 
-    Starts from the per-panel integrals ik and errors err of the mesh
-    (a, b); err is that of the first n rows of ik, the converged ones.
-    Returns (total, err, a, b) of the final mesh, with total the row totals
-    if their first n are finite and within tolerance, else None; a mesh
-    that needed no split is returned as the same arrays.
+    Starts from the per-panel integrals ik, shape (rows, K, panels), and
+    errors err, shape (K, panels), of K points on the mesh (a, b); err is
+    that of the first n rows of ik, the converged ones.  A point's target
+    is max(_ABS_TOL, _REL_TOL * its largest |total| over those rows), and a
+    point that meets it with a finite total is done: its totals are kept
+    and later splits neither serve nor evaluate it.  A panel is split when
+    any pending point's error on it exceeds that point's share of its
+    target; panel_integrals(a, b, pending) evaluates the new panels for
+    the pending points alone.  Returns (total, err, a, b): total, shape
+    (rows, K), if every point converged, else None; err that of the points
+    still pending (or of none); a mesh that needed no split is returned as
+    the same arrays.
     """
+    total = np.empty(ik.shape[:2])
+    pending = np.arange(ik.shape[1])
     for _ in range(64):
-        total = ik.sum(axis=1)
-        top = float(np.abs(total[:n]).max())
-        tol = max(_ABS_TOL, _REL_TOL * top)
-        if math.isfinite(top) and err.sum() <= tol:
-            return total, err, a, b
+        sums = ik.sum(axis=2)
+        top = np.abs(sums[:n]).max(axis=0)
+        tol = np.maximum(_ABS_TOL, _REL_TOL * top)
+        done = np.isfinite(top) & (err.sum(axis=1) <= tol)
+        if done.all():
+            total[:, pending] = sums
+            return total, err[:0], a, b
+        if done.any():
+            total[:, pending[done]] = sums[:, done]
+            pending, ik, err, tol = (pending[~done], ik[:, ~done],
+                                     err[~done], tol[~done])
         if len(a) >= _MAX_PANELS:
             break
-        # split every panel holding more than its share of the error budget
-        bad = err > tol / (2.0 * len(a))
+        # split every panel holding more than its share of some pending
+        # point's error budget
+        bad = (err > (tol / (2.0 * len(a)))[:, None]).any(axis=0)
         if not bad.any():
-            bad[np.argmax(err)] = True
-        mids = 0.5 * (a[bad] + b[bad])
+            bad[np.argmax(err.max(axis=0))] = True
+        # the infrared scales (sqrt(sigma) near the boundary) sit at
+        # r -> 0: the panel at the origin splits toward it geometrically
+        mids = np.where(a[bad] == 0.0, b[bad] / _ORIGIN_SPLIT,
+                        0.5 * (a[bad] + b[bad]))
         new_a = np.concatenate([a[~bad], a[bad], mids])
         new_b = np.concatenate([b[~bad], mids, b[bad]])
         ik_bad, err_bad = panel_integrals(
-            np.concatenate([a[bad], mids]), np.concatenate([mids, b[bad]]))
-        ik = np.concatenate([ik[:, ~bad], ik_bad], axis=1)
-        err = np.concatenate([err[~bad], err_bad])
+            np.concatenate([a[bad], mids]), np.concatenate([mids, b[bad]]),
+            pending)
+        ik = np.concatenate([ik[:, :, ~bad], ik_bad], axis=2)
+        err = np.concatenate([err[:, ~bad], err_bad], axis=1)
         a, b = new_a, new_b
     return None, err, a, b
 
 
 def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
-                foff: float, habs: float, rows, extra=()) -> np.ndarray:
-    """The integrals of the kernel rows `rows`, then those of `extra`.
+                foff, habs, rows, extra=()) -> np.ndarray:
+    """The integrals of the kernel rows `rows`, then those of `extra`, at
+    one evaluation point or at a batch of K.
 
     foff = v rho - mu is the k = 0 value of f; habs = |u| q scales the pair
     field.  Requires the feasibility margin foff - habs >= 0 (the integrals
@@ -247,27 +272,55 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
     same mesh at whatever accuracy it gives them, so a boundary point can
     still read a row that diverges there.  Inside `plan_scope` a call
     first tries the previous call's cutoff and mesh for the same `rows`.
+
+    Scalar foff and habs give shape (len(rows) + len(extra),).  Arrays of
+    K points give shape (len(rows) + len(extra), K), all K integrated on
+    one mesh: one cutoff that certifies every point's tail, and panels
+    split until each point meets its own tolerance (see `_refine`).  The
+    call raises if any point fails; the kernel sees the K points as one
+    flat batch, in chunks of at most _CHUNK nodes.
     """
     rows = tuple(rows)
-    if habs < 0:
+    one = np.ndim(foff) == 0 == np.ndim(habs)
+    foff = np.array(foff, dtype=float, ndmin=1)
+    habs = np.array(habs, dtype=float, ndmin=1)
+    if foff.shape != habs.shape:
+        foff, habs = np.broadcast_arrays(foff, habs)
+    if habs.min() < 0:
         raise ModelError("habs must be nonnegative")
-    if foff - habs < 0:
+    margin = (foff - habs).min()
+    if margin < 0:
         raise QuadratureFailure(
-            f"infeasible evaluation point: f(0) - |h(0)| = {foff - habs} < 0")
+            f"infeasible evaluation point: f(0) - |h(0)| = {margin} < 0")
+    # the tail bound grows with foff >= habs >= 0 and with habs: the
+    # largest of each certifies every point's tail
+    foff_top, habs_top = float(foff.max()), float(habs.max())
     inv_2m = 0.5 / mass
     every = rows + tuple(extra)
     n = len(rows)
 
-    def panel_sums(half, nodes, lam, lam_c, weight):
-        # per-panel Kronrod integrals and |Kronrod - Gauss| errors
-        vals = eval_rows(nodes, lam, lam_c, beta, inv_2m, foff, habs, every)
-        vals = (vals * weight).reshape(len(every), len(half), 15)
+    def panel_sums(half, nodes, lam, lam_c, weight, points=slice(None)):
+        # per-panel Kronrod integrals and |Kronrod - Gauss| errors of the
+        # points, shapes (rows, K, panels) and (K, panels); the kernel
+        # sees the points' nodes as one flat batch, foff and habs repeated
+        # per node
+        fo, ha = foff[points], habs[points]
+        k, m = len(fo), len(nodes)
+        if k > 1:
+            nodes, lam, lam_c = (np.tile(x, k) for x in (nodes, lam, lam_c))
+        fo, ha = fo.repeat(m), ha.repeat(m)
+        cuts = [slice(i, i + _CHUNK) for i in range(0, k * m, _CHUNK)]
+        vals = np.concatenate(
+            [eval_rows(nodes[c], lam[c], lam_c[c], beta, inv_2m, fo[c],
+                       ha[c], every) for c in cuts], axis=1)
+        vals = (vals.reshape(len(every), k, m) * weight).reshape(
+            len(every), k, len(half), 15)
         ik = (vals @ WK) * half
         ig = (vals @ WG) * half
         return ik, np.abs(ik[:n] - ig[:n]).max(axis=0)
 
-    def panel_integrals(a, b):
-        return panel_sums(*_mesh_nodes(profile, nu, a, b))
+    def panel_integrals(a, b, points):
+        return panel_sums(*_mesh_nodes(profile, nu, a, b), points)
 
     def entry_of(R, tail, a, b):
         return _PlanEntry(R, tail, a, b, *_mesh_nodes(profile, nu, a, b))
@@ -288,18 +341,21 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
             plan[key] = entry
         return total, err, a
 
+    def result(total):
+        return total[:, 0] if one else total
+
     warm = plan.get(key) if plan is not None else None
-    if warm is not None and _tail_bound(warm.tail, mass, beta, foff,
-                                        habs) < _TAIL_TOL:
+    if warm is not None and _tail_bound(warm.tail, mass, beta, foff_top,
+                                        habs_top) < _TAIL_TOL:
         total = converge(warm)[0]
         if total is not None:
-            return total
+            return result(total)
 
-    R, tail = _choose_cutoff(profile, nu, mass, beta, foff, habs)
+    R, tail = _choose_cutoff(profile, nu, mass, beta, foff_top, habs_top)
     breaks = _initial_breaks(profile, nu, mass, beta, R)
     total, err, a = converge(entry_of(R, tail, breaks[:-1], breaks[1:]))
     if total is not None:
-        return total
+        return result(total)
     raise QuadratureFailure(
-        f"radial quadrature did not converge: error {err.sum():.3e} "
-        f"with {len(a)} panels")
+        "radial quadrature did not converge: error "
+        f"{err.sum(axis=1).max():.3e} with {len(a)} panels")

@@ -4,7 +4,8 @@ For attractive pairing (u > 0) the pressure is sup over the pair order
 parameter q of the inf over densities rho of the quadratic-approximant
 pressure; for u <= 0 the sup becomes an inf and the problem collapses onto
 the mean-field solution as the symmetry-breaking source eta -> 0.  The
-solver nests the optimizations (inner density solve per candidate q).
+solver nests the optimizations (inner density solve per candidate q); the
+inner solves of a scan over q run in lockstep (`inf_rho` on an array).
 
 Two paths reach the eta -> 0 observables.  `variational_limit` solves the
 sup-inf once at eta = 0 and reads the condensate m0 off the
@@ -27,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import zeta
 
 from .errors import (
     BracketFailure, ConfigError, ContinuationDiverged, ModelError,
@@ -134,7 +136,7 @@ class ContinuationResult:
     error_estimates: dict = field(default_factory=dict)
 
 
-_NEWTON_STEPS = 8  # in inf_rho, before it hands the bracket to brentq
+_NEWTON_STEPS = 12  # in inf_rho, before it hands the bracket to brentq
 _VALUE_SLACK = 1e-10  # a q > 0 optimum may sit this far below the q = 0 slice
 
 
@@ -160,8 +162,8 @@ def _balanced_step(model, tp, op, gr, slope):
     return op.rho - resid / (v + 0.5 * eta * d_slope / d ** 1.5)
 
 
-def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
-            rho_hint: float | None = None, boundary_first: bool = False):
+def inf_rho(model: Model, tp: ThermoPoint, q, eta: float,
+            rho_hint=None, boundary_first: bool = False):
     """Minimize the pressure over densities at fixed (q, eta).
 
     Returns (rho_bar, boundary, grads): the minimizer; whether it sits on
@@ -172,6 +174,13 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
     minimizer is left to the caller.  A feasible rho_hint is the start of
     the Newton iteration.
 
+    An array of q (with None or an array of hints) solves every q in
+    lockstep and returns a list with, per q, that triple or the
+    PairBosonError its solve raised: each round of the solves makes one
+    quadrature per kind of request, over all q still running (see
+    `_lockstep`), so a failing q fails alone.  A scalar q is the batch of
+    one, and raises its error.
+
     grad_rho increases with rho (d2_mu >= 0), so the minimum is on the
     boundary exactly when grad_rho >= 0 at rho_b, the smallest feasible
     density (the Karush-Kuhn-Tucker condition).  Where rho_b can be
@@ -181,6 +190,90 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
     row (dim <= 2), the pair row (q = 0) or the source (u > 0 with
     eta > 0) diverges at rho_b, and the bottom probe rho_lo + 1e-14 scale
     stands in.
+    """
+    qs = np.atleast_1d(q).tolist()
+    hints = [None] * len(qs) if rho_hint is None else np.atleast_1d(rho_hint)
+    outs = _lockstep(model, tp, eta, qs, [
+        _inner_steps(model, tp, qq, eta, hint, boundary_first)
+        for qq, hint in zip(qs, hints)])
+    if np.ndim(q):
+        return outs
+    if isinstance(outs[0], PairBosonError):
+        raise outs[0]
+    return outs[0]
+
+
+def _lockstep(model, tp, eta, qs, solves):
+    """Run the request generators `solves`, one per q of qs, together.
+
+    A generator yields a request (fn, rho), fn a pressure function read at
+    OrderPoint(q, rho, eta), and is sent fn's result.  Each round gathers
+    the live generators' requests and evaluates those of one fn in one
+    batched call (`_evaluate`).  Returns each generator's return value, or
+    the PairBosonError it raised.
+    """
+    outs = [None] * len(solves)
+    live = {}
+
+    def advance(i, reply):
+        try:
+            if isinstance(reply, PairBosonError):
+                live[i] = solves[i].throw(reply)
+            else:
+                live[i] = solves[i].send(reply)
+        except StopIteration as stop:
+            outs[i] = stop.value
+        except PairBosonError as exc:
+            outs[i] = exc
+
+    for i in range(len(solves)):
+        advance(i, None)
+    while live:
+        requests, by_fn = live, {}
+        live = {}
+        for i, (fn, rho) in requests.items():
+            by_fn.setdefault(fn, []).append((i, rho))
+        for fn, asks in by_fn.items():
+            replies = _evaluate(model, tp, eta, fn, [qs[i] for i, _ in asks],
+                                [rho for _, rho in asks])
+            for (i, _), reply in zip(asks, replies):
+                advance(i, reply)
+    return outs
+
+
+def _evaluate(model, tp, eta, fn, qs, rhos):
+    """fn at OrderPoint(q, rho, eta) for each pair of qs and rhos: the
+    result, or the PairBosonError it raised.
+
+    Several points go to fn as one batch; if that fails, each is retried
+    alone, so that only a point that cannot converge fails.  A single
+    point is fn's scalar call.
+    """
+    if len(qs) > 1:
+        try:
+            out = fn(model, tp, OrderPoint(np.array(qs), np.array(rhos), eta))
+        except PairBosonError:
+            pass
+        else:
+            if isinstance(out, tuple):
+                return list(zip(*(x.tolist() for x in out)))
+            return out.tolist()
+    replies = []
+    for q, rho in zip(qs, rhos):
+        try:
+            replies.append(fn(model, tp, OrderPoint(q, rho, eta)))
+        except PairBosonError as exc:
+            replies.append(exc)
+    return replies
+
+
+def _inner_steps(model, tp, q, eta, rho_hint, boundary_first):
+    """`inf_rho` at one q, as a generator of its quadrature requests (see
+    `_lockstep`); returns (rho_bar, boundary, grads).
+
+    The Newton steps and probes are requests.  The stragglers' brentq,
+    after a Newton step leaves the bracket or the steps run out, evaluates
+    its slopes itself, as a batch of one.
     """
     rho_lo = max(0.0, (tp.mu + abs(model.u) * q) / model.v)
     if not math.isfinite(rho_lo):
@@ -194,12 +287,16 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
     seen = {}
 
     def g_slope(rho):
+        # (grad_rho, its rho-slope) at rho, requested once per rho
         if rho not in seen:
-            seen[rho] = grad_rho_slope(model, tp, OrderPoint(q, rho, eta))
+            seen[rho] = yield grad_rho_slope, rho
         return seen[rho]
 
     def g(rho):
-        return g_slope(rho)[0]
+        outs = _lockstep(model, tp, eta, [q], [g_slope(rho)])
+        if isinstance(outs[0], PairBosonError):
+            raise outs[0]
+        return outs[0][0]
 
     rho_b = rho_lo
     while sigma_gap(model, tp, OrderPoint(q, rho_b, eta)) < 0:
@@ -212,52 +309,61 @@ def inf_rho(model: Model, tp: ThermoPoint, q: float, eta: float,
     def slope_at_boundary():
         # the KKT test's grad_rho also serves g, as brentq's lower end
         nonlocal grads
-        grads = outer_grads(model, tp, OrderPoint(q, rho_b, eta))
+        grads = yield outer_grads, rho_b
         seen[rho_b] = grads[0], math.nan
         return grads[0]
 
-    if kkt and boundary_first and slope_at_boundary() >= 0:
+    if kkt and boundary_first and (yield from slope_at_boundary()) >= 0:
         return rho_b, True, grads
     # top and bottom are feasible: sigma >= 1e-14 v scale there, above
     # rho_lo's rounding, and sigma~ >= sigma
     top = rho_lo + 1e-3 * scale
     bottom = rho_lo + 1e-14 * scale
     lo = hi = None
-    if g(top) < 0:
+    if (yield from g_slope(top))[0] < 0:
         lo = top
     elif kkt:
         # boundary_first already found grad_rho(rho_b) < 0, or the
         # test runs now
-        if grads is not None or slope_at_boundary() < 0:
+        if grads is not None or (yield from slope_at_boundary()) < 0:
             lo, hi = rho_b, top
-    elif g(bottom) < 0:
+    elif (yield from g_slope(bottom))[0] < 0:
         lo, hi = bottom, top
     if lo is None:
         # slope is nonnegative all the way down: boundary minimum, or
         # infinitesimally inside it where the source diverges on it
         return (rho_b if inside(rho_b) else bottom), True, grads
 
-    # Newton from the hint, else from the top probe, shrinking [lo, hi]
-    # by the sign of every slope seen; brentq on what is left if a step
-    # leaves the bracket or the steps run out
-    rho = top
-    if rho_hint is not None and rho_hint > rho_lo and inside(rho_hint):
-        rho = rho_hint
-    rho_bar = None
-    for _ in range(_NEWTON_STEPS):
-        gr, slope = g_slope(rho)
-        if gr < 0:
-            lo = max(lo, rho)
-        else:
-            hi = rho if hi is None else min(hi, rho)
-        if not 0 < slope < math.inf:
-            break
+    def newton(rho, gr, slope):
         nxt = rho - gr / slope
         if eta > 0.0:
             # both residuals are concave and increasing in rho, so each
             # Newton step lands at or below the root: the larger is nearer
             nxt = max(nxt, _balanced_step(model, tp, OrderPoint(q, rho, eta),
                                           gr, slope))
+        return nxt
+
+    # Newton from the hint, else from the top probe, shrinking [lo, hi]
+    # by the sign of every slope seen.  A step from above the root that
+    # lands below lo is replaced by the step from lo, which concavity keeps
+    # in [lo, root].  brentq on what is left if a step still leaves the
+    # bracket or the steps run out
+    rho = top
+    if rho_hint is not None and rho_hint > rho_lo and inside(rho_hint):
+        rho = rho_hint
+    rho_bar = None
+    for _ in range(_NEWTON_STEPS):
+        gr, slope = yield from g_slope(rho)
+        if gr < 0:
+            lo = max(lo, rho)
+        else:
+            hi = rho if hi is None else min(hi, rho)
+        if not 0 < slope < math.inf:
+            break
+        nxt = newton(rho, gr, slope)
+        if nxt < lo and 0 < seen[lo][1] < math.inf:
+            rho = lo
+            nxt = newton(lo, *seen[lo])
         in_bracket = lo <= nxt and (hi is None or nxt <= hi)
         if abs(nxt - rho) <= _RHO_XTOL + _RHO_RTOL * abs(nxt):
             rho_bar = nxt if in_bracket else rho
@@ -319,23 +425,30 @@ def _inner_solver(model, tp, eta):
     `_slope_in_q`.  All three are memoized by the exact float q for the
     life of the closure, that is one outer_opt call (one point, one eta),
     and each is computed only when read.  A raised error is not stored.
+    value also takes an array of q: it solves the q not yet solved in
+    lockstep, reads their values in one batched call, and returns per q
+    the value or the PairBosonError of that q alone.
 
-    inner is warm-started from its last interior minimizer.  The hint keeps
-    that minimizer's distance to the boundary rho_lo(q) = (mu + |u| q)/v,
-    which moves with q; the bare minimizer of one q is often infeasible at a
-    larger one.  After a boundary minimum the next solve tests the boundary
-    first.  A repeated q moves neither."""
+    A scalar solve is warm-started from the last interior minimizer of a
+    scalar solve, a batch from the q = 0 minimizer where that is interior.
+    The hint keeps the anchor's distance to the boundary
+    rho_lo(q) = (mu + |u| q)/v, which moves with q; the bare minimizer of
+    one q is often infeasible at a larger one.  After a boundary minimum
+    the next solve tests the boundary first.  A repeated q and a batch
+    move neither the anchor nor that test."""
     last = None
     on_boundary = False
     memo, values, slopes = {}, {}, {}
 
+    def hint(q, anchor):
+        if anchor is None:
+            return None
+        return anchor[1] + abs(model.u) * (q - anchor[0]) / model.v
+
     def inner(q):
         nonlocal last, on_boundary
         if q not in memo:
-            hint = None
-            if last is not None:
-                hint = last[1] + abs(model.u) * (q - last[0]) / model.v
-            memo[q] = inf_rho(model, tp, q, eta, rho_hint=hint,
+            memo[q] = inf_rho(model, tp, q, eta, rho_hint=hint(q, last),
                               boundary_first=on_boundary)
             rho_bar, on_boundary, _ = memo[q]
             if not on_boundary:
@@ -343,10 +456,36 @@ def _inner_solver(model, tp, eta):
         return memo[q]
 
     def value(q):
+        if np.ndim(q):
+            return values_at(np.asarray(q).tolist())
         if q not in values:
             op = OrderPoint(q, inner(q)[0], eta)
             values[q] = float(pressure_tl(model, tp, op))
         return values[q]
+
+    def values_at(qs):
+        errors = {}
+        todo = [q for q in qs if q not in memo]
+        if todo:
+            zero = memo.get(0.0)
+            anchor = (0.0, zero[0]) if zero and not zero[1] else last
+            outs = inf_rho(model, tp, np.array(todo), eta,
+                           rho_hint=[hint(q, anchor) for q in todo],
+                           boundary_first=on_boundary)
+            for q, out in zip(todo, outs):
+                if isinstance(out, PairBosonError):
+                    errors[q] = out
+                else:
+                    memo[q] = out
+        todo = [q for q in qs if q in memo and q not in values]
+        outs = _evaluate(model, tp, eta, pressure_tl, todo,
+                         [memo[q][0] for q in todo])
+        for q, out in zip(todo, outs):
+            if isinstance(out, PairBosonError):
+                errors[q] = out
+            else:
+                values[q] = float(out)
+        return [values[q] if q in values else errors[q] for q in qs]
 
     def tdq(q):
         if q not in slopes:
@@ -409,7 +548,9 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float) -> SolveResult:
     not positive, scan it on a 32-point log grid, and polish the best grid
     point with brentq where the slope changes sign around it.  Without a
     sign change, as where the objective is flat to rounding, the best grid
-    point stands.
+    point stands.  The scan's 32 inner solves run in lockstep, each round
+    one batched quadrature per kind of request, and its values are read in
+    one batched call.
     """
     inner, value, tdq = _inner_solver(model, tp, eta)
 
@@ -431,14 +572,12 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float) -> SolveResult:
         if q_max > 2.0 ** 20:
             raise BracketFailure("outer bracket expansion exceeded 2^20")
     # coarse log scan to dodge local maxima, then polish the best bracket
+    # the scan's inner solves run in lockstep; a q whose solve fails is
+    # left out
     qs = np.geomspace(q_max * 1e-6, q_max, 32)
     best_q, best_val = 0.0, value0
-    for qq in qs:
-        try:
-            val = value(qq)
-        except PairBosonError:
-            continue
-        if val > best_val:
+    for qq, val in zip(qs, value(qs)):
+        if not isinstance(val, PairBosonError) and val > best_val:
             best_q, best_val = qq, val
 
     q_bar = best_q
@@ -616,8 +755,14 @@ def bose_density(model: Model, beta: float, mu_eff: float) -> float:
 
 
 def critical_density(model: Model, beta: float) -> float:
-    """Ideal-gas density at zero effective potential (infinite for dim <= 2)."""
-    return bose_density(model, beta, 0.0)
+    """Ideal-gas density at zero effective potential: zeta(nu/2) lambda^-nu
+    with lambda^-nu = (m / (2 pi beta))^(nu/2) in dim nu >= 3, infinite
+    in dim <= 2."""
+    if model.dim <= 2:
+        return math.inf
+    nu = model.dim
+    return float(zeta(nu / 2.0)
+                 * (model.mass / (2.0 * math.pi * beta)) ** (nu / 2.0))
 
 
 def mf_density(model: Model, tp: ThermoPoint) -> float:

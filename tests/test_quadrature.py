@@ -174,7 +174,9 @@ def test_extra_rows_are_summed_not_converged():
     alone, = radial_rows(PROFILE, NU, MASS, BETA, habs, habs, (1,))
     assert abs(got[0] - alone) <= max(quadrature._ABS_TOL,
                                       quadrature._REL_TOL * abs(alone))
-    with pytest.raises(QuadratureFailure, match="did not converge"):
+    # the failing refinement reaches panels where row 3 overflows
+    with pytest.raises(QuadratureFailure, match="did not converge"), \
+            np.errstate(over="ignore", invalid="ignore"):
         radial_rows(PROFILE, NU, MASS, BETA, habs, habs, (1, 3))
 
 
@@ -263,7 +265,8 @@ def test_a_stalled_refinement_fails(monkeypatch):
         total, err, a, b = refine(panel_integrals, a, b, ik, err, n)
         target = max(quadrature._ABS_TOL,
                      quadrature._REL_TOL * float(np.abs(total[:n]).max()))
-        return None, np.full(len(err), 50.0 * target / len(err)), a, b
+        # the one point of the call stays pending, at 50x its target
+        return None, np.full((1, len(a)), 50.0 * target / len(a)), a, b
 
     monkeypatch.setattr(quadrature, "_refine", stalled)
     habs, margin = FALLING[0]
@@ -274,8 +277,9 @@ def test_a_stalled_refinement_fails(monkeypatch):
 def test_refine_takes_only_a_finite_total():
     # panels with no error whose sum overflows: the error test alone would
     # pass (the relative target is inf), the total is not accepted
-    def panel_integrals(a, b):
-        return np.full((1, len(a)), 1e308), np.zeros(len(a))
+    # (one row, one point)
+    def panel_integrals(a, b, points=None):
+        return np.full((1, 1, len(a)), 1e308), np.zeros((1, len(a)))
 
     a, b = np.array([0.0, 1.0]), np.array([1.0, 2.0])
     ik, err = panel_integrals(a, b)
@@ -283,4 +287,80 @@ def test_refine_takes_only_a_finite_total():
         assert quadrature._refine(panel_integrals, a, b, ik, err, 1)[0] is None
     total, _, a_out, _ = quadrature._refine(panel_integrals, a, b, ik / 4.0,
                                             err, 1)
-    assert total[0] == 5e307 and a_out is a
+    assert total[0, 0] == 5e307 and a_out is a
+
+
+# a batch of K points: the falling margins, a boundary point and one far
+# from the pair scale, integrated on one shared mesh
+BATCH = [(habs + margin, habs) for habs, margin in FALLING] + [(0.3, 0.3),
+                                                               (2.0, 0.0)]
+
+
+def _tolerance(want):
+    return max(quadrature._ABS_TOL, quadrature._REL_TOL * np.abs(want).max())
+
+
+@pytest.mark.parametrize("need, extra", [((0, 1, 2, 3), ()), ((1,), (3,)),
+                                         ((1, 2), ())])
+def test_batch_matches_separate_cold_calls(need, extra):
+    foff, habs = np.array(BATCH).T
+    if 3 in need:
+        foff, habs = foff[:-2], habs[:-2]  # row 3 diverges on the boundary
+    got = radial_rows(PROFILE, NU, MASS, BETA, foff, habs, need, extra)
+    assert got.shape == (len(need) + len(extra), len(foff))
+    for k in range(len(foff)):
+        want = radial_rows(PROFILE, NU, MASS, BETA, foff[k], habs[k], need,
+                           extra)[:len(need)]
+        assert np.abs(got[:len(need), k] - want).max() <= _tolerance(want), k
+
+
+def test_batch_matches_quad_vec():
+    # scipy's quad_vec integrates the K points' rows as one vector-valued
+    # integrand on [0, inf), to a far tighter target
+    from scipy.integrate import quad_vec
+    foff, habs = np.array(BATCH[:6]).T
+    need = (0, 1, 2)
+    c_nu = quadrature.angular_factor(NU)
+
+    def integrand(r):
+        rr = np.full(len(foff), r)
+        vals = eval_rows(rr, PROFILE.value_radial(rr),
+                         PROFILE.complement_radial(rr), BETA, 0.5 / MASS,
+                         foff, habs, need)
+        return c_nu * r ** (NU - 1) * vals.ravel()
+
+    want, _ = quad_vec(integrand, 0.0, np.inf, epsabs=1e-15, epsrel=1e-13,
+                       limit=2000)
+    want = want.reshape(len(need), len(foff))
+    got = radial_rows(PROFILE, NU, MASS, BETA, foff, habs, need)
+    for k in range(len(foff)):
+        assert (np.abs(got[:, k] - want[:, k]).max()
+                <= _tolerance(want[:, k])), k
+
+
+def test_batch_point_fails_the_call():
+    # the curvature row diverges on the boundary: asked to converge it,
+    # the boundary point fails, and with it the call that batches it
+    foff, habs = np.array(BATCH[-3:]).T
+    with pytest.raises(QuadratureFailure, match="did not converge"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        radial_rows(PROFILE, NU, MASS, BETA, foff, habs, (1, 3))
+
+
+def test_batches_are_chunked(monkeypatch):
+    # K points go to the kernel as one flat batch of K * nodes, with each
+    # point's foff and habs repeated per node, in chunks of at most _CHUNK
+    sizes = []
+
+    def counted(r, lam, lam_c, beta, inv_2m, foff, habs, rows):
+        assert len(r) == len(lam) == len(lam_c) == len(foff) == len(habs)
+        sizes.append(len(r))
+        return eval_rows(r, lam, lam_c, beta, inv_2m, foff, habs, rows)
+
+    foff, habs = np.array(BATCH).T
+    one = radial_rows(PROFILE, NU, MASS, BETA, foff[:1], habs[:1], (1,))
+    monkeypatch.setattr(quadrature, "eval_rows", counted)
+    many = np.repeat(foff, 40), np.repeat(habs, 40)
+    got = radial_rows(PROFILE, NU, MASS, BETA, *many, (1,))
+    assert max(sizes) == quadrature._CHUNK
+    assert abs(got[0, 0] - one[0, 0]) <= _tolerance(one)

@@ -13,8 +13,10 @@ import pytest
 from scipy.optimize import brentq
 
 from pairboson import pressure, solver
+from pairboson import quadrature
 from pairboson.errors import (
-    BracketFailure, ConfigError, ModelError, PairBosonError,
+    BracketFailure, ConfigError, ContinuationDiverged, ModelError,
+    PairBosonError, QuadratureFailure,
 )
 from pairboson.model import (
     Model, gaussian_profile, delta_profile, power_profile,
@@ -174,15 +176,18 @@ class TestKKTBoundaryTest:
         calls = _counting(monkeypatch, "radial_rows", pressure)
         eta_continuation(model(u=-0.5, dim=2), ThermoPoint(2.0, 0.4),
                          floor=1e-4)
-        assert calls and all(args[4] != args[5] for args, _ in calls)
+        assert calls and all(np.all(np.asarray(args[4]) != args[5])
+                             for args, _ in calls)
         # q = 0: the pair row diverges at sigma = 0
         m, tp = model(u=0.5), ThermoPoint(2.0, 0.4)
         calls = _counting(monkeypatch, "outer_grads")
         assert outer_opt(m, tp, 0.0).status == STATUS_BOUNDARY
         assert calls
         for args, _ in calls:
+            # one point, or a batch of the outer scan
             op = args[2]
-            assert op.q > 0.0 or pressure.sigma_gap(m, tp, op) > 0.0
+            assert np.all((np.asarray(op.q) > 0.0)
+                          | (pressure.sigma_gap(m, tp, op) > 0.0))
 
 
 def _counting(monkeypatch, name, module=solver):
@@ -238,6 +243,58 @@ class TestInnerMemo:
         assert len(values) == 1 and len(slopes) == 1
 
 
+class TestLockstep:
+    """inf_rho over an array of q runs the solves together, one batched
+    quadrature per kind of request and round; each agrees with its scalar
+    solve within the radial tolerance, and a failing q fails alone."""
+
+    @pytest.mark.parametrize("dim, u, mu, eta, q_top", [
+        (3, 0.5, -0.3, 0.0, 4.0),     # normal: interior and boundary minima
+        (3, 0.5, 0.4, 0.0, 4.0),      # condensed: every minimum on sigma = 0
+        (3, -0.5, 0.4, 1e-3, 0.05),   # repulsive, with a source
+        (1, 0.5, 0.4, 1e-3, 4.0)],    # the continued case
+        ids=["normal", "condensed", "repulsive", "dim1"])
+    def test_batch_matches_scalar_solves(self, dim, u, mu, eta, q_top):
+        m, tp = model(u=u, dim=dim), ThermoPoint(2.0, mu)
+        qs = np.geomspace(1e-6 * q_top, q_top, 12)
+        batch = inf_rho(m, tp, qs, eta)
+        assert len(batch) == len(qs)
+        for q, got in zip(qs, batch):
+            want = inf_rho(m, tp, q, eta)
+            assert got[1] == want[1], q
+            # the batch's slopes meet the radial tolerance on their own
+            # mesh: rho_bar moves by at most about 1e-10 rho_bar
+            assert got[0] == pytest.approx(want[0], rel=1e-9, abs=1e-14), q
+
+    def test_one_point_fails_alone(self):
+        # dim 2: the density row diverges on sigma = 0, so the outer
+        # gradients of the boundary point (q, rho) = (0.5, 0.75), where
+        # sigma is exactly 0, cannot converge; batched with three interior
+        # points, only that point fails
+        m, tp = model(u=0.5, dim=2), ThermoPoint(2.0, 0.5)
+        qs = [0.25, 0.5, 0.75, 1.0]
+        rhos = [(tp.mu + 0.5 * q) / m.v + 0.05 for q in qs]
+        rhos[1] = 0.75
+        assert pressure.sigma_gap(m, tp, OrderPoint(qs[1], rhos[1])) == 0.0
+        with pytest.raises(QuadratureFailure):
+            outer_grads(m, tp, OrderPoint(np.array(qs), np.array(rhos)))
+        out = solver._evaluate(m, tp, 0.0, outer_grads, qs, rhos)
+        assert isinstance(out[1], QuadratureFailure)
+        for k in (0, 2, 3):
+            want = outer_grads(m, tp, OrderPoint(qs[k], rhos[k]))
+            assert out[k] == pytest.approx(want, rel=1e-9, abs=1e-12), k
+
+    def test_a_failing_solve_is_returned_not_raised(self):
+        # q = inf leaves the floating-point range in its first line; the
+        # batch reports that error in its place and solves the others
+        m, tp = model(), ThermoPoint(2.0, -0.3)
+        out = inf_rho(m, tp, np.array([0.1, math.inf, 0.3]), 0.0)
+        assert isinstance(out[1], ContinuationDiverged)
+        assert out[0] == inf_rho(m, tp, 0.1, 0.0)
+        with pytest.raises(ContinuationDiverged):
+            inf_rho(m, tp, math.inf, 0.0)
+
+
 class TestOuterOptimum:
     def test_u_zero_fixes_q(self):
         res = outer_opt(model(u=0.0), ThermoPoint(2.0, -0.3), 0.05)
@@ -266,9 +323,13 @@ class TestOuterOptimum:
         values = {}
 
         def recorded(model, tp, q, eta, **kwargs):
+            # one q, or the scan's batch with a result or error per q
             out = inf_rho(model, tp, q, eta, **kwargs)
-            values[q] = pressure.pressure_tl(model, tp,
-                                             OrderPoint(q, out[0], eta))
+            outs = out if np.ndim(q) else [out]
+            for qq, one in zip(np.atleast_1d(q), outs):
+                if not isinstance(one, PairBosonError):
+                    values[qq] = pressure.pressure_tl(
+                        model, tp, OrderPoint(qq, one[0], eta))
             return out
 
         monkeypatch.setattr(solver, "inf_rho", recorded)
@@ -487,6 +548,9 @@ class TestDensities:
             thermal = (m.mass / (2.0 * math.pi * beta)) ** (dim / 2.0)
             assert critical_density(m, beta) == pytest.approx(
                 zeta(dim / 2.0) * thermal, rel=1e-13, abs=0.0)
+            # critical_density is the closed form; the quadrature agrees
+            assert bose_density(m, beta, 0.0) == pytest.approx(
+                critical_density(m, beta), rel=1e-13, abs=0.0)
             series = math.fsum(math.exp(-k) / k ** (dim / 2.0)
                                for k in range(1, 60))
             assert bose_density(m, beta, -1.0 / beta) == pytest.approx(
@@ -613,12 +677,52 @@ def test_mf_condensed_quadrature_budget(monkeypatch, capsys):
 
 def test_scan_quadrature_budget(monkeypatch, capsys):
     """Quadrature calls of perfbench's seed-0 scan_line, serial.  The count
-    repeats exactly: 573 from the eta = 0 solve, 8,450 from a continuation
-    per point."""
+    repeats exactly: 58 since the outer scan's inner solves run in
+    lockstep, 451 when each scan point solved alone, and 8,450 from a
+    continuation per point."""
     from pairboson import cli
     monkeypatch.setenv("PBH_THREADS", "1")
     calls = _counting(monkeypatch, "radial_rows", pressure)
     assert cli.main(["scan", "--beta", "2", "--mu-range=-0.2:0.4:4",
                      "--u", "0.5", "--dim", "3"]) == cli.EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 5
-    assert len(calls) <= 800
+    assert len(calls) <= 58
+
+
+@pytest.mark.parametrize("mu, phase, budget", [
+    ("-0.3", PHASE_NORMAL, 14), ("0.4", PHASE_CONDENSED, 14)],
+    ids=["normal", "condensed"])
+def test_solve_quadrature_budget(monkeypatch, capsys, mu, phase, budget):
+    """Quadrature calls of perfbench's seed-0 normal and condensed solves.
+    The counts repeat exactly: 14 each since the outer scan's 32 inner
+    solves run in lockstep, against 160 and 75 when each solved alone."""
+    from pairboson import cli
+    calls = _counting(monkeypatch, "radial_rows", pressure)
+    argv = ["solve", "--beta", "2.0", "--mu", mu, "--u", "0.5", "--dim",
+            "3", "--v", "1.0", "--mass", "0.5", "--profile", "gaussian:1.0"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["phase"] == phase
+    assert len(calls) <= budget
+
+
+def test_power_profile_kernel_budget(monkeypatch):
+    """The eta = 0 solve at dim 3, beta = 2, u = 0.5, mu = -0.1 with the
+    power:1:4 profile, which no benchmark workload runs: it solves, hands
+    the kernel no more than _CHUNK nodes at once, and evaluates 46,050
+    kernel points (39,525 when each scan point solved alone; an earlier
+    record of this point read 2,001,720)."""
+    sizes = []
+    evaluate = quadrature.eval_rows
+
+    def counted(r, *args):
+        sizes.append(len(r))
+        return evaluate(r, *args)
+
+    monkeypatch.setattr(quadrature, "eval_rows", counted)
+    m = Model(dim=3, mass=0.5, u=0.5, v=1.0,
+              lambda_profile=power_profile(1.0, 4.0))
+    lim = variational_limit(m, ThermoPoint(2.0, -0.1))
+    assert lim.p_limit == pytest.approx(0.003921739666280985, rel=1e-12)
+    assert lim.q_limit == 0.0 and lim.result.status == "converged"
+    assert max(sizes) == quadrature._CHUNK  # a batch was split
+    assert sum(sizes) <= 46_050

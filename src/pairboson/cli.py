@@ -10,6 +10,7 @@ null for a NaN or infinite value.  Exit codes:
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -471,7 +472,9 @@ def cmd_oracle(args) -> int:
     return EXIT_ORACLE if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pairboson",
         description="Variational pressure of the pair boson model.")
@@ -488,9 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

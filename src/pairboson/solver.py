@@ -4,8 +4,11 @@ For attractive pairing (u > 0) the pressure is sup over the pair order
 parameter q of the inf over densities rho of the quadratic-approximant
 pressure; for u <= 0 the sup becomes an inf and the problem collapses onto
 the mean-field solution as the symmetry-breaking source eta -> 0.  The
-solver nests the optimizations (inner density solve per candidate q); the
-inner solves of a scan over q run in lockstep (`inf_rho` on an array).
+solver nests the optimizations: per candidate q, the boundary test and one
+safeguarded Newton loop find the inner density minimum.  The inner solves
+of an outer search run in lockstep (`inf_rho` on an array), a single q as
+the batch of one, each from the interior minimizer of the nearest q
+already solved.
 
 Two paths reach the eta -> 0 observables.  `variational_limit` solves the
 sup-inf once at eta = 0 and reads the condensate m0 off the
@@ -136,7 +139,6 @@ class ContinuationResult:
     error_estimates: dict = field(default_factory=dict)
 
 
-_NEWTON_STEPS = 12  # in inf_rho, before it hands the bracket to brentq
 _VALUE_SLACK = 1e-10  # a q > 0 optimum may sit this far below the q = 0 slice
 
 
@@ -162,8 +164,7 @@ def _balanced_step(model, tp, op, gr, slope):
     return op.rho - resid / (v + 0.5 * eta * d_slope / d ** 1.5)
 
 
-def inf_rho(model: Model, tp: ThermoPoint, q, eta: float,
-            rho_hint=None, boundary_first: bool = False):
+def inf_rho(model: Model, tp: ThermoPoint, q, eta: float, rho_hint=None):
     """Minimize the pressure over densities at fixed (q, eta).
 
     Returns (rho_bar, boundary, grads): the minimizer; whether it sits on
@@ -185,17 +186,20 @@ def inf_rho(model: Model, tp: ThermoPoint, q, eta: float,
     boundary exactly when grad_rho >= 0 at rho_b, the smallest feasible
     density (the Karush-Kuhn-Tucker condition).  Where rho_b can be
     evaluated (dim >= 3, q > 0, and a source finite on sigma = 0) one
-    outer_grads call there decides it, first if boundary_first is set,
-    else after the top probe rho_lo + 1e-3 scale.  Elsewhere the density
-    row (dim <= 2), the pair row (q = 0) or the source (u > 0 with
-    eta > 0) diverges at rho_b, and the bottom probe rho_lo + 1e-14 scale
-    stands in.
+    outer_grads call there decides it, before anything else.  Elsewhere
+    the density row (dim <= 2), the pair row (q = 0) or the source (u > 0
+    with eta > 0) diverges at rho_b, and the top probe rho_lo + 1e-3 scale,
+    then the bottom probe rho_lo + 1e-14 scale, stand in.
     """
     qs = np.atleast_1d(q).tolist()
     hints = [None] * len(qs) if rho_hint is None else np.atleast_1d(rho_hint)
-    outs = _lockstep(model, tp, eta, qs, [
-        _inner_steps(model, tp, qq, eta, hint, boundary_first)
-        for qq, hint in zip(qs, hints)])
+    return _one_or_all(q, _lockstep(model, tp, eta, qs, [
+        _inner_steps(model, tp, qq, eta, hint) for qq, hint in zip(qs, hints)]))
+
+
+def _one_or_all(q, outs):
+    """outs, the result or PairBosonError per q of an array q; for a
+    scalar q its one result, raised if it is an error."""
     if np.ndim(q):
         return outs
     if isinstance(outs[0], PairBosonError):
@@ -267,13 +271,15 @@ def _evaluate(model, tp, eta, fn, qs, rhos):
     return replies
 
 
-def _inner_steps(model, tp, q, eta, rho_hint, boundary_first):
+def _inner_steps(model, tp, q, eta, rho_hint):
     """`inf_rho` at one q, as a generator of its quadrature requests (see
     `_lockstep`); returns (rho_bar, boundary, grads).
 
-    The Newton steps and probes are requests.  The stragglers' brentq,
-    after a Newton step leaves the bracket or the steps run out, evaluates
-    its slopes itself, as a batch of one.
+    After the boundary test, Newton's method safeguarded by bisection
+    (rtsafe: W. H. Press et al., Numerical Recipes, 3rd ed., sec. 9.4)
+    runs to convergence on grad_rho inside a bracket [lo, hi] that the
+    sign of every slope seen shrinks.  A step that leaves the bracket
+    bisects it; while the bracket has no upper end, it expands instead.
     """
     rho_lo = max(0.0, (tp.mu + abs(model.u) * q) / model.v)
     if not math.isfinite(rho_lo):
@@ -292,47 +298,30 @@ def _inner_steps(model, tp, q, eta, rho_hint, boundary_first):
             seen[rho] = yield grad_rho_slope, rho
         return seen[rho]
 
-    def g(rho):
-        outs = _lockstep(model, tp, eta, [q], [g_slope(rho)])
-        if isinstance(outs[0], PairBosonError):
-            raise outs[0]
-        return outs[0][0]
-
     rho_b = rho_lo
     while sigma_gap(model, tp, OrderPoint(q, rho_b, eta)) < 0:
         rho_b = np.nextafter(rho_b, np.inf)  # undo rounding in rho_lo
     rho_b = float(rho_b)
-    kkt = (model.dim >= 3 and q > 0.0 and (eta == 0.0 or model.u < 0.0)
-           and inside(rho_b))
-    grads = None
-
-    def slope_at_boundary():
-        # the KKT test's grad_rho also serves g, as brentq's lower end
-        nonlocal grads
-        grads = yield outer_grads, rho_b
-        seen[rho_b] = grads[0], math.nan
-        return grads[0]
-
-    if kkt and boundary_first and (yield from slope_at_boundary()) >= 0:
-        return rho_b, True, grads
     # top and bottom are feasible: sigma >= 1e-14 v scale there, above
     # rho_lo's rounding, and sigma~ >= sigma
     top = rho_lo + 1e-3 * scale
     bottom = rho_lo + 1e-14 * scale
-    lo = hi = None
-    if (yield from g_slope(top))[0] < 0:
+    hi = None
+    if (model.dim >= 3 and q > 0.0 and (eta == 0.0 or model.u < 0.0)
+            and inside(rho_b)):
+        grads = yield outer_grads, rho_b
+        if grads[0] >= 0:
+            return rho_b, True, grads
+        lo = rho_b
+        seen[rho_b] = grads[0], math.nan  # no slope: no retake from it
+    elif (yield from g_slope(top))[0] < 0:
         lo = top
-    elif kkt:
-        # boundary_first already found grad_rho(rho_b) < 0, or the
-        # test runs now
-        if grads is not None or (yield from slope_at_boundary()) < 0:
-            lo, hi = rho_b, top
     elif (yield from g_slope(bottom))[0] < 0:
         lo, hi = bottom, top
-    if lo is None:
+    else:
         # slope is nonnegative all the way down: boundary minimum, or
         # infinitesimally inside it where the source diverges on it
-        return (rho_b if inside(rho_b) else bottom), True, grads
+        return (rho_b if inside(rho_b) else bottom), True, None
 
     def newton(rho, gr, slope):
         nxt = rho - gr / slope
@@ -343,45 +332,44 @@ def _inner_steps(model, tp, q, eta, rho_hint, boundary_first):
                                           gr, slope))
         return nxt
 
-    # Newton from the hint, else from the top probe, shrinking [lo, hi]
-    # by the sign of every slope seen.  A step from above the root that
-    # lands below lo is replaced by the step from lo, which concavity keeps
-    # in [lo, root].  brentq on what is left if a step still leaves the
-    # bracket or the steps run out
+    # Newton from the hint, else from the top probe.  A step from above
+    # the root that lands below lo is retaken from lo, which concavity
+    # keeps in [lo, root].  A step that still leaves [lo, hi], or has no
+    # usable slope, bisects it.  While hi is unknown the bracket expands
+    # instead, to lo + scale and then to twice lo; at most 80 steps may
+    # expand it or at least double rho before the search gives up
     rho = top
     if rho_hint is not None and rho_hint > rho_lo and inside(rho_hint):
         rho = rho_hint
-    rho_bar = None
-    for _ in range(_NEWTON_STEPS):
+    doublings = 0
+    # a cap for safety only: bisection alone takes any bracket of doubles
+    # to the tolerance in fewer than 1,100 halvings (2^1024/1e-14 < 2^1071)
+    for _ in range(2000):
         gr, slope = yield from g_slope(rho)
         if gr < 0:
             lo = max(lo, rho)
         else:
             hi = rho if hi is None else min(hi, rho)
-        if not 0 < slope < math.inf:
-            break
-        nxt = newton(rho, gr, slope)
-        if nxt < lo and 0 < seen[lo][1] < math.inf:
-            rho = lo
-            nxt = newton(lo, *seen[lo])
+        nxt = math.nan
+        if 0 < slope < math.inf:
+            nxt = newton(rho, gr, slope)
+            if nxt < lo and 0 < seen[lo][1] < math.inf:
+                rho, nxt = lo, newton(lo, *seen[lo])
         in_bracket = lo <= nxt and (hi is None or nxt <= hi)
         if abs(nxt - rho) <= _RHO_XTOL + _RHO_RTOL * abs(nxt):
-            rho_bar = nxt if in_bracket else rho
-            break
-        if not in_bracket:
-            break
-        rho = nxt
-    if rho_bar is None:
-        if hi is None:
-            hi = lo + scale
-            for _ in range(80):
-                if g(hi) > 0:
-                    break
-                lo, hi = hi, hi * 2.0
-            else:
+            return float(nxt if in_bracket else rho), False, None
+        if hi is None and not (in_bracket and nxt < 2.0 * rho):
+            if doublings == 80:
                 raise BracketFailure("density slope never turns positive")
-        rho_bar = brentq(g, lo, hi, xtol=_RHO_XTOL, rtol=_RHO_RTOL)
-    return float(rho_bar), False, None
+            if not in_bracket:
+                nxt = 2.0 * lo if doublings else lo + scale
+            doublings += 1
+        elif not in_bracket:
+            nxt = 0.5 * (lo + hi)
+            if hi - lo <= 2.0 * (_RHO_XTOL + _RHO_RTOL * nxt):
+                return float(nxt), False, None
+        rho = nxt
+    raise BracketFailure("density solve did not converge")
 
 
 def _result_at(model, tp, eta, inner, value, q):
@@ -425,67 +413,59 @@ def _inner_solver(model, tp, eta):
     `_slope_in_q`.  All three are memoized by the exact float q for the
     life of the closure, that is one outer_opt call (one point, one eta),
     and each is computed only when read.  A raised error is not stored.
-    value also takes an array of q: it solves the q not yet solved in
-    lockstep, reads their values in one batched call, and returns per q
-    the value or the PairBosonError of that q alone.
+    value also takes an array of q and returns per q the value or the
+    PairBosonError of that q alone; a scalar q is the batch of one.
 
-    A scalar solve is warm-started from the last interior minimizer of a
-    scalar solve, a batch from the q = 0 minimizer where that is interior.
-    The hint keeps the anchor's distance to the boundary
-    rho_lo(q) = (mu + |u| q)/v, which moves with q; the bare minimizer of
-    one q is often infeasible at a larger one.  After a boundary minimum
-    the next solve tests the boundary first.  A repeated q and a batch
-    move neither the anchor nor that test."""
-    last = None
-    on_boundary = False
+    The q not yet solved are solved in lockstep and their values read in
+    one batched call.  Each starts from the interior minimizer of the
+    nearest solved q, shifted to keep its distance to the boundary
+    rho_lo(q) = (mu + |u| q)/v, which moves with q: the bare minimizer of
+    one q is often infeasible at a larger one."""
     memo, values, slopes = {}, {}, {}
 
-    def hint(q, anchor):
-        if anchor is None:
-            return None
-        return anchor[1] + abs(model.u) * (q - anchor[0]) / model.v
-
-    def inner(q):
-        nonlocal last, on_boundary
-        if q not in memo:
-            memo[q] = inf_rho(model, tp, q, eta, rho_hint=hint(q, last),
-                              boundary_first=on_boundary)
-            rho_bar, on_boundary, _ = memo[q]
-            if not on_boundary:
-                last = (q, rho_bar)
-        return memo[q]
-
-    def value(q):
-        if np.ndim(q):
-            return values_at(np.asarray(q).tolist())
-        if q not in values:
-            op = OrderPoint(q, inner(q)[0], eta)
-            values[q] = float(pressure_tl(model, tp, op))
-        return values[q]
-
-    def values_at(qs):
-        errors = {}
+    def solve(qs):
+        # solve the q of qs not yet solved; returns the errors of those
+        # that failed
         todo = [q for q in qs if q not in memo]
-        if todo:
-            zero = memo.get(0.0)
-            anchor = (0.0, zero[0]) if zero and not zero[1] else last
-            outs = inf_rho(model, tp, np.array(todo), eta,
-                           rho_hint=[hint(q, anchor) for q in todo],
-                           boundary_first=on_boundary)
-            for q, out in zip(todo, outs):
-                if isinstance(out, PairBosonError):
-                    errors[q] = out
-                else:
-                    memo[q] = out
-        todo = [q for q in qs if q in memo and q not in values]
-        outs = _evaluate(model, tp, eta, pressure_tl, todo,
-                         [memo[q][0] for q in todo])
+        if not todo:
+            return {}
+        anchors = [(a, out[0]) for a, out in memo.items() if not out[1]]
+
+        def hint(q):
+            if not anchors:
+                return None
+            a, rho = min(anchors, key=lambda anchor: abs(anchor[0] - q))
+            return rho + abs(model.u) * (q - a) / model.v
+
+        outs = inf_rho(model, tp, np.array(todo), eta,
+                       rho_hint=[hint(q) for q in todo])
+        errors = {}
         for q, out in zip(todo, outs):
             if isinstance(out, PairBosonError):
                 errors[q] = out
             else:
-                values[q] = float(out)
-        return [values[q] if q in values else errors[q] for q in qs]
+                memo[q] = out
+        return errors
+
+    def inner(q):
+        error = solve([q]).get(q)
+        if error is not None:
+            raise error
+        return memo[q]
+
+    def value(q):
+        qs = np.atleast_1d(q).tolist()
+        errors = solve(qs)
+        todo = [qq for qq in qs if qq in memo and qq not in values]
+        outs = _evaluate(model, tp, eta, pressure_tl, todo,
+                         [memo[qq][0] for qq in todo])
+        for qq, out in zip(todo, outs):
+            if isinstance(out, PairBosonError):
+                errors[qq] = out
+            else:
+                values[qq] = float(out)
+        return _one_or_all(q, [values[qq] if qq in values else errors[qq]
+                               for qq in qs])
 
     def tdq(q):
         if q not in slopes:

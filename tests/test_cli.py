@@ -197,6 +197,10 @@ class TestCommandKeys:
         args = parser.parse_args([command, "--config", str(cfgfile)])
         assert cli._merge_config(args)[key] == "7"
 
+    def test_parser_is_built_once(self):
+        # every main call parses with the one parser
+        assert cli.build_parser() is cli.build_parser()
+
     @pytest.mark.parametrize("line, col, message", [
         ("   n_max = 3", 4, "solve takes no key 'n_max'"),
         ("\t  bogus-knob = 3", 4, "unknown key 'bogus_knob'"),
@@ -446,6 +450,18 @@ class TestSolve:
             "extrapolation_order", "error_estimates", "eta_trace", "status"]
         assert doc["phase"] == "normal"
         assert len(doc["eta_trace"]) >= 4
+
+    def test_dim_2_point_near_the_boundary_solves(self, capsys):
+        # a continued point whose inner solves once probed the diverging
+        # density row just inside sigma = 0 and exited 3; the phase is not
+        # pinned, since the dim-2 m0 itself is in doubt (ROADMAP item 5)
+        argv = ["solve", "--dim", "2", "--profile", "gaussian:0.314",
+                "--v", "1.319", "--u", "1.098", "--mass", "0.984",
+                "--beta", "1.100", "--mu", "0.736", "--eta-floor", "1e-3"]
+        assert run_main(argv) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        for key in ("pressure", "q_bar", "rho_bar"):
+            assert doc[key] is not None and math.isfinite(doc[key]), key
 
     @pytest.mark.parametrize("mu, status, phase", [
         ("-0.3", "converged", "normal"),

@@ -214,13 +214,11 @@ class TestInnerMemo:
         assert len(calls) == 2
 
     def test_errors_are_not_stored(self, monkeypatch):
-        outcomes = [BracketFailure("first try"), (0.5, False, None)]
+        # inner(q) solves a batch of one: per q, the result or its error
+        outcomes = [[BracketFailure("first try")], [(0.5, False, None)]]
 
         def flaky(*args, **kwargs):
-            outcome = outcomes.pop(0)
-            if isinstance(outcome, Exception):
-                raise outcome
-            return outcome
+            return outcomes.pop(0)
 
         monkeypatch.setattr(solver, "inf_rho", flaky)
         inner, _, _ = _inner_solver(model(), ThermoPoint(2.0, -0.3), 0.05)
@@ -293,6 +291,51 @@ class TestLockstep:
         assert out[0] == inf_rho(m, tp, 0.1, 0.0)
         with pytest.raises(ContinuationDiverged):
             inf_rho(m, tp, math.inf, 0.0)
+
+
+class TestNewtonLoop:
+    """Every inner solve is one safeguarded Newton loop, inside its own
+    request generator: none re-enters the lockstep, and each interior
+    minimizer agrees with a scalar brentq on grad_rho to the inner
+    tolerance."""
+
+    def test_continuation_solves_agree_with_brentq(self, monkeypatch):
+        # dim 1, u = 0.5: four of these inner solves once handed their
+        # bracket to a scalar brentq that ran its own lockstep
+        m, tp = model(u=0.5, dim=1), ThermoPoint(2.0, 0.4)
+        depth, depths, solved = [0], [], []
+        lockstep, solve = solver._lockstep, solver.inf_rho
+
+        def tracked(*args):
+            depths.append(depth[0])
+            depth[0] += 1
+            try:
+                return lockstep(*args)
+            finally:
+                depth[0] -= 1
+
+        def recorded(model, tp, q, eta, **kwargs):
+            out = solve(model, tp, q, eta, **kwargs)
+            outs = out if np.ndim(q) else [out]
+            solved.extend((qq, eta, one)
+                          for qq, one in zip(np.atleast_1d(q), outs))
+            return out
+
+        monkeypatch.setattr(solver, "_lockstep", tracked)
+        monkeypatch.setattr(solver, "inf_rho", recorded)
+        eta_continuation(m, tp, floor=1e-2)
+        assert depths and set(depths) == {0}
+        interior = [(q, eta, out[0]) for q, eta, out in solved
+                    if not isinstance(out, PairBosonError) and not out[1]]
+        assert interior
+        for q, eta, rho_bar in interior:
+            rho_lo = max(0.0, (tp.mu + m.u * q) / m.v)
+            want = brentq(
+                lambda rho: grad_rho(m, tp, OrderPoint(q, rho, eta)),
+                rho_lo + 1e-14 * max(1.0, rho_lo), rho_bar + 1.0,
+                xtol=solver._RHO_XTOL, rtol=solver._RHO_RTOL)
+            assert abs(rho_bar - want) <= \
+                solver._RHO_XTOL + solver._RHO_RTOL * rho_bar, (q, eta)
 
 
 class TestOuterOptimum:
@@ -677,7 +720,8 @@ def test_mf_condensed_quadrature_budget(monkeypatch, capsys):
 
 def test_scan_quadrature_budget(monkeypatch, capsys):
     """Quadrature calls of perfbench's seed-0 scan_line, serial.  The count
-    repeats exactly: 58 since the outer scan's inner solves run in
+    repeats exactly: 54 since every inner solve tests the boundary first
+    where it can, 58 when the outer scan's inner solves first ran in
     lockstep, 451 when each scan point solved alone, and 8,450 from a
     continuation per point."""
     from pairboson import cli
@@ -686,16 +730,17 @@ def test_scan_quadrature_budget(monkeypatch, capsys):
     assert cli.main(["scan", "--beta", "2", "--mu-range=-0.2:0.4:4",
                      "--u", "0.5", "--dim", "3"]) == cli.EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 5
-    assert len(calls) <= 58
+    assert len(calls) <= 54
 
 
 @pytest.mark.parametrize("mu, phase, budget", [
-    ("-0.3", PHASE_NORMAL, 14), ("0.4", PHASE_CONDENSED, 14)],
+    ("-0.3", PHASE_NORMAL, 12), ("0.4", PHASE_CONDENSED, 14)],
     ids=["normal", "condensed"])
 def test_solve_quadrature_budget(monkeypatch, capsys, mu, phase, budget):
     """Quadrature calls of perfbench's seed-0 normal and condensed solves.
-    The counts repeat exactly: 14 each since the outer scan's 32 inner
-    solves run in lockstep, against 160 and 75 when each solved alone."""
+    The counts repeat exactly: 12 and 14 since every inner solve tests the
+    boundary first where it can, 14 each when the outer scan's 32 inner
+    solves first ran in lockstep, and 160 and 75 when each solved alone."""
     from pairboson import cli
     calls = _counting(monkeypatch, "radial_rows", pressure)
     argv = ["solve", "--beta", "2.0", "--mu", mu, "--u", "0.5", "--dim",

@@ -14,8 +14,11 @@ import functools
 import json
 import math
 import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
+# unused here; perfbench's PoolSpeed wraps this name
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 
 import numpy as np
 
@@ -333,12 +336,13 @@ def _quiet_overflow():
     its inf/NaN entries, so the warnings, with their source paths, would
     only repeat that on stderr.  Only the reporting changes, not the
     arithmetic.  `main` runs every command in this block, and `_scan_point`
-    its pool workers' points."""
+    each scan point, in the parent or in a forked helper."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
-# Worker for scan grid points; module-level so it pickles for the pool.
-# A task is (model, eta_continuation keyword arguments, ThermoPoint).
+# One scan grid point, solved in the parent or in a forked helper; a solve
+# that fails becomes an error row.  A task is (model, eta_continuation
+# keyword arguments, ThermoPoint).
 def _scan_point(task):
     model, settings, tp = task
     try:
@@ -364,7 +368,76 @@ def _worker_count(n_tasks: int) -> int:
             raise ConfigError("PBH_THREADS must be >= 1")
     else:
         cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
+    # without fork the parent solves every point itself
+    return max(1, min(cap, n_tasks)) if hasattr(os, "fork") else 1
+
+
+def _fork_helper(tasks):
+    """Fork a helper that solves tasks; returns its pid and the read end of
+    its pipe, a file.  The helper writes one pickle, its rows or the
+    exception they raised, and leaves only through `os._exit`."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                outcome = [_scan_point(task) for task in tasks]
+            except BaseException as exc:
+                outcome = exc
+            with open(write, "wb") as fh:
+                pickle.dump(outcome, fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _scan_rows(tasks) -> list:
+    """The rows of tasks, in task order.
+
+    With W workers the parent forks W - 1 helpers, helper w solving
+    tasks[w::W], and solves tasks[0::W] itself; W = 1 forks none.  Then it
+    reads each helper's pipe to its end and reaps the helper.  An exception
+    a helper sent is raised here, and a helper that left no complete
+    outcome raises RuntimeError with its exit status; whatever raises, every
+    helper not yet reaped is killed and reaped first.
+    """
+    workers = _worker_count(len(tasks))
+    rows = [None] * len(tasks)
+    helpers = []
+    try:
+        for w in range(1, workers):
+            helpers.append(_fork_helper(tasks[w::workers]))
+        rows[0::workers] = [_scan_point(task) for task in tasks[0::workers]]
+        for w in range(1, workers):
+            pid, fh = helpers[0]
+            with fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del helpers[0]
+            try:
+                outcome = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"scan helper {pid} exited with status "
+                                   f"{status} before it sent its rows") \
+                    from None
+            if isinstance(outcome, BaseException):
+                raise outcome
+            rows[w::workers] = outcome
+    finally:
+        for pid, fh in helpers:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return rows
 
 
 def _scan_rows_to_csv(rows) -> str:
@@ -387,12 +460,7 @@ def cmd_scan(args) -> int:
     fmt = (cfg["format"] or "csv").lower()
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {fmt!r} (expected csv or json)")
-    workers = _worker_count(len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_point, tasks))
-    else:
-        rows = [_scan_point(task) for task in tasks]
+    rows = _scan_rows(tasks)
     if fmt == "json":
         keys = ("beta", "mu", "pressure", "q_bar", "rho_bar",
                 "m0", "gap", "phase")

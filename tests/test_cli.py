@@ -696,6 +696,98 @@ class TestScan:
         assert doc[0]["phase"] == "normal"
 
 
+# Five points across the pairing transition: 2 and 3 workers do not divide
+# them, and 7 workers are capped at 5.
+FAN_GRID = ["scan", "--beta", "2", "--mu-range=-0.2:0.4:5", "--u", "0.5",
+            "--dim", "3"]
+FAN_MUS = cli._parse_mu_list({"mu_range": "-0.2:0.4:5"})
+
+
+def _assert_no_child_left():
+    # every helper a scan forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_at(monkeypatch, fail):
+    """Make the eta = 0 solve call fail(tp) first at every point."""
+    real = cli.variational_limit
+
+    def limit(model, tp):
+        fail(tp)
+        return real(model, tp)
+
+    monkeypatch.setattr(cli, "variational_limit", limit)
+
+
+class TestScanFanOut:
+    """The parent solves tasks[0::W] and forks W - 1 helpers, helper w
+    solving tasks[w::W]."""
+
+    def _scan(self, threads, monkeypatch, capsys, argv=FAN_GRID):
+        monkeypatch.setenv("PBH_THREADS", str(threads))
+        code = run_main(argv)
+        _assert_no_child_left()
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_do_not_depend_on_workers(self, fmt, monkeypatch, capsys):
+        argv = FAN_GRID + ["--format", fmt]
+        outputs = [self._scan(threads, monkeypatch, capsys, argv)
+                   for threads in (1, 2, 3, 7)]
+        assert outputs[0][0] == cli.EXIT_OK
+        assert outputs[1:] == outputs[:1] * 3
+
+    def test_helper_error_rows_keep_their_places(self, monkeypatch, capsys):
+        # with 2 workers mu[1] and mu[3] are the helper's, mu[2] the parent's
+        def fail(tp):
+            if tp.mu in (FAN_MUS[1], FAN_MUS[2]):
+                raise BracketFailure("injected")
+
+        _fail_at(monkeypatch, fail)
+        code, text = self._scan(2, monkeypatch, capsys)
+        assert code == cli.EXIT_OK
+        assert [row.split(",")[-1] for row in text.splitlines()[1:]] == \
+            ["normal", "error:BracketFailure", "error:BracketFailure",
+             "condensed", "condensed"]
+        assert self._scan(1, monkeypatch, capsys) == (code, text)
+
+    @pytest.mark.parametrize("where", [0, 1, 2], ids=["parent", "helper-1",
+                                                      "helper-2"])
+    def test_other_errors_propagate(self, where, monkeypatch, capsys):
+        # with 3 workers mu[where] is solved by the parent (0) or a helper
+        def fail(tp):
+            if tp.mu == FAN_MUS[where]:
+                raise ValueError(f"injected at {tp.mu!r}")
+
+        _fail_at(monkeypatch, fail)
+        monkeypatch.setenv("PBH_THREADS", "3")
+        with pytest.raises(ValueError, match="injected at"):
+            run_main(FAN_GRID)
+        _assert_no_child_left()
+        assert capsys.readouterr().out == ""
+
+    def test_helper_that_dies_is_named(self, monkeypatch):
+        parent = os.getpid()
+
+        def fail(tp):
+            if tp.mu == FAN_MUS[1]:
+                assert os.getpid() != parent, "mu[1] is the helper's"
+                os._exit(3)
+
+        _fail_at(monkeypatch, fail)
+        monkeypatch.setenv("PBH_THREADS", "2")
+        with pytest.raises(RuntimeError, match="exited with status 3"):
+            run_main(FAN_GRID)
+        _assert_no_child_left()
+
+    def test_without_fork_the_parent_solves_alone(self, monkeypatch, capsys):
+        serial = self._scan(1, monkeypatch, capsys)
+        monkeypatch.delattr(os, "fork")
+        assert cli._worker_count(5) == 1
+        assert self._scan(2, monkeypatch, capsys) == serial
+
+
 class TestSpectrum:
     def test_q_zero_spectrum_equals_f(self, tmp_path):
         out = tmp_path / "spec.csv"

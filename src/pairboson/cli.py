@@ -189,12 +189,12 @@ def _build_model(cfg: dict) -> Model:
 
 def _point_limit(model: Model, tp: ThermoPoint, settings: dict):
     """The eta -> 0 observables of a solve, scan or spectrum point: a
-    `ContinuationResult` for u > 0 in dim <= 2, else a `VariationalLimit`.
+    `ContinuationResult` for u > 0 in dim 2, else a `VariationalLimit`.
     """
-    if model.u > 0 and model.dim <= 2:
+    if model.u > 0 and model.dim == 2:
         # the infrared divergence: with q > 0 the density row diverges as
         # sigma -> 0, and in dim 2 the eta = 0 inner solve fails in the
-        # radial quadrature
+        # radial quadrature (in dim 1 it solves)
         return eta_continuation(model, tp, **settings)
     # the eta = 0 sup-inf settles p, q_bar, rho_bar and m0
     return variational_limit(model, tp)
@@ -335,8 +335,8 @@ def _quiet_overflow():
     values, and an overflowing oracle instance fails as EigenFailure on
     its inf/NaN entries, so the warnings, with their source paths, would
     only repeat that on stderr.  Only the reporting changes, not the
-    arithmetic.  `main` runs every command in this block, and `_scan_point`
-    each scan point, in the parent or in a forked helper."""
+    arithmetic.  `main` runs every command in this block; a scan's forked
+    helpers inherit its error state."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
@@ -346,9 +346,8 @@ def _quiet_overflow():
 def _scan_point(task):
     model, settings, tp = task
     try:
-        with _quiet_overflow():
-            cont = _point_limit(model, tp, settings)
-            phase = classify_phase(model, tp, cont)
+        cont = _point_limit(model, tp, settings)
+        phase = classify_phase(model, tp, cont)
     except PairBosonError as exc:
         nan = float("nan")
         return (tp.beta, tp.mu, nan, nan, nan, nan, nan,

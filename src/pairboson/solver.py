@@ -17,7 +17,7 @@ Wright, Numerical Optimization, ch. 12): the multiplier itself for u >= 0,
 half of it (the quasi-average) for u < 0.  `eta_continuation` runs a
 geometric eta schedule on one quadrature plan and extrapolates to eta = 0
 with a detected-order Richardson step.  The CLI's solve, scan and spectrum
-take the second path only for u > 0 in dim <= 2, where the eta = 0 inner
+take the second path only for u > 0 in dim 2, where the eta = 0 inner
 solve meets the infrared divergence of the density row, and the first
 everywhere else; the tests check the two against each other.
 """
@@ -104,21 +104,26 @@ class SolveResult:
     def checked_residuals(self):
         """(el1, el2) of an interior optimum, or StationarityViolated
         unless |el1| <= _EL_TOL max(1, rho_bar) + slack and
-        |el2| <= _EL_TOL max(1, q_bar).
+        |el2| <= _EL_TOL max(1, q_bar) + (v/|u|) slack.
 
         slack is the el1 that inf_rho's own tolerance on rho_bar allows:
         d el1/d rho = 1 + v d2_mu times _RHO_XTOL + _RHO_RTOL rho_bar.  It
         matters just off sigma = 0 in dim <= 2, where d2_mu ~ 1/sigma and
-        no float rho_bar meets _EL_TOL, and costs one quadrature, taken
-        only when el1 misses the plain bound."""
+        no float rho_bar meets _EL_TOL.  At an interior q_bar > 0 the
+        outer polish zeroes the q-slope grad_q + grad_rho = v el1 - u el2,
+        so el2 = (v/u) el1 inherits el1's floor.  The slack costs one
+        quadrature, taken only when a residual misses its plain bound."""
         el1, el2 = self._residuals
         tol1 = _EL_TOL * max(1.0, self.rho_bar)
-        if abs(el1) > tol1:
+        tol2 = _EL_TOL * max(1.0, self.q_bar)
+        if abs(el1) > tol1 or abs(el2) > tol2:
             model, tp, op = self.residual_at
-            tol1 += ((1.0 + model.v * d2_mu(model, tp, op))
+            slack = ((1.0 + model.v * d2_mu(model, tp, op))
                      * (_RHO_XTOL + _RHO_RTOL * self.rho_bar))
-        if not (abs(el1) <= tol1
-                and abs(el2) <= _EL_TOL * max(1.0, self.q_bar)):
+            tol1 += slack
+            if self.q_bar > 0.0:
+                tol2 += model.v / abs(model.u) * slack
+        if not (abs(el1) <= tol1 and abs(el2) <= tol2):
             raise StationarityViolated(
                 f"the optimum is not stationary: el1 = {el1:.3e}, "
                 f"el2 = {el2:.3e}")
@@ -695,7 +700,8 @@ class VariationalLimit:
     sigma >= 0 at a boundary minimum, where the inner minimum presses on
     sigma = 0: the multiplier for u >= 0 and half of it for u < 0 (see
     `_result_at`).  At an interior minimum m0 is 0; so it is in dim <= 2
-    for u <= 0, where q_bar = 0 and the minimum is interior.  `result` is
+    for u <= 0, where q_bar = 0 and the minimum is interior.  The CLI
+    takes this path at every point but u > 0 in dim 2.  `result` is
     the eta = 0 solve itself: its status is STATUS_BOUNDARY exactly when
     the multiplier applies, and its residuals are computed only if read.
     """
@@ -713,7 +719,7 @@ def variational_limit(model: Model, tp: ThermoPoint) -> VariationalLimit:
 
     The direct solve of the two-parameter formula; it agrees with the
     extrapolated limits of `eta_continuation` where both apply (every
-    point but u > 0 in dim <= 2), at a small fraction of the cost.  For
+    point but u > 0 in dim 2), at a small fraction of the cost.  For
     u <= 0 it is the mean-field Bose gas, q_bar = 0 without a search.
     """
     with plan_scope(), _float_range():

@@ -18,8 +18,8 @@ DATA = Path(__file__).parent / "data"
 FAST = ["--dim", "3", "--eta-floor", "1e-4"]
 # the solver entry points the CLI calls; `_point_limit` picks one per point
 ENTRY_POINTS = ("eta_continuation", "variational_limit")
-# a point that takes the continuation: u > 0 in dim <= 2
-CONTINUED = ["--u", "0.5", "--dim", "1"]
+# a point that takes the continuation: u > 0 in dim 2
+CONTINUED = ["--u", "0.5", "--dim", "2"]
 
 
 def run_main(argv):
@@ -234,7 +234,7 @@ def _inject(monkeypatch, name, exc):
 
 
 class TestExitCodes:
-    # u > 0 in dim 1 takes the continuation; the default point (dim 3,
+    # u > 0 in dim 2 takes the continuation; the default point (dim 3,
     # u = 0.5) takes the eta = 0 solve
     @pytest.mark.parametrize("argv, name", [
         pytest.param(["solve"] + CONTINUED, "eta_continuation", id="solve"),
@@ -273,24 +273,33 @@ class TestExitCodes:
                           capsys)
 
     def test_scan_of_errors_only_continued(self, monkeypatch, capsys):
-        # u > 0 in dim 1: the continuation
+        # u > 0 in dim 2: the continuation
         self._scan_errors("eta_continuation", CONTINUED, monkeypatch, capsys)
 
     @pytest.mark.parametrize("flag, message", [
-        ("--beta=1e-150", "density slope never turns positive"),
+        ("--beta=1e-150", "the solve left the floating-point range"),
         ("--mu=1e155", "the solve left the floating-point range"),
         ("--eta0=1e155", "the solve left the floating-point range"),
         ("--beta=1e-300", "could not certify the radial tail below tolerance"),
     ])
     def test_overflow_is_non_convergence(self, flag, message, capsys):
-        # a float past the float range, on the continuation (u > 0, dim 1):
+        # a float past the float range, on the continuation (u > 0, dim 2):
         # in eta * eta (--eta0=1e155 ends in inf_rho's rho_lo), or in the
-        # radial tail bound at beta = 1e-300; at beta = 1e-150 the density
-        # bracket's doubling stops short of rho_bar ~ 1e152
+        # radial tail bound at beta = 1e-300
         assert run_main(["solve", flag, "--eta-floor", "0.01"]
                         + CONTINUED) == cli.EXIT_NO_CONVERGENCE
         captured = capsys.readouterr()
         assert captured.err == f"non-convergence: {message}\n"
+        assert captured.out == ""
+
+    def test_dim_1_density_bracket_overflow(self, capsys):
+        # u > 0 in dim 1 takes the eta = 0 solve: at beta = 1e-150 the
+        # density bracket's doubling stops short of rho_bar ~ 1e152
+        assert run_main(["solve", "--beta=1e-150", "--u", "0.5",
+                         "--dim", "1"]) == cli.EXIT_NO_CONVERGENCE
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "non-convergence: density slope never turns positive\n"
         assert captured.out == ""
 
     def test_repulsive_source_overflow(self):
@@ -399,7 +408,7 @@ def _continuation(statuses, monkeypatch):
 
 
 class TestSolve:
-    # the continuation's document: u > 0 in dim 1, where solve runs the
+    # the continuation's document: u > 0 in dim 2, where solve runs the
     # continuation
     @pytest.mark.parametrize("statuses, expected", [
         (["boundary_minimum"] * 3, "boundary_minimum"),
@@ -487,13 +496,13 @@ class TestSolve:
         (["--u", "0.5"], "variational_limit"),
         (["--u", "0"], "variational_limit"),
         (["--u", "0.5", "--dim", "2"], "eta_continuation"),
-        (["--u", "0.5", "--dim", "1"], "eta_continuation"),
+        (["--u", "0.5", "--dim", "1"], "variational_limit"),
         (["--u=-0.5"], "variational_limit"),
         (["--u", "0", "--dim", "2"], "variational_limit"),
         (["--u=-0.5", "--dim", "1"], "variational_limit"),
     ])
     def test_dispatch(self, argv, taken, monkeypatch, capsys):
-        # solve takes the continuation for u > 0 in dim <= 2 and the
+        # solve takes the continuation for u > 0 in dim 2 and the
         # eta = 0 solve elsewhere, and never calls the other entry point
         def wrong_branch(*args, **kwargs):
             pytest.fail(f"solve {argv} did not take {taken}")
@@ -557,7 +566,7 @@ class TestSolve:
         # down the eta schedule until it fell below the small-q one; the
         # jump to q_bar = 0.0014 at eta = 0.003125 then read as diverging
         # iterates (exit 3).  The full-bracket search extrapolates to the
-        # eta = 0 sup-inf.
+        # eta = 0 sup-inf, which solve now takes in dim 1.
         from pairboson.model import Model, delta_profile
         from pairboson.pressure import ThermoPoint
         assert run_main(["solve", "--dim", "1", "--profile", "delta",
@@ -567,8 +576,32 @@ class TestSolve:
         assert doc["phase"] == "normal"
         m = Model(dim=1, mass=0.5, u=0.5, v=1.0,
                   lambda_profile=delta_profile())
-        lim = solver.variational_limit(m, ThermoPoint(beta=2.0, mu=0.5))
-        assert abs(doc["pressure"] - lim.p_limit) <= 1e-10
+        tp = ThermoPoint(beta=2.0, mu=0.5)
+        lim = solver.variational_limit(m, tp)
+        cont = solver.eta_continuation(m, tp)
+        assert doc["pressure"] == lim.p_limit
+        assert abs(cont.p_limit - lim.p_limit) <= 1e-10
+        assert solver.classify_phase(m, tp, cont) == "normal"
+
+    def test_dim_1_pair_residual_floor(self, capsys):
+        # d2_mu = 2.7e6 at this optimum, so el1 carries the floor of
+        # inf_rho's tolerance on rho_bar; the outer polish zeroes
+        # v el1 - u el2, so el2 = (v/u) el1 carries it too and misses the
+        # plain bound _EL_TOL max(1, q_bar), which alone would exit 3
+        from pairboson.model import Model, gaussian_profile
+        from pairboson.pressure import OrderPoint, ThermoPoint, d2_mu
+        assert run_main(["solve", "--dim", "1", "--u", "0.9", "--beta", "8",
+                         "--mu", "0.8"]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "converged"
+        m = Model(dim=1, mass=0.5, u=0.9, v=1.0,
+                  lambda_profile=gaussian_profile(1.0))
+        op = OrderPoint(doc["q_bar"], doc["rho_bar"], 0.0)
+        slack = ((1.0 + m.v * d2_mu(m, ThermoPoint(8.0, 0.8), op))
+                 * (solver._RHO_XTOL + solver._RHO_RTOL * op.rho))
+        plain = solver._EL_TOL * max(1.0, op.q)
+        el2 = abs(doc["residuals"]["el2"])
+        assert plain < el2 <= plain + m.v / m.u * slack
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "solve.json"

@@ -504,6 +504,23 @@ class TestVariationalLimit:
             assert phase == classify_phase(m, tp, cont)
             phases.add(phase)
         assert phases == {PHASE_NORMAL, PHASE_CONDENSED, PHASE_MF_CONDENSED}
+        # dim 1, u = 0.5, where solve takes the eta = 0 path too: normal at
+        # mu = 0.2 and pair-ordered at mu = 0.6 (condensed for delta, whose
+        # pairing is the k = 0 mode's alone); each within the
+        # continuation's own estimate
+        for mu in (0.2, 0.6):
+            m = Model(dim=1, mass=0.5, u=0.5, v=1.0, lambda_profile=profile)
+            tp = ThermoPoint(2.0, mu)
+            cont = eta_continuation(m, tp)
+            lim = variational_limit(m, tp)
+            for key, got, want in (("p", lim.p_limit, cont.p_limit),
+                                   ("q", lim.q_limit, cont.q_limit),
+                                   ("m0", lim.m0, cont.m0)):
+                assert abs(got - want) <= max(1e-9,
+                                              cont.error_estimates[key]), key
+            phase = classify_phase(m, tp, lim)
+            assert phase == classify_phase(m, tp, cont)
+            assert (phase == PHASE_NORMAL) == (mu < 0.4)
 
 
 class TestNonAttractive:

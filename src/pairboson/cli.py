@@ -36,7 +36,6 @@ from .solver import (
     STATUS_BOUNDARY, STATUS_CONVERGED, ContinuationResult, check_schedule,
     eta_continuation, classify_phase, excitation_spectrum, variational_limit,
 )
-from . import oracle as _oracle
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -329,15 +328,16 @@ _SCAN_ERROR = "error:"
 
 
 def _quiet_overflow():
-    """Silence numpy's overflow and invalid-value warnings in the block.
+    """Silence numpy's overflow, division-by-zero and invalid-value
+    warnings in the block.
 
-    An overflowing solve ends as a typed error or prints its non-finite
-    values, and an overflowing oracle instance fails as EigenFailure on
-    its inf/NaN entries, so the warnings, with their source paths, would
-    only repeat that on stderr.  Only the reporting changes, not the
-    arithmetic.  `main` runs every command in this block; a scan's forked
-    helpers inherit its error state."""
-    return np.errstate(over="ignore", invalid="ignore")
+    An overflowing solve, or one whose kernel divides by E = 0, ends as a
+    typed error or prints its non-finite values, and an overflowing oracle
+    instance fails as EigenFailure on its inf/NaN entries, so the warnings,
+    with their source paths, would only repeat that on stderr.  Only the
+    reporting changes, not the arithmetic.  `main` runs every command in
+    this block; a scan's forked helpers inherit its error state."""
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 # One scan grid point, solved in the parent or in a forked helper; a solve
@@ -490,15 +490,22 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _default_fock_spec(model: Model, n_max: int) -> "_oracle.FockSpec":
-    """Smallest instance coupling the zero mode to a +/-k pair."""
+def _default_fock_spec(model: Model, n_max: int):
+    """Smallest instance coupling the zero mode to a +/-k pair, an
+    `oracle.FockSpec`."""
+    from .oracle import FockSpec
+
     zero = tuple(0.0 for _ in range(model.dim))
     plus = tuple(1.0 if i == 0 else 0.0 for i in range(model.dim))
     minus = tuple(-x for x in plus)
-    return _oracle.FockSpec(modes=(zero, plus, minus), n_max=n_max)
+    return FockSpec(modes=(zero, plus, minus), n_max=n_max)
 
 
 def cmd_oracle(args) -> int:
+    # the oracle alone needs scipy (scipy.sparse), so only this command
+    # imports it
+    from . import oracle as _oracle
+
     cfg = _merge_config(args)
     model = _build_model(cfg)
     tp = _thermo_point(cfg)

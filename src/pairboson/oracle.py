@@ -39,7 +39,6 @@ from itertools import product
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags, issparse
-from scipy.special import logsumexp
 
 from .errors import (
     ConfigError, DimensionExceeded, EigenFailure, ModelError,
@@ -113,8 +112,8 @@ class _Sectors:
     @classmethod
     def of_pattern(cls, *mats):
         """Connected components of the union nonzero pattern of `mats`."""
-        # Imported here, not at the top: every command of the CLI imports
-        # this module, and only the oracle needs the graph routines.
+        # Imported here, not at the top: the graph routines load only
+        # when a working basis is first split into sectors.
         from scipy.sparse.csgraph import connected_components
 
         pattern = sum(abs(csr_matrix(M)) for M in mats)
@@ -330,7 +329,19 @@ def trace_pressure(H: OperatorMatrix, spec: FockSpec, tp: ThermoPoint,
     ws = _workspace(spec)
     K = H.sectors.plus_diag(H.values, -tp.mu * ws.Ntot)
     evals = _spectrum(H.sectors, K)
-    return float(logsumexp(-tp.beta * evals) / (tp.beta * V))
+    return float(_logsumexp(-tp.beta * evals) / (tp.beta * V))
+
+
+def _logsumexp(x):
+    """ln sum_i e^(x_i), shifted by the largest x_i: with m copies of the
+    maximum, ln m + max + log1p of the rest's shifted sum over m.  This is
+    the evaluation order of scipy.special.logsumexp, so the two agree to
+    the last bit."""
+    top = x.max()
+    at_top = x == top
+    m = np.count_nonzero(at_top)
+    rest = np.exp(np.where(at_top, -np.inf, x - top)).sum() / m
+    return np.log1p(rest) + np.log(float(m)) + top
 
 
 def check_superstability(spec: FockSpec, model: Model, V: float) -> dict:

@@ -16,8 +16,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincc
 
 from .errors import ModelError, QuadratureFailure, TailNotConverged
 from .kernels import eval_rows
@@ -68,7 +66,30 @@ _CHUNK = 6000
 
 def angular_factor(nu: int) -> float:
     """c_nu: surface of the unit sphere over (2 pi)^nu."""
-    return 2.0 * math.pi ** (nu / 2.0) / gamma_fn(nu / 2.0) / (2.0 * math.pi) ** nu
+    return 2.0 * math.pi ** (nu / 2.0) / math.gamma(nu / 2.0) / (2.0 * math.pi) ** nu
+
+
+def _upper_gamma(t: float, x: float) -> float:
+    """Gamma(t, x) = int_x^inf y^(t-1) e^(-y) dy for t in {1/2, 1, 3/2, ...}
+    and x > 0.
+
+    Closed form: Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)) or Gamma(1, x) =
+    e^(-x), then Gamma(a+1, x) = a Gamma(a, x) + x^a e^(-x) (DLMF 8.4.6,
+    8.8.2).  x^a e^(-x) is formed as exp(a ln x - x), so no factor
+    overflows or meets inf * 0, and it is inf wherever it would pass the
+    float range; its relative error is that of the exponent, about
+    (x + a |ln x|) ulp.
+    """
+    if t % 1.0:
+        a, g = 0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))
+    else:
+        a, g = 1.0, math.exp(-x)
+    log_x = math.log(x)
+    while a < t:
+        e = a * log_x - x
+        g = a * g + (math.exp(e) if e < 709.0 else math.inf)
+        a += 1.0
+    return g
 
 
 def _gaussian_tail(s: float, b: float, R: float) -> float:
@@ -76,8 +97,9 @@ def _gaussian_tail(s: float, b: float, R: float) -> float:
     if s <= 0:
         # r^(s-1) is decreasing: bound by R^(s-1) * int exp(-b r^2)
         return R ** (s - 1.0) * 0.5 * math.sqrt(math.pi / b) * math.erfc(math.sqrt(b) * R)
+    # s is nu or nu - 2, so t = s/2 is a positive multiple of 1/2
     t = s / 2.0
-    return 0.5 * b ** (-t) * gamma_fn(t) * gammaincc(t, b * R * R)
+    return 0.5 * b ** (-t) * _upper_gamma(t, b * R * R)
 
 
 def _profile_sq_tail(profile: CouplingProfile, s: float, R: float) -> float:

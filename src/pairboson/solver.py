@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import zeta
 
 from .errors import (
     BracketFailure, ConfigError, ContinuationDiverged, ModelError,
@@ -77,7 +75,7 @@ class SolveResult:
 
     `residual_el1` and `residual_el2` are the Euler-Lagrange residuals of
     `el_residuals` at residual_at = (model, tp, op), the optimum.  They cost
-    two scalar integrals and only solve prints them (a continuation's last
+    two radial integrals and only solve prints them (a continuation's last
     eta step's, or the eta = 0 solve's), so both are computed on first read
     and kept.
     """
@@ -496,6 +494,68 @@ def _slope_in_q(model, tp, eta, inner, q):
     return total_dq(model, tp, q, eta, rho_bar)
 
 
+def _brentq(f, a, b, xtol, rtol):
+    """A root of f between a and b, where f changes sign: Brent's method
+    (R. P. Brent, Algorithms for Minimization without Derivatives,
+    Prentice-Hall, 1973, ch. 4), step for step as SciPy's `brentq`, so
+    that each iterate is the same float.
+
+    It stops when half the bracket falls below (xtol + rtol |x|)/2, or at
+    a zero of f.  Like SciPy's, it raises ValueError on a NaN value of f
+    or on a bracket whose ends share a sign, and RuntimeError after 100
+    iterations without convergence.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # the bracket end nearer the root becomes the current iterate
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        # a short interpolated step, else bisection
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
 def _small_q_root(tdq, q_start: float):
     """Bracket and refine a stationary point below the scan resolution.
 
@@ -511,7 +571,7 @@ def _small_q_root(tdq, q_start: float):
         for _ in range(60):
             t_hi = tdq(hi)
             if t_hi < 0.0:
-                return brentq(tdq, lo, hi, xtol=1e-30, rtol=8.9e-16)
+                return _brentq(tdq, lo, hi, xtol=1e-30, rtol=8.9e-16)
             lo, hi = hi, hi * 64.0
         return None
     hi, t_hi = lo, t_lo
@@ -521,7 +581,7 @@ def _small_q_root(tdq, q_start: float):
             return None
         t_lo = tdq(lo)
         if t_lo > 0.0:
-            return brentq(tdq, lo, hi, xtol=1e-30, rtol=8.9e-16)
+            return _brentq(tdq, lo, hi, xtol=1e-30, rtol=8.9e-16)
         hi = lo
     return None
 
@@ -573,7 +633,7 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float) -> SolveResult:
         try:
             t_lo, t_hi = tdq(lo), tdq(hi)
             if t_lo > 0 and t_hi < 0:
-                q_bar = brentq(tdq, lo, hi, xtol=1e-14, rtol=8.9e-16)
+                q_bar = _brentq(tdq, lo, hi, xtol=1e-14, rtol=8.9e-16)
         except BracketFailure:
             pass
         if value(q_bar) < best_val:
@@ -607,7 +667,7 @@ def _outer_min_repulsive(model, eta, tdq):
         hi *= 1.5
     else:
         raise BracketFailure("repulsive outer bracket not found")
-    return brentq(tdq, lo, hi, xtol=1e-16, rtol=8.9e-16)
+    return _brentq(tdq, lo, hi, xtol=1e-16, rtol=8.9e-16)
 
 
 def _extrapolate(values, factor):
@@ -740,6 +800,32 @@ def bose_density(model: Model, beta: float, mu_eff: float) -> float:
     return float(density)
 
 
+# B_2j / (2j)! for j = 1 ... 8, from the Bernoulli numbers B_2 = 1/6,
+# B_4 = -1/30, ..., B_16 = -3617/510
+_EM_COEFFS = tuple(b / math.factorial(2 * j) for j, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510),
+    start=1))
+
+
+def _zeta(s: float) -> float:
+    """Riemann zeta(s) for real s > 1, by Euler-Maclaurin summation past
+    the first N = 10 terms with 8 correction terms (DLMF 2.10.1, 25.2.9).
+
+    The remainder is below |B_18|/18! (s)_17 N^(-s-17), under 6e-18 for
+    every s > 1, a twentieth of an ulp of zeta(s) > 1; fsum adds the terms
+    with one rounding.
+    """
+    n = 10
+    terms = [k ** -s for k in range(1, n)]
+    terms += [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
+    rising, power = s, n ** (-s - 1.0)  # (s)_(2j-1) and N^(-s-2j+1)
+    for j, coeff in enumerate(_EM_COEFFS, start=1):
+        terms.append(coeff * rising * power)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        power /= n * n
+    return math.fsum(terms)
+
+
 def critical_density(model: Model, beta: float) -> float:
     """Ideal-gas density at zero effective potential: zeta(nu/2) lambda^-nu
     with lambda^-nu = (m / (2 pi beta))^(nu/2) in dim nu >= 3, infinite
@@ -747,7 +833,7 @@ def critical_density(model: Model, beta: float) -> float:
     if model.dim <= 2:
         return math.inf
     nu = model.dim
-    return float(zeta(nu / 2.0)
+    return float(_zeta(nu / 2.0)
                  * (model.mass / (2.0 * math.pi * beta)) ** (nu / 2.0))
 
 
@@ -778,7 +864,7 @@ def mf_density(model: Model, tp: ThermoPoint) -> float:
         raise BracketFailure("mean-field fixed point bracket not found")
     if F(lo + eps) >= 0:
         return lo
-    return float(brentq(F, lo + eps, hi, xtol=1e-15, rtol=8.9e-16))
+    return float(_brentq(F, lo + eps, hi, xtol=1e-15, rtol=8.9e-16))
 
 
 def mf_pressure(model: Model, tp: ThermoPoint) -> float:

@@ -233,6 +233,36 @@ def _inject(monkeypatch, name, exc):
                             _raising(exc) if other == name else wrong_branch)
 
 
+# Runs the seed-0 solve_mix ops and scan_example.ini (PBH_THREADS 1 and 2)
+# in one interpreter, then prints the scipy modules it loaded.
+_SOLVE_PATH_SCRIPT = """
+import contextlib, io, os, sys
+sys.path.insert(0, {perfbench!r})
+import workloads
+from pairboson import cli
+argvs = [op["argv"] for op in workloads.make_ops("solve_mix", 0)]
+for threads in ("1", "2"):
+    os.environ["PBH_THREADS"] = threads
+    argvs.append(["scan", "--config", {config!r}])
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_solve_path_imports_no_scipy():
+    # scipy's import is most of a fresh process's wall time; only the
+    # oracle command and the tests load it
+    script = _SOLVE_PATH_SCRIPT.format(
+        perfbench=str(Path(__file__).resolve().parents[1] / "perfbench"),
+        config=str(DATA / "scan_example.ini"))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
+
+
 class TestExitCodes:
     # u > 0 in dim 2 takes the continuation; the default point (dim 3,
     # u = 0.5) takes the eta = 0 solve
@@ -346,6 +376,17 @@ class TestExitCodes:
                         {"PBH_THREADS": "2"})
         assert proc.returncode == cli.EXIT_OK
         assert proc.stderr == ""
+
+    def test_division_by_zero_warns_nothing(self):
+        # this dim-2, u < 0 point fails in the radial quadrature (ROADMAP
+        # item 1), and on the way its kernel divides by E = 0; stderr
+        # holds the diagnostic line alone
+        proc = run_proc(["solve", "--dim", "2", "--u=-0.5", "--beta", "8",
+                         "--mu", "0.5", "--v", "1", "--mass", "0.5",
+                         "--profile", "gaussian:1"])
+        assert proc.returncode == cli.EXIT_NO_CONVERGENCE
+        assert proc.stderr.startswith("non-convergence: ")
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
 
     def test_scan_keeps_the_rows_beside_an_overflow(self, monkeypatch,
                                                     capsys):

@@ -18,8 +18,8 @@ from pairboson.model import Model, gaussian_profile, delta_profile
 from pairboson.oracle import (
     FockSpec, build_hamiltonian, trace_pressure,
     check_superstability, check_variational_chain,
-    check_pair_exchange_bound, OperatorMatrix, _pieces, _spectrum,
-    _workspace,
+    check_pair_exchange_bound, OperatorMatrix, _logsumexp, _pieces,
+    _spectrum, _workspace,
 )
 from pairboson.pressure import ThermoPoint, OrderPoint, pressure_fv_modes
 
@@ -160,6 +160,21 @@ class TestTracePressure:
         # n_max -> infinity: geometric series
         assert got == pytest.approx(-math.log1p(-math.exp(-2.0 * omega))
                                     / 2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 40.0, 1e4, 1e8])
+    def test_logsumexp_matches_scipy(self, beta):
+        # spectra as trace_pressure passes them, -beta E, with a repeated
+        # ground level, huge beta E, and one level alone
+        rng = np.random.default_rng(3)
+        spectra = [np.sort(rng.uniform(-2.0, 30.0, 200)),
+                   np.array([-1.5, -1.5, -1.5, 0.2, 7.0]),
+                   np.array([0.3]),
+                   np.concatenate([np.full(4, 2.0),
+                                   rng.uniform(2.0, 2.0 + 1e-12, 9)])]
+        for evals in spectra:
+            x = -beta * evals
+            assert _logsumexp(x) == pytest.approx(logsumexp(x), rel=1e-15,
+                                                  abs=0.0)
 
     def test_approx2_matches_closed_form(self):
         q, rho, eta = 0.3, 0.8, 0.2

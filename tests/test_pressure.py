@@ -1,8 +1,9 @@
 """Tests for the thermodynamic-limit pressure and its derivatives.
 
 Reference values come from independent oracles: central finite differences
-of pressure_tl, a brute-force Riemann sum over momentum space, and the
-scalar-quadrature residual path.
+of pressure_tl, a brute-force Riemann sum over momentum space, the
+residual path's own double-exponential integrator, and SciPy's `quad` as
+that integrator's reference.
 """
 
 import importlib
@@ -153,6 +154,46 @@ class TestDerivatives:
         assert d2_mu(MODEL, TP, OP) > 0.0
 
 
+def _quad_residuals(model, tp, op):
+    """el_residuals with scalar integrands and SciPy's `quad` on [0, L]
+    and [L, inf), L = 8 scale, at epsabs 1e-13 and epsrel 1e-12."""
+    import warnings
+    from scipy.integrate import IntegrationWarning, quad
+    nu, beta, prof = model.dim, tp.beta, model.lambda_profile
+    foff = model.v * op.rho - tp.mu
+    habs = abs(model.u) * op.q
+    c_nu = (2.0 * math.pi ** (nu / 2.0) / math.gamma(nu / 2.0)
+            / (2.0 * math.pi) ** nu)
+    L = 8.0 * math.sqrt(2.0 * model.mass * max(1.0 / beta, abs(foff), 1.0))
+
+    def spec(r):
+        lam = float(prof.value_radial(r))
+        f = r * r / (2.0 * model.mass) + foff
+        h = habs * lam
+        return f, h, math.sqrt(max((f - h) * (f + h), 0.0)), lam
+
+    def g1(r):
+        # (f coth - E)/(2E) without the large-r cancellation
+        f, h, E, _ = spec(r)
+        t = math.tanh(beta * E / 2.0)
+        return (h * h / (E + f) + f * (1.0 - t) / t) / (2.0 * E) if E else 0.0
+
+    def g2(r):
+        _, _, E, lam = spec(r)
+        return lam * lam / (2.0 * E * math.tanh(beta * E / 2.0)) if E else 0.0
+
+    def integral(g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            return sum(quad(lambda r: c_nu * r ** (nu - 1) * g(r), lo, hi,
+                            epsabs=1e-13, epsrel=1e-12, limit=400)[0]
+                       for lo, hi in ((0.0, L), (L, math.inf)))
+
+    src = source_terms(model, tp, op)[1]
+    r2 = -src if op.q == 0.0 else op.q - model.u * op.q * integral(g2) - src
+    return op.rho - integral(g1) - src, r2
+
+
 class TestResiduals:
     def test_residual_identities(self):
         # r1 = grad_rho / v and r2 = -grad_q / u, via independent quadrature
@@ -161,6 +202,35 @@ class TestResiduals:
                                    rel=1e-10, abs=1e-12)
         assert r2 == pytest.approx(-grad_q(MODEL, TP, OP) / MODEL.u,
                                    rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("dim, u, mu, eta_q", [
+        (3, 0.5, -0.3, None),    # the normal point
+        (1, 0.5, 0.4, None),
+        (2, -0.5, 0.2, None),
+        (2, -0.5, 0.6, None),    # sigma = 1.4e-7: the infrared peak
+        (2, 0.5, 0.2, (0.05, 0.3)),
+    ])
+    def test_residuals_match_scalar_quad(self, dim, u, mu, eta_q):
+        """The double-exponential rule against SciPy's adaptive `quad`
+        (the former residual integrator) at the eta = 0 optimum, or for
+        dim 2 with u > 0, where that solve fails, at a feasible point with
+        q > 0 and a source."""
+        model = Model(dim=dim, mass=0.5, u=u, v=1.0,
+                      lambda_profile=gaussian_profile(1.0))
+        tp = ThermoPoint(beta=2.0, mu=mu)
+        if eta_q is None:
+            from pairboson.solver import variational_limit
+            res = variational_limit(model, tp).result
+            assert res.status == "converged"
+            op = res.residual_at[2]
+        else:
+            eta, q = eta_q
+            op = OrderPoint(q=q, rho=(mu + u * q) / model.v + 0.05, eta=eta)
+        if (dim, mu) == (2, 0.6):
+            assert sigma_gap(model, tp, op) == pytest.approx(1.4e-7, rel=0.01)
+        want = _quad_residuals(model, tp, op)
+        got = el_residuals(model, tp, op)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-13)
 
     def test_total_dq_combines_partials(self):
         # along the inner optimum grad_rho = 0, so total_dq == grad_q there;

@@ -229,6 +229,39 @@ def test_cached_tail_check_is_the_tail_bound(profile, nu, beta):
     assert finite > 0
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
+def test_upper_gamma_closed_form(t):
+    """Gamma(t, x) of the tail bound against 30-digit mpmath and SciPy's
+    gamma(t) * gammaincc(t, x), from x = 1e-3 into the subnormal range.
+
+    exp(a ln x - x) carries the rounding of its exponent, so the bound is
+    (4 + x + t |ln x|) ulp relative; SciPy's own product is off the exact
+    value by up to 1.1e-13 relative on this grid, which no 1e-15 match
+    with it could absorb, so it is held to 2e-13.  Past x = 700 the values
+    leave the normal range and are held to 1e-320 absolute; there SciPy's
+    product underflows to 0 earlier.
+    """
+    import mpmath
+    from scipy.special import gamma, gammaincc
+    eps = np.finfo(float).eps
+    with mpmath.workdps(30):
+        for x in np.geomspace(1e-3, 800.0, 120).tolist():
+            got = quadrature._upper_gamma(t, x)
+            exact = float(mpmath.gammainc(t, x))
+            bound = (4.0 + x + t * abs(math.log(x))) * eps
+            assert abs(got - exact) <= bound * exact + 1e-320
+            if x <= 700.0:
+                assert got == pytest.approx(gamma(t) * gammaincc(t, x),
+                                            rel=2e-13, abs=0.0)
+
+
+def test_upper_gamma_stays_finite_past_the_float_range():
+    # x^a e^-x above the float range is inf, with no OverflowError, and
+    # an underflowing one is 0
+    assert quadrature._upper_gamma(400.0, 1.0) == math.inf
+    assert quadrature._upper_gamma(4.5, 1e300) == 0.0
+
+
 def test_plan_entry_caches_the_tail_parts_of_its_cutoff():
     with plan_scope():
         for habs, margin in FALLING:

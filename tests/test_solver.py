@@ -584,6 +584,12 @@ class TestDensities:
             assert critical_density(m, beta) == pytest.approx(expected,
                                                               rel=1e-8)
 
+    @pytest.mark.parametrize("nu", range(3, 11))
+    def test_zeta_matches_scipy(self, nu):
+        from scipy.special import zeta
+        assert solver._zeta(nu / 2.0) == pytest.approx(zeta(nu / 2.0),
+                                                       rel=1e-15, abs=0.0)
+
     def test_critical_density_infinite_low_dim(self):
         assert math.isinf(critical_density(model(dim=2), 2.0))
         assert math.isinf(critical_density(model(dim=1), 2.0))
@@ -634,6 +640,59 @@ class TestDensities:
         tp = ThermoPoint(beta=2.0, mu=0.5)
         assert tp.mu > m.v * critical_density(m, tp.beta)
         assert mf_density(m, tp) == pytest.approx(tp.mu / m.v, rel=1e-12)
+
+
+def _outcome(call):
+    """call()'s value, or its exception's type and message."""
+    try:
+        return call()
+    except Exception as exc:  # the exception itself is the outcome
+        return type(exc), str(exc)
+
+
+class TestBrent:
+    """`solver._brentq` against SciPy's `brentq`: the same float at every
+    root and the same exception on every failure."""
+
+    CASES = [
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 0.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.exp(x) - 3.0, -2.0, 4.0),
+        (lambda x: (x - 0.3) ** 5, 0.0, 1.0),  # a flat, odd root
+        (lambda x: math.atan(x - 1e-9), -10.0, 10.0),
+        (lambda x: x * math.exp(-x * x) - 0.1, 0.05, 1.0),
+        (lambda x: math.log(x) + x, 0.01, 2.0),
+        (lambda x: x - 0.25, 0.25, 1.0),           # a root at an end
+        (lambda x: -1.0 if x < 0.123 else 1.0, 0.0, 1.0),   # a jump
+        (lambda x: -1.0 if x < 0.123 else 1.0, 0.0, 1e300),  # 100 steps
+        (lambda x: x * x + 1.0, -1.0, 1.0),        # no sign change
+        (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("f, a, b", CASES)
+    @pytest.mark.parametrize("xtol", [1e-300, 1e-30, 1e-14, 1e-3])
+    def test_matches_scipy(self, f, a, b, xtol):
+        got = _outcome(lambda: solver._brentq(f, a, b, xtol, 8.9e-16))
+        want = _outcome(lambda: brentq(f, a, b, xtol=xtol, rtol=8.9e-16))
+        assert got == want
+
+    def test_random_smooth_functions(self):
+        rng = np.random.default_rng(7)
+        for c0, c1, c2, c3, a, b in rng.uniform(-3.0, 3.0, (400, 6)):
+            def f(x):
+                return c0 + c1 * x + c2 * x ** 3 + c3 * math.sin(3.0 * x)
+            lo, hi = sorted((float(a), float(b)))
+            for xtol in (1e-30, 1e-14):
+                assert (_outcome(lambda: solver._brentq(f, lo, hi, xtol,
+                                                        8.9e-16))
+                        == _outcome(lambda: brentq(f, lo, hi, xtol=xtol,
+                                                   rtol=8.9e-16)))
+
+    def test_an_error_of_f_propagates(self):
+        def f(x):
+            raise BracketFailure("from f")
+        with pytest.raises(BracketFailure, match="from f"):
+            solver._brentq(f, 0.0, 1.0, 1e-14, 8.9e-16)
 
 
 class TestObservables:

@@ -28,13 +28,26 @@ modes (the delta profile) the components are finer than the momentum
 sectors.  Each sector's real blocks of T, N, Q, Q^dag Q and a_0 are cached
 once per (spec, model), and every Hamiltonian is a linear combination of
 them; only the coefficients turn complex with a complex source.
+
+Sectors of one size form one contiguous stack and are eigensolved in one
+call.  Mirror sectors: lambda and eps are radial and the mode set is closed
+under k -> -k, so the reflection n_k <-> n_{-k} of occupations commutes with
+T, N, Q, Q^dag Q and a_0, and maps the sector of momentum P onto that of -P.
+Each sector fixes every difference n_k - n_{-k}, so the reflection keeps the
+order of the states within a sector, and the two blocks of every Hamiltonian
+are the same matrix.  `_Pieces` pairs each sector with its mirror only after
+checking, under the reflection's state map, that all five cached pieces agree
+entry for entry, and `_spectrum` eigensolves one of each pair and copies its
+eigenvalues to the other.  At n_max = 7 with three modes that leaves 8 of 15
+momentum blocks.  The spectrum comes back sector by sector in label order, so
+sums over it keep their order whatever the layout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -84,30 +97,56 @@ class FockSpec:
 class _Sectors:
     """A split of the working basis into sectors, and the block layout.
 
-    The dense block of each sector is stored row-major, one after another,
-    in one flat array, so a linear combination of block-diagonal operators
-    is one vector operation.  `rows`/`cols` give the working-basis position
-    of every flat entry, `diag` the flat positions of the diagonal and
-    `tpos` the flat position of each entry's transpose.
+    The sectors are ordered by size (by label within a size), and the
+    dense block of each is stored row-major, one after another, in one flat
+    array: a linear combination of block-diagonal operators is one vector
+    operation, and the blocks of each size form one contiguous (m, n, n)
+    stack.  `positions` gives the working-basis row and column of every
+    flat entry, `diag` the flat positions of the diagonal and `tpos` the
+    flat position of each entry's transpose.  `order` lists the states
+    sector by sector, and `index` the states of each sector.
+
+    `rep[s]` is the sector whose spectrum sector s takes: s itself, or a
+    checked mirror twin's representative (`pair_twins`).
     """
 
     def __init__(self, labels):
         labels = np.asarray(labels)
         self.dim = len(labels)
-        self.order = np.argsort(labels, kind="stable")
         sizes = np.bincount(labels)
-        self.index = np.split(self.order, np.cumsum(sizes)[:-1])
-        self.bounds = np.concatenate(([0], np.cumsum(sizes ** 2)))
-        rows, cols, diag, tpos = [], [], [], []
-        for idx, off in zip(self.index, self.bounds):
-            n = len(idx)
+        by_size = np.argsort(sizes, kind="stable")    # labels, in layout order
+        place = np.empty_like(by_size)
+        place[by_size] = np.arange(len(by_size))
+        self.order = np.argsort(place[labels], kind="stable")
+        self.sizes = sizes[by_size]
+        self.bounds = np.concatenate(([0], np.cumsum(self.sizes ** 2)))
+        # _spectrum's output order: sector by sector in label order
+        slot = np.empty(self.dim, dtype=np.intp)
+        slot[self.order] = np.arange(self.dim)
+        self.label_order = slot[np.argsort(labels, kind="stable")]
+        # one (size, first sector, sector count) per size, smallest first
+        size, first, count = np.unique(self.sizes, return_index=True,
+                                       return_counts=True)
+        self.groups = list(zip(size.tolist(), first.tolist(), count.tolist()))
+        diag, tpos = [], []
+        for n, s0, m in self.groups:
+            off = self.bounds[s0] + n * n * np.arange(m)[:, None]
             k = np.arange(n)
-            rows.append(np.repeat(idx, n))
-            cols.append(np.tile(idx, n))
-            diag.append(off + k * (n + 1))
-            tpos.append(off + (n * k + k[:, None]).ravel())
-        self.rows, self.cols, self.diag, self.tpos = (
-            np.concatenate(a) for a in (rows, cols, diag, tpos))
+            diag.append((off + k * (n + 1)).ravel())
+            tpos.append((off + (n * k + k[:, None]).ravel()).ravel())
+        self.diag, self.tpos = np.concatenate(diag), np.concatenate(tpos)
+        self.pair_twins(np.arange(len(self.sizes)))
+
+    def positions(self):
+        """(rows, cols) of every flat entry, formed on each call rather
+        than kept: only a gather and an assembly read them."""
+        rows = np.repeat(self.order, np.repeat(self.sizes, self.sizes))
+        return rows, rows[self.tpos]
+
+    @cached_property
+    def index(self):
+        """The states of each sector, in layout order."""
+        return np.split(self.order, np.cumsum(self.sizes)[:-1])
 
     @classmethod
     def of_pattern(cls, *mats):
@@ -121,33 +160,46 @@ class _Sectors:
         _, labels = connected_components(pattern, directed=False)
         return cls(labels)
 
+    def pair_twins(self, rep):
+        """Set `rep` and plan `_spectrum`'s eigensolves: per size, the
+        offsets `solve` of the representatives in that size's stack, and
+        for each sector of the size the row `take` of their spectra that
+        it copies."""
+        self.rep = np.asarray(rep)
+        self.plan = []
+        for n, s0, m in self.groups:
+            local = self.rep[s0:s0 + m] - s0
+            solve = np.flatnonzero(local == np.arange(m))
+            take = np.searchsorted(solve, local)
+            self.plan.append((n, self.bounds[s0], self.bounds[s0 + m],
+                              solve, take))
+
     def gather(self, M) -> np.ndarray:
         """The flat block values of a working-basis matrix."""
+        rows, cols = self.positions()
         if issparse(M):
-            return np.asarray(M.tocsr()[self.rows, self.cols]).ravel()
-        return np.asarray(M)[self.rows, self.cols]
+            return np.asarray(M.tocsr()[rows, cols]).ravel()
+        return np.asarray(M)[rows, cols]
 
     def assemble(self, values) -> np.ndarray:
         M = np.zeros((self.dim, self.dim), dtype=values.dtype)
-        M[self.rows, self.cols] = values
+        M[self.positions()] = values
         return M
-
-    def blocks(self, values):
-        for idx, lo, hi in zip(self.index, self.bounds[:-1], self.bounds[1:]):
-            yield values[lo:hi].reshape(len(idx), len(idx))
-
-    def herm(self, c, X) -> np.ndarray:
-        """c X^dag + conj(c) X for a real flat X; real whenever c is."""
-        c = complex(c)
-        if c.imag == 0:
-            return c.real * (X[self.tpos] + X)
-        return c * X[self.tpos] + c.conjugate() * X
 
     def plus_diag(self, values, d) -> np.ndarray:
         """values + diag(d), for d in working-basis order."""
         out = values.copy()
         out[self.diag] += d[self.order]
         return out
+
+
+def _herm(c, X, Xt) -> np.ndarray:
+    """c X^dag + conj(c) X for a real flat X with transpose Xt; real
+    whenever c is."""
+    c = complex(c)
+    if c.imag == 0:
+        return c.real * (Xt + X)
+    return c * Xt + c.conjugate() * X
 
 
 class OperatorMatrix:
@@ -235,18 +287,66 @@ class _Pieces:
     """Per-sector real blocks of T, N, Q, Q^dag Q and a_0 for one model.
 
     T and N are diagonal and kept as vectors in sector order; Q, Q^dag Q
-    and a_0 are flat block arrays in the layout of `sectors`.
+    and a_0 are flat block arrays in the layout of `sectors`, and `Qt`,
+    `a0t` their transposes.  `A` holds the pair operators A_k of
+    `pair_lower`.  The sectors' mirror twins are paired here (`_twins`).
     """
 
     def __init__(self, ws: _Workspace, model: Model):
-        _, Q = ws.pair_lower(model)
+        self.A, Q = ws.pair_lower(model)
         ops = (Q, Q.conj().T @ Q, ws.lower[ws.zero_mode()])
         self.sectors = sec = _Sectors.of_pattern(*ops)
         self.Q, self.QdQ, self.a0 = (sec.gather(M) for M in ops)
+        self.Qt, self.a0t = self.Q[sec.tpos], self.a0[sec.tpos]
         self.T = ws.diag_T(model)[sec.order]
         self.N = ws.Ntot[sec.order]
-        for a in (self.Q, self.QdQ, self.a0, self.T, self.N):
+        sec.pair_twins(self._twins(ws))
+        for a in (self.Q, self.QdQ, self.a0, self.Qt, self.a0t, self.T,
+                  self.N):
             a.setflags(write=False)     # shared by every build of the model
+
+    def _twins(self, ws: _Workspace) -> np.ndarray:
+        """Each sector's representative under the reflection n_k <-> n_{-k}.
+
+        The reflection maps the working basis onto itself; `mirror` is its
+        state map.  Every sector fixes each difference n_k - n_{-k}, so the
+        map keeps the order of the states within a sector.  A sector s and
+        the sector t holding its mirror states are twins when the map
+        carries the states of s, in order, onto those of t and the blocks
+        of T, N, Q, Q^dag Q and a_0 on t equal those on s entry for entry.
+        The two blocks of any Hamiltonian built from these pieces are then
+        the same matrix, and one eigensolve serves both to the last bit.
+        The earlier of the two in the layout represents both; a sector
+        that is its own mirror, or fails the check, represents itself.
+        """
+        sec = self.sectors
+        spec = ws.spec
+        strides = (spec.n_max + 1) ** np.arange(len(spec.modes))[::-1]
+        mirror = (ws.occ[:, spec.negation_index()] @ strides).astype(np.intp)
+        slot = np.empty(sec.dim, dtype=np.intp)
+        slot[sec.order] = np.arange(sec.dim)
+        rep = np.arange(len(sec.sizes))
+        start = 0
+        for n, s0, m in sec.groups:
+            # the mirror states of the m sectors of size n, as slots from
+            # the first of them
+            rel = slot[mirror[sec.order[start:start + m * n]]].reshape(m, n)
+            rel -= start
+            own = np.arange(m)
+            partner = rel[:, 0] // n
+            good = ((partner >= 0) & (partner < m)
+                    & (rel == n * partner[:, None] + np.arange(n)).all(axis=1))
+            partner = np.where(good, partner, own)
+            for d in (self.T, self.N):
+                D = d[start:start + m * n].reshape(m, n)
+                good &= (D[partner] == D).all(axis=1)
+            for X in (self.Q, self.QdQ, self.a0):
+                B = X[sec.bounds[s0]:sec.bounds[s0 + m]].reshape(m, n, n)
+                good &= (B[partner] == B).all(axis=(1, 2))
+            twin = good & good[partner] & (partner != own)
+            rep[s0:s0 + m] = s0 + np.where(twin, np.minimum(partner, own), own)
+            start += m * n
+        return rep
 
 
 def _q_complex(q: float, eta: complex) -> complex:
@@ -301,7 +401,7 @@ def build_hamiltonian(spec: FockSpec, kind: str, model: Model, V: float,
         raise ConfigError(f"unknown hamiltonian kind {kind}")
 
     sec = p.sectors
-    H = c_qdq * p.QdQ - sec.herm(c_q, p.Q) - sec.herm(c_a0, p.a0)
+    H = c_qdq * p.QdQ - _herm(c_q, p.Q, p.Qt) - _herm(c_a0, p.a0, p.a0t)
     H[sec.diag] += d
     herm = np.max(np.abs(H - np.conj(H[sec.tpos])))
     if herm > 1e-12 * max(1.0, np.max(np.abs(H))):
@@ -310,17 +410,22 @@ def build_hamiltonian(spec: FockSpec, kind: str, model: Model, V: float,
 
 
 def _spectrum(sectors: _Sectors, values) -> np.ndarray:
-    """Eigenvalues of a Hermitian block-diagonal operator, sector by sector.
+    """Eigenvalues of a Hermitian block-diagonal operator, sector by sector
+    in label order.
 
+    One eigensolve per sector size, on the stack of that size's
+    representatives; a mirror twin takes its representative's spectrum.
     Overflow in a model's scales reaches here as inf or NaN entries.
     """
     if not np.isfinite(values).all():
         raise EigenFailure("matrix to diagonalize has non-finite entries")
     try:
-        return np.concatenate([np.linalg.eigvalsh(b)
-                               for b in sectors.blocks(values)])
+        spectra = [np.linalg.eigvalsh(
+            values[lo:hi].reshape(-1, n, n)[solve])[take].ravel()
+            for n, lo, hi, solve, take in sectors.plan]
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
+    return np.concatenate(spectra)[sectors.label_order]
 
 
 def trace_pressure(H: OperatorMatrix, spec: FockSpec, tp: ThermoPoint,
@@ -430,7 +535,7 @@ def check_pair_exchange_bound(spec: FockSpec, model: Model, k, kp,
     operator's own nonzero pattern at a time.
     """
     ws = _workspace(spec)
-    A, _ = ws.pair_lower(model)
+    A = _pieces(spec, model).A
     keys = [tuple(np.round(m, 12)) for m in spec.modes]
     j = keys.index(tuple(np.round(np.atleast_1d(np.asarray(k, float)), 12)))
     jp = keys.index(tuple(np.round(np.atleast_1d(np.asarray(kp, float)), 12)))

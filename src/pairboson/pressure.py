@@ -325,6 +325,15 @@ def _radial_quad(g, nu, mass, beta, foff):
             + _de_sum(fn, _exp_sinh(L), -_DE_SPAN, _EXP_SINH_TOP))
 
 
+def _rounded_once(*pairs) -> float:
+    """sum of x y over the float pairs (x, y), rounded once: a float is a
+    dyadic rational, and int / int rounds correctly."""
+    terms = [(a * c, b * d) for (a, b), (c, d) in
+             ((x.as_integer_ratio(), y.as_integer_ratio()) for x, y in pairs)]
+    den = max(d for _, d in terms)      # every denominator a power of two
+    return sum(n * (den // d) for n, d in terms) / den
+
+
 def el_residuals(model: Model, tp: ThermoPoint, op: OrderPoint):
     """Residuals of the two stationarity equations at (q, rho, eta).
 
@@ -338,16 +347,23 @@ def el_residuals(model: Model, tp: ThermoPoint, op: OrderPoint):
     src = source_terms(model, tp, op)[1]
     foff = model.v * op.rho - tp.mu
     habs = abs(model.u) * op.q
+    # sigma = foff - habs rounded once from the exact inputs: foff and habs
+    # each carry an ulp of f(0), which near sigma = 0 is a large part of it
+    sigma = _rounded_once((model.v, op.rho), (-1.0, tp.mu),
+                          (-abs(model.u), op.q))
     inv_2m = 0.5 / model.mass
     prof = model.lambda_profile
     beta = tp.beta
 
     def spec_at(r):
-        # f, h, lam, and E with 1 in place of E = 0, where `gapless` is set
+        # f, h, lam, and E with 1 in place of E = 0, where `gapless` is set;
+        # f - h is summed from its nonnegative parts as in `kernels.eval_rows`
         lam = prof.value_radial(r)
-        f = inv_2m * r * r + foff
+        kin = inv_2m * r * r
+        f = kin + foff
         h = habs * lam
-        E = np.sqrt(np.maximum((f - h) * (f + h), 0.0))
+        f_minus_h = kin + sigma + habs * prof.complement_radial(r)
+        E = np.sqrt(np.maximum(f_minus_h * (f + h), 0.0))
         gapless = E == 0.0
         return f, h, lam, np.where(gapless, 1.0, E), gapless
 

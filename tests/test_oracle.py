@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.sparse import csr_matrix, identity
+from scipy.sparse.csgraph import connected_components
 from scipy.special import logsumexp
 
 from pairboson.cli import _default_fock_spec
@@ -18,8 +19,8 @@ from pairboson.model import Model, gaussian_profile, delta_profile
 from pairboson.oracle import (
     FockSpec, build_hamiltonian, trace_pressure,
     check_superstability, check_variational_chain,
-    check_pair_exchange_bound, OperatorMatrix, _logsumexp, _pieces,
-    _spectrum, _workspace,
+    check_pair_exchange_bound, OperatorMatrix, _Pieces, _logsumexp,
+    _pieces, _spectrum, _workspace,
 )
 from pairboson.pressure import ThermoPoint, OrderPoint, pressure_fv_modes
 
@@ -438,8 +439,147 @@ class TestSectors:
         R = (R + R.conj().T) / 2.0
         H = OperatorMatrix(matrix=R)
         assert len(H.sectors.index) == 1
+        assert np.array_equal(H.sectors.rep, [0])
         np.testing.assert_allclose(_spectrum(H.sectors, H.values),
                                    sla.eigvalsh(R), rtol=0, atol=1e-12)
         assert trace_pressure(H, sp, TP, V) == pytest.approx(
             _dense_pressure(R, sp, TP, V), rel=1e-13, abs=0)
         np.testing.assert_array_equal(H.matrix, R)
+
+
+def _label_order_pressure(H, sp, tp, V, labels):
+    """Reference trace pressure: every sector of `labels` eigensolved on
+    its own, sectors in label order, states ascending within each."""
+    ws = _workspace(sp)
+    K = H.matrix
+    K[np.diag_indices_from(K)] += -tp.mu * ws.Ntot
+    evals = np.concatenate([np.linalg.eigvalsh(K[np.ix_(s, s)])
+                            for s in (np.flatnonzero(labels == L)
+                                      for L in range(labels.max() + 1))])
+    return float(_logsumexp(-tp.beta * evals) / (tp.beta * V))
+
+
+def _piece_labels(sp, m):
+    """Connected components of the union pattern of Q, Q^dag Q and a_0."""
+    ws = _workspace(sp)
+    _, Q = ws.pair_lower(m)
+    pattern = abs(Q) + abs(Q.T @ Q) + abs(ws.lower[ws.zero_mode()])
+    return connected_components(pattern, directed=False)[1]
+
+
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+PROFILES = {"gaussian": gaussian_profile(1.0), "delta": delta_profile()}
+
+
+class TestStackedSpectra:
+    """Sectors stacked by size, mirror twins eigensolved once."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("u", [0.5, -0.5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_trace_pressure_is_bit_equal_to_sector_by_sector(self, dim, u,
+                                                             profile):
+        m = Model(dim=dim, mass=0.5, u=u, v=1.0,
+                  lambda_profile=PROFILES[profile])
+        sp = _default_fock_spec(m, 7)
+        labels = _piece_labels(sp, m)
+        for kind in KINDS:
+            for src in SOURCES:
+                H = build_hamiltonian(sp, kind, m, V, q=0.3, rho=0.8, **src)
+                assert trace_pressure(H, sp, TP, V) == _label_order_pressure(
+                    H, sp, TP, V, labels), (kind, src)
+
+    @pytest.mark.parametrize("profile, calls", [("gaussian", 8),
+                                                ("delta", 1)])
+    def test_eigensolve_budget(self, profile, calls, monkeypatch):
+        m = Model(dim=1, mass=0.5, u=0.5, v=1.0,
+                  lambda_profile=PROFILES[profile])
+        sp = _default_fock_spec(m, 7)
+        H = build_hamiltonian(sp, "full", m, V, eta=0.2)
+        seen = _count_eigvalsh(monkeypatch)
+        trace_pressure(H, sp, TP, V)
+        assert len(seen) == calls
+        # one stack per sector size, of the representatives alone
+        sizes = sorted(len(i) for i in _pieces(sp, m).sectors.index)
+        assert sorted(s[-1] for s in seen) == sorted(set(sizes))
+        assert sum(s[0] * s[-1] for s in seen) < sum(sizes)
+
+    def test_pair_exchange_solves_once_per_size(self, monkeypatch):
+        sp = _default_fock_spec(MODEL, 7)
+        ws = _workspace(sp)
+        A, _ = ws.pair_lower(MODEL)
+        cross = A[1].T @ A[0]
+        _, labels = connected_components(abs(cross) + abs(cross.T),
+                                         directed=False)
+        sizes = set(np.bincount(labels).tolist())
+        assert labels.max() + 1 == 218 and len(sizes) == 4
+        _pieces(sp, MODEL)      # A_k comes from the cached pieces
+        seen = _count_eigvalsh(monkeypatch)
+        for sign in (1, -1):
+            seen.clear()
+            check_pair_exchange_bound(sp, MODEL, sp.modes[1], sp.modes[0],
+                                      sign=sign)
+            assert len(seen) <= len(sizes)
+
+    @pytest.mark.parametrize("profile, pairs", [("gaussian", 7),
+                                                ("delta", 28)])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_mirror_twin_counts(self, dim, profile, pairs):
+        m = Model(dim=dim, mass=0.5, u=0.5, v=1.0,
+                  lambda_profile=PROFILES[profile])
+        sec = _pieces(_default_fock_spec(m, 7), m).sectors
+        own = np.arange(len(sec.index))
+        assert np.count_nonzero(sec.rep != own) == pairs
+        # a twin's representative represents itself, and holds the
+        # twin's mirror states in the same order
+        assert np.array_equal(sec.rep[sec.rep], sec.rep)
+        ws = _workspace(_default_fock_spec(m, 7))
+        mirror = ws.occ[:, _default_fock_spec(m, 7).negation_index()]
+        for s in np.flatnonzero(sec.rep != own):
+            np.testing.assert_array_equal(mirror[sec.index[s]],
+                                          ws.occ[sec.index[sec.rep[s]]])
+
+    def test_failed_check_makes_no_twin(self):
+        # negative control: one entry of Q changed in a twin sector breaks
+        # that pair alone
+        sp = _default_fock_spec(MODEL, 7)
+        p = _Pieces(_workspace(sp), MODEL)
+        sec = p.sectors
+        twin = int(np.flatnonzero(sec.rep != np.arange(len(sec.index)))[0])
+        rep = int(sec.rep[twin])
+        lo, hi = sec.bounds[twin], sec.bounds[twin + 1]
+        Q = p.Q.copy()
+        Q[lo + np.flatnonzero(Q[lo:hi])[0]] *= 1.0 + 1e-15
+        p.Q = Q
+        reps = p._twins(_workspace(sp))
+        assert reps[twin] == twin and reps[rep] == rep
+        assert np.count_nonzero(reps != np.arange(len(reps))) == 6
+
+    def test_matrix_setter_makes_no_twins(self):
+        # negative control: random Hermitian blocks on the momentum sectors
+        # of the pieces, whose mirror sectors have equal sizes but unequal
+        # blocks; the setter pairs nothing and the spectrum is exact
+        sp = _default_fock_spec(MODEL, 7)
+        labels = _piece_labels(sp, MODEL)
+        rng = np.random.default_rng(11)
+        n = len(labels)
+        R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        R = np.where(np.equal.outer(labels, labels), R + R.conj().T, 0.0)
+        H = OperatorMatrix(matrix=R)
+        assert len(H.sectors.index) == 15
+        assert np.array_equal(H.sectors.rep, np.arange(15))
+        np.testing.assert_allclose(np.sort(_spectrum(H.sectors, H.values)),
+                                   sla.eigvalsh(R), rtol=0, atol=1e-12)
+        assert trace_pressure(H, sp, TP, V) == pytest.approx(
+            _dense_pressure(R, sp, TP, V), rel=1e-13, abs=0)

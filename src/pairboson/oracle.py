@@ -41,13 +41,32 @@ entry for entry, and `_spectrum` eigensolves one of each pair and copies its
 eigenvalues to the other.  At n_max = 7 with three modes that leaves 8 of 15
 momentum blocks.  The spectrum comes back sector by sector in label order, so
 sums over it keep their order whatever the layout.
+
+Mode factors of the second approximant: H_2 - mu N = sum_f h_f + c is a sum
+of terms that each act on one factor f of the modes, a set closed under
+k -> -k: the zero mode, with (eps_0 + v rho - mu) n_0, lambda(0) a_0^2 and
+the source, and each {k, -k} pair, with (eps_k + v rho - mu)(n_k + n_{-k})
+and 2 lambda(k) a_k a_{-k}.  The working basis is the product of the
+per-mode ranges {0..n_max}, so its projection is the tensor product of the
+factors' projections P_f, and every term, a lowering product or its adjoint
+plus a diagonal, compresses to (P_f h_f P_f) on its factor tensored with the
+identity on the rest.  The compressed terms act on different tensor factors
+and commute, so ln Tr e^{-beta (H_2 - mu N)} = sum_f ln Tr_f e^{-beta h_f}
+- beta c holds exactly on the truncated basis (the structure behind the
+closed form of the Approximating Hamiltonian Method: N. N. Bogolyubov Jr.,
+J. G. Brankov, V. A. Zagrebnov, A. M. Kurbatov and N. S. Tonchev, 1981).
+`approx2_pressures` uses it over a whole (q, rho) grid: each factor's blocks
+are cached (`_Factor`), split by the pattern of its pair operator and a_0,
+and the grid's blocks of one size are eigensolved in one call.  At
+n_max = 7 with three modes the factors hold 8 and 64 states, in blocks of
+at most 8; a {k, -k} pair splits by n_k - n_{-k}.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -95,13 +114,14 @@ class FockSpec:
 
 
 class _Sectors:
-    """A split of the working basis into sectors, and the block layout.
+    """A split of a basis (the working basis, or one of approx2's mode
+    factors) into sectors, and the block layout.
 
     The sectors are ordered by size (by label within a size), and the
     dense block of each is stored row-major, one after another, in one flat
     array: a linear combination of block-diagonal operators is one vector
     operation, and the blocks of each size form one contiguous (m, n, n)
-    stack.  `positions` gives the working-basis row and column of every
+    stack.  `positions` gives the basis row and column of every
     flat entry, `diag` the flat positions of the diagonal and `tpos` the
     flat position of each entry's transpose.  `order` lists the states
     sector by sector, and `index` the states of each sector.
@@ -349,6 +369,58 @@ class _Pieces:
         return rep
 
 
+@lru_cache(maxsize=8)
+def _factors(spec: FockSpec, model: Model) -> tuple:
+    """The mode factors of the second approximant, as `_Factor`s.
+
+    A factor is a connected set of modes under k -> -k: the zero mode
+    alone, and each {k, -k} pair.
+    """
+    neg = spec.negation_index()
+    factor_of = list(range(len(neg)))
+    for j, k in enumerate(neg):
+        a, b = factor_of[j], factor_of[k]
+        factor_of = [min(a, b) if f in (a, b) else f for f in factor_of]
+    zero = _workspace(spec).zero_mode()
+    return tuple(_Factor(spec, model, [j for j in range(len(neg))
+                                       if factor_of[j] == f], zero)
+                 for f in sorted(set(factor_of)))
+
+
+class _Factor:
+    """Real blocks of one factor's pair operator X = sum_{j in factor}
+    lambda(k_j) a_j a_{-j}, of a_0 when the factor holds the zero mode
+    (else None), and its diagonal T and N, on the factor's own product
+    basis of occupations n_j <= n_max, split by the pattern of X and a_0.
+    """
+
+    def __init__(self, spec: FockSpec, model: Model, modes, zero):
+        size = spec.n_max + 1
+        occ = np.array(list(product(range(size), repeat=len(modes))),
+                       dtype=float)
+        b = np.diag(np.sqrt(np.arange(1.0, size)), 1)   # one-mode lowering
+        lower = {j: reduce(np.kron, [b if t == i else np.eye(size)
+                                     for t in range(len(modes))])
+                 for i, j in enumerate(modes)}
+        neg, norms = spec.negation_index(), spec.mode_norms()
+        X = sum(float(model.lambda_profile.value_radial(norms[j]))
+                * (lower[j] @ lower[neg[j]]) for j in modes)
+        a0 = lower.get(zero)
+        self.sectors = sec = _Sectors.of_pattern(
+            *(M for M in (X, a0) if M is not None))
+        self.X = sec.gather(X)
+        self.Xt = self.X[sec.tpos]
+        self.a0 = None if a0 is None else sec.gather(a0)
+        self.a0t = None if a0 is None else self.a0[sec.tpos]
+        eps = np.array([norms[j] * norms[j] / (2.0 * model.mass)
+                        for j in modes])
+        self.T = (occ @ eps)[sec.order]
+        self.N = occ.sum(axis=1)[sec.order]
+        for a in (self.X, self.Xt, self.a0, self.a0t, self.T, self.N):
+            if a is not None:
+                a.setflags(write=False)     # shared by every grid of the model
+
+
 def _q_complex(q: float, eta: complex) -> complex:
     """Gauge-fixed pair parameter q e^{2 i psi}, psi = arg eta.
 
@@ -411,7 +483,8 @@ def build_hamiltonian(spec: FockSpec, kind: str, model: Model, V: float,
 
 def _spectrum(sectors: _Sectors, values) -> np.ndarray:
     """Eigenvalues of a Hermitian block-diagonal operator, sector by sector
-    in label order.
+    in label order, along the last axis; leading axes stack operators of
+    one layout.
 
     One eigensolve per sector size, on the stack of that size's
     representatives; a mirror twin takes its representative's spectrum.
@@ -419,13 +492,15 @@ def _spectrum(sectors: _Sectors, values) -> np.ndarray:
     """
     if not np.isfinite(values).all():
         raise EigenFailure("matrix to diagonalize has non-finite entries")
+    batch = values.shape[:-1]
     try:
         spectra = [np.linalg.eigvalsh(
-            values[lo:hi].reshape(-1, n, n)[solve])[take].ravel()
+            values[..., lo:hi].reshape(*batch, -1, n, n)[..., solve, :, :]
+        )[..., take, :].reshape(*batch, -1)
             for n, lo, hi, solve, take in sectors.plan]
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    return np.concatenate(spectra)[sectors.label_order]
+    return np.concatenate(spectra, axis=-1)[..., sectors.label_order]
 
 
 def trace_pressure(H: OperatorMatrix, spec: FockSpec, tp: ThermoPoint,
@@ -437,16 +512,52 @@ def trace_pressure(H: OperatorMatrix, spec: FockSpec, tp: ThermoPoint,
     return float(_logsumexp(-tp.beta * evals) / (tp.beta * V))
 
 
+def approx2_pressures(spec: FockSpec, model: Model, tp: ThermoPoint,
+                      V: float, q_grid, rho_grid,
+                      eta: complex = 0.0) -> np.ndarray:
+    """Trace pressures of the second approximant on the (q, rho) grid, an
+    array of shape (len(q_grid), len(rho_grid)), from the mode factors.
+
+    Equal to `trace_pressure(build_hamiltonian(spec, "approx2", ...))` at
+    each grid point up to rounding.  Each factor's Hamiltonians for the
+    whole grid form one stack, eigensolved in one call per block size.
+    """
+    q_grid, rho_grid = np.asarray(q_grid, float), np.asarray(rho_grid, float)
+    if (q_grid < 0).any() or (rho_grid < 0).any() or V <= 0:
+        raise ModelError("require q >= 0, rho >= 0, V > 0")
+    u, v = model.u, model.v
+    qc = [_q_complex(q, eta) for q in q_grid]
+    const = ((V * u / 2.0) * np.abs(qc)[:, None] ** 2
+             - (V * v / 2.0) * rho_grid ** 2)
+    if not np.isfinite(const).all():
+        raise EigenFailure("matrix to diagonalize has non-finite entries")
+    log_trace = -tp.beta * const
+    for f in _factors(spec, model):
+        sec = f.sectors
+        off = np.array([-_herm((u / 2.0) * c, f.X, f.Xt)
+                        for c in qc]).reshape(len(qc), len(f.X))
+        if f.a0 is not None:
+            off = off - _herm(math.sqrt(V) * eta, f.a0, f.a0t)
+        H = np.repeat(off[:, None, :], len(rho_grid), axis=1)
+        H[..., sec.diag] += f.T + np.multiply.outer(v * rho_grid - tp.mu, f.N)
+        herm = np.max(np.abs(H - np.conj(H[..., sec.tpos])), axis=-1)
+        scale = np.maximum(1.0, np.max(np.abs(H), axis=-1))
+        if (herm > 1e-12 * scale).any():
+            raise EigenFailure(f"built matrix not Hermitian: defect {herm.max()}")
+        log_trace = log_trace + _logsumexp(-tp.beta * _spectrum(sec, H))
+    return log_trace / (tp.beta * V)
+
+
 def _logsumexp(x):
-    """ln sum_i e^(x_i), shifted by the largest x_i: with m copies of the
-    maximum, ln m + max + log1p of the rest's shifted sum over m.  This is
-    the evaluation order of scipy.special.logsumexp, so the two agree to
-    the last bit."""
-    top = x.max()
+    """ln sum_i e^(x_i) along the last axis, shifted by the largest x_i:
+    with m copies of the maximum, ln m + max + log1p of the rest's shifted
+    sum over m.  This is the evaluation order of scipy.special.logsumexp,
+    so the two agree to the last bit."""
+    top = x.max(axis=-1, keepdims=True)
     at_top = x == top
-    m = np.count_nonzero(at_top)
-    rest = np.exp(np.where(at_top, -np.inf, x - top)).sum() / m
-    return np.log1p(rest) + np.log(float(m)) + top
+    m = np.count_nonzero(at_top, axis=-1)
+    rest = np.exp(np.where(at_top, -np.inf, x - top)).sum(axis=-1) / m
+    return np.log1p(rest) + np.log(m) + top[..., 0]
 
 
 def check_superstability(spec: FockSpec, model: Model, V: float) -> dict:
@@ -498,18 +609,16 @@ def check_variational_chain(spec: FockSpec, model: Model, tp: ThermoPoint,
     least -1e-10."""
     p_full = trace_pressure(build_hamiltonian(spec, HAM_FULL, model, V,
                                               eta=eta), spec, tp, V)
+    p2_grid = approx2_pressures(spec, model, tp, V, q_grid, rho_grid, eta)
     tol = -1e-10
     worst_first = math.inf
     worst_second = math.inf
-    for q in q_grid:
+    for q, p2_row in zip(q_grid, p2_grid):
         p1 = trace_pressure(build_hamiltonian(spec, HAM_APPROX1, model, V,
                                               q=q, eta=eta), spec, tp, V)
         slack1 = (p_full - p1) if model.u > 0 else (p1 - p_full)
         worst_first = min(worst_first, slack1)
-        for rho in rho_grid:
-            p2 = trace_pressure(build_hamiltonian(
-                spec, HAM_APPROX2, model, V, q=q, rho=rho, eta=eta),
-                spec, tp, V)
+        for p2 in p2_row.tolist():
             worst_second = min(worst_second, p2 - p1)
     return {
         "check": "variational_chain",

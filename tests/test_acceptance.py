@@ -28,7 +28,7 @@ from pairboson.solver import (
     PHASE_CONDENSED,
 )
 from pairboson.oracle import (
-    FockSpec, build_hamiltonian, trace_pressure,
+    FockSpec, build_hamiltonian, trace_pressure, approx2_pressures,
     check_superstability, check_variational_chain,
 )
 
@@ -92,11 +92,11 @@ def test_criterion_01_gradient_suite():
 
 def test_criterion_02_closed_form_vs_trace():
     """Finite-volume closed form vs truncated-Fock trace pressure, both
-    signs of u."""
+    signs of u; the factored trace pressure against the matrix one."""
     q, rho, eta = 0.3, 0.8, 0.2
     model_neg = Model(dim=1, mass=0.5, u=-0.5, v=1.0,
                       lambda_profile=gaussian_profile(0.5))
-    ok, details = True, []
+    ok, details, factored = True, [], 0.0
     for model in (DESK_MODEL, model_neg):
         closed = pressure_fv_modes(model, DESK_TP, OrderPoint(q, rho, eta),
                                    [0.0, 1.0, 1.0], DESK_V)
@@ -107,11 +107,16 @@ def test_criterion_02_closed_form_vs_trace():
                 build_hamiltonian(spec, "approx2", model, DESK_V,
                                   q=q, rho=rho, eta=eta), spec, DESK_TP, DESK_V)
             errs.append(abs(ptr - closed) / abs(closed))
+            pfac = approx2_pressures(spec, model, DESK_TP, DESK_V, [q], [rho],
+                                     eta)[0, 0]
+            factored = max(factored, abs(pfac - ptr) / abs(ptr))
         ok = ok and errs[0] > errs[1] > errs[2] and errs[2] <= 1e-4
         details.append(f"u={model.u}: {errs[0]:.2e} > {errs[1]:.2e} > "
                        f"{errs[2]:.2e}")
+    ok = ok and factored <= 1e-13
     report(2, "closed form vs trace oracle", ok,
-           "relative errors " + "; ".join(details) + ", tol 1e-4 at n_max=12")
+           "relative errors " + "; ".join(details) + ", tol 1e-4 at n_max=12;"
+           f" factored vs matrix {factored:.2e}, tol 1e-13")
 
 
 def test_criterion_03_inequality_chain():

@@ -13,14 +13,14 @@ from scipy.special import logsumexp
 
 from pairboson.cli import _default_fock_spec
 from pairboson.errors import (
-    ConfigError, DimensionExceeded, ModelError, PairBosonError,
+    ConfigError, DimensionExceeded, EigenFailure, ModelError, PairBosonError,
 )
 from pairboson.model import Model, gaussian_profile, delta_profile
 from pairboson.oracle import (
     FockSpec, build_hamiltonian, trace_pressure,
     check_superstability, check_variational_chain,
     check_pair_exchange_bound, OperatorMatrix, _Pieces, _logsumexp,
-    _pieces, _spectrum, _workspace,
+    _pieces, _spectrum, _workspace, approx2_pressures, _factors,
 )
 from pairboson.pressure import ThermoPoint, OrderPoint, pressure_fv_modes
 
@@ -94,6 +94,12 @@ class TestLadderAlgebra:
     (lambda: build_hamiltonian(spec(), "full", MODEL, V, q=-0.1), ModelError),
     (lambda: build_hamiltonian(spec(), "full", MODEL, 0.0), ModelError),
     (lambda: build_hamiltonian(spec(), "not_a_kind", MODEL, V), ConfigError),
+    (lambda: approx2_pressures(spec(), MODEL, TP, V, [-0.1], [0.5]),
+     ModelError),
+    (lambda: approx2_pressures(spec(), MODEL, TP, V, [0.1], [-0.5]),
+     ModelError),
+    (lambda: approx2_pressures(spec(), MODEL, TP, 0.0, [0.1], [0.5]),
+     ModelError),
 ])
 def test_bad_arguments_raise_typed_errors(build, error):
     with pytest.raises(PairBosonError) as info:
@@ -583,3 +589,108 @@ class TestStackedSpectra:
                                    sla.eigvalsh(R), rtol=0, atol=1e-12)
         assert trace_pressure(H, sp, TP, V) == pytest.approx(
             _dense_pressure(R, sp, TP, V), rel=1e-13, abs=0)
+
+
+Q_GRID, RHO_GRID = np.linspace(0.0, 0.8, 5), np.linspace(0.1, 1.5, 5)
+ETAS = (0.0, 0.2, 0.2 * np.exp(0.7j))
+FIVE_MODES = FockSpec(modes=((0.0,), (1.0,), (-1.0,), (2.0,), (-2.0,)),
+                      n_max=3)
+
+
+def _matrix_approx2(sp, m, eta):
+    """Reference: each grid point's approx2 built on the working basis."""
+    return np.array([[trace_pressure(build_hamiltonian(
+        sp, "approx2", m, V, q=q, rho=rho, eta=eta), sp, TP, V)
+        for rho in RHO_GRID] for q in Q_GRID])
+
+
+def _factored_error(sp, m, eta):
+    got = approx2_pressures(sp, m, TP, V, Q_GRID, RHO_GRID, eta)
+    ref = _matrix_approx2(sp, m, eta)
+    assert got.shape == (len(Q_GRID), len(RHO_GRID))
+    return np.max(np.abs(got - ref) / np.abs(ref))
+
+
+class TestFactoredApprox2:
+    """approx2's trace pressure from its mode factors, over the grid."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("u", [0.5, -0.5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_working_basis_trace(self, dim, u, profile):
+        m = Model(dim=dim, mass=0.5, u=u, v=1.0,
+                  lambda_profile=PROFILES[profile])
+        for n_max in (2, 3, 7):
+            sp = _default_fock_spec(m, n_max)
+            for eta in ETAS:
+                assert _factored_error(sp, m, eta) <= 1e-13, (n_max, eta)
+
+    @pytest.mark.parametrize("u", [0.5, -0.5])
+    def test_two_pair_factors(self, u):
+        m = Model(dim=1, mass=0.5, u=u, v=1.0,
+                  lambda_profile=gaussian_profile(1.0))
+        factors = _factors(FIVE_MODES, m)
+        # the zero mode alone, then the pairs +-1 and +-2
+        assert [len(f.N) for f in factors] == [4, 16, 16]
+        assert [f.a0 is not None for f in factors] == [True, False, False]
+        for eta in ETAS:
+            assert _factored_error(FIVE_MODES, m, eta) <= 1e-13, eta
+
+    def test_perturbed_factor_fails_the_comparison(self, monkeypatch):
+        # negative control: one entry of a cached pair factor changed
+        from pairboson import oracle
+        sp = _default_fock_spec(MODEL, 3)
+        zero, pair = _factors(sp, MODEL)
+        bad = SimpleNamespace(**vars(pair))
+        X = pair.X.copy()
+        X[np.flatnonzero(X)[0]] *= 1.0 + 1e-6
+        bad.X, bad.Xt = X, X[pair.sectors.tpos]
+        monkeypatch.setattr(oracle, "_factors", lambda *a: (zero, bad))
+        assert _factored_error(sp, MODEL, 0.2) > 1e-13
+
+    def test_grid_rows_equal_one_point_grids(self):
+        # the stacked eigensolve gives each grid point its own spectrum;
+        # not to the bit, as numpy's vector exp and log round by position
+        sp = _default_fock_spec(MODEL, 7)
+        grid = approx2_pressures(sp, MODEL, TP, V, Q_GRID, RHO_GRID, 0.2)
+        for i, q in enumerate(Q_GRID):
+            for j, rho in enumerate(RHO_GRID):
+                assert approx2_pressures(sp, MODEL, TP, V, [q], [rho], 0.2
+                                         )[0, 0] == pytest.approx(
+                    grid[i, j], rel=1e-15, abs=0)
+
+    def test_factors_are_read_only(self):
+        for f in _factors(_default_fock_spec(MODEL, 3), MODEL):
+            for a in (f.X, f.Xt, f.T, f.N):
+                assert not a.flags.writeable
+
+    @pytest.mark.parametrize("profile, calls", [("gaussian", 57),
+                                                ("delta", 8)])
+    def test_chain_eigensolve_budget(self, profile, calls, monkeypatch):
+        # full (8 sizes) + 5 approx1 (8 each) + the zero-mode factor (1)
+        # + the pair factor (8 sizes); with the delta profile every
+        # working-basis sector has one size, and the pair factor, X = 0,
+        # splits into single states
+        m = Model(dim=1, mass=0.5, u=0.5, v=1.0,
+                  lambda_profile=PROFILES[profile])
+        sp = _default_fock_spec(m, 7)
+        seen = _count_eigvalsh(monkeypatch)
+        rep = check_variational_chain(sp, m, TP, V, Q_GRID, RHO_GRID,
+                                      eta=0.2)
+        assert rep["passed"]
+        assert len(seen) == calls
+
+    # v = 1e308 overflows the constant (V v / 2) rho^2 too; v = 1 only
+    # the pair factor's diagonal, after the zero-mode factor's eigensolve
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("v, solved", [(1e308, 0), (1.0, 1)])
+    def test_overflow_is_eigen_failure(self, v, solved, monkeypatch):
+        m = Model(dim=1, mass=1e-308, u=0.5, v=v,
+                  lambda_profile=gaussian_profile(1.0))
+        sp = _default_fock_spec(m, 3)
+        seen = _count_eigvalsh(monkeypatch)
+        with pytest.raises(EigenFailure) as info:
+            approx2_pressures(sp, m, TP, V, Q_GRID, RHO_GRID, 0.2)
+        assert str(info.value) == "matrix to diagonalize has non-finite entries"
+        assert len(seen) == solved

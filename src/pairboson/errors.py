@@ -18,7 +18,9 @@ class InfeasiblePoint(PairBosonError):
 
 
 class QuadratureFailure(PairBosonError):
-    """Adaptive quadrature could not meet its error target."""
+    """A radial integral could not be evaluated: the adaptive quadrature
+    missed its error target, or a closed-form row was NaN or left the
+    float range."""
 
 
 class BracketFailure(PairBosonError):

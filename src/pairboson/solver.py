@@ -31,11 +31,12 @@ from functools import cached_property
 
 import numpy as np
 
+from .bose import ideal_rows
 from .errors import (
     BracketFailure, ConfigError, ContinuationDiverged, ModelError,
     PairBosonError, StationarityViolated,
 )
-from .model import Model, delta_profile
+from .model import Model
 from .pressure import (
     OrderPoint,
     ThermoPoint,
@@ -52,7 +53,10 @@ from .pressure import (
     source_terms,
     total_dq,
 )
-from .quadrature import plan_scope, radial_rows
+from .quadrature import (
+    plan_scope,
+    radial_rows,  # unused here; perfbench's tracer wraps this name
+)
 
 STATUS_CONVERGED = "converged"
 STATUS_BOUNDARY = "boundary_minimum"
@@ -790,51 +794,20 @@ def variational_limit(model: Model, tp: ThermoPoint) -> VariationalLimit:
 
 
 def bose_density(model: Model, beta: float, mu_eff: float) -> float:
-    """Ideal Bose gas density at effective chemical potential mu_eff <= 0."""
+    """Ideal Bose gas density lambda^-nu g_(nu/2)(e^(beta mu_eff)) at
+    effective chemical potential mu_eff <= 0; infinite at mu_eff = 0 in
+    dim <= 2."""
     if mu_eff > 0:
         raise ModelError("ideal-gas density requires mu_eff <= 0")
-    if model.dim <= 2 and mu_eff == 0.0:
-        return math.inf
-    density, = radial_rows(delta_profile(), model.dim, model.mass, beta,
-                           -mu_eff, 0.0, (1,))
+    density, = ideal_rows(model.dim, model.mass, beta, -mu_eff, (1,))
     return float(density)
-
-
-# B_2j / (2j)! for j = 1 ... 8, from the Bernoulli numbers B_2 = 1/6,
-# B_4 = -1/30, ..., B_16 = -3617/510
-_EM_COEFFS = tuple(b / math.factorial(2 * j) for j, b in enumerate(
-    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510),
-    start=1))
-
-
-def _zeta(s: float) -> float:
-    """Riemann zeta(s) for real s > 1, by Euler-Maclaurin summation past
-    the first N = 10 terms with 8 correction terms (DLMF 2.10.1, 25.2.9).
-
-    The remainder is below |B_18|/18! (s)_17 N^(-s-17), under 6e-18 for
-    every s > 1, a twentieth of an ulp of zeta(s) > 1; fsum adds the terms
-    with one rounding.
-    """
-    n = 10
-    terms = [k ** -s for k in range(1, n)]
-    terms += [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
-    rising, power = s, n ** (-s - 1.0)  # (s)_(2j-1) and N^(-s-2j+1)
-    for j, coeff in enumerate(_EM_COEFFS, start=1):
-        terms.append(coeff * rising * power)
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
-        power /= n * n
-    return math.fsum(terms)
 
 
 def critical_density(model: Model, beta: float) -> float:
     """Ideal-gas density at zero effective potential: zeta(nu/2) lambda^-nu
     with lambda^-nu = (m / (2 pi beta))^(nu/2) in dim nu >= 3, infinite
     in dim <= 2."""
-    if model.dim <= 2:
-        return math.inf
-    nu = model.dim
-    return float(_zeta(nu / 2.0)
-                 * (model.mass / (2.0 * math.pi * beta)) ** (nu / 2.0))
+    return bose_density(model, beta, 0.0)
 
 
 def mf_density(model: Model, tp: ThermoPoint) -> float:

@@ -310,12 +310,13 @@ class TestExitCodes:
         ("--beta=1e-150", "the solve left the floating-point range"),
         ("--mu=1e155", "the solve left the floating-point range"),
         ("--eta0=1e155", "the solve left the floating-point range"),
-        ("--beta=1e-300", "could not certify the radial tail below tolerance"),
+        ("--beta=1e-300", "the solve left the floating-point range"),
     ])
     def test_overflow_is_non_convergence(self, flag, message, capsys):
         # a float past the float range, on the continuation (u > 0, dim 2):
-        # in eta * eta (--eta0=1e155 ends in inf_rho's rho_lo), or in the
-        # radial tail bound at beta = 1e-300
+        # in eta * eta (--eta0=1e155 ends in inf_rho's rho_lo), or at
+        # beta = 1e-300 in the source's sigma~^3, where the q = 0 density
+        # solve on the closed-form rows has taken rho past 1e100
         assert run_main(["solve", flag, "--eta-floor", "0.01"]
                         + CONTINUED) == cli.EXIT_NO_CONVERGENCE
         captured = capsys.readouterr()
@@ -378,15 +379,16 @@ class TestExitCodes:
         assert proc.stderr == ""
 
     def test_division_by_zero_warns_nothing(self):
-        # this dim-2, u < 0 point fails in the radial quadrature (ROADMAP
-        # item 1), and on the way its kernel divides by E = 0; stderr
-        # holds the diagnostic line alone
+        # this dim-2, u < 0 point failed in the radial quadrature, whose
+        # kernel divided by E = 0 on the way; on the closed-form rows it
+        # reads the density row's divergence g_1(1) = inf at sigma = 0.
+        # Either way stderr stays empty on success
         proc = run_proc(["solve", "--dim", "2", "--u=-0.5", "--beta", "8",
                          "--mu", "0.5", "--v", "1", "--mass", "0.5",
                          "--profile", "gaussian:1"])
-        assert proc.returncode == cli.EXIT_NO_CONVERGENCE
-        assert proc.stderr.startswith("non-convergence: ")
-        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+        assert proc.returncode == cli.EXIT_OK
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["phase"] == "normal"
 
     def test_scan_keeps_the_rows_beside_an_overflow(self, monkeypatch,
                                                     capsys):
@@ -397,7 +399,7 @@ class TestExitCodes:
         rows = [row.split(",") for row in
                 capsys.readouterr().out.strip().split("\n")[1:]]
         assert [row[-1] for row in rows] == \
-            ["error:TailNotConverged"] * 2 + ["normal", "condensed"]
+            ["error:QuadratureFailure"] * 2 + ["normal", "condensed"]
         assert all(math.isfinite(float(x)) for row in rows[2:]
                    for x in row[:-1])
 
@@ -643,6 +645,27 @@ class TestSolve:
         plain = solver._EL_TOL * max(1.0, op.q)
         el2 = abs(doc["residuals"]["el2"])
         assert plain < el2 <= plain + m.v / m.u * slack
+
+    @pytest.mark.parametrize("beta, mu", [("8", "0.5"), ("4", "0.8")])
+    def test_dim_2_repulsive_low_temperature(self, beta, mu, capsys):
+        # both exited 3 while the q = 0 rows were integrated: the interior
+        # minimizer's sigma (about 1e-23 at the first point) lies far below
+        # rho's resolution, where the density row ln(1/sigma) defeated the
+        # quadrature.  On the closed-form rows the solve ends on
+        # sigma = 0, at mf_density's own rho = mu/v, with m0 = 0 where
+        # the density row diverges
+        from pairboson.model import Model, gaussian_profile
+        from pairboson.pressure import ThermoPoint
+        assert run_main(["solve", "--dim", "2", "--u=-0.5", "--beta", beta,
+                         "--mu", mu, "--v", "1", "--mass", "0.5",
+                         "--profile", "gaussian:1"]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        m = Model(dim=2, mass=0.5, u=-0.5, v=1.0,
+                  lambda_profile=gaussian_profile(1.0))
+        p_mf = solver.mf_pressure(m, ThermoPoint(float(beta), float(mu)))
+        assert doc["pressure"] == pytest.approx(p_mf, rel=1e-14, abs=0.0)
+        assert doc["m0"] == 0.0 and doc["q_bar"] == 0.0
+        assert doc["phase"] == "normal"
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "solve.json"

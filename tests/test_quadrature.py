@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from pairboson import quadrature
-from pairboson.errors import ModelError, PairBosonError, QuadratureFailure
+from pairboson.errors import (
+    ModelError, PairBosonError, QuadratureFailure, TailNotConverged,
+)
 from pairboson.kernels import eval_rows
 from pairboson.model import delta_profile, gaussian_profile, power_profile
 from pairboson.quadrature import plan_scope, radial_rows
@@ -193,6 +195,18 @@ def test_negative_habs_is_a_model_error():
     with pytest.raises(PairBosonError) as info:
         rows(0.5, -0.1, (1,))
     assert info.type is ModelError
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_uncertifiable_tail_is_tail_not_converged(nu):
+    # at beta = 1e-300 the tail bound passes the float range at every
+    # cutoff; the CLI's overflow tests reach this no more, since their
+    # q = 0 rows are closed form
+    with pytest.raises(PairBosonError) as info:
+        radial_rows(PROFILE, nu, MASS, 1e-300, 1.0, 0.5, (1,))
+    assert info.type is TailNotConverged
+    assert str(info.value) == \
+        "could not certify the radial tail below tolerance"
 
 
 def _tail_bound_reference(profile, nu, mass, beta, foff, habs, R):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from pairboson import pressure, solver
+from pairboson import bose, pressure, solver
 from pairboson import quadrature
 from pairboson.errors import (
     BracketFailure, ConfigError, ContinuationDiverged, ModelError,
@@ -587,8 +587,8 @@ class TestDensities:
     @pytest.mark.parametrize("nu", range(3, 11))
     def test_zeta_matches_scipy(self, nu):
         from scipy.special import zeta
-        assert solver._zeta(nu / 2.0) == pytest.approx(zeta(nu / 2.0),
-                                                       rel=1e-15, abs=0.0)
+        assert bose.zeta(nu / 2.0) == pytest.approx(zeta(nu / 2.0),
+                                                    rel=1e-15, abs=0.0)
 
     def test_critical_density_infinite_low_dim(self):
         assert math.isinf(critical_density(model(dim=2), 2.0))
@@ -614,7 +614,7 @@ class TestDensities:
             thermal = (m.mass / (2.0 * math.pi * beta)) ** (dim / 2.0)
             assert critical_density(m, beta) == pytest.approx(
                 zeta(dim / 2.0) * thermal, rel=1e-13, abs=0.0)
-            # critical_density is the closed form; the quadrature agrees
+            # critical_density is bose_density at mu_eff = 0
             assert bose_density(m, beta, 0.0) == pytest.approx(
                 critical_density(m, beta), rel=1e-13, abs=0.0)
             series = math.fsum(math.exp(-k) / k ** (dim / 2.0)
@@ -778,8 +778,9 @@ class TestLazyResiduals:
 
 def test_mf_condensed_quadrature_budget(monkeypatch, capsys):
     """Quadrature calls of ROADMAP's mean-field condensed solve (seed 0 of
-    perfbench's solve_mix).  The count repeats exactly: 5 since solve takes
-    the eta = 0 sup-inf for u < 0.  On the continuation it was 1,778 while
+    perfbench's solve_mix).  The count repeats exactly: none since the
+    q = 0 rows are closed form, 4 before, and 5 since solve takes the
+    eta = 0 sup-inf for u < 0.  On the continuation it was 1,778 while
     the outer gradients shared the inner Newton steps' plan key, 1,147 with
     their own, and 343 since a boundary minimum costs one quadrature, no
     inner value is computed that is not read and the Newton steps at
@@ -788,7 +789,7 @@ def test_mf_condensed_quadrature_budget(monkeypatch, capsys):
     calls = _counting(monkeypatch, "radial_rows", pressure)
     assert cli.main(TestLazyResiduals.ARGV + ["--u", "-0.5"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["phase"] == PHASE_MF_CONDENSED
-    assert len(calls) <= 10
+    assert calls == []
     calls.clear()
     eta_continuation(model(u=-0.5), ThermoPoint(2.0, 0.4))
     assert len(calls) <= 450
@@ -810,13 +811,14 @@ def test_scan_quadrature_budget(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("mu, phase, budget", [
-    ("-0.3", PHASE_NORMAL, 12), ("0.4", PHASE_CONDENSED, 14)],
+    ("-0.3", PHASE_NORMAL, 8), ("0.4", PHASE_CONDENSED, 11)],
     ids=["normal", "condensed"])
 def test_solve_quadrature_budget(monkeypatch, capsys, mu, phase, budget):
     """Quadrature calls of perfbench's seed-0 normal and condensed solves.
-    The counts repeat exactly: 12 and 14 since every inner solve tests the
-    boundary first where it can, 14 each when the outer scan's 32 inner
-    solves first ran in lockstep, and 160 and 75 when each solved alone."""
+    The counts repeat exactly: 8 and 11 since the q = 0 rows are closed
+    form, 12 and 14 since every inner solve tests the boundary first where
+    it can, 14 each when the outer scan's 32 inner solves first ran in
+    lockstep, and 160 and 75 when each solved alone."""
     from pairboson import cli
     calls = _counting(monkeypatch, "radial_rows", pressure)
     argv = ["solve", "--beta", "2.0", "--mu", mu, "--u", "0.5", "--dim",
@@ -824,6 +826,26 @@ def test_solve_quadrature_budget(monkeypatch, capsys, mu, phase, budget):
     assert cli.main(argv) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["phase"] == phase
     assert len(calls) <= budget
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mu", ["-0.3", "0.4", "1.5"])
+def test_repulsive_solve_evaluates_no_kernel(monkeypatch, capsys, dim, mu):
+    """A u <= 0 solve is the mean-field ideal Bose gas at q = 0: every row
+    it reads is closed form, so neither binding of `kernels.eval_rows` (the
+    quadrature's, the finite-volume pressure's) is called.  The seed-0
+    mf_condensed solve made 4 quadrature calls on 1,230 kernel points
+    before."""
+    from pairboson import cli
+    calls = []
+    for module in (quadrature, pressure):
+        monkeypatch.setattr(module, "eval_rows",
+                            lambda *args: calls.append(args))
+    for u in ("-0.5", "0"):
+        assert cli.main(["solve", "--dim", str(dim), "--u", u, "--mu", mu,
+                         "--beta", "2"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["q_bar"] == 0.0
+    assert calls == []
 
 
 def test_power_profile_kernel_budget(monkeypatch):

@@ -33,9 +33,10 @@ from .model import (
 )
 from .pressure import ThermoPoint
 from .solver import (
-    STATUS_BOUNDARY, STATUS_CONVERGED, ContinuationResult, check_schedule,
-    eta_continuation, classify_phase, excitation_spectrum, variational_limit,
+    STATUS_BOUNDARY, classify_phase, excitation_spectrum, variational_limit,
 )
+# unused here; perfbench's tracer wraps this name
+from .solver import eta_continuation  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -67,9 +68,15 @@ _KEYS = {
     "dim": ("3", "spatial dimension"),
     "profile": ("gaussian:1.0",
                 "pair profile: gaussian:a | power:c:p | delta"),
-    "eta0": ("0.1", "initial source strength"),
-    "eta_floor": ("1e-6", "smallest source strength in the continuation"),
-    "eta_factor": ("0.5", "source reduction factor per step"),
+    "eta0": ("0.1", "source strength of the oracle's instance"),
+    # the retired eta continuation's schedule: every solve, scan and
+    # spectrum point solves at eta = 0.  solve and scan still accept
+    # eta_floor and read nothing from it, so that older command lines (as
+    # in perfbench's own tests) still run; no command takes eta_factor,
+    # which stays a known key so that an old config file fails with a
+    # precise diagnostic
+    "eta_floor": (None, "not read: every point solves at eta = 0"),
+    "eta_factor": (None, "not read by any command"),
     "out": (None, "output file (default: stdout)"),
     "format": (None, "output format: csv | json"),
     "k_max": ("5.0", "spectrum: largest wavenumber"),
@@ -77,15 +84,14 @@ _KEYS = {
     "n_max": ("8", "oracle: per-mode occupation cutoff"),
 }
 
-# The keys each command reads.  A command has flags for these alone, and a
+# The keys each command takes.  A command has flags for these alone, and a
 # config-file key outside its command's set is rejected (fail-closed).
-_COMMON_KEYS = frozenset("beta mu u v mass dim profile eta0 out".split())
-_SOLVE_KEYS = _COMMON_KEYS | {"eta_floor", "eta_factor"}
+_COMMON_KEYS = frozenset("beta mu u v mass dim profile out".split())
 _COMMAND_KEYS = {
-    "solve": _SOLVE_KEYS,
-    "scan": _SOLVE_KEYS | {"mu_range", "format"},
-    "spectrum": _SOLVE_KEYS | {"k_max", "k_count"},
-    "oracle": _COMMON_KEYS | {"n_max"},
+    "solve": _COMMON_KEYS | {"eta_floor"},
+    "scan": _COMMON_KEYS | {"mu_range", "format", "eta_floor"},
+    "spectrum": _COMMON_KEYS | {"k_max", "k_count"},
+    "oracle": _COMMON_KEYS | {"eta0", "n_max"},
 }
 
 
@@ -186,29 +192,6 @@ def _build_model(cfg: dict) -> Model:
                  lambda_profile=_parse_profile(cfg["profile"]))
 
 
-def _point_limit(model: Model, tp: ThermoPoint, settings: dict):
-    """The eta -> 0 observables of a solve, scan or spectrum point: a
-    `ContinuationResult` for u > 0 in dim 2, else a `VariationalLimit`.
-    """
-    if model.u > 0 and model.dim == 2:
-        # the infrared divergence: with q > 0 the density row diverges as
-        # sigma -> 0, and in dim 2 the eta = 0 inner solve fails in the
-        # radial quadrature (in dim 1 it solves)
-        return eta_continuation(model, tp, **settings)
-    # the eta = 0 sup-inf settles p, q_bar, rho_bar and m0
-    return variational_limit(model, tp)
-
-
-def _solver_settings(cfg: dict) -> dict:
-    """Keyword arguments of `eta_continuation`."""
-    eta0 = _parse_float(cfg, "eta0")
-    floor = _parse_float(cfg, "eta_floor")
-    factor = _parse_float(cfg, "eta_factor")
-    # up front: a scan or spectrum point may never reach eta_continuation
-    check_schedule(eta0, factor, floor)
-    return {"eta0": eta0, "factor": factor, "floor": floor}
-
-
 def _parse_betas(cfg) -> list:
     """beta as a comma-separated list of numbers; ThermoPoint checks signs."""
     try:
@@ -248,51 +231,28 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _residuals(res, check: bool) -> dict:
-    """The Euler-Lagrange residuals of res, null on a boundary minimum,
-    where they do not apply; with check, held to the radial tolerance."""
+def _residuals(res) -> dict:
+    """The Euler-Lagrange residuals of the eta = 0 optimum res, held to the
+    radial tolerance since the optimum is the answer itself; null on a
+    boundary minimum, where they do not apply."""
     if res.status == STATUS_BOUNDARY:
         return {"el1": None, "el2": None}
-    el1, el2 = (res.checked_residuals() if check
-                else (res.residual_el1, res.residual_el2))
+    el1, el2 = res.checked_residuals()
     return {"el1": el1, "el2": el2}
 
 
 def _solve_document(limit, phase) -> dict:
-    """solve's JSON.  Both paths write the same top-level keys; a
-    continuation adds its extrapolation order, error estimates and trace."""
-    continued = isinstance(limit, ContinuationResult)
-    last = limit.results[-1] if continued else limit.result
-    doc = {
+    """solve's JSON, from the `VariationalLimit` of the point."""
+    return {
         "pressure": limit.p_limit,
         "q_bar": limit.q_limit,
         "rho_bar": limit.rho_limit,
         "m0": limit.m0,
         "gap": limit.gap_limit,
         "phase": phase,
-        # the eta = 0 optimum is the answer itself, so it must be stationary
-        "residuals": _residuals(last, check=not continued),
+        "residuals": _residuals(limit.result),
+        "status": limit.result.status,
     }
-    if not continued:
-        doc["status"] = last.status
-        return doc
-    doc["extrapolation_order"] = limit.extrapolation_order
-    doc["error_estimates"] = limit.error_estimates
-    doc["eta_trace"] = [
-        {
-            "eta": res.eta,
-            "pressure": res.pressure,
-            "q_bar": res.q_bar,
-            "rho_bar": res.rho_bar,
-            "rho0": res.rho0,
-            "gap": res.gap,
-            "status": res.status,
-        }
-        for res in limit.results
-    ]
-    on_boundary = all(r.status == STATUS_BOUNDARY for r in limit.results)
-    doc["status"] = STATUS_BOUNDARY if on_boundary else STATUS_CONVERGED
-    return doc
 
 
 def _strict(doc):
@@ -315,9 +275,8 @@ def _json_dumps(doc) -> str:
 def cmd_solve(args) -> int:
     cfg = _merge_config(args)
     model = _build_model(cfg)
-    settings = _solver_settings(cfg)
     tp = _thermo_point(cfg)
-    limit = _point_limit(model, tp, settings)
+    limit = variational_limit(model, tp)
     doc = _solve_document(limit, classify_phase(model, tp, limit))
     _emit(_json_dumps(doc), cfg["out"])
     return EXIT_OK
@@ -341,12 +300,11 @@ def _quiet_overflow():
 
 
 # One scan grid point, solved in the parent or in a forked helper; a solve
-# that fails becomes an error row.  A task is (model, eta_continuation
-# keyword arguments, ThermoPoint).
+# that fails becomes an error row.  A task is (model, ThermoPoint).
 def _scan_point(task):
-    model, settings, tp = task
+    model, tp = task
     try:
-        cont = _point_limit(model, tp, settings)
+        cont = variational_limit(model, tp)
         phase = classify_phase(model, tp, cont)
     except PairBosonError as exc:
         nan = float("nan")
@@ -450,11 +408,10 @@ def _scan_rows_to_csv(rows) -> str:
 def cmd_scan(args) -> int:
     cfg = _merge_config(args)
     model = _build_model(cfg)
-    settings = _solver_settings(cfg)
     betas = _parse_betas(cfg)
     mus = _parse_mu_list(cfg)
     # every ThermoPoint checks its beta before any point is solved
-    tasks = [(model, settings, ThermoPoint(beta=beta, mu=mu))
+    tasks = [(model, ThermoPoint(beta=beta, mu=mu))
              for beta in betas for mu in mus]
     fmt = (cfg["format"] or "csv").lower()
     if fmt not in ("csv", "json"):
@@ -475,13 +432,12 @@ def cmd_scan(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = _merge_config(args)
     model = _build_model(cfg)
-    settings = _solver_settings(cfg)
     tp = _thermo_point(cfg)
     k_max = _parse_float(cfg, "k_max")
     k_count = _parse_int(cfg, "k_count")
     if k_max <= 0 or k_count < 2:
         raise ConfigError("requires k_max > 0 and k_count >= 2")
-    cont = _point_limit(model, tp, settings)
+    cont = variational_limit(model, tp)
     grid = np.linspace(0.0, k_max, k_count)
     pairs = excitation_spectrum(model, tp, cont, grid)
     lines = ["k,e_excit"]

@@ -8,15 +8,17 @@ shared by the pressure and all its derivatives:
   row 2: lam^2 (n_B + 1/2) / E                                  (d/d q)
   row 3: beta n_B (n_B+1) (f/E)^2 + (n_B + 1/2) h^2 / E^3       (d^2/d mu^2)
 
-with f = r^2/(2m) + foff, h = habs * lam(r), E = sqrt(f^2 - h^2) and
-n_B = 1/(e^{beta E} - 1).  All cancellation-prone differences (E - f,
-f/E - 1, ln(1 - e^{-x})) are rewritten in the stable forms above, and
-f - h is summed from its nonnegative parts
-r^2/(2m) + (foff - habs) + habs (1 - lam): at a boundary point
-(foff = habs) the difference f - h would round to 0 wherever r^2/(2m) is
-below one ulp of f, and E = 0 there makes rows 1-3 infinite or NaN.  For
-the same reason the caller passes 1 - lam from the profile's closed form
-(`CouplingProfile.complement_radial`), which keeps it where lam rounds to 1.
+with f = r^2/(2m) + sigma + habs, h = habs * lam(r), E = sqrt(f^2 - h^2)
+and n_B = 1/(e^{beta E} - 1).  sigma >= 0 is the feasibility gap f(0) - h(0)
+itself, as the caller carries it, so it keeps full relative precision where
+it lies far below an ulp of f(0).  All cancellation-prone differences
+(E - f, f/E - 1, ln(1 - e^{-x})) are rewritten in the stable forms above,
+and f - h is summed from its nonnegative parts r^2/(2m) + sigma +
+habs (1 - lam): near sigma = 0 the difference f - h would round to 0
+wherever r^2/(2m) is below one ulp of f, and E = 0 there makes rows 1-3
+infinite or NaN.  For the same reason the caller passes 1 - lam from the
+profile's closed form (`CouplingProfile.complement_radial`), which keeps it
+where lam rounds to 1.
 """
 
 import numpy as np
@@ -26,20 +28,20 @@ BACKEND = "numpy"  # the only kernel; perfbench records it with each result
 _NB_CLIPPED = np.exp(-700.0)
 
 
-def eval_rows(r, lam, lam_c, beta, inv_2m, foff, habs, rows):
+def eval_rows(r, lam, lam_c, beta, inv_2m, sigma, habs, rows):
     """The kernel rows listed in `rows` at radii r, in that order; returns
     shape (len(rows), n).
 
     lam and lam_c = 1 - lam are the profile values at r.  Requires
-    f - h > 0 at every r > 0 (guaranteed by the caller via
-    sigma = foff - habs >= 0 together with 0 <= lam <= 1).
+    f - h > 0 at every r > 0 (guaranteed by the caller via sigma >= 0
+    together with 0 <= lam <= 1).
     """
     r = np.asarray(r, dtype=float)
     lam = np.asarray(lam, dtype=float)
     kin = inv_2m * r * r
-    f = kin + foff
+    f = kin + (sigma + habs)
     h = habs * lam
-    E = np.sqrt((kin + (foff - habs) + habs * lam_c) * (f + h))
+    E = np.sqrt((kin + sigma + habs * lam_c) * (f + h))
     x = beta * E
     xs = np.minimum(x, 700.0)
     h2 = h * h

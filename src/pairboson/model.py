@@ -61,6 +61,16 @@ class CouplingProfile:
             return t / (1.0 + t)
         return np.where(r == 0.0, 0.0, 1.0)
 
+    def origin_curvature(self) -> float:
+        """lim (1 - lambda(r)) / r^2 as r -> 0: a for the gaussian, and for
+        a power profile 0, c^2 or inf as p > 2, p = 2 or p < 2; inf for
+        delta, whose 1 - lambda is 1 at every r > 0."""
+        if self.kind == PROFILE_GAUSSIAN:
+            return self.a
+        if self.kind == PROFILE_POWER and self.p >= 2.0:
+            return self.c ** 2 if self.p == 2.0 else 0.0
+        return math.inf
+
     def describe(self) -> str:
         if self.kind == PROFILE_GAUSSIAN:
             return f"gaussian:{self.a}"

@@ -10,12 +10,14 @@ eta has Bogoliubov spectrum E(k) = sqrt(f^2 - |h|^2), f = eps(k) - mu + v rho,
 
 finite exactly when the feasibility gap sigma = v rho - mu - |u| q is
 nonnegative and, for eta > 0, the source denominator
-sigma~ = v rho - mu - u q is positive.  `feasible` and `source_terms` are
-the one home of that rule and of the source term's mu-derivatives; every
-other function here and the solver go through them.  The inner density
-solve reads `grad_rho_slope`, and `outer_grads` (both partials from one
-quadrature) for its boundary test; the outer q search reads `outer_grads`
-and `total_dq`.  Where the pair field vanishes (q = 0 or u = 0) the
+sigma~ = v rho - mu - u q is positive.  `sigma_gap` is the one home of
+sigma: every row the kernel integrates reads it there, and an `OrderPoint`
+may carry it when it lies below rho's float resolution.  `feasible` and
+`source_terms` are the one home of the feasibility rule and of the source
+term's mu-derivatives; every other function here and the solver go through
+them.  The inner density solve reads `grad_rho_slope`, and `outer_grads`
+(both partials from one quadrature) for its boundary test; the outer q
+search reads `outer_grads` and `total_dq`.  Where the pair field vanishes (q = 0 or u = 0) the
 approximant is the ideal Bose gas, and the rows without lambda^2 are its
 Bose functions in closed form (`bose.ideal_rows`).  Everything here is a
 pure function; the finite-volume variant replaces the integral by a
@@ -59,21 +61,32 @@ class ThermoPoint:
 
 @dataclass(frozen=True)
 class OrderPoint:
-    """Variational pair (q, rho) plus source strength eta.
+    """Variational pair (q, rho) plus source strength eta, and optionally
+    the feasibility gap sigma itself.
 
     Gauge convention: eta real >= 0 and the pair phase absorbed, so q is a
     nonnegative magnitude throughout.  q and rho may also be arrays of
     equal length, a batch of points at one eta, which `pressure_tl`,
-    `grad_rho_slope` and `outer_grads` evaluate in one quadrature.
+    `grad_rho_slope`, `outer_grads` and `d2_mu` evaluate in one
+    quadrature.
+
+    sigma, when given, is v rho - mu - |u| q to full relative precision: a
+    solve that iterates on the gap (dim 2, where the density row diverges
+    like ln(1/sigma)) carries it here, since rho = (mu + |u| q + sigma)/v
+    rounds away a sigma below an ulp of rho.  Without it `sigma_gap` forms
+    it from rho.
     """
 
     q: float = 0.0
     rho: float = 0.0
     eta: float = 0.0
+    sigma: float = None
 
     def __post_init__(self):
         if _least(self.q) < 0 or _least(self.rho) < 0 or self.eta < 0:
             raise ModelError("q, rho and eta must be nonnegative")
+        if self.sigma is not None and not _least(self.sigma) >= 0:
+            raise ModelError("a carried gap sigma must be nonnegative")
 
 
 def _least(x):
@@ -86,9 +99,31 @@ def _real(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
-def sigma_gap(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
-    """Feasibility gap sigma = v rho - mu - |u| q = inf_k (f - |h|)."""
+def sigma_gap(model: Model, tp: ThermoPoint, op: OrderPoint,
+              rounded_once: bool = False) -> float:
+    """Feasibility gap sigma = v rho - mu - |u| q = inf_k (f - |h|).
+
+    The gap the point carries, if any.  Else it is formed from rho in float
+    arithmetic, elementwise at a batch; or, with rounded_once (one point
+    only: the residual check's reading of it), as the exact value of
+    v rho - mu - |u| q at the float inputs, rounded once.  Near sigma = 0
+    that matters: v rho and |u| q each carry an ulp of f(0), a large part
+    of sigma there."""
+    if op.sigma is not None:
+        return op.sigma
+    if rounded_once:
+        return _rounded_once((model.v, op.rho), (-1.0, tp.mu),
+                             (-abs(model.u), op.q))
     return model.v * op.rho - tp.mu - abs(model.u) * op.q
+
+
+def _rounded_once(*pairs) -> float:
+    """sum of x y over the float pairs (x, y), rounded once: a float is a
+    dyadic rational, and int / int rounds correctly."""
+    terms = [(a * c, b * d) for (a, b), (c, d) in
+             ((x.as_integer_ratio(), y.as_integer_ratio()) for x, y in pairs)]
+    den = max(d for _, d in terms)      # every denominator a power of two
+    return sum(n * (den // d) for n, d in terms) / den
 
 
 def _sigma_tilde(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
@@ -121,12 +156,18 @@ def source_terms(model: Model, tp: ThermoPoint, op: OrderPoint):
     return op.eta ** 2 / st, op.eta ** 2 / st ** 2, 2.0 * op.eta ** 2 / st ** 3
 
 
-def excitation_energy(model: Model, tp: ThermoPoint, q: float, rho: float,
+def excitation_energy(model: Model, tp: ThermoPoint, op: OrderPoint,
                       r: float) -> float:
-    """Bogoliubov energy E(k) = sqrt(f^2 - |h|^2) at ||k|| = r, clipped at 0."""
-    f = r * r / (2.0 * model.mass) - tp.mu + model.v * rho
-    h = abs(model.u) * q * abs(float(model.lambda_profile.value_radial(r)))
-    return math.sqrt(max(f * f - h * h, 0.0))
+    """Bogoliubov energy E(k) = sqrt((f - |h|)(f + |h|)) at ||k|| = r, both
+    factors summed from sigma as in `kernels.eval_rows`: E(0) is
+    sqrt(sigma (sigma + 2 |u| q)) to full relative precision."""
+    prof = model.lambda_profile
+    kin = r * r / (2.0 * model.mass)
+    sigma = max(float(sigma_gap(model, tp, op)), 0.0)
+    habs = abs(model.u) * op.q
+    lam = float(prof.value_radial(r))
+    return math.sqrt((kin + sigma + habs * float(prof.complement_radial(r)))
+                     * (kin + sigma + habs + habs * lam))
 
 
 def _rows(model, tp, op, rows, extra=()):
@@ -137,13 +178,14 @@ def _rows(model, tp, op, rows, extra=()):
     is one of the ideal gas's, the rows are its Bose functions in closed
     form (`bose.ideal_rows`): good to about 1e-15 where the quadrature
     is held to 1e-10."""
-    foff = model.v * op.rho - tp.mu
+    sigma = sigma_gap(model, tp, op)
     habs = abs(model.u) * op.q
     every = rows + extra
     if IDEAL_ROWS.issuperset(every) and not np.any(habs):
-        return ideal_rows(model.dim, model.mass, tp.beta, foff, every)
+        # f(0) = sigma where the pair field vanishes
+        return ideal_rows(model.dim, model.mass, tp.beta, sigma, every)
     return radial_rows(model.lambda_profile, model.dim, model.mass, tp.beta,
-                       foff, habs, rows, extra)
+                       sigma, habs, rows, extra)
 
 
 def pressure_tl(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
@@ -167,11 +209,9 @@ def pressure_fv_modes(model: Model, tp: ThermoPoint, op: OrderPoint,
     src = source_terms(model, tp, op)[0]
     norms = np.asarray(norms, dtype=float)
     prof = model.lambda_profile
-    foff = model.v * op.rho - tp.mu
-    habs = abs(model.u) * op.q
     terms, = eval_rows(norms, prof.value_radial(norms),
                        prof.complement_radial(norms), tp.beta,
-                       0.5 / model.mass, foff, habs, (0,))
+                       0.5 / model.mass, sg, abs(model.u) * op.q, (0,))
     return float(terms.sum() / V + src
                  - model.u * op.q ** 2 / 2.0 + model.v * op.rho ** 2 / 2.0)
 
@@ -221,7 +261,7 @@ def grad_rho(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
     """
     src = source_terms(model, tp, op)[1]
     i1, = _rows(model, tp, op, (1,))
-    return float(-model.v * (i1 + src) + model.v * op.rho)
+    return _real(-model.v * (i1 + src) + model.v * op.rho)
 
 
 def grad_q(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
@@ -238,14 +278,15 @@ _STAT_TOL = 1e-6
 
 
 def total_dq(model: Model, tp: ThermoPoint, q: float, eta: float,
-             rho_bar: float) -> float:
+             rho_bar: float, sigma: float = None) -> float:
     """Total q-derivative along the constrained density path rho_bar(q).
 
     Because rho_bar is a stationary point of the inner minimization, the
     total derivative reduces to the partial one; the grad_rho term only
-    carries the stationarity residual.
+    carries the stationarity residual.  sigma is the gap the minimizer
+    carries, if any (see `OrderPoint`).
     """
-    gr, gq = outer_grads(model, tp, OrderPoint(q=q, rho=rho_bar, eta=eta))
+    gr, gq = outer_grads(model, tp, OrderPoint(q, rho_bar, eta, sigma))
     if abs(gr) > 10.0 * _STAT_TOL:
         raise StationarityViolated(
             f"rho_bar is not stationary: grad_rho = {gr:.3e}")
@@ -266,27 +307,34 @@ def d2_mu(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
     """Second mu-derivative of pressure_tl (compressibility; nonnegative)."""
     src = source_terms(model, tp, op)[2]
     id2, = _rows(model, tp, op, (3,))
-    return float(id2 + src)
+    return _real(id2 + src)
 
 
 # The residual integrals' double-exponential rule (H. Takahasi and M. Mori,
 # Publ. RIMS Kyoto Univ. 9 (1974) 721): the trapezoid rule in t after the
-# tanh-sinh map of [0, L], t in [-4, 4], or the exp-sinh map of [L, inf),
+# tanh-sinh map of [0, L], t in [-6, 4], or the exp-sinh map of [L, inf),
 # t in [-4, 3].  The integrands fall double-exponentially in t toward the
-# ends of both spans; the exp-sinh span ends at r = L (1 + e^15.7), past
-# every integrand's tail.
-_DE_SPAN = 4.0
-_EXP_SINH_TOP = 3.0
-_DE_LEVELS = 8     # halvings of the step 1/2 at most
+# ends of both spans.  The tanh-sinh span starts at r ~ 1e-275 L, so its
+# nodes resolve the infrared peak of width sqrt(sigma) at any gap the solve
+# carries (down to sigma ~ 1e-160 and below in dim 2); the exp-sinh span
+# ends at r = L (1 + e^15.7), past every integrand's tail.
+_TANH_SINH_SPAN = (-6.0, 4.0)
+_EXP_SINH_SPAN = (-4.0, 3.0)
+# halvings of the step 1/2 at most: near sigma* = 1e-300 the density row's
+# infrared step is about 0.003 wide in t, and 8 halvings left 5e-9 of it
+_DE_LEVELS = 10
 _DE_TOL = 1e-15    # two levels agree to this, relative to max(1, |sum|)
 
 
 def _tanh_sinh(L):
     """r(t) = L / (1 + e^(-pi sinh t)) on [0, L] and dr/dt, of an array t;
-    r keeps full relative precision toward r = 0."""
+    r keeps full relative precision toward r = 0, and dr/dt, written as
+    L pi cosh t / (4 cosh^2(pi sinh t / 2)), stays in the float range at
+    t = -6, where (1 + e)^2 would overflow."""
     def node(t):
-        e = np.exp(-np.pi * np.sinh(t))
-        return L / (1.0 + e), L * np.pi * np.cosh(t) * e / (1.0 + e) ** 2
+        x = np.pi * np.sinh(t)
+        return (L / (1.0 + np.exp(-x)),
+                L * np.pi * np.cosh(t) / (4.0 * np.cosh(0.5 * x) ** 2))
     return node
 
 
@@ -315,35 +363,26 @@ def _de_sum(fn, node, lo, hi):
     return float(total)
 
 
-def _radial_quad(g, nu, mass, beta, foff):
+def _radial_quad(g, nu, mass, beta, f0):
     """c_nu int_0^inf r^(nu-1) g(r) dr for a vectorized g, used only by the
     stationarity residuals.
 
     Deliberately a separate code path from the batched kernel: the residual
     check is meant to validate the gradients, so it must not share their
     integrator.  The double-exponential rule runs on [0, 8 scale] and on
-    [8 scale, inf), scale = sqrt(2 m max(1/beta, |foff|, 1)).  Its
-    tanh-sinh nodes crowd toward r = 0 doubly exponentially, which
+    [8 scale, inf), scale = sqrt(2 m max(1/beta, f0, 1)) with f0 = f(0).
+    Its tanh-sinh nodes crowd toward r = 0 doubly exponentially, which
     resolves the infrared peak of width sqrt(sigma) near the feasibility
     boundary.
     """
     c_nu = 2.0 * math.pi ** (nu / 2.0) / math.gamma(nu / 2.0) / (2.0 * math.pi) ** nu
-    L = 8.0 * math.sqrt(2.0 * mass * max(1.0 / beta, abs(foff), 1.0))
+    L = 8.0 * math.sqrt(2.0 * mass * max(1.0 / beta, f0, 1.0))
 
     def fn(r):
         return c_nu * r ** (nu - 1) * g(r)
 
-    return (_de_sum(fn, _tanh_sinh(L), -_DE_SPAN, _DE_SPAN)
-            + _de_sum(fn, _exp_sinh(L), -_DE_SPAN, _EXP_SINH_TOP))
-
-
-def _rounded_once(*pairs) -> float:
-    """sum of x y over the float pairs (x, y), rounded once: a float is a
-    dyadic rational, and int / int rounds correctly."""
-    terms = [(a * c, b * d) for (a, b), (c, d) in
-             ((x.as_integer_ratio(), y.as_integer_ratio()) for x, y in pairs)]
-    den = max(d for _, d in terms)      # every denominator a power of two
-    return sum(n * (den // d) for n, d in terms) / den
+    return (_de_sum(fn, _tanh_sinh(L), *_TANH_SINH_SPAN)
+            + _de_sum(fn, _exp_sinh(L), *_EXP_SINH_SPAN))
 
 
 def el_residuals(model: Model, tp: ThermoPoint, op: OrderPoint):
@@ -354,15 +393,13 @@ def el_residuals(model: Model, tp: ThermoPoint, op: OrderPoint):
 
     Both vanish at an interior optimum.  Algebraically r1 = grad_rho / v and
     r2 = -grad_q / u, but the integrals here are evaluated with an
-    independent integrator (`_radial_quad`) in coth form.
+    independent integrator (`_radial_quad`) in coth form.  They read the
+    gap the point carries, which may lie far below rho's resolution, or
+    else the one the exact (q, rho) define (`sigma_gap`, rounded once).
     """
     src = source_terms(model, tp, op)[1]
-    foff = model.v * op.rho - tp.mu
+    sigma = float(sigma_gap(model, tp, op, rounded_once=True))
     habs = abs(model.u) * op.q
-    # sigma = foff - habs rounded once from the exact inputs: foff and habs
-    # each carry an ulp of f(0), which near sigma = 0 is a large part of it
-    sigma = _rounded_once((model.v, op.rho), (-1.0, tp.mu),
-                          (-abs(model.u), op.q))
     inv_2m = 0.5 / model.mass
     prof = model.lambda_profile
     beta = tp.beta
@@ -372,7 +409,7 @@ def el_residuals(model: Model, tp: ThermoPoint, op: OrderPoint):
         # f - h is summed from its nonnegative parts as in `kernels.eval_rows`
         lam = prof.value_radial(r)
         kin = inv_2m * r * r
-        f = kin + foff
+        f = kin + (sigma + habs)
         h = habs * lam
         f_minus_h = kin + sigma + habs * prof.complement_radial(r)
         E = np.sqrt(np.maximum(f_minus_h * (f + h), 0.0))
@@ -391,11 +428,11 @@ def el_residuals(model: Model, tp: ThermoPoint, op: OrderPoint):
         return np.where(gapless, 0.0,
                         lam * lam / (2.0 * E * np.tanh(beta * E / 2.0)))
 
-    i1 = _radial_quad(g1, model.dim, model.mass, beta, foff)
+    i1 = _radial_quad(g1, model.dim, model.mass, beta, sigma + habs)
     r1 = op.rho - i1 - src
     if op.q == 0.0:
         r2 = -src
     else:
-        i2 = _radial_quad(g2, model.dim, model.mass, beta, foff)
+        i2 = _radial_quad(g2, model.dim, model.mass, beta, sigma + habs)
         r2 = op.q - model.u * op.q * i2 - src
     return float(r1), float(r2)

@@ -125,30 +125,31 @@ def _tail_parts(profile, nu, mass, beta, R):
             _profile_sq_tail(profile, nu - 2.0, R))
 
 
-def _tail_bound(parts, mass, beta, foff, habs) -> float:
+def _tail_bound(parts, mass, beta, reach, habs) -> float:
     """Certified bound on the discarded [R, inf) part of every row, from the
-    `_tail_parts` of R.
+    `_tail_parts` of R, for points with f(0) + |h(0)| = sigma + 2 habs at
+    most reach and pair field scale at most habs.
 
-    Valid whenever eps(R) >= 2 (|foff| + habs + 1/beta + 1): then f >= eps/2,
+    Valid whenever eps(R) >= 2 (reach + 1/beta + 1): then f >= eps/2,
     |h| <= f/4, E >= 0.43 eps, f/E <= 1.16 and beta E >= 0.8, giving
     n_B <= 2 exp(-0.4 beta eps).
     """
     eps_R, c_nu, bose, profile_tail = parts
-    if eps_R < 2.0 * (abs(foff) + habs + 1.0 / beta + 1.0):
+    if eps_R < 2.0 * (reach + 1.0 / beta + 1.0):
         return math.inf
     B = 2.0 * mass * max(habs * habs * (1.0 + 5.4 / eps_R + 32.0 / eps_R ** 2), 1.2)
     return c_nu * (bose + B * profile_tail)
 
 
-def _choose_cutoff(profile, nu, mass, beta, foff, habs):
+def _choose_cutoff(profile, nu, mass, beta, reach, habs):
     """The first R of a 1.5x ladder whose tail bound meets _TAIL_TOL, with
     its `_tail_parts`."""
-    R = math.sqrt(2.0 * mass * 2.0 * (abs(foff) + habs + 1.0 / beta + 1.0))
+    R = math.sqrt(2.0 * mass * 2.0 * (reach + 1.0 / beta + 1.0))
     R = max(R, math.sqrt(2.0 * mass / beta))
     for _ in range(200):
         try:
             parts = _tail_parts(profile, nu, mass, beta, R)
-            bound = _tail_bound(parts, mass, beta, foff, habs)
+            bound = _tail_bound(parts, mass, beta, reach, habs)
         except OverflowError:
             break  # a factor of the bound is past the float range at every R
         if bound < _TAIL_TOL:
@@ -217,7 +218,7 @@ def plan_scope():
     Successive calls of one eta continuation lie close together, so the
     last converged cutoff and mesh usually already meet the tolerance.  A
     stored R is reused only while it certifies the tail at the new
-    (foff, habs), and a mesh only when it converges strictly; any other
+    (sigma, habs), and a mesh only when it converges strictly; any other
     call runs exactly the cold path.  Each stored mesh keeps its nodes,
     lam(r) and measure, rebuilt whenever the mesh changes, so a call that
     converges on it evaluates only the kernel.  The plan is dropped on exit.
@@ -282,20 +283,20 @@ def _refine(panel_integrals, a, b, ik, err, n):
 
 
 def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
-                foff, habs, rows, extra=()) -> np.ndarray:
+                sigma, habs, rows, extra=()) -> np.ndarray:
     """The integrals of the kernel rows `rows`, then those of `extra`, at
     one evaluation point or at a batch of K.
 
-    foff = v rho - mu is the k = 0 value of f; habs = |u| q scales the pair
-    field.  Requires the feasibility margin foff - habs >= 0 (the integrals
-    stay finite at exactly zero margin thanks to the r^(nu-1) measure, except
-    the curvature row in nu <= 3 which diverges there).  The integrals of
-    `rows` are converged to tolerance; those of `extra` are summed on the
-    same mesh at whatever accuracy it gives them, so a boundary point can
-    still read a row that diverges there.  Inside `plan_scope` a call
+    sigma = f(0) - |h(0)| >= 0 is the feasibility gap, which the kernel
+    reads as given; habs = |u| q scales the pair field.  At sigma = 0 most
+    integrals stay finite thanks to the r^(nu-1) measure; the curvature
+    row, and in nu <= 2 the density and pair rows, diverge there.  The
+    integrals of `rows` are converged to tolerance; those of `extra` are
+    summed on the same mesh at whatever accuracy it gives them, so a
+    boundary point can still read a row that diverges there.  Inside `plan_scope` a call
     first tries the previous call's cutoff and mesh for the same `rows`.
 
-    Scalar foff and habs give shape (len(rows) + len(extra),).  Arrays of
+    Scalar sigma and habs give shape (len(rows) + len(extra),).  Arrays of
     K points give shape (len(rows) + len(extra), K), all K integrated on
     one mesh: one cutoff that certifies every point's tail, and panels
     split until each point meets its own tolerance (see `_refine`).  The
@@ -303,20 +304,21 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
     flat batch, in chunks of at most _CHUNK nodes.
     """
     rows = tuple(rows)
-    one = np.ndim(foff) == 0 == np.ndim(habs)
-    foff = np.array(foff, dtype=float, ndmin=1)
+    one = np.ndim(sigma) == 0 == np.ndim(habs)
+    sigma = np.array(sigma, dtype=float, ndmin=1)
     habs = np.array(habs, dtype=float, ndmin=1)
-    if foff.shape != habs.shape:
-        foff, habs = np.broadcast_arrays(foff, habs)
+    if sigma.shape != habs.shape:
+        sigma, habs = np.broadcast_arrays(sigma, habs)
     if habs.min() < 0:
         raise ModelError("habs must be nonnegative")
-    margin = (foff - habs).min()
+    margin = sigma.min()
     if margin < 0:
         raise QuadratureFailure(
             f"infeasible evaluation point: f(0) - |h(0)| = {margin} < 0")
-    # the tail bound grows with foff >= habs >= 0 and with habs: the
-    # largest of each certifies every point's tail
-    foff_top, habs_top = float(foff.max()), float(habs.max())
+    # the tail bound grows with f(0) + |h(0)| and with habs: the largest
+    # f(0) and the largest habs certify every point's tail
+    habs_top = float(habs.max())
+    reach = float((sigma + habs).max()) + habs_top
     inv_2m = 0.5 / mass
     every = rows + tuple(extra)
     n = len(rows)
@@ -324,16 +326,16 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
     def panel_sums(half, nodes, lam, lam_c, weight, points=slice(None)):
         # per-panel Kronrod integrals and |Kronrod - Gauss| errors of the
         # points, shapes (rows, K, panels) and (K, panels); the kernel
-        # sees the points' nodes as one flat batch, foff and habs repeated
+        # sees the points' nodes as one flat batch, sigma and habs repeated
         # per node
-        fo, ha = foff[points], habs[points]
-        k, m = len(fo), len(nodes)
+        sg, ha = sigma[points], habs[points]
+        k, m = len(sg), len(nodes)
         if k > 1:
             nodes, lam, lam_c = (np.tile(x, k) for x in (nodes, lam, lam_c))
-        fo, ha = fo.repeat(m), ha.repeat(m)
+        sg, ha = sg.repeat(m), ha.repeat(m)
         cuts = [slice(i, i + _CHUNK) for i in range(0, k * m, _CHUNK)]
         vals = np.concatenate(
-            [eval_rows(nodes[c], lam[c], lam_c[c], beta, inv_2m, fo[c],
+            [eval_rows(nodes[c], lam[c], lam_c[c], beta, inv_2m, sg[c],
                        ha[c], every) for c in cuts], axis=1)
         vals = (vals.reshape(len(every), k, m) * weight).reshape(
             len(every), k, len(half), 15)
@@ -367,13 +369,13 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
         return total[:, 0] if one else total
 
     warm = plan.get(key) if plan is not None else None
-    if warm is not None and _tail_bound(warm.tail, mass, beta, foff_top,
+    if warm is not None and _tail_bound(warm.tail, mass, beta, reach,
                                         habs_top) < _TAIL_TOL:
         total = converge(warm)[0]
         if total is not None:
             return result(total)
 
-    R, tail = _choose_cutoff(profile, nu, mass, beta, foff_top, habs_top)
+    R, tail = _choose_cutoff(profile, nu, mass, beta, reach, habs_top)
     breaks = _initial_breaks(profile, nu, mass, beta, R)
     total, err, a = converge(entry_of(R, tail, breaks[:-1], breaks[1:]))
     if total is not None:

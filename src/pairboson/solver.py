@@ -17,17 +17,20 @@ Wright, Numerical Optimization, ch. 12): the multiplier itself for u >= 0,
 half of it (the quasi-average) for u < 0.  `eta_continuation` runs a
 geometric eta schedule on one quadrature plan and extrapolates to eta = 0
 with a detected-order Richardson step.  The CLI's solve, scan and spectrum
-take the second path only for u > 0 in dim 2, where the eta = 0 inner
-solve meets the infrared divergence of the density row, and the first
-everywhere else; the tests check the two against each other.
+take the first path at every point; the second stays as the API's
+cross-check of it, which the tests run.  In dim 2 the eta = 0 inner solve
+runs on the gap coordinate s = ln sigma (`_gap_steps`), since the density
+row diverges like ln(1/sigma) and the minimizer's sigma lies below rho's
+resolution from moderate beta on.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +39,7 @@ from .errors import (
     BracketFailure, ConfigError, ContinuationDiverged, ModelError,
     PairBosonError, StationarityViolated,
 )
-from .model import Model
+from .model import PROFILE_DELTA_ZERO, Model
 from .pressure import (
     OrderPoint,
     ThermoPoint,
@@ -71,6 +74,22 @@ _ORDER_TOL = 1e-6  # q_limit and m0 above this are a nonzero order parameter
 _EL_TOL = 1e-10
 # inf_rho's absolute and relative tolerance on rho_bar
 _RHO_XTOL, _RHO_RTOL = 1e-14, 8.9e-16
+# the dim-2 gap solve's tolerance on s = ln sigma: _S_XTOL + _RHO_RTOL |s|
+_S_XTOL = 1e-15
+# Below its anchor, at most this gap, the dim-2 density row is its
+# Lorentzian asymptote I1(sigma_a) + b ln(sigma_a/sigma): near r = 0,
+# E^2 ~ c^2 (sigma + kappa r^2), and the measure r dr turns that pole into
+# the logarithm (P. J. Davis and P. Rabinowitz, Methods of Numerical
+# Integration, 2nd ed., 1984, sec. 2.12).  From sigma_a = 1e-16 the
+# asymptote matches the converged quadrature to 1e-12 (gaussian:1, down to
+# 1e-80).  The anchor moves down by factors of 1e-8, to 1e-120 at most,
+# while sigma I3(sigma) there is further than _B_RTOL from b: a power
+# profile's (c r)^p term in f - h fades only like sigma^((p-2)/2).
+_SIGMA0 = 1e-16
+_LOG_SIGMA0 = math.log(_SIGMA0)
+_ANCHOR_STEP = 8.0 * math.log(10.0)
+_LOG_SIGMA_FLOOR = math.log(1e-120)
+_B_RTOL = 1e-9
 
 
 @dataclass
@@ -108,20 +127,23 @@ class SolveResult:
         unless |el1| <= _EL_TOL max(1, rho_bar) + slack and
         |el2| <= _EL_TOL max(1, q_bar) + (v/|u|) slack.
 
-        slack is the el1 that inf_rho's own tolerance on rho_bar allows:
-        d el1/d rho = 1 + v d2_mu times _RHO_XTOL + _RHO_RTOL rho_bar.  It
-        matters just off sigma = 0 in dim <= 2, where d2_mu ~ 1/sigma and
-        no float rho_bar meets _EL_TOL.  At an interior q_bar > 0 the
-        outer polish zeroes the q-slope grad_q + grad_rho = v el1 - u el2,
-        so el2 = (v/u) el1 inherits el1's floor.  The slack costs one
-        quadrature, taken only when a residual misses its plain bound."""
+        slack is the el1 that the inner root's own tolerance allows (see
+        `_el1_slack`).  At an interior q_bar > 0 the outer polish zeroes
+        the q-slope grad_q + grad_rho = v el1 - u el2, so el2 = (v/u) el1
+        inherits el1's floor.  The slack costs one quadrature, taken only
+        when a residual misses its plain bound.  An optimum whose carried
+        gap underflowed to 0 cannot be checked, and raises."""
+        op = self.residual_at[2]
+        if op.sigma == 0.0:
+            raise StationarityViolated(
+                "the optimum's gap sigma lies below the float range: its "
+                "residuals cannot be checked")
         el1, el2 = self._residuals
         tol1 = _EL_TOL * max(1.0, self.rho_bar)
         tol2 = _EL_TOL * max(1.0, self.q_bar)
         if abs(el1) > tol1 or abs(el2) > tol2:
-            model, tp, op = self.residual_at
-            slack = ((1.0 + model.v * d2_mu(model, tp, op))
-                     * (_RHO_XTOL + _RHO_RTOL * self.rho_bar))
+            model = self.residual_at[0]
+            slack = self._el1_slack()
             tol1 += slack
             if self.q_bar > 0.0:
                 tol2 += model.v / abs(model.u) * slack
@@ -130,6 +152,25 @@ class SolveResult:
                 f"the optimum is not stationary: el1 = {el1:.3e}, "
                 f"el2 = {el2:.3e}")
         return el1, el2
+
+    def _el1_slack(self):
+        """The el1 that the inner root's tolerance allows: d el1 times the
+        step the root may still be off.
+
+        In rho that is (1 + v d2_mu) (_RHO_XTOL + _RHO_RTOL rho_bar); it
+        matters just off sigma = 0, where d2_mu ~ 1/sigma.  On the gap
+        coordinate of dim 2 it is (sigma/v + sigma I3(sigma)) times the
+        tolerance on ln sigma, about b 1e-15 with b the Lorentzian
+        coefficient: below _SIGMA0, sigma I3(sigma) is b = sigma0
+        I3(sigma0)."""
+        model, tp, op = self.residual_at
+        if op.sigma is None:
+            return ((1.0 + model.v * d2_mu(model, tp, op))
+                    * (_RHO_XTOL + _RHO_RTOL * self.rho_bar))
+        at = max(op.sigma, _SIGMA0)
+        b = at * d2_mu(model, tp, replace(op, sigma=at))
+        return ((op.sigma / model.v + b)
+                * (_S_XTOL + _RHO_RTOL * abs(math.log(op.sigma))))
 
 
 @dataclass
@@ -171,16 +212,26 @@ def _balanced_step(model, tp, op, gr, slope):
     return op.rho - resid / (v + 0.5 * eta * d_slope / d ** 1.5)
 
 
+class _Found(NamedTuple):
+    """What an inner solve knows at its minimizer besides rho_bar: the
+    (grad_rho, grad_q) there where it computed them, and ln sigma where it
+    solved on the gap coordinate (dim 2 at eta = 0), else None."""
+
+    grads: tuple = None
+    log_sigma: float = None
+
+
 def inf_rho(model: Model, tp: ThermoPoint, q, eta: float, rho_hint=None):
     """Minimize the pressure over densities at fixed (q, eta).
 
-    Returns (rho_bar, boundary, grads): the minimizer; whether it sits on
+    Returns (rho_bar, boundary, found): the minimizer; whether it sits on
     the feasibility boundary sigma = 0 (possible only at eta = 0, or for
-    repulsive u where the source stays finite on the boundary); and at a
-    boundary minimum the (grad_rho, grad_q) of `outer_grads` there, when
-    the boundary test computed them, else None.  The pressure at the
-    minimizer is left to the caller.  A feasible rho_hint is the start of
-    the Newton iteration.
+    repulsive u where the source stays finite on the boundary); and the
+    `_Found` of the solve: (grad_rho, grad_q) where it computed them at
+    the minimizer, and ln sigma in dim 2 at eta = 0, where the solve runs
+    on the gap itself (`_gap_steps`) because the minimizer's sigma can lie
+    far below rho's resolution.  The pressure at the minimizer is left to
+    the caller.  A feasible rho_hint is the start of the Newton iteration.
 
     An array of q (with None or an array of hints) solves every q in
     lockstep and returns a list with, per q, that triple or the
@@ -217,11 +268,12 @@ def _one_or_all(q, outs):
 def _lockstep(model, tp, eta, qs, solves):
     """Run the request generators `solves`, one per q of qs, together.
 
-    A generator yields a request (fn, rho), fn a pressure function read at
-    OrderPoint(q, rho, eta), and is sent fn's result.  Each round gathers
-    the live generators' requests and evaluates those of one fn in one
-    batched call (`_evaluate`).  Returns each generator's return value, or
-    the PairBosonError it raised.
+    A generator yields a request (fn, rho, sigma), fn a pressure function
+    read at OrderPoint(q, rho, eta, sigma) (sigma None where the point
+    carries no gap), and is sent fn's result.  Each round gathers the live
+    generators' requests and evaluates those of one fn in one batched call
+    (`_evaluate`).  Returns each generator's return value, or the
+    PairBosonError it raised.
     """
     outs = [None] * len(solves)
     live = {}
@@ -242,27 +294,32 @@ def _lockstep(model, tp, eta, qs, solves):
     while live:
         requests, by_fn = live, {}
         live = {}
-        for i, (fn, rho) in requests.items():
-            by_fn.setdefault(fn, []).append((i, rho))
+        for i, (fn, rho, sigma) in requests.items():
+            by_fn.setdefault(fn, []).append((i, rho, sigma))
         for fn, asks in by_fn.items():
-            replies = _evaluate(model, tp, eta, fn, [qs[i] for i, _ in asks],
-                                [rho for _, rho in asks])
-            for (i, _), reply in zip(asks, replies):
+            replies = _evaluate(model, tp, eta, fn, [qs[i] for i, _, _ in asks],
+                                [rho for _, rho, _ in asks],
+                                [sigma for _, _, sigma in asks])
+            for (i, _, _), reply in zip(asks, replies):
                 advance(i, reply)
     return outs
 
 
-def _evaluate(model, tp, eta, fn, qs, rhos):
-    """fn at OrderPoint(q, rho, eta) for each pair of qs and rhos: the
+def _evaluate(model, tp, eta, fn, qs, rhos, sigmas=None):
+    """fn at OrderPoint(q, rho, eta, sigma) for each q, rho and sigma of
+    qs, rhos and sigmas (sigmas None: no point carries its gap): the
     result, or the PairBosonError it raised.
 
     Several points go to fn as one batch; if that fails, each is retried
     alone, so that only a point that cannot converge fails.  A single
     point is fn's scalar call.
     """
+    sigmas = sigmas or [None] * len(qs)
     if len(qs) > 1:
+        batch = None if sigmas[0] is None else np.array(sigmas)
         try:
-            out = fn(model, tp, OrderPoint(np.array(qs), np.array(rhos), eta))
+            out = fn(model, tp, OrderPoint(np.array(qs), np.array(rhos), eta,
+                                           batch))
         except PairBosonError:
             pass
         else:
@@ -270,9 +327,9 @@ def _evaluate(model, tp, eta, fn, qs, rhos):
                 return list(zip(*(x.tolist() for x in out)))
             return out.tolist()
     replies = []
-    for q, rho in zip(qs, rhos):
+    for q, rho, sigma in zip(qs, rhos, sigmas):
         try:
-            replies.append(fn(model, tp, OrderPoint(q, rho, eta)))
+            replies.append(fn(model, tp, OrderPoint(q, rho, eta, sigma)))
         except PairBosonError as exc:
             replies.append(exc)
     return replies
@@ -280,19 +337,25 @@ def _evaluate(model, tp, eta, fn, qs, rhos):
 
 def _inner_steps(model, tp, q, eta, rho_hint):
     """`inf_rho` at one q, as a generator of its quadrature requests (see
-    `_lockstep`); returns (rho_bar, boundary, grads).
+    `_lockstep`); returns (rho_bar, boundary, found).
 
-    After the boundary test, Newton's method safeguarded by bisection
-    (rtsafe: W. H. Press et al., Numerical Recipes, 3rd ed., sec. 9.4)
-    runs to convergence on grad_rho inside a bracket [lo, hi] that the
-    sign of every slope seen shrinks.  A step that leaves the bracket
-    bisects it; while the bracket has no upper end, it expands instead.
+    In dim 2 at eta = 0 that is `_gap_steps`.  Elsewhere, after the
+    boundary test, Newton's method safeguarded by bisection (rtsafe: W. H.
+    Press et al., Numerical Recipes, 3rd ed., sec. 9.4) runs to
+    convergence on grad_rho inside a bracket [lo, hi] that the sign of
+    every slope seen shrinks.  A step that leaves the bracket bisects it;
+    while the bracket has no upper end, it expands instead.
     """
     rho_lo = max(0.0, (tp.mu + abs(model.u) * q) / model.v)
     if not math.isfinite(rho_lo):
         # q overflowed without an OverflowError, as eta * eta can
         raise ContinuationDiverged("the solve left the floating-point range")
     scale = max(1.0, rho_lo)
+    # top and bottom are feasible: sigma >= 1e-14 v scale there, above
+    # rho_lo's rounding, and sigma~ >= sigma
+    top = rho_lo + 1e-3 * scale
+    if model.dim == 2 and eta == 0.0:
+        return (yield from _gap_steps(model, tp, q, rho_hint, top))
 
     def inside(rho):
         return feasible(model, tp, OrderPoint(q, rho, eta))
@@ -302,23 +365,20 @@ def _inner_steps(model, tp, q, eta, rho_hint):
     def g_slope(rho):
         # (grad_rho, its rho-slope) at rho, requested once per rho
         if rho not in seen:
-            seen[rho] = yield grad_rho_slope, rho
+            seen[rho] = yield grad_rho_slope, rho, None
         return seen[rho]
 
     rho_b = rho_lo
     while sigma_gap(model, tp, OrderPoint(q, rho_b, eta)) < 0:
         rho_b = np.nextafter(rho_b, np.inf)  # undo rounding in rho_lo
     rho_b = float(rho_b)
-    # top and bottom are feasible: sigma >= 1e-14 v scale there, above
-    # rho_lo's rounding, and sigma~ >= sigma
-    top = rho_lo + 1e-3 * scale
     bottom = rho_lo + 1e-14 * scale
     hi = None
     if (model.dim >= 3 and q > 0.0 and (eta == 0.0 or model.u < 0.0)
             and inside(rho_b)):
-        grads = yield outer_grads, rho_b
+        grads = yield outer_grads, rho_b, None
         if grads[0] >= 0:
-            return rho_b, True, grads
+            return rho_b, True, _Found(grads)
         lo = rho_b
         seen[rho_b] = grads[0], math.nan  # no slope: no retake from it
     elif (yield from g_slope(top))[0] < 0:
@@ -328,7 +388,7 @@ def _inner_steps(model, tp, q, eta, rho_hint):
     else:
         # slope is nonnegative all the way down: boundary minimum, or
         # infinitesimally inside it where the source diverges on it
-        return (rho_b if inside(rho_b) else bottom), True, None
+        return (rho_b if inside(rho_b) else bottom), True, _Found()
 
     def newton(rho, gr, slope):
         nxt = rho - gr / slope
@@ -364,7 +424,7 @@ def _inner_steps(model, tp, q, eta, rho_hint):
                 rho, nxt = lo, newton(lo, *seen[lo])
         in_bracket = lo <= nxt and (hi is None or nxt <= hi)
         if abs(nxt - rho) <= _RHO_XTOL + _RHO_RTOL * abs(nxt):
-            return float(nxt if in_bracket else rho), False, None
+            return float(nxt if in_bracket else rho), False, _Found()
         if hi is None and not (in_bracket and nxt < 2.0 * rho):
             if doublings == 80:
                 raise BracketFailure("density slope never turns positive")
@@ -374,21 +434,147 @@ def _inner_steps(model, tp, q, eta, rho_hint):
         elif not in_bracket:
             nxt = 0.5 * (lo + hi)
             if hi - lo <= 2.0 * (_RHO_XTOL + _RHO_RTOL * nxt):
-                return float(nxt), False, None
+                return float(nxt), False, _Found()
         rho = nxt
     raise BracketFailure("density solve did not converge")
+
+
+def _gap_steps(model, tp, q, rho_hint, top):
+    """`_inner_steps` in dim 2 at eta = 0: Newton's method on
+    s = ln sigma, safeguarded by bisection as there, for the root of
+    F(s) = grad_rho / v = rho - I1(sigma), rho = rho_b + sigma / v with
+    rho_b = (mu + |u| q)/v.  dF/ds = sigma (1/v + I3) > 0.
+
+    The density row I1 diverges like ln(1/sigma) at sigma = 0 for every
+    profile but the delta one at q > 0, so the minimum is interior and
+    its sigma* can lie far below rho's resolution, or below the float
+    range.  The solve carries s and reports rho_bar = rho_b + sigma*/v
+    (its `_Found` carries s*).  Above the anchor sigma_a (see _SIGMA0) it
+    reads the rows by quadrature, at the gap itself; below, F is closed
+    form in s from the Lorentzian asymptote of I1:
+    F(s) = F(s_a) + (sigma - sigma_a)/v + b (s - s_a), with b from
+    `_lorentz_coefficient` once sigma_a I3(sigma_a) meets it (else that
+    measured value, at the deepest anchor), and F(s_a) from one more
+    quadrature there.  The pair row follows the density row there
+    (|u| q I2 - I1 is constant to 8 digits below sigma = 1e-8), so the
+    minimizer's grads are read at the anchor:
+    grad_q(sigma*) = grad_q(sigma_a) + |u| b (s_a - s*).
+
+    With the delta profile at q > 0 the pair field leaves a gap at every
+    r > 0, I1 stays finite at sigma = 0, and one outer_grads call on the
+    boundary decides a boundary minimum first, as in dim >= 3.  The start
+    is the hint's gap, else that of the top probe.
+    """
+    v = model.v
+    c = tp.mu + abs(model.u) * q        # v rho_b
+    rho_b = c / v
+    # rho >= 0 bounds sigma below by -c
+    lo, hi = (math.log(-c) if c < 0.0 else -math.inf), math.inf
+
+    def point(s):
+        sigma = math.exp(s)
+        return max(rho_b + sigma / v, 0.0), sigma
+
+    if (q > 0.0 and c >= 0.0
+            and model.lambda_profile.kind == PROFILE_DELTA_ZERO):
+        grads = yield outer_grads, rho_b, 0.0
+        if grads[0] >= 0:
+            return rho_b, True, _Found(grads, -math.inf)
+
+    # the anchor: its ln sigma, and there (grad_rho, grad_q or None, b)
+    s_a, anchor = _LOG_SIGMA0, None
+    b_lorentz = _lorentz_coefficient(model, tp.beta, abs(model.u) * q)
+
+    def residual(s):
+        # (F, dF/ds) at s
+        nonlocal s_a, anchor
+        while anchor is None and s < s_a:
+            rho_a, sigma_a = point(s_a)
+            b = sigma_a * (yield d2_mu, rho_a, sigma_a)
+            close = abs(b - b_lorentz) <= _B_RTOL * b_lorentz
+            if not close and s_a - _ANCHOR_STEP >= _LOG_SIGMA_FLOOR:
+                # sigma I3 has not reached its limit: anchor deeper
+                s_a -= _ANCHOR_STEP
+                continue
+            if q > 0.0:
+                gr_a, gq_a = yield outer_grads, rho_a, sigma_a
+            else:
+                # no pair row at q = 0, and no q-slope needed there
+                gr_a, gq_a = (yield grad_rho, rho_a, sigma_a), None
+            anchor = gr_a, gq_a, (b_lorentz if close else b)
+        if s >= s_a:
+            rho, sigma = point(s)
+            gr, slope = yield grad_rho_slope, rho, sigma
+            return gr / v, sigma * slope / (v * v)
+        gr_a, _, b = anchor
+        sigma, sigma_a = math.exp(s), math.exp(s_a)
+        return (gr_a / v + (sigma - sigma_a) / v + b * (s - s_a),
+                sigma / v + b)
+
+    s = math.log(v * top - c)
+    if rho_hint is not None and v * rho_hint - c > max(-c, 0.0):
+        s = math.log(v * rho_hint - c)
+    for _ in range(2000):
+        F, dF = yield from residual(s)
+        if F < 0:
+            lo = max(lo, s)
+        else:
+            hi = min(hi, s)
+        tol = _S_XTOL + _RHO_RTOL * abs(s)
+        nxt = s - F / dF if 0 < dF < math.inf else math.nan
+        if not lo <= nxt <= hi:
+            if math.isinf(lo) or math.isinf(hi):
+                # no bracket yet: a factor e in sigma toward it
+                nxt = s + (1.0 if F < 0 else -1.0)
+            else:
+                nxt = 0.5 * (lo + hi)
+                if hi - lo <= 2.0 * tol:
+                    break
+        elif abs(nxt - s) <= tol:
+            break
+        s = nxt
+    else:
+        raise BracketFailure("gap solve did not converge")
+    s = nxt
+    rho_bar = point(s)[0]
+    if anchor is None or s >= s_a or anchor[1] is None:
+        return rho_bar, False, _Found(None, s)
+    # the pair row follows the density row below the anchor
+    F = (yield from residual(s))[0]
+    gq = anchor[1] + abs(model.u) * anchor[2] * (s_a - s)
+    return rho_bar, False, _Found((v * F, gq), s)
+
+
+def _lorentz_coefficient(model, beta, habs):
+    """b, the coefficient of ln(1/sigma) in the dim-2 density row as
+    sigma -> 0.
+
+    Near r = 0, n_B ~ 1/(beta E) and E^2 = (f - h)(f + h) with
+    f - h ~ sigma + kappa r^2, kappa = 1/(2m) + habs lambda_2 and lambda_2
+    the profile's `origin_curvature`.  So the row's integrand is about
+    f / (beta (f + h)(sigma + kappa r^2)), and with the measure r dr/(2 pi)
+    it grows like f/(f + h) ln(1/sigma) / (4 pi beta kappa):
+    b = 1/(8 pi beta kappa) where the pair field is on (f + h ~ 2f), and
+    m/(2 pi beta) at habs = 0 (the ideal gas's g_1)."""
+    if habs == 0.0:
+        return model.mass / (2.0 * math.pi * beta)
+    kappa = 0.5 / model.mass + habs * model.lambda_profile.origin_curvature()
+    return 1.0 / (8.0 * math.pi * beta * kappa)
 
 
 def _result_at(model, tp, eta, inner, value, q):
     """The SolveResult at q of an `_inner_solver`'s inner and value.
 
     On the boundary sigma = 0, f(0) = |h(0)| and so the gap E(0) is 0;
-    sqrt(f^2 - h^2) a few ulps off it would report rounding noise.  rho0
-    is the source's eta^2/sigma~^2, which is 0 at eta = 0 except on the
-    boundary: there it is the eta -> 0 limit of the source's rho0, the
-    quasi-average.  For u >= 0 that is the KKT multiplier
-    max(grad_rho / v, 0), read from the boundary test's gradients where
-    inf_rho made one; for u < 0 it is half the multiplier:
+    sqrt(f^2 - h^2) a few ulps off it would report rounding noise.  The
+    gap of an interior minimum is sqrt(sigma (sigma + 2 |u| q)), from the
+    carried ln sigma where the solve ran on the gap coordinate (finite
+    there even where sigma underflows).  rho0 is the source's
+    eta^2/sigma~^2, which is 0 at eta = 0 except on the boundary: there it
+    is the eta -> 0 limit of the source's rho0, the quasi-average.  For
+    u >= 0 that is the KKT multiplier max(grad_rho / v, 0), read from the
+    boundary test's gradients where inf_rho made one; for u < 0 it is half
+    the multiplier:
 
     - Write w = -u > 0.  On the boundary path sigma = 0 of a small source,
       rho = (mu + w q)/v and sigma~ = 2 w q.
@@ -398,12 +584,18 @@ def _result_at(model, tp, eta, inner, value, q):
       mu/v - rho_c, which is the multiplier.
     - So rho0 tends to half the multiplier.
     """
-    rho, boundary, grads = inner(q)
-    op = OrderPoint(q, rho, eta)
-    gap = 0.0 if boundary else excitation_energy(model, tp, q, rho, 0.0)
+    rho, boundary, found = inner(q)
+    op = _order_point(q, rho, eta, found)
+    if boundary:
+        gap = 0.0
+    elif found.log_sigma is None:
+        gap = excitation_energy(model, tp, op, 0.0)
+    else:
+        gap = (math.exp(0.5 * found.log_sigma)
+               * math.sqrt(op.sigma + 2.0 * abs(model.u) * q))
     rho0 = source_terms(model, tp, op)[1]
     if boundary and eta == 0.0:
-        gr = grad_rho(model, tp, op) if grads is None else grads[0]
+        gr = grad_rho(model, tp, op) if found.grads is None else found.grads[0]
         rho0 = max(gr / model.v, 0.0) * (0.5 if model.u < 0.0 else 1.0)
     return SolveResult(
         q_bar=float(q), rho_bar=float(rho), pressure=value(q),
@@ -412,11 +604,17 @@ def _result_at(model, tp, eta, inner, value, q):
         residual_at=(model, tp, op))
 
 
+def _order_point(q, rho, eta, found):
+    """The OrderPoint of an inner minimizer, with the gap it carries."""
+    sigma = None if found.log_sigma is None else math.exp(found.log_sigma)
+    return OrderPoint(q, rho, eta, sigma)
+
+
 def _inner_solver(model, tp, eta):
     """inf_rho as a function of q, with the inner value and its q-slope.
 
     Returns (inner, value, tdq): inner(q) is inf_rho's (rho_bar, boundary,
-    grads), value(q) the pressure at (q, rho_bar) and tdq(q) the
+    found), value(q) the pressure at the minimizer and tdq(q) the
     `_slope_in_q`.  All three are memoized by the exact float q for the
     life of the closure, that is one outer_opt call (one point, one eta),
     and each is computed only when read.  A raised error is not stored.
@@ -464,8 +662,11 @@ def _inner_solver(model, tp, eta):
         qs = np.atleast_1d(q).tolist()
         errors = solve(qs)
         todo = [qq for qq in qs if qq in memo and qq not in values]
+        points = [_order_point(qq, memo[qq][0], eta, memo[qq][2])
+                  for qq in todo]
         outs = _evaluate(model, tp, eta, pressure_tl, todo,
-                         [memo[qq][0] for qq in todo])
+                         [op.rho for op in points],
+                         [op.sigma for op in points])
         for qq, out in zip(todo, outs):
             if isinstance(out, PairBosonError):
                 errors[qq] = out
@@ -488,14 +689,19 @@ def _slope_in_q(model, tp, eta, inner, q):
     A boundary minimum moves along sigma = 0, rho_b(q) = (mu + |u| q)/v, so
     its derivative is grad_q + grad_rho |u|/v; grad_rho >= 0 need not
     vanish.  Its gradients are the boundary test's where inf_rho made one.
+    At an interior minimum it is grad_q + grad_rho, the second only the
+    stationarity residual: the gradients the gap solve read at its anchor
+    where it made them, else `total_dq`.
     """
-    rho_bar, boundary, grads = inner(q)
+    rho_bar, boundary, found = inner(q)
+    op = _order_point(q, rho_bar, eta, found)
     if boundary:
-        if grads is None:
-            grads = outer_grads(model, tp, OrderPoint(q, rho_bar, eta))
-        gr, gq = grads
+        gr, gq = (outer_grads(model, tp, op) if found.grads is None
+                  else found.grads)
         return gq + gr * (abs(model.u) / model.v)
-    return total_dq(model, tp, q, eta, rho_bar)
+    if found.grads is not None:
+        return found.grads[1] + found.grads[0]
+    return total_dq(model, tp, q, eta, rho_bar, op.sigma)
 
 
 def _brentq(f, a, b, xtol, rtol):
@@ -705,7 +911,7 @@ def _float_range():
             "the solve left the floating-point range") from exc
 
 
-def check_schedule(eta0: float, factor: float, floor: float) -> None:
+def _check_schedule(eta0: float, factor: float, floor: float) -> None:
     """ConfigError unless `eta_continuation` can run this schedule."""
     if not (math.inf > eta0 > floor > 0.0):
         raise ConfigError("requires eta0 > eta_floor > 0")
@@ -718,7 +924,7 @@ def eta_continuation(model: Model, tp: ThermoPoint, eta0: float = 1e-1,
                      floor: float = 1e-6) -> ContinuationResult:
     """Solve along eta_n = eta0 * factor^n down to the floor and extrapolate
     the observables to eta = 0."""
-    check_schedule(eta0, factor, floor)
+    _check_schedule(eta0, factor, floor)
     etas = []
     eta = eta0
     while eta >= floor:
@@ -764,10 +970,14 @@ class VariationalLimit:
     sigma >= 0 at a boundary minimum, where the inner minimum presses on
     sigma = 0: the multiplier for u >= 0 and half of it for u < 0 (see
     `_result_at`).  At an interior minimum m0 is 0; so it is in dim <= 2
-    for u <= 0, where q_bar = 0 and the minimum is interior.  The CLI
-    takes this path at every point but u > 0 in dim 2.  `result` is
-    the eta = 0 solve itself: its status is STATUS_BOUNDARY exactly when
-    the multiplier applies, and its residuals are computed only if read.
+    for every profile but the delta one, whose pair field leaves the
+    density row finite on sigma = 0: there the minimum is interior, as the
+    Hohenberg-Mermin-Wagner theorem requires of long-range order in
+    dim <= 2 (P. C. Hohenberg, Phys. Rev. 158 (1967) 383; N. D. Mermin and
+    H. Wagner, Phys. Rev. Lett. 17 (1966) 1133).  The CLI takes this path
+    at every point.  `result` is the eta = 0 solve itself: its status is
+    STATUS_BOUNDARY exactly when the multiplier applies, and its residuals
+    are computed only if read.
     """
 
     p_limit: float
@@ -782,9 +992,9 @@ def variational_limit(model: Model, tp: ThermoPoint) -> VariationalLimit:
     """p, q_bar, rho_bar, the gap E(0) and m0 from one outer solve at eta = 0.
 
     The direct solve of the two-parameter formula; it agrees with the
-    extrapolated limits of `eta_continuation` where both apply (every
-    point but u > 0 in dim 2), at a small fraction of the cost.  For
-    u <= 0 it is the mean-field Bose gas, q_bar = 0 without a search.
+    extrapolated limits of `eta_continuation` within the latter's error
+    estimates, at a small fraction of the cost.  For u <= 0 it is the
+    mean-field Bose gas, q_bar = 0 without a search.
     """
     with plan_scope(), _float_range():
         res = outer_opt(model, tp, 0.0)
@@ -848,9 +1058,11 @@ def mf_pressure(model: Model, tp: ThermoPoint) -> float:
 
 def excitation_spectrum(model: Model, tp: ThermoPoint,
                         cont: ContinuationResult | VariationalLimit, k_grid):
-    """Quasi-particle energies E(k) at the (q, rho) limit."""
-    return [(float(r), excitation_energy(model, tp, cont.q_limit,
-                                         cont.rho_limit, r))
+    """Quasi-particle energies E(k) at the (q, rho) limit, with the gap the
+    eta = 0 optimum carries."""
+    op = (cont.result.residual_at[2] if isinstance(cont, VariationalLimit)
+          else OrderPoint(cont.q_limit, cont.rho_limit))
+    return [(float(r), excitation_energy(model, tp, op, r))
             for r in np.atleast_1d(np.asarray(k_grid, dtype=float))]
 
 

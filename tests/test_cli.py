@@ -15,11 +15,13 @@ from pairboson import cli, errors, solver
 from pairboson.errors import BracketFailure, InfeasiblePoint, PairBosonError
 
 DATA = Path(__file__).parent / "data"
-FAST = ["--dim", "3", "--eta-floor", "1e-4"]
-# the solver entry points the CLI calls; `_point_limit` picks one per point
+FAST = ["--dim", "3"]
+# the solver entry points the CLI binds; every solve, scan and spectrum
+# point takes variational_limit, and eta_continuation is never called
 ENTRY_POINTS = ("eta_continuation", "variational_limit")
-# a point that takes the continuation: u > 0 in dim 2
-CONTINUED = ["--u", "0.5", "--dim", "2"]
+# u > 0 in dim 2: the slice that ran the eta continuation until its eta = 0
+# inner solve moved to the gap coordinate
+DIM2 = ["--u", "0.5", "--dim", "2"]
 
 
 def run_main(argv):
@@ -96,30 +98,36 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("config error:")
 
     def test_scan_rejects_bad_schedule_before_solving(self, monkeypatch,
-                                                      capsys):
-        # dim 3: no point would reach eta_continuation's own check
+                                                      capsys, tmp_path):
+        # every point solves at eta = 0: an eta schedule is rejected, on
+        # the command line and in a config file, before any point is solved
         def fail(*args, **kwargs):
-            pytest.fail("scan solved a point before checking the schedule")
+            pytest.fail("scan solved a point before checking its keys")
 
         for name in ENTRY_POINTS:
             monkeypatch.setattr(cli, name, fail)
         assert run_main(["scan", "--eta0", "0.01", "--eta-floor", "0.1"]) \
             == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --eta0 0.01\n" in \
+            capsys.readouterr().err
+        cfgfile = tmp_path / "schedule.ini"
+        cfgfile.write_text("eta_floor = 0.1\neta_factor = 0.5\n")
+        assert run_main(["scan", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == \
-            "config error: requires eta0 > eta_floor > 0\n"
+            f"config error: {cfgfile}:2:1: scan takes no key 'eta_factor'\n"
 
     def test_rejects_bad_mu_range(self):
         assert run_main(["scan", "--mu-range", "1:2"]) == 1
 
     @pytest.mark.parametrize("argv", [
-        ["solve", "--beta", "nan", "--dim", "1", "--eta-floor", "0.01"],
+        ["solve", "--beta", "nan", "--dim", "1"],
         ["solve", "--beta", "inf"],
         ["solve", "--mu", "nan"],
         ["solve", "--u=-inf"],
         ["solve", "--v", "inf"],
         ["solve", "--mass", "nan"],
         ["spectrum", "--k-max", "inf"],
-        ["solve", "--eta0", "inf"],
+        ["oracle", "--eta0", "inf"],
         ["solve", "--profile", "gaussian:nan"],
         ["solve", "--profile", "power:inf:2"],
         ["solve", "--profile", "power:1:nan"],
@@ -147,12 +155,15 @@ class TestConfig:
         assert "unknown format 'xml'" in capsys.readouterr().err
 
 
-# The keys each command does not read; every other key of `cli._KEYS` is
-# one of its flags and config-file keys.
+# The keys each command does not take; every other key of `cli._KEYS` is
+# one of its flags and config-file keys.  Only the oracle reads eta0, and
+# no command eta_factor; solve and scan accept eta_floor unread.
 UNREAD = {
-    "solve": ("mu_range", "format", "k_max", "k_count", "n_max"),
-    "scan": ("k_max", "k_count", "n_max"),
-    "spectrum": ("mu_range", "format", "n_max"),
+    "solve": ("mu_range", "format", "k_max", "k_count", "n_max", "eta0",
+              "eta_factor"),
+    "scan": ("k_max", "k_count", "n_max", "eta0", "eta_factor"),
+    "spectrum": ("mu_range", "format", "n_max", "eta0", "eta_floor",
+                 "eta_factor"),
     "oracle": ("mu_range", "eta_floor", "eta_factor", "format",
                "k_max", "k_count"),
 }
@@ -167,7 +178,7 @@ def _flag(key):
 
 class TestCommandKeys:
     def test_slot_counts(self):
-        assert len(REJECTED) == 17 and len(ACCEPTED) == 47
+        assert len(REJECTED) == 24 and len(ACCEPTED) == 40
 
     @pytest.mark.parametrize("command, key", REJECTED)
     def test_rejects_another_commands_flag(self, command, key, capsys):
@@ -264,10 +275,10 @@ def test_solve_path_imports_no_scipy():
 
 
 class TestExitCodes:
-    # u > 0 in dim 2 takes the continuation; the default point (dim 3,
-    # u = 0.5) takes the eta = 0 solve
+    # every point takes the eta = 0 solve: u > 0 in dim 2 and the default
+    # point (dim 3, u = 0.5) alike
     @pytest.mark.parametrize("argv, name", [
-        pytest.param(["solve"] + CONTINUED, "eta_continuation", id="solve"),
+        pytest.param(["solve"] + DIM2, "variational_limit", id="solve"),
         pytest.param(["solve"], "variational_limit", id="solve-eta0"),
         pytest.param(["spectrum"], "variational_limit", id="spectrum"),
     ])
@@ -303,25 +314,34 @@ class TestExitCodes:
                           capsys)
 
     def test_scan_of_errors_only_continued(self, monkeypatch, capsys):
-        # u > 0 in dim 2: the continuation
-        self._scan_errors("eta_continuation", CONTINUED, monkeypatch, capsys)
+        # u > 0 in dim 2, which once took the continuation
+        self._scan_errors("variational_limit", DIM2, monkeypatch, capsys)
 
     @pytest.mark.parametrize("flag, message", [
-        ("--beta=1e-150", "the solve left the floating-point range"),
         ("--mu=1e155", "the solve left the floating-point range"),
-        ("--eta0=1e155", "the solve left the floating-point range"),
-        ("--beta=1e-300", "the solve left the floating-point range"),
+        ("--beta=1e-300", "ideal-gas row 0 is inf at f(0) = "
+                          "1.5462467037785734e+299"),
     ])
     def test_overflow_is_non_convergence(self, flag, message, capsys):
-        # a float past the float range, on the continuation (u > 0, dim 2):
-        # in eta * eta (--eta0=1e155 ends in inf_rho's rho_lo), or at
-        # beta = 1e-300 in the source's sigma~^3, where the q = 0 density
-        # solve on the closed-form rows has taken rho past 1e100
-        assert run_main(["solve", flag, "--eta-floor", "0.01"]
-                        + CONTINUED) == cli.EXIT_NO_CONVERGENCE
+        # a float past the float range in the eta = 0 solve of u > 0 in
+        # dim 2, which runs on the gap coordinate: at --mu=1e155 in the
+        # outer bracket's q_max; at beta = 1e-300 the q = 0 gap is
+        # sigma* = 1.5e299, where the pressure row passes the float range
+        assert run_main(["solve", flag] + DIM2) == cli.EXIT_NO_CONVERGENCE
         captured = capsys.readouterr()
         assert captured.err == f"non-convergence: {message}\n"
         assert captured.out == ""
+
+    def test_dim_2_at_beta_1e_150_solves(self, capsys):
+        # the continuation left the float range here in its source term
+        # eta^2/sigma~^3; at eta = 0 the gap solve reaches the q = 0
+        # minimum at sigma* = rho_bar = 1.5e149 and checks its residuals
+        assert run_main(["solve", "--beta=1e-150"] + DIM2) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["status"], doc["phase"], doc["q_bar"]) == \
+            ("converged", "normal", 0.0)
+        assert doc["gap"] == pytest.approx(1.5462467037785917e149, rel=1e-12)
+        assert abs(doc["residuals"]["el1"]) <= 1e-10 * doc["rho_bar"]
 
     def test_dim_1_density_bracket_overflow(self, capsys):
         # u > 0 in dim 1 takes the eta = 0 solve: at beta = 1e-150 the
@@ -349,16 +369,15 @@ class TestExitCodes:
     def test_non_stationary_optimum_is_non_convergence(self, capsys):
         # at beta = 1e-150 the eta = 0 inner solve ends at rho_bar = 1.6e152,
         # where the density equation's residual el1 is rho_bar itself
-        assert run_main(["solve", "--beta=1e-150", "--eta-floor", "0.01"]) \
-            == cli.EXIT_NO_CONVERGENCE
+        assert run_main(["solve", "--beta=1e-150"]) == cli.EXIT_NO_CONVERGENCE
         captured = capsys.readouterr()
         assert captured.err.startswith(
             "non-convergence: the optimum is not stationary: el1 = ")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
     @pytest.mark.parametrize("argv", [
-        ["solve", "--beta=1e-150", "--eta-floor", "0.01"],
-        ["solve", "--beta=1e-150", "--u=-0.5", "--eta-floor", "0.01"],
+        ["solve", "--beta=1e-150"],
+        ["solve", "--beta=1e-150", "--u=-0.5"],
         ["scan", "--beta=1e-150", "--mu=-0.2"],
     ])
     def test_expected_overflows_warn_nothing(self, argv, monkeypatch,
@@ -380,22 +399,31 @@ class TestExitCodes:
 
     def test_division_by_zero_warns_nothing(self):
         # this dim-2, u < 0 point failed in the radial quadrature, whose
-        # kernel divided by E = 0 on the way; on the closed-form rows it
-        # reads the density row's divergence g_1(1) = inf at sigma = 0.
-        # Either way stderr stays empty on success
+        # kernel divided by E = 0 on the way, and then ended on sigma = 0
+        # as a boundary minimum although its minimum is interior.  The gap
+        # solve finds sigma* = 1.8e-23 on the closed-form rows, where
+        # the residuals check; stderr stays empty
+        from pairboson.model import Model, gaussian_profile
+        from pairboson.pressure import ThermoPoint
         proc = run_proc(["solve", "--dim", "2", "--u=-0.5", "--beta", "8",
                          "--mu", "0.5", "--v", "1", "--mass", "0.5",
                          "--profile", "gaussian:1"])
         assert proc.returncode == cli.EXIT_OK
         assert proc.stderr == ""
-        assert json.loads(proc.stdout)["phase"] == "normal"
+        doc = json.loads(proc.stdout)
+        assert (doc["status"], doc["phase"]) == ("converged", "normal")
+        assert doc["gap"] == pytest.approx(1.8488e-23, rel=1e-4)
+        assert all(abs(doc["residuals"][k]) <= 1e-10 for k in ("el1", "el2"))
+        p_mf = solver.mf_pressure(
+            Model(dim=2, mass=0.5, u=-0.5, v=1.0,
+                  lambda_profile=gaussian_profile(1.0)), ThermoPoint(8.0, 0.5))
+        assert abs(doc["pressure"] - p_mf) <= 1e-14
 
     def test_scan_keeps_the_rows_beside_an_overflow(self, monkeypatch,
                                                     capsys):
         monkeypatch.setenv("PBH_THREADS", "1")
         assert run_main(["scan", "--beta", "1e-300,2",
-                         "--mu-range=-0.2:0.4:2", "--eta-floor", "0.01"]) \
-            == cli.EXIT_OK
+                         "--mu-range=-0.2:0.4:2"]) == cli.EXIT_OK
         rows = [row.split(",") for row in
                 capsys.readouterr().out.strip().split("\n")[1:]]
         assert [row[-1] for row in rows] == \
@@ -427,8 +455,7 @@ class TestExitCodes:
         assert captured.out == ""
 
 
-# the top-level keys of every solve document, in order; a continuation
-# adds its extrapolation order, error estimates and trace before status
+# the top-level keys of every solve document, in order
 SOLVE_KEYS = ("pressure", "q_bar", "rho_bar", "m0", "gap", "phase",
               "residuals", "status")
 
@@ -437,83 +464,72 @@ def _no_constant(name):
     raise AssertionError(f"{name} is not valid JSON")
 
 
-def _continuation(statuses, monkeypatch):
-    """A ContinuationResult whose eta steps ended with the given statuses;
-    every step's Euler-Lagrange residuals read as 0."""
+def _limit(status, monkeypatch, pressure=0.1, gap=0.1):
+    """A VariationalLimit whose eta = 0 solve ended with the given status;
+    its Euler-Lagrange residuals read as 0."""
+    from pairboson.pressure import OrderPoint
     monkeypatch.setattr(solver, "el_residuals", lambda *args: (0.0, 0.0))
-    results = [solver.SolveResult(q_bar=0.0, rho_bar=0.5, pressure=0.1,
-                                  rho0=0.0, gap=0.1, eta=0.1 * 0.5 ** i,
-                                  status=status, residual_at=())
-               for i, status in enumerate(statuses)]
-    return solver.ContinuationResult(
-        results=results, p_limit=0.1, q_limit=0.0, rho_limit=0.5, m0=0.0,
-        gap_limit=0.1, extrapolation_order=1.0)
+    result = solver.SolveResult(
+        q_bar=0.0, rho_bar=0.5, pressure=pressure, rho0=0.0, gap=gap,
+        eta=0.0, status=status,
+        residual_at=(None, None, OrderPoint(0.0, 0.5)))
+    return solver.VariationalLimit(p_limit=pressure, q_limit=0.0,
+                                   rho_limit=0.5, m0=0.0, gap_limit=gap,
+                                   result=result)
 
 
 class TestSolve:
-    # the continuation's document: u > 0 in dim 2, where solve runs the
-    # continuation
-    @pytest.mark.parametrize("statuses, expected", [
-        (["boundary_minimum"] * 3, "boundary_minimum"),
-        (["boundary_minimum", "converged", "boundary_minimum"], "converged"),
-        (["converged"] * 3, "converged"),
+    # the document is the eta = 0 solve's, in one shape: its status, and
+    # its residuals unless it is a boundary minimum
+    @pytest.mark.parametrize("status, residual", [
+        ("boundary_minimum", None),
+        ("converged", 0.0),
     ])
-    def test_status_from_trace(self, statuses, expected, monkeypatch,
-                               capsys):
-        cont = _continuation(statuses, monkeypatch)
-        monkeypatch.setattr(cli, "eta_continuation",
-                            lambda *args, **kwargs: cont)
-        assert run_main(["solve"] + CONTINUED) == cli.EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["status"] == expected
-        assert [step["status"] for step in doc["eta_trace"]] == statuses
-
-    @pytest.mark.parametrize("statuses, residual", [
-        (["converged", "boundary_minimum"], None),
-        (["boundary_minimum", "converged"], 0.0),
-    ])
-    def test_boundary_residuals_are_null(self, statuses, residual,
+    def test_boundary_residuals_are_null(self, status, residual,
                                          monkeypatch, capsys):
-        cont = _continuation(statuses, monkeypatch)
-        monkeypatch.setattr(cli, "eta_continuation",
-                            lambda *args, **kwargs: cont)
-        assert run_main(["solve"] + CONTINUED) == cli.EXIT_OK
+        limit = _limit(status, monkeypatch)
+        monkeypatch.setattr(cli, "variational_limit", lambda *args: limit)
+        assert run_main(["solve"] + DIM2) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == list(SOLVE_KEYS)
+        assert doc["status"] == status
         assert doc["residuals"] == {"el1": residual, "el2": residual}
 
     def test_non_finite_values_are_null(self, monkeypatch, capsys):
-        cont = _continuation(["converged"] * 3, monkeypatch)
-        cont.extrapolation_order = float("nan")
-        cont.error_estimates = {"p": float("inf"), "q": 1e-9}
-        monkeypatch.setattr(cli, "eta_continuation",
-                            lambda *args, **kwargs: cont)
-        assert run_main(["solve"] + CONTINUED) == cli.EXIT_OK
+        limit = _limit("converged", monkeypatch, pressure=float("nan"),
+                       gap=float("inf"))
+        monkeypatch.setattr(cli, "variational_limit", lambda *args: limit)
+        assert run_main(["solve"] + DIM2) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out,
                          parse_constant=_no_constant)
-        assert doc["extrapolation_order"] is None
-        assert doc["error_estimates"] == {"p": None, "q": 1e-9}
+        assert doc["pressure"] is None and doc["gap"] is None
+        assert doc["q_bar"] == 0.0
 
     def test_smoke_json(self, capsys):
+        # u > 0 in dim 2 on the eta = 0 path: the one document shape, no
+        # condensate (Hohenberg-Mermin-Wagner) and a checked interior
+        # optimum
         code = run_main(["solve", "--beta", "1", "--mu", "-0.5", "--v",
-                         "1.0", "--eta-floor", "1e-4"] + CONTINUED)
+                         "1.0"] + DIM2)
         assert code == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        assert list(doc) == list(SOLVE_KEYS[:-1]) + [
-            "extrapolation_order", "error_estimates", "eta_trace", "status"]
-        assert doc["phase"] == "normal"
-        assert len(doc["eta_trace"]) >= 4
+        assert list(doc) == list(SOLVE_KEYS)
+        assert doc["phase"] == "normal" and doc["status"] == "converged"
+        assert doc["m0"] == 0.0 and doc["gap"] > 0.0
+        assert abs(doc["residuals"]["el1"]) <= 1e-10
 
     def test_dim_2_point_near_the_boundary_solves(self, capsys):
-        # a continued point whose inner solves once probed the diverging
-        # density row just inside sigma = 0 and exited 3; the phase is not
-        # pinned, since the dim-2 m0 itself is in doubt (ROADMAP item 5)
+        # a point whose continued inner solves once probed the diverging
+        # density row just inside sigma = 0 and exited 3; at eta = 0 the
+        # gap solve finds its interior minima, so m0 = 0
         argv = ["solve", "--dim", "2", "--profile", "gaussian:0.314",
                 "--v", "1.319", "--u", "1.098", "--mass", "0.984",
-                "--beta", "1.100", "--mu", "0.736", "--eta-floor", "1e-3"]
+                "--beta", "1.100", "--mu", "0.736"]
         assert run_main(argv) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         for key in ("pressure", "q_bar", "rho_bar"):
             assert doc[key] is not None and math.isfinite(doc[key]), key
+        assert doc["m0"] == 0.0 and doc["phase"] != "condensed"
 
     @pytest.mark.parametrize("mu, status, phase", [
         ("-0.3", "converged", "normal"),
@@ -538,15 +554,15 @@ class TestSolve:
     @pytest.mark.parametrize("argv, taken", [
         (["--u", "0.5"], "variational_limit"),
         (["--u", "0"], "variational_limit"),
-        (["--u", "0.5", "--dim", "2"], "eta_continuation"),
+        (["--u", "0.5", "--dim", "2"], "variational_limit"),
         (["--u", "0.5", "--dim", "1"], "variational_limit"),
         (["--u=-0.5"], "variational_limit"),
         (["--u", "0", "--dim", "2"], "variational_limit"),
         (["--u=-0.5", "--dim", "1"], "variational_limit"),
     ])
     def test_dispatch(self, argv, taken, monkeypatch, capsys):
-        # solve takes the continuation for u > 0 in dim 2 and the
-        # eta = 0 solve elsewhere, and never calls the other entry point
+        # solve takes the eta = 0 solve at every point, u > 0 in dim 2
+        # included, and never calls the continuation
         def wrong_branch(*args, **kwargs):
             pytest.fail(f"solve {argv} did not take {taken}")
 
@@ -560,11 +576,9 @@ class TestSolve:
         for name in ENTRY_POINTS:
             monkeypatch.setattr(cli, name,
                                 counted if name == taken else wrong_branch)
-        assert run_main(["solve", "--eta-floor", "1e-2"] + argv) == \
-            cli.EXIT_OK
+        assert run_main(["solve"] + argv) == cli.EXIT_OK
         assert len(calls) == 1
-        assert ("eta_trace" in json.loads(capsys.readouterr().out)) == \
-            (taken == "eta_continuation")
+        assert list(json.loads(capsys.readouterr().out)) == list(SOLVE_KEYS)
 
     def test_power_profile_boundary_point(self, capsys, monkeypatch):
         # at the eta = 0 boundary minimum foff = habs = 10.4, where f - h
@@ -586,21 +600,21 @@ class TestSolve:
 
     def test_gaussian_in_dim_9(self, capsys):
         # the profile's own decay bounds the norms in every dimension
-        code = run_main(["solve", "--dim", "9", "--eta-floor", "1e-2"])
+        code = run_main(["solve", "--dim", "9"])
         assert code == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "converged"
         assert math.isfinite(doc["pressure"])
 
     def test_escaped_window_does_not_strand_the_search(self, capsys):
-        # q_bar ~ eta^2 here, falling from 2e-2 to 5e-6 over the schedule;
-        # no step's full-bracket search may probe a density the radial
-        # quadrature cannot integrate (once exit 3 after 7358 panels, when
-        # a warm-start window escaped into such a search)
+        # this point's continued solves once exited 3 after 7358 panels,
+        # when a warm-start window escaped into a full-bracket search that
+        # probed a density the radial quadrature could not integrate; at
+        # eta = 0 it solves on the gap coordinate
         code = run_main(["solve", "--dim", "2", "--v", "0.673",
                          "--u", "0.466", "--profile", "gaussian:0.807",
                          "--mass", "1.243", "--beta", "3.058",
-                         "--mu", "-0.676", "--eta-floor", "1e-3"])
+                         "--mu", "-0.676"])
         assert code == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["phase"] == "normal"
 
@@ -651,9 +665,8 @@ class TestSolve:
         # both exited 3 while the q = 0 rows were integrated: the interior
         # minimizer's sigma (about 1e-23 at the first point) lies far below
         # rho's resolution, where the density row ln(1/sigma) defeated the
-        # quadrature.  On the closed-form rows the solve ends on
-        # sigma = 0, at mf_density's own rho = mu/v, with m0 = 0 where
-        # the density row diverges
+        # quadrature.  The gap solve finds that sigma on the closed-form
+        # rows, at rho = mu/v to rounding, with m0 = 0
         from pairboson.model import Model, gaussian_profile
         from pairboson.pressure import ThermoPoint
         assert run_main(["solve", "--dim", "2", "--u=-0.5", "--beta", beta,
@@ -665,7 +678,8 @@ class TestSolve:
         p_mf = solver.mf_pressure(m, ThermoPoint(float(beta), float(mu)))
         assert doc["pressure"] == pytest.approx(p_mf, rel=1e-14, abs=0.0)
         assert doc["m0"] == 0.0 and doc["q_bar"] == 0.0
-        assert doc["phase"] == "normal"
+        assert (doc["phase"], doc["status"]) == ("normal", "converged")
+        assert 0.0 < doc["gap"] < 1e-16
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "solve.json"
@@ -685,7 +699,7 @@ class TestScan:
         from pairboson.pressure import ThermoPoint
         from pairboson.solver import eta_continuation, variational_limit
         args = ["--beta", "2", "--mu", "1.0", "--u", "0.5", "--v", "1.0",
-                "--dim", "3", "--eta-floor", "1e-4"]
+                "--dim", "3"]
         out_solve = tmp_path / "solve.json"
         out_scan = tmp_path / "scan.csv"
         assert run_main(["solve", "--out", str(out_solve)] + args) == 0
@@ -734,7 +748,7 @@ class TestScan:
         assert run_main(["scan", "--beta", "2.0",
                          "--mu-range", f"{lo}:{hi}:{n}",
                          "--u", "0", "--v", "1.0", "--dim", "3",
-                         "--eta-floor", "1e-4", "--out", str(out)]) == 0
+                         "--out", str(out)]) == 0
         rows = out.read_text().strip().split("\n")[1:]
         phases = [r.split(",")[-1] for r in rows]
         mus = [float(r.split(",")[1]) for r in rows]
@@ -756,8 +770,7 @@ class TestScan:
 
     def test_deterministic_with_pairing(self, tmp_path, monkeypatch, capsys):
         # u > 0, so every point runs the full sup-inf solve
-        args = ["--beta", "2", "--u", "0.5", "--v", "1.0", "--dim", "3",
-                "--eta-floor", "1e-3"]
+        args = ["--beta", "2", "--u", "0.5", "--v", "1.0", "--dim", "3"]
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"scan_{threads}.csv"
@@ -786,8 +799,7 @@ class TestScan:
 
     def test_json_format(self, capsys):
         code = run_main(["scan", "--beta", "1", "--mu", "-0.5", "--u", "0",
-                         "--v", "1.0", "--format", "json"] + FAST[2:]
-                        + ["--dim", "3"])
+                         "--v", "1.0", "--format", "json"] + FAST)
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc[0]["phase"] == "normal"

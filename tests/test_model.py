@@ -69,6 +69,20 @@ class TestCouplingProfile:
                 "delta": delta_profile}[kind]()
         assert float(prof.value_radial(r + dr)) <= float(prof.value_radial(r))
 
+    @pytest.mark.parametrize("prof, want", [
+        (gaussian_profile(0.7), 0.7), (power_profile(1.5, 4.0), 0.0),
+        (power_profile(1.5, 2.0), 2.25), (power_profile(1.5, 1.8), math.inf),
+        (delta_profile(), math.inf)])
+    def test_origin_curvature(self, prof, want):
+        # lim (1 - lambda(r)) / r^2 at r -> 0, against the closed-form
+        # complement at r = 1e-30
+        assert prof.origin_curvature() == want
+        near = float(prof.complement_radial(1e-30)) / 1e-60
+        if math.isfinite(want) and want > 0.0:
+            assert near == pytest.approx(want, rel=1e-9)
+        else:
+            assert near > 1e3 or near < 1e-3
+
     @given(a=st.floats(0.05, 10.0), r=st.floats(0.0, 50.0))
     @settings(max_examples=80, deadline=None)
     def test_gaussian_bounded_by_one(self, a, r):

@@ -156,12 +156,13 @@ class TestDerivatives:
 
 def _quad_residuals(model, tp, op):
     """el_residuals with scalar integrands and SciPy's `quad` on [0, L]
-    and [L, inf), L = 8 scale, at epsabs 1e-13 and epsrel 1e-12."""
+    and [L, inf), L = 8 scale, at epsabs 1e-13 and epsrel 1e-12; f(0) is
+    formed from the gap the point carries, if any."""
     import warnings
     from scipy.integrate import IntegrationWarning, quad
     nu, beta, prof = model.dim, tp.beta, model.lambda_profile
-    foff = model.v * op.rho - tp.mu
     habs = abs(model.u) * op.q
+    foff = sigma_gap(model, tp, op) + habs
     c_nu = (2.0 * math.pi ** (nu / 2.0) / math.gamma(nu / 2.0)
             / (2.0 * math.pi) ** nu)
     L = 8.0 * math.sqrt(2.0 * model.mass * max(1.0 / beta, abs(foff), 1.0))
@@ -282,6 +283,53 @@ class TestResiduals:
         op = OrderPoint(OP.q, rho_bar, OP.eta)
         t = total_dq(MODEL, TP, OP.q, OP.eta, rho_bar)
         assert t == pytest.approx(grad_q(MODEL, TP, op), rel=1e-6, abs=1e-9)
+
+
+class TestResidualsReachTheGap:
+    """el_residuals reads the gap a point carries, and its tanh-sinh nodes
+    reach r ~ 1e-275 L, so its density row resolves the dim-2 infrared
+    peak at any sigma the gap solve carries."""
+
+    MODEL = Model(dim=2, mass=0.5, u=0.5, v=1.0,
+                  lambda_profile=gaussian_profile(1.0))
+    TP = ThermoPoint(beta=2.0, mu=0.2)
+    Q = 0.77
+
+    def _density_row(self, sigma):
+        # I1 = rho - el1 at eta = 0, at a point that carries sigma
+        rho = (self.TP.mu + self.MODEL.u * self.Q + sigma) / self.MODEL.v
+        op = OrderPoint(self.Q, rho, 0.0, sigma)
+        return op.rho - el_residuals(self.MODEL, self.TP, op)[0]
+
+    def _radial(self, sigma, row):
+        return quadrature.radial_rows(
+            self.MODEL.lambda_profile, 2, 0.5, self.TP.beta, sigma,
+            self.MODEL.u * self.Q, (row,))[0]
+
+    @pytest.mark.parametrize("sigma", [1e-24, 1e-80])
+    def test_density_row_matches_the_quadrature(self, sigma):
+        want = self._radial(sigma, 1)
+        assert self._density_row(sigma) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-300])
+    def test_density_row_meets_the_asymptote(self, sigma):
+        # below sigma0 = 1e-16 the row is I1(sigma0) + b ln(sigma0/sigma),
+        # b = sigma0 I3(sigma0); the Gauss-Kronrod quadrature itself fails
+        # near sigma = 1e-160, and with 8 step halvings the rule was 5e-9
+        # off at 1e-300
+        s0 = 1e-16
+        want = (self._radial(s0, 1)
+                + s0 * self._radial(s0, 3) * math.log(s0 / sigma))
+        assert self._density_row(sigma) == pytest.approx(want, rel=1e-10)
+
+    def test_tanh_sinh_weight_stays_in_range(self):
+        # at t = -6 the nodes reach r ~ 1e-275 L, where e/(1 + e)^2 would
+        # overflow in the square
+        t = np.array([-6.0, 0.0, 4.0])
+        with np.errstate(over="raise"):
+            r, w = pressure._tanh_sinh(8.0)(t)
+        assert 0.0 < r[0] < 1e-270 and r[-1] == 8.0
+        assert np.isfinite(w).all() and (w > 0.0).all()
 
 
 class TestOuterGradients:
@@ -411,8 +459,8 @@ class TestKernels:
             lam * lam * (nb + 0.5) / E,
             beta * nb * (nb + 1.0) * (f / E) ** 2 + (nb + 0.5) * h * h / E ** 3,
         ])
-        rows = kernels.eval_rows(r, lam, 1.0 - lam, beta, inv_2m, foff, habs,
-                                 (0, 1, 2, 3))
+        rows = kernels.eval_rows(r, lam, 1.0 - lam, beta, inv_2m,
+                                 foff - habs, habs, (0, 1, 2, 3))
         # the naive forms cancel catastrophically once values shrink, so
         # allow a small absolute floor
         np.testing.assert_allclose(rows, naive, rtol=1e-12, atol=1e-13)
@@ -430,7 +478,7 @@ class TestKernels:
         # come back, in the order asked
         r = np.concatenate([np.linspace(0.0, 6.0, 40), [80.0]])
         lam = np.exp(-0.5 * r * r)
-        args = (r, lam, -np.expm1(-0.5 * r * r), 1.7, 1.0, 0.9, 0.4)
+        args = (r, lam, -np.expm1(-0.5 * r * r), 1.7, 1.0, 0.5, 0.4)
         full = kernels.eval_rows(*args, (0, 1, 2, 3))
         for order in (subset, subset[::-1]):
             part = kernels.eval_rows(*args, order)
@@ -444,6 +492,6 @@ class TestKernels:
         lam = np.array([math.exp(-r * r)])
         habs = hfrac * foff  # keeps f > |h| everywhere
         rows = kernels.eval_rows(np.array([r]), lam, 1.0 - lam, beta, 1.0,
-                                 foff, habs, (0, 1, 2, 3))
+                                 foff - habs, habs, (0, 1, 2, 3))
         assert np.all(np.isfinite(rows))
         assert np.all(rows >= 0.0)

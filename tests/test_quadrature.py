@@ -26,8 +26,9 @@ FALLING = [(0.2 + 0.05 * math.sin(k), 0.5 * 0.3 ** k) for k in range(10)]
 
 
 def rows(foff, habs, need):
-    """The converged integrals of the rows `need`, in that order."""
-    return radial_rows(PROFILE, NU, MASS, BETA, foff, habs, need)
+    """The converged integrals of the rows `need`, in that order, at
+    f(0) = foff: the gap sigma = foff - habs."""
+    return radial_rows(PROFILE, NU, MASS, BETA, foff - habs, habs, need)
 
 
 @pytest.fixture
@@ -89,9 +90,9 @@ def test_kernel_is_finite_on_the_boundary(profile):
     lam, lam_c = profile.value_radial(r), profile.complement_radial(r)
     habs = 10.4
     every = (0, 1, 2, 3)
-    assert np.isfinite(eval_rows(r, lam, 1.0 - lam, BETA, 0.5 / MASS, habs,
+    assert np.isfinite(eval_rows(r, lam, 1.0 - lam, BETA, 0.5 / MASS, 0.0,
                                  habs, every)).all()
-    out = eval_rows(r, lam, lam_c, BETA, 0.5 / MASS, habs, habs, every)
+    out = eval_rows(r, lam, lam_c, BETA, 0.5 / MASS, 0.0, habs, every)
     assert np.isfinite(out).all()
     kin = r * r / (2.0 * MASS)
     E = np.sqrt((kin + habs * lam_c) * (kin + habs + habs * lam))
@@ -106,7 +107,7 @@ def test_uncertified_cutoff_falls_back_to_cold(cold_calls):
         entry, = quadrature._PLAN.get().values()
         R = entry[0]
         foff, habs = 40.0, 20.0
-        assert quadrature._tail_bound(entry.tail, MASS, BETA, foff,
+        assert quadrature._tail_bound(entry.tail, MASS, BETA, foff + habs,
                                       habs) >= quadrature._TAIL_TOL
         cold_calls[0] = 0
         got = rows(foff, habs, (0, 1))
@@ -171,15 +172,15 @@ def test_extra_rows_are_summed_not_converged():
     # extra row it is summed, finite, on the density row's mesh, and the
     # density row matches the call without it; asked to converge, it fails
     habs = 0.3
-    got = radial_rows(PROFILE, NU, MASS, BETA, habs, habs, (1,), extra=(3,))
+    got = radial_rows(PROFILE, NU, MASS, BETA, 0.0, habs, (1,), extra=(3,))
     assert got.shape == (2,) and np.isfinite(got).all()
-    alone, = radial_rows(PROFILE, NU, MASS, BETA, habs, habs, (1,))
+    alone, = radial_rows(PROFILE, NU, MASS, BETA, 0.0, habs, (1,))
     assert abs(got[0] - alone) <= max(quadrature._ABS_TOL,
                                       quadrature._REL_TOL * abs(alone))
     # the failing refinement reaches panels where row 3 overflows
     with pytest.raises(QuadratureFailure, match="did not converge"), \
             np.errstate(over="ignore", invalid="ignore"):
-        radial_rows(PROFILE, NU, MASS, BETA, habs, habs, (1, 3))
+        radial_rows(PROFILE, NU, MASS, BETA, 0.0, habs, (1, 3))
 
 
 def test_rules_are_exact_on_polynomials():
@@ -203,7 +204,7 @@ def test_uncertifiable_tail_is_tail_not_converged(nu):
     # cutoff; the CLI's overflow tests reach this no more, since their
     # q = 0 rows are closed form
     with pytest.raises(PairBosonError) as info:
-        radial_rows(PROFILE, nu, MASS, 1e-300, 1.0, 0.5, (1,))
+        radial_rows(PROFILE, nu, MASS, 1e-300, 0.5, 0.5, (1,))
     assert info.type is TailNotConverged
     assert str(info.value) == \
         "could not certify the radial tail below tolerance"
@@ -237,8 +238,8 @@ def test_cached_tail_check_is_the_tail_bound(profile, nu, beta):
             for habs in (0.0, 0.2, 1.5, 20.0):
                 want = _tail_bound_reference(profile, nu, MASS, beta, foff,
                                              habs, R)
-                assert quadrature._tail_bound(parts, MASS, beta, foff,
-                                              habs) == want
+                assert quadrature._tail_bound(parts, MASS, beta,
+                                              abs(foff) + habs, habs) == want
                 finite += math.isfinite(want)
     assert finite > 0
 
@@ -293,11 +294,11 @@ def test_warm_return_is_the_refine_route():
     with plan_scope():
         rows(habs + margin, habs, (1,))
         entry, = quadrature._PLAN.get().values()
-        got = radial_rows(PROFILE, NU, MASS, BETA, foff, habs, (1,),
+        got = radial_rows(PROFILE, NU, MASS, BETA, foff - habs, habs, (1,),
                           extra=(3,))
         assert next(iter(quadrature._PLAN.get().values())) is entry
     vals = eval_rows(entry.nodes, entry.lam, entry.lam_c, BETA, 0.5 / MASS,
-                     foff, habs, (1, 3))
+                     foff - habs, habs, (1, 3))
     vals = (vals * entry.weight).reshape(2, len(entry.half), 15)
     want = ((vals @ quadrature.WK) * entry.half).sum(axis=1)
     assert np.array_equal(got, want)
@@ -353,11 +354,11 @@ def test_batch_matches_separate_cold_calls(need, extra):
     foff, habs = np.array(BATCH).T
     if 3 in need:
         foff, habs = foff[:-2], habs[:-2]  # row 3 diverges on the boundary
-    got = radial_rows(PROFILE, NU, MASS, BETA, foff, habs, need, extra)
+    got = radial_rows(PROFILE, NU, MASS, BETA, foff - habs, habs, need, extra)
     assert got.shape == (len(need) + len(extra), len(foff))
     for k in range(len(foff)):
-        want = radial_rows(PROFILE, NU, MASS, BETA, foff[k], habs[k], need,
-                           extra)[:len(need)]
+        want = radial_rows(PROFILE, NU, MASS, BETA, foff[k] - habs[k],
+                           habs[k], need, extra)[:len(need)]
         assert np.abs(got[:len(need), k] - want).max() <= _tolerance(want), k
 
 
@@ -373,13 +374,13 @@ def test_batch_matches_quad_vec():
         rr = np.full(len(foff), r)
         vals = eval_rows(rr, PROFILE.value_radial(rr),
                          PROFILE.complement_radial(rr), BETA, 0.5 / MASS,
-                         foff, habs, need)
+                         foff - habs, habs, need)
         return c_nu * r ** (NU - 1) * vals.ravel()
 
     want, _ = quad_vec(integrand, 0.0, np.inf, epsabs=1e-15, epsrel=1e-13,
                        limit=2000)
     want = want.reshape(len(need), len(foff))
-    got = radial_rows(PROFILE, NU, MASS, BETA, foff, habs, need)
+    got = radial_rows(PROFILE, NU, MASS, BETA, foff - habs, habs, need)
     for k in range(len(foff)):
         assert (np.abs(got[:, k] - want[:, k]).max()
                 <= _tolerance(want[:, k])), k
@@ -391,23 +392,24 @@ def test_batch_point_fails_the_call():
     foff, habs = np.array(BATCH[-3:]).T
     with pytest.raises(QuadratureFailure, match="did not converge"), \
             np.errstate(over="ignore", invalid="ignore"):
-        radial_rows(PROFILE, NU, MASS, BETA, foff, habs, (1, 3))
+        radial_rows(PROFILE, NU, MASS, BETA, foff - habs, habs, (1, 3))
 
 
 def test_batches_are_chunked(monkeypatch):
     # K points go to the kernel as one flat batch of K * nodes, with each
-    # point's foff and habs repeated per node, in chunks of at most _CHUNK
+    # point's sigma and habs repeated per node, in chunks of at most _CHUNK
     sizes = []
 
-    def counted(r, lam, lam_c, beta, inv_2m, foff, habs, rows):
-        assert len(r) == len(lam) == len(lam_c) == len(foff) == len(habs)
+    def counted(r, lam, lam_c, beta, inv_2m, sigma, habs, rows):
+        assert len(r) == len(lam) == len(lam_c) == len(sigma) == len(habs)
         sizes.append(len(r))
-        return eval_rows(r, lam, lam_c, beta, inv_2m, foff, habs, rows)
+        return eval_rows(r, lam, lam_c, beta, inv_2m, sigma, habs, rows)
 
     foff, habs = np.array(BATCH).T
-    one = radial_rows(PROFILE, NU, MASS, BETA, foff[:1], habs[:1], (1,))
+    sigma = foff - habs
+    one = radial_rows(PROFILE, NU, MASS, BETA, sigma[:1], habs[:1], (1,))
     monkeypatch.setattr(quadrature, "eval_rows", counted)
-    many = np.repeat(foff, 40), np.repeat(habs, 40)
+    many = np.repeat(sigma, 40), np.repeat(habs, 40)
     got = radial_rows(PROFILE, NU, MASS, BETA, *many, (1,))
     assert max(sizes) == quadrature._CHUNK
     assert abs(got[0, 0] - one[0, 0]) <= _tolerance(one)

@@ -4,6 +4,7 @@ Frozen reference numbers were produced by independent re-solves at tighter
 settings and by closed-form series evaluation (Bose functions).
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -16,7 +17,7 @@ from pairboson import bose, pressure, solver
 from pairboson import quadrature
 from pairboson.errors import (
     BracketFailure, ConfigError, ContinuationDiverged, ModelError,
-    PairBosonError, QuadratureFailure,
+    PairBosonError, QuadratureFailure, StationarityViolated,
 )
 from pairboson.model import (
     Model, gaussian_profile, delta_profile, power_profile,
@@ -30,7 +31,7 @@ from pairboson.solver import (
     bose_density, critical_density, mf_density, mf_pressure,
     excitation_spectrum, classify_phase, variational_limit,
     PHASE_NORMAL, PHASE_PAIR_ONLY, PHASE_CONDENSED, PHASE_MF_CONDENSED,
-    STATUS_BOUNDARY,
+    STATUS_BOUNDARY, STATUS_CONVERGED,
 )
 
 GAUSS = gaussian_profile(1.0)
@@ -521,6 +522,120 @@ class TestVariationalLimit:
             phase = classify_phase(m, tp, lim)
             assert phase == classify_phase(m, tp, cont)
             assert (phase == PHASE_NORMAL) == (mu < 0.4)
+
+
+class TestGapSolve:
+    """Dim 2 at eta = 0: the inner solve runs on s = ln sigma, so that a
+    minimizer far below rho's resolution is found and carried."""
+
+    @pytest.mark.parametrize("profile", [gaussian_profile(1.0),
+                                         power_profile(1.0, 4.0),
+                                         delta_profile()],
+                             ids=["gaussian:1", "power:1:4", "delta"])
+    def test_agrees_with_continuation(self, profile):
+        # u = 0.5, mu = 0.6: sigma* falls from 2.5e-6 to 6e-171 (gaussian:1)
+        # over the three temperatures.  The continuation's m0 there, 0 to
+        # 1.2, falls linearly in ln eta; the density row's ln(1/sigma)
+        # leaves no condensate at eta = 0 (Hohenberg-Mermin-Wagner).  The
+        # delta profile's pair field leaves the row finite on sigma = 0:
+        # its minima sit there, with the continuation's m0
+        for beta in (0.5, 2.0, 8.0):
+            m = Model(dim=2, mass=0.5, u=0.5, v=1.0, lambda_profile=profile)
+            tp = ThermoPoint(beta, 0.6)
+            lim = variational_limit(m, tp)
+            cont = eta_continuation(m, tp)
+            assert abs(lim.p_limit - cont.p_limit) <= \
+                cont.error_estimates["p"], beta
+            assert abs(lim.q_limit - cont.q_limit) <= 1e-4, beta
+            if profile.kind == delta_profile().kind:
+                assert lim.result.status == STATUS_BOUNDARY
+                assert abs(lim.m0 - cont.m0) <= max(
+                    2e-5, cont.error_estimates["m0"])
+                continue
+            assert lim.result.status == STATUS_CONVERGED
+            assert lim.m0 == 0.0
+            assert classify_phase(m, tp, lim) == PHASE_PAIR_ONLY
+            lim.result.checked_residuals()
+
+    @pytest.mark.parametrize("profile, q", [
+        (gaussian_profile(1.0), 0.77), (power_profile(1.0, 4.0), 0.77),
+        (gaussian_profile(1.0), 0.0)])
+    def test_lorentz_coefficient_is_sigma_i3(self, profile, q):
+        # b = sigma I3(sigma) at sigma = 1e-16, from the converged
+        # curvature row, for both forms of the coefficient
+        m = Model(dim=2, mass=0.5, u=0.5, v=1.0, lambda_profile=profile)
+        tp = ThermoPoint(2.0, 0.2)
+        sigma = 1e-16
+        op = OrderPoint(q, (0.2 + 0.5 * q + sigma), 0.0, sigma)
+        want = sigma * pressure.d2_mu(m, tp, op)
+        got = solver._lorentz_coefficient(m, 2.0, 0.5 * q)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("prof, v, u, mass, beta, mu", [
+        (power_profile(1.9, 2.26), 1.0, 0.5, 0.9, 1.44, 1.31),
+        (power_profile(0.7, 2.29), 1.55, 0.7, 0.3, 5.0, 1.06)])
+    def test_power_profile_near_p_2(self, prof, v, u, mass, beta, mu):
+        # 1 - lambda ~ (c r)^p in f - h fades against r^2/(2m) only like
+        # sigma^((p-2)/2), so sigma I3 reaches b far below 1e-16: the
+        # anchor moves down until it does (sigma* = 1e-31 and 3e-116
+        # here); from 1e-16 the asymptote missed the density row by
+        # 0.15 and 1.3e-3
+        m = Model(dim=2, mass=mass, u=u, v=v, lambda_profile=prof)
+        tp = ThermoPoint(beta, mu)
+        lim = variational_limit(m, tp)
+        assert lim.result.status == STATUS_CONVERGED and lim.m0 == 0.0
+        lim.result.checked_residuals()
+        cont = eta_continuation(m, tp)
+        assert abs(lim.p_limit - cont.p_limit) <= cont.error_estimates["p"]
+        assert abs(lim.q_limit - cont.q_limit) <= 1e-4
+
+    def test_checked_residuals_stay_strict(self, monkeypatch):
+        # sigma* = 1.9e-42: the slack is the el1 that the root's tolerance
+        # on ln sigma allows, about b 1e-15, so an el1 of 1e-9 fails
+        m, tp = model(dim=2), ThermoPoint(2.0, 0.6)
+        res = variational_limit(m, tp).result
+        assert 1e-43 < res.residual_at[2].sigma < 1e-41
+        res.checked_residuals()
+        assert res._el1_slack() < 1e-13
+        el1, el2 = res._residuals
+        monkeypatch.setattr(solver, "el_residuals",
+                            lambda *args: (el1 + 1e-9, el2))
+        with pytest.raises(StationarityViolated, match="not stationary"):
+            dataclasses.replace(res).checked_residuals()
+
+    @pytest.mark.parametrize("beta, mu", [(2.0, 0.6), (8.0, 0.5)])
+    def test_q0_gap_against_mpmath(self, beta, mu):
+        # u < 0: q_bar = 0 and the gap is sigma*, the root of
+        # (mu + sigma)/v = lambda^-2 g_1(e^-beta sigma), here at 40 digits
+        # in s = ln sigma; two solves once printed 1.41241405e-7 and
+        # 1.41241404e-7 at beta = 2, and the second point ended on sigma = 0
+        import mpmath
+        lim = variational_limit(model(u=-0.5, dim=2), ThermoPoint(beta, mu))
+        assert lim.result.status == STATUS_CONVERGED
+        with mpmath.workdps(40):
+            c = mpmath.mpf(0.5) / (2 * mpmath.pi * beta)
+
+            def resid(s):
+                sigma = mpmath.exp(s)
+                return mu + sigma + c * mpmath.log(-mpmath.expm1(-beta * sigma))
+
+            want = float(mpmath.exp(mpmath.findroot(resid,
+                                                    math.log(lim.gap_limit))))
+        assert lim.gap_limit == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_underflowed_gap_stays_interior(self):
+        # beta = 16: sigma* ~ 1e-340 underflows.  The solve carries
+        # ln sigma: the minimum is interior, not a boundary minimum, its
+        # gap E(0) = sqrt(sigma* 2|u|q) is read from ln sigma, and its
+        # residuals, which cannot be formed, end in StationarityViolated
+        m, tp = model(dim=2), ThermoPoint(16.0, 0.6)
+        lim = variational_limit(m, tp)
+        assert lim.result.status == STATUS_CONVERGED
+        assert lim.result.residual_at[2].sigma == 0.0
+        assert 0.0 < lim.gap_limit < 1e-150 and lim.m0 == 0.0
+        assert lim.p_limit >= mf_pressure(m, tp)
+        with pytest.raises(StationarityViolated, match="float range"):
+            lim.result.checked_residuals()
 
 
 class TestNonAttractive:

@@ -319,17 +319,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, message", [
         ("--mu=1e155", "the solve left the floating-point range"),
-        ("--beta=1e-300", "ideal-gas row 0 is inf at f(0) = "
-                          "1.5462467037785734e+299"),
     ])
     def test_overflow_is_non_convergence(self, flag, message, capsys):
         # a float past the float range in the eta = 0 solve of u > 0 in
         # dim 2, which runs on the gap coordinate: at --mu=1e155 in the
-        # outer bracket's q_max; at beta = 1e-300 the q = 0 gap is
-        # sigma* = 1.5e299, where the pressure row passes the float range
+        # outer bracket's q_max
         assert run_main(["solve", flag] + DIM2) == cli.EXIT_NO_CONVERGENCE
         captured = capsys.readouterr()
         assert captured.err == f"non-convergence: {message}\n"
+        assert captured.out == ""
+
+    def test_dim_2_at_beta_1e_300_overflows_the_pressure_row(self, capsys):
+        # the q = 0 gap is sigma* = 1.5e299, where the closed-form pressure
+        # row passes the float range: the point exits 3 on that row
+        assert run_main(["solve", "--beta=1e-300"] + DIM2) == \
+            cli.EXIT_NO_CONVERGENCE
+        captured = capsys.readouterr()
+        assert captured.err == ("non-convergence: ideal-gas row 0 is inf at "
+                                "f(0) = 1.5462467037785734e+299\n")
         assert captured.out == ""
 
     def test_dim_2_at_beta_1e_150_solves(self, capsys):

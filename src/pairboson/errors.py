@@ -28,7 +28,10 @@ class BracketFailure(PairBosonError):
 
 
 class StationarityViolated(PairBosonError):
-    """total_dq called at a rho that is not stationary in rho."""
+    """An optimum fails a stationarity check: total_dq called at a rho that
+    is not stationary in rho, or an eta = 0 optimum whose Euler-Lagrange
+    residuals miss their bound or whose gap lies below the float range,
+    where they cannot be formed (SolveResult.checked_residuals)."""
 
 
 class ContinuationDiverged(PairBosonError):

@@ -18,16 +18,19 @@ half of it (the quasi-average) for u < 0.  `eta_continuation` runs a
 geometric eta schedule on one quadrature plan and extrapolates to eta = 0
 with a detected-order Richardson step.  The CLI's solve, scan and spectrum
 take the first path at every point; the second stays as the API's
-cross-check of it, which the tests run.  In dim 2 the eta = 0 inner solve
-runs on the gap coordinate s = ln sigma (`_gap_steps`), since the density
-row diverges like ln(1/sigma) and the minimizer's sigma lies below rho's
-resolution from moderate beta on.
+cross-check of it, which the tests run.  At eta = 0 the inner solve runs
+on the gap coordinate s = ln sigma in every dimension (`_gap_steps`): the
+point carries sigma, so a minimizer far below rho's resolution keeps its
+gap, and a boundary minimum carries sigma = 0 exactly.  At eta > 0 it runs
+in rho (`_inner_steps`).  The mean-field reference `mf_pressure` finds its
+own fixed point on the same coordinate.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -52,7 +55,6 @@ from .pressure import (
     grad_rho_slope,
     outer_grads,
     pressure_tl,
-    sigma_gap,
     source_terms,
     total_dq,
 )
@@ -72,9 +74,9 @@ _ORDER_TOL = 1e-6  # q_limit and m0 above this are a nonzero order parameter
 # the radial tolerance, which `SolveResult.checked_residuals` holds the
 # Euler-Lagrange residuals to, relative to max(1, rho_bar) and max(1, q_bar)
 _EL_TOL = 1e-10
-# inf_rho's absolute and relative tolerance on rho_bar
+# the eta > 0 inner solve's absolute and relative tolerance on rho_bar
 _RHO_XTOL, _RHO_RTOL = 1e-14, 8.9e-16
-# the dim-2 gap solve's tolerance on s = ln sigma: _S_XTOL + _RHO_RTOL |s|
+# the eta = 0 gap solve's tolerance on s = ln sigma: _S_XTOL + _RHO_RTOL |s|
 _S_XTOL = 1e-15
 # Below its anchor, at most this gap, the dim-2 density row is its
 # Lorentzian asymptote I1(sigma_a) + b ln(sigma_a/sigma): near r = 0,
@@ -90,6 +92,9 @@ _LOG_SIGMA0 = math.log(_SIGMA0)
 _ANCHOR_STEP = 8.0 * math.log(10.0)
 _LOG_SIGMA_FLOOR = math.log(1e-120)
 _B_RTOL = 1e-9
+# ln of the least normal float and a bound below ln of the largest
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
+_LOG_FLOAT_MAX = 709.0
 
 
 @dataclass
@@ -123,7 +128,7 @@ class SolveResult:
                             doc="Residual of the pair equation.")
 
     def checked_residuals(self):
-        """(el1, el2) of an interior optimum, or StationarityViolated
+        """(el1, el2) of an interior eta = 0 optimum, or StationarityViolated
         unless |el1| <= _EL_TOL max(1, rho_bar) + slack and
         |el2| <= _EL_TOL max(1, q_bar) + (v/|u|) slack.
 
@@ -132,9 +137,10 @@ class SolveResult:
         the q-slope grad_q + grad_rho = v el1 - u el2, so el2 = (v/u) el1
         inherits el1's floor.  The slack costs one quadrature, taken only
         when a residual misses its plain bound.  An optimum whose carried
-        gap underflowed to 0 cannot be checked, and raises."""
+        gap underflowed, to 0 or to a subnormal float, cannot be checked,
+        and raises."""
         op = self.residual_at[2]
-        if op.sigma == 0.0:
+        if op.sigma < sys.float_info.min:
             raise StationarityViolated(
                 "the optimum's gap sigma lies below the float range: its "
                 "residuals cannot be checked")
@@ -154,19 +160,15 @@ class SolveResult:
         return el1, el2
 
     def _el1_slack(self):
-        """The el1 that the inner root's tolerance allows: d el1 times the
-        step the root may still be off.
+        """The el1 that the inner root's tolerance allows: d el1 / ds,
+        (sigma/v + sigma I3(sigma)) on the gap coordinate s = ln sigma,
+        times the tolerance on s.
 
-        In rho that is (1 + v d2_mu) (_RHO_XTOL + _RHO_RTOL rho_bar); it
-        matters just off sigma = 0, where d2_mu ~ 1/sigma.  On the gap
-        coordinate of dim 2 it is (sigma/v + sigma I3(sigma)) times the
-        tolerance on ln sigma, about b 1e-15 with b the Lorentzian
-        coefficient: below _SIGMA0, sigma I3(sigma) is b = sigma0
-        I3(sigma0)."""
+        Below _SIGMA0, sigma I3(sigma) is read at _SIGMA0: in dim 2 that
+        is b, the Lorentzian coefficient, so the slack is about b 1e-15
+        there; in dim >= 3, where sigma I3 falls like sqrt(sigma), it is
+        an upper bound."""
         model, tp, op = self.residual_at
-        if op.sigma is None:
-            return ((1.0 + model.v * d2_mu(model, tp, op))
-                    * (_RHO_XTOL + _RHO_RTOL * self.rho_bar))
         at = max(op.sigma, _SIGMA0)
         b = at * d2_mu(model, tp, replace(op, sigma=at))
         return ((op.sigma / model.v + b)
@@ -213,11 +215,13 @@ def _balanced_step(model, tp, op, gr, slope):
 
 
 class _Found(NamedTuple):
-    """What an inner solve knows at its minimizer besides rho_bar: the
-    (grad_rho, grad_q) there where it computed them, and ln sigma where it
-    solved on the gap coordinate (dim 2 at eta = 0), else None."""
+    """What an inner solve knows at its minimizer besides rho_bar: grad_rho
+    and grad_q there where it computed them (grad_q None at q = 0, where no
+    pair row is read), and ln sigma where it solved on the gap coordinate
+    (eta = 0; -inf on the boundary sigma = 0), else None."""
 
-    grads: tuple = None
+    grad_rho: float = None
+    grad_q: float = None
     log_sigma: float = None
 
 
@@ -227,11 +231,12 @@ def inf_rho(model: Model, tp: ThermoPoint, q, eta: float, rho_hint=None):
     Returns (rho_bar, boundary, found): the minimizer; whether it sits on
     the feasibility boundary sigma = 0 (possible only at eta = 0, or for
     repulsive u where the source stays finite on the boundary); and the
-    `_Found` of the solve: (grad_rho, grad_q) where it computed them at
-    the minimizer, and ln sigma in dim 2 at eta = 0, where the solve runs
-    on the gap itself (`_gap_steps`) because the minimizer's sigma can lie
-    far below rho's resolution.  The pressure at the minimizer is left to
-    the caller.  A feasible rho_hint is the start of the Newton iteration.
+    `_Found` of the solve: grad_rho and grad_q where it computed them at
+    the minimizer, and at eta = 0 ln sigma, since there the solve runs on
+    the gap itself (`_gap_steps`) and the minimizer's sigma can lie far
+    below rho's resolution.  At eta > 0 it runs in rho (`_inner_steps`).
+    The pressure at the minimizer is left to the caller.  A feasible
+    rho_hint is the start of the iteration.
 
     An array of q (with None or an array of hints) solves every q in
     lockstep and returns a list with, per q, that triple or the
@@ -241,18 +246,20 @@ def inf_rho(model: Model, tp: ThermoPoint, q, eta: float, rho_hint=None):
     one, and raises its error.
 
     grad_rho increases with rho (d2_mu >= 0), so the minimum is on the
-    boundary exactly when grad_rho >= 0 at rho_b, the smallest feasible
-    density (the Karush-Kuhn-Tucker condition).  Where rho_b can be
-    evaluated (dim >= 3, q > 0, and a source finite on sigma = 0) one
-    outer_grads call there decides it, before anything else.  Elsewhere
-    the density row (dim <= 2), the pair row (q = 0) or the source (u > 0
-    with eta > 0) diverges at rho_b, and the top probe rho_lo + 1e-3 scale,
-    then the bottom probe rho_lo + 1e-14 scale, stand in.
+    boundary exactly when grad_rho >= 0 at rho_b = (mu + |u| q)/v, where
+    sigma = 0 (the Karush-Kuhn-Tucker condition).  Where the density row
+    is finite on sigma = 0 (`_finite_on_boundary`), and at eta > 0 the
+    source too (u < 0, q > 0), one call there, at the carried sigma = 0,
+    decides it before anything else.  Elsewhere the minimum is interior at
+    eta = 0; at eta > 0 the top probe rho_lo + 1e-3 scale, then the bottom
+    probe rho_lo + 1e-14 scale, stand in.
     """
     qs = np.atleast_1d(q).tolist()
     hints = [None] * len(qs) if rho_hint is None else np.atleast_1d(rho_hint)
     return _one_or_all(q, _lockstep(model, tp, eta, qs, [
-        _inner_steps(model, tp, qq, eta, hint) for qq, hint in zip(qs, hints)]))
+        _gap_steps(model, tp, qq, hint) if eta == 0.0
+        else _inner_steps(model, tp, qq, eta, hint)
+        for qq, hint in zip(qs, hints)]))
 
 
 def _one_or_all(q, outs):
@@ -335,30 +342,49 @@ def _evaluate(model, tp, eta, fn, qs, rhos, sigmas=None):
     return replies
 
 
-def _inner_steps(model, tp, q, eta, rho_hint):
-    """`inf_rho` at one q, as a generator of its quadrature requests (see
-    `_lockstep`); returns (rho_bar, boundary, found).
+def _boundary_offset(model, tp, q):
+    """c = mu + |u| q, so that sigma = v rho - c and rho_b = c/v."""
+    c = tp.mu + abs(model.u) * q
+    if not math.isfinite(c):
+        # q overflowed without an OverflowError, as eta * eta can
+        raise ContinuationDiverged("the solve left the floating-point range")
+    return c
 
-    In dim 2 at eta = 0 that is `_gap_steps`.  Elsewhere, after the
-    boundary test, Newton's method safeguarded by bisection (rtsafe: W. H.
-    Press et al., Numerical Recipes, 3rd ed., sec. 9.4) runs to
-    convergence on grad_rho inside a bracket [lo, hi] that the sign of
+
+def _finite_on_boundary(model, q):
+    """Whether the density row stays finite on sigma = 0: in dim >= 3, and
+    with the delta profile at q > 0, whose pair field leaves a gap at
+    every r > 0.  Elsewhere it diverges there, like ln(1/sigma) in dim 2."""
+    return model.dim >= 3 or (
+        q > 0.0 and model.lambda_profile.kind == PROFILE_DELTA_ZERO)
+
+
+def _grads_request(q, rho, sigma):
+    """(grad_rho, grad_q) at (q, rho, sigma), as one request (see
+    `_lockstep`); at q = 0 grad_rho alone, with grad_q None: no pair row
+    is read there, which diverges on sigma = 0."""
+    if q > 0.0:
+        return (yield outer_grads, rho, sigma)
+    return (yield grad_rho, rho, sigma), None
+
+
+def _inner_steps(model, tp, q, eta, rho_hint):
+    """`inf_rho` at one q and eta > 0, as a generator of its quadrature
+    requests (see `_lockstep`); returns (rho_bar, boundary, found).
+
+    After the boundary test, Newton's method safeguarded by bisection
+    (rtsafe: W. H. Press et al., Numerical Recipes, 3rd ed., sec. 9.4) runs
+    to convergence on grad_rho inside a bracket [lo, hi] that the sign of
     every slope seen shrinks.  A step that leaves the bracket bisects it;
     while the bracket has no upper end, it expands instead.
     """
-    rho_lo = max(0.0, (tp.mu + abs(model.u) * q) / model.v)
-    if not math.isfinite(rho_lo):
-        # q overflowed without an OverflowError, as eta * eta can
-        raise ContinuationDiverged("the solve left the floating-point range")
+    c = _boundary_offset(model, tp, q)
+    rho_lo = max(0.0, c / model.v)
     scale = max(1.0, rho_lo)
     # top and bottom are feasible: sigma >= 1e-14 v scale there, above
     # rho_lo's rounding, and sigma~ >= sigma
     top = rho_lo + 1e-3 * scale
-    if model.dim == 2 and eta == 0.0:
-        return (yield from _gap_steps(model, tp, q, rho_hint, top))
-
-    def inside(rho):
-        return feasible(model, tp, OrderPoint(q, rho, eta))
+    bottom = rho_lo + 1e-14 * scale
 
     seen = {}
 
@@ -368,36 +394,30 @@ def _inner_steps(model, tp, q, eta, rho_hint):
             seen[rho] = yield grad_rho_slope, rho, None
         return seen[rho]
 
-    rho_b = rho_lo
-    while sigma_gap(model, tp, OrderPoint(q, rho_b, eta)) < 0:
-        rho_b = np.nextafter(rho_b, np.inf)  # undo rounding in rho_lo
-    rho_b = float(rho_b)
-    bottom = rho_lo + 1e-14 * scale
     hi = None
-    if (model.dim >= 3 and q > 0.0 and (eta == 0.0 or model.u < 0.0)
-            and inside(rho_b)):
-        grads = yield outer_grads, rho_b, None
-        if grads[0] >= 0:
-            return rho_b, True, _Found(grads)
-        lo = rho_b
-        seen[rho_b] = grads[0], math.nan  # no slope: no retake from it
+    if (model.u < 0.0 and q > 0.0 and c >= 0.0
+            and _finite_on_boundary(model, q)):
+        # u < 0: the source stays finite on sigma = 0, which the call carries
+        gr, gq = yield outer_grads, rho_lo, 0.0
+        if gr >= 0:
+            return rho_lo, True, _Found(gr, gq, -math.inf)
+        lo = rho_lo
+        seen[rho_lo] = gr, math.nan  # no slope: no retake from it
     elif (yield from g_slope(top))[0] < 0:
         lo = top
     elif (yield from g_slope(bottom))[0] < 0:
         lo, hi = bottom, top
     else:
-        # slope is nonnegative all the way down: boundary minimum, or
-        # infinitesimally inside it where the source diverges on it
-        return (rho_b if inside(rho_b) else bottom), True, _Found()
+        # slope is nonnegative all the way down: a boundary minimum,
+        # infinitesimally inside the boundary, where the source diverges
+        return bottom, True, _Found()
 
     def newton(rho, gr, slope):
-        nxt = rho - gr / slope
-        if eta > 0.0:
-            # both residuals are concave and increasing in rho, so each
-            # Newton step lands at or below the root: the larger is nearer
-            nxt = max(nxt, _balanced_step(model, tp, OrderPoint(q, rho, eta),
-                                          gr, slope))
-        return nxt
+        # both residuals are concave and increasing in rho, so each Newton
+        # step lands at or below the root: the larger is nearer
+        return max(rho - gr / slope,
+                   _balanced_step(model, tp, OrderPoint(q, rho, eta), gr,
+                                  slope))
 
     # Newton from the hint, else from the top probe.  A step from above
     # the root that lands below lo is retaken from lo, which concavity
@@ -406,7 +426,8 @@ def _inner_steps(model, tp, q, eta, rho_hint):
     # instead, to lo + scale and then to twice lo; at most 80 steps may
     # expand it or at least double rho before the search gives up
     rho = top
-    if rho_hint is not None and rho_hint > rho_lo and inside(rho_hint):
+    if (rho_hint is not None and rho_hint > rho_lo
+            and feasible(model, tp, OrderPoint(q, rho_hint, eta))):
         rho = rho_hint
     doublings = 0
     # a cap for safety only: bisection alone takes any bracket of doubles
@@ -439,34 +460,38 @@ def _inner_steps(model, tp, q, eta, rho_hint):
     raise BracketFailure("density solve did not converge")
 
 
-def _gap_steps(model, tp, q, rho_hint, top):
-    """`_inner_steps` in dim 2 at eta = 0: Newton's method on
-    s = ln sigma, safeguarded by bisection as there, for the root of
-    F(s) = grad_rho / v = rho - I1(sigma), rho = rho_b + sigma / v with
+def _gap_steps(model, tp, q, rho_hint):
+    """`inf_rho` at one q and eta = 0, as a generator of its quadrature
+    requests (see `_lockstep`): Newton's method on s = ln sigma,
+    safeguarded by bisection as in `_inner_steps`, for the root of
+    F(s) = grad_rho / v = rho - I1(sigma), rho = rho_b + sigma/v with
     rho_b = (mu + |u| q)/v.  dF/ds = sigma (1/v + I3) > 0.
 
-    The density row I1 diverges like ln(1/sigma) at sigma = 0 for every
-    profile but the delta one at q > 0, so the minimum is interior and
-    its sigma* can lie far below rho's resolution, or below the float
-    range.  The solve carries s and reports rho_bar = rho_b + sigma*/v
-    (its `_Found` carries s*).  Above the anchor sigma_a (see _SIGMA0) it
-    reads the rows by quadrature, at the gap itself; below, F is closed
-    form in s from the Lorentzian asymptote of I1:
+    F is concave and increasing in sigma, so Newton's step in sigma lands
+    at or below the root; it is taken, mapped to s, wherever it keeps
+    sigma > 0, else the step in s.  The loop ends when the step or the
+    bracket falls below the tolerance on s.  The solve carries s and
+    reports rho_bar = rho_b + sigma*/v (its `_Found` carries s*), so
+    sigma* keeps its digits however far it lies below rho's resolution.
+
+    Where the density row is finite on sigma = 0 (`_finite_on_boundary`),
+    one call there decides a boundary minimum first, which carries
+    sigma = 0 exactly.  Elsewhere I1 diverges at sigma = 0 and the minimum
+    is interior.  In dim 2 it diverges like ln(1/sigma), and sigma* can lie
+    below the float range: above the anchor sigma_a (see _SIGMA0) the rows
+    are read by quadrature, at the gap itself; below, F is closed form in s
+    from the Lorentzian asymptote of I1:
     F(s) = F(s_a) + (sigma - sigma_a)/v + b (s - s_a), with b from
     `_lorentz_coefficient` once sigma_a I3(sigma_a) meets it (else that
     measured value, at the deepest anchor), and F(s_a) from one more
     quadrature there.  The pair row follows the density row there
     (|u| q I2 - I1 is constant to 8 digits below sigma = 1e-8), so the
     minimizer's grads are read at the anchor:
-    grad_q(sigma*) = grad_q(sigma_a) + |u| b (s_a - s*).
-
-    With the delta profile at q > 0 the pair field leaves a gap at every
-    r > 0, I1 stays finite at sigma = 0, and one outer_grads call on the
-    boundary decides a boundary minimum first, as in dim >= 3.  The start
-    is the hint's gap, else that of the top probe.
+    grad_q(sigma*) = grad_q(sigma_a) + |u| b (s_a - s*).  The start is the
+    hint's gap, else that of rho_lo + 1e-3 max(1, rho_lo).
     """
     v = model.v
-    c = tp.mu + abs(model.u) * q        # v rho_b
+    c = _boundary_offset(model, tp, q)        # v rho_b
     rho_b = c / v
     # rho >= 0 bounds sigma below by -c
     lo, hi = (math.log(-c) if c < 0.0 else -math.inf), math.inf
@@ -475,15 +500,14 @@ def _gap_steps(model, tp, q, rho_hint, top):
         sigma = math.exp(s)
         return max(rho_b + sigma / v, 0.0), sigma
 
-    if (q > 0.0 and c >= 0.0
-            and model.lambda_profile.kind == PROFILE_DELTA_ZERO):
-        grads = yield outer_grads, rho_b, 0.0
-        if grads[0] >= 0:
-            return rho_b, True, _Found(grads, -math.inf)
+    if c >= 0.0 and _finite_on_boundary(model, q):
+        gr, gq = yield from _grads_request(q, rho_b, 0.0)
+        if gr >= 0:
+            return rho_b, True, _Found(gr, gq, -math.inf)
 
-    # the anchor: its ln sigma, and there (grad_rho, grad_q or None, b)
-    s_a, anchor = _LOG_SIGMA0, None
-    b_lorentz = _lorentz_coefficient(model, tp.beta, abs(model.u) * q)
+    # the anchor, in dim 2 only: its ln sigma, and there
+    # (grad_rho, grad_q or None, b)
+    s_a, anchor = (_LOG_SIGMA0 if model.dim == 2 else -math.inf), None
 
     def residual(s):
         # (F, dF/ds) at s
@@ -491,19 +515,19 @@ def _gap_steps(model, tp, q, rho_hint, top):
         while anchor is None and s < s_a:
             rho_a, sigma_a = point(s_a)
             b = sigma_a * (yield d2_mu, rho_a, sigma_a)
+            b_lorentz = _lorentz_coefficient(model, tp.beta, abs(model.u) * q)
             close = abs(b - b_lorentz) <= _B_RTOL * b_lorentz
             if not close and s_a - _ANCHOR_STEP >= _LOG_SIGMA_FLOOR:
                 # sigma I3 has not reached its limit: anchor deeper
                 s_a -= _ANCHOR_STEP
                 continue
-            if q > 0.0:
-                gr_a, gq_a = yield outer_grads, rho_a, sigma_a
-            else:
-                # no pair row at q = 0, and no q-slope needed there
-                gr_a, gq_a = (yield grad_rho, rho_a, sigma_a), None
+            gr_a, gq_a = yield from _grads_request(q, rho_a, sigma_a)
             anchor = gr_a, gq_a, (b_lorentz if close else b)
         if s >= s_a:
             rho, sigma = point(s)
+            if sigma == 0.0:
+                # the rows diverge on sigma = 0 here: sigma* underflows
+                raise BracketFailure("gap solve left the float range")
             gr, slope = yield grad_rho_slope, rho, sigma
             return gr / v, sigma * slope / (v * v)
         gr_a, _, b = anchor
@@ -511,7 +535,8 @@ def _gap_steps(model, tp, q, rho_hint, top):
         return (gr_a / v + (sigma - sigma_a) / v + b * (s - s_a),
                 sigma / v + b)
 
-    s = math.log(v * top - c)
+    rho_lo = max(rho_b, 0.0)
+    s = math.log(v * (rho_lo + 1e-3 * max(1.0, rho_lo)) - c)
     if rho_hint is not None and v * rho_hint - c > max(-c, 0.0):
         s = math.log(v * rho_hint - c)
     for _ in range(2000):
@@ -521,16 +546,16 @@ def _gap_steps(model, tp, q, rho_hint, top):
         else:
             hi = min(hi, s)
         tol = _S_XTOL + _RHO_RTOL * abs(s)
-        nxt = s - F / dF if 0 < dF < math.inf else math.nan
+        ratio = F / dF if 0 < dF < math.inf else math.nan
+        # Newton's step in sigma where it keeps sigma > 0, else in s
+        nxt = s + math.log1p(-ratio) if ratio < 1.0 else s - ratio
         if not lo <= nxt <= hi:
             if math.isinf(lo) or math.isinf(hi):
                 # no bracket yet: a factor e in sigma toward it
                 nxt = s + (1.0 if F < 0 else -1.0)
             else:
                 nxt = 0.5 * (lo + hi)
-                if hi - lo <= 2.0 * tol:
-                    break
-        elif abs(nxt - s) <= tol:
+        if abs(nxt - s) <= tol or hi - lo <= 2.0 * tol:
             break
         s = nxt
     else:
@@ -538,11 +563,11 @@ def _gap_steps(model, tp, q, rho_hint, top):
     s = nxt
     rho_bar = point(s)[0]
     if anchor is None or s >= s_a or anchor[1] is None:
-        return rho_bar, False, _Found(None, s)
+        return rho_bar, False, _Found(log_sigma=s)
     # the pair row follows the density row below the anchor
     F = (yield from residual(s))[0]
     gq = anchor[1] + abs(model.u) * anchor[2] * (s_a - s)
-    return rho_bar, False, _Found((v * F, gq), s)
+    return rho_bar, False, _Found(v * F, gq, s)
 
 
 def _lorentz_coefficient(model, beta, habs):
@@ -567,14 +592,13 @@ def _result_at(model, tp, eta, inner, value, q):
 
     On the boundary sigma = 0, f(0) = |h(0)| and so the gap E(0) is 0;
     sqrt(f^2 - h^2) a few ulps off it would report rounding noise.  The
-    gap of an interior minimum is sqrt(sigma (sigma + 2 |u| q)), from the
-    carried ln sigma where the solve ran on the gap coordinate (finite
-    there even where sigma underflows).  rho0 is the source's
-    eta^2/sigma~^2, which is 0 at eta = 0 except on the boundary: there it
-    is the eta -> 0 limit of the source's rho0, the quasi-average.  For
-    u >= 0 that is the KKT multiplier max(grad_rho / v, 0), read from the
-    boundary test's gradients where inf_rho made one; for u < 0 it is half
-    the multiplier:
+    gap of an interior minimum is sqrt(sigma (sigma + 2 |u| q)), at eta = 0
+    from the carried ln sigma (finite even where sigma underflows).  rho0
+    is the source's eta^2/sigma~^2, which is 0 at eta = 0 except on the
+    boundary: there it is the eta -> 0 limit of the source's rho0, the
+    quasi-average.  For u >= 0 that is the KKT multiplier
+    max(grad_rho / v, 0), read from the boundary test's grad_rho; for
+    u < 0 it is half the multiplier:
 
     - Write w = -u > 0.  On the boundary path sigma = 0 of a small source,
       rho = (mu + w q)/v and sigma~ = 2 w q.
@@ -595,8 +619,8 @@ def _result_at(model, tp, eta, inner, value, q):
                * math.sqrt(op.sigma + 2.0 * abs(model.u) * q))
     rho0 = source_terms(model, tp, op)[1]
     if boundary and eta == 0.0:
-        gr = grad_rho(model, tp, op) if found.grads is None else found.grads[0]
-        rho0 = max(gr / model.v, 0.0) * (0.5 if model.u < 0.0 else 1.0)
+        rho0 = (max(found.grad_rho / model.v, 0.0)
+                * (0.5 if model.u < 0.0 else 1.0))
     return SolveResult(
         q_bar=float(q), rho_bar=float(rho), pressure=value(q),
         rho0=float(rho0), gap=gap, eta=float(eta),
@@ -696,11 +720,12 @@ def _slope_in_q(model, tp, eta, inner, q):
     rho_bar, boundary, found = inner(q)
     op = _order_point(q, rho_bar, eta, found)
     if boundary:
-        gr, gq = (outer_grads(model, tp, op) if found.grads is None
-                  else found.grads)
+        gr, gq = found.grad_rho, found.grad_q
+        if gq is None:
+            gr, gq = outer_grads(model, tp, op)
         return gq + gr * (abs(model.u) / model.v)
-    if found.grads is not None:
-        return found.grads[1] + found.grads[0]
+    if found.grad_q is not None:
+        return found.grad_q + found.grad_rho
     return total_dq(model, tp, q, eta, rho_bar, op.sigma)
 
 
@@ -1020,40 +1045,53 @@ def critical_density(model: Model, beta: float) -> float:
     return bose_density(model, beta, 0.0)
 
 
-def mf_density(model: Model, tp: ThermoPoint) -> float:
-    """Fixed point of rho = ideal-density(mu - v rho), saturating at mu/v.
+def _mf_point(model: Model, tp: ThermoPoint) -> OrderPoint:
+    """The mean-field fixed point, at q = 0 with the gap it carries: the
+    root sigma* in s = ln sigma of
+    F(s) = (mu + sigma)/v - lambda^-nu g_(nu/2)(e^(-beta sigma)), the
+    density less the ideal gas's at mu_eff = -sigma, and
+    rho = (mu + sigma*)/v.
 
-    The map rho -> ideal-density(mu - v rho) is decreasing in rho, so the
-    fixed point is unique; above the critical potential v rho_c the solution
-    sits on the boundary mu - v rho = 0.
+    F increases with s, so the root is unique.  In dim >= 3,
+    F(-inf) = mu/v - rho_c: at and above the critical potential v rho_c
+    the point sits on the boundary sigma = 0 exactly.  Otherwise `_brentq`
+    finds the root between ln(-mu), where rho = 0, or else the least
+    normal float (a root below it stops there), and the first point where
+    F > 0 of a walk up from sigma = v + max(-mu, 0) in steps in s that
+    double.  This is code of its own, not `inf_rho`'s: the tests compare
+    the u <= 0 solve with it.
     """
-    v = model.v
-    rho_c = critical_density(model, tp.beta)
-    if math.isfinite(rho_c) and tp.mu >= v * rho_c:
-        return tp.mu / v
+    v, mu = model.v, tp.mu
+    if mu >= v * critical_density(model, tp.beta):
+        return OrderPoint(0.0, mu / v, 0.0, 0.0)
 
-    def F(rho):
-        return rho - bose_density(model, tp.beta, tp.mu - v * rho)
+    def F(s):
+        sigma = math.exp(s)
+        return mu / v + sigma / v - bose_density(model, tp.beta, -sigma)
 
-    lo = max(0.0, tp.mu / v)
-    # just inside the non-condensed branch; F(lo+) < 0 when mu < v rho_c
-    eps = 1e-13 * max(1.0, abs(lo))
-    hi = lo + 1.0
-    for _ in range(100):
-        if F(hi) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise BracketFailure("mean-field fixed point bracket not found")
-    if F(lo + eps) >= 0:
-        return lo
-    return float(_brentq(F, lo + eps, hi, xtol=1e-15, rtol=8.9e-16))
+    # rho >= 0 bounds sigma below by -mu, where F = -density < 0
+    lo = math.log(-mu) if mu < 0.0 else _LOG_FLOAT_MIN
+    hi, step = math.log(v + max(-mu, 0.0)), 1.0
+    while F(hi) < 0.0:
+        if hi == _LOG_FLOAT_MAX:
+            raise BracketFailure("mean-field fixed point bracket not found")
+        lo, hi, step = hi, min(hi + step, _LOG_FLOAT_MAX), 2.0 * step
+    if F(lo) < 0.0:
+        lo = _brentq(F, lo, hi, xtol=_S_XTOL, rtol=_RHO_RTOL)
+    sigma = math.exp(lo)
+    return OrderPoint(0.0, max(mu / v + sigma / v, 0.0), 0.0, sigma)
+
+
+def mf_density(model: Model, tp: ThermoPoint) -> float:
+    """Fixed point of rho = ideal-density(mu - v rho), saturating at mu/v
+    (see `_mf_point`)."""
+    return _mf_point(model, tp).rho
 
 
 def mf_pressure(model: Model, tp: ThermoPoint) -> float:
-    """Mean-field pressure: the quadratic approximant at q = 0, eta = 0."""
-    rho_hat = mf_density(model, tp)
-    return pressure_tl(model, tp, OrderPoint(0.0, rho_hat, 0.0))
+    """Mean-field pressure: the quadratic approximant at q = 0, eta = 0,
+    read at the gap of the fixed point."""
+    return pressure_tl(model, tp, _mf_point(model, tp))
 
 
 def excitation_spectrum(model: Model, tp: ThermoPoint,

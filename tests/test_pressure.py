@@ -234,17 +234,21 @@ class TestResiduals:
         assert got == pytest.approx(want, rel=0.0, abs=1e-13)
 
     def test_el1_near_the_boundary_matches_mpmath(self):
-        """el1 at the dim-1 optimum of `solve --dim 1 --profile gaussian:1
-        --u 0.9 --beta 8 --mu 0.4`, sigma = 9.3e-6, against a 40-digit
-        mpmath integral of the same input (exact el1 = 2.902e-10).  f - h
-        rounded from foff - habs, as el_residuals formed it before, is
-        1.69e-10 off: foff and habs each carry an ulp of f(0) ~ 4.2."""
+        """el1 at the float (q, rho) of the dim-1 optimum of `solve --dim 1
+        --profile gaussian:1 --u 0.9 --beta 8 --mu 0.4`, sigma = 9.3e-6,
+        against a 40-digit mpmath integral of the same input (exact
+        el1 = 1.50e-10: rho rounds the solve's sigma* by 6e-16, and
+        d2_mu = 2.4e5 there).  f - h rounded from foff - habs, as
+        el_residuals formed it before, is 8.4e-11 off, a thousand times the
+        1e-14 that the split form meets: foff and habs each carry an ulp of
+        f(0) ~ 4.2."""
         import mpmath
         from pairboson.solver import variational_limit
         model = Model(dim=1, mass=0.5, u=0.9, v=1.0,
                       lambda_profile=gaussian_profile(1.0))
         tp = ThermoPoint(beta=8.0, mu=0.4)
-        op = variational_limit(model, tp).result.residual_at[2]
+        solved = variational_limit(model, tp).result.residual_at[2]
+        op = OrderPoint(solved.q, solved.rho)
         assert sigma_gap(model, tp, op) == pytest.approx(9.3e-6, rel=0.01)
         with mpmath.workdps(40):
             q, rho = mpmath.mpf(op.q), mpmath.mpf(op.rho)
@@ -258,7 +262,7 @@ class TestResiduals:
 
             i1 = mpmath.quad(g1, [0, 0.05, 0.2, 1, 3, mpmath.inf]) / mpmath.pi
             exact = float(rho - i1)
-        assert exact == pytest.approx(2.902e-10, rel=1e-3)
+        assert exact == pytest.approx(1.50e-10, rel=1e-3)
         el1 = el_residuals(model, tp, op)[0]
         assert abs(el1 - exact) <= 1e-14
 
@@ -272,7 +276,7 @@ class TestResiduals:
             return (h * h / (E + f) + f * (1.0 - t) / t) / (2.0 * E)
 
         rounded = op.rho - pressure._radial_quad(g1_rounded, 1, 0.5, 8.0, foff)
-        assert abs(rounded - exact) > 1e-10
+        assert abs(rounded - exact) > 1e-11
 
     def test_total_dq_combines_partials(self):
         # along the inner optimum grad_rho = 0, so total_dq == grad_q there;

@@ -8,6 +8,7 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +137,8 @@ class TestKKTBoundaryTest:
         (0.5, -0.1, 0.0, np.geomspace(1e-4, 4.0, 12), {False, True})],
         ids=["condensed", "mf_condensed", "eta0_mu-0.1"])
     def test_matches_the_reference_rule(self, u, mu, eta, qs, outcomes):
+        # the minimizer is read at the gap it carries: sigma = 0 exactly on
+        # the boundary
         m, tp = model(u=u), ThermoPoint(2.0, mu)
         inner, _, _ = _inner_solver(m, tp, eta)
         decided = []
@@ -143,13 +146,15 @@ class TestKKTBoundaryTest:
             rho_lo = max(0.0, (tp.mu + abs(u) * q) / m.v)
             probe = OrderPoint(q, rho_lo + 1e-14 * max(1.0, rho_lo), eta)
             expected = grad_rho(m, tp, probe) >= 0
-            rho_bar, boundary, _ = inner(q)
+            rho_bar, boundary, found = inner(q)
             assert boundary == expected == inf_rho(m, tp, q, eta)[1], q
+            op = solver._order_point(q, rho_bar, eta, found)
             if boundary:
-                gr, gq = outer_grads(m, tp, OrderPoint(q, rho_bar, eta))
+                assert op.sigma == 0.0, q
+                gr, gq = outer_grads(m, tp, op)
                 want = gq + gr * abs(u) / m.v
             else:
-                want = pressure.total_dq(m, tp, q, eta, rho_bar)
+                want = pressure.total_dq(m, tp, q, eta, rho_bar, op.sigma)
             got = solver._slope_in_q(m, tp, eta, inner, q)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12), q
             decided.append(boundary)
@@ -470,16 +475,22 @@ class TestVariationalLimit:
     def test_m0_is_the_boundary_tests_multiplier(self, monkeypatch, u,
                                                  grad_rho_calls):
         # condensed points: m0 = grad_rho / v at the boundary optimum, read
-        # from the KKT test's gradients where q_bar > 0; for u <= 0 (q = 0)
-        # no test ran, and one grad_rho call computes it.  For u < 0, m0 is
+        # from the KKT test's gradients at the carried sigma = 0: where
+        # q_bar > 0 from its outer_grads call, and at q_bar = 0 (u <= 0)
+        # from its grad_rho call.  The solve makes one grad_rho call, the
+        # q = 0 solve's KKT test, and none at q_bar > 0.  For u < 0, m0 is
         # the quasi-average, half the multiplier.
         m, tp = model(u=u), ThermoPoint(2.0, 0.4)
         calls = _counting(monkeypatch, "grad_rho")
         lim = variational_limit(m, tp)
         assert lim.result.status == STATUS_BOUNDARY
-        assert len(calls) == grad_rho_calls
+        assert [(args[2].q, args[2].sigma) for args, _ in calls] == \
+            [(0.0, 0.0)]
+        assert len([args for args, _ in calls
+                    if args[2].q == lim.q_limit]) == grad_rho_calls
         assert lim.m0 == lim.result.rho0 > 0.1
-        op = OrderPoint(lim.q_limit, lim.rho_limit, 0.0)
+        op = lim.result.residual_at[2]
+        assert op.sigma == 0.0
         want = pressure.grad_rho(m, tp, op) / (m.v * (2.0 if u < 0 else 1.0))
         assert abs(lim.m0 - want) <= 1e-12
 
@@ -637,6 +648,79 @@ class TestGapSolve:
         with pytest.raises(StationarityViolated, match="float range"):
             lim.result.checked_residuals()
 
+    def test_subnormal_gap_is_below_the_float_range(self):
+        # power:1:4 at beta = 24, mu = 0.6: sigma* = 2.0e-317 is subnormal,
+        # not 0; el_residuals cannot resolve it either (it read el1 = el2 =
+        # -inf), so the check raises as for an underflowed gap
+        m = Model(dim=2, mass=0.5, u=0.5, v=1.0,
+                  lambda_profile=power_profile(1.0, 4.0))
+        lim = variational_limit(m, ThermoPoint(24.0, 0.6))
+        assert lim.result.status == STATUS_CONVERGED
+        assert 0.0 < lim.result.residual_at[2].sigma < 1e-316
+        with pytest.raises(StationarityViolated, match="float range"):
+            lim.result.checked_residuals()
+
+
+class TestEtaZeroSweep:
+    """A fixed-seed random sweep of `variational_limit`, the path the CLI
+    takes at every point, with the checks `solve` makes."""
+
+    PROFILES = {"gaussian:1": gaussian_profile(1.0), "delta": delta_profile(),
+                "power": None}
+
+    @staticmethod
+    def _draw(rng):
+        # dims 1-4, three profiles (power:1:4, or power:1:5 in dim 4, where
+        # p must exceed 4), u < 0, u = 0 and u > 0, beta log-uniform in
+        # [0.1, 16], mu uniform in [-1, 1.5]
+        dim = int(rng.integers(1, 5))
+        name = str(rng.choice(list(TestEtaZeroSweep.PROFILES)))
+        profile = (power_profile(1.0, 5.0 if dim == 4 else 4.0)
+                   if name == "power" else TestEtaZeroSweep.PROFILES[name])
+        u = float(rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.05, 0.9))
+        v = max(float(rng.uniform(0.3, 2.0)), u + 0.1)
+        mass = float(rng.uniform(0.3, 2.0))
+        beta = float(np.exp(rng.uniform(np.log(0.1), np.log(16.0))))
+        mu = float(rng.uniform(-1.0, 1.5))
+        return (Model(dim=dim, mass=mass, u=u, v=v, lambda_profile=profile),
+                ThermoPoint(beta, mu))
+
+    def test_sweep(self):
+        rng = np.random.default_rng(31)
+        points = [self._draw(rng) for _ in range(400)]
+        # the point whose gap solve cycled between two adjacent floats
+        # with F = +-5.6e-17 while only a bisection could end the loop
+        points.append((Model(dim=3, mass=1.6077, u=-0.1164, v=1.8655,
+                             lambda_profile=power_profile(1.136, 3.259)),
+                       ThermoPoint(2.12275, 0.19021)))
+        # (model, tp, error, carried sigma or None) of each point whose
+        # solve or residual check raised a PairBosonError; any other
+        # exception fails the sweep
+        failures = []
+        for m, tp in points:
+            try:
+                lim = variational_limit(m, tp)
+            except PairBosonError as exc:
+                failures.append((m, tp, exc, None))
+                continue
+            if m.u <= 0.0:
+                assert lim.q_limit == 0.0, (m, tp)
+                assert abs(lim.p_limit - mf_pressure(m, tp)) <= \
+                    1e-12 * max(1.0, abs(lim.p_limit)), (m, tp)
+            if lim.result.status == STATUS_CONVERGED:
+                try:
+                    lim.result.checked_residuals()
+                except PairBosonError as exc:
+                    failures.append((m, tp, exc,
+                                     lim.result.residual_at[2].sigma))
+        # the draw meets one kind of failure, four times: a dim-2 optimum
+        # whose sigma* lies below the float range
+        assert len(failures) == 4
+        for m, tp, exc, sigma in failures:
+            assert m.dim == 2 and type(exc) is StationarityViolated, (m, tp)
+            assert "below the float range" in str(exc)
+            assert sigma < sys.float_info.min
+
 
 class TestNonAttractive:
     """For u <= 0 the eta = 0 sup-inf is the mean-field Bose gas, and solve
@@ -687,6 +771,43 @@ class TestNonAttractive:
             tp = ThermoPoint(2.0, float(row[1]))
             assert abs(float(row[2]) - mf_pressure(m, tp)) <= 1e-14
             assert float(row[3]) == float(row[5]) == 0.0
+
+    # a mean-field condensed point where rho_b = mu/v = 1.5 rounds sigma to
+    # -1 ulp: the rho solve nudged rho_bar to 1.5000000000000002 and read
+    # the multiplier at sigma = 1.1e-16, and mf_pressure raised
+    # InfeasiblePoint there
+    MF_CONDENSED = dict(dim=3, mass=0.5, u=-0.5, v=0.6,
+                        lambda_profile=GAUSS)
+
+    def test_mf_condensed_m0_is_half_the_excess(self):
+        # m0 = (mu/v - rho_c)/2 = 0.739633174417936112 (30 digits, from
+        # zeta(3/2)); the multiplier read 1.1e-16 off sigma = 0 was
+        # 2.8e-10 high
+        lim = variational_limit(Model(**self.MF_CONDENSED),
+                                ThermoPoint(2.0, 0.9))
+        assert lim.result.status == STATUS_BOUNDARY
+        assert lim.rho_limit == 1.5
+        assert lim.m0 == pytest.approx(0.739633174417936112, rel=1e-15,
+                                       abs=0.0)
+
+    def test_mf_pressure_on_the_condensed_boundary(self):
+        m, tp = Model(**self.MF_CONDENSED), ThermoPoint(2.0, 0.9)
+        p_mf = mf_pressure(m, tp)
+        assert math.isfinite(p_mf)
+        p = variational_limit(m, tp).p_limit
+        assert abs(p_mf - p) <= 1e-14 * max(1.0, abs(p))
+
+    def test_mf_pressure_finds_a_gap_below_1e_13(self):
+        # the fixed point's sigma* = 7.8e-14 lay below the bottom probe
+        # sigma = 1e-13 of the rho solve, which then read mf_pressure on
+        # sigma = 0, 1.7e-14 relative above the solve's p
+        m = model(u=-0.5, dim=2)
+        tp = ThermoPoint(7.4575, 0.30065)
+        lim = variational_limit(m, tp)
+        assert lim.result.status == STATUS_CONVERGED
+        assert 7e-14 < lim.gap_limit < 8e-14
+        assert mf_pressure(m, tp) == pytest.approx(lim.p_limit, rel=1e-15,
+                                                   abs=0.0)
 
 
 class TestDensities:

@@ -25,9 +25,10 @@ components of the union nonzero pattern of Q, Q^dag Q and a_0 (and their
 transposes) on the working basis, so every element between two sectors is
 exactly zero and the split rounds nothing.  Where lambda vanishes on some
 modes (the delta profile) the components are finer than the momentum
-sectors.  Each sector's real blocks of T, N, Q, Q^dag Q and a_0 are cached
-once per (spec, model), and every Hamiltonian is a linear combination of
-them; only the coefficients turn complex with a complex source.
+sectors.  Each sector's real blocks of Q, Q^dag Q and a_0, and the
+diagonals T and N, are cached once per (spec, model), and every Hamiltonian
+is a linear combination of them; only the coefficients turn complex with a
+complex source.
 
 Sectors of one size form one contiguous stack and are eigensolved in one
 call.  Mirror sectors: lambda and eps are radial and the mode set is closed
@@ -41,6 +42,24 @@ entry for entry, and `_spectrum` eigensolves one of each pair and copies its
 eigenvalues to the other.  At n_max = 7 with three modes that leaves 8 of 15
 momentum blocks.  The spectrum comes back sector by sector in label order, so
 sums over it keep their order whatever the layout.
+
+Number sectors: Q^dag Q, T and N also conserve the particle number, which
+Q and a_0 change.  `_Pieces` keeps a second layout, the connected components
+of the pattern of Q^dag Q alone, whose blocks fix N and P (at n_max = 7 with
+three modes, 218 blocks of at most 4 states, 68 of them single states),
+with Q^dag Q gathered onto it and no twin pairing.  Every operator whose Q
+and a_0 coefficients both vanish is built there: the full Hamiltonian at
+eta = 0 (the superstability check's S2), any kind at q = 0 and eta = 0,
+the residual at q = 0, and the superstability check's S1.  The
+pair-exchange operator lambda(k) lambda(k') A_k^dag A_k' + h.c. is
+gathered there too: for lambda >= 0 (all three profiles) every term
+lambda(k) lambda(k') A_k^dag A_k' of Q^dag Q is entrywise nonnegative, so
+no cancellation hides a term's nonzero from the pattern of their sum, and
+each term lies inside that pattern.  `_Sectors.gather` raises EigenFailure
+for a nonzero between two sectors instead of dropping it, which covers any
+case where this fails.  A block of one state is its own eigenvalue, so
+`_spectrum` reads its entry instead of calling the eigensolver (for n = 1
+LAPACK returns the entry itself, so the values agree to the last bit).
 
 Mode factors of the second approximant: H_2 - mu N = sum_f h_f + c is a sum
 of terms that each act on one factor f of the modes, a set closed under
@@ -70,7 +89,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import product
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, issparse
+from scipy.sparse import csr_matrix
 
 from .errors import (
     ConfigError, DimensionExceeded, EigenFailure, ModelError,
@@ -121,13 +140,13 @@ class _Sectors:
     dense block of each is stored row-major, one after another, in one flat
     array: a linear combination of block-diagonal operators is one vector
     operation, and the blocks of each size form one contiguous (m, n, n)
-    stack.  `positions` gives the basis row and column of every
-    flat entry, `diag` the flat positions of the diagonal and `tpos` the
+    stack.  `diag` gives the flat positions of the diagonal and `tpos` the
     flat position of each entry's transpose.  `order` lists the states
     sector by sector, and `index` the states of each sector.
 
-    `rep[s]` is the sector whose spectrum sector s takes: s itself, or a
-    checked mirror twin's representative (`pair_twins`).
+    `sector` and `local` give each basis state's sector and its place
+    within it.  `rep[s]` is the sector whose spectrum sector s takes: s
+    itself, or a checked mirror twin's representative (`pair_twins`).
     """
 
     def __init__(self, labels):
@@ -144,6 +163,8 @@ class _Sectors:
         slot = np.empty(self.dim, dtype=np.intp)
         slot[self.order] = np.arange(self.dim)
         self.label_order = slot[np.argsort(labels, kind="stable")]
+        self.sector = np.repeat(np.arange(len(self.sizes)), self.sizes)[slot]
+        self.local = slot - (np.cumsum(self.sizes) - self.sizes)[self.sector]
         # one (size, first sector, sector count) per size, smallest first
         size, first, count = np.unique(self.sizes, return_index=True,
                                        return_counts=True)
@@ -156,12 +177,6 @@ class _Sectors:
             tpos.append((off + (n * k + k[:, None]).ravel()).ravel())
         self.diag, self.tpos = np.concatenate(diag), np.concatenate(tpos)
         self.pair_twins(np.arange(len(self.sizes)))
-
-    def positions(self):
-        """(rows, cols) of every flat entry, formed on each call rather
-        than kept: only a gather and an assembly read them."""
-        rows = np.repeat(self.order, np.repeat(self.sizes, self.sizes))
-        return rows, rows[self.tpos]
 
     @cached_property
     def index(self):
@@ -195,15 +210,25 @@ class _Sectors:
                               solve, take))
 
     def gather(self, M) -> np.ndarray:
-        """The flat block values of a working-basis matrix."""
-        rows, cols = self.positions()
-        if issparse(M):
-            return np.asarray(M.tocsr()[rows, cols]).ravel()
-        return np.asarray(M)[rows, cols]
+        """The flat block values of a working-basis matrix, dense or sparse;
+        a nonzero between two sectors raises EigenFailure."""
+        M = csr_matrix(M).tocoo()
+        M.sum_duplicates()
+        nz = M.data != 0
+        rows, cols = M.row[nz], M.col[nz]
+        s = self.sector[rows]
+        if (s != self.sector[cols]).any():
+            raise EigenFailure("operator has a nonzero between two sectors")
+        out = np.zeros(self.bounds[-1], dtype=M.dtype)
+        out[self.bounds[s] + self.local[rows] * self.sizes[s]
+            + self.local[cols]] = M.data[nz]
+        return out
 
     def assemble(self, values) -> np.ndarray:
+        """The working-basis matrix of flat block values."""
+        rows = np.repeat(self.order, np.repeat(self.sizes, self.sizes))
         M = np.zeros((self.dim, self.dim), dtype=values.dtype)
-        M[self.positions()] = values
+        M[rows, rows[self.tpos]] = values
         return M
 
     def plus_diag(self, values, d) -> np.ndarray:
@@ -304,25 +329,31 @@ def _pieces(spec: FockSpec, model: Model) -> "_Pieces":
 
 
 class _Pieces:
-    """Per-sector real blocks of T, N, Q, Q^dag Q and a_0 for one model.
+    """Per-sector real blocks of Q, Q^dag Q and a_0 for one model, on two
+    layouts.
 
-    T and N are diagonal and kept as vectors in sector order; Q, Q^dag Q
-    and a_0 are flat block arrays in the layout of `sectors`, and `Qt`,
-    `a0t` their transposes.  `A` holds the pair operators A_k of
-    `pair_lower`.  The sectors' mirror twins are paired here (`_twins`).
+    Q, Q^dag Q and a_0 are flat block arrays in the layout of `sectors`
+    (fixed momentum), and `Qt`, `a0t` their transposes; `number_QdQ` is
+    Q^dag Q in the layout of `number_sectors` (fixed particle number and
+    momentum).  T and N are diagonal and kept as vectors in working-basis
+    order.  `A` holds the pair operators A_k of `pair_lower`.  The momentum
+    sectors' mirror twins are paired here (`_twins`).
     """
 
     def __init__(self, ws: _Workspace, model: Model):
         self.A, Q = ws.pair_lower(model)
-        ops = (Q, Q.conj().T @ Q, ws.lower[ws.zero_mode()])
+        QdQ = Q.conj().T @ Q
+        ops = (Q, QdQ, ws.lower[ws.zero_mode()])
         self.sectors = sec = _Sectors.of_pattern(*ops)
         self.Q, self.QdQ, self.a0 = (sec.gather(M) for M in ops)
         self.Qt, self.a0t = self.Q[sec.tpos], self.a0[sec.tpos]
-        self.T = ws.diag_T(model)[sec.order]
-        self.N = ws.Ntot[sec.order]
+        self.number_sectors = _Sectors.of_pattern(QdQ)
+        self.number_QdQ = self.number_sectors.gather(QdQ)
+        self.T = ws.diag_T(model)
+        self.N = ws.Ntot
         sec.pair_twins(self._twins(ws))
-        for a in (self.Q, self.QdQ, self.a0, self.Qt, self.a0t, self.T,
-                  self.N):
+        for a in (self.Q, self.QdQ, self.a0, self.Qt, self.a0t,
+                  self.number_QdQ, self.T, self.N):
             a.setflags(write=False)     # shared by every build of the model
 
     def _twins(self, ws: _Workspace) -> np.ndarray:
@@ -358,7 +389,7 @@ class _Pieces:
                     & (rel == n * partner[:, None] + np.arange(n)).all(axis=1))
             partner = np.where(good, partner, own)
             for d in (self.T, self.N):
-                D = d[start:start + m * n].reshape(m, n)
+                D = d[sec.order[start:start + m * n]].reshape(m, n)
                 good &= (D[partner] == D).all(axis=1)
             for X in (self.Q, self.QdQ, self.a0):
                 B = X[sec.bounds[s0]:sec.bounds[s0 + m]].reshape(m, n, n)
@@ -445,7 +476,10 @@ def build_hamiltonian(spec: FockSpec, kind: str, model: Model, V: float,
     approx1 - approx2 = (v/2V)(N - V rho)^2.
 
     Every kind is c_QdQ Q^dag Q - (c_Q Q^dag + h.c.) - (c_a0 a_0^dag + h.c.)
-    plus a diagonal, formed sector by sector from the cached pieces.
+    plus a diagonal, formed sector by sector from the cached pieces: on the
+    number sectors where c_Q and c_a0 both vanish (full at eta = 0, any
+    kind at q = 0 and eta = 0, residual_r at q = 0), else on the momentum
+    sectors.
     """
     if q < 0 or rho < 0 or V <= 0:
         raise ModelError("require q >= 0, rho >= 0, V > 0")
@@ -472,9 +506,12 @@ def build_hamiltonian(spec: FockSpec, kind: str, model: Model, V: float,
     else:
         raise ConfigError(f"unknown hamiltonian kind {kind}")
 
-    sec = p.sectors
-    H = c_qdq * p.QdQ - _herm(c_q, p.Q, p.Qt) - _herm(c_a0, p.a0, p.a0t)
-    H[sec.diag] += d
+    if c_q == 0 and c_a0 == 0:
+        sec, H = p.number_sectors, c_qdq * p.number_QdQ
+    else:
+        sec = p.sectors
+        H = c_qdq * p.QdQ - _herm(c_q, p.Q, p.Qt) - _herm(c_a0, p.a0, p.a0t)
+    H[sec.diag] += d[sec.order]
     herm = np.max(np.abs(H - np.conj(H[sec.tpos])))
     if herm > 1e-12 * max(1.0, np.max(np.abs(H))):
         raise EigenFailure(f"built matrix not Hermitian: defect {herm}")
@@ -487,14 +524,15 @@ def _spectrum(sectors: _Sectors, values) -> np.ndarray:
     one layout.
 
     One eigensolve per sector size, on the stack of that size's
-    representatives; a mirror twin takes its representative's spectrum.
-    Overflow in a model's scales reaches here as inf or NaN entries.
+    representatives; a mirror twin takes its representative's spectrum,
+    and a sector of one state its entry.  Overflow in a model's scales
+    reaches here as inf or NaN entries.
     """
     if not np.isfinite(values).all():
         raise EigenFailure("matrix to diagonalize has non-finite entries")
     batch = values.shape[:-1]
     try:
-        spectra = [np.linalg.eigvalsh(
+        spectra = [values[..., lo:hi].real if n == 1 else np.linalg.eigvalsh(
             values[..., lo:hi].reshape(*batch, -1, n, n)[..., solve, :, :]
         )[..., take, :].reshape(*batch, -1)
             for n, lo, hi, solve, take in sectors.plan]
@@ -568,29 +606,29 @@ def check_superstability(spec: FockSpec, model: Model, V: float) -> dict:
     terms cancel, leaving (u/2V) times the first operator).  For u <= 0
     the pairing term is itself nonnegative, so the quartic lower bound
     simplifies to H >= T + (v/2V) N^2 (R = 0, coefficient v instead of
-    alpha).
+    alpha).  Both operators conserve the particle number; they are built
+    on the number sectors and eigensolved in one stacked call.
     """
     ws = _workspace(spec)
     p = _pieces(spec, model)
     Nw = ws.Ntot
     # smallest exhibited M with Q^dag Q <= N^2 + M V N on this mode set
     M = mode_coupling_norms(model, spec.mode_norms(), V)[3]
-    S1 = p.sectors.plus_diag(-p.QdQ, Nw ** 2 + M * V * Nw)
-
+    # the full Hamiltonian at eta = 0 is built on the number sectors
     Hfull = build_hamiltonian(spec, HAM_FULL, model, V)
-    T = ws.diag_T(model)
+    sec = Hfull.sectors
+    S1 = sec.plus_diag(-p.number_QdQ, Nw ** 2 + M * V * Nw)
     if model.u > 0:
         R = M * model.u / 2.0
         coeff = model.alpha
     else:
         R = 0.0
         coeff = model.v
-    sec = Hfull.sectors
     S2 = sec.plus_diag(Hfull.values,
-                       -(T + (coeff / (2.0 * V)) * Nw ** 2 - R * Nw))
+                       -(p.T + (coeff / (2.0 * V)) * Nw ** 2 - R * Nw))
 
-    min1 = float(_spectrum(p.sectors, S1).min())
-    min2 = float(_spectrum(sec, (S2 + np.conj(S2[sec.tpos])) / 2.0).min())
+    min1, min2 = _spectrum(sec, np.stack(
+        [S1, (S2 + np.conj(S2[sec.tpos])) / 2.0])).min(axis=-1).tolist()
     return {
         "check": "superstability",
         "M": M,
@@ -640,11 +678,13 @@ def check_pair_exchange_bound(spec: FockSpec, model: Model, k, kp,
     The operator (N_k + |lam(k)|) N_k' + (N_{-k'} + |lam(k')|) N_{-k}
     -/+ (lam*(k) lam(k') A_k^dag A_k' + h.c.) is PSD; verified on the
     working basis, whose compression is exact because A_k^dag A_k' is a
-    product of the form X^dag Y with lowering X, Y, one sector of the
-    operator's own nonzero pattern at a time.
+    product of the form X^dag Y with lowering X, Y, on the cached number
+    sectors, which hold every nonzero of lam(k) lam(k') A_k^dag A_k' for
+    lam >= 0 (EigenFailure if one falls between two sectors).
     """
     ws = _workspace(spec)
-    A = _pieces(spec, model).A
+    p = _pieces(spec, model)
+    sec = p.number_sectors
     keys = [tuple(np.round(m, 12)) for m in spec.modes]
     j = keys.index(tuple(np.round(np.atleast_1d(np.asarray(k, float)), 12)))
     jp = keys.index(tuple(np.round(np.atleast_1d(np.asarray(kp, float)), 12)))
@@ -659,9 +699,9 @@ def check_pair_exchange_bound(spec: FockSpec, model: Model, k, kp,
     Nmk = occ[:, neg[j]]
     Nmkp = occ[:, neg[jp]]
     diag = (Nk + abs(lam_k)) * Nkp + (Nmkp + abs(lam_kp)) * Nmk
-    cross = lam_k * lam_kp * (A[j].conj().T @ A[jp])
-    O = OperatorMatrix(matrix=diags(diag) - sign * (cross + cross.conj().T))
-    min_eig = float(_spectrum(O.sectors, O.values).min())
+    cross = sec.gather(lam_k * lam_kp * (p.A[j].conj().T @ p.A[jp]))
+    O = sec.plus_diag(-sign * (cross + cross[sec.tpos]), diag)
+    min_eig = float(_spectrum(sec, O).min())
     return {
         "check": "pair_exchange_bound",
         "k": list(np.atleast_1d(k)),

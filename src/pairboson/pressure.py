@@ -312,13 +312,16 @@ def d2_mu(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
 
 # The residual integrals' double-exponential rule (H. Takahasi and M. Mori,
 # Publ. RIMS Kyoto Univ. 9 (1974) 721): the trapezoid rule in t after the
-# tanh-sinh map of [0, L], t in [-6, 4], or the exp-sinh map of [L, inf),
+# tanh-sinh map of [0, L], t in [t0, 4], or the exp-sinh map of [L, inf),
 # t in [-4, 3].  The integrands fall double-exponentially in t toward the
-# ends of both spans.  The tanh-sinh span starts at r ~ 1e-275 L, so its
-# nodes resolve the infrared peak of width sqrt(sigma) at any gap the solve
-# carries (down to sigma ~ 1e-160 and below in dim 2); the exp-sinh span
-# ends at r = L (1 + e^15.7), past every integrand's tail.
-_TANH_SINH_SPAN = (-6.0, 4.0)
+# ends of both spans.  The tanh-sinh span starts at t0 = -4, r ~ 6e-38 L,
+# where that node lies _PEAK_MARGIN below the width sqrt(2 m sigma) of the
+# infrared peak (every gap above about 3e-43 L^2/2m), and else at t0 = -6,
+# r ~ 1e-275 L, whose nodes resolve the peak at any gap the solve carries
+# (down to sigma ~ 1e-160 and below in dim 2).  The exp-sinh span ends at
+# r = L (1 + e^15.7), past every integrand's tail.
+_TANH_SINH_END = 4.0
+_PEAK_MARGIN = 1e-16
 _EXP_SINH_SPAN = (-4.0, 3.0)
 # halvings of the step 1/2 at most: near sigma* = 1e-300 the density row's
 # infrared step is about 0.003 wide in t, and 8 halvings left 5e-9 of it
@@ -363,7 +366,7 @@ def _de_sum(fn, node, lo, hi):
     return float(total)
 
 
-def _radial_quad(g, nu, mass, beta, f0):
+def _radial_quad(g, nu, mass, beta, f0, sigma=0.0):
     """c_nu int_0^inf r^(nu-1) g(r) dr for a vectorized g, used only by the
     stationarity residuals.
 
@@ -371,17 +374,21 @@ def _radial_quad(g, nu, mass, beta, f0):
     check is meant to validate the gradients, so it must not share their
     integrator.  The double-exponential rule runs on [0, 8 scale] and on
     [8 scale, inf), scale = sqrt(2 m max(1/beta, f0, 1)) with f0 = f(0).
-    Its tanh-sinh nodes crowd toward r = 0 doubly exponentially, which
-    resolves the infrared peak of width sqrt(sigma) near the feasibility
-    boundary.
+    Its tanh-sinh nodes crowd toward r = 0 doubly exponentially, and the
+    span reaches as far down as the infrared peak of width
+    sqrt(2 m sigma) near the feasibility boundary needs (all the way at
+    the default sigma = 0).
     """
     c_nu = 2.0 * math.pi ** (nu / 2.0) / math.gamma(nu / 2.0) / (2.0 * math.pi) ** nu
     L = 8.0 * math.sqrt(2.0 * mass * max(1.0 / beta, f0, 1.0))
+    node = _tanh_sinh(L)
+    width = math.sqrt(2.0 * mass * sigma)
+    t0 = -4.0 if node(-4.0)[0] <= _PEAK_MARGIN * width else -6.0
 
     def fn(r):
         return c_nu * r ** (nu - 1) * g(r)
 
-    return (_de_sum(fn, _tanh_sinh(L), *_TANH_SINH_SPAN)
+    return (_de_sum(fn, node, t0, _TANH_SINH_END)
             + _de_sum(fn, _exp_sinh(L), *_EXP_SINH_SPAN))
 
 
@@ -428,11 +435,12 @@ def el_residuals(model: Model, tp: ThermoPoint, op: OrderPoint):
         return np.where(gapless, 0.0,
                         lam * lam / (2.0 * E * np.tanh(beta * E / 2.0)))
 
-    i1 = _radial_quad(g1, model.dim, model.mass, beta, sigma + habs)
+    i1 = _radial_quad(g1, model.dim, model.mass, beta, sigma + habs, sigma)
     r1 = op.rho - i1 - src
     if op.q == 0.0:
         r2 = -src
     else:
-        i2 = _radial_quad(g2, model.dim, model.mass, beta, sigma + habs)
+        i2 = _radial_quad(g2, model.dim, model.mass, beta, sigma + habs,
+                          sigma)
         r2 = op.q - model.u * op.q * i2 - src
     return float(r1), float(r2)

@@ -7,20 +7,23 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import csr_matrix, diags, identity
 from scipy.sparse.csgraph import connected_components
 from scipy.special import logsumexp
 
+from pairboson import cli
 from pairboson.cli import _default_fock_spec
 from pairboson.errors import (
     ConfigError, DimensionExceeded, EigenFailure, ModelError, PairBosonError,
 )
-from pairboson.model import Model, gaussian_profile, delta_profile
+from pairboson.model import (
+    Model, gaussian_profile, delta_profile, power_profile, mode_coupling_norms,
+)
 from pairboson.oracle import (
     FockSpec, build_hamiltonian, trace_pressure,
     check_superstability, check_variational_chain,
-    check_pair_exchange_bound, OperatorMatrix, _Pieces, _logsumexp,
-    _pieces, _spectrum, _workspace, approx2_pressures, _factors,
+    check_pair_exchange_bound, OperatorMatrix, _Pieces, _Sectors,
+    _logsumexp, _pieces, _spectrum, _workspace, approx2_pressures, _factors,
 )
 from pairboson.pressure import ThermoPoint, OrderPoint, pressure_fv_modes
 
@@ -346,6 +349,14 @@ def _dense_pressure(H, sp, tp, V):
     return logsumexp(-tp.beta * sla.eigvalsh(K)) / (tp.beta * V)
 
 
+def _state_sectors(sec):
+    """The layout sector of each working-basis state."""
+    label = np.empty(sec.dim, dtype=int)
+    for s, states in enumerate(sec.index):
+        label[states] = s
+    return label
+
+
 KINDS = ("full", "approx1", "approx2", "residual_r")
 SOURCES = ({"eta": 0.2}, {"eta": 0.2 * np.exp(0.7j)})
 
@@ -416,9 +427,7 @@ class TestSectors:
         ws = _workspace(sp)
         pieces = _pieces(sp, m)
         sec = pieces.sectors
-        label = np.empty(ws.dim, dtype=int)
-        for s, states in enumerate(sec.index):
-            label[states] = s
+        label = _state_sectors(sec)
         _, Q = ws.pair_lower(m)
         for full, blocks in ((Q, pieces.Q), (Q.conj().T @ Q, pieces.QdQ),
                              (ws.lower[ws.zero_mode()], pieces.a0)):
@@ -473,6 +482,12 @@ def _piece_labels(sp, m):
     return connected_components(pattern, directed=False)[1]
 
 
+def _number_labels(sp, m):
+    """Connected components of the pattern of Q^dag Q alone."""
+    _, Q = _workspace(sp).pair_lower(m)
+    return connected_components(abs(Q.T @ Q), directed=False)[1]
+
+
 def _count_eigvalsh(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -499,12 +514,21 @@ class TestStackedSpectra:
         m = Model(dim=dim, mass=0.5, u=u, v=1.0,
                   lambda_profile=PROFILES[profile])
         sp = _default_fock_spec(m, 7)
+        p = _pieces(sp, m)
         labels = _piece_labels(sp, m)
+        # the builds whose Q and a_0 coefficients both vanish are on the
+        # number sectors: full and every kind at q = 0, without a source
+        # unless residual_r, which has none
+        number = _number_labels(sp, m)
         for kind in KINDS:
-            for src in SOURCES:
-                H = build_hamiltonian(sp, kind, m, V, q=0.3, rho=0.8, **src)
+            for q, src in product((0.3, 0.0), SOURCES + ({"eta": 0.0},)):
+                free = ((kind == "full" or q == 0)
+                        and (kind == "residual_r" or src["eta"] == 0))
+                H = build_hamiltonian(sp, kind, m, V, q=q, rho=0.8, **src)
+                assert H.sectors is (p.number_sectors if free
+                                     else p.sectors), (kind, q, src)
                 assert trace_pressure(H, sp, TP, V) == _label_order_pressure(
-                    H, sp, TP, V, labels), (kind, src)
+                    H, sp, TP, V, number if free else labels), (kind, q, src)
 
     @pytest.mark.parametrize("profile, calls", [("gaussian", 8),
                                                 ("delta", 1)])
@@ -522,21 +546,26 @@ class TestStackedSpectra:
         assert sum(s[0] * s[-1] for s in seen) < sum(sizes)
 
     def test_pair_exchange_solves_once_per_size(self, monkeypatch):
+        # the operator's own components are the number sectors: 218 of
+        # sizes 1-4, and the single states take no eigensolve
         sp = _default_fock_spec(MODEL, 7)
         ws = _workspace(sp)
         A, _ = ws.pair_lower(MODEL)
         cross = A[1].T @ A[0]
         _, labels = connected_components(abs(cross) + abs(cross.T),
                                          directed=False)
-        sizes = set(np.bincount(labels).tolist())
-        assert labels.max() + 1 == 218 and len(sizes) == 4
-        _pieces(sp, MODEL)      # A_k comes from the cached pieces
+        sec = _pieces(sp, MODEL).number_sectors
+        assert labels.max() + 1 == len(sec.sizes) == 218
+        assert set(sec.sizes.tolist()) == {1, 2, 3, 4}
+        assert np.array_equal(labels[sec.order], np.repeat(
+            labels[[i[0] for i in sec.index]], sec.sizes))
         seen = _count_eigvalsh(monkeypatch)
+        monkeypatch.setattr(_Sectors, "of_pattern", None)   # no new split
         for sign in (1, -1):
             seen.clear()
             check_pair_exchange_bound(sp, MODEL, sp.modes[1], sp.modes[0],
                                       sign=sign)
-            assert len(seen) <= len(sizes)
+            assert sorted(s[-1] for s in seen) == [2, 3, 4]
 
     @pytest.mark.parametrize("profile, pairs", [("gaussian", 7),
                                                 ("delta", 28)])
@@ -589,6 +618,120 @@ class TestStackedSpectra:
                                    sla.eigvalsh(R), rtol=0, atol=1e-12)
         assert trace_pressure(H, sp, TP, V) == pytest.approx(
             _dense_pressure(R, sp, TP, V), rel=1e-13, abs=0)
+
+
+LAYOUT_PROFILES = {"gaussian:1": gaussian_profile(1.0),
+                   "power:1:4": power_profile(1.0, 4.0),
+                   "delta": delta_profile()}
+
+
+def _own_pattern_min(M):
+    """Reference: the smallest eigenvalue of a working-basis matrix split
+    by the components of its own nonzero pattern."""
+    O = OperatorMatrix(matrix=M)
+    return float(_spectrum(O.sectors, O.values).min())
+
+
+def _close(got, ref):
+    return abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+class TestNumberSectors:
+    """The second layout: components of Q^dag Q, fixed N and momentum."""
+
+    @pytest.mark.parametrize("n_max", [3, 5, 7])
+    @pytest.mark.parametrize("profile", sorted(LAYOUT_PROFILES))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_layout_holds_every_pair_term(self, dim, profile, n_max):
+        m = Model(dim=dim, mass=0.5, u=0.5, v=1.0,
+                  lambda_profile=LAYOUT_PROFILES[profile])
+        sp = _default_fock_spec(m, n_max)
+        ws, p = _workspace(sp), _pieces(sp, m)
+        sec = p.number_sectors
+        label = _state_sectors(sec)
+        # every block fixes the particle number
+        assert all(len(set(ws.Ntot[i].tolist())) == 1 for i in sec.index)
+        _, Q = ws.pair_lower(m)
+        lam = [float(m.lambda_profile.value_radial(r))
+               for r in sp.mode_norms()]
+        terms = [Q.T @ Q] + [lam[j] * lam[jp] * (p.A[j].T @ p.A[jp])
+                             for j, jp in product(range(len(p.A)), repeat=2)]
+        for M in terms:
+            rows, cols = M.nonzero()
+            assert np.array_equal(label[rows], label[cols])
+            np.testing.assert_array_equal(sec.assemble(sec.gather(M)),
+                                          M.toarray())
+
+    @pytest.mark.parametrize("n_max", [3, 5, 7])
+    @pytest.mark.parametrize("profile", sorted(LAYOUT_PROFILES))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_minima_match_own_pattern_reference(self, dim, profile, n_max):
+        for u in (0.5, -0.4):
+            m = Model(dim=dim, mass=0.5, u=u, v=1.0,
+                      lambda_profile=LAYOUT_PROFILES[profile])
+            sp = _default_fock_spec(m, n_max)
+            ws = _workspace(sp)
+            A, Q = ws.pair_lower(m)
+            QdQ, Nw, T, occ = Q.T @ Q, ws.Ntot, ws.diag_T(m), ws.occ
+            M = mode_coupling_norms(m, sp.mode_norms(), V)[3]
+            R, coeff = (M * u / 2.0, m.alpha) if u > 0 else (0.0, m.v)
+            S1 = diags(Nw ** 2 + M * V * Nw) - QdQ
+            S2 = (diags(T + (m.v / (2.0 * V)) * Nw ** 2
+                        - (T + (coeff / (2.0 * V)) * Nw ** 2 - R * Nw))
+                  - (u / (2.0 * V)) * QdQ)
+            rep = check_superstability(sp, m, V)
+            assert _close(rep["min_eig_pair_bound"], _own_pattern_min(S1))
+            assert _close(rep["min_eig_quartic_bound"], _own_pattern_min(S2))
+            neg = sp.negation_index()
+            lam = [float(m.lambda_profile.value_radial(r))
+                   for r in sp.mode_norms()]
+            for j, jp in product(range(len(sp.modes)), repeat=2):
+                diag = ((occ[:, j] + abs(lam[j])) * occ[:, jp]
+                        + (occ[:, neg[jp]] + abs(lam[jp])) * occ[:, neg[j]])
+                cross = lam[j] * lam[jp] * (A[j].T @ A[jp])
+                for sign in (1, -1):
+                    got = check_pair_exchange_bound(
+                        sp, m, sp.modes[j], sp.modes[jp], sign=sign)
+                    ref = _own_pattern_min(diags(diag)
+                                           - sign * (cross + cross.T))
+                    assert _close(got["min_eig"], ref), (u, j, jp, sign)
+
+    def test_cross_term_leaving_the_layout_raises(self, monkeypatch):
+        # negative control: on a layout of single states the pair-exchange
+        # cross term falls between sectors, and is not dropped
+        from pairboson import oracle
+        sp = _default_fock_spec(MODEL, 3)
+        p = _pieces(sp, MODEL)
+        rep = check_pair_exchange_bound(sp, MODEL, sp.modes[1], sp.modes[0])
+        assert rep["passed"]
+        single = SimpleNamespace(A=p.A, number_sectors=_Sectors(
+            np.arange(_workspace(sp).dim)))
+        monkeypatch.setattr(oracle, "_pieces", lambda *a: single)
+        with pytest.raises(EigenFailure, match="between two sectors"):
+            check_pair_exchange_bound(sp, MODEL, sp.modes[1], sp.modes[0])
+        # the zero mode's own term A_0^dag A_0 is diagonal and still fits
+        assert check_pair_exchange_bound(sp, MODEL, sp.modes[0],
+                                         sp.modes[0])["passed"]
+
+    def test_oracle_op_eigensolve_budget(self, monkeypatch, capsys):
+        # one CLI oracle op at --n-max 7: superstability 3 calls (one stack
+        # of S1 and S2 per block size above one), the chain 56, the pair
+        # exchange 3 per sign; a warm op splits no basis into sectors
+        argv = ["oracle", "--dim", "3", "--u", "0.5", "--beta", "0.8",
+                "--mu", "-0.3", "--n-max", "7", "--v", "1.0", "--mass",
+                "0.5", "--profile", "gaussian:1.0"]
+        seen = _count_eigvalsh(monkeypatch)
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        assert len(seen) == 65
+        assert sum(int(np.prod(s[:-2])) * s[-1] ** 3 for s in seen) == 4065406
+        splits = []
+        of_pattern = _Sectors.of_pattern.__func__
+        monkeypatch.setattr(_Sectors, "of_pattern", classmethod(
+            lambda cls, *mats: splits.append(1) or of_pattern(cls, *mats)))
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert splits == []
 
 
 Q_GRID, RHO_GRID = np.linspace(0.0, 0.8, 5), np.linspace(0.1, 1.5, 5)
@@ -664,13 +807,13 @@ class TestFactoredApprox2:
             for a in (f.X, f.Xt, f.T, f.N):
                 assert not a.flags.writeable
 
-    @pytest.mark.parametrize("profile, calls", [("gaussian", 57),
-                                                ("delta", 8)])
+    @pytest.mark.parametrize("profile, calls", [("gaussian", 56),
+                                                ("delta", 7)])
     def test_chain_eigensolve_budget(self, profile, calls, monkeypatch):
         # full (8 sizes) + 5 approx1 (8 each) + the zero-mode factor (1)
-        # + the pair factor (8 sizes); with the delta profile every
-        # working-basis sector has one size, and the pair factor, X = 0,
-        # splits into single states
+        # + the pair factor (7 sizes; its single states take no call);
+        # with the delta profile every working-basis sector has one size,
+        # and the pair factor, X = 0, splits into single states
         m = Model(dim=1, mass=0.5, u=0.5, v=1.0,
                   lambda_profile=PROFILES[profile])
         sp = _default_fock_spec(m, 7)

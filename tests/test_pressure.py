@@ -291,8 +291,8 @@ class TestResiduals:
 
 class TestResidualsReachTheGap:
     """el_residuals reads the gap a point carries, and its tanh-sinh nodes
-    reach r ~ 1e-275 L, so its density row resolves the dim-2 infrared
-    peak at any sigma the gap solve carries."""
+    reach down to r ~ 1e-275 L where the gap needs it, so its density row
+    resolves the dim-2 infrared peak at any sigma the gap solve carries."""
 
     MODEL = Model(dim=2, mass=0.5, u=0.5, v=1.0,
                   lambda_profile=gaussian_profile(1.0))
@@ -325,6 +325,30 @@ class TestResidualsReachTheGap:
         want = (self._radial(s0, 1)
                 + s0 * self._radial(s0, 3) * math.log(s0 / sigma))
         assert self._density_row(sigma) == pytest.approx(want, rel=1e-10)
+
+    def test_span_reaches_as_far_as_the_peak_needs(self, monkeypatch):
+        # t0 = -4 (r ~ 6e-38 L) at ordinary gaps, -6 only far below
+        starts, nodes = [], []
+        de_sum = pressure._de_sum
+
+        def traced(fn, node, lo, hi):
+            starts.append(lo)
+            return de_sum(lambda r: nodes.append(np.size(r)) or fn(r),
+                          node, lo, hi)
+
+        monkeypatch.setattr(pressure, "_de_sum", traced)
+        for sigma, t0 in ((0.3, -4.0), (1e-30, -4.0), (1e-120, -6.0),
+                          (0.0, -6.0)):
+            starts.clear()
+            pressure._radial_quad(lambda r: np.exp(-r * r), 3, 0.5, 2.0,
+                                  sigma, sigma)
+            assert starts == [t0, -4.0], sigma
+        # the seed-0 normal point (sigma = 0.31, q = 0): 542 nodes, where
+        # the span [-6, 4] took 670
+        op = OrderPoint(0.0, 0.005523073315497062, 0.0, 0.30552307331549705)
+        nodes.clear()
+        el_residuals(MODEL, TP, op)
+        assert sum(nodes) == 542
 
     def test_tanh_sinh_weight_stays_in_range(self):
         # at t = -6 the nodes reach r ~ 1e-275 L, where e/(1 + e)^2 would

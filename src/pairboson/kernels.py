@@ -24,13 +24,13 @@ where lam rounds to 1.
 import numpy as np
 
 BACKEND = "numpy"  # the only kernel; perfbench records it with each result
-# n_B where beta E >= 700, taken as e^{-700}: e^{-beta E} clipped at 700
-_NB_CLIPPED = np.exp(-700.0)
 
 
 def eval_rows(r, lam, lam_c, beta, inv_2m, sigma, habs, rows):
     """The kernel rows listed in `rows` at radii r, in that order; returns
-    shape (len(rows), n).
+    shape (len(rows),) + S, with S the broadcast shape of r and of
+    sigma, habs.  The radial quadrature passes one mesh's m nodes as r and
+    K points' sigma and habs as (K, 1) columns, so S = (K, m).
 
     lam and lam_c = 1 - lam are the profile values at r.  Requires
     f - h > 0 at every r > 0 (guaranteed by the caller via sigma >= 0
@@ -46,7 +46,8 @@ def eval_rows(r, lam, lam_c, beta, inv_2m, sigma, habs, rows):
     xs = np.minimum(x, 700.0)
     h2 = h * h
     if set(rows) != {0}:  # the pressure row alone needs no n_B
-        nb = np.where(x < 700.0, 1.0 / np.expm1(xs), _NB_CLIPPED)
+        # beta E clipped at 700: in binary64 1/expm1(700) == e^{-700}
+        nb = 1.0 / np.expm1(xs)
         fe = f / E
     out = np.empty((len(rows),) + E.shape)
     for i, row in enumerate(rows):

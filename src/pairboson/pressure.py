@@ -319,9 +319,16 @@ def d2_mu(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
 # infrared peak (every gap above about 3e-43 L^2/2m), and else at t0 = -6,
 # r ~ 1e-275 L, whose nodes resolve the peak at any gap the solve carries
 # (down to sigma ~ 1e-160 and below in dim 2).  The exp-sinh span ends at
-# r = L (1 + e^15.7), past every integrand's tail.
+# r = L (1 + e^15.7), past every integrand's tail.  The residual integrands
+# grow like f/(beta E^2) <= 1/(beta (r^2/2m + sigma)) toward r = 0, which
+# overflows where E^2 leaves the normal range: at a gap that small, down to
+# sigma = 0, the span starts at the first half step whose node keeps
+# beta (r^2/2m + sigma) normal.  At sigma = 0 that is t0 = -5, r ~ 1e-100 L,
+# and in dim 3 the integrands stay bounded toward r = 0 there, so the part
+# of [0, r] left out is of order r.
 _TANH_SINH_END = 4.0
 _PEAK_MARGIN = 1e-16
+_FLOAT_TINY = float(np.finfo(float).tiny)
 _EXP_SINH_SPAN = (-4.0, 3.0)
 # halvings of the step 1/2 at most: near sigma* = 1e-300 the density row's
 # infrared step is about 0.003 wide in t, and 8 halvings left 5e-9 of it
@@ -384,6 +391,9 @@ def _radial_quad(g, nu, mass, beta, f0, sigma=0.0):
     node = _tanh_sinh(L)
     width = math.sqrt(2.0 * mass * sigma)
     t0 = -4.0 if node(-4.0)[0] <= _PEAK_MARGIN * width else -6.0
+    while t0 < -4.0 and beta * (
+            node(t0)[0] ** 2 / (2.0 * mass) + sigma) < _FLOAT_TINY:
+        t0 += 0.5
 
     def fn(r):
         return c_nu * r ** (nu - 1) * g(r)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 from typing import NamedTuple
 
@@ -59,11 +60,12 @@ _ABS_TOL = 1e-12      # absolute floor of that target
 _TAIL_TOL = 1e-13     # bound on the discarded [R, inf) tail of every row
 _MAX_PANELS = 4000    # panel budget of one call
 _ORIGIN_SPLIT = 16.0  # a panel [0, b] splits at b / 16, other panels in half
-# kernel nodes per eval_rows call: past about this many the arrays of one
-# call leave the cache
+# kernel points (nodes times evaluation points) per eval_rows call: past
+# about this many the arrays of one call leave the cache
 _CHUNK = 6000
 
 
+@functools.cache
 def angular_factor(nu: int) -> float:
     """c_nu: surface of the unit sphere over (2 pi)^nu."""
     return 2.0 * math.pi ** (nu / 2.0) / math.gamma(nu / 2.0) / (2.0 * math.pi) ** nu
@@ -158,18 +160,35 @@ def _choose_cutoff(profile, nu, mass, beta, reach, habs):
     raise TailNotConverged("could not certify the radial tail below tolerance")
 
 
-def _initial_breaks(profile, nu, mass, beta, R):
-    """Panel breakpoints: geometric ladder resolving every intrinsic scale."""
+def _initial_breaks(profile, nu, mass, beta, R, sigma):
+    """Panel breakpoints: a geometric ladder resolving every intrinsic scale,
+    for points whose smallest gap is sigma.
+
+    The ladder doubles from r0 = s/64 to R, s the smallest of the thermal
+    scale sqrt(2m/beta) and the profile's scale.  It starts with the splits
+    that `_refine`'s first pass makes at most points, so that a cold call
+    usually converges on it in one pass:
+
+    - the ladder panels from 2s to 8s are bisected: there the Bose factor
+      exp(-beta r^2/2m), and a gaussian profile's lam^2, fall off faster
+      than one 15-node rule follows on a doubling panel;
+    - where the infrared scale sqrt(2 m sigma) lies inside [0, r0], the
+      origin panel is split at r0/_ORIGIN_SPLIT.
+    """
     scales = [math.sqrt(2.0 * mass / beta)]
     if profile.kind == PROFILE_GAUSSIAN:
         scales.append(1.0 / math.sqrt(profile.a))
     elif profile.kind == PROFILE_POWER:
         scales.append(1.0 / profile.c)
-    r0 = min(scales) / 64.0
+    s = min(scales)
+    r = min(s / 64.0, R / 2.0)
     pts = [0.0]
-    r = min(r0, R / 2.0)
+    if 2.0 * mass * sigma < r * r:
+        pts.append(r / _ORIGIN_SPLIT)
     while r < R:
         pts.append(r)
+        if 2.0 * s <= r < 8.0 * s:
+            pts.append(0.5 * (r + min(2.0 * r, R)))
         r *= 2.0
     pts.append(R)
     return np.array(pts)
@@ -246,16 +265,19 @@ def _refine(panel_integrals, a, b, ik, err, n):
     still pending (or of none); a mesh that needed no split is returned as
     the same arrays.
     """
-    total = np.empty(ik.shape[:2])
-    pending = np.arange(ik.shape[1])
+    total = pending = None
     for _ in range(64):
         sums = ik.sum(axis=2)
         top = np.abs(sums[:n]).max(axis=0)
         tol = np.maximum(_ABS_TOL, _REL_TOL * top)
         done = np.isfinite(top) & (err.sum(axis=1) <= tol)
         if done.all():
+            if total is None:  # the first pass: no point was set aside
+                return sums, err[:0], a, b
             total[:, pending] = sums
             return total, err[:0], a, b
+        if total is None:
+            total, pending = np.empty(sums.shape), np.arange(len(done))
         if done.any():
             total[:, pending[done]] = sums[:, done]
             pending, ik, err, tol = (pending[~done], ik[:, ~done],
@@ -300,25 +322,37 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
     K points give shape (len(rows) + len(extra), K), all K integrated on
     one mesh: one cutoff that certifies every point's tail, and panels
     split until each point meets its own tolerance (see `_refine`).  The
-    call raises if any point fails; the kernel sees the K points as one
-    flat batch, in chunks of at most _CHUNK nodes.
+    call raises if any point fails.  The kernel gets the mesh's m nodes
+    once, with the K points' sigma and habs as (K, 1) columns that it
+    broadcasts to (K, m); no kernel call sees more than _CHUNK of those
+    K m points, so a larger batch goes in calls of whole points (of node
+    slices, where one point's nodes alone pass _CHUNK).
     """
     rows = tuple(rows)
     one = np.ndim(sigma) == 0 == np.ndim(habs)
-    sigma = np.array(sigma, dtype=float, ndmin=1)
-    habs = np.array(habs, dtype=float, ndmin=1)
-    if sigma.shape != habs.shape:
-        sigma, habs = np.broadcast_arrays(sigma, habs)
-    if habs.min() < 0:
-        raise ModelError("habs must be nonnegative")
-    margin = sigma.min()
+    if one:
+        margin, habs_top = float(sigma), float(habs)
+        if habs_top < 0:
+            raise ModelError("habs must be nonnegative")
+        sigma, habs = np.array([[margin]]), np.array([[habs_top]])
+        reach = margin + habs_top + habs_top
+    else:
+        sigma = np.array(sigma, dtype=float, ndmin=1)
+        habs = np.array(habs, dtype=float, ndmin=1)
+        if sigma.shape != habs.shape:
+            sigma, habs = np.broadcast_arrays(sigma, habs)
+        if habs.min() < 0:
+            raise ModelError("habs must be nonnegative")
+        margin = sigma.min()
+        # the tail bound grows with f(0) + |h(0)| and with habs: the
+        # largest f(0) and the largest habs certify every point's tail
+        habs_top = float(habs.max())
+        reach = float((sigma + habs).max()) + habs_top
+        # (K, 1) columns, which the kernel broadcasts over a mesh's nodes
+        sigma, habs = sigma[:, None], habs[:, None]
     if margin < 0:
         raise QuadratureFailure(
             f"infeasible evaluation point: f(0) - |h(0)| = {margin} < 0")
-    # the tail bound grows with f(0) + |h(0)| and with habs: the largest
-    # f(0) and the largest habs certify every point's tail
-    habs_top = float(habs.max())
-    reach = float((sigma + habs).max()) + habs_top
     inv_2m = 0.5 / mass
     every = rows + tuple(extra)
     n = len(rows)
@@ -326,19 +360,24 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
     def panel_sums(half, nodes, lam, lam_c, weight, points=slice(None)):
         # per-panel Kronrod integrals and |Kronrod - Gauss| errors of the
         # points, shapes (rows, K, panels) and (K, panels); the kernel
-        # sees the points' nodes as one flat batch, sigma and habs repeated
-        # per node
+        # broadcasts the points' sigma and habs columns over the nodes, in
+        # calls of at most _CHUNK kernel points, whole points per call
+        # while one point's nodes fit
         sg, ha = sigma[points], habs[points]
         k, m = len(sg), len(nodes)
-        if k > 1:
-            nodes, lam, lam_c = (np.tile(x, k) for x in (nodes, lam, lam_c))
-        sg, ha = sg.repeat(m), ha.repeat(m)
-        cuts = [slice(i, i + _CHUNK) for i in range(0, k * m, _CHUNK)]
-        vals = np.concatenate(
-            [eval_rows(nodes[c], lam[c], lam_c[c], beta, inv_2m, sg[c],
-                       ha[c], every) for c in cuts], axis=1)
-        vals = (vals.reshape(len(every), k, m) * weight).reshape(
-            len(every), k, len(half), 15)
+        if k * m <= _CHUNK:
+            vals = eval_rows(nodes, lam, lam_c, beta, inv_2m, sg, ha, every)
+        else:
+            vals = np.empty((len(every), k, m))
+            step, width = max(1, _CHUNK // m), min(m, _CHUNK)
+            for i in range(0, k, step):
+                p = slice(i, i + step)
+                for j in range(0, m, width):
+                    c = slice(j, j + width)
+                    vals[:, p, c] = eval_rows(nodes[c], lam[c], lam_c[c],
+                                              beta, inv_2m, sg[p], ha[p],
+                                              every)
+        vals = (vals * weight).reshape(len(every), k, len(half), 15)
         ik = (vals @ WK) * half
         ig = (vals @ WG) * half
         return ik, np.abs(ik[:n] - ig[:n]).max(axis=0)
@@ -376,7 +415,7 @@ def radial_rows(profile: CouplingProfile, nu: int, mass: float, beta: float,
             return result(total)
 
     R, tail = _choose_cutoff(profile, nu, mass, beta, reach, habs_top)
-    breaks = _initial_breaks(profile, nu, mass, beta, R)
+    breaks = _initial_breaks(profile, nu, mass, beta, R, margin)
     total, err, a = converge(entry_of(R, tail, breaks[:-1], breaks[1:]))
     if total is not None:
         return result(total)

@@ -234,7 +234,7 @@ class TestResiduals:
         assert got == pytest.approx(want, rel=0.0, abs=1e-13)
 
     def test_el1_near_the_boundary_matches_mpmath(self):
-        """el1 at the float (q, rho) of the dim-1 optimum of `solve --dim 1
+        """el1 at a float (q, rho) of the dim-1 optimum of `solve --dim 1
         --profile gaussian:1 --u 0.9 --beta 8 --mu 0.4`, sigma = 9.3e-6,
         against a 40-digit mpmath integral of the same input (exact
         el1 = 1.50e-10: rho rounds the solve's sigma* by 6e-16, and
@@ -247,8 +247,13 @@ class TestResiduals:
         model = Model(dim=1, mass=0.5, u=0.9, v=1.0,
                       lambda_profile=gaussian_profile(1.0))
         tp = ThermoPoint(beta=8.0, mu=0.4)
+        # the optimum as the solve returned it, kept as the input: how foff
+        # and habs round there sets the negative control below, and later
+        # solves may land some ulps away
+        op = OrderPoint(4.6991326482992, 4.629228689643489)
         solved = variational_limit(model, tp).result.residual_at[2]
-        op = OrderPoint(solved.q, solved.rho)
+        assert (solved.q, solved.rho) == pytest.approx((op.q, op.rho),
+                                                       rel=1e-14)
         assert sigma_gap(model, tp, op) == pytest.approx(9.3e-6, rel=0.01)
         with mpmath.workdps(40):
             q, rho = mpmath.mpf(op.q), mpmath.mpf(op.rho)
@@ -327,7 +332,8 @@ class TestResidualsReachTheGap:
         assert self._density_row(sigma) == pytest.approx(want, rel=1e-10)
 
     def test_span_reaches_as_far_as_the_peak_needs(self, monkeypatch):
-        # t0 = -4 (r ~ 6e-38 L) at ordinary gaps, -6 only far below
+        # t0 = -4 (r ~ 6e-38 L) at ordinary gaps, -6 only far below, and
+        # at sigma = 0 the first half step that keeps beta r^2/2m normal
         starts, nodes = [], []
         de_sum = pressure._de_sum
 
@@ -338,7 +344,7 @@ class TestResidualsReachTheGap:
 
         monkeypatch.setattr(pressure, "_de_sum", traced)
         for sigma, t0 in ((0.3, -4.0), (1e-30, -4.0), (1e-120, -6.0),
-                          (0.0, -6.0)):
+                          (1e-300, -6.0), (0.0, -5.0)):
             starts.clear()
             pressure._radial_quad(lambda r: np.exp(-r * r), 3, 0.5, 2.0,
                                   sigma, sigma)

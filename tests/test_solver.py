@@ -1012,6 +1012,24 @@ class TestLazyResiduals:
         assert calls == []
 
 
+@pytest.mark.parametrize("dim", [3, 4])
+def test_boundary_residuals_are_the_condensate(dim):
+    """At a u > 0 boundary minimum (sigma* = 0; in dim 3 the seed-0
+    condensed point, m0 = 0.78914) both Euler-Lagrange residuals, read
+    through the API, are the condensate density m0, the multiplier that
+    the boundary carries.  They read -inf (nan in dim 4) while the
+    residuals' tanh-sinh span started at t = -6 at sigma = 0, whose nodes
+    put E^2 below the normal range."""
+    res = variational_limit(model(dim=dim), ThermoPoint(2.0, 0.4)).result
+    assert res.status == STATUS_BOUNDARY and res.gap == 0.0
+    if dim == 3:
+        assert res.rho0 == pytest.approx(0.78914, abs=1e-5)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        el1, el2 = res.residual_el1, res.residual_el2
+    assert el1 == pytest.approx(res.rho0, rel=0.0, abs=1e-9)
+    assert el2 == pytest.approx(res.rho0, rel=0.0, abs=1e-9)
+
+
 def test_mf_condensed_quadrature_budget(monkeypatch, capsys):
     """Quadrature calls of ROADMAP's mean-field condensed solve (seed 0 of
     perfbench's solve_mix).  The count repeats exactly: none since the
@@ -1064,6 +1082,56 @@ def test_solve_quadrature_budget(monkeypatch, capsys, mu, phase, budget):
     assert len(calls) <= budget
 
 
+@pytest.mark.parametrize("mu, u, phase, calls, batches, points", [
+    ("-0.3", "0.5", PHASE_NORMAL, 8, 9, 25_905),
+    ("0.4", "0.5", PHASE_CONDENSED, 11, 15, 17_520),
+    ("0.4", "-0.5", PHASE_MF_CONDENSED, 0, 0, 0)],
+    ids=["normal", "condensed", "mf_condensed"])
+def test_solve_mix_work_budget(monkeypatch, capsys, mu, u, phase, calls,
+                               batches, points):
+    """The quadrature work of perfbench's three seed-0 solve_mix points:
+    `radial_rows` calls, kernel calls ("batches") and kernel points, which
+    count nodes times evaluation points, the size the kernel broadcasts
+    to.  The counts repeat exactly.  No cold call splits a panel, since a
+    cold mesh starts with the splits that its first pass made before: the
+    normal and condensed solves made 11 and 17 kernel calls on 28,110 and
+    18,720 points then, with 5 split passes at cold starts between them."""
+    from pairboson import cli
+    radial = _counting(monkeypatch, "radial_rows", pressure)
+    sizes, cold_splits, state = [], [], {}
+    evaluate = quadrature.eval_rows
+    fresh, refine = quadrature._initial_breaks, quadrature._refine
+
+    def counted(r, lam, lam_c, beta, inv_2m, sigma, habs, rows):
+        sizes.append(np.broadcast(r, sigma).size)
+        return evaluate(r, lam, lam_c, beta, inv_2m, sigma, habs, rows)
+
+    def ladder(*args):
+        state["cold"] = True
+        return fresh(*args)
+
+    def refined(panel_integrals, *args):
+        cold = state.pop("cold", False)
+
+        def split(*where):
+            if cold:
+                cold_splits.append(where)
+            return panel_integrals(*where)
+
+        return refine(split, *args)
+
+    monkeypatch.setattr(quadrature, "eval_rows", counted)
+    monkeypatch.setattr(quadrature, "_initial_breaks", ladder)
+    monkeypatch.setattr(quadrature, "_refine", refined)
+    argv = ["solve", "--beta", "2.0", "--mu", mu, "--u", u, "--dim", "3",
+            "--v", "1.0", "--mass", "0.5", "--profile", "gaussian:1.0"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["phase"] == phase
+    assert len(radial) == calls
+    assert (len(sizes), sum(sizes)) == (batches, points)
+    assert cold_splits == []
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("mu", ["-0.3", "0.4", "1.5"])
 def test_repulsive_solve_evaluates_no_kernel(monkeypatch, capsys, dim, mu):
@@ -1087,21 +1155,33 @@ def test_repulsive_solve_evaluates_no_kernel(monkeypatch, capsys, dim, mu):
 def test_power_profile_kernel_budget(monkeypatch):
     """The eta = 0 solve at dim 3, beta = 2, u = 0.5, mu = -0.1 with the
     power:1:4 profile, which no benchmark workload runs: it solves, hands
-    the kernel no more than _CHUNK nodes at once, and evaluates 46,050
-    kernel points (39,525 when each scan point solved alone; an earlier
-    record of this point read 2,001,720)."""
-    sizes = []
-    evaluate = quadrature.eval_rows
+    the kernel no more than _CHUNK kernel points (nodes times evaluation
+    points) at once, splits a batch into several calls, and evaluates
+    31,605 kernel points (37,170 before a cold mesh started split, 39,525
+    when each scan point solved alone; an earlier record of this point read
+    2,001,720).  The budget stays 46,050."""
+    sizes, firsts, call = [], [], {}
+    evaluate, integrate = quadrature.eval_rows, pressure.radial_rows
 
-    def counted(r, *args):
-        sizes.append(len(r))
-        return evaluate(r, *args)
+    def counted(r, lam, lam_c, beta, inv_2m, sigma, habs, rows):
+        sizes.append(np.broadcast(r, sigma).size)
+        if call.pop("first", False):
+            firsts.append((call["K"], len(sigma)))
+        return evaluate(r, lam, lam_c, beta, inv_2m, sigma, habs, rows)
+
+    def batched(profile, nu, mass, beta, sigma, habs, *rows):
+        call.update(K=np.size(sigma), first=True)
+        return integrate(profile, nu, mass, beta, sigma, habs, *rows)
 
     monkeypatch.setattr(quadrature, "eval_rows", counted)
+    monkeypatch.setattr(pressure, "radial_rows", batched)
     m = Model(dim=3, mass=0.5, u=0.5, v=1.0,
               lambda_profile=power_profile(1.0, 4.0))
     lim = variational_limit(m, ThermoPoint(2.0, -0.1))
     assert lim.p_limit == pytest.approx(0.003921739666280985, rel=1e-12)
     assert lim.q_limit == 0.0 and lim.result.status == "converged"
-    assert max(sizes) == quadrature._CHUNK  # a batch was split
+    assert max(sizes) <= quadrature._CHUNK
+    # a batch was split: the first kernel call of some quadrature call saw
+    # fewer than its K points
+    assert any(n < k for k, n in firsts)
     assert sum(sizes) <= 46_050

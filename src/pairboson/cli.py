@@ -34,6 +34,7 @@ from .model import (
 from .pressure import ThermoPoint
 from .solver import (
     STATUS_BOUNDARY, classify_phase, excitation_spectrum, variational_limit,
+    variational_row,
 )
 # unused here; perfbench's tracer wraps this name
 from .solver import eta_continuation  # noqa: F401
@@ -295,23 +296,36 @@ def _quiet_overflow():
     instance fails as EigenFailure on its inf/NaN entries, so the warnings,
     with their source paths, would only repeat that on stderr.  Only the
     reporting changes, not the arithmetic.  `main` runs every command in
-    this block; a scan's forked helpers inherit its error state."""
+    this block; a scan's forked helpers, each solving whole beta rows of
+    its grid, inherit its error state."""
     return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
-# One scan grid point, solved in the parent or in a forked helper; a solve
-# that fails becomes an error row.  A task is (model, ThermoPoint).
+def _csv_row(model, tp, limit) -> tuple:
+    """The CSV row of the point tp from its `VariationalLimit`, or from the
+    PairBosonError of its solve: an error row."""
+    if not isinstance(limit, PairBosonError):
+        try:
+            phase = classify_phase(model, tp, limit)
+        except PairBosonError as exc:
+            limit = exc
+        else:
+            return (tp.beta, tp.mu, limit.p_limit, limit.q_limit,
+                    limit.rho_limit, limit.m0, limit.gap_limit, phase)
+    nan = float("nan")
+    return (tp.beta, tp.mu, nan, nan, nan, nan, nan,
+            f"{_SCAN_ERROR}{type(limit).__name__}")
+
+
+# One beta row of the scan grid, solved in the parent or in a forked
+# helper: its points solved together (`variational_row`), a point that
+# fails an error row.  A task is (model, the row's ThermoPoints).  The
+# name dates from when a task was one point; perfbench's tracer and
+# PoolSpeed wrap it.
 def _scan_point(task):
-    model, tp = task
-    try:
-        cont = variational_limit(model, tp)
-        phase = classify_phase(model, tp, cont)
-    except PairBosonError as exc:
-        nan = float("nan")
-        return (tp.beta, tp.mu, nan, nan, nan, nan, nan,
-                f"{_SCAN_ERROR}{type(exc).__name__}")
-    return (tp.beta, tp.mu, cont.p_limit, cont.q_limit, cont.rho_limit,
-            cont.m0, cont.gap_limit, phase)
+    model, tps = task
+    return [_csv_row(model, tp, limit)
+            for tp, limit in zip(tps, variational_row(model, tps))]
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -325,7 +339,7 @@ def _worker_count(n_tasks: int) -> int:
             raise ConfigError("PBH_THREADS must be >= 1")
     else:
         cap = os.cpu_count() or 1
-    # without fork the parent solves every point itself
+    # without fork the parent solves every row itself
     return max(1, min(cap, n_tasks)) if hasattr(os, "fork") else 1
 
 
@@ -358,14 +372,16 @@ def _fork_helper(tasks):
 
 
 def _scan_rows(tasks) -> list:
-    """The rows of tasks, in task order.
+    """The CSV rows of tasks, the beta rows of the grid, in grid order.
 
-    With W workers the parent forks W - 1 helpers, helper w solving
-    tasks[w::W], and solves tasks[0::W] itself; W = 1 forks none.  Then it
-    reads each helper's pipe to its end and reaps the helper.  An exception
-    a helper sent is raised here, and a helper that left no complete
-    outcome raises RuntimeError with its exit status; whatever raises, every
-    helper not yet reaped is killed and reaped first.
+    With W workers the parent forks W - 1 helpers, helper w solving the
+    beta rows tasks[w::W], and solves tasks[0::W] itself; W = 1, as for a
+    grid of one beta, forks none.  A row is solved whole wherever it is,
+    so the rows do not depend on W.  Then the parent reads each helper's
+    pipe to its end and reaps the helper.  An exception a helper sent is
+    raised here, and a helper that left no complete outcome raises
+    RuntimeError with its exit status; whatever raises, every helper not
+    yet reaped is killed and reaped first.
     """
     workers = _worker_count(len(tasks))
     rows = [None] * len(tasks)
@@ -394,7 +410,7 @@ def _scan_rows(tasks) -> list:
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return rows
+    return [row for task_rows in rows for row in task_rows]
 
 
 def _scan_rows_to_csv(rows) -> str:
@@ -411,8 +427,8 @@ def cmd_scan(args) -> int:
     betas = _parse_betas(cfg)
     mus = _parse_mu_list(cfg)
     # every ThermoPoint checks its beta before any point is solved
-    tasks = [(model, ThermoPoint(beta=beta, mu=mu))
-             for beta in betas for mu in mus]
+    tasks = [(model, [ThermoPoint(beta=beta, mu=mu) for mu in mus])
+             for beta in betas]
     fmt = (cfg["format"] or "csv").lower()
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {fmt!r} (expected csv or json)")

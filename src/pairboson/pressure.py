@@ -17,7 +17,8 @@ may carry it when it lies below rho's float resolution.  `feasible` and
 term's mu-derivatives; every other function here and the solver go through
 them.  The inner density solve reads `grad_rho_slope`, and `outer_grads`
 (both partials from one quadrature) for its boundary test; the outer q
-search reads `outer_grads` and `total_dq`.  Where the pair field vanishes (q = 0 or u = 0) the
+search reads `outer_grads`, and `total_dq` as `stationary_dq` of them.
+Where the pair field vanishes (q = 0 or u = 0) the
 approximant is the ideal Bose gas, and the rows without lambda^2 are its
 Bose functions in closed form (`bose.ideal_rows`).  Everything here is a
 pure function; the finite-volume variant replaces the integral by a
@@ -42,14 +43,20 @@ __all__ = [
     "feasible", "source_terms", "excitation_energy", "pressure_tl",
     "pressure_fv",
     "pressure_fv_modes", "grad_rho", "grad_rho_slope", "grad_q", "outer_grads",
-    "total_dq",
+    "total_dq", "stationary_dq",
     "d_mu", "d2_mu", "el_residuals",
 ]
 
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """Grand-canonical state point (inverse temperature, chemical potential)."""
+    """Grand-canonical state point (inverse temperature, chemical potential).
+
+    mu may also be an array, each point's mu of a batch at one beta: a scan
+    row's points, whose requests go to the pressure functions together
+    (`solver._lockstep`).  At eta = 0 every such point carries its gap,
+    which is all the rows read of mu.
+    """
 
     beta: float
     mu: float
@@ -286,7 +293,14 @@ def total_dq(model: Model, tp: ThermoPoint, q: float, eta: float,
     carries the stationarity residual.  sigma is the gap the minimizer
     carries, if any (see `OrderPoint`).
     """
-    gr, gq = outer_grads(model, tp, OrderPoint(q, rho_bar, eta, sigma))
+    return stationary_dq(*outer_grads(model, tp,
+                                      OrderPoint(q, rho_bar, eta, sigma)))
+
+
+def stationary_dq(gr: float, gq: float) -> float:
+    """`total_dq` from the partials (grad_rho, grad_q) at the minimizer:
+    gq + gr, or StationarityViolated where |gr| shows rho_bar is not
+    stationary."""
     if abs(gr) > 10.0 * _STAT_TOL:
         raise StationarityViolated(
             f"rho_bar is not stationary: grad_rho = {gr:.3e}")

@@ -8,13 +8,17 @@ solver nests the optimizations: per candidate q, the boundary test and one
 safeguarded Newton loop find the inner density minimum.  The inner solves
 of an outer search run in lockstep (`inf_rho` on an array), a single q as
 the batch of one, each from the interior minimizer of the nearest q
-already solved.
+already solved.  Each solve is a generator of its quadrature requests, and
+so is the outer search (`_outer_steps`, with Brent's method as
+`_brent_steps`): at eta = 0 the searches of every mu of one beta run in
+lockstep too (`variational_row`), each round one batched quadrature per
+kind of request across the row.
 
-Two paths reach the eta -> 0 observables.  `variational_limit` solves the
-sup-inf once at eta = 0 and reads the condensate m0 off the
-Karush-Kuhn-Tucker multiplier of the constraint sigma >= 0 (Nocedal and
-Wright, Numerical Optimization, ch. 12): the multiplier itself for u >= 0,
-half of it (the quasi-average) for u < 0.  `eta_continuation` runs a
+Two paths reach the eta -> 0 observables.  `variational_limit` (a row of
+one point) solves the sup-inf once at eta = 0 and reads the condensate m0
+off the Karush-Kuhn-Tucker multiplier of the constraint sigma >= 0
+(Nocedal and Wright, Numerical Optimization, ch. 12): the multiplier
+itself for u >= 0, half of it (the quasi-average) for u < 0.  `eta_continuation` runs a
 geometric eta schedule on one quadrature plan and extrapolates to eta = 0
 with a detected-order Richardson step.  The CLI's solve, scan and spectrum
 take the first path at every point; the second stays as the API's
@@ -56,7 +60,8 @@ from .pressure import (
     outer_grads,
     pressure_tl,
     source_terms,
-    total_dq,
+    stationary_dq,
+    total_dq,  # unused here; perfbench's tracer wraps this name
 )
 from .quadrature import (
     plan_scope,
@@ -242,8 +247,8 @@ def inf_rho(model: Model, tp: ThermoPoint, q, eta: float, rho_hint=None):
     lockstep and returns a list with, per q, that triple or the
     PairBosonError its solve raised: each round of the solves makes one
     quadrature per kind of request, over all q still running (see
-    `_lockstep`), so a failing q fails alone.  A scalar q is the batch of
-    one, and raises its error.
+    `_merge` and `_lockstep`), so a failing q fails alone.  A scalar q is
+    the batch of one, and raises its error.
 
     grad_rho increases with rho (d2_mu >= 0), so the minimum is on the
     boundary exactly when grad_rho >= 0 at rho_b = (mu + |u| q)/v, where
@@ -256,10 +261,17 @@ def inf_rho(model: Model, tp: ThermoPoint, q, eta: float, rho_hint=None):
     """
     qs = np.atleast_1d(q).tolist()
     hints = [None] * len(qs) if rho_hint is None else np.atleast_1d(rho_hint)
-    return _one_or_all(q, _lockstep(model, tp, eta, qs, [
-        _gap_steps(model, tp, qq, hint) if eta == 0.0
-        else _inner_steps(model, tp, qq, eta, hint)
-        for qq, hint in zip(qs, hints)]))
+    outs, = _lockstep(model, eta, [(tp, _inner_requests(model, tp, eta, qs,
+                                                         hints))])
+    return _one_or_all(q, outs)
+
+
+def _inner_requests(model, tp, eta, qs, hints):
+    """The inner solves of the q of qs from their hints, as one request
+    generator (`_merge`) of `_gap_steps` at eta = 0, else `_inner_steps`."""
+    return _merge(qs, [_gap_steps(model, tp, q, hint) if eta == 0.0
+                       else _inner_steps(model, tp, q, eta, hint)
+                       for q, hint in zip(qs, hints)])
 
 
 def _one_or_all(q, outs):
@@ -272,22 +284,22 @@ def _one_or_all(q, outs):
     return outs[0]
 
 
-def _lockstep(model, tp, eta, qs, solves):
-    """Run the request generators `solves`, one per q of qs, together.
+def _merge(qs, solves):
+    """Run the request generators `solves`, one per q of qs, together, as
+    one request generator (see `_lockstep`).
 
-    A generator yields a request (fn, rho, sigma), fn a pressure function
-    read at OrderPoint(q, rho, eta, sigma) (sigma None where the point
-    carries no gap), and is sent fn's result.  Each round gathers the live
-    generators' requests and evaluates those of one fn in one batched call
-    (`_evaluate`).  Returns each generator's return value, or the
-    PairBosonError it raised.
+    A solve yields one request (fn, rho, sigma), and is sent fn's result
+    or has the error fn raised thrown in.  Each round yields the live
+    solves' requests as {fn: (qs, rhos, sigmas)}, the fns in the order of
+    their first request, and advances the solves in that order.  Returns
+    each solve's return value, or the PairBosonError it raised.
     """
     outs = [None] * len(solves)
     live = {}
 
     def advance(i, reply):
         try:
-            if isinstance(reply, PairBosonError):
+            if isinstance(reply, Exception):
                 live[i] = solves[i].throw(reply)
             else:
                 live[i] = solves[i].send(reply)
@@ -299,23 +311,114 @@ def _lockstep(model, tp, eta, qs, solves):
     for i in range(len(solves)):
         advance(i, None)
     while live:
-        requests, by_fn = live, {}
-        live = {}
-        for i, (fn, rho, sigma) in requests.items():
-            by_fn.setdefault(fn, []).append((i, rho, sigma))
-        for fn, asks in by_fn.items():
-            replies = _evaluate(model, tp, eta, fn, [qs[i] for i, _, _ in asks],
-                                [rho for _, rho, _ in asks],
-                                [sigma for _, _, sigma in asks])
-            for (i, _, _), reply in zip(asks, replies):
+        if len(live) == 1:
+            # a lone solve's request as it is
+            (i, (fn, rho, sigma)), = live.items()
+            live = {}
+            advance(i, (yield {fn: ([qs[i]], [rho], [sigma])})[fn][0])
+            continue
+        owners = {}
+        for i, request in live.items():
+            owners.setdefault(request[0], []).append(i)
+        requests, live = live, {}
+        replies = yield {fn: ([qs[i] for i in group],
+                              [requests[i][1] for i in group],
+                              [requests[i][2] for i in group])
+                         for fn, group in owners.items()}
+        for fn, group in owners.items():
+            for i, reply in zip(group, replies[fn]):
                 advance(i, reply)
     return outs
+
+
+def _lockstep(model, eta, jobs):
+    """Run request generators together, batching their quadratures.
+
+    jobs is a list of (tp, steps): points of one beta, with a generator
+    each.  steps yields its requests as {fn: (qs, rhos, sigmas)}, fn a
+    pressure function read at tp and OrderPoint(q, rho, eta, sigma) (sigma
+    None where the point carries no gap), and is sent {fn: replies}, per
+    point fn's result or the error it raised (`_evaluate`).  Each round
+    gathers the live jobs' requests and evaluates those of one fn in one
+    batched call, the fns in the order of their first request; the points
+    of several jobs go to fn at ThermoPoint(beta, their mu as an array).
+    At eta = 0 every point carries its gap, the only way mu reaches the
+    rows.  A job that yields no request waits at a barrier: it is sent {}
+    once every live job waits.  Returns each job's return value, or the
+    PairBosonError it raised.
+    """
+    outs = [None] * len(jobs)
+    live = {}
+
+    def advance(i, replies):
+        try:
+            live[i] = jobs[i][1].send(replies)
+        except StopIteration as stop:
+            outs[i] = stop.value
+        except PairBosonError as exc:
+            outs[i] = exc
+
+    for i in range(len(jobs)):
+        advance(i, None)
+    while live:
+        requests, live, by_fn = live, {}, {}
+        for i, asks in requests.items():
+            for fn, points in asks.items():
+                by_fn.setdefault(fn, []).append((i, points))
+        if not by_fn:
+            # every live job waits at a barrier: release them together
+            for i in requests:
+                advance(i, {})
+            continue
+        replies = {i: {} for i, asks in requests.items() if asks}
+        for fn, parts in by_fn.items():
+            if len(parts) == 1:
+                (i, points), = parts
+                replies[i][fn] = _evaluate(model, jobs[i][0], eta, fn,
+                                           *points)
+                continue
+            mus = np.concatenate([np.full(len(points[0]), jobs[i][0].mu)
+                                  for i, points in parts])
+            got = _evaluate(model, ThermoPoint(jobs[0][0].beta, mus), eta,
+                            fn, *([x for _, points in parts for x in
+                                   points[j]] for j in range(3)))
+            start = 0
+            for i, points in parts:
+                stop = start + len(points[0])
+                replies[i][fn], start = got[start:stop], stop
+        for i, asks in requests.items():
+            if asks:
+                advance(i, replies[i])
+            else:
+                live[i] = asks
+    return outs
+
+
+def _run(model, tp, eta, steps):
+    """The return value of the request generator steps at tp, run alone
+    (`_lockstep`); raises its error."""
+    out, = _lockstep(model, eta, [(tp, steps)])
+    if isinstance(out, PairBosonError):
+        raise out
+    return out
+
+
+def _now(steps):
+    """The return value of a request generator that makes no request, as
+    the eta > 0 searches serve their own (see `_inner_solver`)."""
+    try:
+        while not next(steps):
+            pass
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("the search made a request it should have served")
 
 
 def _evaluate(model, tp, eta, fn, qs, rhos, sigmas=None):
     """fn at OrderPoint(q, rho, eta, sigma) for each q, rho and sigma of
     qs, rhos and sigmas (sigmas None: no point carries its gap): the
-    result, or the PairBosonError it raised.
+    result, or the PairBosonError or OverflowError it raised.  tp.mu is
+    every point's mu, or an array of each point's.
 
     Several points go to fn as one batch; if that fails, each is retried
     alone, so that only a point that cannot converge fails.  A single
@@ -327,17 +430,19 @@ def _evaluate(model, tp, eta, fn, qs, rhos, sigmas=None):
         try:
             out = fn(model, tp, OrderPoint(np.array(qs), np.array(rhos), eta,
                                            batch))
-        except PairBosonError:
+        except (PairBosonError, OverflowError):
             pass
         else:
             if isinstance(out, tuple):
                 return list(zip(*(x.tolist() for x in out)))
             return out.tolist()
+    ats = ([ThermoPoint(tp.beta, mu) for mu in tp.mu.tolist()]
+           if isinstance(tp.mu, np.ndarray) else [tp] * len(qs))
     replies = []
-    for q, rho, sigma in zip(qs, rhos, sigmas):
+    for q, rho, sigma, at in zip(qs, rhos, sigmas, ats):
         try:
-            replies.append(fn(model, tp, OrderPoint(q, rho, eta, sigma)))
-        except PairBosonError as exc:
+            replies.append(fn(model, at, OrderPoint(q, rho, eta, sigma)))
+        except (PairBosonError, OverflowError) as exc:
             replies.append(exc)
     return replies
 
@@ -588,7 +693,8 @@ def _lorentz_coefficient(model, beta, habs):
 
 
 def _result_at(model, tp, eta, inner, value, q):
-    """The SolveResult at q of an `_inner_solver`'s inner and value.
+    """The SolveResult at q of an `_inner_solver`'s inner and value, as a
+    request generator.
 
     On the boundary sigma = 0, f(0) = |h(0)| and so the gap E(0) is 0;
     sqrt(f^2 - h^2) a few ulps off it would report rounding noise.  The
@@ -608,7 +714,7 @@ def _result_at(model, tp, eta, inner, value, q):
       mu/v - rho_c, which is the multiplier.
     - So rho0 tends to half the multiplier.
     """
-    rho, boundary, found = inner(q)
+    rho, boundary, found = yield from inner(q)
     op = _order_point(q, rho, eta, found)
     if boundary:
         gap = 0.0
@@ -621,8 +727,9 @@ def _result_at(model, tp, eta, inner, value, q):
     if boundary and eta == 0.0:
         rho0 = (max(found.grad_rho / model.v, 0.0)
                 * (0.5 if model.u < 0.0 else 1.0))
+    pressure = yield from value(q)
     return SolveResult(
-        q_bar=float(q), rho_bar=float(rho), pressure=value(q),
+        q_bar=float(q), rho_bar=float(rho), pressure=pressure,
         rho0=float(rho0), gap=gap, eta=float(eta),
         status=STATUS_BOUNDARY if boundary else STATUS_CONVERGED,
         residual_at=(model, tp, op))
@@ -635,22 +742,57 @@ def _order_point(q, rho, eta, found):
 
 
 def _inner_solver(model, tp, eta):
-    """inf_rho as a function of q, with the inner value and its q-slope.
+    """inf_rho as a function of q, with the inner value and its q-slope,
+    as request generators.
 
-    Returns (inner, value, tdq): inner(q) is inf_rho's (rho_bar, boundary,
-    found), value(q) the pressure at the minimizer and tdq(q) the
-    `_slope_in_q`.  All three are memoized by the exact float q for the
-    life of the closure, that is one outer_opt call (one point, one eta),
-    and each is computed only when read.  A raised error is not stored.
-    value also takes an array of q and returns per q the value or the
-    PairBosonError of that q alone; a scalar q is the batch of one.
+    Returns (inner, value, tdq), generator functions: inner(q) returns
+    inf_rho's (rho_bar, boundary, found), value(q) the pressure at the
+    minimizer and tdq(q) the total q-derivative of that value.  All three
+    are memoized by the exact float q for the life of the closure, that is
+    one search (one point, one eta), and each is computed only when read.
+    A raised error is not stored.  value also takes an array of q and
+    returns per q the value or the PairBosonError of that q alone; a
+    scalar q is the batch of one.
+
+    At eta = 0 they yield their quadratures as requests, the inner solves
+    of several q merged into one generator (`_inner_requests`), for the
+    `_lockstep` of a row to batch with the other points' (see
+    `variational_row`).  At eta > 0, the continuation's cross-check, they
+    make them at once, the inner solves through `inf_rho`, and yield
+    nothing (see `_now`).  An OverflowError of a request is raised.
 
     The q not yet solved are solved in lockstep and their values read in
     one batched call.  Each starts from the interior minimizer of the
     nearest solved q, shifted to keep its distance to the boundary
     rho_lo(q) = (mu + |u| q)/v, which moves with q: the bare minimizer of
-    one q is often infeasible at a larger one."""
+    one q is often infeasible at a larger one.
+
+    tdq at a boundary minimum, which moves along sigma = 0,
+    rho_b(q) = (mu + |u| q)/v, is grad_q + grad_rho |u|/v; grad_rho >= 0
+    need not vanish.  Its gradients are the boundary test's where inf_rho
+    made one.  At an interior minimum it is grad_q + grad_rho, the second
+    only the stationarity residual: the gradients the gap solve read at
+    its anchor where it made them, else those at the minimizer
+    (`stationary_dq`).
+    """
     memo, values, slopes = {}, {}, {}
+
+    def ask(fn, qs, rhos, sigmas):
+        # fn at each (q, rho, sigma): per point its result or PairBosonError
+        if eta > 0.0:
+            replies = _evaluate(model, tp, eta, fn, qs, rhos, sigmas)
+        else:
+            replies = (yield {fn: (qs, rhos, sigmas)})[fn]
+        for reply in replies:
+            if isinstance(reply, OverflowError):
+                raise reply
+        return replies
+
+    def ask_one(fn, q, rho, sigma):
+        reply, = yield from ask(fn, [q], [rho], [sigma])
+        if isinstance(reply, PairBosonError):
+            raise reply
+        return reply
 
     def solve(qs):
         # solve the q of qs not yet solved; returns the errors of those
@@ -666,8 +808,12 @@ def _inner_solver(model, tp, eta):
             a, rho = min(anchors, key=lambda anchor: abs(anchor[0] - q))
             return rho + abs(model.u) * (q - a) / model.v
 
-        outs = inf_rho(model, tp, np.array(todo), eta,
-                       rho_hint=[hint(q) for q in todo])
+        hints = [hint(q) for q in todo]
+        if eta > 0.0:
+            outs = inf_rho(model, tp, np.array(todo), eta, rho_hint=hints)
+        else:
+            outs = yield from _inner_requests(
+                model, tp, eta, np.array(todo).tolist(), hints)
         errors = {}
         for q, out in zip(todo, outs):
             if isinstance(out, PairBosonError):
@@ -677,78 +823,75 @@ def _inner_solver(model, tp, eta):
         return errors
 
     def inner(q):
-        error = solve([q]).get(q)
+        error = (yield from solve([q])).get(q)
         if error is not None:
             raise error
         return memo[q]
 
     def value(q):
         qs = np.atleast_1d(q).tolist()
-        errors = solve(qs)
+        errors = yield from solve(qs)
         todo = [qq for qq in qs if qq in memo and qq not in values]
-        points = [_order_point(qq, memo[qq][0], eta, memo[qq][2])
-                  for qq in todo]
-        outs = _evaluate(model, tp, eta, pressure_tl, todo,
-                         [op.rho for op in points],
-                         [op.sigma for op in points])
-        for qq, out in zip(todo, outs):
-            if isinstance(out, PairBosonError):
-                errors[qq] = out
-            else:
-                values[qq] = float(out)
+        if len(qs) > 1 and eta == 0.0:
+            # a row's points read the values of their scans together
+            yield {}
+        if todo:
+            points = [_order_point(qq, memo[qq][0], eta, memo[qq][2])
+                      for qq in todo]
+            outs = yield from ask(pressure_tl, todo,
+                                  [op.rho for op in points],
+                                  [op.sigma for op in points])
+            for qq, out in zip(todo, outs):
+                if isinstance(out, PairBosonError):
+                    errors[qq] = out
+                else:
+                    values[qq] = float(out)
         return _one_or_all(q, [values[qq] if qq in values else errors[qq]
                                for qq in qs])
 
+    def slope(q):
+        rho_bar, boundary, found = yield from inner(q)
+        op = _order_point(q, rho_bar, eta, found)
+        if boundary:
+            gr, gq = found.grad_rho, found.grad_q
+            if gq is None:
+                gr, gq = yield from ask_one(outer_grads, q, op.rho, op.sigma)
+            return gq + gr * (abs(model.u) / model.v)
+        if found.grad_q is not None:
+            return found.grad_q + found.grad_rho
+        return stationary_dq(
+            *(yield from ask_one(outer_grads, q, rho_bar, op.sigma)))
+
     def tdq(q):
         if q not in slopes:
-            slopes[q] = _slope_in_q(model, tp, eta, inner, q)
+            slopes[q] = yield from slope(q)
         return slopes[q]
 
     return inner, value, tdq
 
 
-def _slope_in_q(model, tp, eta, inner, q):
-    """The total q-derivative at q of the inner value at `inner(q)`.
-
-    A boundary minimum moves along sigma = 0, rho_b(q) = (mu + |u| q)/v, so
-    its derivative is grad_q + grad_rho |u|/v; grad_rho >= 0 need not
-    vanish.  Its gradients are the boundary test's where inf_rho made one.
-    At an interior minimum it is grad_q + grad_rho, the second only the
-    stationarity residual: the gradients the gap solve read at its anchor
-    where it made them, else `total_dq`.
-    """
-    rho_bar, boundary, found = inner(q)
-    op = _order_point(q, rho_bar, eta, found)
-    if boundary:
-        gr, gq = found.grad_rho, found.grad_q
-        if gq is None:
-            gr, gq = outer_grads(model, tp, op)
-        return gq + gr * (abs(model.u) / model.v)
-    if found.grad_q is not None:
-        return found.grad_q + found.grad_rho
-    return total_dq(model, tp, q, eta, rho_bar, op.sigma)
-
-
-def _brentq(f, a, b, xtol, rtol):
-    """A root of f between a and b, where f changes sign: Brent's method
-    (R. P. Brent, Algorithms for Minimization without Derivatives,
-    Prentice-Hall, 1973, ch. 4), step for step as SciPy's `brentq`, so
-    that each iterate is the same float.
+def _brent_steps(a, b, xtol, rtol):
+    """Brent's method for a root of f between a and b, where f changes
+    sign (R. P. Brent, Algorithms for Minimization without Derivatives,
+    Prentice-Hall, 1973, ch. 4), as a generator: it yields each x where it
+    needs f, is sent f(x), and returns the root.  Step for step as SciPy's
+    `brentq`, so that each iterate is the same float.
 
     It stops when half the bracket falls below (xtol + rtol |x|)/2, or at
     a zero of f.  Like SciPy's, it raises ValueError on a NaN value of f
     or on a bracket whose ends share a sign, and RuntimeError after 100
     iterations without convergence.
     """
-    def value(x):
-        fx = float(f(x))
+    def checked(x, fx):
+        fx = float(fx)
         if math.isnan(fx):
             raise ValueError(
                 f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
     xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = checked(xpre, (yield xpre))
+    fcur = checked(xcur, (yield xcur))
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -787,26 +930,53 @@ def _brentq(f, a, b, xtol, rtol):
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
+        fcur = checked(xcur, (yield xcur))
     raise RuntimeError("Failed to converge after 100 iterations.")
 
 
+def _brentq(f, a, b, xtol, rtol):
+    """A root of the function f between a and b: `_brent_steps` sent
+    f(x) at each x it yields."""
+    steps = _brent_steps(a, b, xtol, rtol)
+    x = next(steps)
+    while True:
+        try:
+            x = steps.send(f(x))
+        except StopIteration as stop:
+            return stop.value
+
+
+def _root(f, a, b, xtol, rtol):
+    """`_brentq` of f, a request generator function, as a request
+    generator."""
+    steps = _brent_steps(a, b, xtol, rtol)
+    x = next(steps)
+    while True:
+        fx = yield from f(x)
+        try:
+            x = steps.send(fx)
+        except StopIteration as stop:
+            return stop.value
+
+
 def _small_q_root(tdq, q_start: float):
-    """Bracket and refine a stationary point below the scan resolution.
+    """Bracket and refine a stationary point below the scan resolution,
+    as a request generator (tdq one).
 
     Walks down (or up) in factors of 64 from q_start until the total
     derivative changes sign, then polishes with brentq.  Returns None if
     no bracket is found within floating-point range.
     """
     lo = q_start
-    t_lo = tdq(lo)
+    t_lo = yield from tdq(lo)
     if t_lo > 0.0:
         # slope still positive: the root lies above; walk up
         hi = lo * 64.0
         for _ in range(60):
-            t_hi = tdq(hi)
+            t_hi = yield from tdq(hi)
             if t_hi < 0.0:
-                return _brentq(tdq, lo, hi, xtol=1e-30, rtol=8.9e-16)
+                return (yield from _root(tdq, lo, hi, xtol=1e-30,
+                                         rtol=8.9e-16))
             lo, hi = hi, hi * 64.0
         return None
     hi, t_hi = lo, t_lo
@@ -814,9 +984,9 @@ def _small_q_root(tdq, q_start: float):
         lo = hi / 64.0
         if lo < 1e-280:
             return None
-        t_lo = tdq(lo)
+        t_lo = yield from tdq(lo)
         if t_lo > 0.0:
-            return _brentq(tdq, lo, hi, xtol=1e-30, rtol=8.9e-16)
+            return (yield from _root(tdq, lo, hi, xtol=1e-30, rtol=8.9e-16))
         hi = lo
     return None
 
@@ -830,24 +1000,36 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float) -> SolveResult:
     sign change, as where the objective is flat to rounding, the best grid
     point stands.  The scan's 32 inner solves run in lockstep, each round
     one batched quadrature per kind of request, and its values are read in
-    one batched call.
+    one batched call.  The search is `_outer_steps`, at eta = 0 run alone
+    through `_lockstep` (`variational_row` runs a row of them together),
+    at eta > 0 serving its own requests.
     """
+    steps = _outer_steps(model, tp, eta)
+    return _now(steps) if eta > 0.0 else _run(model, tp, eta, steps)
+
+
+def _outer_steps(model, tp, eta):
+    """`outer_opt` as a request generator (see `_inner_solver`)."""
     inner, value, tdq = _inner_solver(model, tp, eta)
 
     if model.u == 0.0 or (model.u < 0.0 and eta == 0.0):
         # no pairing term, or no source to tilt a repulsive one: q = 0
-        return _result_at(model, tp, eta, inner, value, 0.0)
+        return (yield from _result_at(model, tp, eta, inner, value, 0.0))
 
     if model.u < 0.0:
-        q_bar = _outer_min_repulsive(model, eta, tdq)
-        return _result_at(model, tp, eta, inner, value, q_bar)
+        q_bar = yield from _outer_min_repulsive(model, eta, tdq)
+        return (yield from _result_at(model, tp, eta, inner, value, q_bar))
 
     # attractive: maximize the inner value over q >= 0
-    rho0_bar = inner(0.0)[0]
-    value0 = value(0.0)
+    rho0_bar = (yield from inner(0.0))[0]
+    value0 = yield from value(0.0)
+    # a barrier (see `_lockstep`): the points of a row start their
+    # brackets, and so their scans, together, so that these batch across
+    # the row
+    yield {}
 
     q_max = max(1.0, (2.0 / model.u) * (abs(tp.mu) + model.v * (rho0_bar + 1.0)))
-    while tdq(q_max) > 0:
+    while (yield from tdq(q_max)) > 0:
         q_max *= 2.0
         if q_max > 2.0 ** 20:
             raise BracketFailure("outer bracket expansion exceeded 2^20")
@@ -856,7 +1038,7 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float) -> SolveResult:
     # left out
     qs = np.geomspace(q_max * 1e-6, q_max, 32)
     best_q, best_val = 0.0, value0
-    for qq, val in zip(qs, value(qs)):
+    for qq, val in zip(qs, (yield from value(qs))):
         if not isinstance(val, PairBosonError) and val > best_val:
             best_q, best_val = qq, val
 
@@ -866,12 +1048,14 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float) -> SolveResult:
         lo = best_q / step
         hi = min(best_q * step, float(qs[-1]))
         try:
-            t_lo, t_hi = tdq(lo), tdq(hi)
+            t_lo = yield from tdq(lo)
+            t_hi = yield from tdq(hi)
             if t_lo > 0 and t_hi < 0:
-                q_bar = _brentq(tdq, lo, hi, xtol=1e-14, rtol=8.9e-16)
+                q_bar = yield from _root(tdq, lo, hi, xtol=1e-14,
+                                         rtol=8.9e-16)
         except BracketFailure:
             pass
-        if value(q_bar) < best_val:
+        if (yield from value(q_bar)) < best_val:
             q_bar = best_q
     elif eta > 0.0:
         # The source tilts the pressure so the stationary point has q > 0
@@ -879,30 +1063,32 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float) -> SolveResult:
         # normal phase).  The slope at q -> 0+ is u eta^2 / sigma^2 > 0, so
         # a sign change always exists; hunt for it geometrically.
         try:
-            root = _small_q_root(tdq, float(qs[0]))
+            root = yield from _small_q_root(tdq, float(qs[0]))
         except PairBosonError:
             root = None
-        if root is not None and value(root) >= value0 - _VALUE_SLACK:
+        if (root is not None
+                and (yield from value(root)) >= value0 - _VALUE_SLACK):
             q_bar = root
-    return _result_at(model, tp, eta, inner, value, q_bar)
+    return (yield from _result_at(model, tp, eta, inner, value, q_bar))
 
 
 def _outer_min_repulsive(model, eta, tdq):
     """u = -w < 0, eta > 0: the q minimizing the inner value, from its
-    slope tdq; the minimizer obeys q < (eta^2/(2w))^(1/3)."""
+    slope tdq, as a request generator; the minimizer obeys
+    q < (eta^2/(2w))^(1/3)."""
     w = -model.u
     q_bound = (eta * eta / (2.0 * w)) ** (1.0 / 3.0)
     lo = q_bound * 1e-8
     hi = q_bound
-    if tdq(lo) >= 0:
+    if (yield from tdq(lo)) >= 0:
         return 0.0
     for _ in range(60):
-        if tdq(hi) > 0:
+        if (yield from tdq(hi)) > 0:
             break
         hi *= 1.5
     else:
         raise BracketFailure("repulsive outer bracket not found")
-    return _brentq(tdq, lo, hi, xtol=1e-16, rtol=8.9e-16)
+    return (yield from _root(tdq, lo, hi, xtol=1e-16, rtol=8.9e-16))
 
 
 def _extrapolate(values, factor):
@@ -934,6 +1120,13 @@ def _float_range():
     except OverflowError as exc:
         raise ContinuationDiverged(
             "the solve left the floating-point range") from exc
+
+
+def _in_float_range(steps):
+    """The request generator steps inside `_float_range`: an OverflowError
+    it raises, or that a request raised, ends it as ContinuationDiverged."""
+    with _float_range():
+        return (yield from steps)
 
 
 def _check_schedule(eta0: float, factor: float, floor: float) -> None:
@@ -1019,13 +1212,37 @@ def variational_limit(model: Model, tp: ThermoPoint) -> VariationalLimit:
     The direct solve of the two-parameter formula; it agrees with the
     extrapolated limits of `eta_continuation` within the latter's error
     estimates, at a small fraction of the cost.  For u <= 0 it is the
-    mean-field Bose gas, q_bar = 0 without a search.
+    mean-field Bose gas, q_bar = 0 without a search.  It is
+    `variational_row` on a row of one point, and raises its error.
     """
-    with plan_scope(), _float_range():
-        res = outer_opt(model, tp, 0.0)
-    return VariationalLimit(p_limit=res.pressure, q_limit=res.q_bar,
-                            rho_limit=res.rho_bar, m0=res.rho0,
-                            gap_limit=res.gap, result=res)
+    limit, = variational_row(model, [tp])
+    if isinstance(limit, PairBosonError):
+        raise limit
+    return limit
+
+
+def variational_row(model: Model, tps) -> list:
+    """The `VariationalLimit` of every point of tps, ThermoPoints of one
+    beta, or the PairBosonError its solve raised.
+
+    The points' eta = 0 searches (`_outer_steps`) run in lockstep
+    (`_lockstep`) on one quadrature plan: each round makes one batched
+    quadrature per kind of request over every live (mu, q) of the row, a
+    shared mesh as in SciPy's quad_vec (P. Virtanen et al., Nat. Methods
+    17 (2020) 261).  So a point's values depend on the row it is solved
+    in, within the radial tolerance, and a row of one is the solve of
+    that point alone.  A point fails alone; a float overflow ends it as
+    ContinuationDiverged.
+    """
+    if len({tp.beta for tp in tps}) > 1:
+        raise ValueError("the points of a row share one beta")
+    with plan_scope():
+        outs = _lockstep(model, 0.0, [
+            (tp, _in_float_range(_outer_steps(model, tp, 0.0)))
+            for tp in tps])
+    return [res if isinstance(res, PairBosonError) else VariationalLimit(
+        p_limit=res.pressure, q_limit=res.q_bar, rho_limit=res.rho_bar,
+        m0=res.rho0, gap_limit=res.gap, result=res) for res in outs]
 
 
 def bose_density(model: Model, beta: float, mu_eff: float) -> float:

@@ -11,6 +11,7 @@ traced run; entering their contexts here shows a name that went missing.
 
 import concurrent.futures
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,14 @@ def test_harness_wraps_bind(monkeypatch, capsys):
     assert cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
     assert _failures("scan_line", SCAN_OP, cli.EXIT_OK,
                      capsys.readouterr().out) == []
+
+
+def test_pool_speed_names_resolve():
+    # PoolSpeed.__enter__ saves and wraps every `cli.<name>` it reads, in
+    # every timed run of every workload; `tests/test_pressure.py` holds the
+    # Tracer's WRAPS to the same rule.  Read from the source text, so that
+    # a name PoolSpeed starts to wrap is checked too
+    source = (_PERFBENCH / "speed.py").read_text(encoding="utf-8")
+    names = set(re.findall(r"\bcli\.(\w+)", source))
+    assert {"ProcessPoolExecutor", "_scan_point"} <= names
+    assert all(callable(getattr(cli, name)) for name in names), names

@@ -16,9 +16,10 @@ from pairboson.errors import BracketFailure, InfeasiblePoint, PairBosonError
 
 DATA = Path(__file__).parent / "data"
 FAST = ["--dim", "3"]
-# the solver entry points the CLI binds; every solve, scan and spectrum
-# point takes variational_limit, and eta_continuation is never called
-ENTRY_POINTS = ("eta_continuation", "variational_limit")
+# the solver entry points the CLI binds: every solve and spectrum point
+# takes variational_limit, every scan row variational_row, and
+# eta_continuation is never called
+ENTRY_POINTS = ("eta_continuation", "variational_limit", "variational_row")
 # u > 0 in dim 2: the slice that ran the eta continuation until its eta = 0
 # inner solve moved to the gap coordinate
 DIM2 = ["--u", "0.5", "--dim", "2"]
@@ -233,15 +234,24 @@ def _raising(exc):
     return entry_point
 
 
+def _failing_row(exc):
+    # variational_row: every point of the row fails with exc
+    def entry_point(model, tps):
+        return [exc("injected") for _ in tps]
+    return entry_point
+
+
 def _inject(monkeypatch, name, exc):
-    """Make the entry point `name` raise exc and the other one fail the
-    test, so a point that takes the wrong branch shows."""
+    """Make the entry point `name` fail with exc (a scan row at each of its
+    points) and the other ones fail the test, so a point that takes the
+    wrong branch shows."""
     def wrong_branch(*args, **kwargs):
         pytest.fail(f"the point did not take {name}")
 
+    failing = _failing_row if name == "variational_row" else _raising
     for other in ENTRY_POINTS:
         monkeypatch.setattr(cli, other,
-                            _raising(exc) if other == name else wrong_branch)
+                            failing(exc) if other == name else wrong_branch)
 
 
 # Runs the seed-0 solve_mix ops and scan_example.ini (PBH_THREADS 1 and 2)
@@ -304,18 +314,18 @@ class TestExitCodes:
             ["error:BracketFailure"] * 2
 
     def test_scan_of_errors_only(self, monkeypatch, capsys):
-        # dim 3 and u >= 0: the eta = 0 solve
-        self._scan_errors("variational_limit", ["--u=0.5"], monkeypatch,
+        # dim 3 and u >= 0: the eta = 0 solve of the row
+        self._scan_errors("variational_row", ["--u=0.5"], monkeypatch,
                           capsys)
 
     def test_scan_of_errors_only_repulsive(self, monkeypatch, capsys):
         # u < 0 takes the eta = 0 solve too
-        self._scan_errors("variational_limit", ["--u=-0.5"], monkeypatch,
+        self._scan_errors("variational_row", ["--u=-0.5"], monkeypatch,
                           capsys)
 
     def test_scan_of_errors_only_continued(self, monkeypatch, capsys):
         # u > 0 in dim 2, which once took the continuation
-        self._scan_errors("variational_limit", DIM2, monkeypatch, capsys)
+        self._scan_errors("variational_row", DIM2, monkeypatch, capsys)
 
     @pytest.mark.parametrize("flag, message", [
         ("--mu=1e155", "the solve left the floating-point range"),
@@ -440,6 +450,27 @@ class TestExitCodes:
             ["error:QuadratureFailure"] * 2 + ["normal", "condensed"]
         assert all(math.isfinite(float(x)) for row in rows[2:]
                    for x in row[:-1])
+
+    def test_an_overflowing_point_fails_alone_in_its_row(self, monkeypatch,
+                                                         capsys):
+        # at mu = 1e155 the search's floats leave the float range (as in
+        # test_overflow_is_non_convergence): the OverflowError ends that
+        # point of the row alone, as ContinuationDiverged, and the row's
+        # other point reads as a scan of its own
+        from pairboson.model import Model, gaussian_profile
+        from pairboson.pressure import ThermoPoint
+        monkeypatch.setenv("PBH_THREADS", "1")
+        assert run_main(["scan", "--mu-range=0.2:1e155:2"] + DIM2) == \
+            cli.EXIT_OK
+        header, row, failed = capsys.readouterr().out.splitlines()
+        assert failed.endswith(",error:ContinuationDiverged")
+        assert run_main(["scan", "--mu=0.2"] + DIM2) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [header, row]
+        model = Model(dim=2, mass=0.5, u=0.5, v=1.0,
+                      lambda_profile=gaussian_profile(1.0))
+        _, error = solver.variational_row(
+            model, [ThermoPoint(1.0, 0.2), ThermoPoint(1.0, 1e155)])
+        assert isinstance(error.__cause__, OverflowError)
 
     def test_every_error_has_a_row(self):
         classes = [obj for obj in vars(errors).values()
@@ -728,6 +759,40 @@ class TestScan:
             assert abs(want - limit) <= cont.error_estimates[err]
         assert got["phase"] == doc["phase"] == "condensed"
 
+    # (scan flags, u): the seed-0 scan_line grid, across the pairing
+    # transition, and scan_example.ini; both at dim 3, m = 0.5, v = 1 and
+    # gaussian:1
+    AGREEMENT_GRIDS = {
+        "scan_line": (["--beta", "2.0", "--mu-range=-0.2:0.4:4",
+                       "--u", "0.5"], 0.5),
+        "scan_example": (["--config", str(DATA / "scan_example.ini")], 0.0),
+    }
+
+    @pytest.mark.parametrize("grid", AGREEMENT_GRIDS)
+    def test_rows_agree_with_solves(self, grid, monkeypatch, capsys):
+        # a row's points share their quadrature meshes, so a scan row may
+        # differ from a solve of its point alone: by at most
+        # 1e-10 max(1, |p|) in p and 1e-8 in q_bar and m0, in the same phase
+        from pairboson.model import Model, gaussian_profile
+        from pairboson.pressure import ThermoPoint
+        from pairboson.solver import classify_phase, variational_limit
+        argv, u = self.AGREEMENT_GRIDS[grid]
+        model = Model(dim=3, mass=0.5, u=u, v=1.0,
+                      lambda_profile=gaussian_profile(1.0))
+        monkeypatch.setenv("PBH_THREADS", "1")
+        assert run_main(["scan"] + argv) == cli.EXIT_OK
+        header, *rows = capsys.readouterr().out.strip().split("\n")
+        assert len(rows) >= 4
+        for row in rows:
+            got = dict(zip(header.split(","), row.split(",")))
+            tp = ThermoPoint(float(got["beta"]), float(got["mu"]))
+            lim = variational_limit(model, tp)
+            assert got["phase"] == classify_phase(model, tp, lim), row
+            p = lim.p_limit
+            assert abs(float(got["pressure"]) - p) <= 1e-10 * max(1.0, abs(p))
+            assert abs(float(got["q_bar"]) - lim.q_limit) <= 1e-8, row
+            assert abs(float(got["m0"]) - lim.m0) <= 1e-8, row
+
     def test_boundary_rows_report_gap_zero(self, monkeypatch, capsys):
         # the condensed rows are eta = 0 boundary minima, where
         # f(0) = |h(0)| and E(0) = 0; at mu = 0.4 sqrt(f^2 - h^2) a few
@@ -794,7 +859,7 @@ class TestScan:
             assert capsys.readouterr().out == f"{header}\n{row}\n"
 
     def test_json_errors_are_null(self, monkeypatch, capsys):
-        _inject(monkeypatch, "variational_limit", BracketFailure)
+        _inject(monkeypatch, "variational_row", BracketFailure)
         monkeypatch.setenv("PBH_THREADS", "1")
         assert run_main(["scan", "--format", "json"]) == \
             cli.EXIT_NO_CONVERGENCE
@@ -811,11 +876,13 @@ class TestScan:
         assert doc[0]["phase"] == "normal"
 
 
-# Five points across the pairing transition: 2 and 3 workers do not divide
-# them, and 7 workers are capped at 5.
-FAN_GRID = ["scan", "--beta", "2", "--mu-range=-0.2:0.4:5", "--u", "0.5",
-            "--dim", "3"]
-FAN_MUS = cli._parse_mu_list({"mu_range": "-0.2:0.4:5"})
+# Three beta rows of three points across the pairing transition: 2
+# workers do not divide them, and 7 workers are capped at 3.
+FAN_BETAS = (1.5, 2.0, 2.5)
+FAN_GRID = ["scan", "--beta", "1.5,2,2.5", "--mu-range=-0.2:0.4:3", "--u",
+            "0.5", "--dim", "3"]
+FAN_MUS = cli._parse_mu_list({"mu_range": "-0.2:0.4:3"})
+FAN_PHASES = ["normal", "condensed", "condensed"] * 3
 
 
 def _assert_no_child_left():
@@ -825,19 +892,29 @@ def _assert_no_child_left():
 
 
 def _fail_at(monkeypatch, fail):
-    """Make the eta = 0 solve call fail(tp) first at every point."""
-    real = cli.variational_limit
+    """Make each scan row call fail(tp) first at each of its points.  A
+    point where fail raises a PairBosonError takes that error as its
+    outcome, and the row's other points are solved as a row without it;
+    any other exception propagates."""
+    real = cli.variational_row
 
-    def limit(model, tp):
-        fail(tp)
-        return real(model, tp)
+    def row(model, tps):
+        errors = {}
+        for tp in tps:
+            try:
+                fail(tp)
+            except PairBosonError as exc:
+                errors[tp] = exc
+        limits = iter(real(model, [tp for tp in tps if tp not in errors]))
+        return [errors[tp] if tp in errors else next(limits) for tp in tps]
 
-    monkeypatch.setattr(cli, "variational_limit", limit)
+    monkeypatch.setattr(cli, "variational_row", row)
 
 
 class TestScanFanOut:
-    """The parent solves tasks[0::W] and forks W - 1 helpers, helper w
-    solving tasks[w::W]."""
+    """The parent solves the beta rows tasks[0::W] and forks W - 1
+    helpers, helper w solving the rows tasks[w::W]; a row is solved whole
+    wherever it is."""
 
     def _scan(self, threads, monkeypatch, capsys, argv=FAN_GRID):
         monkeypatch.setenv("PBH_THREADS", str(threads))
@@ -854,25 +931,48 @@ class TestScanFanOut:
         assert outputs[1:] == outputs[:1] * 3
 
     def test_helper_error_rows_keep_their_places(self, monkeypatch, capsys):
-        # with 2 workers mu[1] and mu[3] are the helper's, mu[2] the parent's
+        # with 2 workers the beta = 2 row is the helper's, the beta = 1.5
+        # and 2.5 rows the parent's
         def fail(tp):
-            if tp.mu in (FAN_MUS[1], FAN_MUS[2]):
+            if (tp.beta, tp.mu) in ((2.0, FAN_MUS[1]), (2.5, FAN_MUS[2])):
                 raise BracketFailure("injected")
 
         _fail_at(monkeypatch, fail)
         code, text = self._scan(2, monkeypatch, capsys)
         assert code == cli.EXIT_OK
+        phases = list(FAN_PHASES)
+        phases[4] = phases[8] = "error:BracketFailure"
         assert [row.split(",")[-1] for row in text.splitlines()[1:]] == \
-            ["normal", "error:BracketFailure", "error:BracketFailure",
-             "condensed", "condensed"]
+            phases
         assert self._scan(1, monkeypatch, capsys) == (code, text)
+
+    def test_a_failing_point_leaves_the_other_rows(self, monkeypatch,
+                                                   capsys):
+        # a point that fails in the beta = 2 row leaves the other beta
+        # rows byte for byte; the row's other points keep their phases
+        code, plain = self._scan(2, monkeypatch, capsys)
+        assert code == cli.EXIT_OK
+
+        def fail(tp):
+            if (tp.beta, tp.mu) == (2.0, FAN_MUS[1]):
+                raise BracketFailure("injected")
+
+        _fail_at(monkeypatch, fail)
+        code, text = self._scan(2, monkeypatch, capsys)
+        assert code == cli.EXIT_OK
+        plain, text = plain.splitlines(), text.splitlines()
+        assert [line for i, line in enumerate(text) if not 4 <= i <= 6] == \
+            [line for i, line in enumerate(plain) if not 4 <= i <= 6]
+        assert [line.split(",")[-1] for line in text[4:7]] == \
+            ["normal", "error:BracketFailure", "condensed"]
 
     @pytest.mark.parametrize("where", [0, 1, 2], ids=["parent", "helper-1",
                                                       "helper-2"])
     def test_other_errors_propagate(self, where, monkeypatch, capsys):
-        # with 3 workers mu[where] is solved by the parent (0) or a helper
+        # with 3 workers the row beta[where] is solved by the parent (0)
+        # or a helper
         def fail(tp):
-            if tp.mu == FAN_MUS[where]:
+            if (tp.beta, tp.mu) == (FAN_BETAS[where], FAN_MUS[1]):
                 raise ValueError(f"injected at {tp.mu!r}")
 
         _fail_at(monkeypatch, fail)
@@ -886,8 +986,8 @@ class TestScanFanOut:
         parent = os.getpid()
 
         def fail(tp):
-            if tp.mu == FAN_MUS[1]:
-                assert os.getpid() != parent, "mu[1] is the helper's"
+            if tp.beta == FAN_BETAS[1]:
+                assert os.getpid() != parent, "beta[1] is the helper's"
                 os._exit(3)
 
         _fail_at(monkeypatch, fail)
@@ -901,6 +1001,17 @@ class TestScanFanOut:
         monkeypatch.delattr(os, "fork")
         assert cli._worker_count(5) == 1
         assert self._scan(2, monkeypatch, capsys) == serial
+
+    def test_one_beta_forks_nothing(self, monkeypatch, capsys):
+        # a scan of one beta is one row, solved by the parent at any W
+        def no_fork():
+            pytest.fail("a one-beta scan forked a helper")
+
+        serial = self._scan(1, monkeypatch, capsys, FAN_GRID[:2] + ["2"]
+                            + FAN_GRID[3:])
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self._scan(7, monkeypatch, capsys, FAN_GRID[:2] + ["2"]
+                          + FAN_GRID[3:]) == serial
 
 
 class TestSpectrum:

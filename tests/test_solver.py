@@ -28,7 +28,7 @@ from pairboson.pressure import (
     grad_rho_slope, outer_grads,
 )
 from pairboson.solver import (
-    inf_rho, outer_opt, eta_continuation, _extrapolate, _inner_solver,
+    inf_rho, outer_opt, eta_continuation, _extrapolate,
     bose_density, critical_density, mf_density, mf_pressure,
     excitation_spectrum, classify_phase, variational_limit,
     PHASE_NORMAL, PHASE_PAIR_ONLY, PHASE_CONDENSED, PHASE_MF_CONDENSED,
@@ -40,6 +40,14 @@ GAUSS = gaussian_profile(1.0)
 
 def model(u=0.5, v=1.0, dim=3):
     return Model(dim=dim, mass=0.5, u=u, v=v, lambda_profile=GAUSS)
+
+
+def _inner_solver(m, tp, eta):
+    """`solver._inner_solver`'s (inner, value, tdq), each request
+    generator run to its end at the one point (`solver._run`)."""
+    def run(steps_of):
+        return lambda q: solver._run(m, tp, eta, steps_of(q))
+    return tuple(run(fn) for fn in solver._inner_solver(m, tp, eta))
 
 
 class TestInnerMinimum:
@@ -140,7 +148,7 @@ class TestKKTBoundaryTest:
         # the minimizer is read at the gap it carries: sigma = 0 exactly on
         # the boundary
         m, tp = model(u=u), ThermoPoint(2.0, mu)
-        inner, _, _ = _inner_solver(m, tp, eta)
+        inner, _, tdq = _inner_solver(m, tp, eta)
         decided = []
         for q in qs:
             rho_lo = max(0.0, (tp.mu + abs(u) * q) / m.v)
@@ -155,7 +163,7 @@ class TestKKTBoundaryTest:
                 want = gq + gr * abs(u) / m.v
             else:
                 want = pressure.total_dq(m, tp, q, eta, rho_bar, op.sigma)
-            got = solver._slope_in_q(m, tp, eta, inner, q)
+            got = tdq(q)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12), q
             decided.append(boundary)
         assert set(decided) == outcomes
@@ -236,7 +244,7 @@ class TestInnerMemo:
     def test_value_and_slope_are_computed_once_when_read(self, monkeypatch):
         m, tp, eta = model(), ThermoPoint(2.0, -0.3), 0.05
         values = _counting(monkeypatch, "pressure_tl")
-        slopes = _counting(monkeypatch, "total_dq")
+        slopes = _counting(monkeypatch, "outer_grads")
         inner, value, tdq = _inner_solver(m, tp, eta)
         rho_bar = inner(0.3)[0]
         assert values == [] and slopes == []
@@ -454,6 +462,51 @@ class TestContinuation:
             limit, err, order = _extrapolate(seq, factor)
             assert limit == pytest.approx(1.3, abs=1e-10)
             assert order == pytest.approx(a, rel=1e-6)
+
+
+class TestVariationalRow:
+    """The mu points of one beta solved in lockstep, batched across the
+    row: a point that raises fails alone, and each agrees with its solve
+    alone within the radial tolerance."""
+
+    MUS = (-0.2, 0.0, 0.2, 0.4)
+
+    def _failing_at(self, monkeypatch, mu, exc):
+        # outer_grads raises exc at mu, in a batch across the row and alone
+        real = solver.outer_grads
+
+        def grads(model, tp, op):
+            if np.any(np.asarray(tp.mu) == mu):
+                raise exc(f"injected at {mu}")
+            return real(model, tp, op)
+
+        monkeypatch.setattr(solver, "outer_grads", grads)
+
+    def test_a_point_that_raises_fails_alone(self, monkeypatch):
+        m = model()
+        tps = [ThermoPoint(2.0, mu) for mu in self.MUS]
+        self._failing_at(monkeypatch, 0.2, BracketFailure)
+        limits = solver.variational_row(m, tps)
+        assert isinstance(limits[2], BracketFailure)
+        monkeypatch.undo()
+        for tp, limit in zip(tps, limits):
+            if tp.mu == 0.2:
+                continue
+            want = variational_limit(m, tp)
+            assert limit.p_limit == pytest.approx(want.p_limit, rel=1e-10)
+            assert abs(limit.q_limit - want.q_limit) <= 1e-8
+            assert abs(limit.m0 - want.m0) <= 1e-8
+
+    def test_other_errors_propagate(self, monkeypatch):
+        self._failing_at(monkeypatch, 0.2, ValueError)
+        with pytest.raises(ValueError, match="injected at 0.2"):
+            solver.variational_row(
+                model(), [ThermoPoint(2.0, mu) for mu in self.MUS])
+
+    def test_points_share_one_beta(self):
+        with pytest.raises(ValueError, match="one beta"):
+            solver.variational_row(model(), [ThermoPoint(2.0, 0.1),
+                                             ThermoPoint(1.0, 0.1)])
 
 
 class TestVariationalLimit:
@@ -1050,18 +1103,32 @@ def test_mf_condensed_quadrature_budget(monkeypatch, capsys):
 
 
 def test_scan_quadrature_budget(monkeypatch, capsys):
-    """Quadrature calls of perfbench's seed-0 scan_line, serial.  The count
-    repeats exactly: 54 since every inner solve tests the boundary first
-    where it can, 58 when the outer scan's inner solves first ran in
-    lockstep, 451 when each scan point solved alone, and 8,450 from a
-    continuation per point."""
+    """Quadrature work of perfbench's seed-0 scan_line, serial: 19
+    `radial_rows` calls, in 32 kernel calls on 91,605 kernel points, since
+    the four points of its one beta row run in lockstep, one batched call
+    per kind of request and round (each point waits for the others before
+    its bracket and before it reads its scan's values).  The count
+    repeats exactly.  Before, each point solved alone: 38 calls in 53
+    kernel calls on 91,500 points since the q = 0 rows are closed form,
+    54 since every inner solve tests the boundary first where it can, 58
+    when the outer scan's inner solves first ran in lockstep, 451 when
+    each of those solved alone, and 8,450 from a continuation per
+    point."""
     from pairboson import cli
     monkeypatch.setenv("PBH_THREADS", "1")
     calls = _counting(monkeypatch, "radial_rows", pressure)
+    sizes = []
+    evaluate = quadrature.eval_rows
+
+    def counted(r, lam, lam_c, beta, inv_2m, sigma, habs, rows):
+        sizes.append(np.broadcast(r, sigma).size)
+        return evaluate(r, lam, lam_c, beta, inv_2m, sigma, habs, rows)
+
+    monkeypatch.setattr(quadrature, "eval_rows", counted)
     assert cli.main(["scan", "--beta", "2", "--mu-range=-0.2:0.4:4",
                      "--u", "0.5", "--dim", "3"]) == cli.EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 5
-    assert len(calls) <= 54
+    assert (len(calls), len(sizes), sum(sizes)) == (19, 32, 91_605)
 
 
 @pytest.mark.parametrize("mu, phase, budget", [

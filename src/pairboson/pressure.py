@@ -54,7 +54,7 @@ class ThermoPoint:
 
     mu may also be an array, each point's mu of a batch at one beta: a scan
     row's points, whose requests go to the pressure functions together
-    (`solver._lockstep`).  At eta = 0 every such point carries its gap,
+    (`solver._evaluate`).  At eta = 0 every such point carries its gap,
     which is all the rows read of mu.
     """
 

@@ -5,14 +5,16 @@ parameter q of the inf over densities rho of the quadratic-approximant
 pressure; for u <= 0 the sup becomes an inf and the problem collapses onto
 the mean-field solution as the symmetry-breaking source eta -> 0.  The
 solver nests the optimizations: per candidate q, the boundary test and one
-safeguarded Newton loop find the inner density minimum.  The inner solves
-of an outer search run in lockstep (`inf_rho` on an array), a single q as
-the batch of one, each from the interior minimizer of the nearest q
-already solved.  Each solve is a generator of its quadrature requests, and
-so is the outer search (`_outer_steps`, with Brent's method as
-`_brent_steps`): at eta = 0 the searches of every mu of one beta run in
-lockstep too (`variational_row`), each round one batched quadrature per
-kind of request across the row.
+safeguarded Newton loop find the inner density minimum.  Each solve is a
+generator of its quadrature requests, and so is the outer search
+(`_outer_steps`, with Brent's method as `_brent_steps`), at every eta.
+Every request has one format, {fn: [(mu, q, rho, sigma), ...]}; one
+combinator runs generators in lockstep (`_join`), each round one batched
+quadrature per kind of request; and one loop serves them (`_run`).  So
+the inner solves of an outer search run together, a single q as the
+batch of one, each from the interior minimizer of the nearest q already
+solved, and at eta = 0 the searches of every mu of one beta run together
+too (`variational_row`).
 
 Two paths reach the eta -> 0 observables.  `variational_limit` (a row of
 one point) solves the sup-inf once at eta = 0 and reads the condensate m0
@@ -245,10 +247,11 @@ def inf_rho(model: Model, tp: ThermoPoint, q, eta: float, rho_hint=None):
 
     An array of q (with None or an array of hints) solves every q in
     lockstep and returns a list with, per q, that triple or the
-    PairBosonError its solve raised: each round of the solves makes one
-    quadrature per kind of request, over all q still running (see
-    `_merge` and `_lockstep`), so a failing q fails alone.  A scalar q is
-    the batch of one, and raises its error.
+    PairBosonError its solve raised: the solves are joined (`_join`), so
+    each round makes one quadrature per kind of request over all q still
+    running, and a failing q fails alone.  A scalar q is the batch of one,
+    and raises its error.  The searches reach the same solves through
+    `_inner_requests`, without this entry point.
 
     grad_rho increases with rho (d2_mu >= 0), so the minimum is on the
     boundary exactly when grad_rho >= 0 at rho_b = (mu + |u| q)/v, where
@@ -261,17 +264,18 @@ def inf_rho(model: Model, tp: ThermoPoint, q, eta: float, rho_hint=None):
     """
     qs = np.atleast_1d(q).tolist()
     hints = [None] * len(qs) if rho_hint is None else np.atleast_1d(rho_hint)
-    outs, = _lockstep(model, eta, [(tp, _inner_requests(model, tp, eta, qs,
-                                                         hints))])
+    outs = _run(model, tp.beta, eta, _inner_requests(model, tp, eta, qs,
+                                                     hints))
     return _one_or_all(q, outs)
 
 
 def _inner_requests(model, tp, eta, qs, hints):
-    """The inner solves of the q of qs from their hints, as one request
-    generator (`_merge`) of `_gap_steps` at eta = 0, else `_inner_steps`."""
-    return _merge(qs, [_gap_steps(model, tp, q, hint) if eta == 0.0
-                       else _inner_steps(model, tp, q, eta, hint)
-                       for q, hint in zip(qs, hints)])
+    """The inner solves of the q of qs from their hints, joined into one
+    request generator (`_join`): `_gap_steps` at eta = 0, else
+    `_inner_steps`."""
+    return _join([_gap_steps(model, tp, q, hint) if eta == 0.0
+                  else _inner_steps(model, tp, q, eta, hint)
+                  for q, hint in zip(qs, hints)])
 
 
 def _one_or_all(q, outs):
@@ -284,164 +288,121 @@ def _one_or_all(q, outs):
     return outs[0]
 
 
-def _merge(qs, solves):
-    """Run the request generators `solves`, one per q of qs, together, as
-    one request generator (see `_lockstep`).
+# The solver's searches are request generators.  A request is
+# {fn: [(mu, q, rho, sigma), ...]}: fn a pressure function, to be read at
+# ThermoPoint(beta, mu) and OrderPoint(q, rho, eta, sigma) for each point
+# (sigma None where the point carries no gap), with beta and eta those of
+# the `_run` that serves it.  The generator is sent {fn: replies}, per
+# point fn's result or the error it raised (`_evaluate`).  A request {}
+# is a barrier: the generator waits for the others of its `_join`.
 
-    A solve yields one request (fn, rho, sigma), and is sent fn's result
-    or has the error fn raised thrown in.  Each round yields the live
-    solves' requests as {fn: (qs, rhos, sigmas)}, the fns in the order of
-    their first request, and advances the solves in that order.  Returns
-    each solve's return value, or the PairBosonError it raised.
+
+def _ask(tp, fn, q, rho, sigma):
+    """fn at one point (q, rho, sigma) of tp, as a request: its result, or
+    the error it raised, raised here."""
+    reply, = (yield {fn: [(tp.mu, q, rho, sigma)]})[fn]
+    if isinstance(reply, Exception):
+        raise reply
+    return reply
+
+
+def _join(gens):
+    """Run the request generators gens together, as one request generator.
+
+    Each round merges the live generators' requests per fn, the fns in the
+    order of their first request, and sends each generator the replies to
+    its own points.  A generator that yields {} waits at a barrier: once
+    every live one waits, the join yields {} itself and then releases them
+    together.  Returns each generator's return value, or the
+    PairBosonError it raised.  A join of one generator is that generator,
+    its requests passed through as they are (as for every `solve`).
     """
-    outs = [None] * len(solves)
-    live = {}
-
-    def advance(i, reply):
+    if len(gens) == 1:
         try:
-            if isinstance(reply, Exception):
-                live[i] = solves[i].throw(reply)
-            else:
-                live[i] = solves[i].send(reply)
-        except StopIteration as stop:
-            outs[i] = stop.value
+            return [(yield from gens[0])]
         except PairBosonError as exc:
-            outs[i] = exc
-
-    for i in range(len(solves)):
-        advance(i, None)
-    while live:
-        if len(live) == 1:
-            # a lone solve's request as it is
-            (i, (fn, rho, sigma)), = live.items()
-            live = {}
-            advance(i, (yield {fn: ([qs[i]], [rho], [sigma])})[fn][0])
-            continue
-        owners = {}
-        for i, request in live.items():
-            owners.setdefault(request[0], []).append(i)
-        requests, live = live, {}
-        replies = yield {fn: ([qs[i] for i in group],
-                              [requests[i][1] for i in group],
-                              [requests[i][2] for i in group])
-                         for fn, group in owners.items()}
-        for fn, group in owners.items():
-            for i, reply in zip(group, replies[fn]):
-                advance(i, reply)
-    return outs
-
-
-def _lockstep(model, eta, jobs):
-    """Run request generators together, batching their quadratures.
-
-    jobs is a list of (tp, steps): points of one beta, with a generator
-    each.  steps yields its requests as {fn: (qs, rhos, sigmas)}, fn a
-    pressure function read at tp and OrderPoint(q, rho, eta, sigma) (sigma
-    None where the point carries no gap), and is sent {fn: replies}, per
-    point fn's result or the error it raised (`_evaluate`).  Each round
-    gathers the live jobs' requests and evaluates those of one fn in one
-    batched call, the fns in the order of their first request; the points
-    of several jobs go to fn at ThermoPoint(beta, their mu as an array).
-    At eta = 0 every point carries its gap, the only way mu reaches the
-    rows.  A job that yields no request waits at a barrier: it is sent {}
-    once every live job waits.  Returns each job's return value, or the
-    PairBosonError it raised.
-    """
-    outs = [None] * len(jobs)
+            return [exc]
+    outs = [None] * len(gens)
     live = {}
 
     def advance(i, replies):
         try:
-            live[i] = jobs[i][1].send(replies)
+            live[i] = gens[i].send(replies)
         except StopIteration as stop:
             outs[i] = stop.value
         except PairBosonError as exc:
             outs[i] = exc
 
-    for i in range(len(jobs)):
+    for i in range(len(gens)):
         advance(i, None)
     while live:
-        requests, live, by_fn = live, {}, {}
-        for i, asks in requests.items():
-            for fn, points in asks.items():
-                by_fn.setdefault(fn, []).append((i, points))
-        if not by_fn:
-            # every live job waits at a barrier: release them together
-            for i in requests:
-                advance(i, {})
-            continue
-        replies = {i: {} for i, asks in requests.items() if asks}
-        for fn, parts in by_fn.items():
-            if len(parts) == 1:
-                (i, points), = parts
-                replies[i][fn] = _evaluate(model, jobs[i][0], eta, fn,
-                                           *points)
-                continue
-            mus = np.concatenate([np.full(len(points[0]), jobs[i][0].mu)
-                                  for i, points in parts])
-            got = _evaluate(model, ThermoPoint(jobs[0][0].beta, mus), eta,
-                            fn, *([x for _, points in parts for x in
-                                   points[j]] for j in range(3)))
-            start = 0
-            for i, points in parts:
-                stop = start + len(points[0])
-                replies[i][fn], start = got[start:stop], stop
-        for i, asks in requests.items():
-            if asks:
-                advance(i, replies[i])
+        requests, live, merged = live, {}, {}
+        for request in requests.values():
+            for fn, points in request.items():
+                if fn in merged:
+                    merged[fn].extend(points)
+                else:
+                    merged[fn] = list(points)
+        # {} where every live generator waits at a barrier
+        replies = yield merged
+        # each generator's replies, cut from the merged ones in the order
+        # they were merged
+        starts = dict.fromkeys(merged, 0)
+        for i, request in requests.items():
+            if request or not merged:
+                own = {}
+                for fn, points in request.items():
+                    start = starts[fn]
+                    starts[fn] = stop = start + len(points)
+                    own[fn] = replies[fn][start:stop]
+                advance(i, own)
             else:
-                live[i] = asks
+                live[i] = request
     return outs
 
 
-def _run(model, tp, eta, steps):
-    """The return value of the request generator steps at tp, run alone
-    (`_lockstep`); raises its error."""
-    out, = _lockstep(model, eta, [(tp, steps)])
-    if isinstance(out, PairBosonError):
-        raise out
-    return out
+def _run(model, beta, eta, steps):
+    """The return value of the request generator steps, each of its
+    requests evaluated at beta and eta (`_evaluate`), a barrier answered
+    with {}; raises what steps raises."""
+    replies = None
+    while True:
+        try:
+            request = steps.send(replies)
+        except StopIteration as stop:
+            return stop.value
+        replies = {}
+        for fn, points in request.items():
+            replies[fn] = _evaluate(model, beta, eta, fn, points)
 
 
-def _now(steps):
-    """The return value of a request generator that makes no request, as
-    the eta > 0 searches serve their own (see `_inner_solver`)."""
-    try:
-        while not next(steps):
-            pass
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("the search made a request it should have served")
+def _evaluate(model, beta, eta, fn, points):
+    """fn at ThermoPoint(beta, mu) and OrderPoint(q, rho, eta, sigma) for
+    each point (mu, q, rho, sigma) of points, which all carry their gap or
+    none do: the result, or the PairBosonError or OverflowError it raised.
 
-
-def _evaluate(model, tp, eta, fn, qs, rhos, sigmas=None):
-    """fn at OrderPoint(q, rho, eta, sigma) for each q, rho and sigma of
-    qs, rhos and sigmas (sigmas None: no point carries its gap): the
-    result, or the PairBosonError or OverflowError it raised.  tp.mu is
-    every point's mu, or an array of each point's.
-
-    Several points go to fn as one batch; if that fails, each is retried
-    alone, so that only a point that cannot converge fails.  A single
-    point is fn's scalar call.
+    Several points go to fn as one batch, at their one mu or at the array
+    of their mus; if that fails, each is retried alone, so that only a
+    point that cannot converge fails.  A single point is fn's scalar call.
     """
-    sigmas = sigmas or [None] * len(qs)
-    if len(qs) > 1:
+    if len(points) > 1:
+        mus, qs, rhos, sigmas = zip(*points)
+        mu = mus[0] if mus.count(mus[0]) == len(mus) else np.array(mus)
         batch = None if sigmas[0] is None else np.array(sigmas)
         try:
-            out = fn(model, tp, OrderPoint(np.array(qs), np.array(rhos), eta,
-                                           batch))
+            out = fn(model, ThermoPoint(beta, mu),
+                     OrderPoint(np.array(qs), np.array(rhos), eta, batch))
         except (PairBosonError, OverflowError):
             pass
         else:
             if isinstance(out, tuple):
                 return list(zip(*(x.tolist() for x in out)))
             return out.tolist()
-    ats = ([ThermoPoint(tp.beta, mu) for mu in tp.mu.tolist()]
-           if isinstance(tp.mu, np.ndarray) else [tp] * len(qs))
     replies = []
-    for q, rho, sigma, at in zip(qs, rhos, sigmas, ats):
+    for mu, q, rho, sigma in points:
         try:
-            replies.append(fn(model, at, OrderPoint(q, rho, eta, sigma)))
+            replies.append(fn(model, ThermoPoint(beta, mu),
+                              OrderPoint(q, rho, eta, sigma)))
         except (PairBosonError, OverflowError) as exc:
             replies.append(exc)
     return replies
@@ -464,18 +425,18 @@ def _finite_on_boundary(model, q):
         q > 0.0 and model.lambda_profile.kind == PROFILE_DELTA_ZERO)
 
 
-def _grads_request(q, rho, sigma):
-    """(grad_rho, grad_q) at (q, rho, sigma), as one request (see
-    `_lockstep`); at q = 0 grad_rho alone, with grad_q None: no pair row
-    is read there, which diverges on sigma = 0."""
+def _grads_request(tp, q, rho, sigma):
+    """(grad_rho, grad_q) at (q, rho, sigma), as one request (`_ask`); at
+    q = 0 grad_rho alone, with grad_q None: no pair row is read there,
+    which diverges on sigma = 0."""
     if q > 0.0:
-        return (yield outer_grads, rho, sigma)
-    return (yield grad_rho, rho, sigma), None
+        return (yield from _ask(tp, outer_grads, q, rho, sigma))
+    return (yield from _ask(tp, grad_rho, q, rho, sigma)), None
 
 
 def _inner_steps(model, tp, q, eta, rho_hint):
     """`inf_rho` at one q and eta > 0, as a generator of its quadrature
-    requests (see `_lockstep`); returns (rho_bar, boundary, found).
+    requests (`_ask`); returns (rho_bar, boundary, found).
 
     After the boundary test, Newton's method safeguarded by bisection
     (rtsafe: W. H. Press et al., Numerical Recipes, 3rd ed., sec. 9.4) runs
@@ -496,14 +457,14 @@ def _inner_steps(model, tp, q, eta, rho_hint):
     def g_slope(rho):
         # (grad_rho, its rho-slope) at rho, requested once per rho
         if rho not in seen:
-            seen[rho] = yield grad_rho_slope, rho, None
+            seen[rho] = yield from _ask(tp, grad_rho_slope, q, rho, None)
         return seen[rho]
 
     hi = None
     if (model.u < 0.0 and q > 0.0 and c >= 0.0
             and _finite_on_boundary(model, q)):
         # u < 0: the source stays finite on sigma = 0, which the call carries
-        gr, gq = yield outer_grads, rho_lo, 0.0
+        gr, gq = yield from _ask(tp, outer_grads, q, rho_lo, 0.0)
         if gr >= 0:
             return rho_lo, True, _Found(gr, gq, -math.inf)
         lo = rho_lo
@@ -567,7 +528,7 @@ def _inner_steps(model, tp, q, eta, rho_hint):
 
 def _gap_steps(model, tp, q, rho_hint):
     """`inf_rho` at one q and eta = 0, as a generator of its quadrature
-    requests (see `_lockstep`): Newton's method on s = ln sigma,
+    requests (`_ask`): Newton's method on s = ln sigma,
     safeguarded by bisection as in `_inner_steps`, for the root of
     F(s) = grad_rho / v = rho - I1(sigma), rho = rho_b + sigma/v with
     rho_b = (mu + |u| q)/v.  dF/ds = sigma (1/v + I3) > 0.
@@ -606,7 +567,7 @@ def _gap_steps(model, tp, q, rho_hint):
         return max(rho_b + sigma / v, 0.0), sigma
 
     if c >= 0.0 and _finite_on_boundary(model, q):
-        gr, gq = yield from _grads_request(q, rho_b, 0.0)
+        gr, gq = yield from _grads_request(tp, q, rho_b, 0.0)
         if gr >= 0:
             return rho_b, True, _Found(gr, gq, -math.inf)
 
@@ -619,21 +580,21 @@ def _gap_steps(model, tp, q, rho_hint):
         nonlocal s_a, anchor
         while anchor is None and s < s_a:
             rho_a, sigma_a = point(s_a)
-            b = sigma_a * (yield d2_mu, rho_a, sigma_a)
+            b = sigma_a * (yield from _ask(tp, d2_mu, q, rho_a, sigma_a))
             b_lorentz = _lorentz_coefficient(model, tp.beta, abs(model.u) * q)
             close = abs(b - b_lorentz) <= _B_RTOL * b_lorentz
             if not close and s_a - _ANCHOR_STEP >= _LOG_SIGMA_FLOOR:
                 # sigma I3 has not reached its limit: anchor deeper
                 s_a -= _ANCHOR_STEP
                 continue
-            gr_a, gq_a = yield from _grads_request(q, rho_a, sigma_a)
+            gr_a, gq_a = yield from _grads_request(tp, q, rho_a, sigma_a)
             anchor = gr_a, gq_a, (b_lorentz if close else b)
         if s >= s_a:
             rho, sigma = point(s)
             if sigma == 0.0:
                 # the rows diverge on sigma = 0 here: sigma* underflows
                 raise BracketFailure("gap solve left the float range")
-            gr, slope = yield grad_rho_slope, rho, sigma
+            gr, slope = yield from _ask(tp, grad_rho_slope, q, rho, sigma)
             return gr / v, sigma * slope / (v * v)
         gr_a, _, b = anchor
         sigma, sigma_a = math.exp(s), math.exp(s_a)
@@ -754,12 +715,11 @@ def _inner_solver(model, tp, eta):
     returns per q the value or the PairBosonError of that q alone; a
     scalar q is the batch of one.
 
-    At eta = 0 they yield their quadratures as requests, the inner solves
-    of several q merged into one generator (`_inner_requests`), for the
-    `_lockstep` of a row to batch with the other points' (see
-    `variational_row`).  At eta > 0, the continuation's cross-check, they
-    make them at once, the inner solves through `inf_rho`, and yield
-    nothing (see `_now`).  An OverflowError of a request is raised.
+    They yield their quadratures as requests, at every eta, the inner
+    solves of several q joined into one generator (`_inner_requests`), for
+    `_run` to serve or for the `_join` of a row to batch with the other
+    points' (see `variational_row`).  An OverflowError of a request is
+    raised.
 
     The q not yet solved are solved in lockstep and their values read in
     one batched call.  Each starts from the interior minimizer of the
@@ -777,23 +737,6 @@ def _inner_solver(model, tp, eta):
     """
     memo, values, slopes = {}, {}, {}
 
-    def ask(fn, qs, rhos, sigmas):
-        # fn at each (q, rho, sigma): per point its result or PairBosonError
-        if eta > 0.0:
-            replies = _evaluate(model, tp, eta, fn, qs, rhos, sigmas)
-        else:
-            replies = (yield {fn: (qs, rhos, sigmas)})[fn]
-        for reply in replies:
-            if isinstance(reply, OverflowError):
-                raise reply
-        return replies
-
-    def ask_one(fn, q, rho, sigma):
-        reply, = yield from ask(fn, [q], [rho], [sigma])
-        if isinstance(reply, PairBosonError):
-            raise reply
-        return reply
-
     def solve(qs):
         # solve the q of qs not yet solved; returns the errors of those
         # that failed
@@ -808,12 +751,8 @@ def _inner_solver(model, tp, eta):
             a, rho = min(anchors, key=lambda anchor: abs(anchor[0] - q))
             return rho + abs(model.u) * (q - a) / model.v
 
-        hints = [hint(q) for q in todo]
-        if eta > 0.0:
-            outs = inf_rho(model, tp, np.array(todo), eta, rho_hint=hints)
-        else:
-            outs = yield from _inner_requests(
-                model, tp, eta, np.array(todo).tolist(), hints)
+        outs = yield from _inner_requests(
+            model, tp, eta, np.array(todo).tolist(), [hint(q) for q in todo])
         errors = {}
         for q, out in zip(todo, outs):
             if isinstance(out, PairBosonError):
@@ -832,16 +771,17 @@ def _inner_solver(model, tp, eta):
         qs = np.atleast_1d(q).tolist()
         errors = yield from solve(qs)
         todo = [qq for qq in qs if qq in memo and qq not in values]
-        if len(qs) > 1 and eta == 0.0:
+        if len(qs) > 1:
             # a row's points read the values of their scans together
             yield {}
         if todo:
             points = [_order_point(qq, memo[qq][0], eta, memo[qq][2])
                       for qq in todo]
-            outs = yield from ask(pressure_tl, todo,
-                                  [op.rho for op in points],
-                                  [op.sigma for op in points])
+            outs = (yield {pressure_tl: [(tp.mu, op.q, op.rho, op.sigma)
+                                         for op in points]})[pressure_tl]
             for qq, out in zip(todo, outs):
+                if isinstance(out, OverflowError):
+                    raise out
                 if isinstance(out, PairBosonError):
                     errors[qq] = out
                 else:
@@ -855,12 +795,13 @@ def _inner_solver(model, tp, eta):
         if boundary:
             gr, gq = found.grad_rho, found.grad_q
             if gq is None:
-                gr, gq = yield from ask_one(outer_grads, q, op.rho, op.sigma)
+                gr, gq = yield from _ask(tp, outer_grads, q, op.rho,
+                                         op.sigma)
             return gq + gr * (abs(model.u) / model.v)
         if found.grad_q is not None:
             return found.grad_q + found.grad_rho
         return stationary_dq(
-            *(yield from ask_one(outer_grads, q, rho_bar, op.sigma)))
+            *(yield from _ask(tp, outer_grads, q, rho_bar, op.sigma)))
 
     def tdq(q):
         if q not in slopes:
@@ -1000,12 +941,10 @@ def outer_opt(model: Model, tp: ThermoPoint, eta: float) -> SolveResult:
     sign change, as where the objective is flat to rounding, the best grid
     point stands.  The scan's 32 inner solves run in lockstep, each round
     one batched quadrature per kind of request, and its values are read in
-    one batched call.  The search is `_outer_steps`, at eta = 0 run alone
-    through `_lockstep` (`variational_row` runs a row of them together),
-    at eta > 0 serving its own requests.
+    one batched call.  The search is `_outer_steps`, run alone by `_run`
+    at any eta (`variational_row` joins a row of them).
     """
-    steps = _outer_steps(model, tp, eta)
-    return _now(steps) if eta > 0.0 else _run(model, tp, eta, steps)
+    return _run(model, tp.beta, eta, _outer_steps(model, tp, eta))
 
 
 def _outer_steps(model, tp, eta):
@@ -1023,7 +962,7 @@ def _outer_steps(model, tp, eta):
     # attractive: maximize the inner value over q >= 0
     rho0_bar = (yield from inner(0.0))[0]
     value0 = yield from value(0.0)
-    # a barrier (see `_lockstep`): the points of a row start their
+    # a barrier (see `_join`): the points of a row start their
     # brackets, and so their scans, together, so that these batch across
     # the row
     yield {}
@@ -1225,8 +1164,8 @@ def variational_row(model: Model, tps) -> list:
     """The `VariationalLimit` of every point of tps, ThermoPoints of one
     beta, or the PairBosonError its solve raised.
 
-    The points' eta = 0 searches (`_outer_steps`) run in lockstep
-    (`_lockstep`) on one quadrature plan: each round makes one batched
+    The points' eta = 0 searches (`_outer_steps`) run in lockstep, joined
+    (`_join`) on one quadrature plan: each round makes one batched
     quadrature per kind of request over every live (mu, q) of the row, a
     shared mesh as in SciPy's quad_vec (P. Virtanen et al., Nat. Methods
     17 (2020) 261).  So a point's values depend on the row it is solved
@@ -1234,12 +1173,12 @@ def variational_row(model: Model, tps) -> list:
     that point alone.  A point fails alone; a float overflow ends it as
     ContinuationDiverged.
     """
-    if len({tp.beta for tp in tps}) > 1:
+    betas = {tp.beta for tp in tps}
+    if len(betas) > 1:
         raise ValueError("the points of a row share one beta")
     with plan_scope():
-        outs = _lockstep(model, 0.0, [
-            (tp, _in_float_range(_outer_steps(model, tp, 0.0)))
-            for tp in tps])
+        outs = _run(model, min(betas, default=None), 0.0, _join([
+            _in_float_range(_outer_steps(model, tp, 0.0)) for tp in tps]))
     return [res if isinstance(res, PairBosonError) else VariationalLimit(
         p_limit=res.pressure, q_limit=res.q_bar, rho_limit=res.rho_bar,
         m0=res.rho0, gap_limit=res.gap, result=res) for res in outs]

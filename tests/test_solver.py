@@ -12,6 +12,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from pairboson import bose, pressure, solver
@@ -46,7 +48,7 @@ def _inner_solver(m, tp, eta):
     """`solver._inner_solver`'s (inner, value, tdq), each request
     generator run to its end at the one point (`solver._run`)."""
     def run(steps_of):
-        return lambda q: solver._run(m, tp, eta, steps_of(q))
+        return lambda q: solver._run(m, tp.beta, eta, steps_of(q))
     return tuple(run(fn) for fn in solver._inner_solver(m, tp, eta))
 
 
@@ -219,7 +221,7 @@ def _counting(monkeypatch, name, module=solver):
 
 class TestInnerMemo:
     def test_repeated_q_solves_once(self, monkeypatch):
-        calls = _counting(monkeypatch, "inf_rho")
+        calls = _counting(monkeypatch, "_inner_requests")
         inner, _, _ = _inner_solver(model(), ThermoPoint(2.0, -0.3), 0.05)
         first = inner(0.3)
         assert inner(0.3) == first
@@ -232,9 +234,11 @@ class TestInnerMemo:
         outcomes = [[BracketFailure("first try")], [(0.5, False, None)]]
 
         def flaky(*args, **kwargs):
+            # a request generator that returns at once
             return outcomes.pop(0)
+            yield
 
-        monkeypatch.setattr(solver, "inf_rho", flaky)
+        monkeypatch.setattr(solver, "_inner_requests", flaky)
         inner, _, _ = _inner_solver(model(), ThermoPoint(2.0, -0.3), 0.05)
         with pytest.raises(BracketFailure):
             inner(0.3)
@@ -290,7 +294,9 @@ class TestLockstep:
         assert pressure.sigma_gap(m, tp, OrderPoint(qs[1], rhos[1])) == 0.0
         with pytest.raises(QuadratureFailure):
             outer_grads(m, tp, OrderPoint(np.array(qs), np.array(rhos)))
-        out = solver._evaluate(m, tp, 0.0, outer_grads, qs, rhos)
+        out = solver._evaluate(m, tp.beta, 0.0, outer_grads,
+                               [(tp.mu, q, rho, None)
+                                for q, rho in zip(qs, rhos)])
         assert isinstance(out[1], QuadratureFailure)
         for k in (0, 2, 3):
             want = outer_grads(m, tp, OrderPoint(qs[k], rhos[k]))
@@ -309,34 +315,32 @@ class TestLockstep:
 
 class TestNewtonLoop:
     """Every inner solve is one safeguarded Newton loop, inside its own
-    request generator: none re-enters the lockstep, and each interior
-    minimizer agrees with a scalar brentq on grad_rho to the inner
-    tolerance."""
+    request generator: none re-enters the serving loop `_run`, and each
+    interior minimizer agrees with a scalar brentq on grad_rho to the
+    inner tolerance."""
 
     def test_continuation_solves_agree_with_brentq(self, monkeypatch):
         # dim 1, u = 0.5: four of these inner solves once handed their
         # bracket to a scalar brentq that ran its own lockstep
         m, tp = model(u=0.5, dim=1), ThermoPoint(2.0, 0.4)
         depth, depths, solved = [0], [], []
-        lockstep, solve = solver._lockstep, solver.inf_rho
+        run, solve = solver._run, solver._inner_requests
 
         def tracked(*args):
             depths.append(depth[0])
             depth[0] += 1
             try:
-                return lockstep(*args)
+                return run(*args)
             finally:
                 depth[0] -= 1
 
-        def recorded(model, tp, q, eta, **kwargs):
-            out = solve(model, tp, q, eta, **kwargs)
-            outs = out if np.ndim(q) else [out]
-            solved.extend((qq, eta, one)
-                          for qq, one in zip(np.atleast_1d(q), outs))
-            return out
+        def recorded(model, tp, eta, qs, hints):
+            outs = yield from solve(model, tp, eta, qs, hints)
+            solved.extend((q, eta, out) for q, out in zip(qs, outs))
+            return outs
 
-        monkeypatch.setattr(solver, "_lockstep", tracked)
-        monkeypatch.setattr(solver, "inf_rho", recorded)
+        monkeypatch.setattr(solver, "_run", tracked)
+        monkeypatch.setattr(solver, "_inner_requests", recorded)
         eta_continuation(m, tp, floor=1e-2)
         assert depths and set(depths) == {0}
         interior = [(q, eta, out[0]) for q, eta, out in solved
@@ -378,18 +382,18 @@ class TestOuterOptimum:
         # objective is flat to rounding: the result is the stationary root,
         # at least as high as every scanned value and the q = 0 slice
         values = {}
+        solve = solver._inner_requests
 
-        def recorded(model, tp, q, eta, **kwargs):
-            # one q, or the scan's batch with a result or error per q
-            out = inf_rho(model, tp, q, eta, **kwargs)
-            outs = out if np.ndim(q) else [out]
-            for qq, one in zip(np.atleast_1d(q), outs):
-                if not isinstance(one, PairBosonError):
-                    values[qq] = pressure.pressure_tl(
-                        model, tp, OrderPoint(qq, one[0], eta))
-            return out
+        def recorded(model, tp, eta, qs, hints):
+            # one q, or the scan's batch, with a result or error per q
+            outs = yield from solve(model, tp, eta, qs, hints)
+            for q, out in zip(qs, outs):
+                if not isinstance(out, PairBosonError):
+                    values[q] = pressure.pressure_tl(
+                        model, tp, OrderPoint(q, out[0], eta))
+            return outs
 
-        monkeypatch.setattr(solver, "inf_rho", recorded)
+        monkeypatch.setattr(solver, "_inner_requests", recorded)
         res = outer_opt(model(u=0.5), ThermoPoint(1.998468, -0.299807),
                         0.1 * 0.5 ** 13)
         assert 0.0 < res.q_bar < 1e-8
@@ -773,6 +777,79 @@ class TestEtaZeroSweep:
             assert m.dim == 2 and type(exc) is StationarityViolated, (m, tp)
             assert "below the float range" in str(exc)
             assert sigma < sys.float_info.min
+
+
+class TestEtaZeroProperties:
+    """Properties of the eta = 0 path, the CLI's at every point, over a
+    derandomized Hypothesis draw of dims 1-4, three profiles, u < 0, u = 0
+    and u > 0, beta in [0.1, 16], mu in [-1, 1.5] and random v and m.
+
+    The one failure the draw may meet, and which is not filtered out, is
+    a dim-2 optimum whose carried gap sigma* lies far below the anchor
+    (underflowed to 0, or as small as 2.4e-170): the solve finds it, but
+    its residuals cannot be formed there, so `checked_residuals` raises
+    StationarityViolated (ROADMAP item 1)."""
+
+    H = 1e-5  # the step of the difference quotient of p in mu
+
+    @staticmethod
+    def _known_failure(m, lim, exc):
+        sigma = lim.result.residual_at[2].sigma
+        return (m.dim == 2 and type(exc) is StationarityViolated
+                and sigma < solver._SIGMA0)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(dim=st.integers(1, 4),
+           profile=st.sampled_from(["gaussian:1", "power", "delta"]),
+           sign=st.sampled_from([-1.0, 0.0, 1.0]),
+           strength=st.floats(0.05, 0.9),
+           v=st.floats(0.3, 2.0), mass=st.floats(0.3, 2.0),
+           log_beta=st.floats(math.log(0.1), math.log(16.0)),
+           mu=st.floats(-1.0, 1.5))
+    def test_properties(self, dim, profile, sign, strength, v, mass,
+                        log_beta, mu):
+        lam = {"gaussian:1": GAUSS, "delta": delta_profile(),
+               "power": power_profile(1.0, 5.0 if dim == 4 else 4.0)}
+        u = sign * strength
+        m = Model(dim=dim, mass=mass, u=u, v=max(v, u + 0.1),
+                  lambda_profile=lam[profile])
+        beta = math.exp(log_beta)
+        # no solve raises: the one failure expected is the residual check's
+        stencil = {k: variational_limit(m, ThermoPoint(beta, mu + k * self.H))
+                   for k in (-2, -1, 0, 1, 2)}
+        lim, tp = stencil[0], ThermoPoint(beta, mu)
+        outputs = (lim.p_limit, lim.q_limit, lim.rho_limit, lim.m0,
+                   lim.gap_limit)
+        assert all(math.isfinite(x) for x in outputs), outputs
+        assert lim.gap_limit >= 0.0 and lim.m0 >= 0.0
+        p, p_mf = lim.p_limit, mf_pressure(m, tp)
+        if u <= 0.0:
+            assert lim.q_limit == 0.0
+            assert abs(p - p_mf) <= 1e-12 * max(1.0, abs(p))
+        else:
+            assert p >= p_mf - 1e-10 * max(1.0, abs(p))
+        phase = classify_phase(m, tp, lim)
+        if dim <= 2 and profile != "delta":
+            # Hohenberg-Mermin-Wagner: no condensate in dim <= 2
+            assert phase != PHASE_CONDENSED
+        if lim.result.status == STATUS_CONVERGED:
+            try:
+                lim.result.checked_residuals()
+            except PairBosonError as exc:
+                assert self._known_failure(m, lim, exc), exc
+        # p'(mu) = rho_bar, by the fourth-order central difference, whose
+        # error falls like H^4: the second-order one's H^2 term alone
+        # reaches 7e-9 max(1, rho_bar) at a sharp pair_only point.  A
+        # stencil that straddles a phase or status change is left out,
+        # where p' may jump
+        kinds = {(classify_phase(m, ThermoPoint(beta, mu + k * self.H), s),
+                  s.result.status) for k, s in stencil.items()}
+        if len(kinds) == 1:
+            ps = {k: s.p_limit for k, s in stencil.items()}
+            slope = (8.0 * (ps[1] - ps[-1]) - (ps[2] - ps[-2])) / (12.0 * self.H)
+            assert abs(slope - lim.rho_limit) <= \
+                1e-9 * max(1.0, lim.rho_limit), (slope, lim.rho_limit)
 
 
 class TestNonAttractive:

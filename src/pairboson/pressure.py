@@ -10,14 +10,16 @@ eta has Bogoliubov spectrum E(k) = sqrt(f^2 - |h|^2), f = eps(k) - mu + v rho,
 
 finite exactly when the feasibility gap sigma = v rho - mu - |u| q is
 nonnegative and, for eta > 0, the source denominator
-sigma~ = v rho - mu - u q is positive.  `sigma_gap` is the one home of
-sigma: every row the kernel integrates reads it there, and an `OrderPoint`
-may carry it when it lies below rho's float resolution.  `feasible` and
-`source_terms` are the one home of the feasibility rule and of the source
-term's mu-derivatives; every other function here and the solver go through
-them.  The inner density solve reads `grad_rho_slope`, and `outer_grads`
-(both partials from one quadrature) for its boundary test; the outer q
-search reads `outer_grads`, and `total_dq` as `stationary_dq` of them.
+sigma~ = v rho - mu - u q = sigma + (|u| - u) q is positive.  `sigma_gap`
+is the one home of sigma: every row the kernel integrates reads it there,
+and an `OrderPoint` may carry it when it lies below rho's float
+resolution; the solver's points always do, at every eta, and the source
+term forms sigma~ from it.  `feasible` and `source_terms` are the one home
+of the feasibility rule and of the source term's mu-derivatives; every
+other function here and the solver go through them.  The inner density
+solve reads `grad_rho_slope`, and `outer_grads` (both partials from one
+quadrature) for its boundary test; the outer q search reads
+`outer_grads`, and `total_dq` as `stationary_dq` of them.
 Where the pair field vanishes (q = 0 or u = 0) the
 approximant is the ideal Bose gas, and the rows without lambda^2 are its
 Bose functions in closed form (`bose.ideal_rows`).  Everything here is a
@@ -54,8 +56,8 @@ class ThermoPoint:
 
     mu may also be an array, each point's mu of a batch at one beta: a scan
     row's points, whose requests go to the pressure functions together
-    (`solver._evaluate`).  At eta = 0 every such point carries its gap,
-    which is all the rows read of mu.
+    (`solver._evaluate`).  Every such point carries its gap, which is all
+    the rows and the source term read of mu.
     """
 
     beta: float
@@ -77,11 +79,11 @@ class OrderPoint:
     `grad_rho_slope`, `outer_grads` and `d2_mu` evaluate in one
     quadrature.
 
-    sigma, when given, is v rho - mu - |u| q to full relative precision: a
-    solve that iterates on the gap (dim 2, where the density row diverges
-    like ln(1/sigma)) carries it here, since rho = (mu + |u| q + sigma)/v
-    rounds away a sigma below an ulp of rho.  Without it `sigma_gap` forms
-    it from rho.
+    sigma, when given, is v rho - mu - |u| q to full relative precision:
+    the solver's inner solve iterates on the gap and carries it here, at
+    every eta, since rho = (mu + |u| q + sigma)/v rounds away a sigma
+    below an ulp of rho.  The source denominator sigma~ is formed from it
+    too.  Without it `sigma_gap` forms it from rho.
     """
 
     q: float = 0.0
@@ -134,7 +136,11 @@ def _rounded_once(*pairs) -> float:
 
 
 def _sigma_tilde(model: Model, tp: ThermoPoint, op: OrderPoint) -> float:
-    """Source denominator f(0, rho) - u q (equals sigma for u >= 0)."""
+    """Source denominator f(0, rho) - u q = sigma + (|u| - u) q (equals
+    sigma for u >= 0): from the gap the point carries, if any, so that it
+    keeps sigma's digits, else formed from rho."""
+    if op.sigma is not None:
+        return op.sigma + (abs(model.u) - model.u) * op.q
     return model.v * op.rho - tp.mu - model.u * op.q
 
 

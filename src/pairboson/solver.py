@@ -5,8 +5,8 @@ parameter q of the inf over densities rho of the quadratic-approximant
 pressure; for u <= 0 the sup becomes an inf and the problem collapses onto
 the mean-field solution as the symmetry-breaking source eta -> 0.  The
 solver nests the optimizations: per candidate q, the boundary test and one
-safeguarded Newton loop find the inner density minimum.  Each solve is a
-generator of its quadrature requests, and so is the outer search
+safeguarded Newton loop on the gap find the inner density minimum.  Each
+solve is a generator of its quadrature requests, and so is the outer search
 (`_outer_steps`, with Brent's method as `_brent_steps`), at every eta.
 Every request has one format, {fn: [(mu, q, rho, sigma), ...]}; one
 combinator runs generators in lockstep (`_join`), each round one batched
@@ -24,12 +24,12 @@ itself for u >= 0, half of it (the quasi-average) for u < 0.  `eta_continuation`
 geometric eta schedule on one quadrature plan and extrapolates to eta = 0
 with a detected-order Richardson step.  The CLI's solve, scan and spectrum
 take the first path at every point; the second stays as the API's
-cross-check of it, which the tests run.  At eta = 0 the inner solve runs
-on the gap coordinate s = ln sigma in every dimension (`_gap_steps`): the
-point carries sigma, so a minimizer far below rho's resolution keeps its
-gap, and a boundary minimum carries sigma = 0 exactly.  At eta > 0 it runs
-in rho (`_inner_steps`).  The mean-field reference `mf_pressure` finds its
-own fixed point on the same coordinate.
+cross-check of it, which the tests run.  Both solve the inner inf with
+one routine, on the gap coordinate s = ln sigma in every dimension
+(`_gap_steps`): the point carries sigma, so a minimizer far below rho's
+resolution keeps its gap, the source term reads it too, and a boundary
+minimum carries sigma = 0 exactly.  The mean-field reference
+`mf_pressure` finds its own fixed point on the same coordinate.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .pressure import (
     d2_mu,
     el_residuals,
     excitation_energy,
-    feasible,
     grad_q,  # unused here; perfbench's tracer wraps this name
     grad_rho,
     grad_rho_slope,
@@ -81,10 +80,9 @@ _ORDER_TOL = 1e-6  # q_limit and m0 above this are a nonzero order parameter
 # the radial tolerance, which `SolveResult.checked_residuals` holds the
 # Euler-Lagrange residuals to, relative to max(1, rho_bar) and max(1, q_bar)
 _EL_TOL = 1e-10
-# the eta > 0 inner solve's absolute and relative tolerance on rho_bar
-_RHO_XTOL, _RHO_RTOL = 1e-14, 8.9e-16
-# the eta = 0 gap solve's tolerance on s = ln sigma: _S_XTOL + _RHO_RTOL |s|
-_S_XTOL = 1e-15
+# the inner gap solve's tolerance on s = ln sigma: _S_XTOL + _RHO_RTOL |s|,
+# _RHO_RTOL also the relative tolerance of the mean-field fixed point
+_S_XTOL, _RHO_RTOL = 1e-15, 8.9e-16
 # Below its anchor, at most this gap, the dim-2 density row is its
 # Lorentzian asymptote I1(sigma_a) + b ln(sigma_a/sigma): near r = 0,
 # E^2 ~ c^2 (sigma + kappa r^2), and the measure r dr turns that pole into
@@ -199,33 +197,11 @@ class ContinuationResult:
 _VALUE_SLACK = 1e-10  # a q > 0 optimum may sit this far below the q = 0 slice
 
 
-def _balanced_step(model, tp, op, gr, slope):
-    """The Newton iterate from op.rho on the source-balanced residual
-    sigma~ - eta / sqrt(D), D = rho - I1 with I1 the density row, or -inf
-    where D <= 0.
-
-    grad_rho = v (D - eta^2/sigma~^2), so this residual has grad_rho's root
-    and sign.  Near the boundary, where eta^2/sigma~^2 dominates, a step on
-    grad_rho itself grows sigma~ by only about 1.5x; this residual is
-    nearly linear in sigma~ there.  Where D is small instead, grad_rho is
-    the nearly linear one.  D and dD/drho = 1 + v I3 >= 1, with I3 the
-    compressibility row, are read off (grad_rho, slope) less the source's
-    share."""
-    v, eta = model.v, op.eta
-    st = v * op.rho - tp.mu - model.u * op.q
-    d = gr / v + (eta / st) ** 2
-    if not d > 0.0:
-        return -math.inf
-    d_slope = max(slope / v - 2.0 * v * eta * eta / st ** 3, 1.0)
-    resid = st - eta / math.sqrt(d)
-    return op.rho - resid / (v + 0.5 * eta * d_slope / d ** 1.5)
-
-
 class _Found(NamedTuple):
     """What an inner solve knows at its minimizer besides rho_bar: grad_rho
     and grad_q there where it computed them (grad_q None at q = 0, where no
-    pair row is read), and ln sigma where it solved on the gap coordinate
-    (eta = 0; -inf on the boundary sigma = 0), else None."""
+    pair row is read), and ln sigma, the gap coordinate it solved on (-inf
+    on the boundary sigma = 0)."""
 
     grad_rho: float = None
     grad_q: float = None
@@ -239,11 +215,10 @@ def inf_rho(model: Model, tp: ThermoPoint, q, eta: float, rho_hint=None):
     the feasibility boundary sigma = 0 (possible only at eta = 0, or for
     repulsive u where the source stays finite on the boundary); and the
     `_Found` of the solve: grad_rho and grad_q where it computed them at
-    the minimizer, and at eta = 0 ln sigma, since there the solve runs on
-    the gap itself (`_gap_steps`) and the minimizer's sigma can lie far
-    below rho's resolution.  At eta > 0 it runs in rho (`_inner_steps`).
-    The pressure at the minimizer is left to the caller.  A feasible
-    rho_hint is the start of the iteration.
+    the minimizer, and ln sigma, since the solve runs on the gap itself
+    (`_gap_steps`) and the minimizer's sigma can lie far below rho's
+    resolution.  The pressure at the minimizer is left to the caller.  A
+    feasible rho_hint is the start of the iteration.
 
     An array of q (with None or an array of hints) solves every q in
     lockstep and returns a list with, per q, that triple or the
@@ -258,9 +233,8 @@ def inf_rho(model: Model, tp: ThermoPoint, q, eta: float, rho_hint=None):
     sigma = 0 (the Karush-Kuhn-Tucker condition).  Where the density row
     is finite on sigma = 0 (`_finite_on_boundary`), and at eta > 0 the
     source too (u < 0, q > 0), one call there, at the carried sigma = 0,
-    decides it before anything else.  Elsewhere the minimum is interior at
-    eta = 0; at eta > 0 the top probe rho_lo + 1e-3 scale, then the bottom
-    probe rho_lo + 1e-14 scale, stand in.
+    decides it before anything else.  Elsewhere the minimum is interior:
+    the density row or the source diverges on sigma = 0.
     """
     qs = np.atleast_1d(q).tolist()
     hints = [None] * len(qs) if rho_hint is None else np.atleast_1d(rho_hint)
@@ -270,11 +244,9 @@ def inf_rho(model: Model, tp: ThermoPoint, q, eta: float, rho_hint=None):
 
 
 def _inner_requests(model, tp, eta, qs, hints):
-    """The inner solves of the q of qs from their hints, joined into one
-    request generator (`_join`): `_gap_steps` at eta = 0, else
-    `_inner_steps`."""
-    return _join([_gap_steps(model, tp, q, hint) if eta == 0.0
-                  else _inner_steps(model, tp, q, eta, hint)
+    """The inner solves (`_gap_steps`) of the q of qs from their hints,
+    joined into one request generator (`_join`)."""
+    return _join([_gap_steps(model, tp, q, eta, hint)
                   for q, hint in zip(qs, hints)])
 
 
@@ -434,127 +406,42 @@ def _grads_request(tp, q, rho, sigma):
     return (yield from _ask(tp, grad_rho, q, rho, sigma)), None
 
 
-def _inner_steps(model, tp, q, eta, rho_hint):
-    """`inf_rho` at one q and eta > 0, as a generator of its quadrature
-    requests (`_ask`); returns (rho_bar, boundary, found).
-
-    After the boundary test, Newton's method safeguarded by bisection
-    (rtsafe: W. H. Press et al., Numerical Recipes, 3rd ed., sec. 9.4) runs
-    to convergence on grad_rho inside a bracket [lo, hi] that the sign of
-    every slope seen shrinks.  A step that leaves the bracket bisects it;
-    while the bracket has no upper end, it expands instead.
-    """
-    c = _boundary_offset(model, tp, q)
-    rho_lo = max(0.0, c / model.v)
-    scale = max(1.0, rho_lo)
-    # top and bottom are feasible: sigma >= 1e-14 v scale there, above
-    # rho_lo's rounding, and sigma~ >= sigma
-    top = rho_lo + 1e-3 * scale
-    bottom = rho_lo + 1e-14 * scale
-
-    seen = {}
-
-    def g_slope(rho):
-        # (grad_rho, its rho-slope) at rho, requested once per rho
-        if rho not in seen:
-            seen[rho] = yield from _ask(tp, grad_rho_slope, q, rho, None)
-        return seen[rho]
-
-    hi = None
-    if (model.u < 0.0 and q > 0.0 and c >= 0.0
-            and _finite_on_boundary(model, q)):
-        # u < 0: the source stays finite on sigma = 0, which the call carries
-        gr, gq = yield from _ask(tp, outer_grads, q, rho_lo, 0.0)
-        if gr >= 0:
-            return rho_lo, True, _Found(gr, gq, -math.inf)
-        lo = rho_lo
-        seen[rho_lo] = gr, math.nan  # no slope: no retake from it
-    elif (yield from g_slope(top))[0] < 0:
-        lo = top
-    elif (yield from g_slope(bottom))[0] < 0:
-        lo, hi = bottom, top
-    else:
-        # slope is nonnegative all the way down: a boundary minimum,
-        # infinitesimally inside the boundary, where the source diverges
-        return bottom, True, _Found()
-
-    def newton(rho, gr, slope):
-        # both residuals are concave and increasing in rho, so each Newton
-        # step lands at or below the root: the larger is nearer
-        return max(rho - gr / slope,
-                   _balanced_step(model, tp, OrderPoint(q, rho, eta), gr,
-                                  slope))
-
-    # Newton from the hint, else from the top probe.  A step from above
-    # the root that lands below lo is retaken from lo, which concavity
-    # keeps in [lo, root].  A step that still leaves [lo, hi], or has no
-    # usable slope, bisects it.  While hi is unknown the bracket expands
-    # instead, to lo + scale and then to twice lo; at most 80 steps may
-    # expand it or at least double rho before the search gives up
-    rho = top
-    if (rho_hint is not None and rho_hint > rho_lo
-            and feasible(model, tp, OrderPoint(q, rho_hint, eta))):
-        rho = rho_hint
-    doublings = 0
-    # a cap for safety only: bisection alone takes any bracket of doubles
-    # to the tolerance in fewer than 1,100 halvings (2^1024/1e-14 < 2^1071)
-    for _ in range(2000):
-        gr, slope = yield from g_slope(rho)
-        if gr < 0:
-            lo = max(lo, rho)
-        else:
-            hi = rho if hi is None else min(hi, rho)
-        nxt = math.nan
-        if 0 < slope < math.inf:
-            nxt = newton(rho, gr, slope)
-            if nxt < lo and 0 < seen[lo][1] < math.inf:
-                rho, nxt = lo, newton(lo, *seen[lo])
-        in_bracket = lo <= nxt and (hi is None or nxt <= hi)
-        if abs(nxt - rho) <= _RHO_XTOL + _RHO_RTOL * abs(nxt):
-            return float(nxt if in_bracket else rho), False, _Found()
-        if hi is None and not (in_bracket and nxt < 2.0 * rho):
-            if doublings == 80:
-                raise BracketFailure("density slope never turns positive")
-            if not in_bracket:
-                nxt = 2.0 * lo if doublings else lo + scale
-            doublings += 1
-        elif not in_bracket:
-            nxt = 0.5 * (lo + hi)
-            if hi - lo <= 2.0 * (_RHO_XTOL + _RHO_RTOL * nxt):
-                return float(nxt), False, _Found()
-        rho = nxt
-    raise BracketFailure("density solve did not converge")
-
-
-def _gap_steps(model, tp, q, rho_hint):
-    """`inf_rho` at one q and eta = 0, as a generator of its quadrature
-    requests (`_ask`): Newton's method on s = ln sigma,
-    safeguarded by bisection as in `_inner_steps`, for the root of
-    F(s) = grad_rho / v = rho - I1(sigma), rho = rho_b + sigma/v with
-    rho_b = (mu + |u| q)/v.  dF/ds = sigma (1/v + I3) > 0.
+def _gap_steps(model, tp, q, eta, rho_hint):
+    """`inf_rho` at one q and eta, as a generator of its quadrature
+    requests (`_ask`): Newton's method on s = ln sigma, safeguarded by
+    bisection (rtsafe: W. H. Press et al., Numerical Recipes, 3rd ed.,
+    sec. 9.4), for the root of F(s) = grad_rho / v =
+    rho - I1(sigma) - eta^2/sigma~^2, rho = rho_b + sigma/v with
+    rho_b = (mu + |u| q)/v and sigma~ = sigma + (|u| - u) q.
+    dF/ds = sigma (1/v + I3 + 2 eta^2/sigma~^3) > 0.
 
     F is concave and increasing in sigma, so Newton's step in sigma lands
     at or below the root; it is taken, mapped to s, wherever it keeps
-    sigma > 0, else the step in s.  The loop ends when the step or the
-    bracket falls below the tolerance on s.  The solve carries s and
-    reports rho_bar = rho_b + sigma*/v (its `_Found` carries s*), so
-    sigma* keeps its digits however far it lies below rho's resolution.
+    sigma > 0, else the step in s.  At eta > 0 the larger of it and the
+    source-balanced step (`_balanced_ratio`), which lands below the root
+    too, is taken.  The loop ends when the step or the bracket falls below
+    the tolerance on s.  The solve carries s and reports
+    rho_bar = rho_b + sigma*/v (its `_Found` carries s*), so sigma* keeps
+    its digits however far it lies below rho's resolution.
 
     Where the density row is finite on sigma = 0 (`_finite_on_boundary`),
-    one call there decides a boundary minimum first, which carries
-    sigma = 0 exactly.  Elsewhere I1 diverges at sigma = 0 and the minimum
-    is interior.  In dim 2 it diverges like ln(1/sigma), and sigma* can lie
-    below the float range: above the anchor sigma_a (see _SIGMA0) the rows
-    are read by quadrature, at the gap itself; below, F is closed form in s
-    from the Lorentzian asymptote of I1:
+    and the source too (eta = 0, or u < 0 with q > 0), one call there
+    decides a boundary minimum first, which carries sigma = 0 exactly.
+    Elsewhere I1 or the source diverges at sigma = 0 and the minimum is
+    interior.  In dim 2 at eta = 0, I1 diverges like ln(1/sigma), and
+    sigma* can lie below the float range: above the anchor sigma_a (see
+    _SIGMA0) the rows are read by quadrature, at the gap itself; below, F
+    is closed form in s from the Lorentzian asymptote of I1:
     F(s) = F(s_a) + (sigma - sigma_a)/v + b (s - s_a), with b from
     `_lorentz_coefficient` once sigma_a I3(sigma_a) meets it (else that
     measured value, at the deepest anchor), and F(s_a) from one more
     quadrature there.  The pair row follows the density row there
     (|u| q I2 - I1 is constant to 8 digits below sigma = 1e-8), so the
     minimizer's grads are read at the anchor:
-    grad_q(sigma*) = grad_q(sigma_a) + |u| b (s_a - s*).  The start is the
-    hint's gap, else that of rho_lo + 1e-3 max(1, rho_lo).
+    grad_q(sigma*) = grad_q(sigma_a) + |u| b (s_a - s*).  At eta > 0 the
+    source keeps sigma* near eta / sqrt(rho - I1), above the anchor, and
+    none is set.  The start is the hint's gap, else that of
+    rho_lo + 1e-3 max(1, rho_lo).
     """
     v = model.v
     c = _boundary_offset(model, tp, q)        # v rho_b
@@ -566,14 +453,17 @@ def _gap_steps(model, tp, q, rho_hint):
         sigma = math.exp(s)
         return max(rho_b + sigma / v, 0.0), sigma
 
-    if c >= 0.0 and _finite_on_boundary(model, q):
+    if (c >= 0.0 and _finite_on_boundary(model, q)
+            and (eta == 0.0 or (model.u < 0.0 and q > 0.0))):
         gr, gq = yield from _grads_request(tp, q, rho_b, 0.0)
         if gr >= 0:
             return rho_b, True, _Found(gr, gq, -math.inf)
 
-    # the anchor, in dim 2 only: its ln sigma, and there
+    # the anchor, in dim 2 at eta = 0 only: its ln sigma, and there
     # (grad_rho, grad_q or None, b)
-    s_a, anchor = (_LOG_SIGMA0 if model.dim == 2 else -math.inf), None
+    s_a, anchor = -math.inf, None
+    if model.dim == 2 and eta == 0.0:
+        s_a = _LOG_SIGMA0
 
     def residual(s):
         # (F, dF/ds) at s
@@ -613,6 +503,9 @@ def _gap_steps(model, tp, q, rho_hint):
             hi = min(hi, s)
         tol = _S_XTOL + _RHO_RTOL * abs(s)
         ratio = F / dF if 0 < dF < math.inf else math.nan
+        if eta > 0.0 and not math.isnan(ratio):
+            # the larger of two steps in sigma that land below the root
+            ratio = min(ratio, _balanced_ratio(model, q, eta, s, F, dF))
         # Newton's step in sigma where it keeps sigma > 0, else in s
         nxt = s + math.log1p(-ratio) if ratio < 1.0 else s - ratio
         if not lo <= nxt <= hi:
@@ -634,6 +527,30 @@ def _gap_steps(model, tp, q, rho_hint):
     F = (yield from residual(s))[0]
     gq = anchor[1] + abs(model.u) * anchor[2] * (s_a - s)
     return rho_bar, False, _Found(v * F, gq, s)
+
+
+def _balanced_ratio(model, q, eta, s, F, dF):
+    """Newton's step in sigma on the source-balanced residual
+    sigma~ - eta / sqrt(D), D = F + eta^2/sigma~^2 = rho - I1, given
+    F = grad_rho / v and dF/ds at s = ln sigma: the ratio such that the
+    step goes to sigma (1 - ratio), as Newton's on F goes to
+    sigma (1 - F/(dF/ds)); inf where D <= 0.
+
+    This residual has F's root and sign.  Near the boundary, where
+    eta^2/sigma~^2 dominates, Newton's step on F grows sigma~ by only
+    about 1.5x; this residual is nearly linear in sigma~ there.  Where D
+    is small instead, F is the nearly linear one.  sigma~ is affine in
+    sigma, so the residual is concave in sigma like F, and its step lands
+    at or below the root too.  dD/dsigma = 1/v + I3 >= 1/v is read off
+    dF/ds less the source's share."""
+    sigma = math.exp(s)
+    st = sigma + (abs(model.u) - model.u) * q
+    d = F + (eta / st) ** 2
+    if not d > 0.0:
+        return math.inf
+    d_slope = max(dF / sigma - 2.0 * eta * eta / st ** 3, 1.0 / model.v)
+    resid = st - eta / math.sqrt(d)
+    return resid / (sigma * (1.0 + 0.5 * eta * d_slope / d ** 1.5))
 
 
 def _lorentz_coefficient(model, beta, habs):
@@ -659,9 +576,9 @@ def _result_at(model, tp, eta, inner, value, q):
 
     On the boundary sigma = 0, f(0) = |h(0)| and so the gap E(0) is 0;
     sqrt(f^2 - h^2) a few ulps off it would report rounding noise.  The
-    gap of an interior minimum is sqrt(sigma (sigma + 2 |u| q)), at eta = 0
-    from the carried ln sigma (finite even where sigma underflows).  rho0
-    is the source's eta^2/sigma~^2, which is 0 at eta = 0 except on the
+    gap of an interior minimum is sqrt(sigma (sigma + 2 |u| q)), from the
+    carried ln sigma (finite even where sigma underflows).  rho0 is the
+    source's eta^2/sigma~^2, which is 0 at eta = 0 except on the
     boundary: there it is the eta -> 0 limit of the source's rho0, the
     quasi-average.  For u >= 0 that is the KKT multiplier
     max(grad_rho / v, 0), read from the boundary test's grad_rho; for
@@ -677,11 +594,8 @@ def _result_at(model, tp, eta, inner, value, q):
     """
     rho, boundary, found = yield from inner(q)
     op = _order_point(q, rho, eta, found)
-    if boundary:
-        gap = 0.0
-    elif found.log_sigma is None:
-        gap = excitation_energy(model, tp, op, 0.0)
-    else:
+    gap = 0.0
+    if not boundary:
         gap = (math.exp(0.5 * found.log_sigma)
                * math.sqrt(op.sigma + 2.0 * abs(model.u) * q))
     rho0 = source_terms(model, tp, op)[1]
@@ -698,8 +612,7 @@ def _result_at(model, tp, eta, inner, value, q):
 
 def _order_point(q, rho, eta, found):
     """The OrderPoint of an inner minimizer, with the gap it carries."""
-    sigma = None if found.log_sigma is None else math.exp(found.log_sigma)
-    return OrderPoint(q, rho, eta, sigma)
+    return OrderPoint(q, rho, eta, math.exp(found.log_sigma))
 
 
 def _inner_solver(model, tp, eta):

@@ -88,6 +88,37 @@ class TestFeasibility:
         edge = OrderPoint(q=q, rho=rho_sigma0, eta=eta)
         assert feasible(model, tp, edge) == (eta == 0.0 or u < 0)
 
+    @pytest.mark.parametrize("u", [0.5, -0.5])
+    def test_source_reads_the_carried_gap(self, u):
+        # sigma~ = sigma + (|u| - u) q from the gap the point carries: where
+        # rho resolves sigma (exact in binary at these values, and not) the
+        # source terms are those formed from rho
+        model = Model(dim=3, mass=0.5, u=u, v=1.0,
+                      lambda_profile=gaussian_profile(1.0))
+        tp, q, eta = ThermoPoint(beta=2.0, mu=0.25), 0.5, 0.15
+        for rho, exact in ((0.75, True), (0.9, False), (2.3, False)):
+            formed = OrderPoint(q, rho, eta)
+            carried = OrderPoint(q, rho, eta, sigma_gap(model, tp, formed))
+            want = source_terms(model, tp, formed)
+            got = source_terms(model, tp, carried)
+            if exact:
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_source_keeps_a_gap_below_rho_resolution(self):
+        # sigma = 1e-20 at rho = 1: rho rounds it away, and the sigma~
+        # formed from rho is 0, where the source is infinite; the carried
+        # gap keeps eta^2/sigma~^2 to full precision
+        tp, q, eta, sigma = ThermoPoint(beta=2.0, mu=0.75), 0.5, 1e-12, 1e-20
+        rho = (tp.mu + 0.5 * q + sigma) / MODEL.v
+        assert rho == 1.0
+        assert not feasible(MODEL, tp, OrderPoint(q, rho, eta))
+        got = source_terms(MODEL, tp, OrderPoint(q, rho, eta, sigma))
+        want = (eta ** 2 / sigma, eta ** 2 / sigma ** 2,
+                2.0 * eta ** 2 / sigma ** 3)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_boundary_sigma_zero_eta_zero_finite(self):
         # gapless point: evaluation exactly at sigma = 0 must succeed
         op = OrderPoint(q=0.6, rho=(TP.mu + 0.5 * 0.6) / 1.0, eta=0.0)

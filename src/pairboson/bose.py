@@ -162,10 +162,11 @@ def ideal_rows(nu: int, mass: float, beta: float, foff, rows) -> np.ndarray:
     lambda^-nu = x^(nu/2), x = m / (2 pi beta), enters as nu/2 factors of
     x (and one of sqrt x at odd nu), so that a value in the float range
     stays finite where lambda^-nu or 1/beta alone would pass it, as at
-    beta = 1e-150 in dim 3.  Raises QuadratureFailure
-    at an infeasible point (foff < 0), and where a value is NaN or passes
-    the float range at foff > 0.  Only the divergence g_s(1) = +inf of an
-    order s <= 1 at foff = 0 comes back, as inf.
+    beta = 1e-150 in dim 3.  Raises QuadratureFailure at an infeasible
+    point (foff < 0) and where a value is NaN.  Only the divergence
+    g_s(1) = +inf of an order s <= 1 at foff = 0 comes back, as inf; any
+    other value that passes the float range raises OverflowError, which
+    the solver ends as its float-range error.
     """
     one = np.ndim(foff) == 0
     points = [float(foff)] if one else np.asarray(foff, dtype=float).tolist()
@@ -184,8 +185,12 @@ def ideal_rows(nu: int, mass: float, beta: float, foff, rows) -> np.ndarray:
         for f in points:
             g = bose_g(s, beta * f)
             value = _product(scale + [(g, 1)])
-            if not math.isfinite(value) and not (
-                    value == g == math.inf and f == 0.0):
+            diverges = value == g == math.inf and f == 0.0
+            if value == math.inf and not diverges:
+                raise OverflowError(
+                    f"ideal-gas row {row} passes the float range at "
+                    f"f(0) = {f}")
+            if math.isnan(value):
                 raise QuadratureFailure(
                     f"ideal-gas row {row} is {value} at f(0) = {f}")
             values.append(value)

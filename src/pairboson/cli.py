@@ -474,8 +474,7 @@ def _default_fock_spec(model: Model, n_max: int):
 
 
 def cmd_oracle(args) -> int:
-    # the oracle alone needs scipy (scipy.sparse), so only this command
-    # imports it
+    # only this command imports the oracle
     from . import oracle as _oracle
 
     cfg = _merge_config(args)

@@ -11,7 +11,10 @@ occupation (a_k, A_k, Q) map this downward-closed basis into itself, and
 every product formed here has the form X^dag Y with X and Y lowering
 (Q^dag Q, A_k^dag A_k', and the residual's X^dag X with X = Q - q V), so
 P X^dag Y P = (P X P)^dag (P Y P): each compression is exact and inherits
-positive semidefiniteness.
+positive semidefiniteness.  The operators are numpy index arithmetic: a_k
+and A_k are lowering maps (`_Lowering`, one image state and weight per
+state), Q is their weighted sum and Q^dag Q and A_k^dag A_k' products of
+such sums, all kept as COO entries (`_Entries`).
 
 Momentum sectors: every operator used here conserves the total momentum
 sum_k n_k k.  T and N are diagonal in the occupation basis; A_k = a_k a_{-k}
@@ -85,11 +88,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from itertools import product
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import (
     ConfigError, DimensionExceeded, EigenFailure, ModelError,
@@ -103,6 +105,13 @@ HAM_APPROX2 = "approx2"
 HAM_RESIDUAL = "residual_r"
 
 _MAX_DIM = 20000  # largest working basis a FockSpec may have
+
+# An 8 MB block, freed at once.  glibc's malloc maps every block above its
+# mmap threshold (128 KB at start) to fresh pages and trims the heap top
+# above twice that; freeing a larger mapped block raises both.  Without it
+# the few-hundred-KB temporaries of each build_hamiltonian cost 972 page
+# faults per CLI oracle op at --n-max 7 in a long-running process.
+np.empty(1 << 20)
 
 
 @dataclass(frozen=True)
@@ -130,6 +139,113 @@ class FockSpec:
     def negation_index(self):
         keys = {tuple(np.round(m, 12)): j for j, m in enumerate(self.modes)}
         return [keys[tuple(np.round([-x for x in m], 12))] for m in self.modes]
+
+
+class _Entries(NamedTuple):
+    """The nonzeros of a square matrix as COO triplets, no position twice."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def of_dense(cls, M) -> "_Entries":
+        rows, cols = np.nonzero(M)
+        return cls(rows, cols, M[rows, cols])
+
+
+def _summed(rows, cols, vals, dim) -> _Entries:
+    """The entries of the sum of real triplets, in row-major order: the
+    values at one position are added in the order given, and a position
+    whose sum is zero is dropped."""
+    key, slot = np.unique(rows * dim + cols, return_inverse=True)
+    vals = np.bincount(slot, weights=vals, minlength=len(key))
+    nz = vals != 0
+    return _Entries(key[nz] // dim, key[nz] % dim, vals[nz])
+
+
+def _adjoint_product(X: _Entries, Y: _Entries, dim) -> _Entries:
+    """The entries of X^dag Y for real X and Y:
+    (X^dag Y)[r, c] = sum_i X[i, r] Y[i, c], summed over the shared row i
+    in ascending order, as a sparse product over X^dag's rows adds it."""
+    xo, yo = np.argsort(X.rows, kind="stable"), np.argsort(Y.rows, kind="stable")
+    xr, yr = X.rows[xo], Y.rows[yo]
+    lo = np.searchsorted(yr, xr, "left")
+    count = np.searchsorted(yr, xr, "right") - lo
+    left = np.repeat(np.arange(len(xr)), count)
+    right = np.arange(len(left)) + np.repeat(lo - (np.cumsum(count) - count),
+                                             count)
+    return _summed(X.cols[xo][left], Y.cols[yo][right],
+                   X.vals[xo][left] * Y.vals[yo][right], dim)
+
+
+class _Lowering(NamedTuple):
+    """A matrix with at most one nonzero per column: column c holds
+    `weight[c]` in row `image[c]`, and nothing where image[c] < 0."""
+
+    image: np.ndarray
+    weight: np.ndarray
+
+    def __matmul__(self, other: "_Lowering") -> "_Lowering":
+        """The product self @ other: other's map, then self's."""
+        ok = other.image >= 0
+        mid = np.where(ok, other.image, 0)
+        image = np.where(ok, self.image[mid], -1)
+        return _Lowering(image, np.where(image >= 0,
+                                         self.weight[mid] * other.weight, 0.0))
+
+    def entries(self) -> _Entries:
+        cols = np.flatnonzero(self.image >= 0)
+        return _Entries(self.image[cols], cols, self.weight[cols])
+
+
+def _ladders(n_max: int, n_modes: int):
+    """The occupation basis {0..n_max}^n_modes in lexicographic order, an
+    (states, modes) float array, and each mode's lowering map on it:
+    lowering mode j moves a state back by (n_max+1)^(n_modes-1-j)."""
+    size = n_max + 1
+    occ = np.indices((size,) * n_modes).reshape(n_modes, -1).T.astype(float)
+    state = np.arange(len(occ))
+    return occ, [_Lowering(np.where(occ[:, j] > 0,
+                                    state - size ** (n_modes - 1 - j), -1),
+                           np.sqrt(occ[:, j]))
+                 for j in range(n_modes)]
+
+
+def _pair_sum(A, lam, dim) -> _Entries:
+    """The entries of sum_j lam[j] A[j] for lowering maps A[j], added in
+    the order of j."""
+    parts = [a.entries() for a in A]
+    return _summed(np.concatenate([e.rows for e in parts]),
+                   np.concatenate([e.cols for e in parts]),
+                   np.concatenate([lj * e.vals for e, lj in zip(parts, lam)]),
+                   dim)
+
+
+def _components(dim, *entries) -> np.ndarray:
+    """Each state's connected component in the union nonzero pattern of
+    the `entries`, the components numbered in the order of their smallest
+    states.
+
+    Min-label propagation: each edge hooks the larger of its ends' roots
+    onto the smaller, and pointer jumping flattens the trees, until no edge
+    joins two roots; a component's root is then its smallest state.
+    """
+    nz = [e.vals != 0 for e in entries]
+    rows = np.concatenate([e.rows[k] for e, k in zip(entries, nz)])
+    cols = np.concatenate([e.cols[k] for e, k in zip(entries, nz)])
+    root = np.arange(dim)
+    while True:
+        a, b = root[rows], root[cols]
+        apart = a != b
+        if not apart.any():
+            return np.unique(root, return_inverse=True)[1]
+        np.minimum.at(root, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
 
 
 class _Sectors:
@@ -184,16 +300,10 @@ class _Sectors:
         return np.split(self.order, np.cumsum(self.sizes)[:-1])
 
     @classmethod
-    def of_pattern(cls, *mats):
-        """Connected components of the union nonzero pattern of `mats`."""
-        # Imported here, not at the top: the graph routines load only
-        # when a working basis is first split into sectors.
-        from scipy.sparse.csgraph import connected_components
-
-        pattern = sum(abs(csr_matrix(M)) for M in mats)
-        pattern.eliminate_zeros()
-        _, labels = connected_components(pattern, directed=False)
-        return cls(labels)
+    def of_pattern(cls, dim, *entries):
+        """Connected components of the union nonzero pattern of the
+        `entries` on a basis of dim states (`_components`)."""
+        return cls(_components(dim, *entries))
 
     def pair_twins(self, rep):
         """Set `rep` and plan `_spectrum`'s eigensolves: per size, the
@@ -209,19 +319,17 @@ class _Sectors:
             self.plan.append((n, self.bounds[s0], self.bounds[s0 + m],
                               solve, take))
 
-    def gather(self, M) -> np.ndarray:
-        """The flat block values of a working-basis matrix, dense or sparse;
-        a nonzero between two sectors raises EigenFailure."""
-        M = csr_matrix(M).tocoo()
-        M.sum_duplicates()
-        nz = M.data != 0
-        rows, cols = M.row[nz], M.col[nz]
+    def gather(self, M: _Entries) -> np.ndarray:
+        """The flat block values of a matrix given by its entries; a
+        nonzero between two sectors raises EigenFailure."""
+        nz = M.vals != 0
+        rows, cols = M.rows[nz], M.cols[nz]
         s = self.sector[rows]
         if (s != self.sector[cols]).any():
             raise EigenFailure("operator has a nonzero between two sectors")
-        out = np.zeros(self.bounds[-1], dtype=M.dtype)
+        out = np.zeros(self.bounds[-1], dtype=M.vals.dtype)
         out[self.bounds[s] + self.local[rows] * self.sizes[s]
-            + self.local[cols]] = M.data[nz]
+            + self.local[cols]] = M.vals[nz]
         return out
 
     def assemble(self, values) -> np.ndarray:
@@ -251,9 +359,8 @@ class OperatorMatrix:
     """A Hermitian operator compressed to the working occupation basis.
 
     Stored as the dense blocks of its sectors (`sectors`, `values`).
-    `matrix` assembles the full working-basis matrix on access; assigning a
-    matrix, dense or sparse, splits it by the components of its own nonzero
-    pattern.
+    `matrix` assembles the dense working-basis matrix on access; assigning
+    a dense matrix splits it by the components of its own nonzero pattern.
     """
 
     def __init__(self, matrix=None, sectors: _Sectors | None = None,
@@ -269,8 +376,9 @@ class OperatorMatrix:
 
     @matrix.setter
     def matrix(self, M):
-        self.sectors = _Sectors.of_pattern(M)
-        self.values = self.sectors.gather(M)
+        entries = _Entries.of_dense(np.asarray(M))
+        self.sectors = _Sectors.of_pattern(len(M), entries)
+        self.values = self.sectors.gather(entries)
 
 
 @lru_cache(maxsize=8)
@@ -282,7 +390,7 @@ class _Workspace:
     """Working occupation basis and ladder operators for one FockSpec.
 
     The states are all occupation tuples with n_k <= n_max, in lexicographic
-    order, so lowering mode j moves a state back by (n_max+1)^(modes-1-j).
+    order (`_ladders`).
     """
 
     def __init__(self, spec: FockSpec):
@@ -292,26 +400,17 @@ class _Workspace:
         if self.dim > _MAX_DIM:
             raise DimensionExceeded(
                 f"working dimension {self.dim} exceeds cap {_MAX_DIM}")
-        self.occ = np.array(list(product(range(spec.n_max + 1), repeat=nm)),
-                            dtype=float)        # (dim, n_modes)
+        self.occ, self.lower = _ladders(spec.n_max, nm)  # occ: (dim, n_modes)
         self.Ntot = self.occ.sum(axis=1)
-        self.lower = [self._lower(j) for j in range(nm)]
-
-    def _lower(self, j):
-        cols = np.flatnonzero(self.occ[:, j])
-        stride = (self.spec.n_max + 1) ** (len(self.spec.modes) - 1 - j)
-        return csr_matrix((np.sqrt(self.occ[cols, j]), (cols - stride, cols)),
-                          shape=(self.dim, self.dim))
 
     def pair_lower(self, model: Model):
-        """A_k = a_k a_{-k} per mode, and Q = sum_k lambda(k) A_k."""
+        """A_k = a_k a_{-k} per mode, as lowering maps, and the entries of
+        Q = sum_k lambda(k) A_k."""
         neg = self.spec.negation_index()
-        norms = self.spec.mode_norms()
         a_ops = self.lower
         A = [a_ops[j] @ a_ops[neg[j]] for j in range(len(a_ops))]
-        Q = sum(float(model.lambda_profile.value_radial(norms[j])) * A[j]
-                for j in range(len(A)))
-        return A, Q
+        return A, _pair_sum(A, _lambdas(model, self.spec.mode_norms()),
+                            self.dim)
 
     def zero_mode(self):
         nrm = self.spec.mode_norms()
@@ -342,12 +441,12 @@ class _Pieces:
 
     def __init__(self, ws: _Workspace, model: Model):
         self.A, Q = ws.pair_lower(model)
-        QdQ = Q.conj().T @ Q
-        ops = (Q, QdQ, ws.lower[ws.zero_mode()])
-        self.sectors = sec = _Sectors.of_pattern(*ops)
+        QdQ = _adjoint_product(Q, Q, ws.dim)
+        ops = (Q, QdQ, ws.lower[ws.zero_mode()].entries())
+        self.sectors = sec = _Sectors.of_pattern(ws.dim, *ops)
         self.Q, self.QdQ, self.a0 = (sec.gather(M) for M in ops)
         self.Qt, self.a0t = self.Q[sec.tpos], self.a0[sec.tpos]
-        self.number_sectors = _Sectors.of_pattern(QdQ)
+        self.number_sectors = _Sectors.of_pattern(ws.dim, QdQ)
         self.number_QdQ = self.number_sectors.gather(QdQ)
         self.T = ws.diag_T(model)
         self.N = ws.Ntot
@@ -426,19 +525,14 @@ class _Factor:
     """
 
     def __init__(self, spec: FockSpec, model: Model, modes, zero):
-        size = spec.n_max + 1
-        occ = np.array(list(product(range(size), repeat=len(modes))),
-                       dtype=float)
-        b = np.diag(np.sqrt(np.arange(1.0, size)), 1)   # one-mode lowering
-        lower = {j: reduce(np.kron, [b if t == i else np.eye(size)
-                                     for t in range(len(modes))])
-                 for i, j in enumerate(modes)}
+        occ, ladders = _ladders(spec.n_max, len(modes))
+        lower = dict(zip(modes, ladders))
         neg, norms = spec.negation_index(), spec.mode_norms()
-        X = sum(float(model.lambda_profile.value_radial(norms[j]))
-                * (lower[j] @ lower[neg[j]]) for j in modes)
-        a0 = lower.get(zero)
+        X = _pair_sum([lower[j] @ lower[neg[j]] for j in modes],
+                      _lambdas(model, [norms[j] for j in modes]), len(occ))
+        a0 = lower[zero].entries() if zero in lower else None
         self.sectors = sec = _Sectors.of_pattern(
-            *(M for M in (X, a0) if M is not None))
+            len(occ), *(M for M in (X, a0) if M is not None))
         self.X = sec.gather(X)
         self.Xt = self.X[sec.tpos]
         self.a0 = None if a0 is None else sec.gather(a0)
@@ -450,6 +544,11 @@ class _Factor:
         for a in (self.X, self.Xt, self.a0, self.a0t, self.T, self.N):
             if a is not None:
                 a.setflags(write=False)     # shared by every grid of the model
+
+
+def _lambdas(model: Model, norms) -> list:
+    """lambda(|k|) at each mode norm."""
+    return [float(model.lambda_profile.value_radial(r)) for r in norms]
 
 
 def _q_complex(q: float, eta: complex) -> complex:
@@ -699,7 +798,8 @@ def check_pair_exchange_bound(spec: FockSpec, model: Model, k, kp,
     Nmk = occ[:, neg[j]]
     Nmkp = occ[:, neg[jp]]
     diag = (Nk + abs(lam_k)) * Nkp + (Nmkp + abs(lam_kp)) * Nmk
-    cross = sec.gather(lam_k * lam_kp * (p.A[j].conj().T @ p.A[jp]))
+    cross = _adjoint_product(p.A[j].entries(), p.A[jp].entries(), ws.dim)
+    cross = sec.gather(cross._replace(vals=lam_k * lam_kp * cross.vals))
     O = sec.plus_diag(-sign * (cross + cross[sec.tpos]), diag)
     min_eig = float(_spectrum(sec, O).min())
     return {

@@ -128,8 +128,6 @@ def test_large_factors_stay_finite_where_the_value_does():
 
 @pytest.mark.parametrize("nu, mass, beta, foff, row, message", [
     (3, 0.5, 2.0, -1e-300, 1, "infeasible evaluation point"),
-    (3, 0.5, 1e-300, 0.2, 1, "ideal-gas row 1 is inf"),    # overflow
-    (1, 0.5, 2.0, 1e-320, 3, "ideal-gas row 3 is inf"),    # sigma > 0
     (2, 1e-300, 1e300, 0.0, 1, "ideal-gas row 1 is nan"),  # 0 * inf
 ])
 def test_failures_are_quadrature_failures(nu, mass, beta, foff, row,
@@ -137,3 +135,16 @@ def test_failures_are_quadrature_failures(nu, mass, beta, foff, row,
     with pytest.raises(PairBosonError, match=message) as info:
         bose.ideal_rows(nu, mass, beta, foff, (row,))
     assert info.type is QuadratureFailure
+
+
+@pytest.mark.parametrize("nu, mass, beta, foff, row, message", [
+    (3, 0.5, 1e-300, 0.2, 1, "ideal-gas row 1 passes"),    # lambda^-3
+    (1, 0.5, 2.0, 1e-320, 3, "ideal-gas row 3 passes"),    # sigma > 0
+    (3, 0.5, 1e-300, 0.0, 1, "ideal-gas row 1 passes"),    # zeta(3/2) finite
+])
+def test_overflow_is_overflow_error(nu, mass, beta, foff, row, message):
+    # a value past the float range, other than the divergence g_s(1) at
+    # f(0) = 0, is an overflow, which the solver ends as its float-range
+    # error, not a quadrature failure
+    with pytest.raises(OverflowError, match=message):
+        bose.ideal_rows(nu, mass, beta, foff, (row,))

@@ -254,15 +254,16 @@ def _inject(monkeypatch, name, exc):
                             failing(exc) if other == name else wrong_branch)
 
 
-# Runs the seed-0 solve_mix ops and scan_example.ini (PBH_THREADS 1 and 2)
-# in one interpreter, then prints the scipy modules it loaded.
-_SOLVE_PATH_SCRIPT = """
+# Runs the seed-0 ops of one benchmark workload, then scan_example.ini at
+# each PBH_THREADS of `scan_threads`, in one interpreter, and prints the
+# scipy modules it loaded.
+_SCIPY_FREE_SCRIPT = """
 import contextlib, io, os, sys
 sys.path.insert(0, {perfbench!r})
 import workloads
 from pairboson import cli
-argvs = [op["argv"] for op in workloads.make_ops("solve_mix", 0)]
-for threads in ("1", "2"):
+argvs = [op["argv"] for op in workloads.make_ops({workload!r}, 0)]
+for threads in {scan_threads!r}:
     os.environ["PBH_THREADS"] = threads
     argvs.append(["scan", "--config", {config!r}])
 for argv in argvs:
@@ -272,16 +273,26 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_solve_path_imports_no_scipy():
-    # scipy's import is most of a fresh process's wall time; only the
-    # oracle command and the tests load it
-    script = _SOLVE_PATH_SCRIPT.format(
+def _scipy_loaded(workload, scan_threads=()):
+    script = _SCIPY_FREE_SCRIPT.format(
         perfbench=str(Path(__file__).resolve().parents[1] / "perfbench"),
+        workload=workload, scan_threads=scan_threads,
         config=str(DATA / "scan_example.ini"))
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_solve_path_imports_no_scipy():
+    # scipy's import is most of a fresh process's wall time; only the
+    # tests load it
+    assert _scipy_loaded("solve_mix", ("1", "2")) == "[]\n"
+
+
+def test_oracle_imports_no_scipy():
+    # the four seed-0 oracle_desk ops: the oracle runs on numpy alone
+    assert _scipy_loaded("oracle_desk") == "[]\n"
 
 
 class TestExitCodes:
@@ -341,12 +352,12 @@ class TestExitCodes:
 
     def test_dim_2_at_beta_1e_300_overflows_the_pressure_row(self, capsys):
         # the q = 0 gap is sigma* = 1.5e299, where the closed-form pressure
-        # row passes the float range: the point exits 3 on that row
+        # row passes the float range: the point exits 3 as an overflow
         assert run_main(["solve", "--beta=1e-300"] + DIM2) == \
             cli.EXIT_NO_CONVERGENCE
         captured = capsys.readouterr()
-        assert captured.err == ("non-convergence: ideal-gas row 0 is inf at "
-                                "f(0) = 1.5462467037785734e+299\n")
+        assert captured.err == ("non-convergence: the solve left the "
+                                "floating-point range\n")
         assert captured.out == ""
 
     def test_dim_2_at_beta_1e_150_solves(self, capsys):
@@ -447,7 +458,7 @@ class TestExitCodes:
         rows = [row.split(",") for row in
                 capsys.readouterr().out.strip().split("\n")[1:]]
         assert [row[-1] for row in rows] == \
-            ["error:QuadratureFailure"] * 2 + ["normal", "condensed"]
+            ["error:ContinuationDiverged"] * 2 + ["normal", "condensed"]
         assert all(math.isfinite(float(x)) for row in rows[2:]
                    for x in row[:-1])
 

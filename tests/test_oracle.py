@@ -1,6 +1,7 @@
 """Tests for the truncated-Fock exact-diagonalization consistency checks."""
 
 import math
+from functools import reduce
 from itertools import product
 from types import SimpleNamespace
 
@@ -22,8 +23,9 @@ from pairboson.model import (
 from pairboson.oracle import (
     FockSpec, build_hamiltonian, trace_pressure,
     check_superstability, check_variational_chain,
-    check_pair_exchange_bound, OperatorMatrix, _Pieces, _Sectors,
-    _logsumexp, _pieces, _spectrum, _workspace, approx2_pressures, _factors,
+    check_pair_exchange_bound, OperatorMatrix, _Entries, _Lowering, _Pieces,
+    _Sectors, _adjoint_product, _components, _logsumexp, _pieces, _spectrum, _workspace,
+    approx2_pressures, _factors,
 )
 from pairboson.pressure import ThermoPoint, OrderPoint, pressure_fv_modes
 
@@ -36,6 +38,12 @@ V = 3.0
 
 def spec(n_max=6):
     return FockSpec(modes=MODES, n_max=n_max)
+
+
+def _csr(op, dim):
+    """An oracle lowering map or entry list as a scipy.sparse matrix."""
+    e = op.entries() if isinstance(op, _Lowering) else op
+    return csr_matrix((e.vals, (e.rows, e.cols)), shape=(dim, dim))
 
 
 class TestFockSpec:
@@ -59,7 +67,7 @@ class TestLadderAlgebra:
         # A_0 = a_0 a_0 maps |2,0,0> to sqrt(2)|0,0,0>
         sp = FockSpec(modes=((0.0,),), n_max=2)
         ws = _workspace(sp)
-        A0 = ws.pair_lower(MODEL)[0][0].toarray()
+        A0 = _csr(ws.pair_lower(MODEL)[0][0], ws.dim).toarray()
         states = ws.occ.tolist()
         i0, i2 = states.index([0]), states.index([2])
         assert A0[i0, i2] == pytest.approx(math.sqrt(2.0))
@@ -67,7 +75,8 @@ class TestLadderAlgebra:
     def test_n_diagonal(self):
         # sum_k a_k^dag a_k is diagonal with the total occupation
         ws = _workspace(spec(4))
-        N = sum(a.T @ a for a in ws.lower).toarray()
+        N = sum(_csr(a, ws.dim).T @ _csr(a, ws.dim)
+                for a in ws.lower).toarray()
         np.testing.assert_allclose(N, np.diag(ws.Ntot))
         np.testing.assert_array_equal(ws.Ntot,
                                       [sum(s) for s in ws.occ.tolist()])
@@ -77,7 +86,7 @@ class TestLadderAlgebra:
         m = Model(dim=1, mass=0.5, u=0.5, v=1.0,
                   lambda_profile=delta_profile())
         ws = _workspace(spec(4))
-        _, Q = ws.pair_lower(m)
+        Q = _csr(ws.pair_lower(m)[1], ws.dim)
         QdQ = (Q.T @ Q).toarray()
         idx = ws.occ.tolist().index([2, 0, 0])
         assert QdQ[idx, idx] == pytest.approx(2.0)
@@ -86,7 +95,7 @@ class TestLadderAlgebra:
         # [a, a^dag] = 1 on all states with n < n_max
         sp = FockSpec(modes=((0.0,),), n_max=6)
         ws = _workspace(sp)
-        a = ws.lower[0].toarray()
+        a = _csr(ws.lower[0], ws.dim).toarray()
         comm = a @ a.conj().T - a.conj().T @ a
         interior = [i for i, s in enumerate(ws.occ) if s[0] < sp.n_max]
         for i in interior:
@@ -396,13 +405,13 @@ class TestSectors:
                              (pieces.a0, ref.a0)):
             np.testing.assert_allclose(pieces.sectors.assemble(blocks),
                                        ref.proj(full), rtol=0, atol=1e-14)
-        A, _ = ws.pair_lower(m)
+        A = [_csr(a, ws.dim) for a in ws.pair_lower(m)[0]]
         for j, jp in product(range(len(A)), repeat=2):
             np.testing.assert_allclose((A[j].T @ A[jp]).toarray(),
                                        ref.proj(ref.A[j].T @ ref.A[jp]),
                                        rtol=0, atol=1e-14)
         # negative control: a product that raises first is not exact
-        a0 = ws.lower[ws.zero_mode()]
+        a0 = _csr(ws.lower[ws.zero_mode()], ws.dim)
         assert not np.allclose((a0 @ a0.T).toarray(),
                                ref.proj(ref.a0 @ ref.a0.T))
         # the pair-exchange operator for k = +e_1, k' = 0 (negation index
@@ -428,9 +437,10 @@ class TestSectors:
         pieces = _pieces(sp, m)
         sec = pieces.sectors
         label = _state_sectors(sec)
-        _, Q = ws.pair_lower(m)
+        Q = _csr(ws.pair_lower(m)[1], ws.dim)
         for full, blocks in ((Q, pieces.Q), (Q.conj().T @ Q, pieces.QdQ),
-                             (ws.lower[ws.zero_mode()], pieces.a0)):
+                             (_csr(ws.lower[ws.zero_mode()], ws.dim),
+                              pieces.a0)):
             full = full.toarray()
             assert full.dtype == blocks.dtype == float
             inside = np.equal.outer(label, label)
@@ -477,14 +487,16 @@ def _label_order_pressure(H, sp, tp, V, labels):
 def _piece_labels(sp, m):
     """Connected components of the union pattern of Q, Q^dag Q and a_0."""
     ws = _workspace(sp)
-    _, Q = ws.pair_lower(m)
-    pattern = abs(Q) + abs(Q.T @ Q) + abs(ws.lower[ws.zero_mode()])
+    Q = _csr(ws.pair_lower(m)[1], ws.dim)
+    pattern = (abs(Q) + abs(Q.T @ Q)
+               + abs(_csr(ws.lower[ws.zero_mode()], ws.dim)))
     return connected_components(pattern, directed=False)[1]
 
 
 def _number_labels(sp, m):
     """Connected components of the pattern of Q^dag Q alone."""
-    _, Q = _workspace(sp).pair_lower(m)
+    ws = _workspace(sp)
+    Q = _csr(ws.pair_lower(m)[1], ws.dim)
     return connected_components(abs(Q.T @ Q), directed=False)[1]
 
 
@@ -550,7 +562,7 @@ class TestStackedSpectra:
         # sizes 1-4, and the single states take no eigensolve
         sp = _default_fock_spec(MODEL, 7)
         ws = _workspace(sp)
-        A, _ = ws.pair_lower(MODEL)
+        A = [_csr(a, ws.dim) for a in ws.pair_lower(MODEL)[0]]
         cross = A[1].T @ A[0]
         _, labels = connected_components(abs(cross) + abs(cross.T),
                                          directed=False)
@@ -626,9 +638,9 @@ LAYOUT_PROFILES = {"gaussian:1": gaussian_profile(1.0),
 
 
 def _own_pattern_min(M):
-    """Reference: the smallest eigenvalue of a working-basis matrix split
-    by the components of its own nonzero pattern."""
-    O = OperatorMatrix(matrix=M)
+    """Reference: the smallest eigenvalue of a sparse working-basis matrix
+    split by the components of its own nonzero pattern."""
+    O = OperatorMatrix(matrix=M.toarray())
     return float(_spectrum(O.sectors, O.values).min())
 
 
@@ -651,16 +663,18 @@ class TestNumberSectors:
         label = _state_sectors(sec)
         # every block fixes the particle number
         assert all(len(set(ws.Ntot[i].tolist())) == 1 for i in sec.index)
-        _, Q = ws.pair_lower(m)
+        Q = _csr(ws.pair_lower(m)[1], ws.dim)
+        A = [_csr(a, ws.dim) for a in p.A]
         lam = [float(m.lambda_profile.value_radial(r))
                for r in sp.mode_norms()]
-        terms = [Q.T @ Q] + [lam[j] * lam[jp] * (p.A[j].T @ p.A[jp])
-                             for j, jp in product(range(len(p.A)), repeat=2)]
+        terms = [Q.T @ Q] + [lam[j] * lam[jp] * (A[j].T @ A[jp])
+                             for j, jp in product(range(len(A)), repeat=2)]
         for M in terms:
             rows, cols = M.nonzero()
             assert np.array_equal(label[rows], label[cols])
-            np.testing.assert_array_equal(sec.assemble(sec.gather(M)),
-                                          M.toarray())
+            np.testing.assert_array_equal(
+                sec.assemble(sec.gather(_Entries.of_dense(M.toarray()))),
+                M.toarray())
 
     @pytest.mark.parametrize("n_max", [3, 5, 7])
     @pytest.mark.parametrize("profile", sorted(LAYOUT_PROFILES))
@@ -671,7 +685,8 @@ class TestNumberSectors:
                       lambda_profile=LAYOUT_PROFILES[profile])
             sp = _default_fock_spec(m, n_max)
             ws = _workspace(sp)
-            A, Q = ws.pair_lower(m)
+            A = [_csr(a, ws.dim) for a in ws.pair_lower(m)[0]]
+            Q = _csr(ws.pair_lower(m)[1], ws.dim)
             QdQ, Nw, T, occ = Q.T @ Q, ws.Ntot, ws.diag_T(m), ws.occ
             M = mode_coupling_norms(m, sp.mode_norms(), V)[3]
             R, coeff = (M * u / 2.0, m.alpha) if u > 0 else (0.0, m.v)
@@ -837,3 +852,116 @@ class TestFactoredApprox2:
             approx2_pressures(sp, m, TP, V, Q_GRID, RHO_GRID, 0.2)
         assert str(info.value) == "matrix to diagonalize has non-finite entries"
         assert len(seen) == solved
+
+
+
+def _dense_factor_pattern(sp, model, modes):
+    """Reference: the pattern |X| + |a_0| of the mode factor on `modes`,
+    X = sum_j lambda(k_j) a_j a_{-j} with a_0 only where the factor holds
+    the zero mode, from dense Kronecker products of one-mode lowering."""
+    size = sp.n_max + 1
+    b = np.diag(np.sqrt(np.arange(1.0, size)), 1)
+    lower = {j: reduce(np.kron, [b if t == i else np.eye(size)
+                                 for t in range(len(modes))])
+             for i, j in enumerate(modes)}
+    neg, norms = sp.negation_index(), sp.mode_norms()
+    X = sum(float(model.lambda_profile.value_radial(norms[j]))
+            * (lower[j] @ lower[neg[j]]) for j in modes)
+    a0 = lower.get(int(np.argmin(norms)))
+    return np.abs(X) + (0.0 if a0 is None else a0)
+
+
+def _layout_labels(sec):
+    """Each state's sector in a layout, the sectors numbered in the order
+    of their smallest states."""
+    first = np.array([i.min() for i in sec.index])
+    return np.argsort(np.argsort(first))[sec.sector]
+
+
+def _labels(pattern):
+    return connected_components(csr_matrix(pattern), directed=False)[1]
+
+
+REFERENCE_PROFILES = {"gaussian": gaussian_profile(1.0),
+                      "power": power_profile(1.0, 4.0),
+                      "delta": delta_profile()}
+
+
+class TestScipyReference:
+    """The numpy ladder maps, their products and the component split,
+    against scipy.sparse and scipy.sparse.csgraph."""
+
+    @pytest.mark.parametrize("n_max", [3, 7])
+    @pytest.mark.parametrize("profile", sorted(REFERENCE_PROFILES))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_components_match_connected_components(self, dim, profile,
+                                                   n_max):
+        m = Model(dim=dim, mass=0.5, u=0.5, v=1.0,
+                  lambda_profile=REFERENCE_PROFILES[profile])
+        sp = _default_fock_spec(m, n_max)
+        ws, ref, p = _workspace(sp), _extended(sp, m), _pieces(sp, m)
+        Q = ws.pair_lower(m)[1]
+        QdQ = _adjoint_product(Q, Q, ws.dim)
+        ref_QdQ = np.abs(ref.proj(ref.Q.T @ ref.Q))
+        union = np.abs(ref.proj(ref.Q)) + ref_QdQ + ref.proj(ref.a0)
+        np.testing.assert_array_equal(_components(
+            ws.dim, Q, QdQ, ws.lower[ws.zero_mode()].entries()),
+            _labels(union))
+        np.testing.assert_array_equal(_components(ws.dim, QdQ),
+                                      _labels(ref_QdQ))
+        # the cached layouts are those of scipy's labels
+        np.testing.assert_array_equal(_layout_labels(p.sectors),
+                                      _labels(union))
+        np.testing.assert_array_equal(_layout_labels(p.number_sectors),
+                                      _labels(ref_QdQ))
+        # the mode factors: the zero mode, then the pair {+e_1, -e_1}
+        for f, modes in zip(_factors(sp, m), ([0], [1, 2])):
+            np.testing.assert_array_equal(
+                _layout_labels(f.sectors),
+                _labels(_dense_factor_pattern(sp, m, modes)))
+
+    def test_components_of_random_graphs(self):
+        # patterns with long chains and many small components, labelled
+        # in scrambled order
+        rng = np.random.default_rng(5)
+        for n, edges in ((1, 0), (40, 10), (300, 250), (2000, 1900)):
+            rows, cols = rng.integers(0, n, (2, edges))
+            perm = rng.permutation(n)
+            chain = perm[:n // 3]
+            rows = np.concatenate([rows, chain[:-1]])
+            cols = np.concatenate([cols, chain[1:]])
+            e = _Entries(rows, cols, rng.uniform(0.5, 1.0, len(rows)))
+            np.testing.assert_array_equal(
+                _components(n, e), _labels(_csr(e, n)))
+
+    @pytest.mark.parametrize("n_max", [3, 7])
+    @pytest.mark.parametrize("profile", sorted(REFERENCE_PROFILES))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_products_are_bit_equal_on_three_modes(self, dim, profile,
+                                                   n_max):
+        m = Model(dim=dim, mass=0.5, u=0.5, v=1.0,
+                  lambda_profile=REFERENCE_PROFILES[profile])
+        sp = _default_fock_spec(m, n_max)
+        for got, ref in _products(sp, m):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("profile", sorted(REFERENCE_PROFILES))
+    def test_products_on_five_modes(self, profile):
+        m = Model(dim=1, mass=0.5, u=0.5, v=1.0,
+                  lambda_profile=REFERENCE_PROFILES[profile])
+        for got, ref in _products(FIVE_MODES, m):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+
+
+def _products(sp, m):
+    """(oracle, scipy.sparse) dense pairs of Q, Q^dag Q, a_0 and every
+    A_k^dag A_k', the references compressed from the extended basis."""
+    ws, ref = _workspace(sp), _extended(sp, m)
+    A, Q = ws.pair_lower(m)
+    pairs = [(Q, ref.Q), (_adjoint_product(Q, Q, ws.dim), ref.Q.T @ ref.Q),
+             (ws.lower[ws.zero_mode()], ref.a0)]
+    for j, jp in product(range(len(A)), repeat=2):
+        pairs.append((_adjoint_product(A[j].entries(), A[jp].entries(),
+                                       ws.dim),
+                      ref.A[j].T @ ref.A[jp]))
+    return [(_csr(x, ws.dim).toarray(), ref.proj(r)) for x, r in pairs]

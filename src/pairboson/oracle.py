@@ -34,16 +34,18 @@ is a linear combination of them; only the coefficients turn complex with a
 complex source.
 
 Sectors of one size form one contiguous stack and are eigensolved in one
-call.  Mirror sectors: lambda and eps are radial and the mode set is closed
-under k -> -k, so the reflection n_k <-> n_{-k} of occupations commutes with
-T, N, Q, Q^dag Q and a_0, and maps the sector of momentum P onto that of -P.
-Each sector fixes every difference n_k - n_{-k}, so the reflection keeps the
-order of the states within a sector, and the two blocks of every Hamiltonian
-are the same matrix.  `_Pieces` pairs each sector with its mirror only after
-checking, under the reflection's state map, that all five cached pieces agree
+call.  Mirror sectors: lambda and eps are radial and every basis here (the
+working basis, and that of each of approx2's mode factors below) is that of
+a mode set closed under k -> -k, so the reflection n_k <-> n_{-k} of
+occupations commutes with T, N, Q, Q^dag Q and a_0, and maps the sector of
+momentum P onto that of -P.  Each sector fixes every difference
+n_k - n_{-k}, so the reflection keeps the order of the states within a
+sector, and the two blocks of every Hamiltonian are the same matrix.  `_Pieces` pairs each sector with its mirror only after
+checking, under the reflection's state map, that all its cached pieces agree
 entry for entry, and `_spectrum` eigensolves one of each pair and copies its
 eigenvalues to the other.  At n_max = 7 with three modes that leaves 8 of 15
-momentum blocks.  The spectrum comes back sector by sector in label order, so
+momentum blocks of the working basis, and 8 of the 15 blocks of the {k, -k}
+pair factor.  The spectrum comes back sector by sector in label order, so
 sums over it keep their order whatever the layout.
 
 Number sectors: Q^dag Q, T and N also conserve the particle number, which
@@ -77,16 +79,19 @@ and commute, so ln Tr e^{-beta (H_2 - mu N)} = sum_f ln Tr_f e^{-beta h_f}
 - beta c holds exactly on the truncated basis (the structure behind the
 closed form of the Approximating Hamiltonian Method: N. N. Bogolyubov Jr.,
 J. G. Brankov, V. A. Zagrebnov, A. M. Kurbatov and N. S. Tonchev, 1981).
-`approx2_pressures` uses it over a whole (q, rho) grid: each factor's blocks
-are cached (`_Factor`), split by the pattern of its pair operator and a_0,
-and the grid's blocks of one size are eigensolved in one call.  At
-n_max = 7 with three modes the factors hold 8 and 64 states, in blocks of
-at most 8; a {k, -k} pair splits by n_k - n_{-k}.
+`approx2_pressures` uses it over a whole (q, rho) grid.  Each factor is the
+`_Pieces` of its own mode set, a `_Workspace` of the factor's modes alone,
+built and cached like the working basis's (`_factors`): its Q is the
+factor's pair operator, a_0 is present only in the zero mode's factor, and
+its mirror twins are paired.  The grid's blocks of one size are eigensolved
+in one call.  At n_max = 7 with three modes the factors hold 8 and 64
+states, in blocks of at most 8; a {k, -k} pair splits by n_k - n_{-k}.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -114,31 +119,51 @@ _MAX_DIM = 20000  # largest working basis a FockSpec may have
 np.empty(1 << 20)
 
 
+def _mode_key(k) -> tuple:
+    """A mode's lookup key: its components rounded to 12 decimals."""
+    return tuple(np.round(np.atleast_1d(np.asarray(k, dtype=float)), 12))
+
+
 @dataclass(frozen=True)
 class FockSpec:
-    """Mode set and occupation truncation for a desk-scale realization."""
+    """Mode set and occupation truncation for a desk-scale realization:
+    distinct modes, closed under k -> -k and holding k = 0, and an integer
+    n_max >= 1."""
 
     modes: tuple
     n_max: int
 
     def __post_init__(self):
-        if self.n_max < 1:
+        try:
+            n_max = operator.index(self.n_max)
+        except TypeError:
+            raise ModelError(f"n_max must be an integer, not {self.n_max!r}") from None
+        if n_max < 1:
             raise ModelError("need n_max >= 1")
-        modes = [tuple(np.atleast_1d(np.asarray(m, dtype=float))) for m in self.modes]
-        object.__setattr__(self, "modes", tuple(modes))
-        keys = {tuple(np.round(m, 12)) for m in modes}
-        if tuple(np.round(np.zeros(len(modes[0])), 12)) not in keys:
+        modes = tuple(tuple(np.atleast_1d(np.asarray(m, dtype=float)))
+                      for m in self.modes)
+        index = {_mode_key(m): j for j, m in enumerate(modes)}
+        for name, value in (("n_max", n_max), ("modes", modes), ("_index", index)):
+            object.__setattr__(self, name, value)
+        if len(index) < len(modes):
+            raise ModelError("modes must be distinct")
+        if not modes or _mode_key(np.zeros(len(modes[0]))) not in index:
             raise ModelError("mode set must contain k = 0")
-        for m in modes:
-            if tuple(np.round([-x for x in m], 12)) not in keys:
-                raise ModelError("mode set must be closed under k -> -k")
+        if any(_mode_key(np.negative(m)) not in index for m in modes):
+            raise ModelError("mode set must be closed under k -> -k")
 
     def mode_norms(self):
         return [math.sqrt(sum(x * x for x in m)) for m in self.modes]
 
+    def mode_index(self, k) -> int:
+        """The place of mode k in `modes`; ModelError if k is not a mode."""
+        try:
+            return self._index[_mode_key(k)]
+        except (KeyError, TypeError, ValueError):
+            raise ModelError(f"{k!r} is not a mode of the spec") from None
+
     def negation_index(self):
-        keys = {tuple(np.round(m, 12)): j for j, m in enumerate(self.modes)}
-        return [keys[tuple(np.round([-x for x in m], 12))] for m in self.modes]
+        return [self.mode_index(np.negative(m)) for m in self.modes]
 
 
 class _Entries(NamedTuple):
@@ -249,8 +274,8 @@ def _components(dim, *entries) -> np.ndarray:
 
 
 class _Sectors:
-    """A split of a basis (the working basis, or one of approx2's mode
-    factors) into sectors, and the block layout.
+    """A split of a basis (a `_Workspace`'s, or any matrix's) into
+    sectors, and the block layout.
 
     The sectors are ordered by size (by label within a size), and the
     dense block of each is stored row-major, one after another, in one flat
@@ -387,38 +412,39 @@ def _workspace(spec: "FockSpec") -> "_Workspace":
 
 
 class _Workspace:
-    """Working occupation basis and ladder operators for one FockSpec.
+    """Occupation basis and ladder operators of a set of modes of one
+    FockSpec, closed under k -> -k: every mode of the spec (the working
+    basis) unless `modes` lists fewer.
 
-    The states are all occupation tuples with n_k <= n_max, in lexicographic
-    order (`_ladders`).
+    The states are all occupation tuples with n_k <= n_max over the set's
+    modes, in lexicographic order (`_ladders`).  `neg` gives the place in
+    the set of each mode's negative, and `zero` that of the zero mode, None
+    when the set does not hold it.
     """
 
-    def __init__(self, spec: FockSpec):
+    def __init__(self, spec: FockSpec, modes=None):
+        modes = range(len(spec.modes)) if modes is None else modes
         self.spec = spec
-        nm = len(spec.modes)
-        self.dim = (spec.n_max + 1) ** nm
+        self.dim = (spec.n_max + 1) ** len(modes)
         if self.dim > _MAX_DIM:
             raise DimensionExceeded(
                 f"working dimension {self.dim} exceeds cap {_MAX_DIM}")
-        self.occ, self.lower = _ladders(spec.n_max, nm)  # occ: (dim, n_modes)
+        self.occ, self.lower = _ladders(spec.n_max, len(modes))
         self.Ntot = self.occ.sum(axis=1)
+        neg, norms = spec.negation_index(), spec.mode_norms()
+        self.neg = [modes.index(neg[j]) for j in modes]
+        self.norms = [norms[j] for j in modes]
+        zero = int(np.argmin(norms))
+        self.zero = modes.index(zero) if zero in modes else None
 
     def pair_lower(self, model: Model):
         """A_k = a_k a_{-k} per mode, as lowering maps, and the entries of
         Q = sum_k lambda(k) A_k."""
-        neg = self.spec.negation_index()
-        a_ops = self.lower
-        A = [a_ops[j] @ a_ops[neg[j]] for j in range(len(a_ops))]
-        return A, _pair_sum(A, _lambdas(model, self.spec.mode_norms()),
-                            self.dim)
-
-    def zero_mode(self):
-        nrm = self.spec.mode_norms()
-        return int(np.argmin(nrm))
+        A = [a @ self.lower[k] for a, k in zip(self.lower, self.neg)]
+        return A, _pair_sum(A, _lambdas(model, self.norms), self.dim)
 
     def diag_T(self, model: Model):
-        nrm = self.spec.mode_norms()
-        eps = np.array([r * r / (2.0 * model.mass) for r in nrm])
+        eps = np.array([r * r / (2.0 * model.mass) for r in self.norms])
         return self.occ @ eps
 
 
@@ -428,51 +454,64 @@ def _pieces(spec: FockSpec, model: Model) -> "_Pieces":
 
 
 class _Pieces:
-    """Per-sector real blocks of Q, Q^dag Q and a_0 for one model, on two
-    layouts.
+    """Per-sector real blocks of Q, Q^dag Q and a_0 for one model on the
+    basis of a `_Workspace`, on two layouts.
 
     Q, Q^dag Q and a_0 are flat block arrays in the layout of `sectors`
-    (fixed momentum), and `Qt`, `a0t` their transposes; `number_QdQ` is
-    Q^dag Q in the layout of `number_sectors` (fixed particle number and
-    momentum).  T and N are diagonal and kept as vectors in working-basis
-    order.  `A` holds the pair operators A_k of `pair_lower`.  The momentum
-    sectors' mirror twins are paired here (`_twins`).
+    (fixed momentum), the components of the pattern of Q, Q^dag Q and a_0,
+    and `Qt`, `a0t` their transposes; a_0 and a0t are None where the basis
+    lacks the zero mode.  `number_QdQ` is Q^dag Q in the layout of
+    `number_sectors` (fixed particle number and momentum), built on first
+    read.  T and N are diagonal and kept as vectors in basis order.  `A`
+    holds the pair operators A_k of `pair_lower`.  The momentum sectors'
+    mirror twins are paired here (`_twins`).
     """
 
     def __init__(self, ws: _Workspace, model: Model):
         self.A, Q = ws.pair_lower(model)
-        QdQ = _adjoint_product(Q, Q, ws.dim)
-        ops = (Q, QdQ, ws.lower[ws.zero_mode()].entries())
-        self.sectors = sec = _Sectors.of_pattern(ws.dim, *ops)
-        self.Q, self.QdQ, self.a0 = (sec.gather(M) for M in ops)
-        self.Qt, self.a0t = self.Q[sec.tpos], self.a0[sec.tpos]
-        self.number_sectors = _Sectors.of_pattern(ws.dim, QdQ)
-        self.number_QdQ = self.number_sectors.gather(QdQ)
+        self._QdQ = QdQ = _adjoint_product(Q, Q, ws.dim)
+        a0 = None if ws.zero is None else ws.lower[ws.zero].entries()
+        self.sectors = sec = _Sectors.of_pattern(
+            ws.dim, *(M for M in (Q, QdQ, a0) if M is not None))
+        self.Q, self.QdQ = sec.gather(Q), sec.gather(QdQ)
+        self.a0 = None if a0 is None else sec.gather(a0)
+        self.Qt = self.Q[sec.tpos]
+        self.a0t = None if a0 is None else self.a0[sec.tpos]
         self.T = ws.diag_T(model)
         self.N = ws.Ntot
         sec.pair_twins(self._twins(ws))
-        for a in (self.Q, self.QdQ, self.a0, self.Qt, self.a0t,
-                  self.number_QdQ, self.T, self.N):
-            a.setflags(write=False)     # shared by every build of the model
+        for a in (self.Q, self.QdQ, self.a0, self.Qt, self.a0t, self.T,
+                  self.N):
+            if a is not None:
+                a.setflags(write=False)  # shared by every build of the model
+
+    @cached_property
+    def number_sectors(self) -> _Sectors:
+        return _Sectors.of_pattern(len(self.N), self._QdQ)
+
+    @cached_property
+    def number_QdQ(self) -> np.ndarray:
+        out = self.number_sectors.gather(self._QdQ)
+        out.setflags(write=False)
+        return out
 
     def _twins(self, ws: _Workspace) -> np.ndarray:
         """Each sector's representative under the reflection n_k <-> n_{-k}.
 
-        The reflection maps the working basis onto itself; `mirror` is its
-        state map.  Every sector fixes each difference n_k - n_{-k}, so the
-        map keeps the order of the states within a sector.  A sector s and
-        the sector t holding its mirror states are twins when the map
-        carries the states of s, in order, onto those of t and the blocks
-        of T, N, Q, Q^dag Q and a_0 on t equal those on s entry for entry.
-        The two blocks of any Hamiltonian built from these pieces are then
-        the same matrix, and one eigensolve serves both to the last bit.
-        The earlier of the two in the layout represents both; a sector
-        that is its own mirror, or fails the check, represents itself.
+        The reflection maps the basis onto itself; `mirror` is its state
+        map.  Every sector fixes each difference n_k - n_{-k}, so the map
+        keeps the order of the states within a sector.  A sector s and the
+        sector t holding its mirror states are twins when the map carries
+        the states of s, in order, onto those of t and the blocks of T, N,
+        Q, Q^dag Q and a_0 on t equal those on s entry for entry.  The two
+        blocks of any Hamiltonian built from these pieces are then the same
+        matrix, and one eigensolve serves both to the last bit.  The earlier
+        of the two in the layout represents both; a sector that is its own
+        mirror, or fails the check, represents itself.
         """
         sec = self.sectors
-        spec = ws.spec
-        strides = (spec.n_max + 1) ** np.arange(len(spec.modes))[::-1]
-        mirror = (ws.occ[:, spec.negation_index()] @ strides).astype(np.intp)
+        strides = (ws.spec.n_max + 1) ** np.arange(len(ws.neg))[::-1]
+        mirror = (ws.occ[:, ws.neg] @ strides).astype(np.intp)
         slot = np.empty(sec.dim, dtype=np.intp)
         slot[sec.order] = np.arange(sec.dim)
         rep = np.arange(len(sec.sizes))
@@ -491,8 +530,9 @@ class _Pieces:
                 D = d[sec.order[start:start + m * n]].reshape(m, n)
                 good &= (D[partner] == D).all(axis=1)
             for X in (self.Q, self.QdQ, self.a0):
-                B = X[sec.bounds[s0]:sec.bounds[s0 + m]].reshape(m, n, n)
-                good &= (B[partner] == B).all(axis=(1, 2))
+                if X is not None:
+                    B = X[sec.bounds[s0]:sec.bounds[s0 + m]].reshape(m, n, n)
+                    good &= (B[partner] == B).all(axis=(1, 2))
             twin = good & good[partner] & (partner != own)
             rep[s0:s0 + m] = s0 + np.where(twin, np.minimum(partner, own), own)
             start += m * n
@@ -501,49 +541,11 @@ class _Pieces:
 
 @lru_cache(maxsize=8)
 def _factors(spec: FockSpec, model: Model) -> tuple:
-    """The mode factors of the second approximant, as `_Factor`s.
-
-    A factor is a connected set of modes under k -> -k: the zero mode
-    alone, and each {k, -k} pair.
-    """
-    neg = spec.negation_index()
-    factor_of = list(range(len(neg)))
-    for j, k in enumerate(neg):
-        a, b = factor_of[j], factor_of[k]
-        factor_of = [min(a, b) if f in (a, b) else f for f in factor_of]
-    zero = _workspace(spec).zero_mode()
-    return tuple(_Factor(spec, model, [j for j in range(len(neg))
-                                       if factor_of[j] == f], zero)
-                 for f in sorted(set(factor_of)))
-
-
-class _Factor:
-    """Real blocks of one factor's pair operator X = sum_{j in factor}
-    lambda(k_j) a_j a_{-j}, of a_0 when the factor holds the zero mode
-    (else None), and its diagonal T and N, on the factor's own product
-    basis of occupations n_j <= n_max, split by the pattern of X and a_0.
-    """
-
-    def __init__(self, spec: FockSpec, model: Model, modes, zero):
-        occ, ladders = _ladders(spec.n_max, len(modes))
-        lower = dict(zip(modes, ladders))
-        neg, norms = spec.negation_index(), spec.mode_norms()
-        X = _pair_sum([lower[j] @ lower[neg[j]] for j in modes],
-                      _lambdas(model, [norms[j] for j in modes]), len(occ))
-        a0 = lower[zero].entries() if zero in lower else None
-        self.sectors = sec = _Sectors.of_pattern(
-            len(occ), *(M for M in (X, a0) if M is not None))
-        self.X = sec.gather(X)
-        self.Xt = self.X[sec.tpos]
-        self.a0 = None if a0 is None else sec.gather(a0)
-        self.a0t = None if a0 is None else self.a0[sec.tpos]
-        eps = np.array([norms[j] * norms[j] / (2.0 * model.mass)
-                        for j in modes])
-        self.T = (occ @ eps)[sec.order]
-        self.N = occ.sum(axis=1)[sec.order]
-        for a in (self.X, self.Xt, self.a0, self.a0t, self.T, self.N):
-            if a is not None:
-                a.setflags(write=False)     # shared by every grid of the model
+    """The mode factors of the second approximant, each the `_Pieces` of
+    its own modes: the zero mode alone, and each {k, -k} pair.  Cached apart
+    from `_pieces`, whose eight entries the factors would crowd out."""
+    return tuple(_Pieces(_Workspace(spec, modes), model) for modes in sorted(
+        {tuple(sorted({j, k})) for j, k in enumerate(spec.negation_index())}))
 
 
 def _lambdas(model: Model, norms) -> list:
@@ -671,12 +673,13 @@ def approx2_pressures(spec: FockSpec, model: Model, tp: ThermoPoint,
     log_trace = -tp.beta * const
     for f in _factors(spec, model):
         sec = f.sectors
-        off = np.array([-_herm((u / 2.0) * c, f.X, f.Xt)
-                        for c in qc]).reshape(len(qc), len(f.X))
+        off = np.array([-_herm((u / 2.0) * c, f.Q, f.Qt)
+                        for c in qc]).reshape(len(qc), len(f.Q))
         if f.a0 is not None:
             off = off - _herm(math.sqrt(V) * eta, f.a0, f.a0t)
         H = np.repeat(off[:, None, :], len(rho_grid), axis=1)
-        H[..., sec.diag] += f.T + np.multiply.outer(v * rho_grid - tp.mu, f.N)
+        H[..., sec.diag] += (f.T + np.multiply.outer(v * rho_grid - tp.mu,
+                                                     f.N))[:, sec.order]
         herm = np.max(np.abs(H - np.conj(H[..., sec.tpos])), axis=-1)
         scale = np.maximum(1.0, np.max(np.abs(H), axis=-1))
         if (herm > 1e-12 * scale).any():
@@ -781,16 +784,12 @@ def check_pair_exchange_bound(spec: FockSpec, model: Model, k, kp,
     sectors, which hold every nonzero of lam(k) lam(k') A_k^dag A_k' for
     lam >= 0 (EigenFailure if one falls between two sectors).
     """
+    j, jp = spec.mode_index(k), spec.mode_index(kp)
     ws = _workspace(spec)
     p = _pieces(spec, model)
     sec = p.number_sectors
-    keys = [tuple(np.round(m, 12)) for m in spec.modes]
-    j = keys.index(tuple(np.round(np.atleast_1d(np.asarray(k, float)), 12)))
-    jp = keys.index(tuple(np.round(np.atleast_1d(np.asarray(kp, float)), 12)))
     neg = spec.negation_index()
-    norms = spec.mode_norms()
-    lam_k = float(model.lambda_profile.value_radial(norms[j]))
-    lam_kp = float(model.lambda_profile.value_radial(norms[jp]))
+    lam_k, lam_kp = _lambdas(model, [ws.norms[j], ws.norms[jp]])
 
     occ = ws.occ
     Nk = occ[:, j]

@@ -112,6 +112,13 @@ class TestLadderAlgebra:
      ModelError),
     (lambda: approx2_pressures(spec(), MODEL, TP, 0.0, [0.1], [0.5]),
      ModelError),
+    (lambda: FockSpec(modes=(), n_max=3), ModelError),
+    (lambda: FockSpec(modes=MODES, n_max=2.5), ModelError),
+    (lambda: FockSpec(modes=MODES + ((1.0,),), n_max=3), ModelError),
+    (lambda: check_pair_exchange_bound(spec(3), MODEL, (2.0,), (0.0,)),
+     ModelError),
+    (lambda: check_pair_exchange_bound(spec(3), MODEL, (1.0,), (0.5,)),
+     ModelError),
 ])
 def test_bad_arguments_raise_typed_errors(build, error):
     with pytest.raises(PairBosonError) as info:
@@ -411,7 +418,7 @@ class TestSectors:
                                        ref.proj(ref.A[j].T @ ref.A[jp]),
                                        rtol=0, atol=1e-14)
         # negative control: a product that raises first is not exact
-        a0 = _csr(ws.lower[ws.zero_mode()], ws.dim)
+        a0 = _csr(ws.lower[ws.zero], ws.dim)
         assert not np.allclose((a0 @ a0.T).toarray(),
                                ref.proj(ref.a0 @ ref.a0.T))
         # the pair-exchange operator for k = +e_1, k' = 0 (negation index
@@ -439,7 +446,7 @@ class TestSectors:
         label = _state_sectors(sec)
         Q = _csr(ws.pair_lower(m)[1], ws.dim)
         for full, blocks in ((Q, pieces.Q), (Q.conj().T @ Q, pieces.QdQ),
-                             (_csr(ws.lower[ws.zero_mode()], ws.dim),
+                             (_csr(ws.lower[ws.zero], ws.dim),
                               pieces.a0)):
             full = full.toarray()
             assert full.dtype == blocks.dtype == float
@@ -489,7 +496,7 @@ def _piece_labels(sp, m):
     ws = _workspace(sp)
     Q = _csr(ws.pair_lower(m)[1], ws.dim)
     pattern = (abs(Q) + abs(Q.T @ Q)
-               + abs(_csr(ws.lower[ws.zero_mode()], ws.dim)))
+               + abs(_csr(ws.lower[ws.zero], ws.dim)))
     return connected_components(pattern, directed=False)[1]
 
 
@@ -739,7 +746,7 @@ class TestNumberSectors:
         assert cli.main(argv) == 0
         first = capsys.readouterr().out
         assert len(seen) == 65
-        assert sum(int(np.prod(s[:-2])) * s[-1] ** 3 for s in seen) == 4065406
+        assert sum(int(np.prod(s[:-2])) * s[-1] ** 3 for s in seen) == 4045831
         splits = []
         of_pattern = _Sectors.of_pattern.__func__
         monkeypatch.setattr(_Sectors, "of_pattern", classmethod(
@@ -794,15 +801,34 @@ class TestFactoredApprox2:
         for eta in ETAS:
             assert _factored_error(FIVE_MODES, m, eta) <= 1e-13, eta
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pair_factor_reuses_mirror_twins(self, dim):
+        # the {k, -k} factor splits by n_k - n_{-k} into 15 sectors at
+        # n_max = 7, and the reflection n_k <-> n_{-k} pairs 7 of them;
+        # the zero-mode factor is its own mirror and pairs none
+        m = Model(dim=dim, mass=0.5, u=0.5, v=1.0,
+                  lambda_profile=gaussian_profile(1.0))
+        sp = _default_fock_spec(m, 7)
+        zero, pair = _factors(sp, m)
+        sec = pair.sectors
+        own = np.arange(len(sec.index))
+        assert len(sec.index) == 15
+        assert np.count_nonzero(sec.rep != own) == 7
+        assert np.array_equal(sec.rep[sec.rep], sec.rep)
+        assert np.array_equal(zero.sectors.rep,
+                              np.arange(len(zero.sectors.index)))
+        for eta in ETAS:
+            assert _factored_error(sp, m, eta) <= 1e-13, eta
+
     def test_perturbed_factor_fails_the_comparison(self, monkeypatch):
         # negative control: one entry of a cached pair factor changed
         from pairboson import oracle
         sp = _default_fock_spec(MODEL, 3)
         zero, pair = _factors(sp, MODEL)
         bad = SimpleNamespace(**vars(pair))
-        X = pair.X.copy()
+        X = pair.Q.copy()
         X[np.flatnonzero(X)[0]] *= 1.0 + 1e-6
-        bad.X, bad.Xt = X, X[pair.sectors.tpos]
+        bad.Q, bad.Qt = X, X[pair.sectors.tpos]
         monkeypatch.setattr(oracle, "_factors", lambda *a: (zero, bad))
         assert _factored_error(sp, MODEL, 0.2) > 1e-13
 
@@ -819,7 +845,7 @@ class TestFactoredApprox2:
 
     def test_factors_are_read_only(self):
         for f in _factors(_default_fock_spec(MODEL, 3), MODEL):
-            for a in (f.X, f.Xt, f.T, f.N):
+            for a in (f.Q, f.Qt, f.T, f.N):
                 assert not a.flags.writeable
 
     @pytest.mark.parametrize("profile, calls", [("gaussian", 56),
@@ -905,7 +931,7 @@ class TestScipyReference:
         ref_QdQ = np.abs(ref.proj(ref.Q.T @ ref.Q))
         union = np.abs(ref.proj(ref.Q)) + ref_QdQ + ref.proj(ref.a0)
         np.testing.assert_array_equal(_components(
-            ws.dim, Q, QdQ, ws.lower[ws.zero_mode()].entries()),
+            ws.dim, Q, QdQ, ws.lower[ws.zero].entries()),
             _labels(union))
         np.testing.assert_array_equal(_components(ws.dim, QdQ),
                                       _labels(ref_QdQ))
@@ -959,7 +985,7 @@ def _products(sp, m):
     ws, ref = _workspace(sp), _extended(sp, m)
     A, Q = ws.pair_lower(m)
     pairs = [(Q, ref.Q), (_adjoint_product(Q, Q, ws.dim), ref.Q.T @ ref.Q),
-             (ws.lower[ws.zero_mode()], ref.a0)]
+             (ws.lower[ws.zero], ref.a0)]
     for j, jp in product(range(len(A)), repeat=2):
         pairs.append((_adjoint_product(A[j].entries(), A[jp].entries(),
                                        ws.dim),
